@@ -34,10 +34,10 @@ type AccelConfig struct {
 	// build cost is amortised across all members of a process.
 	Precompute bool
 	// VerifyWorkers bounds the worker pool that processes independent
-	// incoming contributions concurrently: the batch-verification
-	// products chunk across peers, and the finish-phase checks
-	// (signature batch, Lemma 1, key computation) run as parallel tasks.
-	// 0 or 1 selects the exact sequential path.
+	// incoming contributions concurrently: round 2's Z and T products,
+	// and the finish-phase checks (signature batch, Lemma 1, key
+	// computation), run as parallel tasks. 0 or 1 selects the exact
+	// sequential path.
 	VerifyWorkers int
 	// BatchVerifier, when non-nil, defers the finish-phase GQ batch check
 	// to a host-level claim queue (see the interface doc). Verdicts,
@@ -49,8 +49,7 @@ type AccelConfig struct {
 // *pool runs tasks sequentially with fail-fast semantics — the exact
 // legacy control flow — so call sites never branch on the accel mode.
 type pool struct {
-	workers int
-	sem     chan struct{}
+	sem chan struct{}
 }
 
 // newPool returns nil (sequential execution) unless workers > 1.
@@ -58,45 +57,7 @@ func newPool(workers int) *pool {
 	if workers <= 1 {
 		return nil
 	}
-	return &pool{workers: workers, sem: make(chan struct{}, workers)}
-}
-
-// size returns the pool's parallelism, 1 for the sequential path.
-func (p *pool) size() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// share returns the worker budget for parallelism nested inside the ONE
-// fanning-out task of `tasks` concurrent Run tasks: the straight-line
-// siblings each occupy a slot, and the remainder goes to the task that
-// spawns helpers (chunked products, identity hashing), keeping the
-// machine's total concurrency at ~VerifyWorkers rather than multiplying
-// budgets. When several siblings nest parallelism, use split instead.
-func (p *pool) share(tasks int) int {
-	if p == nil {
-		return 1
-	}
-	w := p.workers - (tasks - 1)
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
-// split divides the worker budget evenly across `tasks` concurrent Run
-// tasks that EACH nest their own helper goroutines.
-func (p *pool) split(tasks int) int {
-	if p == nil {
-		return 1
-	}
-	w := p.workers / tasks
-	if w < 1 {
-		return 1
-	}
-	return w
+	return &pool{sem: make(chan struct{}, workers)}
 }
 
 // Run executes the tasks. Sequentially (nil pool) it stops at the first

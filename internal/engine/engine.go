@@ -244,12 +244,13 @@ type Machine struct {
 	// cfg.Accel.VerifyWorkers > 1; nil selects the exact sequential path.
 	pool *pool
 
-	// gvCache holds per-roster claim builders (cached identity products)
-	// for the deferred batch-verification path; rosters recur across
-	// rounds and sessions, so the hashing and inversion are one-off. It
-	// has its own lock because finish phases of concurrent flows touch it.
+	// gvCache holds the roster verifiers (cached identity products and
+	// their inverses) of the gvCacheSize most recently keyed rosters,
+	// least recent first; rosters recur across rounds and sessions, so
+	// the hashing and inversion are one-off. It has its own lock because
+	// finish phases of concurrent flows touch it.
 	gvMu    sync.Mutex
-	gvCache map[string]*gq.GroupVerifier
+	gvCache []rosterVerifier
 
 	// group is the most recently committed group view (nil before the
 	// first establishment). Lockstep drivers and single-group applications
@@ -302,7 +303,6 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 		sk:       sk,
 		m:        m,
 		pool:     newPool(cfg.Accel.VerifyWorkers),
-		gvCache:  map[string]*gq.GroupVerifier{},
 		flows:    map[string]*runningFlow{},
 		sessions: map[string]*Group{},
 		finished: map[string]uint64{},
@@ -310,22 +310,40 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 	}, nil
 }
 
-// claimBuilder returns the cached per-roster claim builder for the
-// deferred batch-verification path, constructing it (identity digests,
-// their product, its inverse — no fixed-base table) on first use.
+// gvCacheSize bounds a machine's roster-verifier cache, so a long-lived
+// member under churning membership holds a fixed amount of verifier
+// state.
+const gvCacheSize = 8
+
+// rosterVerifier is one gvCache entry, keyed by the joined roster.
+type rosterVerifier struct {
+	key string
+	gv  *gq.GroupVerifier
+}
+
+// claimBuilder returns the cached verifier for a roster, the finish
+// phase's eq. 2 check, constructing it (identity digests, their product,
+// its inverse — no fixed-base table) on first use and evicting the least
+// recently used roster beyond gvCacheSize.
 func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
 	key := strings.Join(roster, "\x00")
 	mc.gvMu.Lock()
 	defer mc.gvMu.Unlock()
-	if gv := mc.gvCache[key]; gv != nil {
-		return gv, nil
+	for i, e := range mc.gvCache {
+		if e.key == key {
+			copy(mc.gvCache[i:], mc.gvCache[i+1:])
+			mc.gvCache[len(mc.gvCache)-1] = e
+			return e.gv, nil
+		}
 	}
-	//gkalint:blocked identityProduct joins a bounded pool of CPU-only goroutines that always terminate; nothing external can wedge gvMu
 	gv, err := gq.NewClaimBuilder(gq.ParamsFrom(mc.cfg.Set.RSA), roster)
 	if err != nil {
 		return nil, err
 	}
-	mc.gvCache[key] = gv
+	if len(mc.gvCache) == gvCacheSize {
+		mc.gvCache = append(mc.gvCache[:0], mc.gvCache[1:]...)
+	}
+	mc.gvCache = append(mc.gvCache, rosterVerifier{key, gv})
 	return gv, nil
 }
 

@@ -122,9 +122,9 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	mc.m.Exp(1)
 
 	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z). The two products
-	// range over independent per-peer contributions, so the worker pool
-	// computes them concurrently (and chunks each across peers for large
-	// rings); the sequential path is the exact legacy order.
+	// are division-free Montgomery chains over independent per-peer
+	// contributions, so the worker pool computes them concurrently; the
+	// sequential path is the exact legacy order.
 	zs := make([]*big.Int, 0, n)
 	ts := make([]*big.Int, 0, n)
 	for _, id := range rs.roster {
@@ -133,11 +133,11 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	}
 	_ = mc.pool.Run(
 		func() error {
-			rs.bigZ = mathx.ProductModParallel(zs, sg.P, mc.pool.split(2))
+			rs.bigZ = sg.Mont().Product(zs)
 			return nil
 		},
 		func() error {
-			rs.bigT = mathx.ProductModParallel(ts, mc.cfg.Set.RSA.N, mc.pool.split(2))
+			rs.bigT = mc.cfg.Set.RSA.Mont().Product(ts)
 			return nil
 		},
 	)
@@ -151,14 +151,10 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 }
 
 // submitClaim folds the round's responses into an algebraic batch-
-// verification claim — using the machine's per-roster cached identity
-// product, so nothing is re-hashed per round — and hands it to the host
-// verifier, blocking until the host settles the batch it lands in.
-func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big.Int) error {
-	gv, err := mc.claimBuilder(rs.roster)
-	if err != nil {
-		return err
-	}
+// verification claim against the roster's cached verifier and hands it
+// to the host verifier, blocking until the host settles the batch it
+// lands in.
+func (rs *ringState) submitClaim(gv *gq.GroupVerifier, bv BatchVerifier, responses []*big.Int) error {
 	claim, err := gv.NewClaim(responses, rs.c, rs.bigT)
 	if err != nil {
 		return err
@@ -172,13 +168,13 @@ func (rs *ringState) submitClaim(mc *Machine, bv BatchVerifier, responses []*big
 // committed group view.
 //
 // The three checks consume disjoint inputs (s values; X values; z/X
-// values), so with an active worker pool they run as concurrent tasks and
-// the batch-verification products chunk across peers. Sequentially the
-// tasks run in the exact legacy order with fail-fast semantics, keeping
-// the lockstep drivers' operation accounting bit-identical; in parallel
-// mode a failing check no longer short-circuits its siblings, so the
-// failure path may charge the key-computation Exp that the sequential
-// path skips (values and verdicts are unaffected).
+// values), so with an active worker pool they run as concurrent tasks.
+// Sequentially the tasks run in the exact legacy order with fail-fast
+// semantics, keeping the lockstep drivers' operation accounting
+// bit-identical; in parallel mode a failing check no longer
+// short-circuits its siblings, so the failure path may charge the
+// key-computation Exp that the sequential path skips (values and
+// verdicts are unaffected).
 func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	sg := mc.cfg.Set.Schnorr
 	n := rs.n()
@@ -193,19 +189,36 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	}
 	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
 
+	// With the edge power carried over from the accelerated round 2, the
+	// X values convert into the Montgomery domain once, and Lemma 1 and
+	// equation (3) both run on those images.
+	var mo *mathx.Modulus
+	var xsMont []mathx.Elem
+	if mc.cfg.Accel.Precompute && rs.edge != nil {
+		mo = sg.Mont()
+		xsMont = make([]mathx.Elem, n)
+		for i, x := range xsOrdered {
+			xsMont[i] = mo.ToMont(x)
+		}
+	}
+
 	var key *big.Int
 	err := mc.pool.Run(
-		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z). With a host
+		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), through the
+		// roster's cached verifier, so no identity is re-hashed and the
+		// identity product is not re-inverted per round. With a host
 		// batch verifier, the check is submitted as an algebraic claim
 		// (equivalent because this member derived c = H(T, Z) itself) and
 		// settles together with other groups' claims; the verdict and the
 		// meter charge are the same either way.
 		func() error {
-			var err error
-			if bv := mc.cfg.Accel.BatchVerifier; bv != nil {
-				err = rs.submitClaim(mc, bv, responses)
-			} else {
-				err = gq.BatchVerifyWorkers(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster, responses, rs.c, rs.bigZ, mc.pool.share(3))
+			gv, err := mc.claimBuilder(rs.roster)
+			if err == nil {
+				if bv := mc.cfg.Accel.BatchVerifier; bv != nil {
+					err = rs.submitClaim(gv, bv, responses)
+				} else {
+					err = gv.BatchVerify(responses, rs.c, rs.bigZ)
+				}
 			}
 			mc.m.SignVer(meter.SchemeGQ, 1)
 			if err != nil {
@@ -215,35 +228,29 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 		},
 		// Lemma 1: Π X_i ≡ 1 (mod p).
 		func() error {
-			if err := bdkey.CheckLemma1(xsOrdered, sg.P); err != nil {
+			var err error
+			if mo != nil {
+				err = bdkey.CheckLemma1Mont(mo, xsMont)
+			} else {
+				err = bdkey.CheckLemma1(xsOrdered, sg.P)
+			}
+			if err != nil {
 				return Retryable(err)
 			}
 			return nil
 		},
-		// Equation (3): the shared key. With the edge power carried over
-		// from the accelerated round 2, the whole assembly runs in the
-		// Montgomery domain: the X values convert in once, edge^n replaces
-		// the full-width z_prev^{n·r} exponentiation, and the descending-
-		// exponent chain telescopes into prefix products.
+		// Equation (3): the shared key. On the Montgomery path edge^n
+		// replaces the full-width z_prev^{n·r} exponentiation, and the
+		// descending-exponent chain telescopes into prefix products.
 		func() error {
 			var err error
-			done := false
-			if mc.cfg.Accel.Precompute && rs.edge != nil {
-				if mo := sg.Mont(); mo != nil {
-					xsMont := make([]mathx.Elem, n)
-					for i, x := range xsOrdered {
-						xsMont[i] = mo.ToMont(x)
-					}
-					key, err = bdkey.KeyFromEdgeMont(mo, rs.self, mo.ToMont(rs.edge), xsMont)
-					done = true
-				}
-			}
-			if !done {
-				if mc.cfg.Accel.Precompute {
-					key, err = bdkey.KeyMultiExp(rs.self, rs.r, zPrev, xsOrdered, sg.P)
-				} else {
-					key, err = bdkey.Key(rs.self, rs.r, zPrev, xsOrdered, sg.P)
-				}
+			switch {
+			case mo != nil:
+				key, err = bdkey.KeyFromEdgeMont(mo, rs.self, mo.ToMont(rs.edge), xsMont)
+			case mc.cfg.Accel.Precompute:
+				key, err = bdkey.KeyMultiExp(rs.self, rs.r, zPrev, xsOrdered, sg.P)
+			default:
+				key, err = bdkey.Key(rs.self, rs.r, zPrev, xsOrdered, sg.P)
 			}
 			if err != nil {
 				return err

@@ -215,7 +215,7 @@ func (e *Env) AccelBench(n, workers int) (string, map[string]OpStat, error) {
 	}
 	add("gq/batch-verify",
 		measure(func() {
-			if err := gq.BatchVerifyWorkers(pub, ids, responses, c, z, 1); err != nil {
+			if err := gq.BatchVerify(pub, ids, responses, c, z); err != nil {
 				panic(err)
 			}
 		}),
@@ -511,7 +511,7 @@ func (e *Env) accelInitialFlow(n, workers int, gTab *mathx.FixedBaseTable) (cont
 		if _, err := bdkey.XValue(ring.zs[(i+1)%n], ring.zs[(i-1+n)%n], ring.rs[i], sg.P); err != nil {
 			panic(err)
 		}
-		if err := gq.BatchVerifyWorkers(vPub, vIDs, vResponses, vc, vz, 1); err != nil {
+		if err := gq.BatchVerify(vPub, vIDs, vResponses, vc, vz); err != nil {
 			panic(err)
 		}
 		if _, err := bdkey.Key(i, ring.rs[i], ring.zs[(i-1+n)%n], ring.xs, sg.P); err != nil {

@@ -3,13 +3,11 @@ package mathx
 import (
 	"errors"
 	"math/big"
-	"sync"
 )
 
 // This file is the bottom of the crypto acceleration layer: windowed
-// fixed-base precomputation (the BGMW radix-2^w method), simultaneous
-// multi-exponentiation (the generalised Shamir trick), and chunked
-// modular products for worker pools. Everything here is mathematically
+// fixed-base precomputation (the BGMW radix-2^w method) and simultaneous
+// multi-exponentiation (the generalised Shamir trick). Everything here is mathematically
 // transparent — accelerated paths return bit-identical values to their
 // naive counterparts, so operation meters and protocol transcripts are
 // unaffected by whether a table is attached.
@@ -26,16 +24,19 @@ const DefaultWindow = 6
 //	rows[i][j] = base^(j << (window·i)) mod m
 //
 // so base^e = Π_i rows[i][digit_i(e)] where digit_i is the i-th radix-2^w
-// digit of e. A table is immutable after construction and safe for
-// concurrent use.
+// digit of e. The rows live in the Montgomery domain of the (odd) modulus,
+// so a walk is a chain of Montgomery products with a single conversion
+// out. A table is immutable after construction and safe for concurrent
+// use.
 type FixedBaseTable struct {
-	base, mod *big.Int
-	window    uint
-	maxBits   int
-	rows      [][]*big.Int
+	base    *big.Int // base mod m, for the big.Int fallback
+	mo      *Modulus
+	window  uint
+	maxBits int
+	rows    [][]Elem
 }
 
-// NewFixedBaseTable precomputes the powers of base modulo mod for
+// NewFixedBaseTable precomputes the powers of base modulo an odd mod for
 // exponents up to maxBits bits using radix-2^window digits.
 func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBaseTable, error) {
 	if mod == nil || mod.Cmp(One) <= 0 {
@@ -50,25 +51,33 @@ func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBase
 	if window < 1 || window > 12 {
 		return nil, errors.New("mathx: fixed-base window must be in [1, 12]")
 	}
+	mo, err := NewModulus(mod)
+	if err != nil {
+		return nil, err
+	}
 	t := &FixedBaseTable{
 		base:    new(big.Int).Mod(base, mod),
-		mod:     mod,
+		mo:      mo,
 		window:  window,
 		maxBits: maxBits,
 	}
 	nrows := (maxBits + int(window) - 1) / int(window)
-	cur := new(big.Int).Set(t.base) // base^(2^(window·i)) for the current row
-	t.rows = make([][]*big.Int, nrows)
-	for i := 0; i < nrows; i++ {
-		row := make([]*big.Int, 1<<window)
-		row[0] = big.NewInt(1)
-		for j := 1; j < 1<<window; j++ {
-			row[j] = new(big.Int).Mul(row[j-1], cur)
-			row[j].Mod(row[j], mod)
+	width := 1 << window
+	flat := make([]big.Word, nrows*width*mo.k) // one backing array for every entry
+	cur := mo.ToMont(t.base)                   // base^(2^(window·i)) for the current row
+	t.rows = make([][]Elem, nrows)
+	for i := range t.rows {
+		row := make([]Elem, width)
+		for j := range row {
+			row[j], flat = flat[:mo.k:mo.k], flat[mo.k:]
 		}
+		copy(row[0], mo.one)
+		copy(row[1], cur)
+		for j := 2; j < width; j++ {
+			mo.MulInto(row[j], row[j-1], cur)
+		}
+		mo.MulInto(cur, row[width-1], cur)
 		t.rows[i] = row
-		next := new(big.Int).Mul(row[1<<window-1], cur)
-		cur = next.Mod(next, mod)
 	}
 	return t, nil
 }
@@ -103,20 +112,32 @@ func WindowDigit(e *big.Int, i, w int) uint {
 // oversized — falls back to (*big.Int).Exp with its exact semantics,
 // including the nil result for a negative exponent of a non-invertible
 // base. Results are bit-identical to the naive computation.
-func (t *FixedBaseTable) Exp(e *big.Int) *big.Int {
+func (t *FixedBaseTable) Exp(e *big.Int) *big.Int { return t.ExpMul(e, One) }
+
+// ExpMul returns base^e · y mod m, bit-identical to Exp(e)·y mod m. The
+// factor y rides the conversion out of the Montgomery domain — a raw
+// operand there divides out the accumulator's R — so it costs no extra
+// multiplication and no division.
+func (t *FixedBaseTable) ExpMul(e, y *big.Int) *big.Int {
 	if !t.Covers(e) {
-		return new(big.Int).Exp(t.base, e, t.mod)
+		z := new(big.Int).Exp(t.base, e, t.mo.m)
+		if z == nil {
+			return nil
+		}
+		return z.Mod(z.Mul(z, y), t.mo.m)
 	}
-	acc := big.NewInt(1)
+	var abuf, ybuf [maxModulusWords]big.Word
+	acc := abuf[:t.mo.k]
+	copy(acc, t.mo.one)
 	w := int(t.window)
 	bits := e.BitLen()
 	for i := 0; i*w < bits; i++ {
 		if d := WindowDigit(e, i, w); d != 0 {
-			acc.Mul(acc, t.rows[i][d])
-			acc.Mod(acc, t.mod)
+			t.mo.MulInto(acc, acc, t.rows[i][d])
 		}
 	}
-	return acc
+	t.mo.montMul(acc, acc, t.mo.limbs(&ybuf, y))
+	return bigFromElem(acc)
 }
 
 // MultiExp computes Π bases[i]^exps[i] mod m with one shared squaring
@@ -168,39 +189,4 @@ func MultiExp(bases, exps []*big.Int, m *big.Int) (*big.Int, error) {
 		}
 	}
 	return acc, nil
-}
-
-// productParallelThreshold is the slice length below which chunking a
-// modular product across workers costs more than it saves.
-const productParallelThreshold = 32
-
-// ProductModParallel is ProductMod with the partial products computed on
-// up to `workers` goroutines. Modular multiplication is associative and
-// commutative, so the result is bit-identical to the serial product;
-// workers <= 1 (or a short slice) runs the exact serial path.
-func ProductModParallel(values []*big.Int, m *big.Int, workers int) *big.Int {
-	if workers <= 1 || len(values) < productParallelThreshold {
-		return ProductMod(values, m)
-	}
-	if workers > len(values)/(productParallelThreshold/2) {
-		workers = len(values) / (productParallelThreshold / 2)
-	}
-	chunk := (len(values) + workers - 1) / workers
-	chunks := (len(values) + chunk - 1) / chunk
-	partials := make([]*big.Int, chunks)
-	var wg sync.WaitGroup
-	for slot := 0; slot < chunks; slot++ {
-		lo := slot * chunk
-		hi := lo + chunk
-		if hi > len(values) {
-			hi = len(values)
-		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			partials[slot] = ProductMod(values[lo:hi], m)
-		}(slot, lo, hi)
-	}
-	wg.Wait()
-	return ProductMod(partials, m)
 }

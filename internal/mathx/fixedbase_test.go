@@ -199,28 +199,6 @@ func TestMultiExpEdgeCases(t *testing.T) {
 	}
 }
 
-func TestProductModParallelMatchesSerial(t *testing.T) {
-	p, _ := testModulus(t, 256)
-	// 305 with many workers regression-tests the chunking: ceil-division
-	// once produced a final chunk starting past the end of the slice.
-	for _, n := range []int{0, 1, 31, 32, 33, 100, 257, 305} {
-		values := make([]*big.Int, n)
-		for i := range values {
-			v, err := RandInt(rand.Reader, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			values[i] = v
-		}
-		want := ProductMod(values, p)
-		for _, workers := range []int{0, 1, 2, 4, 7, 64} {
-			if got := ProductModParallel(values, p, workers); got.Cmp(want) != 0 {
-				t.Fatalf("n=%d workers=%d: parallel product mismatch", n, workers)
-			}
-		}
-	}
-}
-
 func benchGroup(b *testing.B) (*SchnorrGroup, []*big.Int) {
 	b.Helper()
 	sg, err := GenerateSchnorrGroup(rand.Reader, 1024, 160)

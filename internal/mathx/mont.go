@@ -87,9 +87,10 @@ func NewModulus(m *big.Int) (*Modulus, error) {
 	}
 	mo.n0 = big.Word(-inv)
 	// R mod m and R² mod m via one-time big.Int reductions.
+	var buf [maxModulusWords]big.Word
 	r := new(big.Int).Lsh(One, uint(k*bits.UintSize))
-	mo.one = mo.elemFromBig(new(big.Int).Mod(r, m))
-	mo.r2 = mo.elemFromBig(new(big.Int).Mod(new(big.Int).Mul(r, r), m))
+	mo.one = append(Elem(nil), mo.limbs(&buf, r)...)
+	mo.r2 = append(Elem(nil), mo.limbs(&buf, new(big.Int).Mul(r, r))...)
 	return mo, nil
 }
 
@@ -99,11 +100,15 @@ func (mo *Modulus) Int() *big.Int { return mo.m }
 // Words returns the modulus' limb count (the fixed width of its Elems).
 func (mo *Modulus) Words() int { return mo.k }
 
-// elemFromBig widens the little-endian limbs of a canonical residue
-// (0 <= v < m) to the fixed width. It does NOT convert to the Montgomery
-// domain.
-func (mo *Modulus) elemFromBig(v *big.Int) Elem {
-	e := make(Elem, mo.k)
+// limbs widens v mod m (v itself when already in [0, m)) to the fixed
+// width in a caller-owned scratch buffer, typically on the caller's
+// stack, so a transient raw operand costs no allocation.
+func (mo *Modulus) limbs(buf *[maxModulusWords]big.Word, v *big.Int) Elem {
+	if v.Sign() < 0 || v.Cmp(mo.m) >= 0 {
+		v = new(big.Int).Mod(v, mo.m)
+	}
+	e := buf[:mo.k]
+	clear(e)
 	copy(e, v.Bits())
 	return e
 }
@@ -118,20 +123,20 @@ func bigFromElem(e Elem) *big.Int {
 	return new(big.Int).SetBits(append([]big.Word(nil), e[:i]...))
 }
 
-// ToMont converts v (any integer; reduced mod m first) into the Montgomery
-// domain: one reduction plus one Montgomery multiplication by R².
+// ToMont converts v (any integer; reduced mod m first unless already in
+// [0, m)) into the Montgomery domain: one Montgomery multiplication by R².
 func (mo *Modulus) ToMont(v *big.Int) Elem {
-	red := new(big.Int).Mod(v, mo.m)
+	var buf [maxModulusWords]big.Word
 	z := make(Elem, mo.k)
-	mo.montMul(z, mo.elemFromBig(red), mo.r2)
+	mo.montMul(z, mo.limbs(&buf, v), mo.r2)
 	return z
 }
 
 // FromMont converts an Elem back to a canonical big.Int residue in [0, m):
 // one Montgomery multiplication by 1.
 func (mo *Modulus) FromMont(e Elem) *big.Int {
-	z := make(Elem, mo.k)
-	oneLimb := make(Elem, mo.k)
+	var zbuf, obuf [maxModulusWords]big.Word
+	z, oneLimb := zbuf[:mo.k], obuf[:mo.k]
 	oneLimb[0] = 1
 	mo.montMul(z, e, oneLimb)
 	return bigFromElem(z)
@@ -618,6 +623,36 @@ func (mo *Modulus) ProductElem(es []Elem) Elem {
 		mo.MulInto(acc, acc, e)
 	}
 	return acc
+}
+
+// Product returns Π values mod m, bit-identical to ProductMod: an empty
+// slice yields 1 and values outside [0, m) are reduced first. The values
+// never enter the domain. Each Montgomery product of two raw residues
+// divides by R once, so the chain over k values leaves Π v·R^{-(k-1)},
+// and one final product with R^k mod m, raised from R's Montgomery image
+// in ~2·log2(k) steps, cancels it. That is k Montgomery products plus the
+// raise, with no division and no per-value conversion.
+func (mo *Modulus) Product(values []*big.Int) *big.Int {
+	if len(values) == 0 {
+		return big.NewInt(1)
+	}
+	var abuf, vbuf [maxModulusWords]big.Word
+	acc := mo.limbs(&abuf, values[0])
+	for _, v := range values[1:] {
+		mo.montMul(acc, acc, mo.limbs(&vbuf, v))
+	}
+	// R^k is the Montgomery image of R^(k-1); R's own image is R² mod m.
+	corr := vbuf[:mo.k]
+	copy(corr, mo.one)
+	e := len(values) - 1
+	for b := bits.Len(uint(e)) - 1; b >= 0; b-- {
+		mo.SqrInto(corr, corr)
+		if e>>b&1 == 1 {
+			mo.montMul(corr, corr, mo.r2)
+		}
+	}
+	mo.montMul(acc, acc, corr)
+	return bigFromElem(acc)
 }
 
 // BatchInverseElem inverts every Elem with Montgomery's trick: prefix

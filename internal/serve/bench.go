@@ -117,13 +117,16 @@ func (l *loopback) tx(from string, p idgka.Packet) error {
 // and returns the keys per group. It is the settle-and-cross-check step
 // every multi-group driver needs (the bench ladder, gkanet -serve).
 func SettleGroups(what string, groups [][]*Run, budget time.Duration) ([][]byte, error) {
-	deadline := time.Now().Add(budget)
+	// One timer for the whole call, stopped on return: a time.After per
+	// run would keep every timer live until the budget expires.
+	timer := time.NewTimer(budget)
+	defer timer.Stop()
 	keys := make([][]byte, len(groups))
 	for g, runs := range groups {
 		for _, r := range runs {
 			select {
 			case <-r.Done():
-			case <-time.After(time.Until(deadline)):
+			case <-timer.C:
 				return nil, fmt.Errorf("%s group %d: run %s timed out", what, g, r.SID())
 			}
 			if err := r.Err(); err != nil {

@@ -311,3 +311,17 @@ func TestBenchmarkGroupsSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestSettleGroupsTimesOut checks a run that never settles fails the
+// call once the budget expires, naming the group and the run.
+func TestSettleGroupsTimesOut(t *testing.T) {
+	stuck := &Run{sid: "stuck", done: make(chan struct{})}
+	start := time.Now()
+	_, err := SettleGroups("settle", [][]*Run{{stuck}}, 50*time.Millisecond)
+	if want := "settle group 0: run stuck timed out"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if el := time.Since(start); el < 50*time.Millisecond || el > 5*time.Second {
+		t.Fatalf("SettleGroups returned after %v on a 50ms budget", el)
+	}
+}

@@ -48,6 +48,31 @@ func TestPrecomputeRespondTransparent(t *testing.T) {
 	}
 }
 
+// TestRespondAllocsConstant pins the allocations of a precomputed
+// response: one constant, whatever the challenge's digit count.
+func TestRespondAllocsConstant(t *testing.T) {
+	sk := testKey(t, "accel-allocs")
+	if sk.Precompute() == nil {
+		t.Fatal("Precompute returned nil")
+	}
+	tau, _, err := Commitment(rand.Reader, sk.Pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, cBits := range []int{1, 64, 160} {
+		c := new(big.Int).SetBit(new(big.Int), cBits-1, 1)
+		c.Sub(c.Lsh(c, 1), mathx.One) // cBits bits, every digit non-zero
+		got = append(got, testing.AllocsPerRun(20, func() { sk.Respond(tau, c) }))
+	}
+	t.Logf("PrivateKey.Respond allocations: %v", got)
+	for _, a := range got {
+		if a != got[0] || a > 2 {
+			t.Fatalf("PrivateKey.Respond allocations %v: want one constant <= 2 across challenge sizes", got)
+		}
+	}
+}
+
 // batchFixture builds a valid n-signer batch over the default parameters.
 func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*big.Int, c, z *big.Int) {
 	pub = testKey(t, "seed").Pub
@@ -71,20 +96,27 @@ func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*b
 	return pub, ids, responses, c, z
 }
 
-func TestBatchVerifyWorkersMatchesSerial(t *testing.T) {
+// TestBatchVerifyRingSizes checks the per-call batch verifier and the
+// cached roster verifier without a table (the engine's eq. 2 path) agree
+// across ring sizes: both accept a valid batch and reject a corrupted one.
+func TestBatchVerifyRingSizes(t *testing.T) {
 	for _, n := range []int{2, 16, 40} {
 		pub, ids, responses, c, z := batchFixture(t, n)
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			if err := BatchVerifyWorkers(pub, ids, responses, c, z, workers); err != nil {
-				t.Fatalf("n=%d workers=%d: valid batch rejected: %v", n, workers, err)
-			}
+		gv, err := NewClaimBuilder(pub, ids)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A corrupted response must fail at every parallelism level.
 		bad := append([]*big.Int(nil), responses...)
 		bad[n/2] = new(big.Int).Add(bad[n/2], mathx.One)
-		for _, workers := range []int{1, 4} {
-			if err := BatchVerifyWorkers(pub, ids, bad, c, z, workers); err == nil {
-				t.Fatalf("n=%d workers=%d: corrupted batch accepted", n, workers)
+		for name, verify := range map[string]func([]*big.Int) error{
+			"BatchVerify":               func(rs []*big.Int) error { return BatchVerify(pub, ids, rs, c, z) },
+			"GroupVerifier.BatchVerify": func(rs []*big.Int) error { return gv.BatchVerify(rs, c, z) },
+		} {
+			if err := verify(responses); err != nil {
+				t.Fatalf("n=%d %s: valid batch rejected: %v", n, name, err)
+			}
+			if err := verify(bad); err == nil {
+				t.Fatalf("n=%d %s: corrupted batch accepted", n, name)
 			}
 		}
 	}

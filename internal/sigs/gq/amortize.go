@@ -27,58 +27,55 @@ const RLCBits = 64
 
 // GroupVerifier is the amortized batch-verification context for one fixed
 // signer set. Construction hashes every identity, folds the digest
-// product H = Π H(ID_i), inverts it once and builds a fixed-base table
-// for the inverse, so each subsequent BatchVerify costs one response
-// product, one short public-exponent power and a table walk — no
-// per-round hashing, inversion or full-width exponentiation. Verdicts
-// are identical to gq.BatchVerify. Safe for concurrent use once built.
+// product H = Π H(ID_i), inverts it once and (NewGroupVerifier only)
+// builds a fixed-base table for the inverse, so each subsequent
+// BatchVerify costs one response product, one short public-exponent
+// power and a power of the cached inverse — no per-round hashing or
+// inversion. Verdicts are identical to gq.BatchVerify. Safe for
+// concurrent use once built.
 type GroupVerifier struct {
 	pub     Params
+	mo      *mathx.Modulus
 	ids     []string
 	hProd   *big.Int
 	hInv    *big.Int
 	hInvTab *mathx.FixedBaseTable
 }
 
-// NewGroupVerifier builds the cached context for a signer set.
+// NewGroupVerifier builds the cached context for a signer set, including
+// a fixed-base table for the inverse identity product.
 func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
-	if len(ids) == 0 {
-		return nil, errors.New("gq: empty signer set")
-	}
-	hProd := identityProduct(pub, ids, 1)
-	hInv, err := mathx.ModInverse(hProd, pub.N)
-	if err != nil {
-		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
-	}
-	tab, err := mathx.NewFixedBaseTable(hInv, pub.N, hashx.ChallengeBits, mathx.DefaultWindow)
+	gv, err := NewClaimBuilder(pub, ids)
 	if err != nil {
 		return nil, err
 	}
-	return &GroupVerifier{
-		pub:     pub,
-		ids:     append([]string(nil), ids...),
-		hProd:   hProd,
-		hInv:    hInv,
-		hInvTab: tab,
-	}, nil
+	if gv.hInvTab, err = mathx.NewFixedBaseTable(gv.hInv, pub.N, hashx.ChallengeBits, mathx.DefaultWindow); err != nil {
+		return nil, err
+	}
+	return gv, nil
 }
 
 // NewClaimBuilder is NewGroupVerifier without the fixed-base table: the
-// right shape when the membership only emits claims (claims never walk
-// the table), costing one identity-product hash and one inversion
-// instead of a full table build. BatchVerify still works, through a
-// plain exponentiation of the cached inverse.
+// right shape when the signer set keys only a few rounds, or only emits
+// claims (claims never walk the table), costing one identity-product
+// hash and one inversion instead of a full table build. BatchVerify
+// still works, through a plain exponentiation of the cached inverse.
 func NewClaimBuilder(pub Params, ids []string) (*GroupVerifier, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("gq: empty signer set")
 	}
-	hProd := identityProduct(pub, ids, 1)
+	mo, err := mathx.NewModulus(pub.N)
+	if err != nil {
+		return nil, err
+	}
+	hProd := mo.Product(identityDigests(pub, ids))
 	hInv, err := mathx.ModInverse(hProd, pub.N)
 	if err != nil {
 		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
 	}
 	return &GroupVerifier{
 		pub:   pub,
+		mo:    mo,
 		ids:   append([]string(nil), ids...),
 		hProd: hProd,
 		hInv:  hInv,
@@ -100,14 +97,13 @@ func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error 
 			return fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
-	sProd := mathx.ProductMod(responses, gv.pub.N)
-	lhs := new(big.Int).Exp(sProd, gv.pub.E, gv.pub.N)
+	lhs := new(big.Int).Exp(gv.mo.Product(responses), gv.pub.E, gv.pub.N)
 	if gv.hInvTab != nil {
-		lhs.Mul(lhs, gv.hInvTab.Exp(c)) // hProd^{-c} via the cached table
+		lhs = gv.hInvTab.ExpMul(c, lhs) // · hProd^{-c} via the cached table
 	} else {
 		lhs.Mul(lhs, new(big.Int).Exp(gv.hInv, c, gv.pub.N))
+		lhs.Mod(lhs, gv.pub.N)
 	}
-	lhs.Mod(lhs, gv.pub.N)
 	check := hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(lhs), hashx.BigBytes(z))
 	if check.Cmp(c) != 0 {
 		return errors.New("gq: batch verification failed")
@@ -154,7 +150,7 @@ func (gv *GroupVerifier) NewClaim(responses []*big.Int, c, t *big.Int) (*Claim, 
 	}
 	return &Claim{
 		Pub:   gv.pub,
-		SProd: mathx.ProductMod(responses, gv.pub.N),
+		SProd: gv.mo.Product(responses),
 		HProd: gv.hProd,
 		C:     c,
 		T:     new(big.Int).Mod(t, gv.pub.N),
@@ -179,7 +175,7 @@ func NewClaim(pub Params, ids []string, responses []*big.Int, c, t *big.Int) (*C
 	return &Claim{
 		Pub:   pub,
 		SProd: mathx.ProductMod(responses, pub.N),
-		HProd: identityProduct(pub, ids, 1),
+		HProd: identityProduct(pub, ids),
 		C:     c,
 		T:     new(big.Int).Mod(t, pub.N),
 	}, nil

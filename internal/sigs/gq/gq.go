@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"idgka/internal/hashx"
@@ -114,12 +113,10 @@ func Commitment(r io.Reader, pub Params) (tau, t *big.Int, err error) {
 // when one has been precomputed. In the group protocol this is the s_i
 // broadcast in Round 2.
 func (sk *PrivateKey) Respond(tau, c *big.Int) *big.Int {
-	var s *big.Int
 	if t := sk.fixedBase.Load(); t != nil {
-		s = t.Exp(c)
-	} else {
-		s = new(big.Int).Exp(sk.S, c, sk.Pub.N)
+		return t.ExpMul(c, tau)
 	}
+	s := new(big.Int).Exp(sk.S, c, sk.Pub.N)
 	s.Mul(s, tau)
 	return s.Mod(s, sk.Pub.N)
 }
@@ -158,7 +155,7 @@ func Verify(pub Params, id string, msg []byte, sig *Signature) error {
 // that equals the (product of) commitment(s) for a valid (batch of)
 // signature(s).
 func recoverCommitment(pub Params, ids []string, s, c *big.Int) (*big.Int, error) {
-	return foldCommitment(pub, identityProduct(pub, ids, 1), s, c)
+	return foldCommitment(pub, identityProduct(pub, ids), s, c)
 }
 
 // GroupChallenge derives the common challenge c = H(T, Z) of the group
@@ -173,16 +170,6 @@ func GroupChallenge(t, z *big.Int) *big.Int {
 //
 //	c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z)
 func BatchVerify(pub Params, ids []string, responses []*big.Int, c, z *big.Int) error {
-	return BatchVerifyWorkers(pub, ids, responses, c, z, 1)
-}
-
-// BatchVerifyWorkers is BatchVerify with the per-contribution work — the
-// response product and the identity digest product — spread across up to
-// `workers` goroutines. Contributions from distinct peers are
-// independent, so the products chunk freely; the verdict and every
-// intermediate value are bit-identical to the serial path, which
-// workers <= 1 selects exactly.
-func BatchVerifyWorkers(pub Params, ids []string, responses []*big.Int, c, z *big.Int, workers int) error {
 	if len(ids) == 0 || len(ids) != len(responses) {
 		return errors.New("gq: batch size mismatch")
 	}
@@ -191,21 +178,7 @@ func BatchVerifyWorkers(pub Params, ids []string, responses []*big.Int, c, z *bi
 			return fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
-	var sProd, hProd *big.Int
-	if workers <= 1 {
-		sProd = mathx.ProductMod(responses, pub.N)
-		hProd = identityProduct(pub, ids, 1)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sProd = mathx.ProductModParallel(responses, pub.N, workers/2)
-		}()
-		hProd = identityProduct(pub, ids, workers-workers/2)
-		wg.Wait()
-	}
-	lhs, err := foldCommitment(pub, hProd, sProd, c)
+	lhs, err := foldCommitment(pub, identityProduct(pub, ids), mathx.ProductMod(responses, pub.N), c)
 	if err != nil {
 		return err
 	}
@@ -216,37 +189,18 @@ func BatchVerifyWorkers(pub Params, ids []string, responses []*big.Int, c, z *bi
 	return nil
 }
 
-// identityProduct computes Π H(ID_i) mod n, hashing the identities on up
-// to `workers` goroutines.
-func identityProduct(pub Params, ids []string, workers int) *big.Int {
+// identityProduct computes Π H(ID_i) mod n.
+func identityProduct(pub Params, ids []string) *big.Int {
+	return mathx.ProductMod(identityDigests(pub, ids), pub.N)
+}
+
+// identityDigests hashes every identity to H(ID_i).
+func identityDigests(pub Params, ids []string) []*big.Int {
 	digests := make([]*big.Int, len(ids))
-	if workers <= 1 || len(ids) < 16 {
-		for i, id := range ids {
-			digests[i] = hashx.IdentityDigest(id, pub.N)
-		}
-	} else {
-		if workers > len(ids) {
-			workers = len(ids)
-		}
-		chunk := (len(ids) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					digests[i] = hashx.IdentityDigest(ids[i], pub.N)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+	for i, id := range ids {
+		digests[i] = hashx.IdentityDigest(id, pub.N)
 	}
-	return mathx.ProductModParallel(digests, pub.N, workers)
+	return digests
 }
 
 // foldCommitment computes s^e · hProd^{-c} mod n given a precomputed
