@@ -28,10 +28,11 @@ type ringState struct {
 
 	bigZ, bigT, c *big.Int
 
-	// edge holds z_prev^r when the accelerated round 2 computed X from
-	// its two directed edge powers: equation (3)'s dominant z_prev^{n·r}
-	// term then collapses to edge^n (~log2 n squarings) in finish.
-	edge *big.Int
+	// edge holds z_prev^r, as an element of the Schnorr group's
+	// Montgomery domain, when the accelerated round 2 computed X from its
+	// two directed edge powers: equation (3)'s dominant z_prev^{n·r} term
+	// then collapses to edge^n (~log2 n squarings) in finish.
+	edge mathx.Elem
 }
 
 func newRingState(roster []string, self string) (*ringState, error) {
@@ -108,10 +109,12 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 		// it collapses equation (3)'s z_prev^{n·r} to b^n. X is
 		// bit-identical to XValue's, the session's total exponentiation
 		// count is unchanged (the saving lands in finish), and the meter
-		// charges the same logical operation.
-		a := new(big.Int).Exp(zNext, rs.r, sg.P)
-		b := new(big.Int).Exp(zPrev, rs.r, sg.P)
-		x, err = bdkey.XFromPowers(a, b, sg.P)
+		// charges the same logical operation. Both powers run on the
+		// Montgomery engine; b stays in its domain for finish.
+		mo := sg.Mont()
+		a := mo.ExpElem(mo.ToMont(zNext), rs.r)
+		b := mo.ExpElem(mo.ToMont(zPrev), rs.r)
+		x, err = bdkey.XFromPowers(mo.FromMont(a), mo.FromMont(b), sg.P)
 		rs.edge = b
 	} else {
 		x, err = bdkey.XValue(zNext, zPrev, rs.r, sg.P)
@@ -246,7 +249,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 			var err error
 			switch {
 			case mo != nil:
-				key, err = bdkey.KeyFromEdgeMont(mo, rs.self, mo.ToMont(rs.edge), xsMont)
+				key, err = bdkey.KeyFromEdgeMont(mo, rs.self, rs.edge, xsMont)
 			case mc.cfg.Accel.Precompute:
 				key, err = bdkey.KeyMultiExp(rs.self, rs.r, zPrev, xsOrdered, sg.P)
 			default:

@@ -19,9 +19,12 @@ import (
 // bit-identical to the math/big computation, so transcripts, keys and
 // operation meters are unaffected by which engine ran.
 //
-// The core loops are CIOS (coarsely integrated operand scanning) with a
-// dedicated squaring that halves the partial-product count. Everything
-// is pure Go over math/bits intrinsics — no assembly, no dependencies.
+// The core loop is CIOS (coarsely integrated operand scanning): per
+// limb of y, one pass adds x·y_i into a sliding accumulator window and a
+// second adds the reduction multiple of m. Both passes run on math/big's
+// assembly addMulVVW kernel (addmul.go); builds tagged math_big_pure_go,
+// whose math/big has no assembly, use the generic loop in
+// addmul_pure.go instead. Squaring is the same multiplication.
 
 // maxModulusWords bounds the fixed scratch buffers of the CIOS loops
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
@@ -164,101 +167,11 @@ func (mo *Modulus) Sqr(x Elem) Elem {
 	return z
 }
 
-// SqrInto computes z = x² in the Montgomery domain; z may alias x.
-// At the 16/32-word sizes the fully unrolled CIOS multiply beats the
-// generic separated squaring, so those widths square through montMul.
-func (mo *Modulus) SqrInto(z, x Elem) {
-	if mo.k == 16 || mo.k == 32 {
-		mo.montMul(z, x, x)
-		return
-	}
-	mo.montSqr(z, x)
-}
-
-// addMulVVW computes z += x·y and returns the outgoing carry, the inner
-// kernel of every Montgomery operation. Requires len(x) >= len(z); the
-// range-over-z form lets the compiler eliminate the bounds checks.
-func addMulVVW(z, x []big.Word, y big.Word) big.Word {
-	yy := uint(y)
-	x = x[:len(z)]
-	var c uint
-	for i, zi := range z {
-		hi, lo := bits.Mul(uint(x[i]), yy)
-		lo, cc := bits.Add(lo, c, 0)
-		hi += cc
-		lo, cc = bits.Add(lo, uint(zi), 0)
-		z[i] = big.Word(lo)
-		c = hi + cc
-	}
-	return big.Word(c)
-}
-
-// mulAddWWW is one word step of addMulVVW: z + x·y + c over a single
-// limb, returning the low word and the outgoing carry. Small enough that
-// the compiler inlines it into the unrolled kernels.
-func mulAddWWW(xi, y, zi, c uint) (uint, uint) {
-	hi, lo := bits.Mul(xi, y)
-	lo, cc := bits.Add(lo, c, 0)
-	hi += cc
-	lo, cc = bits.Add(lo, zi, 0)
-	return lo, hi + cc
-}
-
-// addMulVVW16 is addMulVVW fully unrolled for a 16-word (1024-bit on
-// 64-bit platforms) window with a carry-in: fixed-size array pointers let
-// the compiler drop every bounds check and loop branch, which is worth
-// ~25% on the CIOS inner product.
-func addMulVVW16(z, x *[16]big.Word, y big.Word, c uint) uint {
-	yy := uint(y)
-	var w uint
-	w, c = mulAddWWW(uint(x[0]), yy, uint(z[0]), c)
-	z[0] = big.Word(w)
-	w, c = mulAddWWW(uint(x[1]), yy, uint(z[1]), c)
-	z[1] = big.Word(w)
-	w, c = mulAddWWW(uint(x[2]), yy, uint(z[2]), c)
-	z[2] = big.Word(w)
-	w, c = mulAddWWW(uint(x[3]), yy, uint(z[3]), c)
-	z[3] = big.Word(w)
-	w, c = mulAddWWW(uint(x[4]), yy, uint(z[4]), c)
-	z[4] = big.Word(w)
-	w, c = mulAddWWW(uint(x[5]), yy, uint(z[5]), c)
-	z[5] = big.Word(w)
-	w, c = mulAddWWW(uint(x[6]), yy, uint(z[6]), c)
-	z[6] = big.Word(w)
-	w, c = mulAddWWW(uint(x[7]), yy, uint(z[7]), c)
-	z[7] = big.Word(w)
-	w, c = mulAddWWW(uint(x[8]), yy, uint(z[8]), c)
-	z[8] = big.Word(w)
-	w, c = mulAddWWW(uint(x[9]), yy, uint(z[9]), c)
-	z[9] = big.Word(w)
-	w, c = mulAddWWW(uint(x[10]), yy, uint(z[10]), c)
-	z[10] = big.Word(w)
-	w, c = mulAddWWW(uint(x[11]), yy, uint(z[11]), c)
-	z[11] = big.Word(w)
-	w, c = mulAddWWW(uint(x[12]), yy, uint(z[12]), c)
-	z[12] = big.Word(w)
-	w, c = mulAddWWW(uint(x[13]), yy, uint(z[13]), c)
-	z[13] = big.Word(w)
-	w, c = mulAddWWW(uint(x[14]), yy, uint(z[14]), c)
-	z[14] = big.Word(w)
-	w, c = mulAddWWW(uint(x[15]), yy, uint(z[15]), c)
-	z[15] = big.Word(w)
-	return c
-}
-
-// addMulWin is addMulVVW over a window of exactly len(z) words,
-// dispatching 16- and 32-word windows (1024/2048-bit moduli) to the
-// unrolled kernel. Requires len(x) >= len(z).
-func addMulWin(z, x []big.Word, y big.Word) big.Word {
-	switch len(z) {
-	case 16:
-		return big.Word(addMulVVW16((*[16]big.Word)(z), (*[16]big.Word)(x), y, 0))
-	case 32:
-		c := addMulVVW16((*[16]big.Word)(z), (*[16]big.Word)(x), y, 0)
-		return big.Word(addMulVVW16((*[16]big.Word)(z[16:]), (*[16]big.Word)(x[16:]), y, c))
-	}
-	return addMulVVW(z, x, y)
-}
+// SqrInto computes z = x² in the Montgomery domain; z may alias x. It is
+// a plain multiplication: at the protocols' widths the kernel-driven CIOS
+// multiply beats a separated squaring, whose halved partial products do
+// not pay for its extra doubling and reduction passes.
+func (mo *Modulus) SqrInto(z, x Elem) { mo.montMul(z, x, x) }
 
 // subVV computes z = x - y and returns the outgoing borrow; the slices
 // must have equal length.
@@ -272,21 +185,6 @@ func subVV(z, x, y []big.Word) big.Word {
 		b = bb
 	}
 	return big.Word(b)
-}
-
-// addVW computes z += y for a single incoming word and returns the
-// outgoing carry.
-func addVW(z []big.Word, y big.Word) big.Word {
-	c := uint(y)
-	for i := range z {
-		if c == 0 {
-			return 0
-		}
-		s, cc := bits.Add(uint(z[i]), c, 0)
-		z[i] = big.Word(s)
-		c = cc
-	}
-	return big.Word(c)
 }
 
 // montMul computes z = x·y·R^{-1} mod m with the CIOS method over a
@@ -325,61 +223,6 @@ func (mo *Modulus) montMul(z, x, y Elem) {
 	}
 }
 
-// montSqr computes z = x²·R^{-1} mod m: the off-diagonal partial products
-// are computed once and doubled (k(k-1)/2 multiplies instead of k²), the
-// diagonal added, then a separated Montgomery reduction pass runs over the
-// double-width product. z may alias x.
-func (mo *Modulus) montSqr(z, x Elem) {
-	k := mo.k
-	n := mo.words
-	var tbuf [2*maxModulusWords + 1]big.Word
-	t := tbuf[:2*k+1]
-	for i := range t {
-		t[i] = 0
-	}
-	// Off-diagonal products x[i]·x[j], j > i.
-	for i := 0; i < k-1; i++ {
-		t[i+k] = addMulVVW(t[2*i+1:i+k], x[i+1:], x[i])
-	}
-	// Double the cross terms: t <<= 1 over the 2k low words.
-	var carry uint
-	for i := 0; i < 2*k; i++ {
-		w := uint(t[i])
-		t[i] = big.Word(w<<1 | carry)
-		carry = w >> (bits.UintSize - 1)
-	}
-	t[2*k] = big.Word(carry)
-	// Add the diagonal x[i]² at positions 2i, 2i+1.
-	var c uint
-	for i := 0; i < k; i++ {
-		hi, lo := bits.Mul(uint(x[i]), uint(x[i]))
-		s, cc := bits.Add(uint(t[2*i]), lo, c)
-		t[2*i] = big.Word(s)
-		s, cc = bits.Add(uint(t[2*i+1]), hi, cc)
-		t[2*i+1] = big.Word(s)
-		c = cc
-	}
-	t[2*k] += big.Word(c) // cannot overflow: x² fits 2k words exactly
-	// Separated Montgomery reduction over the double-width product.
-	for i := 0; i < k; i++ {
-		q := t[i] * mo.n0
-		c := addMulWin(t[i:i+k], n, q)
-		// Ripple the window carry into the high words (bounded by the
-		// 2k+1-word value: x² + m·Σq_i·2^{Wi} < R² + R·m < 2·R²).
-		for j := i + k; c != 0; j++ {
-			s, cc := bits.Add(uint(t[j]), uint(c), 0)
-			t[j] = big.Word(s)
-			c = big.Word(cc)
-		}
-	}
-	// Result occupies t[k .. 2k] with t[2k] the overflow word.
-	if t[2*k] != 0 || geWords(t[k:2*k], n) {
-		subVV(z, t[k:2*k], n)
-	} else {
-		copy(z, t[k:2*k])
-	}
-}
-
 // geWords reports whether a >= b for equal-length little-endian limbs.
 func geWords(a, b []big.Word) bool {
 	for i := len(a) - 1; i >= 0; i-- {
@@ -408,7 +251,8 @@ func expWindow(bits int) int {
 
 // ExpElem computes base^e in the Montgomery domain for a non-negative
 // exponent, with a left-to-right sliding window over precomputed odd
-// powers. e = 0 yields the Montgomery image of 1.
+// powers. e = 0 yields the Montgomery image of 1. The result and the
+// odd-power table share one allocation.
 func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	eb := e.BitLen()
 	if e.Sign() < 0 {
@@ -417,17 +261,18 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	if eb == 0 {
 		return mo.MontOne()
 	}
-	w := expWindow(eb)
-	// Odd powers base^1, base^3, ..., base^(2^w - 1).
-	table := make([]Elem, 1<<(w-1))
-	table[0] = append(Elem(nil), base...)
-	if len(table) > 1 {
-		b2 := mo.Sqr(base)
-		for i := 1; i < len(table); i++ {
-			table[i] = mo.Mul(table[i-1], b2)
+	k, w := mo.k, expWindow(eb)
+	// acc, then the odd powers base^1, base^3, ..., base^(2^w - 1): the
+	// power for odd digit d sits at table[(d>>1)·k:][:k].
+	flat := make([]big.Word, (1+1<<(w-1))*k)
+	acc, table := Elem(flat[:k:k]), flat[k:]
+	copy(table, base)
+	if len(table) > k {
+		mo.SqrInto(acc, base) // base², scratch until the first window
+		for i := k; i < len(table); i += k {
+			mo.MulInto(table[i:i+k], table[i-k:i], acc)
 		}
 	}
-	acc := make(Elem, mo.k)
 	started := false
 	for i := eb - 1; i >= 0; {
 		if e.Bit(i) == 0 {
@@ -449,13 +294,14 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		for j := i; j >= l; j-- {
 			digit = digit<<1 | uint(e.Bit(j))
 		}
+		pow := Elem(table[int(digit>>1)*k:][:k])
 		if started {
 			for j := 0; j < i-l+1; j++ {
 				mo.SqrInto(acc, acc)
 			}
-			mo.MulInto(acc, acc, table[digit>>1])
+			mo.MulInto(acc, acc, pow)
 		} else {
-			copy(acc, table[digit>>1])
+			copy(acc, pow)
 			started = true
 		}
 		i = l - 1

@@ -7,18 +7,28 @@ import (
 	"testing"
 )
 
-// diffModuli returns the two widths the Montgomery-resident paths are
-// checked at: a one-word modulus and a 16-word (1024-bit on 64-bit
-// platforms) one, the protocols' size.
+// diffWidths are the modulus widths, in words, the Montgomery paths are
+// checked at: one word, small multi-word widths, the protocols' 16 words
+// (1024 bits on 64-bit platforms), one past it, 32 words and the engine's
+// maxModulusWords ceiling.
+var diffWidths = []int{1, 2, 4, 16, 17, 32, maxModulusWords}
+
+// diffModuli returns two odd moduli per width: a random one with its top
+// bit set, and one whose top limb is all ones. The second sits just below
+// R, where the CIOS accumulator overflows its k words (the c != 0 final
+// subtraction) for most operands near m.
 func diffModuli(t *testing.T) []*big.Int {
 	t.Helper()
 	var out []*big.Int
-	for _, words := range []int{1, 16} {
-		p, err := RandPrime(rand.Reader, words*bits.UintSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, p)
+	for _, words := range diffWidths {
+		r := new(big.Int).Lsh(One, uint(words*bits.UintSize))
+		m := randBelow(t, r)
+		m.SetBit(m, words*bits.UintSize-1, 1)
+		m.SetBit(m, 0, 1)
+		out = append(out, m)
+		top := new(big.Int).Lsh(new(big.Int).Sub(new(big.Int).Lsh(One, bits.UintSize), One), uint((words-1)*bits.UintSize))
+		ones := new(big.Int).Or(randBelow(t, r), top)
+		out = append(out, ones.SetBit(ones, 0, 1))
 	}
 	return out
 }
@@ -94,6 +104,113 @@ func TestFixedBaseTableDifferential(t *testing.T) {
 	}
 }
 
+// montRef returns x·y·R^{-1} mod m together with the CIOS accumulator's
+// value before its final subtraction, T = (x·y + Q·m)/R with
+// Q = -x·y·m^{-1} mod R: the unique value the word-serial reduction
+// produces. T >= R exactly when the accumulator carries out of its k
+// words, the c != 0 branch of the final subtraction.
+func montRef(x, y, m, r, mInv *big.Int) (want, pre *big.Int) {
+	xy := new(big.Int).Mul(x, y)
+	q := new(big.Int).Mul(xy, mInv)
+	q.Neg(q).Mod(q, r)
+	pre = q.Mul(q, m).Add(q, xy).Rsh(q, uint(r.BitLen()-1))
+	return new(big.Int).Mod(pre, m), pre
+}
+
+// TestMontMulDifferential checks Mul, MulInto and SqrInto against
+// big.Int at every width, including fully aliased z = x = y, operands at
+// the edges of [0, m), and — on the moduli with an all-ones top limb —
+// products whose accumulator carries into the final subtraction.
+func TestMontMulDifferential(t *testing.T) {
+	for _, m := range diffModuli(t) {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := mo.Words()
+		r := new(big.Int).Lsh(One, uint(k*bits.UintSize))
+		mInv := new(big.Int).ModInverse(m, r)
+		var buf [maxModulusWords]big.Word
+		elem := func(v *big.Int) Elem { return append(Elem(nil), mo.limbs(&buf, v)...) }
+		mMinus1 := new(big.Int).Sub(m, One)
+		vals := []*big.Int{big.NewInt(0), One, mMinus1, new(big.Int).Sub(m, Two)}
+		for i := 0; i < 12; i++ {
+			vals = append(vals, randBelow(t, m))
+		}
+		carries := 0
+		for i, x := range vals {
+			for _, y := range vals[i:] {
+				want, pre := montRef(x, y, m, r, mInv)
+				if pre.Cmp(r) >= 0 {
+					carries++
+				}
+				ex, ey := elem(x), elem(y)
+				if got := bigFromElem(mo.Mul(ex, ey)); got.Cmp(want) != 0 {
+					t.Fatalf("%d words: Mul(%v, %v) = %v, want %v", k, x, y, got, want)
+				}
+				z := elem(x)
+				if mo.MulInto(z, z, ey); bigFromElem(z).Cmp(want) != 0 {
+					t.Fatalf("%d words: MulInto with z = x: %v, want %v", k, bigFromElem(z), want)
+				}
+				z = elem(y)
+				if mo.MulInto(z, ex, z); bigFromElem(z).Cmp(want) != 0 {
+					t.Fatalf("%d words: MulInto with z = y: %v, want %v", k, bigFromElem(z), want)
+				}
+				if bigFromElem(ex).Cmp(x) != 0 || bigFromElem(ey).Cmp(y) != 0 {
+					t.Fatalf("%d words: Mul mutated an operand", k)
+				}
+			}
+			sq, _ := montRef(x, x, m, r, mInv)
+			z := elem(x)
+			if mo.MulInto(z, z, z); bigFromElem(z).Cmp(sq) != 0 {
+				t.Fatalf("%d words: MulInto with z = x = y: %v, want %v", k, bigFromElem(z), sq)
+			}
+			z = elem(x)
+			if mo.SqrInto(z, z); bigFromElem(z).Cmp(sq) != 0 {
+				t.Fatalf("%d words: SqrInto with z = x: %v, want %v", k, bigFromElem(z), sq)
+			}
+			if got := bigFromElem(mo.Sqr(elem(x))); got.Cmp(sq) != 0 {
+				t.Fatalf("%d words: Sqr = %v, want %v", k, got, sq)
+			}
+		}
+		if top := m.Bits()[k-1]; ^top == 0 && carries == 0 {
+			t.Fatalf("%d words, all-ones top limb: no product reached the c != 0 final subtraction", k)
+		}
+	}
+}
+
+// TestExpElemDifferential checks the sliding-window exponentiation
+// against (*big.Int).Exp at every width, for exponents on both sides of
+// each window-size boundary and bases at the edges of [0, m).
+func TestExpElemDifferential(t *testing.T) {
+	var exps []*big.Int
+	for _, eb := range []int{1, 2, 8, 9, 17, 48, 49, 160, 161, 768, 769, 1024} {
+		exps = append(exps, new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eb))), eb-1, 1))
+	}
+	exps = append(exps, big.NewInt(0), big.NewInt(65537), new(big.Int).Sub(new(big.Int).Lsh(One, 160), One))
+	for _, m := range diffModuli(t) {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, base := range []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)} {
+			be := mo.ToMont(base)
+			before := append(Elem(nil), be...)
+			for _, e := range exps {
+				want := new(big.Int).Exp(base, e, m)
+				if got := mo.FromMont(mo.ExpElem(be, e)); got.Cmp(want) != 0 {
+					t.Fatalf("%d words: %v^%v: got %v, want %v", mo.Words(), base, e, got, want)
+				}
+			}
+			for i := range be {
+				if be[i] != before[i] {
+					t.Fatalf("%d words: ExpElem mutated its base", mo.Words())
+				}
+			}
+		}
+	}
+}
+
 func TestFixedBaseTableRejectsEvenModulus(t *testing.T) {
 	for _, m := range []*big.Int{big.NewInt(2), big.NewInt(1 << 20), new(big.Int).Lsh(One, 1024)} {
 		if _, err := NewFixedBaseTable(big.NewInt(3), m, 16, 4); err == nil {
@@ -158,9 +275,9 @@ func TestModulusProductDifferential(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocsConstant pins the allocations of a generator power
-// and a modular product: the count is a small constant, independent of
-// the exponent's digit count and of the slice length.
+// TestHotPathAllocsConstant pins the allocations of a generator power, a
+// modular product and a variable-base power: the count is a small
+// constant, independent of the exponent's size and of the slice length.
 func TestHotPathAllocsConstant(t *testing.T) {
 	sg, err := GenerateSchnorrGroup(rand.Reader, 1024, 160)
 	if err != nil {
@@ -183,7 +300,15 @@ func TestHotPathAllocsConstant(t *testing.T) {
 		}
 		prodAllocs = append(prodAllocs, testing.AllocsPerRun(20, func() { mo.Product(vals) }))
 	}
-	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs} {
+	// A variable-base power carves its odd-power table and accumulator
+	// from one array, whatever the window width the exponent selects.
+	base := mo.ToMont(randBelow(t, sg.P))
+	var varAllocs []float64
+	for _, eBits := range []int{17, 160, 1024} {
+		e := new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eBits))), eBits-1, 1)
+		varAllocs = append(varAllocs, testing.AllocsPerRun(20, func() { mo.ExpElem(base, e) }))
+	}
+	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs} {
 		t.Logf("%s allocations: %v", name, got)
 		for _, a := range got {
 			if a != got[0] || a > 2 {

@@ -34,12 +34,13 @@ const RLCBits = 64
 // inversion. Verdicts are identical to gq.BatchVerify. Safe for
 // concurrent use once built.
 type GroupVerifier struct {
-	pub     Params
-	mo      *mathx.Modulus
-	ids     []string
-	hProd   *big.Int
-	hInv    *big.Int
-	hInvTab *mathx.FixedBaseTable
+	pub      Params
+	mo       *mathx.Modulus
+	ids      []string
+	hProd    *big.Int
+	hInv     *big.Int
+	hInvMont mathx.Elem // hInv's Montgomery image
+	hInvTab  *mathx.FixedBaseTable
 }
 
 // NewGroupVerifier builds the cached context for a signer set, including
@@ -64,7 +65,10 @@ func NewClaimBuilder(pub Params, ids []string) (*GroupVerifier, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("gq: empty signer set")
 	}
-	mo, err := mathx.NewModulus(pub.N)
+	if pub.E == nil || pub.E.Sign() < 0 {
+		return nil, errors.New("gq: nil or negative public exponent")
+	}
+	mo, err := pub.mont()
 	if err != nil {
 		return nil, err
 	}
@@ -74,11 +78,12 @@ func NewClaimBuilder(pub Params, ids []string) (*GroupVerifier, error) {
 		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
 	}
 	return &GroupVerifier{
-		pub:   pub,
-		mo:    mo,
-		ids:   append([]string(nil), ids...),
-		hProd: hProd,
-		hInv:  hInv,
+		pub:      pub,
+		mo:       mo,
+		ids:      append([]string(nil), ids...),
+		hProd:    hProd,
+		hInv:     hInv,
+		hInvMont: mo.ToMont(hInv),
 	}, nil
 }
 
@@ -87,22 +92,31 @@ func (gv *GroupVerifier) IDs() []string { return gv.ids }
 
 // BatchVerify checks equation (2) for one round of the cached signer set:
 // c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z). The verdict is identical to
-// gq.BatchVerify over the same inputs.
+// gq.BatchVerify over the same inputs; a nil or negative challenge is
+// rejected as malformed, as Claim.Verify rejects it.
 func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
 	if len(responses) != len(gv.ids) {
 		return errors.New("gq: batch size mismatch")
+	}
+	if c == nil || c.Sign() < 0 {
+		return errors.New("gq: nil or negative challenge")
 	}
 	for i, s := range responses {
 		if s == nil || s.Sign() <= 0 || s.Cmp(gv.pub.N) >= 0 {
 			return fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
-	lhs := new(big.Int).Exp(gv.mo.Product(responses), gv.pub.E, gv.pub.N)
+	// (Π s_i)^e · hProd^{-c} in the Montgomery domain with one conversion
+	// out; a tabled verifier instead hands (Π s_i)^e to the table walk as
+	// its raw factor.
+	mo := gv.mo
+	lhsMont := mo.ExpElem(mo.ToMont(mo.Product(responses)), gv.pub.E)
+	var lhs *big.Int
 	if gv.hInvTab != nil {
-		lhs = gv.hInvTab.ExpMul(c, lhs) // · hProd^{-c} via the cached table
+		lhs = gv.hInvTab.ExpMul(c, mo.FromMont(lhsMont))
 	} else {
-		lhs.Mul(lhs, new(big.Int).Exp(gv.hInv, c, gv.pub.N))
-		lhs.Mod(lhs, gv.pub.N)
+		mo.MulInto(lhsMont, lhsMont, mo.ExpElem(gv.hInvMont, c))
+		lhs = mo.FromMont(lhsMont)
 	}
 	check := hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(lhs), hashx.BigBytes(z))
 	if check.Cmp(c) != 0 {
@@ -199,9 +213,19 @@ func (cl *Claim) Verify() error {
 	}
 	var lhs *big.Int
 	if cl.HInv != nil {
-		lhs = new(big.Int).Exp(cl.SProd, cl.Pub.E, cl.Pub.N)
-		lhs.Mul(lhs, new(big.Int).Exp(cl.HInv, cl.C, cl.Pub.N))
-		lhs.Mod(lhs, cl.Pub.N)
+		mo, err := cl.Pub.mont()
+		if err != nil {
+			return err
+		}
+		se, err := mo.Exp(cl.SProd, cl.Pub.E)
+		if err != nil {
+			return err
+		}
+		hc, err := mo.Exp(cl.HInv, cl.C)
+		if err != nil {
+			return err
+		}
+		lhs = mo.Product([]*big.Int{se, hc})
 	} else {
 		var err error
 		lhs, err = foldCommitment(cl.Pub, cl.HProd, cl.SProd, cl.C)

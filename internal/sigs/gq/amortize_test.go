@@ -234,3 +234,70 @@ func BenchmarkAmortizedVerify(b *testing.B) {
 		b.ReportMetric(float64(16), "claims/op")
 	})
 }
+
+// TestGroupVerifierRejectsBadChallenge feeds the cached verifier, with and
+// without its fixed-base table, challenges that no honest round produces:
+// nil and negative ones are malformed, one of 2^160 or more can never equal
+// a challenge hash. Each must come back as an error, never a panic.
+func TestGroupVerifierRejectsBadChallenge(t *testing.T) {
+	ids := []string{"u1", "u2", "u3"}
+	pub, responses, c, bigT, z := buildBatch(t, ids)
+	tabled, err := NewGroupVerifier(pub, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewClaimBuilder(pub, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := new(big.Int).Lsh(mathx.One, 160)
+	bad := map[string]*big.Int{
+		"nil":        nil,
+		"-1":         big.NewInt(-1),
+		"-c":         new(big.Int).Neg(c),
+		"2^160":      bound,
+		"c+2^160":    new(big.Int).Add(c, bound),
+		"2^1024 + 1": new(big.Int).Add(new(big.Int).Lsh(mathx.One, 1024), mathx.One),
+	}
+	for name, gv := range map[string]*GroupVerifier{"tabled": tabled, "claim builder": plain} {
+		if err := gv.BatchVerify(responses, c, z); err != nil {
+			t.Fatalf("%s: honest batch rejected: %v", name, err)
+		}
+		for cName, bc := range bad {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: c = %s panicked: %v", name, cName, r)
+					}
+				}()
+				if err := gv.BatchVerify(responses, bc, z); err == nil {
+					t.Errorf("%s: c = %s accepted", name, cName)
+				}
+			}()
+		}
+	}
+	// The claim form already rejects the malformed challenges the same way.
+	for _, bc := range []*big.Int{nil, big.NewInt(-1)} {
+		if cl, err := plain.NewClaim(responses, bc, bigT); err == nil {
+			if cl.Verify() == nil {
+				t.Errorf("claim with c = %v verified", bc)
+			}
+		}
+	}
+}
+
+// TestNegativePublicExponentRejected checks that the Montgomery-engine
+// paths, whose exponentiation takes only non-negative exponents, turn a
+// nil or negative public exponent into an error rather than a panic.
+func TestNegativePublicExponentRejected(t *testing.T) {
+	good := ParamsFrom(params.Default().RSA)
+	for _, e := range []*big.Int{nil, big.NewInt(-65537)} {
+		pub := Params{N: good.N, E: e}
+		if _, _, err := Commitment(rand.Reader, pub); err == nil {
+			t.Errorf("Commitment accepted e = %v", e)
+		}
+		if _, err := NewClaimBuilder(pub, []string{"u1"}); err == nil {
+			t.Errorf("NewClaimBuilder accepted e = %v", e)
+		}
+	}
+}

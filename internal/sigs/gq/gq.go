@@ -35,11 +35,25 @@ import (
 type Params struct {
 	N *big.Int
 	E *big.Int
+
+	// mo is the parameter set's cached Montgomery context for N when the
+	// view came from ParamsFrom; nil otherwise.
+	mo *mathx.Modulus
 }
 
-// ParamsFrom extracts the public view of an RSA parameter set.
+// ParamsFrom extracts the public view of an RSA parameter set, carrying
+// its cached Montgomery context.
 func ParamsFrom(rp *mathx.RSAParams) Params {
-	return Params{N: rp.N, E: rp.E}
+	return Params{N: rp.N, E: rp.E, mo: rp.Mont()}
+}
+
+// mont returns the Montgomery context for N: the cached one, or a fresh
+// one for a view built without ParamsFrom.
+func (pub Params) mont() (*mathx.Modulus, error) {
+	if pub.mo != nil {
+		return pub.mo, nil
+	}
+	return mathx.NewModulus(pub.N)
 }
 
 // PrivateKey is the ID-based secret S_ID = H(ID)^d delivered by the PKG.
@@ -100,12 +114,18 @@ func Extract(rp *mathx.RSAParams, id string) (*PrivateKey, error) {
 // image t = τ^e mod n. In the group protocol, t is the value t_i broadcast
 // in Round 1.
 func Commitment(r io.Reader, pub Params) (tau, t *big.Int, err error) {
+	if pub.E == nil || pub.E.Sign() < 0 {
+		return nil, nil, errors.New("gq: commitment: nil or negative public exponent")
+	}
+	mo, err := pub.mont()
+	if err != nil {
+		return nil, nil, fmt.Errorf("gq: commitment: %w", err)
+	}
 	tau, err = mathx.RandUnit(r, pub.N)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gq: commitment: %w", err)
 	}
-	t = new(big.Int).Exp(tau, pub.E, pub.N)
-	return tau, t, nil
+	return tau, mo.FromMont(mo.ExpElem(mo.ToMont(tau), pub.E)), nil
 }
 
 // Respond computes the response s = τ·S_ID^c mod n for a previously drawn
