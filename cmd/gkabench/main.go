@@ -9,18 +9,12 @@
 //	gkabench -table 4 -n 100 -m 20 -ld 20
 //	gkabench -table 5 -n 100 -m 20 -ld 20   # the paper's exact setting
 //	gkabench -figure 1 -measured 50    # measure counters up to n=50
-//	gkabench -accel -parallel 4        # acceleration-layer benchmark, 4 workers
-//	gkabench -groups 64                # multi-group serve throughput ladder (1,4,16,64)
-//	gkabench -groups 64 -amortize      # same, settling GQ checks through the amortized verify queue
 //
 // With -json the command emits one JSON document on stdout: the runner
-// fingerprint (GOMAXPROCS, Go version, -parallel), the run parameters
-// and, per regenerated artifact, its name, wall-clock cost and rendered
-// output — so benchmark trajectories (BENCH_*.json) can be captured
-// mechanically across revisions and diffed. The -accel artifact
-// additionally emits per-op serial/accelerated timings whose speedup
-// ratios cmd/benchgate compares against the committed BENCH_BASELINE.json
-// in CI.
+// fingerprint (GOMAXPROCS, Go version), the run parameters and, per
+// regenerated artifact, its name, wall-clock cost and rendered output —
+// so table snapshots (BENCH_*.json) can be captured mechanically across
+// revisions and diffed. Speed is measured by gkaperf, not here.
 //
 // Tables 4 and 5 at the paper's n=100 execute tens of thousands of real
 // signature verifications for the BD baseline and take a minute or two;
@@ -35,12 +29,10 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"idgka/internal/analytic"
 	"idgka/internal/experiments"
-	"idgka/internal/serve"
 )
 
 // record is one regenerated artifact in -json mode.
@@ -50,61 +42,16 @@ type record struct {
 	Output    string  `json:"output"`
 }
 
-// document is the top-level -json payload. Schema 2 adds the runner
-// fingerprint (GOMAXPROCS, Go version, the -parallel setting) and the
-// tracked-op map of the acceleration benchmark, which the CI
-// bench-regression gate (cmd/benchgate) compares against the committed
-// BENCH_BASELINE.json.
+// document is the top-level -json payload. Schema 3 drops schema 2's
+// acceleration-benchmark op map, multi-group ladder and -parallel
+// setting.
 type document struct {
-	Schema     int                           `json:"schema"`
-	GoVersion  string                        `json:"go_version"`
-	GoMaxProcs int                           `json:"gomaxprocs"`
-	Parallel   int                           `json:"parallel"`
-	Params     map[string]int                `json:"params"`
-	Results    []record                      `json:"results"`
-	Ops        map[string]experiments.OpStat `json:"ops,omitempty"`
-	// MultiGroup is the -groups serve-layer throughput ladder (additive;
-	// cmd/benchgate ignores it, so the schema number is unchanged).
-	MultiGroup []serve.GroupStat `json:"multi_group,omitempty"`
-	TotalMS    float64           `json:"total_ms"`
-}
-
-// groupLadder builds the rung counts for -groups N: powers of four up to
-// and always including N.
-func groupLadder(n int) []int {
-	var out []int
-	for c := 1; c < n; c *= 4 {
-		out = append(out, c)
-	}
-	return append(out, n)
-}
-
-// renderGroups formats the ladder as a text table. When the host's
-// amortized settlement queue was on, three verify-throughput columns show
-// the coalescing at work: total claims settled, the batches they were
-// folded into, and claims settled per second of settlement-lane busy time
-// (Stats.VerifyBusy — the lane's throughput, not a rung-wall-time rate).
-func renderGroups(stats []serve.GroupStat, amortize bool) string {
-	var b strings.Builder
-	if len(stats) > 0 {
-		fmt.Fprintf(&b, "Multi-group serve throughput (pool %d, ring %d, GOMAXPROCS %d, amortized verify %v)\n",
-			stats[0].Pool, stats[0].GroupSize, runtime.GOMAXPROCS(0), amortize)
-	}
-	fmt.Fprintf(&b, "%8s  %14s  %12s  %14s  %12s",
-		"groups", "establish/s", "est ms", "rekey/s", "rekey ms")
-	if amortize {
-		fmt.Fprintf(&b, "  %8s  %8s  %10s", "claims", "batches", "verify/s")
-	}
-	b.WriteByte('\n')
-	for _, s := range stats {
-		fmt.Fprintf(&b, "%8d  %14.1f  %12.1f  %14.1f  %12.1f",
-			s.Groups, s.EstablishPerSec, s.EstablishMS, s.RekeyPerSec, s.RekeyMS)
-		if amortize {
-			fmt.Fprintf(&b, "  %8d  %8d  %10.1f", s.VerifyClaims, s.VerifyBatches, s.VerifyPerSec)
-		}
-		b.WriteByte('\n')
-	}
-	return strings.TrimRight(b.String(), "\n")
+	Schema     int            `json:"schema"`
+	GoVersion  string         `json:"go_version"`
+	GoMaxProcs int            `json:"gomaxprocs"`
+	Params     map[string]int `json:"params"`
+	Results    []record       `json:"results"`
+	TotalMS    float64        `json:"total_ms"`
 }
 
 func main() {
@@ -118,20 +65,12 @@ func main() {
 	ld := flag.Int("ld", 20, "leaving/partitioned users")
 	measured := flag.Int("measured", 10, "largest n measured (not extrapolated) in Figure 1")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	accel := flag.Bool("accel", false, "run the crypto acceleration-layer benchmark (tracked by the CI bench gate)")
-	groups := flag.Int("groups", 0, "multi-group serve-layer throughput ladder up to N concurrent groups (0 = skip)")
-	amortize := flag.Bool("amortize", false, "with -groups: settle GQ checks through the host's amortized verify queue")
-	parallel := flag.Int("parallel", 0, "worker-pool size for accelerated runs (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON document on stdout")
 	flag.Parse()
 
-	if !*all && *table == 0 && *figure == 0 && !*ablations && !*accel && *groups <= 0 {
+	if !*all && *table == 0 && *figure == 0 && !*ablations {
 		flag.Usage()
 		os.Exit(2)
-	}
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
 	env, err := experiments.NewEnv()
@@ -139,10 +78,9 @@ func main() {
 		log.Fatalf("environment: %v", err)
 	}
 	doc := document{
-		Schema:     2,
+		Schema:     3,
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Parallel:   workers,
 		Params: map[string]int{
 			"n": *n, "m": *m, "ld": *ld, "measured": *measured,
 		},
@@ -184,30 +122,6 @@ func main() {
 	if *all || *table == 5 {
 		run("Table 5", func() (string, error) {
 			return env.Table5(analytic.Table5Params{N: *n, M: *m, Ld: *ld})
-		})
-	}
-	if *all || *accel {
-		run(fmt.Sprintf("Acceleration layer (n=%d)", experiments.AccelGroupSize), func() (string, error) {
-			out, ops, err := env.AccelBench(experiments.AccelGroupSize, workers)
-			if err != nil {
-				return "", err
-			}
-			doc.Ops = ops
-			return out, nil
-		})
-	}
-	if *groups > 0 {
-		run(fmt.Sprintf("Multi-group serve throughput (up to %d groups)", *groups), func() (string, error) {
-			stats, err := serve.BenchmarkGroups(groupLadder(*groups), serve.BenchOptions{
-				Accel:          *accel,
-				Workers:        workers,
-				AmortizeVerify: *amortize,
-			})
-			if err != nil {
-				return "", err
-			}
-			doc.MultiGroup = stats
-			return renderGroups(stats, *amortize), nil
 		})
 	}
 	if *all || *ablations {

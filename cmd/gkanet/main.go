@@ -39,7 +39,6 @@
 //	gkanet -dynamic=false -n 5      # establishment + confirmation only
 //	gkanet -mode lockstep -n 5      # the legacy lockstep orchestrator
 //	gkanet -listen :7777            # choose the hub port
-//	gkanet -precompute -workers 4   # crypto acceleration (tables + pool)
 //	gkanet -n 5 -crash node-02@confirmed   # kill node-02, survivors re-key
 //	gkanet -n 4 -serve -groups 16          # host 16 concurrent groups
 //	gkanet -n 4 -serve -groups 8 -crash node-02@established
@@ -93,8 +92,6 @@ func main() {
 	serveMode := flag.Bool("serve", false, "host -groups concurrent groups (rotated rings over the -n nodes) through the sharded internal/serve layer; composes with -crash")
 	groups := flag.Int("groups", 8, "group count for -serve")
 	sendTimeout := flag.Duration("send-timeout", 15*time.Second, "per-delivery deadline on every Broadcast/Send (0 = unbounded)")
-	precompute := flag.Bool("precompute", false, "build fixed-base tables for the generator and identity keys")
-	workers := flag.Int("workers", 0, "per-node verification worker pool size (0 or 1 = sequential)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the process metrics registry as expvar-compatible JSON on this HTTP address (e.g. 127.0.0.1:9100)")
 	flag.Parse()
 	if *n < 2 {
@@ -150,10 +147,7 @@ func main() {
 	router.SetSendTimeout(*sendTimeout)
 
 	set := params.Default()
-	cfg := engine.Config{Set: set.Public(), Accel: engine.AccelConfig{
-		Precompute:    *precompute,
-		VerifyWorkers: *workers,
-	}}
+	cfg := engine.Config{Set: set.Public()}
 	total := *n
 	if *mode == "event" && *dynamic && victim == "" && !*serveMode {
 		total = *n + 1 // the node admitted by the Join demo
@@ -195,10 +189,7 @@ func main() {
 	start := time.Now()
 	switch {
 	case *serveMode:
-		fps, err := p.serveScenario(roster, *groups, victim, phase, idgka.Config{
-			Precompute:    *precompute,
-			VerifyWorkers: *workers,
-		})
+		fps, err := p.serveScenario(roster, *groups, victim, phase)
 		if err != nil {
 			log.Fatalf("serve: %v", err)
 		}
@@ -715,7 +706,7 @@ func (p *proc) lifecycle(roster []string, joiner, evictee string) ([][32]byte, e
 // runs are cancelled, and each group independently evicts the victim via
 // Leave and confirms a fresh key. Returns the final per-group
 // fingerprints (cross-checked across members).
-func (p *proc) serveScenario(roster []string, groups int, victim, phase string, mcfg idgka.Config) ([][32]byte, error) {
+func (p *proc) serveScenario(roster []string, groups int, victim, phase string) ([][32]byte, error) {
 	auth, err := idgka.NewAuthority()
 	if err != nil {
 		return nil, err
@@ -739,7 +730,7 @@ func (p *proc) serveScenario(roster []string, groups int, victim, phase string, 
 
 	members := map[string]*idgka.Member{}
 	for _, id := range roster {
-		mb, err := auth.NewMemberWithConfig(id, mcfg)
+		mb, err := auth.NewMember(id)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"idgka"
-)
+import "testing"
 
 // TestServeMultiGroupOverTCP: the sharded serve layer hosts several
 // groups (rotated rings over all nodes) concurrently over one real hub;
@@ -12,7 +8,7 @@ import (
 func TestServeMultiGroupOverTCP(t *testing.T) {
 	const n, groups = 3, 4
 	p := newProc(t, n)
-	fps, err := p.serveScenario(p.ids, groups, "", "", idgka.Config{})
+	fps, err := p.serveScenario(p.ids, groups, "", "")
 	if err != nil {
 		t.Fatalf("serve scenario: %v", err)
 	}
@@ -39,7 +35,7 @@ func TestServeCrashRecoveryOverTCP(t *testing.T) {
 			const n, groups = 3, 3
 			p := newProc(t, n)
 			victim := p.ids[1]
-			fps, err := p.serveScenario(p.ids, groups, victim, phase, idgka.Config{})
+			fps, err := p.serveScenario(p.ids, groups, victim, phase)
 			if err != nil {
 				t.Fatalf("serve crash scenario (%s): %v", phase, err)
 			}

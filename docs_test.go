@@ -1,6 +1,9 @@
 package idgka_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -27,6 +30,9 @@ var (
 	// heading into an anchor id.
 	anchorDrop = regexp.MustCompile(`[^a-z0-9 _-]`)
 	codeFence  = regexp.MustCompile("(?s)```.*?```|`[^`\n]*`")
+	// mdRef matches a markdown file named in prose, with an optional
+	// anchor: README.md, docs/ARCHITECTURE.md#deviations.
+	mdRef = regexp.MustCompile(`[A-Za-z0-9_./-]+\.md(?:#[a-z0-9_-]+)?`)
 )
 
 // anchorsOf returns the GitHub-style anchor ids of a markdown document's
@@ -80,5 +86,53 @@ func TestDocLinksResolve(t *testing.T) {
 				t.Errorf("%s: link %q: no heading in %s produces anchor #%s", file, link, target, frag)
 			}
 		}
+	}
+}
+
+// TestGoCommentDocRefsResolve extends the link checker to Go comments:
+// every markdown file a comment names must exist, relative to the
+// repository root or to the commenting file's directory, and a
+// `#fragment` must name one of its headings.
+func TestGoCommentDocRefsResolve(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, ref := range mdRef.FindAllString(cg.Text(), -1) {
+				doc, frag, _ := strings.Cut(ref, "#")
+				var raw []byte
+				for _, target := range []string{doc, filepath.Join(filepath.Dir(path), doc)} {
+					if raw, err = os.ReadFile(target); err == nil {
+						break
+					}
+				}
+				if raw == nil {
+					t.Errorf("%s: comment names %q, which does not exist", fset.Position(cg.Pos()), ref)
+					continue
+				}
+				if frag != "" && !anchorsOf(string(raw))[frag] {
+					t.Errorf("%s: comment names %q, but %s has no heading with that anchor", fset.Position(cg.Pos()), ref, doc)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

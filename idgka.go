@@ -104,18 +104,12 @@ type Config struct {
 	// commitments instead of reusing them as the paper (unsafely)
 	// specifies.
 	StrictNonceRefresh bool
-	// Precompute builds fixed-base tables for the group generator and the
-	// member's identity key at creation, accelerating every keying round.
-	// Mathematically transparent: keys, traffic and operation meters are
-	// unchanged. The generator table attaches to the process-shared
-	// parameter set, so once any member precomputes, every member of the
-	// process gets the (bit-identical, faster) table path for g^x; the
-	// identity-key table is per member.
+	// Precompute is ignored: every member builds the fixed-base tables
+	// for the group generator and its identity key at creation.
+	//
+	// Deprecated: precomputation is unconditional. The field remains for
+	// one release so existing configurations keep compiling.
 	Precompute bool
-	// VerifyWorkers bounds the worker pool that verifies independent
-	// incoming contributions concurrently (0 or 1 = sequential, the
-	// paper-exact path).
-	VerifyWorkers int
 }
 
 // Authority is the paper's PKG: it owns the system parameters and master
@@ -207,10 +201,6 @@ func (a *Authority) NewMemberWithConfig(id string, cfg Config) (*Member, error) 
 		Rand:               cfg.Rand,
 		MaxRetries:         cfg.MaxRetries,
 		StrictNonceRefresh: cfg.StrictNonceRefresh,
-		Accel: engine.AccelConfig{
-			Precompute:    cfg.Precompute,
-			VerifyWorkers: cfg.VerifyWorkers,
-		},
 	}
 	inner, err := core.NewMember(ecfg, sk, m)
 	if err != nil {

@@ -193,11 +193,9 @@ func TestStrictConfigMember(t *testing.T) {
 	}
 }
 
-// TestAcceleratedConfigMember checks the public acceleration knobs plumb
-// through to the engine: a mixed group of accelerated and plain members
-// establishes, re-keys and agrees (acceleration is mathematically
-// transparent — and the shared generator table means plain members in
-// the same process silently gain the faster-but-identical g^x path).
+// TestAcceleratedConfigMember checks the deprecated Precompute knob is
+// inert: a group mixing members built with and without it establishes,
+// re-keys and agrees.
 func TestAcceleratedConfigMember(t *testing.T) {
 	auth, err := NewAuthority()
 	if err != nil {
@@ -208,7 +206,7 @@ func TestAcceleratedConfigMember(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cfg := Config{}
 		if i%2 == 0 {
-			cfg = Config{Precompute: true, VerifyWorkers: 4}
+			cfg = Config{Precompute: true}
 		}
 		mb, err := auth.NewMemberWithConfig(fmt.Sprintf("x%d", i), cfg)
 		if err != nil {
@@ -229,6 +227,6 @@ func TestAcceleratedConfigMember(t *testing.T) {
 		}
 	}
 	if err := Leave(net, members, "x1"); err != nil {
-		t.Fatalf("accelerated leave: %v", err)
+		t.Fatalf("leave: %v", err)
 	}
 }

@@ -94,7 +94,7 @@ func StaticReport(p Protocol, n int) meter.Report {
 		r.BytesRx = int64((n - 1) * tx)
 	case ProtoSSN:
 		// Reconstruction: 2n+2 exponentiations per user (the paper charges
-		// 2n+4; see DESIGN.md §3).
+		// 2n+4; see docs/ARCHITECTURE.md#accounting-conventions).
 		r.Exp = 2*n + 2
 		tx := (fieldID + 2*field) + (fieldID + field)
 		r.BytesTx = int64(tx)

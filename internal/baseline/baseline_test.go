@@ -279,7 +279,7 @@ func TestSSNAgreement(t *testing.T) {
 		}
 	}
 	// Exponentiation count: 2n+2 per user (reconstruction; paper charges
-	// 2n+4 — see DESIGN.md §3).
+	// 2n+4 — see docs/ARCHITECTURE.md#accounting-conventions).
 	for _, p := range parts {
 		r := p.Meter().Report()
 		if r.Exp != 2*n+2 {

@@ -5,7 +5,7 @@
 //     (ID-based, pairing), ECDSA (certificate-based, secp160r1) or DSA
 //     (certificate-based, 1024-bit);
 //   - the Saeednia-Safavi-Naini ID-based scheme (reconstruction; see
-//     DESIGN.md §3); and
+//     docs/ARCHITECTURE.md#accounting-conventions); and
 //   - dynamic membership handled by re-running the full protocol, the
 //     strategy the paper charges the baselines with.
 //

@@ -28,7 +28,7 @@ const (
 // identity key (no signatures at all), at the price of two modular
 // exponentiations per peer — the Θ(n) exponentiation count Table 1 charges
 // the SSN column with (paper: 2n+4 per user; this reconstruction: 2n+2,
-// see DESIGN.md §3).
+// see docs/ARCHITECTURE.md#accounting-conventions).
 //
 // Round 1: U_i draws r_i, broadcasts z_i = g^{r_i} mod N and the
 // authenticator w_i = S_i · z_i^{h_i} mod N where h_i = H(ID_i ‖ z_i) and

@@ -109,39 +109,6 @@ func BenchmarkKeyN100(b *testing.B) {
 	}
 }
 
-// TestKeyMultiExpMatchesKey cross-checks the multi-exponentiation fast
-// path against the straight-line key computation for several ring sizes.
-func TestKeyMultiExpMatchesKey(t *testing.T) {
-	for _, n := range []int{2, 3, 5, 16} {
-		rs, zs, xs, g := buildRing(t, n)
-		for i := 0; i < n; i++ {
-			zPrev := zs[(i-1+n)%n]
-			want, err := Key(i, rs[i], zPrev, xs, g.P)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := KeyMultiExp(i, rs[i], zPrev, xs, g.P)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("n=%d member %d: KeyMultiExp diverges from Key", n, i)
-			}
-		}
-	}
-}
-
-// TestKeyMultiExpRejectsBadInputs mirrors Key's error contract.
-func TestKeyMultiExpRejectsBadInputs(t *testing.T) {
-	rs, zs, xs, g := buildRing(t, 3)
-	if _, err := KeyMultiExp(0, rs[0], zs[2], nil, g.P); err == nil {
-		t.Fatal("empty ring accepted")
-	}
-	if _, err := KeyMultiExp(3, rs[0], zs[2], xs, g.P); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
 // TestXFromPowersMatchesXValue checks the edge-carrying restructure: the
 // X assembled from the two directed edge powers must be bit-identical to
 // the ratio-form XValue.
@@ -163,34 +130,10 @@ func TestXFromPowersMatchesXValue(t *testing.T) {
 	}
 }
 
-// TestXValuesBatchMatchesXValue checks batch X computation is
-// bit-identical to per-member XValue and uses exactly one modular
-// inversion regardless of ring size.
-func TestXValuesBatchMatchesXValue(t *testing.T) {
-	for _, n := range []int{2, 3, 8, 16} {
-		rs, zs, want, g := buildRing(t, n)
-		before := mathx.InverseCalls()
-		got, err := XValuesBatch(zs, rs, g.P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls := mathx.InverseCalls() - before; calls != 1 {
-			t.Fatalf("n=%d: XValuesBatch used %d inversions, want 1", n, calls)
-		}
-		for i := range want {
-			if got[i].Cmp(want[i]) != 0 {
-				t.Fatalf("n=%d member %d: batch X diverges", n, i)
-			}
-		}
-	}
-	if _, err := XValuesBatch(nil, nil, big.NewInt(7)); err == nil {
-		t.Fatal("empty ring accepted")
-	}
-}
-
 // TestKeyFromEdgeMontMatchesKey checks the Montgomery-domain Horner
 // assembly against the straight-line equation (3) for every member of
-// several ring sizes, including the n=1 and n=2 degenerate shapes.
+// several ring sizes, including the n=1 and n=2 degenerate shapes, and
+// its rejection of an empty ring and an out-of-range index.
 func TestKeyFromEdgeMontMatchesKey(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 16} {
 		rs, zs, xs, g := buildRing(t, n)
@@ -217,6 +160,13 @@ func TestKeyFromEdgeMontMatchesKey(t *testing.T) {
 				t.Fatalf("n=%d member %d: KeyFromEdgeMont diverges from Key", n, i)
 			}
 		}
+		one := mo.MontOne()
+		if _, err := KeyFromEdgeMont(mo, 0, one, nil); err == nil {
+			t.Fatal("empty ring accepted")
+		}
+		if _, err := KeyFromEdgeMont(mo, n, one, xsMont); err == nil {
+			t.Fatal("out-of-range index accepted")
+		}
 	}
 }
 
@@ -239,32 +189,4 @@ func TestCheckLemma1MontMatches(t *testing.T) {
 	if err := CheckLemma1Mont(mo, toMont(xs)); err == nil {
 		t.Fatal("corrupted X passed Montgomery Lemma 1")
 	}
-}
-
-// BenchmarkXValues proves the batch path drops the inversion count from
-// O(n) to O(1): per-member XValue performs one ModInverse each, the batch
-// performs one total.
-func BenchmarkXValues(b *testing.B) {
-	const n = 16
-	rs, zs, _, g := buildRing(b, n)
-	b.Run("per-member", func(b *testing.B) {
-		start := mathx.InverseCalls()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				if _, err := XValue(zs[(j+1)%n], zs[(j-1+n)%n], rs[j], g.P); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(mathx.InverseCalls()-start)/float64(b.N), "inversions/ring")
-	})
-	b.Run("batch", func(b *testing.B) {
-		start := mathx.InverseCalls()
-		for i := 0; i < b.N; i++ {
-			if _, err := XValuesBatch(zs, rs, g.P); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(mathx.InverseCalls()-start)/float64(b.N), "inversions/ring")
-	})
 }

@@ -555,8 +555,9 @@ func TestStrictNonceRefreshMode(t *testing.T) {
 // its GQ commitment τ across the initial run and a leave, producing two
 // responses s = τ·S^c, s' = τ·S^c' under distinct challenges. The quotient
 // s/s' = S^(c-c') would let an adversary recover the long-term key S by
-// computing (c-c')^{-1} mod e-order... (see DESIGN.md §4). Here we verify
-// the observable precondition: the commitment is indeed reused.
+// combining it with S^e = H(ID) (see docs/ARCHITECTURE.md#deviations).
+// Here we verify the observable precondition: the commitment is indeed
+// reused.
 func TestPaperNonceReuseWeakness(t *testing.T) {
 	net, members := buildGroup(t, 6, nil)
 	if err := RunInitial(net, members); err != nil {

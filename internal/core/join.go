@@ -15,7 +15,8 @@ import (
 // appended to the ring between U_n and U_1.
 //
 // Message and operation counts follow the paper exactly: 4 messages on the
-// medium (the paper's Table 4 lists 5; see EXPERIMENTS.md), 2
+// medium (the paper's Table 4 lists 5; see
+// docs/ARCHITECTURE.md#accounting-conventions), 2
 // exponentiations for U_1 and U_{n+1}, 1 for U_n, none for the rest.
 func RunJoin(net netsim.Medium, members []*Member, joiner *Member) error {
 	if len(members) < 2 {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync/atomic"
 
 	"idgka/internal/mathx"
 )
@@ -29,60 +28,6 @@ type Curve struct {
 	A, B   *big.Int // curve coefficients
 	Gx, Gy *big.Int // base point
 	N      *big.Int // base point order
-
-	// fixedBase caches the windowed multiples of G attached by
-	// Precompute; the shared curve instances publish it atomically. A nil
-	// table selects the naive double-and-add path.
-	fixedBase atomic.Pointer[basePointTable]
-}
-
-// basePointTable holds windowed multiples of the base point:
-// rows[i][j] = (j << (window·i))·G in affine coordinates, so k·G is a sum
-// of ceil(bits/window) precomputed points — no doublings on the hot path.
-type basePointTable struct {
-	window uint
-	rows   [][]Point
-}
-
-// Precompute builds the fixed-base multiples of the generator, turning
-// ScalarBaseMult into ~ceil(|N|/window) point additions. Idempotent,
-// safe for concurrent use and mathematically transparent (identical
-// points come back).
-func (c *Curve) Precompute() {
-	if c.fixedBase.Load() != nil {
-		return
-	}
-	w := uint(mathx.DefaultWindow)
-	bits := c.N.BitLen()
-	nrows := (bits + int(w) - 1) / int(w)
-	t := &basePointTable{window: w, rows: make([][]Point, nrows)}
-	cur := c.Generator() // (2^(window·i))·G for the current row
-	for i := 0; i < nrows; i++ {
-		row := make([]Point, 1<<w)
-		row[0] = Infinity()
-		for j := 1; j < 1<<w; j++ {
-			row[j] = c.Add(row[j-1], cur)
-		}
-		t.rows[i] = row
-		cur = c.Add(row[1<<w-1], cur)
-	}
-	c.fixedBase.CompareAndSwap(nil, t)
-}
-
-// scalarBaseMultTable evaluates k·G from the precomputed table; k must
-// already be reduced to [0, N). Unlike the otherwise-parallel table in
-// internal/pairing (affine law), accumulation happens in Jacobian
-// coordinates so the whole sum costs a single field inversion.
-func (c *Curve) scalarBaseMultTable(t *basePointTable, k *big.Int) Point {
-	acc := jacPoint{x: big.NewInt(1), y: big.NewInt(1), z: big.NewInt(0)}
-	w := int(t.window)
-	bits := k.BitLen()
-	for i := 0; i*w < bits; i++ {
-		if d := mathx.WindowDigit(k, i, w); d != 0 {
-			acc = c.jacAdd(acc, c.toJac(t.rows[i][d]))
-		}
-	}
-	return c.fromJac(acc)
 }
 
 // Point is an affine curve point; the zero value (nil coordinates) is the
@@ -309,16 +254,8 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	return c.fromJac(acc)
 }
 
-// ScalarBaseMult returns k*G, through the fixed-base table when one has
-// been precomputed.
+// ScalarBaseMult returns k*G.
 func (c *Curve) ScalarBaseMult(k *big.Int) Point {
-	if t := c.fixedBase.Load(); t != nil {
-		kk := new(big.Int).Mod(k, c.N)
-		if kk.Sign() == 0 {
-			return Infinity()
-		}
-		return c.scalarBaseMultTable(t, kk)
-	}
 	return c.ScalarMult(c.Generator(), k)
 }
 

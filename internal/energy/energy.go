@@ -148,7 +148,8 @@ type Model struct {
 	CertVerifyAs meter.Scheme
 	// IncludeStateBytes charges state-transfer traffic (joiner/merge table
 	// shipping) to the radio as well. Off by default so results stay
-	// comparable to the paper's accounting; EXPERIMENTS.md reports both.
+	// comparable to the paper's accounting (see
+	// docs/ARCHITECTURE.md#accounting-conventions).
 	IncludeStateBytes bool
 }
 

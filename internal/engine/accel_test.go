@@ -3,9 +3,13 @@ package engine_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math/big"
 	"reflect"
 	"testing"
 
+	"idgka/internal/bdkey"
 	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/params"
@@ -13,8 +17,8 @@ import (
 )
 
 // ctrReader is a deterministic randomness stream (SHA-256 in counter
-// mode) so two protocol runs draw identical keying material and their
-// traffic and meters can be compared byte for byte.
+// mode) so a protocol run draws fixed keying material and its keys and
+// meters can be pinned.
 type ctrReader struct {
 	seed [32]byte
 	ctr  uint64
@@ -39,12 +43,12 @@ func (r *ctrReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// accelNodes builds one machine per id with the given accel config and a
-// shared deterministic randomness stream.
-func accelNodes(t testing.TB, ids []string, seed string, accel engine.AccelConfig) map[string]*node {
+// seededNodes builds one machine per id over a shared deterministic
+// randomness stream.
+func seededNodes(t testing.TB, ids []string, seed string) map[string]*node {
 	t.Helper()
 	set := params.Default()
-	cfg := engine.Config{Set: set.Public(), Rand: newCtrReader(seed), Accel: accel}
+	cfg := engine.Config{Set: set.Public(), Rand: newCtrReader(seed)}
 	nodes := map[string]*node{}
 	for _, id := range ids {
 		sk, err := gq.Extract(set.RSA, id)
@@ -60,8 +64,8 @@ func accelNodes(t testing.TB, ids []string, seed string, accel engine.AccelConfi
 	return nodes
 }
 
-// runLifecycle drives establish + leave + confirm over a deterministic
-// bus and returns the final per-member meter reports and the leave key.
+// runLifecycle drives establish + leave over a deterministic bus and
+// returns the final per-member meter reports.
 func runLifecycle(t *testing.T, nodes map[string]*node, ring []string) map[string]meter.Report {
 	t.Helper()
 	b := newBus(t, nodes, ring)
@@ -94,66 +98,118 @@ func runLifecycle(t *testing.T, nodes map[string]*node, ring []string) map[strin
 	return reports
 }
 
-// TestAccelTransparent runs the same seeded lifecycle with the
-// acceleration layer off and fully on: the committed keys and every
-// member's operation/byte meters must be bit-identical — acceleration
-// must never change what the protocol computes or what the paper's
-// accounting charges.
-func TestAccelTransparent(t *testing.T) {
-	ring := []string{"A01", "A02", "A03", "A04", "A05"}
-
-	plain := accelNodes(t, ring, "accel-transparency", engine.AccelConfig{})
-	plainReports := runLifecycle(t, plain, ring)
-
-	accel := accelNodes(t, ring, "accel-transparency",
-		engine.AccelConfig{Precompute: true, VerifyWorkers: 4})
-	accelReports := runLifecycle(t, accel, ring)
-
-	for _, id := range ring {
-		if !reflect.DeepEqual(plainReports[id], accelReports[id]) {
-			t.Fatalf("%s: meters diverge between plain and accelerated runs:\nplain: %+v\naccel: %+v",
-				id, plainReports[id], accelReports[id])
+// assertDirectKey checks a committed session key against
+// bdkey.DirectKey, g^{Σ r_j r_{j+1}}, over the members' own exponents in
+// roster order: a reference that shares no code with the engine's
+// equation (3).
+func assertDirectKey(t *testing.T, nodes map[string]*node, sid string) {
+	t.Helper()
+	sg := params.Default().Schnorr
+	var roster []string
+	for _, nd := range nodes {
+		if g := nd.mc.Session(sid); g != nil {
+			roster = g.Roster
+			break
 		}
 	}
-	plainKey := plain[ring[0]].mc.Session("acc/leave").Key
-	accelKey := accel[ring[0]].mc.Session("acc/leave").Key
-	if plainKey.Cmp(accelKey) != 0 {
-		t.Fatal("group keys diverge between plain and accelerated runs")
+	rs := make([]*big.Int, len(roster))
+	for i, id := range roster {
+		rs[i] = nodes[id].mc.Session(sid).R
+	}
+	want := bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)
+	for _, id := range roster {
+		if nodes[id].mc.Session(sid).Key.Cmp(want) != 0 {
+			t.Fatalf("%s: %s's key differs from g^{Σ r_j r_{j+1}}", sid, id)
+		}
 	}
 }
 
-// TestAccelWorkersOnly exercises the worker pool without precomputation
-// (the knobs are independent) over a larger ring.
-func TestAccelWorkersOnly(t *testing.T) {
-	ring := make([]string, 8)
-	for i := range ring {
-		ring[i] = string(rune('a'+i)) + "-worker"
+// keyDigest is the hex SHA-256 of a key's big-endian bytes.
+func keyDigest(k *big.Int) string {
+	d := sha256.Sum256(k.Bytes())
+	return hex.EncodeToString(d[:])
+}
+
+// gqOps is a per-scheme counter map holding n GQ operations.
+func gqOps(n int) map[meter.Scheme]int { return map[meter.Scheme]int{meter.SchemeGQ: n} }
+
+// TestAccelTransparent runs a seeded establish + leave lifecycle on the
+// Montgomery hot path and checks both keys against bdkey.DirectKey, then
+// pins the keys and every member's meter to goldens. The goldens were
+// recorded on the serial math/big path (bdkey.XValue and bdkey.Key),
+// which the engine no longer carries, with the same seeds; the 8-member
+// ring also covers a larger establishment.
+func TestAccelTransparent(t *testing.T) {
+	cases := []struct {
+		seed   string
+		ring   []string
+		keys   map[string]string // session id -> keyDigest
+		meters map[string]meter.Report
+	}{
+		{
+			seed: "accel-transparency",
+			ring: []string{"A01", "A02", "A03", "A04", "A05"},
+			keys: map[string]string{
+				"acc/est":   "07ac3bf63378dfb4c514a5b5ae437aa4cf842590dcd845b1d8e6ac60c07aff5f",
+				"acc/leave": "93dad257960bbef4e620a88518f1c289ea5bb512fe85cf385cba2dcd95956bc7",
+			},
+			meters: map[string]meter.Report{
+				"A01": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A02": {Exp: 3, SignGen: gqOps(1), SignVer: gqOps(1)},
+				"A03": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A04": {Exp: 5, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A05": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+			},
+		},
+		{
+			seed: "accel-transparency/8",
+			ring: []string{"A01", "A02", "A03", "A04", "A05", "A06", "A07", "A08"},
+			keys: map[string]string{
+				"acc/est":   "5abcb608de6395780948f176c313da55ef37449b2d04a854d550724e8c8ab799",
+				"acc/leave": "f4714f7a9fdb41fff725a1283871a4f670237e727e8e8cc9eb8649e4ec1a0b89",
+			},
+			meters: map[string]meter.Report{
+				"A01": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A02": {Exp: 3, SignGen: gqOps(1), SignVer: gqOps(1)},
+				"A03": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A04": {Exp: 5, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A05": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A06": {Exp: 5, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A07": {Exp: 6, SignGen: gqOps(2), SignVer: gqOps(2)},
+				"A08": {Exp: 5, SignGen: gqOps(2), SignVer: gqOps(2)},
+			},
+		},
 	}
-	nodes := accelNodes(t, ring, "workers-only", engine.AccelConfig{VerifyWorkers: 3})
-	b := newBus(t, nodes, ring)
-	for _, id := range ring {
-		id := id
-		b.start(id, func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
-			return mc.StartInitial("w/est", ring)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(fmt.Sprintf("n=%d", len(tc.ring)), func(t *testing.T) {
+			nodes := seededNodes(t, tc.ring, tc.seed)
+			reports := runLifecycle(t, nodes, tc.ring)
+			for sid, want := range tc.keys {
+				assertDirectKey(t, nodes, sid)
+				if got := keyDigest(nodes[tc.ring[0]].mc.Session(sid).Key); got != want {
+					t.Errorf("%s: key digest %s, golden %s", sid, got, want)
+				}
+			}
+			for id, want := range tc.meters {
+				if !reflect.DeepEqual(reports[id], want) {
+					t.Errorf("%s: meter %+v, golden %+v", id, reports[id], want)
+				}
+			}
 		})
 	}
-	b.pump()
-	assertSession(t, nodes, ring, "w/est")
 }
 
-// TestAccelRejectsCorruptRound2 checks the parallel verification path
-// still fails closed: a corrupted response must surface the retryable
-// batch-verification failure on every member.
-func TestAccelRejectsCorruptRound2(t *testing.T) {
+// TestCorruptResponseFailsBeforeKey checks a corrupted GQ response fails
+// closed and pins the failure path's meter: every member that received
+// the bad response surfaces the retryable batch-verification failure
+// after charging the check (one SignVer) and no key computation (its two
+// Exps are z_i and X_i). The corrupting member's own view holds its true
+// response, so it commits.
+func TestCorruptResponseFailsBeforeKey(t *testing.T) {
 	ring := []string{"C01", "C02", "C03"}
-	nodes := accelNodes(t, ring, "corrupt", engine.AccelConfig{Precompute: true, VerifyWorkers: 4})
+	nodes := seededNodes(t, ring, "corrupt")
 	b := newBus(t, nodes, ring)
-	corrupt := func(msg *busDelivery) {
-		if msg.msg.Type == engine.MsgRound2 && msg.msg.From == "C02" {
-			msg.msg.Payload = append([]byte(nil), msg.msg.Payload...)
-			msg.msg.Payload[len(msg.msg.Payload)-1] ^= 0x01
-		}
-	}
 	for _, id := range ring {
 		id := id
 		b.start(id, func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
@@ -163,22 +219,33 @@ func TestAccelRejectsCorruptRound2(t *testing.T) {
 	for len(b.queue) > 0 {
 		d := b.queue[0]
 		b.queue = b.queue[1:]
-		corrupt(&d)
+		if d.msg.Type == engine.MsgRound2 && d.msg.From == "C02" {
+			d.msg.Payload = append([]byte(nil), d.msg.Payload...)
+			d.msg.Payload[len(d.msg.Payload)-1] ^= 0x01
+		}
 		nd := b.nodes[d.to]
 		outs, evts := nd.mc.Step(d.msg)
 		nd.record(evts)
 		b.send(d.to, outs)
 	}
-	sawFailure := false
-	for _, nd := range nodes {
-		for _, ev := range nd.failures() {
-			sawFailure = true
-			if !ev.Retryable {
-				t.Fatalf("corruption surfaced as non-retryable: %v", ev.Err)
+	for _, id := range ring {
+		nd := nodes[id]
+		got := nd.mc.Meter().Report()
+		if id == "C02" {
+			if nd.established("c/est") == nil {
+				t.Fatal("C02 did not commit on its uncorrupted view")
 			}
+			if want := (meter.Report{Exp: 3, SignGen: gqOps(1), SignVer: gqOps(1)}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("C02: meter %+v, want %+v", got, want)
+			}
+			continue
 		}
-	}
-	if !sawFailure {
-		t.Fatal("corrupted round-2 message went unnoticed")
+		fs := nd.failures()
+		if len(fs) != 1 || !fs[0].Retryable {
+			t.Fatalf("%s: failures %+v, want one retryable failure", id, fs)
+		}
+		if want := (meter.Report{Exp: 2, SignGen: gqOps(1), SignVer: gqOps(1)}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: meter after the failed attempt %+v, want %+v", id, got, want)
+		}
 	}
 }

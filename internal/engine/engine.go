@@ -97,12 +97,9 @@ type Config struct {
 	// draw fresh GQ commitments (and broadcast the new t'_j in Round 1)
 	// instead of reusing τ_i as the paper specifies. The paper's reuse is a
 	// security weakness (two GQ responses under one commitment leak the
-	// long-term key); see DESIGN.md §4. Off by default for paper fidelity.
+	// long-term key); see docs/ARCHITECTURE.md#deviations. Off by default
+	// for paper fidelity.
 	StrictNonceRefresh bool
-	// Accel tunes the crypto acceleration layer (fixed-base
-	// precomputation, multi-exponentiation, parallel verification). The
-	// zero value keeps the exact sequential paper-reproduction path.
-	Accel AccelConfig
 }
 
 func (c Config) rand() io.Reader {
@@ -240,9 +237,9 @@ type Machine struct {
 	sk  *gq.PrivateKey
 	m   *meter.Meter
 
-	// pool runs independent verification work concurrently when
-	// cfg.Accel.VerifyWorkers > 1; nil selects the exact sequential path.
-	pool *pool
+	// bv, when non-nil, is the host-level claim verifier the finish
+	// phase defers its GQ batch checks to (see SetBatchVerifier).
+	bv BatchVerifier
 
 	// gvCache holds the roster verifiers (cached identity products and
 	// their inverses) of the gvCacheSize most recently keyed rosters,
@@ -289,20 +286,17 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 	if sk == nil {
 		return nil, errors.New("engine: nil identity key")
 	}
-	if cfg.Accel.Precompute {
-		// Attach the fixed-base tables before the machine serves traffic.
-		// Both calls are idempotent and race-safe: the group table lives
-		// on the (process-shared) parameter set, the response table on
-		// this member's identity key.
-		cfg.Set.Schnorr.Precompute()
-		sk.Precompute()
-	}
+	// Attach the fixed-base tables for z_i = g^r and s_i = τ·S^c before
+	// the machine serves traffic. Both calls are idempotent and
+	// race-safe: the group table lives on the (process-shared) parameter
+	// set, the response table on this member's identity key.
+	cfg.Set.Schnorr.Precompute()
+	sk.Precompute()
 	return &Machine{
 		cfg:      cfg,
 		id:       sk.ID,
 		sk:       sk,
 		m:        m,
-		pool:     newPool(cfg.Accel.VerifyWorkers),
 		flows:    map[string]*runningFlow{},
 		sessions: map[string]*Group{},
 		finished: map[string]uint64{},
@@ -352,7 +346,7 @@ func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
 // must serialize it with flow processing (idgka.Member holds its machine
 // lock); in-flight flows pick the new verifier up at their next finish.
 func (mc *Machine) SetBatchVerifier(bv BatchVerifier) {
-	mc.cfg.Accel.BatchVerifier = bv
+	mc.bv = bv
 }
 
 // ID returns the member's identity.

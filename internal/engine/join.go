@@ -390,7 +390,8 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		mc.m.Sym(1, 0)
 		f.kStar = kStar
 		// Append U_n's session tables so the joiner learns the group's
-		// current z/t state (metered as state transfer; see DESIGN.md §4).
+		// current z/t state (metered as state transfer; see
+		// docs/ARCHITECTURE.md#accounting-conventions).
 		tables := encodeStateTables(g)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(fwd).Bytes()
 		payload = append(payload, tables...)

@@ -167,7 +167,8 @@ func (f *leaveFlow) begin() ([]Outbound, error) {
 		f.ring.z[mc.id] = zNew
 	}
 	// Senders always draw a fresh GQ commitment: refreshers by protocol,
-	// strict-mode non-refreshers by design (see DESIGN.md §4).
+	// strict-mode non-refreshers by design (see
+	// docs/ARCHITECTURE.md#deviations).
 	tau, t, err := gq.Commitment(mc.cfg.rand(), gq.ParamsFrom(mc.cfg.Set.RSA))
 	if err != nil {
 		return nil, err

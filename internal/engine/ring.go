@@ -29,9 +29,9 @@ type ringState struct {
 	bigZ, bigT, c *big.Int
 
 	// edge holds z_prev^r, as an element of the Schnorr group's
-	// Montgomery domain, when the accelerated round 2 computed X from its
-	// two directed edge powers: equation (3)'s dominant z_prev^{n·r} term
-	// then collapses to edge^n (~log2 n squarings) in finish.
+	// Montgomery domain: round 2 computes X from its two directed edge
+	// powers, and equation (3)'s dominant z_prev^{n·r} term then
+	// collapses to edge^n (~log2 n squarings) in finish.
 	edge mathx.Elem
 }
 
@@ -101,49 +101,32 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	n := rs.n()
 	zNext := rs.z[rs.roster[(rs.self+1)%n]]
 	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
-	var x *big.Int
-	var err error
-	if mc.cfg.Accel.Precompute {
-		// Edge-carrying restructure: raise the two directed DH edges
-		// separately and keep b = z_prev^r for the key computation, where
-		// it collapses equation (3)'s z_prev^{n·r} to b^n. X is
-		// bit-identical to XValue's, the session's total exponentiation
-		// count is unchanged (the saving lands in finish), and the meter
-		// charges the same logical operation. Both powers run on the
-		// Montgomery engine; b stays in its domain for finish.
-		mo := sg.Mont()
-		a := mo.ExpElem(mo.ToMont(zNext), rs.r)
-		b := mo.ExpElem(mo.ToMont(zPrev), rs.r)
-		x, err = bdkey.XFromPowers(mo.FromMont(a), mo.FromMont(b), sg.P)
-		rs.edge = b
-	} else {
-		x, err = bdkey.XValue(zNext, zPrev, rs.r, sg.P)
-	}
+	// Edge-carrying restructure: raise the two directed DH edges
+	// separately and keep b = z_prev^r for the key computation, where it
+	// collapses equation (3)'s z_prev^{n·r} to b^n. X is bit-identical to
+	// bdkey.XValue's, the session's total exponentiation count is
+	// unchanged (the saving lands in finish), and the meter charges the
+	// same logical operation. Both powers run on the Montgomery engine;
+	// b stays in its domain for finish.
+	mo := sg.Mont()
+	a := mo.ExpElem(mo.ToMont(zNext), rs.r)
+	rs.edge = mo.ExpElem(mo.ToMont(zPrev), rs.r)
+	x, err := bdkey.XFromPowers(mo.FromMont(a), mo.FromMont(rs.edge), sg.P)
 	if err != nil {
 		return nil, err
 	}
 	mc.m.Exp(1)
 
-	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z). The two products
-	// are division-free Montgomery chains over independent per-peer
-	// contributions, so the worker pool computes them concurrently; the
-	// sequential path is the exact legacy order.
+	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z), both products as
+	// division-free Montgomery chains.
 	zs := make([]*big.Int, 0, n)
 	ts := make([]*big.Int, 0, n)
 	for _, id := range rs.roster {
 		zs = append(zs, rs.z[id])
 		ts = append(ts, rs.t[id])
 	}
-	_ = mc.pool.Run(
-		func() error {
-			rs.bigZ = sg.Mont().Product(zs)
-			return nil
-		},
-		func() error {
-			rs.bigT = mc.cfg.Set.RSA.Mont().Product(ts)
-			return nil
-		},
-	)
+	rs.bigZ = mo.Product(zs)
+	rs.bigT = mc.cfg.Set.RSA.Mont().Product(ts)
 	rs.c = gq.GroupChallenge(rs.bigT, rs.bigZ)
 	s := mc.sk.Respond(rs.tau, rs.c)
 	mc.m.SignGen(meter.SchemeGQ, 1)
@@ -151,6 +134,19 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	rs.x[mc.id] = x
 	rs.s[mc.id] = s
 	return wire.NewBuffer().PutString(mc.id).PutBig(x).PutBig(s).Bytes(), nil
+}
+
+// BatchVerifier lets a host amortize the engine's GQ batch checks across
+// groups: when one is installed through Machine.SetBatchVerifier, the
+// finish phase folds the round's responses into an algebraic claim
+// (using a per-roster cached identity product, so nothing is re-hashed
+// per round) and submits it instead of verifying in-line. The host
+// coalesces claims from many concurrent groups and settles them together
+// (internal/serve's verify queue, gq.VerifyClaimsRLC). VerifyClaim may
+// block while a batch coalesces; it must return nil exactly when the
+// claim holds, so verdicts match the in-line path.
+type BatchVerifier interface {
+	VerifyClaim(*gq.Claim) error
 }
 
 // submitClaim folds the round's responses into an algebraic batch-
@@ -168,103 +164,53 @@ func (rs *ringState) submitClaim(gv *gq.GroupVerifier, bv BatchVerifier, respons
 // finish performs the Authentication and Key Computation phase: one batch
 // verification of all GQ responses (equation 2), the Lemma-1 product check
 // on the X values, and the BD key computation (equation 3), returning the
-// committed group view.
-//
-// The three checks consume disjoint inputs (s values; X values; z/X
-// values), so with an active worker pool they run as concurrent tasks.
-// Sequentially the tasks run in the exact legacy order with fail-fast
-// semantics, keeping the lockstep drivers' operation accounting
-// bit-identical; in parallel mode a failing check no longer
-// short-circuits its siblings, so the failure path may charge the
-// key-computation Exp that the sequential path skips (values and
-// verdicts are unaffected).
+// committed group view. The checks run in that order and stop at the
+// first failure, so a failed equation (2) or Lemma 1 never charges the
+// key computation's Exp.
 func (rs *ringState) finish(mc *Machine) (*Group, error) {
-	sg := mc.cfg.Set.Schnorr
 	n := rs.n()
-
 	responses := make([]*big.Int, 0, n)
 	for _, id := range rs.roster {
 		responses = append(responses, rs.s[id])
 	}
-	xsOrdered := make([]*big.Int, n)
-	for i, id := range rs.roster {
-		xsOrdered[i] = rs.x[id]
-	}
-	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
 
-	// With the edge power carried over from the accelerated round 2, the
-	// X values convert into the Montgomery domain once, and Lemma 1 and
-	// equation (3) both run on those images.
-	var mo *mathx.Modulus
-	var xsMont []mathx.Elem
-	if mc.cfg.Accel.Precompute && rs.edge != nil {
-		mo = sg.Mont()
-		xsMont = make([]mathx.Elem, n)
-		for i, x := range xsOrdered {
-			xsMont[i] = mo.ToMont(x)
+	// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), through the
+	// roster's cached verifier, so no identity is re-hashed and the
+	// identity product is not re-inverted per round. With a host batch
+	// verifier, the check is submitted as an algebraic claim (equivalent
+	// because this member derived c = H(T, Z) itself) and settles together
+	// with other groups' claims; the verdict and the meter charge are the
+	// same either way.
+	gv, err := mc.claimBuilder(rs.roster)
+	if err == nil {
+		if mc.bv != nil {
+			err = rs.submitClaim(gv, mc.bv, responses)
+		} else {
+			err = gv.BatchVerify(responses, rs.c, rs.bigZ)
 		}
 	}
+	mc.m.SignVer(meter.SchemeGQ, 1)
+	if err != nil {
+		return nil, Retryable(err)
+	}
 
-	var key *big.Int
-	err := mc.pool.Run(
-		// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), through the
-		// roster's cached verifier, so no identity is re-hashed and the
-		// identity product is not re-inverted per round. With a host
-		// batch verifier, the check is submitted as an algebraic claim
-		// (equivalent because this member derived c = H(T, Z) itself) and
-		// settles together with other groups' claims; the verdict and the
-		// meter charge are the same either way.
-		func() error {
-			gv, err := mc.claimBuilder(rs.roster)
-			if err == nil {
-				if bv := mc.cfg.Accel.BatchVerifier; bv != nil {
-					err = rs.submitClaim(gv, bv, responses)
-				} else {
-					err = gv.BatchVerify(responses, rs.c, rs.bigZ)
-				}
-			}
-			mc.m.SignVer(meter.SchemeGQ, 1)
-			if err != nil {
-				return Retryable(err)
-			}
-			return nil
-		},
-		// Lemma 1: Π X_i ≡ 1 (mod p).
-		func() error {
-			var err error
-			if mo != nil {
-				err = bdkey.CheckLemma1Mont(mo, xsMont)
-			} else {
-				err = bdkey.CheckLemma1(xsOrdered, sg.P)
-			}
-			if err != nil {
-				return Retryable(err)
-			}
-			return nil
-		},
-		// Equation (3): the shared key. On the Montgomery path edge^n
-		// replaces the full-width z_prev^{n·r} exponentiation, and the
-		// descending-exponent chain telescopes into prefix products.
-		func() error {
-			var err error
-			switch {
-			case mo != nil:
-				key, err = bdkey.KeyFromEdgeMont(mo, rs.self, rs.edge, xsMont)
-			case mc.cfg.Accel.Precompute:
-				key, err = bdkey.KeyMultiExp(rs.self, rs.r, zPrev, xsOrdered, sg.P)
-			default:
-				key, err = bdkey.Key(rs.self, rs.r, zPrev, xsOrdered, sg.P)
-			}
-			if err != nil {
-				return err
-			}
-			mc.m.Exp(1)
-			return nil
-		},
-	)
+	// Lemma 1 (Π X_i ≡ 1 mod p) and equation (3) both run on the X
+	// values' Montgomery images, converted once. In equation (3), edge^n
+	// replaces the full-width z_prev^{n·r} exponentiation, and the
+	// descending-exponent chain telescopes into prefix products.
+	mo := mc.cfg.Set.Schnorr.Mont()
+	xs := make([]mathx.Elem, n)
+	for i, id := range rs.roster {
+		xs[i] = mo.ToMont(rs.x[id])
+	}
+	if err := bdkey.CheckLemma1Mont(mo, xs); err != nil {
+		return nil, Retryable(err)
+	}
+	key, err := bdkey.KeyFromEdgeMont(mo, rs.self, rs.edge, xs)
 	if err != nil {
 		return nil, err
 	}
+	mc.m.Exp(1)
 
 	g := NewGroup(rs.roster)
 	g.R = rs.r

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from instrumented protocol executions plus the validated
 // analytic formulas. It is the engine behind cmd/gkabench and the
-// repository-level benchmarks; EXPERIMENTS.md records its output against
-// the published numbers.
+// repository-level benchmarks; each table prints its deltas against the
+// published numbers (see docs/ARCHITECTURE.md#accounting-conventions).
 package experiments
 
 import (

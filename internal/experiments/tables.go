@@ -107,7 +107,8 @@ func Table3() string {
 // Figure1 regenerates the total per-node energy comparison: five protocols
 // × two radios × the paper's group sizes. Counters for n ≤ measuredMax are
 // measured from real executions; larger n uses the analytic formulas that
-// the measured points validate (see EXPERIMENTS.md).
+// the measured points validate (see
+// docs/ARCHITECTURE.md#accounting-conventions).
 func (e *Env) Figure1(measuredMax int) (string, error) {
 	cpu := energy.StrongARM()
 	radios := []energy.RadioProfile{energy.Radio100kbps(), energy.WLANCard()}

@@ -5,12 +5,10 @@ import (
 	"math/big"
 )
 
-// This file is the bottom of the crypto acceleration layer: windowed
-// fixed-base precomputation (the BGMW radix-2^w method) and simultaneous
-// multi-exponentiation (the generalised Shamir trick). Everything here is mathematically
-// transparent — accelerated paths return bit-identical values to their
-// naive counterparts, so operation meters and protocol transcripts are
-// unaffected by whether a table is attached.
+// This file holds windowed fixed-base precomputation (the BGMW radix-2^w
+// method). A table walk is mathematically transparent: it returns values
+// bit-identical to the naive exponentiation, so operation meters and
+// protocol transcripts do not depend on it.
 
 // DefaultWindow is the radix width used by Precompute helpers: 2^6 digits
 // balance table size (~ceil(bits/6)·63 entries) against the number of
@@ -94,12 +92,8 @@ func (t *FixedBaseTable) Covers(e *big.Int) bool {
 	return e != nil && e.Sign() >= 0 && e.BitLen() <= t.maxBits
 }
 
-// WindowDigit extracts the i-th radix-2^w digit of e — the shared digit
-// decomposition of every fixed-base table in the repository (this
-// package's FixedBaseTable plus the point tables of internal/ec and
-// internal/pairing, whose accumulation strategies differ but whose digit
-// logic must stay in lockstep).
-func WindowDigit(e *big.Int, i, w int) uint {
+// windowDigit extracts the i-th radix-2^w digit of e.
+func windowDigit(e *big.Int, i, w int) uint {
 	var d uint
 	for b := 0; b < w; b++ {
 		d |= e.Bit(i*w+b) << b
@@ -132,61 +126,10 @@ func (t *FixedBaseTable) ExpMul(e, y *big.Int) *big.Int {
 	w := int(t.window)
 	bits := e.BitLen()
 	for i := 0; i*w < bits; i++ {
-		if d := WindowDigit(e, i, w); d != 0 {
+		if d := windowDigit(e, i, w); d != 0 {
 			t.mo.MulInto(acc, acc, t.rows[i][d])
 		}
 	}
 	t.mo.montMul(acc, acc, t.mo.limbs(&ybuf, y))
 	return bigFromElem(acc)
-}
-
-// MultiExp computes Π bases[i]^exps[i] mod m with one shared squaring
-// chain (the generalised Shamir trick): max(bits) squarings plus one
-// multiplication per set exponent bit, instead of a full square-and-
-// multiply per base. The win is largest when exponents are short (the
-// Burmester-Desmedt key assembly, whose exponents are bounded by the
-// ring size) or when many bases share one verification equation.
-// Negative exponents are resolved through modular inverses, so m must be
-// coprime with the corresponding base.
-func MultiExp(bases, exps []*big.Int, m *big.Int) (*big.Int, error) {
-	if m == nil || m.Sign() <= 0 {
-		return nil, errors.New("mathx: MultiExp modulus must be positive")
-	}
-	if len(bases) != len(exps) {
-		return nil, errors.New("mathx: MultiExp bases/exps length mismatch")
-	}
-	bs := make([]*big.Int, len(bases))
-	es := make([]*big.Int, len(exps))
-	maxBits := 0
-	for i := range bases {
-		if bases[i] == nil || exps[i] == nil {
-			return nil, errors.New("mathx: MultiExp nil operand")
-		}
-		b, e := bases[i], exps[i]
-		if e.Sign() < 0 {
-			inv, err := ModInverse(b, m)
-			if err != nil {
-				return nil, err
-			}
-			b = inv
-			e = new(big.Int).Neg(e)
-		}
-		bs[i] = new(big.Int).Mod(b, m)
-		es[i] = e
-		if bl := e.BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-	}
-	acc := big.NewInt(1)
-	for i := maxBits - 1; i >= 0; i-- {
-		acc.Mul(acc, acc)
-		acc.Mod(acc, m)
-		for j := range bs {
-			if es[j].Bit(i) == 1 {
-				acc.Mul(acc, bs[j])
-				acc.Mod(acc, m)
-			}
-		}
-	}
-	return acc, nil
 }

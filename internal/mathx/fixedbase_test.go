@@ -132,11 +132,19 @@ func TestSchnorrGroupPrecomputeTransparent(t *testing.T) {
 	}
 }
 
+// TestMultiExpMatchesSeparateExps checks MultiExpElem against the product
+// of separate ModExp calls. MultiExpElem takes only non-negative
+// exponents, so a negative exponent e is fed as the inverted base with
+// exponent −e and compared with ModExp's own inverse path.
 func TestMultiExpMatchesSeparateExps(t *testing.T) {
 	p, _ := testModulus(t, 256)
+	mo, err := NewModulus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + trial%6
-		bases := make([]*big.Int, n)
+		bases := make([]Elem, n)
 		exps := make([]*big.Int, n)
 		want := big.NewInt(1)
 		for i := 0; i < n; i++ {
@@ -151,51 +159,66 @@ func TestMultiExpMatchesSeparateExps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			base := b
 			if trial%3 == 0 {
-				e.Neg(e) // exercise the inverse path
+				e.Neg(e) // exercise ModExp's inverse path
+				if base, err = ModInverse(b, p); err != nil {
+					t.Fatal(err)
+				}
 			}
-			bases[i], exps[i] = b, e
 			t1, err := ModExp(b, e, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want.Mul(want, t1)
 			want.Mod(want, p)
+			bases[i], exps[i] = mo.ToMont(base), new(big.Int).Abs(e)
 		}
-		got, err := MultiExp(bases, exps, p)
+		got, err := mo.MultiExpElem(bases, exps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("trial %d: MultiExp mismatch", trial)
+		if g := mo.FromMont(got); g.Cmp(want) != 0 {
+			t.Fatalf("trial %d: MultiExpElem = %v, want %v", trial, g, want)
 		}
 	}
 }
 
+// TestMultiExpEdgeCases pins MultiExpElem's input contract: the empty
+// product and zero exponents give 1, and mismatched lengths, nil operands
+// and negative exponents are rejected.
 func TestMultiExpEdgeCases(t *testing.T) {
 	p, b := testModulus(t, 128)
-	got, err := MultiExp(nil, nil, p)
+	mo, err := NewModulus(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cmp(One) != 0 {
-		t.Fatalf("empty MultiExp = %v, want 1", got)
+	bm := mo.ToMont(b)
+	got, err := mo.MultiExpElem(nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := MultiExp([]*big.Int{b}, nil, p); err == nil {
+	if !mo.IsOne(got) {
+		t.Fatalf("empty MultiExpElem = %v, want 1", mo.FromMont(got))
+	}
+	if _, err := mo.MultiExpElem([]Elem{bm}, nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := MultiExp([]*big.Int{b}, []*big.Int{One}, big.NewInt(0)); err == nil {
-		t.Fatal("zero modulus accepted")
-	}
-	if _, err := MultiExp([]*big.Int{nil}, []*big.Int{One}, p); err == nil {
+	if _, err := mo.MultiExpElem([]Elem{nil}, []*big.Int{One}); err == nil {
 		t.Fatal("nil base accepted")
 	}
-	got, err = MultiExp([]*big.Int{b}, []*big.Int{big.NewInt(0)}, p)
+	if _, err := mo.MultiExpElem([]Elem{bm}, []*big.Int{nil}); err == nil {
+		t.Fatal("nil exponent accepted")
+	}
+	if _, err := mo.MultiExpElem([]Elem{bm}, []*big.Int{big.NewInt(-1)}); err == nil {
+		t.Fatal("negative exponent accepted")
+	}
+	got, err = mo.MultiExpElem([]Elem{bm}, []*big.Int{big.NewInt(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cmp(One) != 0 {
-		t.Fatalf("b^0 = %v, want 1", got)
+	if !mo.IsOne(got) {
+		t.Fatalf("b^0 = %v, want 1", mo.FromMont(got))
 	}
 }
 

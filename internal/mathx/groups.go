@@ -175,7 +175,8 @@ func (sg *SchnorrGroup) InSubgroup(v *big.Int) bool {
 // signing/verification exponent pair d, e satisfying e*d ≡ 1 (mod λ(n)).
 //
 // The paper's Setup says "gcd(e,d) = 1", which is a typo for the standard
-// GQ/RSA relation; we implement e·d ≡ 1 (mod λ(n)) (see DESIGN.md §4).
+// GQ/RSA relation; we implement e·d ≡ 1 (mod λ(n)) (see
+// docs/ARCHITECTURE.md#deviations).
 type RSAParams struct {
 	N *big.Int // public modulus
 	E *big.Int // public verification exponent

@@ -328,8 +328,9 @@ func (mo *Modulus) Exp(base, e *big.Int) (*big.Int, error) {
 // trick): max-bits squarings total plus, per base, a sliding window's
 // worth of multiplications (~bits/(w+1) instead of one per set bit) over
 // its precomputed odd powers. Exponents must be non-negative. The win
-// over per-base exponentiation is largest when exponents are short — the
-// BD key assembly — or when many bases share one verification equation.
+// over per-base exponentiation is largest when exponents are short or
+// when many bases share one verification equation, as in the amortized
+// GQ check.
 func (mo *Modulus) MultiExpElem(bases []Elem, exps []*big.Int) (Elem, error) {
 	if len(bases) != len(exps) {
 		return nil, errors.New("mathx: MultiExpElem bases/exps length mismatch")
@@ -415,39 +416,6 @@ func (mo *Modulus) MultiExpElem(bases []Elem, exps []*big.Int) (Elem, error) {
 		}
 	}
 	return acc, nil
-}
-
-// MultiExp is MultiExpElem over big.Int operands: bases convert into the
-// Montgomery domain once, negative exponents resolve through modular
-// inverses, and the accumulated product converts back out. Bit-identical
-// to mathx.MultiExp.
-func (mo *Modulus) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
-	bs := make([]Elem, len(bases))
-	es := make([]*big.Int, len(exps))
-	if len(bases) != len(exps) {
-		return nil, errors.New("mathx: MultiExp bases/exps length mismatch")
-	}
-	for i := range bases {
-		if bases[i] == nil || exps[i] == nil {
-			return nil, errors.New("mathx: MultiExp nil operand")
-		}
-		b, e := bases[i], exps[i]
-		if e.Sign() < 0 {
-			inv, err := ModInverse(b, mo.m)
-			if err != nil {
-				return nil, err
-			}
-			b = inv
-			e = new(big.Int).Neg(e)
-		}
-		bs[i] = mo.ToMont(b)
-		es[i] = e
-	}
-	acc, err := mo.MultiExpElem(bs, es)
-	if err != nil {
-		return nil, err
-	}
-	return mo.FromMont(acc), nil
 }
 
 // IsOne reports whether e is the Montgomery image of 1.

@@ -175,45 +175,42 @@ func TestMontExpNegative(t *testing.T) {
 }
 
 // TestMontMultiExp cross-checks the interleaved Montgomery multi-exp
-// against the big.Int MultiExp and the naive product of Exps.
+// against the naive product of big.Int.Exp values, at a small and a
+// full-size modulus.
 func TestMontMultiExp(t *testing.T) {
-	p, err := RandPrime(rand.Reader, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo, err := NewModulus(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 1; n <= 9; n += 4 {
-		bases := make([]*big.Int, n)
-		exps := make([]*big.Int, n)
-		want := big.NewInt(1)
-		for i := range bases {
-			bases[i], err = RandInt(rand.Reader, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, uint(8+40*i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Mul(want, new(big.Int).Exp(bases[i], exps[i], p))
-			want.Mod(want, p)
-		}
-		got, err := mo.MultiExp(bases, exps)
+	for _, bits := range []int{256, 1024} {
+		p, err := RandPrime(rand.Reader, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("MultiExp n=%d: got %v want %v", n, got, want)
-		}
-		ref, err := MultiExp(bases, exps, p)
+		mo, err := NewModulus(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Cmp(ref) != 0 {
-			t.Fatalf("MultiExp n=%d disagrees with big.Int MultiExp", n)
+		for n := 1; n <= 9; n += 2 {
+			bases := make([]Elem, n)
+			exps := make([]*big.Int, n)
+			want := big.NewInt(1)
+			for i := range bases {
+				b, err := RandInt(rand.Reader, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, uint(8+40*i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bases[i] = mo.ToMont(b)
+				want.Mul(want, new(big.Int).Exp(b, exps[i], p))
+				want.Mod(want, p)
+			}
+			got, err := mo.MultiExpElem(bases, exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := mo.FromMont(got); g.Cmp(want) != 0 {
+				t.Fatalf("%d-bit n=%d: got %v want %v", bits, n, g, want)
+			}
 		}
 	}
 }

@@ -45,8 +45,9 @@ type Report struct {
 	BytesTx, BytesRx int64
 	// State-transfer bytes: payload carrying session state (z/t tables) to
 	// joiners and merged groups. The paper's protocols leave this state
-	// acquisition unspecified (see DESIGN.md §4); we meter it separately so
-	// the paper-comparable BytesTx/BytesRx stay clean.
+	// acquisition unspecified; we meter it separately so the
+	// paper-comparable BytesTx/BytesRx stay clean (see
+	// docs/ARCHITECTURE.md#accounting-conventions).
 	StateTx, StateRx int64
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync/atomic"
 
 	"idgka/internal/hashx"
 	"idgka/internal/mathx"
@@ -40,60 +39,6 @@ type Group struct {
 	ctx fp2Ctx
 	// finalExp = (p² - 1) / q, the Tate final exponentiation.
 	finalExp *big.Int
-	// fixedBase caches the windowed multiples of the generator attached
-	// by Precompute; nil selects naive double-and-add. The curve law here
-	// is affine (one field inversion per addition), so cutting the
-	// operation count cuts inversions one-for-one.
-	fixedBase atomic.Pointer[basePointTable]
-}
-
-// basePointTable holds windowed multiples of the generator:
-// rows[i][j] = (j << (window·i))·G, so k·G is a sum of at most
-// ceil(bits/window) precomputed points.
-type basePointTable struct {
-	window uint
-	rows   [][]Point
-}
-
-// Precompute builds the fixed-base multiples of the generator, turning
-// ScalarBaseMult into ~ceil(|q|/window) point additions with no
-// doublings. Idempotent, safe for concurrent use and mathematically
-// transparent.
-func (g *Group) Precompute() {
-	if g.fixedBase.Load() != nil {
-		return
-	}
-	w := uint(mathx.DefaultWindow)
-	bits := g.pp.Q.BitLen()
-	nrows := (bits + int(w) - 1) / int(w)
-	t := &basePointTable{window: w, rows: make([][]Point, nrows)}
-	cur := g.Generator()
-	for i := 0; i < nrows; i++ {
-		row := make([]Point, 1<<w)
-		row[0] = Infinity()
-		for j := 1; j < 1<<w; j++ {
-			row[j] = g.Add(row[j-1], cur)
-		}
-		t.rows[i] = row
-		cur = g.Add(row[1<<w-1], cur)
-	}
-	g.fixedBase.CompareAndSwap(nil, t)
-}
-
-// scalarBaseMultTable evaluates k·G from the precomputed table; k must be
-// non-negative and within the table's bit range. The structure mirrors
-// internal/ec's table, but this curve's group law is affine, so
-// accumulation uses plain Add (one inversion per non-zero digit).
-func (g *Group) scalarBaseMultTable(t *basePointTable, k *big.Int) Point {
-	acc := Infinity()
-	w := int(t.window)
-	bits := k.BitLen()
-	for i := 0; i*w < bits; i++ {
-		if d := mathx.WindowDigit(k, i, w); d != 0 {
-			acc = g.Add(acc, t.rows[i][d])
-		}
-	}
-	return acc
 }
 
 // NewGroup constructs a Group from validated parameters.
@@ -209,17 +154,8 @@ func (g *Group) ScalarMult(pt Point, k *big.Int) Point {
 	return acc
 }
 
-// ScalarBaseMult returns k·G, through the fixed-base table when one has
-// been precomputed. Scalars are reduced modulo the group order q (the
-// generator has order q, so the result is unchanged).
+// ScalarBaseMult returns k·G.
 func (g *Group) ScalarBaseMult(k *big.Int) Point {
-	if t := g.fixedBase.Load(); t != nil {
-		kk := new(big.Int).Mod(k, g.pp.Q)
-		if kk.Sign() == 0 {
-			return Infinity()
-		}
-		return g.scalarBaseMultTable(t, kk)
-	}
 	return g.ScalarMult(g.Generator(), k)
 }
 

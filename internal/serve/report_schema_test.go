@@ -66,33 +66,29 @@ func jsonTags(t *testing.T, v any) []string {
 }
 
 // TestReportSchemasMatchPerformanceDoc is the docs meta-test for the
-// machine-readable reports: every JSON field GroupStat (GROUPS_*.json)
-// and SoakReport (SOAK_*.json) emits must be documented in the matching
-// docs/PERFORMANCE.md schema table, and the tables must not document
-// fields the code no longer emits.
+// machine-readable soak report: every JSON field SoakReport (SOAK_*.json)
+// emits must be documented in the docs/PERFORMANCE.md schema table, and
+// the table must not document fields the code no longer emits.
 func TestReportSchemasMatchPerformanceDoc(t *testing.T) {
-	check := func(section string, v any) {
-		documented := tableFieldNames(performanceSection(t, section))
-		if len(documented) == 0 {
-			t.Fatalf("no schema table found under %q", section)
-		}
-		for _, tag := range jsonTags(t, v) {
-			if !documented[tag] {
-				t.Errorf("%T emits %q but the %q table does not document it", v, tag, section)
-			}
-			delete(documented, tag)
-		}
-		for name := range documented {
-			t.Errorf("the %q table documents %q but %T does not emit it", section, name, v)
-		}
+	const section = "Soak reports"
+	soak := performanceSection(t, section)
+	documented := tableFieldNames(soak)
+	if len(documented) == 0 {
+		t.Fatalf("no schema table found under %q", section)
 	}
-	check("Group ladder reports", GroupStat{})
-	check("Soak reports", SoakReport{})
+	for _, tag := range jsonTags(t, SoakReport{}) {
+		if !documented[tag] {
+			t.Errorf("SoakReport emits %q but the %q table does not document it", tag, section)
+		}
+		delete(documented, tag)
+	}
+	for name := range documented {
+		t.Errorf("the %q table documents %q but SoakReport does not emit it", section, name)
+	}
 
 	// The per-class breakdown is documented inline in the `ops` row
 	// rather than as its own table; every SoakOpStat field must still be
 	// named there.
-	soak := performanceSection(t, "Soak reports")
 	for _, tag := range jsonTags(t, SoakOpStat{}) {
 		if !strings.Contains(soak, "`"+tag+"`") {
 			t.Errorf("SoakOpStat emits %q but the soak section never names it", tag)

@@ -296,22 +296,6 @@ func TestHostTickerDrivesDeadlines(t *testing.T) {
 	}
 }
 
-// TestBenchmarkGroupsSmoke: the ladder harness itself (small rungs).
-func TestBenchmarkGroupsSmoke(t *testing.T) {
-	stats, err := BenchmarkGroups([]int{1, 4}, BenchOptions{Pool: 4, GroupSize: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 || stats[0].Groups != 1 || stats[1].Groups != 4 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	for _, s := range stats {
-		if s.EstablishPerSec <= 0 || s.RekeyPerSec <= 0 {
-			t.Fatalf("non-positive throughput: %+v", s)
-		}
-	}
-}
-
 // TestSettleGroupsTimesOut checks a run that never settles fails the
 // call once the budget expires, naming the group and the run.
 func TestSettleGroupsTimesOut(t *testing.T) {

@@ -114,22 +114,22 @@ func TestDeadPeerUnblocksSender(t *testing.T) {
 		t.Fatal("sender still wedged after the peer died")
 	}
 	// The message reached the healthy recipient, and both survivors got
-	// the peer-down notice.
-	msgs, err := r.RecvWait("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// the peer-down notice. The notice may wake b after the message did,
+	// so b's inbox is drained until both have arrived.
 	var gotMsg, gotDown bool
-	for _, m := range msgs {
-		switch {
-		case m.Type == "t" && m.From == "a":
-			gotMsg = true
-		case m.Type == netsim.TypePeerDown && m.From == "z":
-			gotDown = true
+	for !gotMsg || !gotDown {
+		msgs, err := r.RecvWait("b")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !gotMsg || !gotDown {
-		t.Fatalf("b inbox missing message/peer-down: %+v", msgs)
+		for _, m := range msgs {
+			switch {
+			case m.Type == "t" && m.From == "a":
+				gotMsg = true
+			case m.Type == netsim.TypePeerDown && m.From == "z":
+				gotDown = true
+			}
+		}
 	}
 	if msgs, err := r.RecvWait("a"); err != nil || len(msgs) == 0 || msgs[0].Type != netsim.TypePeerDown {
 		t.Fatalf("a did not get the peer-down notice: %+v %v", msgs, err)
