@@ -78,7 +78,6 @@ import (
 
 	"idgka/internal/core"
 	"idgka/internal/energy"
-	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
@@ -207,24 +206,6 @@ func (a *Authority) NewMemberWithConfig(id string, cfg Config) (*Member, error) 
 		return nil, err
 	}
 	return &Member{inner: inner, m: m, retries: ecfg.Retries()}, nil
-}
-
-// BatchVerifier is a host-level settlement queue for the GQ batch checks
-// of the keying rounds; see the docs in internal/engine. Hosts that serve
-// many concurrent groups (internal/serve) install one on their members to
-// coalesce checks across groups into amortized combined verifications.
-type BatchVerifier = engine.BatchVerifier
-
-// SetBatchVerifier routes the member's per-round GQ batch checks through
-// a host-level claim queue (nil restores in-line verification). Keys,
-// verdicts, wire bytes and operation meters are unchanged; only where —
-// and how amortized — the verification work runs differs. Safe to call
-// concurrently with session activity; in-flight flows pick the change up
-// at their next verification phase.
-func (mb *Member) SetBatchVerifier(v BatchVerifier) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	mb.inner.SetBatchVerifier(v)
 }
 
 // ID returns the member identity.

@@ -79,10 +79,6 @@ func (mb *Member) ID() string { return mb.mach.ID() }
 // Meter returns the member's operation meter (may be nil).
 func (mb *Member) Meter() *meter.Meter { return mb.mach.Meter() }
 
-// SetBatchVerifier installs (or clears) the host-level claim verifier on
-// the member's machine; see engine.BatchVerifier.
-func (mb *Member) SetBatchVerifier(bv engine.BatchVerifier) { mb.mach.SetBatchVerifier(bv) }
-
 // Machine returns the member's underlying protocol engine, for callers
 // that drive the member event-by-event instead of through the lockstep
 // orchestrators.

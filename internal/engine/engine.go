@@ -237,10 +237,6 @@ type Machine struct {
 	sk  *gq.PrivateKey
 	m   *meter.Meter
 
-	// bv, when non-nil, is the host-level claim verifier the finish
-	// phase defers its GQ batch checks to (see SetBatchVerifier).
-	bv BatchVerifier
-
 	// gvCache holds the roster verifiers (cached identity products and
 	// their inverses) of the gvCacheSize most recently keyed rosters,
 	// least recent first; rosters recur across rounds and sessions, so
@@ -315,11 +311,11 @@ type rosterVerifier struct {
 	gv  *gq.GroupVerifier
 }
 
-// claimBuilder returns the cached verifier for a roster, the finish
+// groupVerifier returns the cached verifier for a roster, the finish
 // phase's eq. 2 check, constructing it (identity digests, their product,
-// its inverse — no fixed-base table) on first use and evicting the least
-// recently used roster beyond gvCacheSize.
-func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
+// its inverse) on first use and evicting the least recently used roster
+// beyond gvCacheSize.
+func (mc *Machine) groupVerifier(roster []string) (*gq.GroupVerifier, error) {
 	key := strings.Join(roster, "\x00")
 	mc.gvMu.Lock()
 	defer mc.gvMu.Unlock()
@@ -330,7 +326,7 @@ func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
 			return e.gv, nil
 		}
 	}
-	gv, err := gq.NewClaimBuilder(gq.ParamsFrom(mc.cfg.Set.RSA), roster)
+	gv, err := gq.NewGroupVerifier(gq.ParamsFrom(mc.cfg.Set.RSA), roster)
 	if err != nil {
 		return nil, err
 	}
@@ -339,14 +335,6 @@ func (mc *Machine) claimBuilder(roster []string) (*gq.GroupVerifier, error) {
 	}
 	mc.gvCache = append(mc.gvCache, rosterVerifier{key, gv})
 	return gv, nil
-}
-
-// SetBatchVerifier installs (or, with nil, clears) the host-level claim
-// verifier the finish phase defers its GQ batch checks to. The caller
-// must serialize it with flow processing (idgka.Member holds its machine
-// lock); in-flight flows pick the new verifier up at their next finish.
-func (mc *Machine) SetBatchVerifier(bv BatchVerifier) {
-	mc.bv = bv
 }
 
 // ID returns the member's identity.

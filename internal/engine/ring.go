@@ -26,7 +26,7 @@ type ringState struct {
 	z, t   map[string]*big.Int
 	x, s   map[string]*big.Int
 
-	bigZ, bigT, c *big.Int
+	bigZ, c *big.Int
 
 	// edge holds z_prev^r, as an element of the Schnorr group's
 	// Montgomery domain: round 2 computes X from its two directed edge
@@ -126,39 +126,14 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 		ts = append(ts, rs.t[id])
 	}
 	rs.bigZ = mo.Product(zs)
-	rs.bigT = mc.cfg.Set.RSA.Mont().Product(ts)
-	rs.c = gq.GroupChallenge(rs.bigT, rs.bigZ)
+	bigT := mc.cfg.Set.RSA.Mont().Product(ts)
+	rs.c = gq.GroupChallenge(bigT, rs.bigZ)
 	s := mc.sk.Respond(rs.tau, rs.c)
 	mc.m.SignGen(meter.SchemeGQ, 1)
 
 	rs.x[mc.id] = x
 	rs.s[mc.id] = s
 	return wire.NewBuffer().PutString(mc.id).PutBig(x).PutBig(s).Bytes(), nil
-}
-
-// BatchVerifier lets a host amortize the engine's GQ batch checks across
-// groups: when one is installed through Machine.SetBatchVerifier, the
-// finish phase folds the round's responses into an algebraic claim
-// (using a per-roster cached identity product, so nothing is re-hashed
-// per round) and submits it instead of verifying in-line. The host
-// coalesces claims from many concurrent groups and settles them together
-// (internal/serve's verify queue, gq.VerifyClaimsRLC). VerifyClaim may
-// block while a batch coalesces; it must return nil exactly when the
-// claim holds, so verdicts match the in-line path.
-type BatchVerifier interface {
-	VerifyClaim(*gq.Claim) error
-}
-
-// submitClaim folds the round's responses into an algebraic batch-
-// verification claim against the roster's cached verifier and hands it
-// to the host verifier, blocking until the host settles the batch it
-// lands in.
-func (rs *ringState) submitClaim(gv *gq.GroupVerifier, bv BatchVerifier, responses []*big.Int) error {
-	claim, err := gv.NewClaim(responses, rs.c, rs.bigT)
-	if err != nil {
-		return err
-	}
-	return bv.VerifyClaim(claim)
 }
 
 // finish performs the Authentication and Key Computation phase: one batch
@@ -176,18 +151,10 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 
 	// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), through the
 	// roster's cached verifier, so no identity is re-hashed and the
-	// identity product is not re-inverted per round. With a host batch
-	// verifier, the check is submitted as an algebraic claim (equivalent
-	// because this member derived c = H(T, Z) itself) and settles together
-	// with other groups' claims; the verdict and the meter charge are the
-	// same either way.
-	gv, err := mc.claimBuilder(rs.roster)
+	// identity product is not re-inverted per round.
+	gv, err := mc.groupVerifier(rs.roster)
 	if err == nil {
-		if mc.bv != nil {
-			err = rs.submitClaim(gv, mc.bv, responses)
-		} else {
-			err = gv.BatchVerify(responses, rs.c, rs.bigZ)
-		}
+		err = gv.BatchVerify(responses, rs.c, rs.bigZ)
 	}
 	mc.m.SignVer(meter.SchemeGQ, 1)
 	if err != nil {

@@ -12,8 +12,7 @@
 // contract (a blocking operation inside a fooLocked method blocks under
 // whatever lock the caller holds). Blocking reached through a callee is
 // reported at the call site with the chain that gets there, including
-// the conservative implementer union behind interface calls — the
-// settlement-lane verify block is only visible that way.
+// the conservative implementer union behind interface calls.
 //
 // Exemptions mirror boundedwait: select cases with an escape hatch,
 // inherently bounded receives, connection I/O in a function that arms a

@@ -1,9 +1,9 @@
 // Package goroleak requires every goroutine in non-test code to have a
-// visible shutdown path. The serve layer's shard workers, settlement
-// lane and shared ticker (PR 5/6/8) all terminate through an explicit
-// signal; a `go` statement without one is how hosts accumulate
-// goroutines across group churn until the process dies — invisible in
-// unit tests, fatal at a million groups.
+// visible shutdown path. The serve layer's shard workers and shared
+// ticker all terminate through an explicit signal; a `go` statement
+// without one is how hosts accumulate goroutines across group churn
+// until the process dies — invisible in unit tests, fatal at a million
+// groups.
 //
 // For each go statement the analyzer resolves the spawned callable — an
 // inline function literal, or a declared function/method via the

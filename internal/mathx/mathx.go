@@ -98,10 +98,7 @@ func IsProbablePrime(v *big.Int) bool {
 
 // ModInverse returns v^-1 mod m, or an error when the inverse does not
 // exist. Unlike (*big.Int).ModInverse it never returns nil silently.
-// Every call counts toward InverseCalls, the statistic batch inversion
-// (Modulus.BatchInverse) amortizes to one per batch.
 func ModInverse(v, m *big.Int) (*big.Int, error) {
-	inverseCalls.Add(1)
 	inv := new(big.Int).ModInverse(v, m)
 	if inv == nil {
 		return nil, fmt.Errorf("mathx: %v is not invertible mod %v", v, m)

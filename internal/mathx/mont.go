@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"sync/atomic"
 )
 
 // This file is the fixed-width Montgomery-form modular arithmetic engine
 // under the variable-base hot paths: the Burmester-Desmedt key assembly
-// (equation 3), the GQ respond/verify folds and the DSA/Schnorr verify
-// multi-exponentiation. A Modulus precomputes everything expensive about
+// (equation 3), round 2's edge powers and the GQ commitment and eq. 2
+// verification core. A Modulus precomputes everything expensive about
 // one modulus — the word count, -m^{-1} mod 2^W and R² mod m — exactly
 // once; Elem values stay in the Montgomery domain across whole
 // verification pipelines, converting on entry and leaving only at wire
@@ -30,17 +29,6 @@ import (
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
 // moduli of the protocols.
 const maxModulusWords = 64
-
-// inverseCalls counts modular inversions performed through this package
-// (ModInverse and the single inversion inside each batch-inversion call).
-// Tests use the counter to prove the O(n) → O(1) inversion amortization
-// of Montgomery's trick; the atomic add is negligible next to the
-// extended-GCD it counts.
-var inverseCalls atomic.Uint64
-
-// InverseCalls returns the number of modular inversions performed so far
-// process-wide.
-func InverseCalls() uint64 { return inverseCalls.Load() }
 
 // Elem is one residue in the Montgomery domain of a Modulus: a fixed-width
 // little-endian limb vector of exactly the modulus' word count, holding
@@ -309,115 +297,6 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	return acc
 }
 
-// Exp computes base^e mod m through the Montgomery engine, bit-identical
-// to (*big.Int).Exp / mathx.ModExp. Negative exponents are resolved
-// through a modular inverse (m must be coprime with base).
-func (mo *Modulus) Exp(base, e *big.Int) (*big.Int, error) {
-	if e.Sign() < 0 {
-		inv, err := ModInverse(base, mo.m)
-		if err != nil {
-			return nil, err
-		}
-		return mo.FromMont(mo.ExpElem(mo.ToMont(inv), new(big.Int).Neg(e))), nil
-	}
-	return mo.FromMont(mo.ExpElem(mo.ToMont(base), e)), nil
-}
-
-// MultiExpElem computes Π bases[i]^exps[i] in the Montgomery domain with
-// one interleaved squaring chain shared by every base (windowed Shamir
-// trick): max-bits squarings total plus, per base, a sliding window's
-// worth of multiplications (~bits/(w+1) instead of one per set bit) over
-// its precomputed odd powers. Exponents must be non-negative. The win
-// over per-base exponentiation is largest when exponents are short or
-// when many bases share one verification equation, as in the amortized
-// GQ check.
-func (mo *Modulus) MultiExpElem(bases []Elem, exps []*big.Int) (Elem, error) {
-	if len(bases) != len(exps) {
-		return nil, errors.New("mathx: MultiExpElem bases/exps length mismatch")
-	}
-	maxBits := 0
-	for i, e := range exps {
-		if e == nil || bases[i] == nil {
-			return nil, errors.New("mathx: MultiExpElem nil operand")
-		}
-		if e.Sign() < 0 {
-			return nil, errors.New("mathx: MultiExpElem needs non-negative exponents")
-		}
-		if bl := e.BitLen(); bl > maxBits {
-			maxBits = bl
-		}
-	}
-	if maxBits == 0 {
-		return mo.MontOne(), nil
-	}
-	// Decompose every exponent into left-to-right sliding windows of odd
-	// digits and bucket the pending multiplications by each window's low
-	// bit; the merge pass below then walks one squaring chain and folds in
-	// every base's window where it lands.
-	type pendMul struct {
-		base  int
-		digit uint // odd window digit; table index is digit>>1
-	}
-	pend := make([][]pendMul, maxBits)
-	tables := make([][]Elem, len(bases))
-	for j, e := range exps {
-		eb := e.BitLen()
-		if eb == 0 {
-			continue
-		}
-		w := expWindow(eb)
-		maxDigit := uint(0)
-		for i := eb - 1; i >= 0; {
-			if e.Bit(i) == 0 {
-				i--
-				continue
-			}
-			l := i - w + 1
-			if l < 0 {
-				l = 0
-			}
-			for e.Bit(l) == 0 {
-				l++
-			}
-			var digit uint
-			for t := i; t >= l; t-- {
-				digit = digit<<1 | uint(e.Bit(t))
-			}
-			if digit > maxDigit {
-				maxDigit = digit
-			}
-			pend[l] = append(pend[l], pendMul{base: j, digit: digit})
-			i = l - 1
-		}
-		// Odd powers base, base^3, ... up to the largest digit this
-		// exponent actually uses (entries are read-only; index 0 aliases
-		// the caller's element).
-		tab := make([]Elem, maxDigit/2+1)
-		tab[0] = bases[j]
-		if len(tab) > 1 {
-			b2 := mo.Sqr(bases[j])
-			for i := 1; i < len(tab); i++ {
-				tab[i] = mo.Mul(tab[i-1], b2)
-			}
-		}
-		tables[j] = tab
-	}
-	var acc Elem
-	for i := maxBits - 1; i >= 0; i-- {
-		if acc != nil {
-			mo.SqrInto(acc, acc)
-		}
-		for _, pm := range pend[i] {
-			if acc == nil {
-				acc = append(Elem(nil), tables[pm.base][pm.digit>>1]...)
-			} else {
-				mo.MulInto(acc, acc, tables[pm.base][pm.digit>>1])
-			}
-		}
-	}
-	return acc, nil
-}
-
 // IsOne reports whether e is the Montgomery image of 1.
 func (mo *Modulus) IsOne(e Elem) bool {
 	for i := range e {
@@ -467,57 +346,4 @@ func (mo *Modulus) Product(values []*big.Int) *big.Int {
 	}
 	mo.montMul(acc, acc, corr)
 	return bigFromElem(acc)
-}
-
-// BatchInverseElem inverts every Elem with Montgomery's trick: prefix
-// products, ONE modular inversion, then a backward sweep — 3(n-1)
-// multiplications plus a single extended-GCD, against n extended-GCDs for
-// per-element inversion. Fails if any input (equivalently, the product) is
-// not invertible.
-func (mo *Modulus) BatchInverseElem(es []Elem) ([]Elem, error) {
-	n := len(es)
-	if n == 0 {
-		return nil, nil
-	}
-	// prefix[i] = e_0 · ... · e_i  (Montgomery domain).
-	prefix := make([]Elem, n)
-	prefix[0] = append(Elem(nil), es[0]...)
-	for i := 1; i < n; i++ {
-		prefix[i] = mo.Mul(prefix[i-1], es[i])
-	}
-	// One inversion of the total product.
-	totalInv, err := ModInverse(mo.FromMont(prefix[n-1]), mo.m)
-	if err != nil {
-		return nil, fmt.Errorf("mathx: batch inversion: %w", err)
-	}
-	acc := mo.ToMont(totalInv) // (e_0···e_{n-1})^{-1} in the domain
-	out := make([]Elem, n)
-	for i := n - 1; i > 0; i-- {
-		out[i] = mo.Mul(acc, prefix[i-1])
-		mo.MulInto(acc, acc, es[i])
-	}
-	out[0] = acc
-	return out, nil
-}
-
-// BatchInverse inverts every value modulo m with a single extended-GCD
-// (Montgomery's trick over big.Int operands). Bit-identical to calling
-// ModInverse per element; fails if any element is not invertible.
-func (mo *Modulus) BatchInverse(values []*big.Int) ([]*big.Int, error) {
-	es := make([]Elem, len(values))
-	for i, v := range values {
-		if v == nil {
-			return nil, errors.New("mathx: BatchInverse nil value")
-		}
-		es[i] = mo.ToMont(v)
-	}
-	inv, err := mo.BatchInverseElem(es)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*big.Int, len(inv))
-	for i, e := range inv {
-		out[i] = mo.FromMont(e)
-	}
-	return out, nil
 }

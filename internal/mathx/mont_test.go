@@ -137,124 +137,11 @@ func TestMontExp(t *testing.T) {
 		for _, b := range bases {
 			for _, e := range exps {
 				want := new(big.Int).Exp(b, e, m)
-				got, err := mo.Exp(b, e)
-				if err != nil {
-					t.Fatalf("Exp(%v, %v) mod %d bits: %v", b, e, m.BitLen(), err)
-				}
-				if got.Cmp(want) != 0 {
+				if got := mo.FromMont(mo.ExpElem(mo.ToMont(b), e)); got.Cmp(want) != 0 {
 					t.Fatalf("Exp(%v, %v) mod %d bits: got %v want %v", b, e, m.BitLen(), got, want)
 				}
 			}
 		}
-	}
-}
-
-// TestMontExpNegative checks the negative-exponent path against ModExp.
-func TestMontExpNegative(t *testing.T) {
-	p, err := RandPrime(rand.Reader, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo, err := NewModulus(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := big.NewInt(12345)
-	e := big.NewInt(-789)
-	want, err := ModExp(b, e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mo.Exp(b, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(want) != 0 {
-		t.Fatalf("negative exponent: got %v want %v", got, want)
-	}
-}
-
-// TestMontMultiExp cross-checks the interleaved Montgomery multi-exp
-// against the naive product of big.Int.Exp values, at a small and a
-// full-size modulus.
-func TestMontMultiExp(t *testing.T) {
-	for _, bits := range []int{256, 1024} {
-		p, err := RandPrime(rand.Reader, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mo, err := NewModulus(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for n := 1; n <= 9; n += 2 {
-			bases := make([]Elem, n)
-			exps := make([]*big.Int, n)
-			want := big.NewInt(1)
-			for i := range bases {
-				b, err := RandInt(rand.Reader, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exps[i], err = RandInt(rand.Reader, new(big.Int).Lsh(One, uint(8+40*i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				bases[i] = mo.ToMont(b)
-				want.Mul(want, new(big.Int).Exp(b, exps[i], p))
-				want.Mod(want, p)
-			}
-			got, err := mo.MultiExpElem(bases, exps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g := mo.FromMont(got); g.Cmp(want) != 0 {
-				t.Fatalf("%d-bit n=%d: got %v want %v", bits, n, g, want)
-			}
-		}
-	}
-}
-
-// TestBatchInverse checks Montgomery's trick against per-element
-// inversion and proves the O(n) → O(1) inversion-count amortization via
-// the package inversion counter.
-func TestBatchInverse(t *testing.T) {
-	p, err := RandPrime(rand.Reader, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo, err := NewModulus(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	values := make([]*big.Int, n)
-	for i := range values {
-		if values[i], err = RandScalar(rand.Reader, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := InverseCalls()
-	inv, err := mo.BatchInverse(values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := InverseCalls() - before; got != 1 {
-		t.Fatalf("batch inversion of %d elements performed %d extended-GCDs, want exactly 1", n, got)
-	}
-	for i, v := range values {
-		want, err := ModInverse(v, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inv[i].Cmp(want) != 0 {
-			t.Fatalf("batch inverse [%d] mismatch", i)
-		}
-	}
-	// Non-invertible element: the batch must fail, not silently misreport.
-	bad := append(append([]*big.Int(nil), values...), new(big.Int).Set(p))
-	if _, err := mo.BatchInverse(bad); err == nil {
-		t.Fatal("batch inversion accepted a non-invertible element")
 	}
 }
 
@@ -285,43 +172,13 @@ func BenchmarkVarBaseExp(b *testing.B) {
 	})
 	b.Run("mont", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mo.Exp(base, exp); err != nil {
-				b.Fatal(err)
-			}
+			mo.FromMont(mo.ExpElem(mo.ToMont(base), exp))
 		}
 	})
 	b.Run("mont-domain", func(b *testing.B) {
 		be := mo.ToMont(base)
 		for i := 0; i < b.N; i++ {
 			mo.ExpElem(be, exp)
-		}
-	})
-}
-
-// BenchmarkBatchInverse compares n extended-GCDs against Montgomery's
-// trick (one extended-GCD plus 3(n-1) multiplications) at the affine
-// conversion batch sizes of the bdkey chain.
-func BenchmarkBatchInverse(b *testing.B) {
-	mo, _, _ := benchModulus(b, 1024)
-	const n = 16
-	values := make([]*big.Int, n)
-	for i := range values {
-		values[i], _ = RandScalar(rand.Reader, mo.Int())
-	}
-	b.Run("per-element", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, v := range values {
-				if _, err := ModInverse(v, mo.Int()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("batched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mo.BatchInverse(values); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

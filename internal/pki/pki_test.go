@@ -34,7 +34,7 @@ func TestPKGExtractGQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := sk.SignDefault([]byte("m"))
+	sig, err := sk.Sign(rand.Reader, []byte("m"))
 	if err != nil {
 		t.Fatal(err)
 	}

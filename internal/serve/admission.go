@@ -49,18 +49,15 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 // documented in the docs/OPERATIONS.md reference table (a meta-test
 // keeps the two in lockstep).
 var (
-	mStarts        = metrics.NewCounter("serve_starts_total")
-	mSheds         = metrics.NewCounter("serve_sheds_total")
-	mDelivered     = metrics.NewCounter("serve_delivered_total")
-	mSendErrors    = metrics.NewCounter("serve_send_errors_total")
-	mLiveRuns      = metrics.NewGauge("serve_live_runs")
-	mQueueDepth    = metrics.NewGauge("serve_queue_depth")
-	mQueuePeak     = metrics.NewGauge("serve_queue_peak_depth")
-	mQueueDelay    = metrics.NewHistogram("serve_queue_delay_ms")
-	mTimeToKey     = metrics.NewHistogram("serve_time_to_key_ms")
-	mVerifyClaims  = metrics.NewCounter("serve_verify_claims_total")
-	mVerifyBatches = metrics.NewCounter("serve_verify_batches_total")
-	mVerifyBusy    = metrics.NewCounter("serve_verify_busy_us_total")
+	mStarts     = metrics.NewCounter("serve_starts_total")
+	mSheds      = metrics.NewCounter("serve_sheds_total")
+	mDelivered  = metrics.NewCounter("serve_delivered_total")
+	mSendErrors = metrics.NewCounter("serve_send_errors_total")
+	mLiveRuns   = metrics.NewGauge("serve_live_runs")
+	mQueueDepth = metrics.NewGauge("serve_queue_depth")
+	mQueuePeak  = metrics.NewGauge("serve_queue_peak_depth")
+	mQueueDelay = metrics.NewHistogram("serve_queue_delay_ms")
+	mTimeToKey  = metrics.NewHistogram("serve_time_to_key_ms")
 )
 
 // admit is the admission-control gate Start runs BEFORE any session

@@ -52,16 +52,6 @@ type Config struct {
 	// may sit on traffic that never arrives before it retransmits (and,
 	// budget exhausted, fails with idgka.ErrSessionTimeout).
 	Deadline time.Duration
-	// AmortizeVerify routes every hosted member's per-round GQ batch
-	// checks through one host-level settlement queue: checks from
-	// concurrently keying groups coalesce per worker wakeup and settle
-	// together with a single random-linear-combination verification, so
-	// per-group verify cost falls as concurrent load grows. Keys,
-	// verdicts and meters are unchanged. A group's finish briefly parks
-	// its shard worker while its batch settles, so size Shards for the
-	// intended concurrency (at least the number of simultaneously keying
-	// members).
-	AmortizeVerify bool
 	// MaxShardQueue is the admission high watermark on a shard's queue
 	// depth: a Start aimed at a shard holding this many undispatched
 	// tasks is rejected with ErrOverloaded instead of deepening the
@@ -118,15 +108,6 @@ type Stats struct {
 	// Config.MaxShardQueue when sizing watermarks.
 	QueueDepth     int
 	PeakQueueDepth int
-	// VerifyClaims and VerifyBatches count the amortized settlement
-	// queue's traffic (zero unless Config.AmortizeVerify): claims per
-	// batch averages above 1 show cross-group coalescing at work.
-	// VerifyBusy is the wall time the settlement lane spent checking —
-	// VerifyClaims/VerifyBusy is the lane's claims/sec throughput, which
-	// rises with concurrent load as batches coalesce.
-	VerifyClaims  uint64
-	VerifyBatches uint64
-	VerifyBusy    time.Duration
 }
 
 // Host is a sharded multi-member, multi-group serving context. Create it
@@ -145,7 +126,6 @@ type Host struct {
 	//gkalint:guard -
 
 	shards []*shard
-	vq     *verifyQueue
 	stop   chan struct{}
 	wg     sync.WaitGroup
 
@@ -313,14 +293,6 @@ func NewHost(cfg Config, tx Transmit) *Host {
 		h.wg.Add(1)
 		go h.worker(s)
 	}
-	if cfg.AmortizeVerify {
-		h.vq = newVerifyQueue()
-		h.wg.Add(1)
-		go func() {
-			defer h.wg.Done()
-			h.vq.worker()
-		}()
-	}
 	if h.cfg.tickInterval() > 0 {
 		h.wg.Add(1)
 		go h.tickLoop()
@@ -353,9 +325,6 @@ func (h *Host) AddMember(mb *idgka.Member) error {
 	hm.sh = h.shards[shardIndex(id, len(h.shards))]
 	h.members[id] = hm
 	h.mu.Unlock()
-	if h.vq != nil {
-		mb.SetBatchVerifier(h.vq)
-	}
 	// The member invokes peer-down handlers lock-free, so the relay (and
 	// the application callback behind it) may call back into member and
 	// host — e.g. to start eviction runs.
@@ -637,11 +606,6 @@ func (h *Host) Stats() Stats {
 	for _, s := range h.shards {
 		st.QueueDepth += s.depth()
 	}
-	if h.vq != nil {
-		st.VerifyClaims = h.vq.claims.Load()
-		st.VerifyBatches = h.vq.batches.Load()
-		st.VerifyBusy = time.Duration(h.vq.busyNS.Load())
-	}
 	for _, hm := range h.members {
 		hm.mu.Lock()
 		st.LiveRuns += len(hm.runs)
@@ -667,12 +631,6 @@ func (h *Host) Close() {
 	close(h.stop)
 	for _, s := range h.shards {
 		s.close()
-	}
-	if h.vq != nil {
-		// Drain the settlement backlog so shard workers blocked in
-		// VerifyClaim unblock before the Wait below; late claims from
-		// still-running tasks verify in-line.
-		h.vq.close()
 	}
 	h.wg.Wait()
 	for _, hm := range members {

@@ -34,8 +34,6 @@ type SoakOptions struct {
 	MaxShardQueue    int
 	MaxShardQueueAge time.Duration
 	FairShare        float64
-	// AmortizeVerify turns on the host's claim settlement queue.
-	AmortizeVerify bool
 	// OpBudget bounds how long one admitted operation may take to settle
 	// before it counts as failed. Default 30s.
 	OpBudget time.Duration
@@ -174,7 +172,6 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 	host := NewHost(Config{
 		Shards:           opt.Shards,
 		Deadline:         opt.deadline(),
-		AmortizeVerify:   opt.AmortizeVerify,
 		MaxShardQueue:    opt.MaxShardQueue,
 		MaxShardQueueAge: opt.MaxShardQueueAge,
 		FairShare:        opt.FairShare,

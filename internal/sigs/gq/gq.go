@@ -20,7 +20,6 @@
 package gq
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -152,30 +151,26 @@ func (sk *PrivateKey) Sign(r io.Reader, msg []byte) (*Signature, error) {
 	return &Signature{S: sk.Respond(tau, c), C: c}, nil
 }
 
-// Verify checks a standalone signature: c == H(s^e · H(ID)^{-c}, msg).
+// Verify checks a standalone signature, c == H(s^e · H(ID)^{-c}, msg),
+// as a one-identity GroupVerifier. A challenge longer than the challenge
+// hash is refused before any exponentiation, so a peer cannot buy CPU
+// with an oversized exponent.
 func Verify(pub Params, id string, msg []byte, sig *Signature) error {
-	if sig == nil || sig.S == nil || sig.C == nil {
+	if sig == nil {
 		return errors.New("gq: malformed signature")
 	}
-	if sig.S.Sign() <= 0 || sig.S.Cmp(pub.N) >= 0 {
-		return errors.New("gq: signature response out of range")
-	}
-	lhs, err := recoverCommitment(pub, []string{id}, sig.S, sig.C)
+	gv, err := NewGroupVerifier(pub, []string{id})
 	if err != nil {
 		return err
 	}
-	c := hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(lhs), msg)
-	if c.Cmp(sig.C) != 0 {
+	lhs, err := gv.commitment([]*big.Int{sig.S}, sig.C)
+	if err != nil {
+		return err
+	}
+	if hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(lhs), msg).Cmp(sig.C) != 0 {
 		return errors.New("gq: signature verification failed")
 	}
 	return nil
-}
-
-// recoverCommitment computes s^e · (Π H(ID_i))^{-c} mod n — the quantity
-// that equals the (product of) commitment(s) for a valid (batch of)
-// signature(s).
-func recoverCommitment(pub Params, ids []string, s, c *big.Int) (*big.Int, error) {
-	return foldCommitment(pub, identityProduct(pub, ids), s, c)
 }
 
 // GroupChallenge derives the common challenge c = H(T, Z) of the group
@@ -184,64 +179,79 @@ func GroupChallenge(t, z *big.Int) *big.Int {
 	return hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(t), hashx.BigBytes(z))
 }
 
-// BatchVerify checks equation (2) of the paper: given the signer
-// identities, their responses s_i, the common challenge c and the bound
-// value Z, it verifies all signatures with one exponentiation-sized check:
+// GroupVerifier checks equation (2) for one fixed signer set. Construction
+// hashes every identity, folds the digests into H = Π H(ID_i) and inverts
+// it once, so each BatchVerify costs one response product, one short
+// public-exponent power and one challenge-sized power of the cached
+// inverse. Safe for concurrent use once built.
+type GroupVerifier struct {
+	pub      Params
+	mo       *mathx.Modulus
+	n        int        // signer count
+	hInvMont mathx.Elem // H^{-1} in the Montgomery domain
+}
+
+// NewGroupVerifier builds the verification context for a signer set.
+func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
+	if len(ids) == 0 {
+		return nil, errors.New("gq: empty signer set")
+	}
+	if pub.E == nil || pub.E.Sign() < 0 {
+		return nil, errors.New("gq: nil or negative public exponent")
+	}
+	mo, err := pub.mont()
+	if err != nil {
+		return nil, err
+	}
+	digests := make([]*big.Int, len(ids))
+	for i, id := range ids {
+		digests[i] = hashx.IdentityDigest(id, pub.N)
+	}
+	hInv, err := mathx.ModInverse(mo.Product(digests), pub.N)
+	if err != nil {
+		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
+	}
+	return &GroupVerifier{pub: pub, mo: mo, n: len(ids), hInvMont: mo.ToMont(hInv)}, nil
+}
+
+// BatchVerify checks equation (2) for one round of the signer set:
 //
 //	c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z)
-func BatchVerify(pub Params, ids []string, responses []*big.Int, c, z *big.Int) error {
-	if len(ids) == 0 || len(ids) != len(responses) {
-		return errors.New("gq: batch size mismatch")
-	}
-	for i, s := range responses {
-		if s == nil || s.Sign() <= 0 || s.Cmp(pub.N) >= 0 {
-			return fmt.Errorf("gq: response %d out of range", i)
-		}
-	}
-	lhs, err := foldCommitment(pub, identityProduct(pub, ids), mathx.ProductMod(responses, pub.N), c)
+func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
+	lhs, err := gv.commitment(responses, c)
 	if err != nil {
 		return err
 	}
-	check := hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(lhs), hashx.BigBytes(z))
-	if check.Cmp(c) != 0 {
+	if GroupChallenge(lhs, z).Cmp(c) != 0 {
 		return errors.New("gq: batch verification failed")
 	}
 	return nil
 }
 
-// identityProduct computes Π H(ID_i) mod n.
-func identityProduct(pub Params, ids []string) *big.Int {
-	return mathx.ProductMod(identityDigests(pub, ids), pub.N)
-}
+// errChallengeRange rejects a challenge no honest signer produces: a
+// negative one, or one longer than the challenge hash.
+var errChallengeRange = errors.New("gq: challenge out of range")
 
-// identityDigests hashes every identity to H(ID_i).
-func identityDigests(pub Params, ids []string) []*big.Int {
-	digests := make([]*big.Int, len(ids))
-	for i, id := range ids {
-		digests[i] = hashx.IdentityDigest(id, pub.N)
+// commitment computes (Π s_i)^e · (Π H(ID_i))^{-c} mod n in the
+// Montgomery domain: the commitment product a valid set of responses
+// recovers. Malformed inputs are rejected before any exponentiation.
+func (gv *GroupVerifier) commitment(responses []*big.Int, c *big.Int) (*big.Int, error) {
+	if len(responses) != gv.n {
+		return nil, errors.New("gq: batch size mismatch")
 	}
-	return digests
-}
-
-// foldCommitment computes s^e · hProd^{-c} mod n given a precomputed
-// identity product.
-func foldCommitment(pub Params, hProd, s, c *big.Int) (*big.Int, error) {
-	se := new(big.Int).Exp(s, pub.E, pub.N)
-	hInvC, err := mathx.ModExp(hProd, new(big.Int).Neg(c), pub.N)
-	if err != nil {
-		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
+	if c == nil {
+		return nil, errors.New("gq: nil challenge")
 	}
-	se.Mul(se, hInvC)
-	return se.Mod(se, pub.N), nil
-}
-
-// SignDeterministicRand is a helper for tests that need reproducible
-// signatures: it signs with the supplied reader instead of crypto/rand.
-func (sk *PrivateKey) SignDeterministicRand(r io.Reader, msg []byte) (*Signature, error) {
-	return sk.Sign(r, msg)
-}
-
-// SignDefault signs with crypto/rand.
-func (sk *PrivateKey) SignDefault(msg []byte) (*Signature, error) {
-	return sk.Sign(rand.Reader, msg)
+	if c.Sign() < 0 || c.BitLen() > hashx.ChallengeBits {
+		return nil, errChallengeRange
+	}
+	for i, s := range responses {
+		if s == nil || s.Sign() <= 0 || s.Cmp(gv.pub.N) >= 0 {
+			return nil, fmt.Errorf("gq: response %d out of range", i)
+		}
+	}
+	mo := gv.mo
+	lhs := mo.ExpElem(mo.ToMont(mo.Product(responses)), gv.pub.E)
+	mo.MulInto(lhs, lhs, mo.ExpElem(gv.hInvMont, c))
+	return mo.FromMont(lhs), nil
 }

@@ -115,12 +115,14 @@ func TestDeadPeerUnblocksSender(t *testing.T) {
 	}
 	// The message reached the healthy recipient, and both survivors got
 	// the peer-down notice. The notice may wake b after the message did,
-	// so b's inbox is drained until both have arrived.
+	// so b's inbox is drained until both have arrived or the deadline
+	// passes.
+	deadline := time.Now().Add(10 * time.Second)
 	var gotMsg, gotDown bool
 	for !gotMsg || !gotDown {
-		msgs, err := r.RecvWait("b")
-		if err != nil {
-			t.Fatal(err)
+		msgs := recvBy(t, r, "b", deadline)
+		if msgs == nil {
+			t.Fatalf("b after 10s: got message %v, got peer-down notice %v", gotMsg, gotDown)
 		}
 		for _, m := range msgs {
 			switch {
@@ -131,8 +133,8 @@ func TestDeadPeerUnblocksSender(t *testing.T) {
 			}
 		}
 	}
-	if msgs, err := r.RecvWait("a"); err != nil || len(msgs) == 0 || msgs[0].Type != netsim.TypePeerDown {
-		t.Fatalf("a did not get the peer-down notice: %+v %v", msgs, err)
+	if msgs := recvBy(t, r, "a", deadline); len(msgs) == 0 || msgs[0].Type != netsim.TypePeerDown {
+		t.Fatalf("a did not get the peer-down notice: %+v", msgs)
 	}
 	// The hub holds no leaked deliveries and later broadcasts work.
 	if err := r.Broadcast("a", "t2", nil); err != nil {
@@ -140,6 +142,25 @@ func TestDeadPeerUnblocksSender(t *testing.T) {
 	}
 	if hub.PendingCount() != 0 {
 		t.Fatalf("hub leaked %d pending deliveries", hub.PendingCount())
+	}
+}
+
+// recvBy polls id's inbox until it holds messages and drains it, or
+// returns nil once the deadline passes with the inbox still empty.
+func recvBy(t *testing.T, r *Router, id string, deadline time.Time) []netsim.Message {
+	t.Helper()
+	for {
+		msgs, err := r.Recv(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(msgs) > 0 {
+			return msgs
+		}
+		if time.Now().After(deadline) {
+			return nil
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
