@@ -30,7 +30,6 @@
 //	lockorder      //gkalint:unlocked  guarded state needs its documented lock (interprocedural since PR 10)
 //	montdomain     //gkalint:rawdomain mathx.Elem converts before boundaries (PR 6)
 //	secretflow     //gkalint:secretok  key material stays out of logs (interprocedural since PR 9)
-//	sidroute       //gkalint:nosid     engine.Outbound carries its session id (PR 5)
 package main
 
 import (

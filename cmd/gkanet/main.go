@@ -14,8 +14,10 @@
 //     derives the next flow's parameters from its own committed session
 //     state (the engine's per-session group registry).
 //
-//   - lockstep: the original driver (core.RunInitial) marches all members
-//     through the rounds from one goroutine, as the paper's tables do.
+//   - lockstep: the core.RunInitial driver marches all members through
+//     the rounds from one goroutine, as the paper's tables do, and puts
+//     the paper's bare radio messages on the wire: it strips the session
+//     envelope off every engine outbound and restores it on delivery.
 //
 // Fault scenarios (-crash) kill one node at a chosen phase and let the
 // survivors recover without a coordinator: the hub's peer-down frame wakes
@@ -37,7 +39,7 @@
 //
 //	gkanet -n 5                     # hub + 5 nodes: establish, join, evict
 //	gkanet -dynamic=false -n 5      # establishment + confirmation only
-//	gkanet -mode lockstep -n 5      # the legacy lockstep orchestrator
+//	gkanet -mode lockstep -n 5      # the lockstep driver, paper's wire bytes
 //	gkanet -listen :7777            # choose the hub port
 //	gkanet -n 5 -crash node-02@confirmed   # kill node-02, survivors re-key
 //	gkanet -n 4 -serve -groups 16          # host 16 concurrent groups

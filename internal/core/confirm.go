@@ -17,7 +17,7 @@ func ConfirmKey(net netsim.Medium, members []*Member) error {
 	if len(members) == 0 {
 		return errNoSession
 	}
-	return runFlowFatal(net, members, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartConfirm(lockstepSID, lockstepBase)
+	return runFlowFatal(net, members, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartConfirm(sid, lockstepBase)
 	}, "key confirmation")
 }

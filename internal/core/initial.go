@@ -17,7 +17,7 @@ func RunInitial(net netsim.Medium, members []*Member) error {
 		return errors.New("core: initial GKA needs at least 2 members")
 	}
 	roster := rosterOf(members)
-	return runFlowRetrying(net, members, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartInitial(lockstepSID, roster)
+	return runFlowRetrying(net, members, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartInitial(sid, roster)
 	}, "initial GKA")
 }

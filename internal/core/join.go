@@ -29,7 +29,7 @@ func RunJoin(net netsim.Medium, members []*Member, joiner *Member) error {
 	}
 	roster := rosterOf(members)
 	all := append(append([]*Member{}, members...), joiner)
-	return runFlowFatal(net, all, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartJoin(lockstepSID, lockstepBase, roster, joiner.ID())
+	return runFlowFatal(net, all, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartJoin(sid, lockstepBase, roster, joiner.ID())
 	}, "join")
 }

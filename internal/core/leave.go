@@ -49,7 +49,7 @@ func RunPartition(net netsim.Medium, members []*Member, leavers []string) error 
 			remain = append(remain, mb)
 		}
 	}
-	return runFlowRetrying(net, remain, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartPartition(lockstepSID, lockstepBase, newRoster, refresh)
+	return runFlowRetrying(net, remain, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartPartition(sid, lockstepBase, newRoster, refresh)
 	}, "partition")
 }

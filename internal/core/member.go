@@ -10,11 +10,15 @@
 // flow on every machine and then pump delivered messages between them
 // over a netsim.Medium until every machine commits, running per-member
 // computation concurrently (one goroutine per member, as the nodes would
-// compute in the field). The engine meters every operation the paper's
-// complexity analysis charges and emits byte-identical wire traffic in
-// this lockstep mode, so the Tables 1–5 reproduction is unaffected by the
-// refactor. Event-driven deployments (cmd/gkanet, the idgka.Session API,
-// netsim's async mode) drive the same engine without these orchestrators.
+// compute in the field). Each run keys its flow under a fresh session id.
+// The medium models the paper's radio: the engine envelopes every payload
+// with its session id and attempt, and the orchestrators strip that
+// envelope before a message reaches the medium and restore it on
+// delivery, so the medium carries exactly the paper's messages. The
+// engine meters every operation the paper's complexity analysis charges,
+// so the Tables 1–5 reproduction is exact. Event-driven deployments
+// (cmd/gkanet, the idgka.Session API, netsim's async mode) drive the same
+// engine without these orchestrators and carry the envelope on the wire.
 package core
 
 import (

@@ -24,8 +24,8 @@ func RunMerge(net netsim.Medium, groupA, groupB []*Member) error {
 	rosterA := rosterOf(groupA)
 	rosterB := rosterOf(groupB)
 	all := append(append([]*Member{}, groupA...), groupB...)
-	return runFlowFatal(net, all, func(mb *Member) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartMerge(lockstepSID, lockstepBase, rosterA, rosterB)
+	return runFlowFatal(net, all, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mb.mach.StartMerge(sid, lockstepBase, rosterA, rosterB)
 	}, "merge")
 }
 

@@ -82,7 +82,7 @@ func (f *confirmFlow) advance() ([]Outbound, []Event, error) {
 	var outs []Outbound
 	if !f.started {
 		payload := wire.NewBuffer().PutString(f.mc.id).PutBytes(f.digest(f.mc.id)).Bytes()
-		outs = append(outs, Outbound{Type: MsgConfirm, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgConfirm, Payload: payload})
 		f.started = true
 	}
 	if len(f.got) == f.g.Size()-1 {

@@ -13,17 +13,14 @@
 // sessions are all tolerated. Messages for sessions that have not been
 // started yet are buffered and replayed when the flow starts.
 //
-// Two wire modes exist:
-//
-//   - Enveloped (sid != ""): every payload is prefixed with the session id
-//     and an attempt counter, so one machine can demultiplex any number of
-//     concurrent sessions. This is the mode for real deployments
-//     (cmd/gkanet, the idgka.Session public API, the netsim async mode).
-//   - Legacy (sid == ""): payloads are exactly the seed's lockstep wire
-//     format with no prefix, at most one flow is active at a time, and the
-//     internal/core Run* drivers pump the machine synchronously. This keeps
-//     the paper-comparable byte accounting identical to the original
-//     lockstep implementation.
+// Every payload a machine emits or routes to a flow is enveloped: prefixed
+// with the session id and an attempt counter (Envelope, OpenEnvelope), so
+// one machine can demultiplex any number of concurrent sessions, and no
+// flow starts without a session id. The paper's radio messages carry no
+// envelope; the lockstep drivers of internal/core model that radio by
+// stripping the envelope before a message reaches the simulated medium
+// and restoring it on delivery, so the paper-comparable byte accounting
+// is exact.
 //
 // Every operation the paper's complexity analysis charges is metered at
 // the same points as the lockstep code, so Tables 1–5 and the energy model
@@ -37,11 +34,8 @@
 // registry entry at Start (so a concurrent commit cannot switch keys
 // under an in-flight flow) and commit the re-keyed group back under the
 // flow's own session id. An empty base selects the machine's most
-// recently committed group, the single-group model the legacy lockstep
-// drivers use. The two wire modes are mutually exclusive while flows are
-// in flight: starting a legacy flow while enveloped flows are active (or
-// vice versa) is rejected, because legacy mode routes ALL inbound traffic
-// raw into its one flow and would corrupt concurrent enveloped sessions.
+// recently committed group, the single-group model the lockstep drivers
+// use.
 package engine
 
 import (
@@ -122,8 +116,8 @@ func (c Config) Retries() int {
 // session-state transfer (metered separately from protocol traffic). SID
 // names the session the outbound belongs to — the same id already carried
 // in the payload envelope, surfaced so routing layers can hand the message
-// to the owning session handle without parsing the payload; it is empty in
-// legacy wire mode and never serialized.
+// to the owning session handle without parsing the payload; it is never
+// empty and never serialized.
 type Outbound struct {
 	SID      string
 	To       string
@@ -250,21 +244,20 @@ type Machine struct {
 	// read it directly; multi-session applications use Session(sid).
 	group *Group
 
-	// legacy is the single active flow in legacy wire mode. While it is
-	// non-nil every inbound message routes to it raw; otherwise messages
-	// are treated as enveloped (unparseable ones are dropped, unknown
-	// sessions buffered).
-	legacy *runningFlow
-	// flows holds active enveloped flows by session id.
+	// flows holds active flows by session id.
 	flows map[string]*runningFlow
-	// sessions holds committed groups by session id (enveloped mode).
+	// sessions holds committed groups by session id.
 	sessions map[string]*Group
 	// finished records the last attempt of completed sessions so straggler
 	// messages are dropped rather than buffered forever.
 	finished map[string]uint64
-	// early buffers messages for sessions not started yet.
+	// early buffers messages for sessions not started yet; a session id
+	// is a key only while its queue is non-empty. earlyCount is the
+	// number of buffered messages, earlyMulti the number of queues that
+	// hold more than one.
 	early      map[string][]earlyMsg
 	earlyCount int
+	earlyMulti int
 }
 
 // earlyMsg is a buffered de-enveloped message awaiting its flow.
@@ -352,7 +345,7 @@ func (mc *Machine) Session(sid string) *Group { return mc.sessions[sid] }
 // baseGroup resolves the committed group a dynamic flow re-keys: the
 // registry entry of the named base session, or — when base is empty —
 // the machine's most recently committed group (the single-group model of
-// the legacy lockstep drivers). The returned group is the flow's
+// the lockstep drivers). The returned group is the flow's
 // snapshot: a concurrent commit replaces the registry entry but cannot
 // switch keys under an in-flight flow.
 func (mc *Machine) baseGroup(base string) (*Group, error) {
@@ -380,51 +373,29 @@ func (mc *Machine) Key() *big.Int {
 // start registers a new flow, runs its opening transitions, and replays
 // any buffered early messages for the session.
 func (mc *Machine) start(sid string, f flow) ([]Outbound, []Event, error) {
-	rf := &runningFlow{sid: sid, f: f}
 	if sid == "" {
-		if mc.legacy != nil && !mc.legacy.done && !mc.legacy.failed {
-			return nil, nil, errors.New("engine: a legacy flow is already active")
-		}
-		// Legacy mode feeds ALL inbound traffic raw into its one flow, so
-		// an active enveloped flow would be starved of its messages (and
-		// the legacy flow fed envelope bytes it cannot parse). Buffered
-		// early enveloped traffic marks sessions peers have already
-		// started, whose follow-up messages the legacy flow would consume.
-		if len(mc.flows) > 0 {
-			return nil, nil, fmt.Errorf("engine: cannot start a legacy flow while %d enveloped flow(s) are active", len(mc.flows))
-		}
-		if mc.earlyCount > 0 {
-			return nil, nil, fmt.Errorf("engine: cannot start a legacy flow with %d buffered enveloped message(s) pending", mc.earlyCount)
-		}
-		mc.legacy = rf
-	} else {
-		if mc.legacy != nil && !mc.legacy.done && !mc.legacy.failed {
-			return nil, nil, fmt.Errorf("engine: cannot start enveloped flow %q while a legacy flow is active", sid)
-		}
-		if old := mc.flows[sid]; old != nil {
-			rf.attempt = old.attempt + 1
-		} else if last, ok := mc.finished[sid]; ok {
-			rf.attempt = last + 1
-		}
-		mc.flows[sid] = rf
-		delete(mc.finished, sid)
+		return nil, nil, errors.New("engine: empty session id")
 	}
+	rf := &runningFlow{sid: sid, f: f}
+	if old := mc.flows[sid]; old != nil {
+		rf.attempt = old.attempt + 1
+	} else if last, ok := mc.finished[sid]; ok {
+		rf.attempt = last + 1
+	}
+	mc.flows[sid] = rf
+	delete(mc.finished, sid)
 	outs, evts := mc.dispatch(rf, nil)
 	// Replay buffered early messages of this attempt; keep later attempts
 	// buffered and drop stale ones.
-	if sid != "" {
-		pending := mc.early[sid]
-		delete(mc.early, sid)
-		mc.earlyCount -= len(pending)
-		for i := range pending {
-			switch {
-			case pending[i].attempt == rf.attempt:
-				o, e := mc.dispatch(rf, &pending[i].msg)
-				outs = append(outs, o...)
-				evts = append(evts, e...)
-			case pending[i].attempt > rf.attempt:
-				mc.bufferEarly(sid, pending[i].msg, pending[i].attempt)
-			}
+	pending := mc.takeEarly(sid)
+	for i := range pending {
+		switch {
+		case pending[i].attempt == rf.attempt:
+			o, e := mc.dispatch(rf, &pending[i].msg)
+			outs = append(outs, o...)
+			evts = append(evts, e...)
+		case pending[i].attempt > rf.attempt:
+			mc.bufferEarly(sid, pending[i].msg, pending[i].attempt)
 		}
 	}
 	return mc.wrapOuts(rf, outs), evts, nil
@@ -452,9 +423,7 @@ func (mc *Machine) dispatch(rf *runningFlow, msg *netsim.Message) ([]Outbound, [
 			rf.done = true
 			mc.group = evts[i].Group
 			mc.closeFlow(rf)
-			if rf.sid != "" {
-				mc.sessions[rf.sid] = evts[i].Group
-			}
+			mc.sessions[rf.sid] = evts[i].Group
 		case EventConfirmed:
 			rf.done = true
 			mc.closeFlow(rf)
@@ -480,12 +449,6 @@ const maxFinishedRecords = 4096
 
 // closeFlow retires a completed flow.
 func (mc *Machine) closeFlow(rf *runningFlow) {
-	if rf.sid == "" {
-		if mc.legacy == rf {
-			mc.legacy = nil
-		}
-		return
-	}
 	if mc.flows[rf.sid] == rf {
 		delete(mc.flows, rf.sid)
 		mc.recordFinished(rf.sid, rf.attempt)
@@ -513,8 +476,7 @@ func (mc *Machine) recordFinished(sid string, attempt uint64) {
 // suppression record are retained.
 func (mc *Machine) Release(sid string) {
 	delete(mc.sessions, sid)
-	mc.earlyCount -= len(mc.early[sid])
-	delete(mc.early, sid)
+	mc.takeEarly(sid)
 }
 
 // Buffered reports the number of early-buffered messages the machine
@@ -532,43 +494,54 @@ func (mc *Machine) ActiveFlow(sid string) bool {
 // between retransmission attempts. The aborted attempt number is
 // retired, so a subsequent Start of the same session id uses a fresh
 // attempt and in-flight traffic of the aborted run cannot poison it.
-// Aborting the legacy flow uses sid "".
 func (mc *Machine) Abort(sid string) {
-	if sid == "" {
-		mc.legacy = nil
-		return
-	}
 	if rf, ok := mc.flows[sid]; ok {
 		if last, fin := mc.finished[sid]; !fin || rf.attempt > last {
 			mc.recordFinished(sid, rf.attempt)
 		}
 	}
 	delete(mc.flows, sid)
-	mc.earlyCount -= len(mc.early[sid])
-	delete(mc.early, sid)
+	mc.takeEarly(sid)
 }
 
-// wrapOuts prefixes outbound payloads with the session envelope when the
-// flow runs in enveloped mode.
+// wrapOuts stamps every outbound of a flow with its session: the
+// envelope on the payload and the SID field. It is the only way an
+// Outbound leaves a Machine.
 func (mc *Machine) wrapOuts(rf *runningFlow, outs []Outbound) []Outbound {
-	if rf.sid == "" {
-		return outs
-	}
 	for i := range outs {
-		env := wire.NewBuffer().PutString(rf.sid).PutUint(rf.attempt).Bytes()
-		outs[i].Payload = append(env, outs[i].Payload...)
+		outs[i].Payload = Envelope(rf.sid, rf.attempt, outs[i].Payload)
 		outs[i].SID = rf.sid
 	}
 	return outs
 }
 
+// Envelope prefixes a flow message body with its session envelope: the
+// session id and the attempt counter.
+func Envelope(sid string, attempt uint64, body []byte) []byte {
+	return append(wire.NewBuffer().PutString(sid).PutUint(attempt).Bytes(), body...)
+}
+
+// errNoEnvelope rejects a payload that is not an engine message.
+var errNoEnvelope = errors.New("engine: payload carries no session envelope")
+
+// OpenEnvelope splits an enveloped payload into its session id, attempt
+// counter and body; the body aliases payload. A payload too short for an
+// envelope, or one naming the empty session id, is not an engine message.
+func OpenEnvelope(payload []byte) (sid string, attempt uint64, body []byte, err error) {
+	r := wire.NewReader(payload)
+	sid, attempt = r.String(), r.Uint()
+	if r.Err() != nil || sid == "" {
+		return "", 0, nil, errNoEnvelope
+	}
+	return sid, attempt, payload[len(payload)-r.Remaining():], nil
+}
+
 // EnvelopeSID peeks the session id out of an enveloped payload without
-// consuming it, or "" for legacy-mode and non-engine payloads. Serve
+// consuming it, or "" for a payload that is not an engine message. Serve
 // layers use it to map an inbound packet to the session it can complete.
 func EnvelopeSID(payload []byte) string {
-	r := wire.NewReader(payload)
-	sid := r.String()
-	if r.Err() != nil {
+	sid, _, _, err := OpenEnvelope(payload)
+	if err != nil {
 		return ""
 	}
 	return sid
@@ -577,43 +550,35 @@ func EnvelopeSID(payload []byte) string {
 // Step ingests one delivered message and returns the member's reaction:
 // zero or more outbound messages plus lifecycle events. Unknown session
 // ids are buffered until the flow starts; stale traffic (completed
-// sessions, superseded attempts) is dropped silently.
+// sessions, superseded attempts) and payloads that are not enveloped are
+// dropped silently.
 func (mc *Machine) Step(msg netsim.Message) ([]Outbound, []Event) {
 	if msg.Type == netsim.TypePeerDown {
 		// Control traffic from a failure-aware medium, not a protocol
-		// message: intercept before flow routing (a legacy flow would be
-		// fed bytes it cannot parse) and surface it as a lifecycle event.
+		// message: surface it as a lifecycle event.
 		return nil, []Event{{Kind: EventPeerDown, Peer: msg.From}}
 	}
-	if mc.legacy != nil {
-		rf := mc.legacy
-		outs, evts := mc.dispatch(rf, &msg)
-		return mc.wrapOuts(rf, outs), evts
+	sid, attempt, body, err := OpenEnvelope(msg.Payload)
+	if err != nil {
+		return nil, nil
 	}
-	r := wire.NewReader(msg.Payload)
-	sid := r.String()
-	attempt := r.Uint()
-	if r.Err() != nil || sid == "" {
-		return nil, nil // not an enveloped engine message; drop
-	}
-	inner := msg
-	inner.Payload = msg.Payload[len(msg.Payload)-r.Remaining():]
+	msg.Payload = body
 	rf, ok := mc.flows[sid]
 	if !ok {
 		if last, fin := mc.finished[sid]; fin && attempt <= last {
 			return nil, nil // straggler of a completed session
 		}
-		mc.bufferEarly(sid, inner, attempt)
+		mc.bufferEarly(sid, msg, attempt)
 		return nil, nil
 	}
 	if attempt < rf.attempt {
 		return nil, nil // stale attempt
 	}
 	if attempt > rf.attempt {
-		mc.bufferEarly(sid, inner, attempt)
+		mc.bufferEarly(sid, msg, attempt)
 		return nil, nil
 	}
-	outs, evts := mc.dispatch(rf, &inner)
+	outs, evts := mc.dispatch(rf, &msg)
 	return mc.wrapOuts(rf, outs), evts
 }
 
@@ -621,18 +586,50 @@ func (mc *Machine) Step(msg netsim.Message) ([]Outbound, []Event) {
 // started (or an attempt not reached) yet, bounded by maxEarlyBuffer.
 func (mc *Machine) bufferEarly(sid string, msg netsim.Message, attempt uint64) {
 	if mc.earlyCount >= maxEarlyBuffer {
-		// Evict the oldest buffered message of the largest backlog.
-		var victim string
-		for s, q := range mc.early {
-			if victim == "" || len(q) > len(mc.early[victim]) {
-				victim = s
-			}
-		}
-		if victim != "" && len(mc.early[victim]) > 0 {
-			mc.early[victim] = mc.early[victim][1:]
-			mc.earlyCount--
-		}
+		mc.evictEarly()
 	}
 	mc.early[sid] = append(mc.early[sid], earlyMsg{msg: msg, attempt: attempt})
 	mc.earlyCount++
+	if len(mc.early[sid]) == 2 {
+		mc.earlyMulti++
+	}
+}
+
+// evictEarly discards the oldest buffered message of the largest
+// backlog. While no queue holds more than one message, the first queue
+// found is a largest one, so a spray of one-message sessions costs no
+// scan.
+func (mc *Machine) evictEarly() {
+	var victim string
+	most := 0
+	for s, q := range mc.early {
+		if len(q) > most {
+			victim, most = s, len(q)
+			if mc.earlyMulti == 0 {
+				break
+			}
+		}
+	}
+	if most <= 1 {
+		mc.takeEarly(victim)
+		return
+	}
+	q := mc.early[victim]
+	q[0] = earlyMsg{} // release the evicted payload
+	mc.early[victim] = q[1:]
+	mc.earlyCount--
+	if most == 2 {
+		mc.earlyMulti--
+	}
+}
+
+// takeEarly removes and returns the messages buffered for one session.
+func (mc *Machine) takeEarly(sid string) []earlyMsg {
+	q := mc.early[sid]
+	delete(mc.early, sid)
+	mc.earlyCount -= len(q)
+	if len(q) > 1 {
+		mc.earlyMulti--
+	}
+	return q
 }

@@ -70,6 +70,9 @@ type bus struct {
 	nodes map[string]*node
 	order []string
 	queue []busDelivery
+	// onStep, when set, sees every delivered message with the machine's
+	// reaction to it.
+	onStep func(msg netsim.Message, outs []engine.Outbound)
 }
 
 type busDelivery struct {
@@ -106,6 +109,9 @@ func (b *bus) pump() {
 		b.queue = b.queue[1:]
 		nd := b.nodes[d.to]
 		outs, evts := nd.mc.Step(d.msg)
+		if b.onStep != nil {
+			b.onStep(d.msg, outs)
+		}
 		nd.record(evts)
 		b.send(d.to, outs)
 	}

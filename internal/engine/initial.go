@@ -59,7 +59,7 @@ func (f *initialFlow) begin() (Outbound, error) {
 	f.ring.z[mc.id] = z
 	f.ring.t[mc.id] = t
 	payload := wire.NewBuffer().PutString(mc.id).PutBig(z).PutBig(t).Bytes()
-	return Outbound{Type: MsgRound1, Payload: payload}, nil //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+	return Outbound{Type: MsgRound1, Payload: payload}, nil
 }
 
 func (f *initialFlow) deliver(msg *netsim.Message) error {
@@ -127,7 +127,7 @@ func (f *initialFlow) advance() ([]Outbound, []Event, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			outs = append(outs, Outbound{Type: MsgRound2, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+			outs = append(outs, Outbound{Type: MsgRound2, Payload: payload})
 			f.emittedR2 = true
 		}
 	}

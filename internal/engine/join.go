@@ -227,7 +227,7 @@ func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
 		}
 		mc.m.SignGen(meter.SchemeGQ, 1)
 		payload := wire.NewBuffer().PutString(mc.id).PutBig(f.zJoin).PutBig(sig.S).PutBig(sig.C).Bytes()
-		outs = append(outs, Outbound{Type: MsgJoin1, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgJoin1, Payload: payload})
 		f.started = true
 	}
 	if f.haveLast && f.kDH == nil {
@@ -312,7 +312,7 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		f.rPrime = rPrime
 		f.kStar = kStar
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(wrapped).Bytes()
-		outs = append(outs, Outbound{Type: MsgJoinCtl, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgJoinCtl, Payload: payload})
 		f.sentCtl = true
 	}
 	if f.haveLast && f.kDHDec == nil {
@@ -366,7 +366,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		mc.m.SignGen(meter.SchemeGQ, 1)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(wrappedDH).PutBig(znOwn).
 			PutBig(sig.S).PutBig(sig.C).Bytes()
-		outs = append(outs, Outbound{Type: MsgJoinLast, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgJoinLast, Payload: payload})
 		f.sentLast = true
 	}
 	if f.wrapStar != nil && f.kDH != nil && !f.sentFwd {
@@ -395,7 +395,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		tables := encodeStateTables(g)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(fwd).Bytes()
 		payload = append(payload, tables...)
-		outs = append(outs, Outbound{To: f.joiner, Type: MsgJoinFwd, Payload: payload, StateLen: len(tables)}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{To: f.joiner, Type: MsgJoinFwd, Payload: payload, StateLen: len(tables)})
 		f.sentFwd = true
 		ng := f.commit(f.kStar, f.kDH, g.R)
 		return outs, []Event{{Kind: EventEstablished, Group: ng}}, nil

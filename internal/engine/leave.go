@@ -176,7 +176,7 @@ func (f *leaveFlow) begin() ([]Outbound, error) {
 	f.ring.tau = tau
 	f.ring.t[mc.id] = t
 	payload := wire.NewBuffer().PutString(mc.id).PutBig(zNew).PutBig(t).Bytes()
-	return []Outbound{{Type: MsgLeave1, Payload: payload}}, nil //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+	return []Outbound{{Type: MsgLeave1, Payload: payload}}, nil
 }
 
 func (f *leaveFlow) deliver(msg *netsim.Message) error {
@@ -262,7 +262,7 @@ func (f *leaveFlow) advance() ([]Outbound, []Event, error) {
 			if err != nil {
 				return outs, nil, err
 			}
-			outs = append(outs, Outbound{Type: MsgLeave2, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+			outs = append(outs, Outbound{Type: MsgLeave2, Payload: payload})
 			f.emittedR2 = true
 		}
 	}

@@ -210,7 +210,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		f.adverts[mc.id] = &mergeAdvert{zNew: zNew, zLast: zLast}
 		payload := wire.NewBuffer().PutString(mc.id).PutBig(zNew).PutBig(zLast).
 			PutBig(sig.S).PutBig(sig.C).Bytes()
-		outs = append(outs, Outbound{Type: MsgMerge1, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgMerge1, Payload: payload})
 		f.started = true
 	}
 	if a := f.adverts[f.otherCtl]; a != nil && !f.sentR2 {
@@ -246,7 +246,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		}
 		mc.m.Sym(2, 0)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(wrapGroup).PutBytes(wrapDH).Bytes()
-		outs = append(outs, Outbound{Type: MsgMerge2, Payload: payload}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgMerge2, Payload: payload})
 		f.sentR2 = true
 	}
 	if f.wrapDHPeer != nil && f.kDH != nil && !f.sentR3 {
@@ -275,7 +275,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		tables := encodeStateTables(g)
 		payload := wire.NewBuffer().PutString(mc.id).PutBytes(rewrapped).Bytes()
 		payload = append(payload, tables...)
-		outs = append(outs, Outbound{Type: MsgMerge3, Payload: payload, StateLen: len(tables)}) //gkalint:nosid wrapOuts stamps the flow sid on every enveloped outbound
+		outs = append(outs, Outbound{Type: MsgMerge3, Payload: payload, StateLen: len(tables)})
 		f.sentR3 = true
 	}
 	if f.kStarOwn != nil && f.kStarForeign != nil && f.tablesForeign != nil {

@@ -230,52 +230,6 @@ func step2(t *testing.T, nd *node, msg netsim.Message) []engine.Event {
 	return evts
 }
 
-// TestWireModeExclusion: a legacy (un-enveloped) flow routes ALL inbound
-// traffic raw into itself, so the machine must refuse to mix wire modes
-// while flows are in flight.
-func TestWireModeExclusion(t *testing.T) {
-	ring := []string{"A", "B", "C"}
-	nodes := buildNodes(t, ring)
-	mc := nodes["A"].mc
-
-	// Enveloped flow active: starting a legacy flow must fail.
-	if _, _, err := mc.StartInitial("s", ring); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mc.StartInitial("", ring); err == nil {
-		t.Fatal("legacy flow started while an enveloped flow is active")
-	}
-	mc.Abort("s")
-
-	// Legacy flow active: starting an enveloped flow must fail.
-	if _, _, err := mc.StartInitial("", ring); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := mc.StartInitial("s2", ring); err == nil {
-		t.Fatal("enveloped flow started while a legacy flow is active")
-	}
-	mc.Abort("")
-	if _, _, err := mc.StartInitial("s3", ring); err != nil {
-		t.Fatalf("enveloped flow rejected after legacy abort: %v", err)
-	}
-	mc.Abort("s3")
-
-	// Buffered early enveloped traffic (a session a peer already started)
-	// must also block a legacy start: its follow-up messages would be fed
-	// raw into the legacy flow.
-	env := wire.NewBuffer().PutString("s4").PutUint(0).PutString("B").Bytes()
-	if outs, _ := mc.Step(netsim.Message{From: "B", Type: engine.MsgRound1, Payload: env}); len(outs) != 0 {
-		t.Fatal("idle machine reacted to early traffic")
-	}
-	if _, _, err := mc.StartInitial("", ring); err == nil {
-		t.Fatal("legacy flow started over buffered enveloped traffic")
-	}
-	mc.Abort("s4")
-	if _, _, err := mc.StartInitial("", ring); err != nil {
-		t.Fatalf("legacy flow rejected after buffer drained: %v", err)
-	}
-}
-
 // TestJoinMergeFailuresAreRetryable: parse and verification failures in
 // the Join and Merge flows must carry the engine's retryable marker, the
 // trigger of the paper's "all members retransmit again" loop, exactly as

@@ -24,7 +24,6 @@ import (
 	"idgka/internal/lint/lockorder"
 	"idgka/internal/lint/montdomain"
 	"idgka/internal/lint/secretflow"
-	"idgka/internal/lint/sidroute"
 )
 
 // Suite is every gkalint analyzer, in reporting order.
@@ -38,7 +37,6 @@ var Suite = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	montdomain.Analyzer,
 	secretflow.Analyzer,
-	sidroute.Analyzer,
 }
 
 // Check loads the packages matching the go-list patterns rooted at dir

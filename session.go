@@ -121,8 +121,7 @@ func (r *ingestResult) fire() {
 // ingestLocked folds machine reactions into member/session state; the
 // caller holds mb.mu. Outbound packets are routed to the handle owning
 // their session id — the stepping handle is only the fallback for flows
-// run outside the Session API (legacy wire mode has no envelope). With a
-// nil stepping handle (member-level HandlePacket), ALL outbounds are
+// run outside the Session API. With a nil stepping handle (member-level HandlePacket), ALL outbounds are
 // returned in the result for the caller to transmit. Lifecycle events are
 // always routed to the handle owning their session id.
 func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts []engine.Event) ingestResult {
@@ -136,7 +135,7 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 			continue
 		}
 		target := stepping
-		if o.SID != "" && o.SID != target.sid {
+		if o.SID != target.sid {
 			if owner := mb.sessions[o.SID]; owner != nil {
 				// The reaction belongs to a different live session: append
 				// it to the OWNING handle's outbox. Leaving it on the
