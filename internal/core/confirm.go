@@ -5,9 +5,6 @@ import (
 	"idgka/internal/netsim"
 )
 
-// MsgConfirm labels key-confirmation broadcasts.
-const MsgConfirm = engine.MsgConfirm
-
 // ConfirmKey runs an optional explicit key-confirmation round — an
 // extension beyond the paper (whose protocols provide only implicit key
 // authentication): every member broadcasts H(key ‖ id ‖ roster) and checks

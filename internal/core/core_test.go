@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
@@ -111,7 +112,7 @@ func TestInitialRecoversFromCorruptedRound2(t *testing.T) {
 	net, members := buildGroup(t, 4, func(c *Config) { c.MaxRetries = 3 })
 	// Corrupt the first round-2 broadcast: batch verification (or Lemma 1)
 	// must fail and the paper's retransmission path must recover.
-	net.SetFaults(netsim.FaultPlan{CorruptFirst: MsgRound2})
+	net.SetFaults(netsim.FaultPlan{CorruptFirst: engine.MsgRound2})
 	if err := RunInitial(net, members); err != nil {
 		t.Fatalf("RunInitial with fault: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestInitialFailsAfterPersistentCorruption(t *testing.T) {
 	// a single FaultPlan disarms, so use drop of round1 permanently via
 	// repeated SetFaults through a wrapper is not available — instead use
 	// two sequential faults and only 1 retry.
-	net.SetFaults(netsim.FaultPlan{CorruptFirst: MsgRound1})
+	net.SetFaults(netsim.FaultPlan{CorruptFirst: engine.MsgRound1})
 	err := RunInitial(net, members)
 	// First attempt fails; the retry succeeds (fault disarmed), so this
 	// must succeed — which demonstrates the retry path works with round-1
@@ -614,7 +615,7 @@ func TestFailedFlowDoesNotPoisonNextRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop the controller's join broadcast: the join stalls and fails.
-	net.SetFaults(netsim.FaultPlan{DropFirst: MsgJoinCtl})
+	net.SetFaults(netsim.FaultPlan{DropFirst: engine.MsgJoinCtl})
 	err := RunJoin(net, members, joiner)
 	if err == nil {
 		t.Fatal("join with dropped control message succeeded")

@@ -30,21 +30,6 @@ import (
 	"idgka/internal/sigs/gq"
 )
 
-// Message type labels on the simulated medium (owned by internal/engine).
-const (
-	MsgRound1   = engine.MsgRound1   // m_i  = U_i ‖ z_i ‖ t_i
-	MsgRound2   = engine.MsgRound2   // m'_i = U_i ‖ X_i ‖ s_i
-	MsgJoin1    = engine.MsgJoin1    // m_{n+1} = U_{n+1} ‖ z_{n+1} ‖ σ_{n+1}
-	MsgJoinCtl  = engine.MsgJoinCtl  // m'_1  = U_1 ‖ E_K(K*‖U_1)
-	MsgJoinLast = engine.MsgJoinLast // m''_n = U_n ‖ E_K(K_DH‖U_n) ‖ z_n ‖ σ'_n
-	MsgJoinFwd  = engine.MsgJoinFwd  // m'''_n = U_n → U_{n+1}: E_{K_DH}(K*‖U_n)
-	MsgLeave1   = engine.MsgLeave1   // m_j  = U_j ‖ z'_j ‖ t'_j
-	MsgLeave2   = engine.MsgLeave2   // m'_i = U_i ‖ X'_i ‖ s̄_i
-	MsgMerge1   = engine.MsgMerge1   // controller advertisement
-	MsgMerge2   = engine.MsgMerge2   // cross+intra wrapped keys
-	MsgMerge3   = engine.MsgMerge3   // re-wrapped foreign keys
-)
-
 // Config carries the knobs shared by all members of a deployment; see the
 // field docs in internal/engine.
 type Config = engine.Config

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"idgka/internal/bdkey"
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
@@ -151,7 +152,7 @@ func TestLeaveRecoversFromCorruption(t *testing.T) {
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
-	net.SetFaults(netsim.FaultPlan{CorruptFirst: MsgLeave2})
+	net.SetFaults(netsim.FaultPlan{CorruptFirst: engine.MsgLeave2})
 	if err := RunLeave(net, members, members[2].ID()); err != nil {
 		t.Fatalf("leave with corruption: %v", err)
 	}

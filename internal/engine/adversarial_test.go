@@ -1,10 +1,14 @@
 package engine_test
 
 import (
+	"math/big"
+	"strings"
 	"testing"
 
 	"idgka/internal/engine"
 	"idgka/internal/netsim"
+	"idgka/internal/params"
+	"idgka/internal/wire"
 )
 
 // msgOf converts an engine outbound into a delivered message.
@@ -282,4 +286,109 @@ func TestAbortRestartFreshAttempt(t *testing.T) {
 	}
 	b.pump()
 	assertSession(t, nodes, ring, sid)
+}
+
+// TestHostileRound1Retryable delivers one crafted round-1 frame ahead of
+// the honest one, on both ring constructors: a z or t out of range, or a
+// z from a member that does not refresh. The victim must end the attempt
+// in one retryable failure naming the bad value, and emit no round-2
+// message for it.
+//
+// The partition rows re-key A, B, C out of the committed ring A, B, C, D:
+// A and C refresh (odd positions), B is silent unless strict-nonce mode
+// makes it a sender. The initial rows establish A, B, C.
+func TestHostileRound1Retryable(t *testing.T) {
+	set := params.Default()
+	p, n, two := set.Schnorr.P, set.RSA.N, big.NewInt(2)
+	cases := []struct {
+		name          string
+		partition     bool
+		strict        bool
+		from, victim  string
+		z, commitment *big.Int
+	}{
+		{"leave z=p from predecessor", true, false, "A", "B", p, two},
+		{"leave z=0 from refresher", true, false, "A", "B", nil, two},
+		{"leave t=0", true, false, "C", "B", two, nil},
+		{"leave t=N", true, false, "C", "B", two, n},
+		{"leave z from strict non-refresher", true, true, "B", "C", two, two},
+		{"initial z=p", false, false, "A", "B", p, two},
+		{"initial z=0", false, false, "A", "B", nil, two},
+		{"initial t=0", false, false, "C", "B", two, nil},
+		{"initial t=N", false, false, "C", "B", two, n},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ring := []string{"A", "B", "C"}
+			if tc.partition {
+				ring = append(ring, "D")
+			}
+			nodes := nodesWith(t, ring, engine.Config{Set: set.Public(), StrictNonceRefresh: tc.strict})
+			roster, r1, r2 := ring, engine.MsgRound1, engine.MsgRound2
+			start := func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
+				return mc.StartInitial("h", roster)
+			}
+			if tc.partition {
+				b := newBus(t, nodes, ring)
+				for _, id := range ring {
+					b.start(id, func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
+						return mc.StartInitial("base", ring)
+					})
+				}
+				b.pump()
+				assertSession(t, nodes, ring, "base")
+				survivors, refresh, err := engine.PlanLeave(nodes["A"].mc.Session("base"), []string{"D"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				roster, r1, r2 = survivors, engine.MsgLeave1, engine.MsgLeave2
+				start = func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
+					return mc.StartPartition("h", "base", survivors, refresh)
+				}
+			}
+
+			// Start every member; the victim sees the crafted frame
+			// first, then every honest round-1 broadcast.
+			body := wire.NewBuffer().PutString(tc.from).PutBig(tc.z).PutBig(tc.commitment).Bytes()
+			inbox := []netsim.Message{{From: tc.from, Type: r1, Payload: engine.Envelope("h", 0, body)}}
+			var outs []engine.Outbound
+			var evts []engine.Event
+			for _, id := range roster {
+				o, e, err := start(nodes[id].mc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id == tc.victim {
+					outs, evts = o, e
+					continue
+				}
+				for _, x := range o {
+					inbox = append(inbox, msgOf(id, x))
+				}
+			}
+			for _, msg := range inbox {
+				o, e := nodes[tc.victim].mc.Step(msg)
+				outs, evts = append(outs, o...), append(evts, e...)
+			}
+
+			var fails []engine.Event
+			for _, ev := range evts {
+				if ev.Kind == engine.EventFailed {
+					fails = append(fails, ev)
+				}
+			}
+			if len(fails) != 1 {
+				t.Fatalf("victim reported %d failures, want 1: %v", len(fails), fails)
+			}
+			if err := fails[0].Err; !fails[0].Retryable ||
+				!strings.Contains(err.Error(), "out of range") && !strings.Contains(err.Error(), "unexpected") {
+				t.Fatalf("failure %v (retryable %v), want a retryable out-of-range or unexpected cause", err, fails[0].Retryable)
+			}
+			for _, o := range outs {
+				if o.Type == r2 {
+					t.Fatalf("victim emitted %s after a hostile round 1", r2)
+				}
+			}
+		})
+	}
 }

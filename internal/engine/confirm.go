@@ -20,7 +20,6 @@ type confirmFlow struct {
 
 	started bool
 	got     map[string]bool
-	seen    map[string]bool
 }
 
 // StartConfirm begins key confirmation over the committed session named
@@ -31,7 +30,7 @@ func (mc *Machine) StartConfirm(sid, base string) ([]Outbound, []Event, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f := &confirmFlow{mc: mc, g: g, got: map[string]bool{}, seen: map[string]bool{}}
+	f := &confirmFlow{mc: mc, g: g, got: map[string]bool{}}
 	return mc.start(sid, f)
 }
 
@@ -48,11 +47,6 @@ func (f *confirmFlow) deliver(msg *netsim.Message) error {
 	if msg.Type != MsgConfirm {
 		return nil
 	}
-	key := msg.Type + "|" + msg.From
-	if f.seen[key] {
-		return nil // duplicate broadcast
-	}
-	f.seen[key] = true
 	r := wire.NewReader(msg.Payload)
 	peer := r.String()
 	got := r.Bytes()

@@ -11,7 +11,15 @@
 // condition-triggered transitions, so messages may arrive in any order —
 // early round-2 traffic, duplicated broadcasts and interleaved concurrent
 // sessions are all tolerated. Messages for sessions that have not been
-// started yet are buffered and replayed when the flow starts.
+// started yet are buffered and replayed when the flow starts, and the
+// machine passes a flow only the first delivery of each (type, sender)
+// pair, so no flow tracks duplicates itself.
+//
+// The initial GKA and Leave/Partition are one ring flow: Leave/Partition
+// is the initial GKA run over the contracted ring, seeded from the base
+// group, with only the refreshing members drawing fresh exponents.
+// StartInitial runs it with every member refreshing under
+// MsgRound1/MsgRound2; StartPartition runs it under MsgLeave1/MsgLeave2.
 //
 // Every payload a machine emits or routes to a flow is enveloped: prefixed
 // with the session id and an attempt counter (Envelope, OpenEnvelope), so
@@ -69,6 +77,19 @@ const (
 	MsgMerge3   = "merge/round3" // re-wrapped foreign keys
 	MsgConfirm  = "gka/confirm"  // key-confirmation digest
 )
+
+// protocolMsg reports whether typ labels an engine protocol message. No
+// flow reads any other type, so the machine drops such traffic before its
+// duplicate filter would record it. TestProtocolMsgCoversEveryType keeps
+// the list in step with the Msg* constants above.
+func protocolMsg(typ string) bool {
+	switch typ {
+	case MsgRound1, MsgRound2, MsgJoin1, MsgJoinCtl, MsgJoinLast, MsgJoinFwd,
+		MsgLeave1, MsgLeave2, MsgMerge1, MsgMerge2, MsgMerge3, MsgConfirm:
+		return true
+	}
+	return false
+}
 
 // maxEarlyBuffer bounds the number of messages buffered for sessions that
 // have not been started yet; beyond it the oldest are discarded. It must
@@ -219,7 +240,14 @@ type runningFlow struct {
 	f       flow
 	done    bool
 	failed  bool
+	// seen records the (type, sender) pairs delivered to this attempt.
+	// Every protocol message is sent once per sender, so a repeat is a
+	// duplicate broadcast and the first delivery wins.
+	seen map[deliveryKey]bool
 }
+
+// deliveryKey keys the duplicate filter of a running flow.
+type deliveryKey struct{ typ, from string }
 
 // Machine is the per-member protocol engine. It is not safe for concurrent
 // use on its own: callers serialize access per machine — the public
@@ -376,7 +404,7 @@ func (mc *Machine) start(sid string, f flow) ([]Outbound, []Event, error) {
 	if sid == "" {
 		return nil, nil, errors.New("engine: empty session id")
 	}
-	rf := &runningFlow{sid: sid, f: f}
+	rf := &runningFlow{sid: sid, f: f, seen: map[deliveryKey]bool{}}
 	if old := mc.flows[sid]; old != nil {
 		rf.attempt = old.attempt + 1
 	} else if last, ok := mc.finished[sid]; ok {
@@ -402,12 +430,18 @@ func (mc *Machine) start(sid string, f flow) ([]Outbound, []Event, error) {
 }
 
 // dispatch feeds one message (nil = pure advance) into a flow and
-// post-processes completions and failures.
+// post-processes completions and failures. Stray message types and
+// duplicate deliveries never reach the flow.
 func (mc *Machine) dispatch(rf *runningFlow, msg *netsim.Message) ([]Outbound, []Event) {
 	if rf.done || rf.failed {
 		return nil, nil
 	}
 	if msg != nil {
+		k := deliveryKey{msg.Type, msg.From}
+		if !protocolMsg(msg.Type) || rf.seen[k] {
+			return nil, nil
+		}
+		rf.seen[k] = true
 		if err := rf.f.deliver(msg); err != nil {
 			return nil, mc.failFlow(rf, err)
 		}

@@ -46,8 +46,13 @@ func (n *node) failures() []engine.Event {
 // buildNodes extracts identity keys and creates one machine per id.
 func buildNodes(t testing.TB, ids []string) map[string]*node {
 	t.Helper()
+	return nodesWith(t, ids, engine.Config{Set: params.Default().Public()})
+}
+
+// nodesWith creates one machine per id under cfg.
+func nodesWith(t testing.TB, ids []string, cfg engine.Config) map[string]*node {
+	t.Helper()
 	set := params.Default()
-	cfg := engine.Config{Set: set.Public()}
 	nodes := map[string]*node{}
 	for _, id := range ids {
 		sk, err := gq.Extract(set.RSA, id)

@@ -55,7 +55,6 @@ type joinFlow struct {
 
 	started, verifiedM1, sentCtl, sentLast, sentFwd bool
 	haveM1, haveLast, haveFwd                       bool
-	seen                                            map[string]bool
 }
 
 // StartJoin begins the three-round Join protocol admitting joiner into the
@@ -76,7 +75,6 @@ func (mc *Machine) StartJoin(sid, base string, oldRoster []string, joiner string
 		joiner:    joiner,
 		u1:        oldRoster[0],
 		un:        oldRoster[len(oldRoster)-1],
-		seen:      map[string]bool{},
 	}
 	switch mc.id {
 	case joiner:
@@ -113,16 +111,11 @@ func (mc *Machine) StartJoin(sid, base string, oldRoster []string, joiner string
 }
 
 func (f *joinFlow) deliver(msg *netsim.Message) error {
-	key := msg.Type + "|" + msg.From
-	if f.seen[key] {
-		return nil // duplicate broadcast
-	}
 	switch msg.Type {
 	case MsgJoin1:
 		if msg.From != f.joiner {
 			return nil // not the advertised joiner; ignore
 		}
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		id := r.String()
 		z := r.Big()
@@ -140,7 +133,6 @@ func (f *joinFlow) deliver(msg *netsim.Message) error {
 		if msg.From != f.u1 {
 			return nil
 		}
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		_ = r.String()
 		f.wrapStar = r.Bytes()
@@ -151,7 +143,6 @@ func (f *joinFlow) deliver(msg *netsim.Message) error {
 		if msg.From != f.un {
 			return nil
 		}
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		_ = r.String()
 		f.wrapDH = r.Bytes()
@@ -165,7 +156,6 @@ func (f *joinFlow) deliver(msg *netsim.Message) error {
 		if msg.From != f.un || f.role != jrJoiner {
 			return nil
 		}
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		_ = r.String()
 		f.fwdWrapped = append([]byte(nil), r.Bytes()...)

@@ -52,7 +52,6 @@ type mergeFlow struct {
 	tablesForeign []byte // round 3 state tables from the other controller
 
 	started, sentR2, sentR3 bool
-	seen                    map[string]bool
 }
 
 // StartMerge begins the three-round Merge fusing the groups with rings
@@ -79,7 +78,6 @@ func (mc *Machine) StartMerge(sid, base string, rosterA, rosterB []string) ([]Ou
 		ctlA:      rosterA[0],
 		ctlB:      rosterB[0],
 		adverts:   map[string]*mergeAdvert{},
-		seen:      map[string]bool{},
 	}
 	inA := false
 	for _, id := range rosterA {
@@ -113,16 +111,11 @@ func (mc *Machine) StartMerge(sid, base string, rosterA, rosterB []string) ([]Ou
 }
 
 func (f *mergeFlow) deliver(msg *netsim.Message) error {
-	key := msg.Type + "|" + msg.From
-	if f.seen[key] {
-		return nil // duplicate broadcast
-	}
 	switch msg.Type {
 	case MsgMerge1:
 		if msg.From != f.ctlA && msg.From != f.ctlB {
 			return nil // only controllers advertise
 		}
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		id := r.String()
 		a := &mergeAdvert{zNew: r.Big(), zLast: r.Big()}
@@ -135,7 +128,6 @@ func (f *mergeFlow) deliver(msg *netsim.Message) error {
 		}
 		f.adverts[id] = a
 	case MsgMerge2:
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		id := r.String()
 		wrapGroup := r.Bytes()
@@ -153,7 +145,6 @@ func (f *mergeFlow) deliver(msg *netsim.Message) error {
 			f.wrapGroupOwn = append([]byte(nil), wrapGroup...)
 		}
 	case MsgMerge3:
-		f.seen[key] = true
 		r := wire.NewReader(msg.Payload)
 		id := r.String()
 		w := r.Bytes()
