@@ -52,8 +52,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"strings"
-	"sync"
 
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
@@ -259,14 +257,6 @@ type Machine struct {
 	sk  *gq.PrivateKey
 	m   *meter.Meter
 
-	// gvCache holds the roster verifiers (cached identity products and
-	// their inverses) of the gvCacheSize most recently keyed rosters,
-	// least recent first; rosters recur across rounds and sessions, so
-	// the hashing and inversion are one-off. It has its own lock because
-	// finish phases of concurrent flows touch it.
-	gvMu    sync.Mutex
-	gvCache []rosterVerifier
-
 	// group is the most recently committed group view (nil before the
 	// first establishment). Lockstep drivers and single-group applications
 	// read it directly; multi-session applications use Session(sid).
@@ -319,43 +309,6 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 		finished: map[string]uint64{},
 		early:    map[string][]earlyMsg{},
 	}, nil
-}
-
-// gvCacheSize bounds a machine's roster-verifier cache, so a long-lived
-// member under churning membership holds a fixed amount of verifier
-// state.
-const gvCacheSize = 8
-
-// rosterVerifier is one gvCache entry, keyed by the joined roster.
-type rosterVerifier struct {
-	key string
-	gv  *gq.GroupVerifier
-}
-
-// groupVerifier returns the cached verifier for a roster, the finish
-// phase's eq. 2 check, constructing it (identity digests, their product,
-// its inverse) on first use and evicting the least recently used roster
-// beyond gvCacheSize.
-func (mc *Machine) groupVerifier(roster []string) (*gq.GroupVerifier, error) {
-	key := strings.Join(roster, "\x00")
-	mc.gvMu.Lock()
-	defer mc.gvMu.Unlock()
-	for i, e := range mc.gvCache {
-		if e.key == key {
-			copy(mc.gvCache[i:], mc.gvCache[i+1:])
-			mc.gvCache[len(mc.gvCache)-1] = e
-			return e.gv, nil
-		}
-	}
-	gv, err := gq.NewGroupVerifier(gq.ParamsFrom(mc.cfg.Set.RSA), roster)
-	if err != nil {
-		return nil, err
-	}
-	if len(mc.gvCache) == gvCacheSize {
-		mc.gvCache = append(mc.gvCache[:0], mc.gvCache[1:]...)
-	}
-	mc.gvCache = append(mc.gvCache, rosterVerifier{key, gv})
-	return gv, nil
 }
 
 // ID returns the member's identity.

@@ -350,9 +350,10 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	}
 
 	// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), through the
-	// roster's cached verifier, so no identity is re-hashed and the
-	// identity product is not re-inverted per round.
-	gv, err := mc.groupVerifier(rs.roster)
+	// roster's process-shared verifier, so no identity is re-hashed, the
+	// identity product is not re-inverted per round, and a recurring
+	// roster walks a fixed-base table of the inverse.
+	gv, err := gq.SharedVerifier(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster)
 	if err == nil {
 		err = gv.BatchVerify(responses, rs.c, rs.bigZ)
 	}

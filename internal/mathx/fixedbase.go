@@ -3,40 +3,55 @@ package mathx
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
-// This file holds windowed fixed-base precomputation (the BGMW radix-2^w
-// method). A table walk is mathematically transparent: it returns values
-// bit-identical to the naive exponentiation, so operation meters and
-// protocol transcripts do not depend on it.
+// This file holds fixed-base precomputation in the Lim–Lee comb layout
+// (CRYPTO '94). A table walk is mathematically transparent: it returns
+// values bit-identical to the naive exponentiation, so operation meters
+// and protocol transcripts do not depend on it.
 
-// DefaultWindow is the radix width used by Precompute helpers: 2^6 digits
-// balance table size (~ceil(bits/6)·63 entries) against the number of
-// modular multiplications per exponentiation (ceil(bits/6) - 1).
-const DefaultWindow = 6
+// combTeeth and combBlocks are the comb geometry every production table
+// uses: h = 8 teeth and v = 2 blocks. A 160-bit exponent then walks in 9
+// squarings and at most 20 products, about as fast as a radix-2^6 BGMW
+// table's ~27 products, from 2·2^8 entries (64 KiB at 1024 bits) instead
+// of 27·2^6 (216 KiB). BenchmarkCombGeometry measures the neighbours.
+const (
+	combTeeth  = 8
+	combBlocks = 2
+)
 
 // FixedBaseTable holds the precomputed powers of one long-lived base —
-// a group generator or an identity key — enabling exponentiation in
-// ~ceil(maxBits/window) modular multiplications with NO squarings:
+// a group generator, an identity key or a roster's inverse identity
+// product. An exponent of up to maxBits bits is cut into h·v strips of
+// b = ceil(maxBits/(h·v)) bits; strip t starts at bit t·b, and the
+// strips i·v+j for i < h make up tooth set j. Entry u of block j is
 //
-//	rows[i][j] = base^(j << (window·i)) mod m
+//	Π_{i : bit i of u} base^(2^((i·v+j)·b))
 //
-// so base^e = Π_i rows[i][digit_i(e)] where digit_i is the i-th radix-2^w
-// digit of e. The rows live in the Montgomery domain of the (odd) modulus,
-// so a walk is a chain of Montgomery products with a single conversion
-// out. A table is immutable after construction and safe for concurrent
-// use.
+// so base^e = Π_{k<b} (Π_j block[j][u_jk])^(2^k), where bit i of u_jk
+// is bit (i·v+j)·b+k of e: b-1 squarings and at most v·b products. The
+// entries live in the Montgomery domain of the (odd) modulus in one flat
+// array, so a walk is a chain of Montgomery products with a single
+// conversion out. A table is immutable after construction and safe for
+// concurrent use.
 type FixedBaseTable struct {
 	base    *big.Int // base mod m, for the big.Int fallback
 	mo      *Modulus
-	window  uint
 	maxBits int
-	rows    [][]Elem
+	h, v, b int
+	flat    []big.Word // entry u of block j at ((j<<h)+u)·k
 }
 
 // NewFixedBaseTable precomputes the powers of base modulo an odd mod for
-// exponents up to maxBits bits using radix-2^window digits.
-func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBaseTable, error) {
+// exponents up to maxBits bits.
+func NewFixedBaseTable(base, mod *big.Int, maxBits int) (*FixedBaseTable, error) {
+	return newCombTable(base, mod, maxBits, combTeeth, combBlocks)
+}
+
+// newCombTable builds a table of h teeth and v blocks; tests sweep the
+// geometry through it.
+func newCombTable(base, mod *big.Int, maxBits, h, v int) (*FixedBaseTable, error) {
 	if mod == nil || mod.Cmp(One) <= 0 {
 		return nil, errors.New("mathx: fixed-base modulus must be > 1")
 	}
@@ -46,36 +61,40 @@ func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBase
 	if maxBits < 1 {
 		return nil, errors.New("mathx: fixed-base maxBits must be >= 1")
 	}
-	if window < 1 || window > 12 {
-		return nil, errors.New("mathx: fixed-base window must be in [1, 12]")
-	}
 	mo, err := NewModulus(mod)
 	if err != nil {
 		return nil, err
 	}
+	strips := h * v
 	t := &FixedBaseTable{
 		base:    new(big.Int).Mod(base, mod),
 		mo:      mo,
-		window:  window,
 		maxBits: maxBits,
+		h:       h,
+		v:       v,
+		b:       (maxBits + strips - 1) / strips,
+		flat:    make([]big.Word, v<<h*mo.k),
 	}
-	nrows := (maxBits + int(window) - 1) / int(window)
-	width := 1 << window
-	flat := make([]big.Word, nrows*width*mo.k) // one backing array for every entry
-	cur := mo.ToMont(t.base)                   // base^(2^(window·i)) for the current row
-	t.rows = make([][]Elem, nrows)
-	for i := range t.rows {
-		row := make([]Elem, width)
-		for j := range row {
-			row[j], flat = flat[:mo.k:mo.k], flat[mo.k:]
+	k := mo.k
+	cur := mo.ToMont(t.base) // base^(2^(s·b)) for the current strip s
+	for i := 0; i < h; i++ {
+		for j := 0; j < v; j++ {
+			blk := t.flat[(j<<h)*k : ((j+1)<<h)*k]
+			if i == 0 {
+				copy(blk[:k], mo.one)
+			}
+			// Entries with top bit i: the strip power times every entry
+			// below 2^i.
+			copy(blk[(1<<i)*k:], cur)
+			for u := 1; u < 1<<i; u++ {
+				mo.MulInto(blk[((1<<i)+u)*k:][:k], blk[u*k:][:k], cur)
+			}
+			if i < h-1 || j < v-1 {
+				for s := 0; s < t.b; s++ {
+					mo.SqrInto(cur, cur)
+				}
+			}
 		}
-		copy(row[0], mo.one)
-		copy(row[1], cur)
-		for j := 2; j < width; j++ {
-			mo.MulInto(row[j], row[j-1], cur)
-		}
-		mo.MulInto(cur, row[width-1], cur)
-		t.rows[i] = row
 	}
 	return t, nil
 }
@@ -83,29 +102,17 @@ func NewFixedBaseTable(base, mod *big.Int, maxBits int, window uint) (*FixedBase
 // MaxBits returns the largest exponent bit length the table covers.
 func (t *FixedBaseTable) MaxBits() int { return t.maxBits }
 
-// Window returns the radix width in bits.
-func (t *FixedBaseTable) Window() int { return int(t.window) }
-
 // Covers reports whether the table path applies to exponent e
 // (non-negative and within the precomputed bit range).
 func (t *FixedBaseTable) Covers(e *big.Int) bool {
 	return e != nil && e.Sign() >= 0 && e.BitLen() <= t.maxBits
 }
 
-// windowDigit extracts the i-th radix-2^w digit of e.
-func windowDigit(e *big.Int, i, w int) uint {
-	var d uint
-	for b := 0; b < w; b++ {
-		d |= e.Bit(i*w+b) << b
-	}
-	return d
-}
-
-// Exp returns base^e mod m. Covered exponents use the table (one modular
-// multiplication per non-zero digit); anything else — negative or
-// oversized — falls back to (*big.Int).Exp with its exact semantics,
-// including the nil result for a negative exponent of a non-invertible
-// base. Results are bit-identical to the naive computation.
+// Exp returns base^e mod m. Covered exponents walk the table; anything
+// else — negative or oversized — falls back to (*big.Int).Exp with its
+// exact semantics, including the nil result for a negative exponent of a
+// non-invertible base. Results are bit-identical to the naive
+// computation.
 func (t *FixedBaseTable) Exp(e *big.Int) *big.Int { return t.ExpMul(e, One) }
 
 // ExpMul returns base^e · y mod m, bit-identical to Exp(e)·y mod m. The
@@ -121,15 +128,36 @@ func (t *FixedBaseTable) ExpMul(e, y *big.Int) *big.Int {
 		return z.Mod(z.Mul(z, y), t.mo.m)
 	}
 	var abuf, ybuf [maxModulusWords]big.Word
-	acc := abuf[:t.mo.k]
-	copy(acc, t.mo.one)
-	w := int(t.window)
-	bits := e.BitLen()
-	for i := 0; i*w < bits; i++ {
-		if d := windowDigit(e, i, w); d != 0 {
-			t.mo.MulInto(acc, acc, t.rows[i][d])
+	mo, k := t.mo, t.mo.k
+	acc := abuf[:k]
+	copy(acc, mo.one)
+	ws := e.Bits()
+	started := false
+	for c := t.b - 1; c >= 0; c-- {
+		if started {
+			mo.SqrInto(acc, acc)
+		}
+		for j := t.v - 1; j >= 0; j-- {
+			var u int
+			for i, pos := 0, j*t.b+c; i < t.h; i, pos = i+1, pos+t.v*t.b {
+				u |= int(wordBit(ws, pos)) << i
+			}
+			if u != 0 {
+				mo.MulInto(acc, acc, t.flat[((j<<t.h)+u)*k:][:k])
+				started = true
+			}
 		}
 	}
-	t.mo.montMul(acc, acc, t.mo.limbs(&ybuf, y))
+	mo.montMul(acc, acc, mo.limbs(&ybuf, y))
 	return bigFromElem(acc)
+}
+
+// wordBit returns bit pos of the little-endian word vector ws (zero past
+// its end).
+func wordBit(ws []big.Word, pos int) big.Word {
+	w := pos / bits.UintSize
+	if w >= len(ws) {
+		return 0
+	}
+	return ws[w] >> (pos % bits.UintSize) & 1
 }

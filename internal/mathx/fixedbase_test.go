@@ -2,7 +2,9 @@ package mathx
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
+	"math/bits"
 	"testing"
 )
 
@@ -24,13 +26,18 @@ func testModulus(t *testing.T, bits int) (*big.Int, *big.Int) {
 	return p, b
 }
 
+// combGeometries are the (teeth, blocks) shapes the table tests sweep:
+// the degenerate one-strip-per-bit comb, shapes whose strip count does
+// not divide the common exponent sizes, and the production geometry.
+var combGeometries = [][2]int{{1, 1}, {2, 3}, {5, 2}, {7, 3}, {combTeeth, combBlocks}}
+
 func TestFixedBaseTableMatchesModExp(t *testing.T) {
 	p, base := testModulus(t, 512)
 	maxBits := 160
-	for _, window := range []uint{1, 2, 5, DefaultWindow, 8} {
-		tab, err := NewFixedBaseTable(base, p, maxBits, window)
+	for _, g := range combGeometries {
+		tab, err := newCombTable(base, p, maxBits, g[0], g[1])
 		if err != nil {
-			t.Fatalf("w=%d: %v", window, err)
+			t.Fatalf("h=%d v=%d: %v", g[0], g[1], err)
 		}
 		bound := new(big.Int).Lsh(One, uint(maxBits))
 		for i := 0; i < 40; i++ {
@@ -40,7 +47,7 @@ func TestFixedBaseTableMatchesModExp(t *testing.T) {
 			}
 			want := new(big.Int).Exp(base, e, p)
 			if got := tab.Exp(e); got.Cmp(want) != 0 {
-				t.Fatalf("w=%d: table exp mismatch for e=%v", window, e)
+				t.Fatalf("h=%d v=%d: table exp mismatch for e=%v", g[0], g[1], e)
 			}
 		}
 	}
@@ -52,7 +59,7 @@ func TestFixedBaseTableEdgeExponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := NewFixedBaseTable(base, p, q.BitLen(), DefaultWindow)
+	tab, err := NewFixedBaseTable(base, p, q.BitLen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,20 +88,14 @@ func TestFixedBaseTableEdgeExponents(t *testing.T) {
 
 func TestFixedBaseTableRejectsBadShapes(t *testing.T) {
 	p, base := testModulus(t, 128)
-	if _, err := NewFixedBaseTable(base, big.NewInt(1), 16, 4); err == nil {
+	if _, err := NewFixedBaseTable(base, big.NewInt(1), 16); err == nil {
 		t.Fatal("modulus 1 accepted")
 	}
-	if _, err := NewFixedBaseTable(nil, p, 16, 4); err == nil {
+	if _, err := NewFixedBaseTable(nil, p, 16); err == nil {
 		t.Fatal("nil base accepted")
 	}
-	if _, err := NewFixedBaseTable(base, p, 0, 4); err == nil {
+	if _, err := NewFixedBaseTable(base, p, 0); err == nil {
 		t.Fatal("zero maxBits accepted")
-	}
-	if _, err := NewFixedBaseTable(base, p, 16, 0); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	if _, err := NewFixedBaseTable(base, p, 16, 13); err == nil {
-		t.Fatal("oversized window accepted")
 	}
 }
 
@@ -165,5 +166,32 @@ func BenchmarkSchnorrExpFixedBase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Exp(exps[i%len(exps)])
+	}
+}
+
+// BenchmarkCombGeometry times a 160-bit walk and a table build at the
+// protocols' 1024-bit modulus for the production comb and its
+// neighbours, the measurement behind combTeeth and combBlocks.
+func BenchmarkCombGeometry(b *testing.B) {
+	sg, exps := benchGroup(b)
+	for _, g := range [][2]int{{6, 2}, {7, 2}, {8, 1}, {combTeeth, combBlocks}, {8, 3}, {9, 2}} {
+		name := fmt.Sprintf("h=%d,v=%d", g[0], g[1])
+		tab, err := newCombTable(sg.G, sg.P, 160, g[0], g[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/walk", func(b *testing.B) {
+			b.ReportMetric(float64(len(tab.flat)*bits.UintSize/8)/1024, "KiB")
+			for i := 0; i < b.N; i++ {
+				tab.Exp(exps[i%len(exps)])
+			}
+		})
+		b.Run(name+"/build", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := newCombTable(sg.G, sg.P, 160, g[0], g[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -16,9 +16,9 @@ type SchnorrGroup struct {
 	Q *big.Int // subgroup order (paper: 160-bit)
 	G *big.Int // generator of the order-q subgroup
 
-	// fixedBase caches the windowed precomputation table for G, attached
-	// by Precompute. Groups are shared by pointer across every member of
-	// a deployment, so the table is published atomically; a nil table
+	// fixedBase caches the fixed-base comb table for G, attached by
+	// Precompute. Groups are shared by pointer across every member of a
+	// deployment, so the table is published atomically; a nil table
 	// selects the naive path.
 	fixedBase atomic.Pointer[FixedBaseTable]
 
@@ -127,13 +127,13 @@ func (sg *SchnorrGroup) Validate() error {
 	return nil
 }
 
-// Precompute attaches a windowed fixed-base table for the generator,
-// turning subsequent Exp calls into ~ceil(|q|/window) modular
-// multiplications instead of a full square-and-multiply. Idempotent and
-// safe to call concurrently; returns the attached table (nil only when
-// the group is structurally unusable). The accelerated Exp returns
-// bit-identical values, so transcripts and operation accounting are
-// unaffected.
+// Precompute attaches a fixed-base comb table for the generator, turning
+// subsequent Exp calls into a table walk (9 squarings and at most 20
+// products at |q| = 160) instead of a full square-and-multiply.
+// Idempotent and safe to call concurrently; returns the attached table
+// (nil only when the group is structurally unusable). The accelerated
+// Exp returns bit-identical values, so transcripts and operation
+// accounting are unaffected.
 func (sg *SchnorrGroup) Precompute() *FixedBaseTable {
 	if sg == nil || sg.P == nil || sg.Q == nil || sg.G == nil {
 		return nil
@@ -141,7 +141,7 @@ func (sg *SchnorrGroup) Precompute() *FixedBaseTable {
 	if t := sg.fixedBase.Load(); t != nil {
 		return t
 	}
-	t, err := NewFixedBaseTable(sg.G, sg.P, sg.Q.BitLen(), DefaultWindow)
+	t, err := NewFixedBaseTable(sg.G, sg.P, sg.Q.BitLen())
 	if err != nil {
 		return nil
 	}

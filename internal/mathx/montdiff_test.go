@@ -43,9 +43,12 @@ func randBelow(t *testing.T, bound *big.Int) *big.Int {
 }
 
 // TestFixedBaseTableDifferential compares table walks against
-// (*big.Int).Exp over both modulus widths, several window sizes and the
-// exponent shapes at the edges of the digit decomposition, and ExpMul
-// against the power times a factor inside and outside [0, m).
+// (*big.Int).Exp over every modulus width, several comb geometries and
+// exponent bounds — including bounds that are not a multiple of the
+// teeth and teeth lengths that are not a multiple of the blocks — and
+// the exponent shapes at the edges of the strip decomposition, and
+// ExpMul against the power times a factor inside and outside [0, m)
+// (the factors rotate across the exponents).
 func TestFixedBaseTableDifferential(t *testing.T) {
 	for _, m := range diffModuli(t) {
 		bases := []*big.Int{
@@ -55,47 +58,48 @@ func TestFixedBaseTableDifferential(t *testing.T) {
 		}
 		factors := []*big.Int{One, big.NewInt(0), randBelow(t, m), new(big.Int).Add(m, One), big.NewInt(-5)}
 		for _, base := range bases {
-			for _, w := range []uint{1, 4, DefaultWindow} {
-				for _, maxBits := range []int{bits.UintSize / 2, 160} {
-					tab, err := NewFixedBaseTable(base, m, maxBits, w)
+			for _, g := range combGeometries {
+				for _, maxBits := range []int{1, 61, 160} {
+					tab, err := newCombTable(base, m, maxBits, g[0], g[1])
 					if err != nil {
-						t.Fatalf("m=%d bits w=%d maxBits=%d: %v", m.BitLen(), w, maxBits, err)
+						t.Fatalf("m=%d bits h=%d v=%d maxBits=%d: %v", m.BitLen(), g[0], g[1], maxBits, err)
 					}
 					bound := new(big.Int).Lsh(One, uint(maxBits))
-					top := (maxBits - 1) / int(w) * int(w) // bit offset of the top digit
+					strip := tab.b * (g[0]*g[1] - 1) // bit offset of the last strip
 					full := new(big.Int).Sub(bound, One)
 					exps := []*big.Int{
 						big.NewInt(0),
+						big.NewInt(1), // one bit
 						new(big.Int).SetBit(randBelow(t, bound), maxBits-1, 1), // exactly maxBits bits
+						new(big.Int).SetBit(new(big.Int), maxBits-1, 1),        // only the top bit set
 						full,
-						new(big.Int).Lsh(new(big.Int).Rsh(full, uint(top)), uint(top)), // only the top digit set
+						new(big.Int).Lsh(new(big.Int).Rsh(full, uint(strip)), uint(strip)), // only the last strip set
 						bound, // oversized: falls back
 						new(big.Int).Lsh(randBelow(t, bound), 7),
 						big.NewInt(-1), // negative: falls back
 						new(big.Int).Neg(randBelow(t, bound)),
 					}
-					for i := 0; i < 20; i++ {
+					for i := 0; i < 8; i++ {
 						exps = append(exps, randBelow(t, bound))
 					}
-					for _, e := range exps {
+					for i, e := range exps {
 						want := new(big.Int).Exp(base, e, m)
 						got := tab.Exp(e)
 						switch {
 						case want == nil || got == nil:
 							if want != nil || got != nil {
-								t.Fatalf("m=%d bits w=%d e=%v: nil mismatch (want %v, got %v)", m.BitLen(), w, e, want, got)
+								t.Fatalf("m=%d bits h=%d v=%d e=%v: nil mismatch (want %v, got %v)", m.BitLen(), g[0], g[1], e, want, got)
 							}
 						case got.Cmp(want) != 0:
-							t.Fatalf("m=%d bits w=%d maxBits=%d e=%v: got %v, want %v", m.BitLen(), w, maxBits, e, got, want)
+							t.Fatalf("m=%d bits h=%d v=%d maxBits=%d e=%v: got %v, want %v", m.BitLen(), g[0], g[1], maxBits, e, got, want)
 						}
 						if want == nil {
 							continue
 						}
-						for _, y := range factors {
-							prod := new(big.Int).Mul(want, y)
-							if got := tab.ExpMul(e, y); got.Cmp(prod.Mod(prod, m)) != 0 {
-								t.Fatalf("m=%d bits w=%d e=%v y=%v: ExpMul got %v, want %v", m.BitLen(), w, e, y, got, prod)
-							}
+						y := factors[i%len(factors)]
+						prod := new(big.Int).Mul(want, y)
+						if got := tab.ExpMul(e, y); got.Cmp(prod.Mod(prod, m)) != 0 {
+							t.Fatalf("m=%d bits h=%d v=%d e=%v y=%v: ExpMul got %v, want %v", m.BitLen(), g[0], g[1], e, y, got, prod)
 						}
 					}
 				}
@@ -213,7 +217,7 @@ func TestExpElemDifferential(t *testing.T) {
 
 func TestFixedBaseTableRejectsEvenModulus(t *testing.T) {
 	for _, m := range []*big.Int{big.NewInt(2), big.NewInt(1 << 20), new(big.Int).Lsh(One, 1024)} {
-		if _, err := NewFixedBaseTable(big.NewInt(3), m, 16, 4); err == nil {
+		if _, err := NewFixedBaseTable(big.NewInt(3), m, 16); err == nil {
 			t.Errorf("NewFixedBaseTable accepted the even modulus %v", m)
 		}
 	}
@@ -270,49 +274,6 @@ func TestModulusProductDifferential(t *testing.T) {
 				if v.Cmp(before[i]) != 0 {
 					t.Fatalf("m=%d bits: Product mutated input %d", m.BitLen(), i)
 				}
-			}
-		}
-	}
-}
-
-// TestHotPathAllocsConstant pins the allocations of a generator power, a
-// modular product and a variable-base power: the count is a small
-// constant, independent of the exponent's size and of the slice length.
-func TestHotPathAllocsConstant(t *testing.T) {
-	sg, err := GenerateSchnorrGroup(rand.Reader, 1024, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sg.Precompute() == nil {
-		t.Fatal("no table")
-	}
-	var expAllocs []float64
-	for _, eBits := range []int{1, 40, 160} {
-		e := new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eBits))), eBits-1, 1)
-		expAllocs = append(expAllocs, testing.AllocsPerRun(20, func() { sg.Exp(e) }))
-	}
-	mo := sg.Mont()
-	var prodAllocs []float64
-	for _, n := range []int{1, 8, 64} {
-		vals := make([]*big.Int, n)
-		for i := range vals {
-			vals[i] = randBelow(t, sg.P)
-		}
-		prodAllocs = append(prodAllocs, testing.AllocsPerRun(20, func() { mo.Product(vals) }))
-	}
-	// A variable-base power carves its odd-power table and accumulator
-	// from one array, whatever the window width the exponent selects.
-	base := mo.ToMont(randBelow(t, sg.P))
-	var varAllocs []float64
-	for _, eBits := range []int{17, 160, 1024} {
-		e := new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eBits))), eBits-1, 1)
-		varAllocs = append(varAllocs, testing.AllocsPerRun(20, func() { mo.ExpElem(base, e) }))
-	}
-	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs} {
-		t.Logf("%s allocations: %v", name, got)
-		for _, a := range got {
-			if a != got[0] || a > 2 {
-				t.Errorf("%s allocations %v: want one constant <= 2 across sizes", name, got)
 			}
 		}
 	}

@@ -20,10 +20,13 @@
 package gq
 
 import (
+	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 	"sync/atomic"
 
 	"idgka/internal/hashx"
@@ -62,11 +65,11 @@ type PrivateKey struct {
 	S   *big.Int
 	Pub Params
 
-	// fixedBase caches the windowed precomputation table for S_ID,
-	// attached by Precompute. S_ID is exponentiated by a fresh challenge
-	// on every response the member signs, so the table pays for itself
-	// after a handful of rounds. Published atomically because one key may
-	// be shared by an application goroutine and a verification pool.
+	// fixedBase caches the fixed-base comb table for S_ID, attached by
+	// Precompute. S_ID is exponentiated by a fresh challenge on every
+	// response the member signs, so the table pays for itself after a
+	// handful of rounds. Published atomically because every machine built
+	// on the key attaches it, and may do so while another signs.
 	fixedBase atomic.Pointer[mathx.FixedBaseTable]
 }
 
@@ -81,7 +84,7 @@ func (sk *PrivateKey) Precompute() *mathx.FixedBaseTable {
 	if t := sk.fixedBase.Load(); t != nil {
 		return t
 	}
-	t, err := mathx.NewFixedBaseTable(sk.S, sk.Pub.N, hashx.ChallengeBits, mathx.DefaultWindow)
+	t, err := mathx.NewFixedBaseTable(sk.S, sk.Pub.N, hashx.ChallengeBits)
 	if err != nil {
 		return nil
 	}
@@ -152,14 +155,15 @@ func (sk *PrivateKey) Sign(r io.Reader, msg []byte) (*Signature, error) {
 }
 
 // Verify checks a standalone signature, c == H(s^e · H(ID)^{-c}, msg),
-// as a one-identity GroupVerifier. A challenge longer than the challenge
+// on the identity's shared one-identity verifier, so a recurring signer
+// is hashed and inverted once. A challenge longer than the challenge
 // hash is refused before any exponentiation, so a peer cannot buy CPU
 // with an oversized exponent.
 func Verify(pub Params, id string, msg []byte, sig *Signature) error {
 	if sig == nil {
 		return errors.New("gq: malformed signature")
 	}
-	gv, err := NewGroupVerifier(pub, []string{id})
+	gv, err := SharedVerifier(pub, []string{id})
 	if err != nil {
 		return err
 	}
@@ -179,16 +183,33 @@ func GroupChallenge(t, z *big.Int) *big.Int {
 	return hashx.Challenge(hashx.TagChallenge, hashx.BigBytes(t), hashx.BigBytes(z))
 }
 
+// promoteAfter is the number of range-checked checks a verifier serves
+// before it attaches a fixed-base table of hInv; the promoteAfter-th
+// builds it. At the 1024-bit N the comb costs ~0.45 ms to build and a
+// tabled check saves ~0.13 ms against the 160-bit ExpElem
+// (BenchmarkBatchVerify4, 2-vCPU Xeon), so the table pays for itself
+// after about four checks; a signer set checked fewer times never
+// builds one.
+const promoteAfter = 4
+
 // GroupVerifier checks equation (2) for one fixed signer set. Construction
 // hashes every identity, folds the digests into H = Π H(ID_i) and inverts
 // it once, so each BatchVerify costs one response product, one short
 // public-exponent power and one challenge-sized power of the cached
-// inverse. Safe for concurrent use once built.
+// inverse. The promoteAfter-th check attaches a fixed-base table of the
+// inverse, which turns that power into a table walk for every later
+// check. Safe for concurrent use once built.
 type GroupVerifier struct {
-	pub      Params
-	mo       *mathx.Modulus
-	n        int        // signer count
-	hInvMont mathx.Elem // H^{-1} in the Montgomery domain
+	pub  Params
+	mo   *mathx.Modulus
+	n    int      // signer count
+	hInv *big.Int // H^{-1} mod N, public
+
+	// uses counts the range-checked checks served before the table is
+	// attached; the one that reaches promoteAfter builds it, outside any
+	// lock, and publishes it by compare-and-swap.
+	uses atomic.Int64
+	tab  atomic.Pointer[mathx.FixedBaseTable]
 }
 
 // NewGroupVerifier builds the verification context for a signer set.
@@ -211,7 +232,24 @@ func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
 	}
-	return &GroupVerifier{pub: pub, mo: mo, n: len(ids), hInvMont: mo.ToMont(hInv)}, nil
+	return &GroupVerifier{pub: pub, mo: mo, n: len(ids), hInv: hInv}, nil
+}
+
+// table returns the fixed-base table of hInv, counting one more check
+// while there is none and building it on the promoteAfter-th.
+func (gv *GroupVerifier) table() *mathx.FixedBaseTable {
+	if t := gv.tab.Load(); t != nil {
+		return t
+	}
+	if gv.uses.Add(1) != promoteAfter {
+		return nil
+	}
+	t, err := mathx.NewFixedBaseTable(gv.hInv, gv.pub.N, hashx.ChallengeBits)
+	if err != nil {
+		return nil
+	}
+	gv.tab.CompareAndSwap(nil, t)
+	return gv.tab.Load()
 }
 
 // BatchVerify checks equation (2) for one round of the signer set:
@@ -232,9 +270,12 @@ func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error 
 // negative one, or one longer than the challenge hash.
 var errChallengeRange = errors.New("gq: challenge out of range")
 
-// commitment computes (Π s_i)^e · (Π H(ID_i))^{-c} mod n in the
-// Montgomery domain: the commitment product a valid set of responses
-// recovers. Malformed inputs are rejected before any exponentiation.
+// commitment computes (Π s_i)^e · (Π H(ID_i))^{-c} mod n: the commitment
+// product a valid set of responses recovers. (Π s_i)^e is an ExpElem
+// power in the Montgomery domain. hInv^c is another until the verifier
+// is tabled; from then on (Π s_i)^e rides the table walk's conversion
+// out. Malformed inputs are rejected before any exponentiation, and the
+// range check keeps every walked challenge within the table's bits.
 func (gv *GroupVerifier) commitment(responses []*big.Int, c *big.Int) (*big.Int, error) {
 	if len(responses) != gv.n {
 		return nil, errors.New("gq: batch size mismatch")
@@ -252,6 +293,85 @@ func (gv *GroupVerifier) commitment(responses []*big.Int, c *big.Int) (*big.Int,
 	}
 	mo := gv.mo
 	lhs := mo.ExpElem(mo.ToMont(mo.Product(responses)), gv.pub.E)
-	mo.MulInto(lhs, lhs, mo.ExpElem(gv.hInvMont, c))
+	if tab := gv.table(); tab != nil {
+		return tab.ExpMul(c, mo.FromMont(lhs)), nil
+	}
+	mo.MulInto(lhs, lhs, mo.ExpElem(mo.ToMont(gv.hInv), c))
 	return mo.FromMont(lhs), nil
+}
+
+// verifierCacheSize bounds the process-wide verifier cache. A tabled
+// entry holds a 64 KiB comb at the 1024-bit N (2·2^8 entries of 16
+// words), so the cache's table memory stays under 64 × 64 KiB = 4 MiB,
+// scaling linearly with the modulus width. The signer sets a process
+// checks over and over fit with room to spare: gkaperf's serve-churn
+// workload keys at most 48 (16 establish and 16 leave rosters, up to 16
+// joiners), tcp-hub 4 and ring32 1.
+const verifierCacheSize = 64
+
+// verifiers is the process-wide LRU cache behind SharedVerifier, most
+// recently used first. Its entries hold only public values (identity
+// digests' inverse and its table), so members of different groups share
+// them freely.
+var verifiers = struct {
+	mu    sync.Mutex
+	byKey map[string]*list.Element // of *cachedVerifier
+	lru   list.List
+}{byKey: map[string]*list.Element{}}
+
+// cachedVerifier is one verifiers entry.
+type cachedVerifier struct {
+	key string
+	gv  *GroupVerifier
+}
+
+// SharedVerifier returns the process-wide verifier for a signer set under
+// pub, keyed by (N, e, ids), so recurring rosters and signers — across
+// rounds, sessions and every member of the process — share the identity
+// hashing, the inversion and, once promoted, the fixed-base table. A
+// miss builds the verifier outside the cache lock; the cache keeps the
+// verifierCacheSize most recently used sets.
+func SharedVerifier(pub Params, ids []string) (*GroupVerifier, error) {
+	if pub.N == nil || pub.E == nil {
+		return NewGroupVerifier(pub, ids)
+	}
+	key := verifierKey(pub, ids)
+	verifiers.mu.Lock()
+	if el, ok := verifiers.byKey[key]; ok {
+		verifiers.lru.MoveToFront(el)
+		verifiers.mu.Unlock()
+		return el.Value.(*cachedVerifier).gv, nil
+	}
+	verifiers.mu.Unlock()
+	gv, err := NewGroupVerifier(pub, ids)
+	if err != nil {
+		return nil, err
+	}
+	verifiers.mu.Lock()
+	defer verifiers.mu.Unlock()
+	if el, ok := verifiers.byKey[key]; ok { // built concurrently: keep the first
+		verifiers.lru.MoveToFront(el)
+		return el.Value.(*cachedVerifier).gv, nil
+	}
+	verifiers.byKey[key] = verifiers.lru.PushFront(&cachedVerifier{key, gv})
+	if verifiers.lru.Len() > verifierCacheSize {
+		old := verifiers.lru.Remove(verifiers.lru.Back()).(*cachedVerifier)
+		delete(verifiers.byKey, old.key)
+	}
+	return gv, nil
+}
+
+// verifierKey encodes (N, e, ids) injectively: every field is
+// length-prefixed.
+func verifierKey(pub Params, ids []string) string {
+	n, e := pub.N.Bytes(), pub.E.Bytes()
+	b := binary.AppendUvarint(nil, uint64(len(n)))
+	b = append(b, n...)
+	b = binary.AppendUvarint(b, uint64(len(e)))
+	b = append(b, e...)
+	for _, id := range ids {
+		b = binary.AppendUvarint(b, uint64(len(id)))
+		b = append(b, id...)
+	}
+	return string(b)
 }

@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"idgka/internal/hashx"
@@ -103,12 +106,22 @@ func TestExtractConsistency(t *testing.T) {
 // the protocol would.
 func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*big.Int, c, z *big.Int) {
 	t.Helper()
-	pub = ParamsFrom(params.Default().RSA)
 	ids = make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("batch-%03d", i)
+	}
+	pub, responses, c, z = batchRound(t, ids)
+	return pub, ids, responses, c, z
+}
+
+// batchRound is batchFixture for a given signer set.
+func batchRound(t testing.TB, ids []string) (pub Params, responses []*big.Int, c, z *big.Int) {
+	t.Helper()
+	pub = ParamsFrom(params.Default().RSA)
+	n := len(ids)
 	taus := make([]*big.Int, n)
 	ts := make([]*big.Int, n)
 	for i := range ids {
-		ids[i] = fmt.Sprintf("batch-%03d", i)
 		tau, ti, err := Commitment(rand.Reader, pub)
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +134,7 @@ func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*b
 	for i, id := range ids {
 		responses[i] = testKey(t, id).Respond(taus[i], c)
 	}
-	return pub, ids, responses, c, z
+	return pub, responses, c, z
 }
 
 // refCommitment is the reference for the Montgomery core: a plain math/big
@@ -429,4 +442,262 @@ func BenchmarkBatchVerify100(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestGroupVerifierPromotion checks the fixed-base table of hInv: none is
+// built before the promoteAfter-th check, the promoteAfter-th attaches
+// it, and the commitment equals the math/big reference bit for bit on
+// every check before, at and after promotion.
+func TestGroupVerifierPromotion(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		pub, ids, responses, c, z := batchFixture(t, n)
+		gv, err := NewGroupVerifier(pub, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refCommitment(pub, ids, responses, c)
+		for use := 1; use <= promoteAfter+3; use++ {
+			lhs, err := gv.commitment(responses, c)
+			if err != nil {
+				t.Fatalf("n=%d use %d: %v", n, use, err)
+			}
+			if lhs.Cmp(ref) != 0 {
+				t.Fatalf("n=%d use %d: commitment diverges from the reference", n, use)
+			}
+			if tabled := gv.tab.Load() != nil; tabled != (use >= promoteAfter) {
+				t.Fatalf("n=%d use %d: tabled = %v", n, use, tabled)
+			}
+		}
+		if tab := gv.tab.Load(); tab.MaxBits() != hashx.ChallengeBits {
+			t.Fatalf("table covers %d bits, want the %d-bit challenge", tab.MaxBits(), hashx.ChallengeBits)
+		}
+		if err := gv.BatchVerify(responses, c, z); err != nil {
+			t.Fatalf("n=%d: tabled verifier rejected an honest batch: %v", n, err)
+		}
+	}
+}
+
+// TestPromotedVerifierRejectsHostileInput feeds a promoted verifier the
+// inputs a hostile peer can put on the wire. Out-of-range responses and
+// challenges fail the range check, which runs before any power, so no
+// wire challenge reaches the table's big.Int fallback; they do not count
+// towards promotion either. A corrupted response and an impostor
+// identity walk the table and fail the hash.
+func TestPromotedVerifierRejectsHostileInput(t *testing.T) {
+	pub, ids, responses, c, z := batchFixture(t, 4)
+	gv, err := NewGroupVerifier(pub, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := new(big.Int).Lsh(mathx.One, hashx.ChallengeBits)
+	with := func(at int, s *big.Int) []*big.Int {
+		rs := append([]*big.Int(nil), responses...)
+		rs[at] = s
+		return rs
+	}
+	outOfRange := []struct {
+		name      string
+		responses []*big.Int
+		c         *big.Int
+	}{
+		{"s=0", with(1, big.NewInt(0)), c},
+		{"s=N", with(2, pub.N), c},
+		{"s negative", with(0, big.NewInt(-3)), c},
+		{"c negative", responses, new(big.Int).Neg(c)},
+		{"c=-1", responses, big.NewInt(-1)},
+		{"c=2^160", responses, bound},
+		{"c 161 bits", responses, new(big.Int).Add(c, bound)},
+	}
+	for _, promoted := range []bool{false, true} {
+		for _, tc := range outOfRange {
+			if _, err := gv.commitment(tc.responses, tc.c); err == nil || strings.Contains(err.Error(), "verification failed") {
+				t.Fatalf("promoted=%v %s: got %v, want a range error", promoted, tc.name, err)
+			}
+			if err := gv.BatchVerify(tc.responses, tc.c, z); err == nil {
+				t.Fatalf("promoted=%v %s: accepted", promoted, tc.name)
+			}
+		}
+		if !promoted {
+			if n := gv.uses.Load(); n != 0 {
+				t.Fatalf("%d rejected checks counted towards promotion", n)
+			}
+			for i := 0; i < promoteAfter; i++ {
+				if err := gv.BatchVerify(responses, c, z); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if gv.tab.Load() == nil {
+				t.Fatal("not promoted after promoteAfter honest checks")
+			}
+		}
+	}
+	corrupt := with(3, new(big.Int).Add(responses[3], mathx.One))
+	if err := gv.BatchVerify(corrupt, c, z); err == nil {
+		t.Fatal("promoted verifier accepted a corrupted response")
+	}
+	impostor := append([]string(nil), ids...)
+	impostor[0] = "mallory"
+	igv, err := NewGroupVerifier(pub, impostor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= promoteAfter; i++ {
+		if err := igv.BatchVerify(responses, c, z); err == nil {
+			t.Fatalf("check %d: impostor roster accepted", i+1)
+		}
+	}
+	if igv.tab.Load() == nil {
+		t.Fatal("impostor verifier not promoted")
+	}
+}
+
+// raceRuns numbers the runs of TestSharedVerifierRace.
+var raceRuns atomic.Int64
+
+// TestSharedVerifierRace has many goroutines verify through one shared
+// verifier across its promotion point, honest and corrupted batches
+// interleaved; run under -race it checks the lazy table attachment.
+func TestSharedVerifierRace(t *testing.T) {
+	// A signer set no other test or repetition shares, so the shared
+	// verifier starts untabled.
+	run := raceRuns.Add(1)
+	ids := []string{fmt.Sprintf("race-%d-a", run), fmt.Sprintf("race-%d-b", run), fmt.Sprintf("race-%d-c", run)}
+	pub, responses, c, z := batchRound(t, ids)
+	corrupt := append([]*big.Int(nil), responses...)
+	corrupt[1] = new(big.Int).Add(corrupt[1], mathx.One)
+	const workers, rounds = 8, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				gv, err := SharedVerifier(pub, ids)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if (w+r)%3 == 0 {
+					err = gv.BatchVerify(corrupt, c, z)
+					if err == nil {
+						err = errors.New("corrupted batch accepted")
+					} else {
+						err = nil
+					}
+				} else {
+					err = gv.BatchVerify(responses, c, z)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	gv, err := SharedVerifier(pub, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gv.tab.Load() == nil {
+		t.Fatalf("shared verifier not promoted after %d checks", workers*rounds)
+	}
+}
+
+// TestSharedVerifierCacheBounded keys more distinct signer sets than the
+// shared cache holds: it never grows past its bound, an evicted set is
+// rebuilt on its next use and verifies correctly, and two parameter sets
+// never share an entry.
+func TestSharedVerifierCacheBounded(t *testing.T) {
+	pub, ids, responses, c, z := batchFixture(t, 2)
+	cacheLen := func() int {
+		verifiers.mu.Lock()
+		defer verifiers.mu.Unlock()
+		return verifiers.lru.Len()
+	}
+	first, err := SharedVerifier(pub, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < verifierCacheSize+4; i++ {
+		if _, err := SharedVerifier(pub, []string{fmt.Sprintf("bound-%03d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		if n := cacheLen(); n > verifierCacheSize {
+			t.Fatalf("after %d sets: %d cached verifiers, bound %d", i+1, n, verifierCacheSize)
+		}
+	}
+	if n := cacheLen(); n != verifierCacheSize {
+		t.Fatalf("%d cached verifiers, want the bound %d", n, verifierCacheSize)
+	}
+	again, err := SharedVerifier(pub, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Fatal("the least recently used set was not evicted")
+	}
+	if err := again.BatchVerify(responses, c, z); err != nil {
+		t.Fatalf("rebuilt verifier rejected an honest batch: %v", err)
+	}
+	if same, _ := SharedVerifier(pub, ids); same != again {
+		t.Fatal("a cached set was rebuilt")
+	}
+	other := Params{N: new(big.Int).Add(pub.N, big.NewInt(2)), E: pub.E}
+	if gv, err := SharedVerifier(other, ids); err == nil && gv == again {
+		t.Fatal("two moduli share one cache entry")
+	}
+	if gv, _ := SharedVerifier(Params{N: pub.N, E: big.NewInt(3)}, ids); gv == again {
+		t.Fatal("two public exponents share one cache entry")
+	}
+}
+
+// BenchmarkBatchVerify4 times eq. 2 for a 4-member roster on a verifier
+// held below its promotion point and on a promoted one, and the table
+// build: the measurement behind promoteAfter.
+func BenchmarkBatchVerify4(b *testing.B) {
+	pub, ids, responses, c, z := batchFixture(b, 4)
+	b.Run("untabled", func(b *testing.B) {
+		gv, err := NewGroupVerifier(pub, ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gv.uses.Store(promoteAfter) // past the promoting check: never tabled
+		for i := 0; i < b.N; i++ {
+			if err := gv.BatchVerify(responses, c, z); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tabled", func(b *testing.B) {
+		gv, err := NewGroupVerifier(pub, ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < promoteAfter; i++ {
+			gv.BatchVerify(responses, c, z)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := gv.BatchVerify(responses, c, z); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("table-build", func(b *testing.B) {
+		gv, err := NewGroupVerifier(pub, ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			if _, err := mathx.NewFixedBaseTable(gv.hInv, pub.N, hashx.ChallengeBits); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
