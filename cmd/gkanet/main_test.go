@@ -1,138 +1,9 @@
 package main
 
 import (
-	"fmt"
+	"strings"
 	"testing"
-
-	"idgka/internal/engine"
-	"idgka/internal/meter"
-	"idgka/internal/params"
-	"idgka/internal/sigs/gq"
-	"idgka/internal/transport"
 )
-
-// newProc wires a hub, a router and n owned nodes for one in-process
-// event-driven deployment.
-func newProc(t *testing.T, n int) *proc {
-	t.Helper()
-	hub, err := transport.NewHub("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = hub.Close() })
-	router := transport.NewRouter(hub.Addr())
-	t.Cleanup(router.Close)
-
-	set := params.Default()
-	p := &proc{
-		router: router,
-		cfg:    engine.Config{Set: set.Public()},
-		ids:    make([]string, n),
-		keys:   make([]*gq.PrivateKey, n),
-		meters: make([]*meter.Meter, n),
-	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("node-%02d", i+1)
-		sk, err := gq.Extract(set.RSA, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.ids[i] = id
-		p.keys[i] = sk
-		p.meters[i] = meter.New()
-		if err := router.Attach(id, p.meters[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return p
-}
-
-// TestEventDrivenEstablishmentOverTCP is the acceptance path of the
-// event-driven deployment: a real hub on loopback, one TCP connection per
-// node, and every member driven ONLY by its own inbox — establishment and
-// key confirmation complete with matching fingerprints.
-func TestEventDrivenEstablishmentOverTCP(t *testing.T) {
-	const n = 4
-	p := newProc(t, n)
-	roster := p.ids
-
-	fps, err := p.eventDriven(roster)
-	if err != nil {
-		t.Fatalf("event-driven GKA over TCP: %v", err)
-	}
-	for i := 1; i < n; i++ {
-		if fps[i] != fps[0] {
-			t.Fatalf("node %s confirmed a different key", roster[i])
-		}
-	}
-	// Each member transmitted its two protocol rounds plus one
-	// confirmation digest.
-	for i, m := range p.meters {
-		if r := m.Report(); r.MsgTx != 3 {
-			t.Errorf("%s: MsgTx = %d, want 3", roster[i], r.MsgTx)
-		}
-	}
-}
-
-// TestEventDrivenDynamicLifecycleOverTCP runs the coordinator-free
-// dynamic-membership demo over a real hub: establish, admit a new TCP
-// node via Join, evict a member via Leave, confirming after every
-// re-key. Every node derives the flow parameters from its own session
-// registry; no goroutine sees more than one member.
-func TestEventDrivenDynamicLifecycleOverTCP(t *testing.T) {
-	const n = 4 // founders; one more node joins dynamically
-	p := newProc(t, n+1)
-	roster, joiner, evictee := p.ids[:n], p.ids[n], p.ids[1]
-
-	fps, err := p.lifecycle(roster, joiner, evictee)
-	if err != nil {
-		t.Fatalf("event-driven lifecycle over TCP: %v", err)
-	}
-	// All survivors — including the joined node — confirmed one final
-	// key; the evictee's last key (the joined group's) must differ.
-	ref, err := checkAgreement(p.ids, fps, evictee)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range p.ids {
-		if id == evictee && fps[i] == ref {
-			t.Fatal("evictee still holds the survivors' key")
-		}
-	}
-}
-
-// TestEventDrivenCrashRecoveryOverTCP is the fault-tolerance acceptance
-// path: a node's connection dies without warning; the hub settles every
-// delivery blocked on it and deals peer-down frames to the survivors,
-// which abort whatever the death wedged, evict the dead node via the
-// paper's Leave protocol — flow parameters derived from each node's own
-// committed session, no coordinator — and converge on a confirmed fresh
-// key the victim does not hold. At phase "established" the victim dies
-// before the confirmation round, so every survivor's confirm flow is
-// genuinely wedged until the peer-down event aborts it.
-func TestEventDrivenCrashRecoveryOverTCP(t *testing.T) {
-	for _, phase := range []string{phaseEstablished, phaseConfirmed} {
-		t.Run(phase, func(t *testing.T) {
-			const n = 4
-			p := newProc(t, n)
-			victim := p.ids[1]
-
-			fps, err := p.crashScenario(p.ids, victim, phase)
-			if err != nil {
-				t.Fatalf("crash scenario (%s): %v", phase, err)
-			}
-			ref, err := checkAgreement(p.ids, fps, victim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, id := range p.ids {
-				if id == victim && fps[i] == ref {
-					t.Fatal("crashed node still holds the survivors' key")
-				}
-			}
-		})
-	}
-}
 
 // TestParseCrash covers the -crash flag grammar.
 func TestParseCrash(t *testing.T) {
@@ -161,5 +32,64 @@ func TestParseOwn(t *testing.T) {
 	}
 	if got, err := parseOwn("", ids); err != nil || len(got) != 3 {
 		t.Fatalf("default own: %v %v", got, err)
+	}
+}
+
+// TestPlanFlags covers the one place the flags are validated, before any
+// node attaches, and the scenario row each accepted combination selects.
+func TestPlanFlags(t *testing.T) {
+	event := config{n: 4, groups: 1, mode: "event", dynamic: true}
+	with := func(f func(c *config)) config {
+		c := event
+		f(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		c       config
+		wantErr string
+		ids     int
+		flows   string
+		joiner  string
+		out     string
+	}{
+		{name: "lifecycle", c: event, ids: 5, flows: "establish join leave", joiner: "node-05", out: "node-02"},
+		{name: "establish", c: with(func(c *config) { c.dynamic = false }), ids: 4, flows: "establish"},
+		{name: "many groups", c: with(func(c *config) { c.n, c.groups = 3, 6 }), ids: 4, flows: "establish join leave", joiner: "node-04", out: "node-02"},
+		{name: "crash", c: with(func(c *config) { c.crash = "node-04@confirmed" }), ids: 4, flows: "establish leave", out: "node-04"},
+		{name: "lockstep", c: with(func(c *config) { c.mode = "lockstep" }), ids: 4, flows: "establish"},
+		{name: "crash n=2", c: with(func(c *config) { c.n, c.crash = 2, "node-02@confirmed" }), wantErr: "-n >= 3"},
+		{name: "n=1", c: with(func(c *config) { c.n = 1 }), wantErr: "-n must be >= 2"},
+		{name: "groups 0", c: with(func(c *config) { c.groups = 0 }), wantErr: "-groups must be >= 1"},
+		{name: "unknown mode", c: with(func(c *config) { c.mode = "async" }), wantErr: "unknown -mode"},
+		{name: "lockstep crash", c: with(func(c *config) { c.mode, c.crash = "lockstep", "node-02@confirmed" }), wantErr: "need -mode event"},
+		{name: "lockstep own", c: with(func(c *config) { c.mode, c.own = "lockstep", "node-01" }), wantErr: "need -mode event"},
+		{name: "lockstep connect", c: with(func(c *config) { c.mode, c.connect = "lockstep", "127.0.0.1:1" }), wantErr: "need -mode event"},
+		{name: "lockstep groups", c: with(func(c *config) { c.mode, c.groups = "lockstep", 2 }), wantErr: "need -mode event"},
+		{name: "bad crash", c: with(func(c *config) { c.crash = "node-02@never" }), wantErr: "-crash phase"},
+		{name: "unknown victim", c: with(func(c *config) { c.crash = "node-09@confirmed" }), wantErr: "not one of"},
+		{name: "unknown own", c: with(func(c *config) { c.own = "node-09" }), wantErr: "not one of"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ids, own, sc, err := tc.c.plan()
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var flows []string
+			for _, f := range sc.flows {
+				flows = append(flows, string(f))
+			}
+			if len(ids) != tc.ids || len(own) != tc.ids || len(sc.roster) != tc.c.n ||
+				strings.Join(flows, " ") != tc.flows || sc.joiner != tc.joiner || sc.out != tc.out {
+				t.Fatalf("plan = ids %v own %v roster %v flows %v joiner %q out %q",
+					ids, own, sc.roster, flows, sc.joiner, sc.out)
+			}
+		})
 	}
 }

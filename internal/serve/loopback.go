@@ -64,7 +64,8 @@ func (l *loopback) tx(from string, p idgka.Packet) error {
 // SettleGroups blocks until every run of every group settles (or the
 // budget expires), verifies each group committed one agreed non-nil key,
 // and returns the keys per group. It is the settle-and-cross-check step
-// every multi-group driver needs (the soak harness, gkanet -serve).
+// every multi-group driver needs (the soak harness, gkanet). A group
+// without runs has no key to agree on and fails the call.
 func SettleGroups(what string, groups [][]*Run, budget time.Duration) ([][]byte, error) {
 	// One timer for the whole call, stopped on return: a time.After per
 	// run would keep every timer live until the budget expires.
@@ -72,6 +73,9 @@ func SettleGroups(what string, groups [][]*Run, budget time.Duration) ([][]byte,
 	defer timer.Stop()
 	keys := make([][]byte, len(groups))
 	for g, runs := range groups {
+		if len(runs) == 0 {
+			return nil, fmt.Errorf("%s group %d has no runs", what, g)
+		}
 		for _, r := range runs {
 			select {
 			case <-r.Done():

@@ -309,3 +309,12 @@ func TestSettleGroupsTimesOut(t *testing.T) {
 		t.Fatalf("SettleGroups returned after %v on a 50ms budget", el)
 	}
 }
+
+// TestSettleGroupsRejectsEmptyGroup checks a group without runs fails the
+// call, naming the group, instead of indexing its missing first run.
+func TestSettleGroupsRejectsEmptyGroup(t *testing.T) {
+	_, err := SettleGroups("settle", [][]*Run{{}}, 50*time.Millisecond)
+	if want := "settle group 0 has no runs"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
