@@ -20,10 +20,14 @@ import (
 //
 // The core loop is CIOS (coarsely integrated operand scanning): per
 // limb of y, one pass adds x·y_i into a sliding accumulator window and a
-// second adds the reduction multiple of m. Both passes run on math/big's
+// second adds the reduction multiple of m. At the protocols' 1024 bits
+// (16 words) on amd64 CPUs with ADX and BMI2, one assembly call runs the
+// whole product: both passes of every row unrolled, and a branch-free
+// final subtraction (montmul_amd64.s). Every other width, CPU and
+// architecture runs montMulGeneric, whose passes call math/big's
 // assembly addMulVVW kernel (addmul.go); builds tagged math_big_pure_go,
-// whose math/big has no assembly, use the generic loop in
-// addmul_pure.go instead. Squaring is the same multiplication.
+// whose math/big has no assembly, use neither and run the generic loop
+// in addmul_pure.go. Squaring is the same multiplication.
 
 // maxModulusWords bounds the fixed scratch buffers of the CIOS loops
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
@@ -47,6 +51,7 @@ type Modulus struct {
 	n0    big.Word // -m^{-1} mod 2^W
 	r2    Elem     // R² mod m  (ToMont multiplier)
 	one   Elem     // R mod m   (Montgomery image of 1)
+	asm   bool     // montMul runs the montMul1024 kernel
 }
 
 // NewModulus precomputes a Montgomery context for an odd modulus > 1.
@@ -69,6 +74,7 @@ func NewModulus(m *big.Int) (*Modulus, error) {
 		m:     new(big.Int).Set(m),
 		words: append([]big.Word(nil), limbs...),
 		k:     k,
+		asm:   k == 16 && hasMontMul1024,
 	}
 	// n0 = -m^{-1} mod 2^W by Newton iteration: each step doubles the
 	// number of correct low bits, and odd m guarantees invertibility.
@@ -175,11 +181,23 @@ func subVV(z, x, y []big.Word) big.Word {
 	return big.Word(b)
 }
 
-// montMul computes z = x·y·R^{-1} mod m with the CIOS method over a
-// sliding 2k-word accumulator (the math/big montgomery shape). z may
+// montMul computes z = x·y·R^{-1} mod m; z may alias x or y. A 16-word
+// modulus on a CPU with ADX and BMI2 takes the assembly kernel
+// montMul1024, every other case montMulGeneric. Both return the same
+// limbs.
+func (mo *Modulus) montMul(z, x, y Elem) {
+	if mo.asm {
+		montMul1024((*[16]big.Word)(z), (*[16]big.Word)(x), (*[16]big.Word)(y), (*[16]big.Word)(mo.words), mo.n0)
+		return
+	}
+	mo.montMulGeneric(z, x, y)
+}
+
+// montMulGeneric computes z = x·y·R^{-1} mod m with the CIOS method over
+// a sliding 2k-word accumulator (the math/big montgomery shape). z may
 // alias x or y: the product accumulates in a stack scratch buffer and is
 // copied out after the final conditional subtraction.
-func (mo *Modulus) montMul(z, x, y Elem) {
+func (mo *Modulus) montMulGeneric(z, x, y Elem) {
 	k := mo.k
 	n := mo.words
 	var tbuf [2 * maxModulusWords]big.Word
@@ -297,14 +315,18 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	return acc
 }
 
-// IsOne reports whether e is the Montgomery image of 1.
+// IsOne reports whether e is the Montgomery image of 1; an Elem of any
+// other width is not.
 func (mo *Modulus) IsOne(e Elem) bool {
+	if len(e) != mo.k {
+		return false
+	}
 	for i := range e {
 		if e[i] != mo.one[i] {
 			return false
 		}
 	}
-	return len(e) == mo.k
+	return true
 }
 
 // ProductElem folds Elems into their Montgomery-domain product. An empty

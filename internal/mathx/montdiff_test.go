@@ -121,12 +121,39 @@ func montRef(x, y, m, r, mInv *big.Int) (want, pre *big.Int) {
 	return new(big.Int).Mod(pre, m), pre
 }
 
+// belowR returns the 16-word moduli just below R = 2^1024: R - 1 and
+// R - 3, all ones in every limb but the lowest.
+func belowR() []*big.Int {
+	r := new(big.Int).Lsh(One, 16*bits.UintSize)
+	return []*big.Int{new(big.Int).Sub(r, One), new(big.Int).Sub(r, big.NewInt(3))}
+}
+
+// withGeneric returns mo and a copy of it that never takes the
+// assembly kernel, so a test runs both montMul1024 (at 16 words on a CPU
+// with ADX and BMI2) and montMulGeneric on the same operands.
+func withGeneric(mo *Modulus) []*Modulus {
+	generic := *mo
+	generic.asm = false
+	return []*Modulus{mo, &generic}
+}
+
+// engineName names the multiplier a Modulus runs, for failure messages.
+func engineName(mo *Modulus) string {
+	if mo.asm {
+		return "montMul1024"
+	}
+	return "montMulGeneric"
+}
+
 // TestMontMulDifferential checks Mul, MulInto and SqrInto against
 // big.Int at every width, including fully aliased z = x = y, operands at
 // the edges of [0, m), and — on the moduli with an all-ones top limb —
-// products whose accumulator carries into the final subtraction.
+// products whose accumulator carries into the final subtraction. At 16
+// words the assembly kernel and the generic loop both run (withGeneric)
+// and must agree with big.Int on the same operands, also with z
+// aliasing x, y or both, and on the 16-word moduli just below R.
 func TestMontMulDifferential(t *testing.T) {
-	for _, m := range diffModuli(t) {
+	for _, m := range append(diffModuli(t), belowR()...) {
 		mo, err := NewModulus(m)
 		if err != nil {
 			t.Fatal(err)
@@ -141,6 +168,9 @@ func TestMontMulDifferential(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			vals = append(vals, randBelow(t, m))
 		}
+		if want := k == 16 && hasMontMul1024; mo.asm != want {
+			t.Fatalf("%d words: kernel chosen = %v, want %v", k, mo.asm, want)
+		}
 		carries := 0
 		for i, x := range vals {
 			for _, y := range vals[i:] {
@@ -149,27 +179,31 @@ func TestMontMulDifferential(t *testing.T) {
 					carries++
 				}
 				ex, ey := elem(x), elem(y)
-				if got := bigFromElem(mo.Mul(ex, ey)); got.Cmp(want) != 0 {
-					t.Fatalf("%d words: Mul(%v, %v) = %v, want %v", k, x, y, got, want)
-				}
-				z := elem(x)
-				if mo.MulInto(z, z, ey); bigFromElem(z).Cmp(want) != 0 {
-					t.Fatalf("%d words: MulInto with z = x: %v, want %v", k, bigFromElem(z), want)
-				}
-				z = elem(y)
-				if mo.MulInto(z, ex, z); bigFromElem(z).Cmp(want) != 0 {
-					t.Fatalf("%d words: MulInto with z = y: %v, want %v", k, bigFromElem(z), want)
+				for _, mm := range withGeneric(mo) {
+					if got := bigFromElem(mm.Mul(ex, ey)); got.Cmp(want) != 0 {
+						t.Fatalf("%d words: %s(%v, %v) = %v, want %v", k, engineName(mm), x, y, got, want)
+					}
+					z := elem(x)
+					if mm.MulInto(z, z, ey); bigFromElem(z).Cmp(want) != 0 {
+						t.Fatalf("%d words: %s with z = x: %v, want %v", k, engineName(mm), bigFromElem(z), want)
+					}
+					z = elem(y)
+					if mm.MulInto(z, ex, z); bigFromElem(z).Cmp(want) != 0 {
+						t.Fatalf("%d words: %s with z = y: %v, want %v", k, engineName(mm), bigFromElem(z), want)
+					}
 				}
 				if bigFromElem(ex).Cmp(x) != 0 || bigFromElem(ey).Cmp(y) != 0 {
 					t.Fatalf("%d words: Mul mutated an operand", k)
 				}
 			}
 			sq, _ := montRef(x, x, m, r, mInv)
-			z := elem(x)
-			if mo.MulInto(z, z, z); bigFromElem(z).Cmp(sq) != 0 {
-				t.Fatalf("%d words: MulInto with z = x = y: %v, want %v", k, bigFromElem(z), sq)
+			for _, mm := range withGeneric(mo) {
+				z := elem(x)
+				if mm.MulInto(z, z, z); bigFromElem(z).Cmp(sq) != 0 {
+					t.Fatalf("%d words: %s with z = x = y: %v, want %v", k, engineName(mm), bigFromElem(z), sq)
+				}
 			}
-			z = elem(x)
+			z := elem(x)
 			if mo.SqrInto(z, z); bigFromElem(z).Cmp(sq) != 0 {
 				t.Fatalf("%d words: SqrInto with z = x: %v, want %v", k, bigFromElem(z), sq)
 			}
@@ -185,14 +219,16 @@ func TestMontMulDifferential(t *testing.T) {
 
 // TestExpElemDifferential checks the sliding-window exponentiation
 // against (*big.Int).Exp at every width, for exponents on both sides of
-// each window-size boundary and bases at the edges of [0, m).
+// each window-size boundary and bases at the edges of [0, m). At 16
+// words the assembly kernel and the generic loop both run the same
+// powers (withGeneric).
 func TestExpElemDifferential(t *testing.T) {
 	var exps []*big.Int
 	for _, eb := range []int{1, 2, 8, 9, 17, 48, 49, 160, 161, 768, 769, 1024} {
 		exps = append(exps, new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eb))), eb-1, 1))
 	}
 	exps = append(exps, big.NewInt(0), big.NewInt(65537), new(big.Int).Sub(new(big.Int).Lsh(One, 160), One))
-	for _, m := range diffModuli(t) {
+	for _, m := range append(diffModuli(t), belowR()...) {
 		mo, err := NewModulus(m)
 		if err != nil {
 			t.Fatal(err)
@@ -202,8 +238,10 @@ func TestExpElemDifferential(t *testing.T) {
 			before := append(Elem(nil), be...)
 			for _, e := range exps {
 				want := new(big.Int).Exp(base, e, m)
-				if got := mo.FromMont(mo.ExpElem(be, e)); got.Cmp(want) != 0 {
-					t.Fatalf("%d words: %v^%v: got %v, want %v", mo.Words(), base, e, got, want)
+				for _, mm := range withGeneric(mo) {
+					if got := mm.FromMont(mm.ExpElem(be, e)); got.Cmp(want) != 0 {
+						t.Fatalf("%d words, %s: %v^%v: got %v, want %v", mo.Words(), engineName(mm), base, e, got, want)
+					}
 				}
 			}
 			for i := range be {
@@ -277,4 +315,43 @@ func TestModulusProductDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMontMul1024 builds an odd 1024-bit modulus and two residues from
+// the fuzz input and checks the 16-word Montgomery product — the
+// assembly kernel where the CPU runs it — and the generic loop against
+// x·y·R^{-1} mod m from big.Int.
+func FuzzMontMul1024(f *testing.F) {
+	ones := make([]byte, 128) // R - 1, all ones in every limb
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	mMinus1 := append(ones[:127:127], 0xfe) // R - 2 = m - 1 for m = R - 1
+	f.Add(ones, mMinus1, mMinus1)
+	f.Add(ones, []byte{1}, mMinus1)
+	f.Add([]byte{1}, ones, ones)     // m = 2^1023 + 1
+	f.Add(ones[:64], []byte{}, ones) // x = 0; m = 2^1023 + 2^512 - 1
+	f.Fuzz(func(t *testing.T, mb, xb, yb []byte) {
+		if len(mb) > 128 {
+			mb = mb[:128]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 1023, 1).SetBit(m, 0, 1)
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := new(big.Int).Mod(new(big.Int).SetBytes(xb), m)
+		y := new(big.Int).Mod(new(big.Int).SetBytes(yb), m)
+		r := new(big.Int).Lsh(One, 1024)
+		want, _ := montRef(x, y, m, r, new(big.Int).ModInverse(m, r))
+		var xbuf, ybuf [maxModulusWords]big.Word
+		ex, ey := mo.limbs(&xbuf, x), mo.limbs(&ybuf, y)
+		for _, mm := range withGeneric(mo) {
+			z := make(Elem, mo.Words())
+			if mm.montMul(z, ex, ey); bigFromElem(z).Cmp(want) != 0 {
+				t.Fatalf("m=%x: %s(%x, %x) = %x, want %x", m, engineName(mm), x, y, bigFromElem(z), want)
+			}
+		}
+	})
 }
