@@ -19,7 +19,8 @@
 // A site that deliberately breaks an invariant is waived in source with
 // a justified control comment — //gkalint:<verb> <reason> on the
 // offending line or the line above; a waiver without a reason is itself
-// a finding. The analyzers and their verbs:
+// a finding, and so is a waiver that suppresses nothing (its analyzer
+// ran but reported nothing it covers). The analyzers and their verbs:
 //
 //	blockunderlock //gkalint:blocked   no unbounded blocking while a lock is held (PR 10)
 //	boundedwait    //gkalint:unbounded transport waits need deadlines (PR 4)

@@ -142,17 +142,15 @@ func main() {
 	if c.mode == "lockstep" {
 		set := params.Default()
 		cfg := engine.Config{Set: set.Public()}
-		members := make([]*core.Member, c.n)
+		members := make([]*engine.Machine, c.n)
 		for i, id := range ids {
 			sk, err := gq.Extract(set.RSA, id)
 			if err != nil {
 				log.Fatalf("extract: %v", err)
 			}
-			mb, err := core.NewMember(cfg, sk, p.meters[i])
-			if err != nil {
+			if members[i], err = engine.NewMachine(cfg, sk, p.meters[i]); err != nil {
 				log.Fatal(err)
 			}
-			members[i] = mb
 		}
 		if err := core.RunInitial(router, members); err != nil {
 			log.Fatalf("GKA: %v", err)

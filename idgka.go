@@ -78,6 +78,7 @@ import (
 
 	"idgka/internal/core"
 	"idgka/internal/energy"
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
@@ -93,7 +94,9 @@ type Report = meter.Report
 // cost tables.
 type EnergyModel = energy.Model
 
-// Config tunes member behaviour; see the field docs in internal/core.
+// Config tunes member behaviour. Rand, MaxRetries and StrictNonceRefresh
+// carry over to the member's engine.Config; see the field docs in
+// internal/engine.
 type Config struct {
 	// Rand overrides the randomness source (crypto/rand by default).
 	Rand io.Reader
@@ -158,8 +161,7 @@ func newAuthority(set *params.Set) (*Authority, error) {
 // they drive several members' machines from one goroutine and require
 // exclusive use of every member they touch for the duration of the call.
 type Member struct {
-	inner *core.Member
-	m     *meter.Meter
+	mach *engine.Machine
 	// mu guards the protocol machine and all mutable member state below:
 	// the session-handle registry, every Session handle's fields, and the
 	// peer-down record. The peer-down handler is NOT invoked under mu —
@@ -170,13 +172,8 @@ type Member struct {
 	// Session handle (see session.go).
 	//gkalint:guard mu
 	sessions map[string]*Session
-	//gkalint:guard -
-	// retries is the per-flow retransmission budget the session runtime
-	// enforces (Config.MaxRetries, defaulted); immutable after creation.
-	retries int
 	// dead records peers the medium reported down; onPeerDown is the
 	// application's notification hook (see SetPeerDownHandler).
-	//gkalint:guard mu
 	dead map[string]bool
 	//gkalint:callback
 	onPeerDown func(peer string)
@@ -194,29 +191,27 @@ func (a *Authority) NewMemberWithConfig(id string, cfg Config) (*Member, error) 
 	if err != nil {
 		return nil, err
 	}
-	m := meter.New()
-	ecfg := core.Config{
+	mach, err := engine.NewMachine(engine.Config{
 		Set:                a.set.Public(),
 		Rand:               cfg.Rand,
 		MaxRetries:         cfg.MaxRetries,
 		StrictNonceRefresh: cfg.StrictNonceRefresh,
-	}
-	inner, err := core.NewMember(ecfg, sk, m)
+	}, sk, meter.New())
 	if err != nil {
 		return nil, err
 	}
-	return &Member{inner: inner, m: m, retries: ecfg.Retries()}, nil
+	return &Member{mach: mach}, nil
 }
 
 // ID returns the member identity.
-func (mb *Member) ID() string { return mb.inner.ID() }
+func (mb *Member) ID() string { return mb.mach.ID() }
 
 // GroupKey returns the current group key as key material for a symmetric
 // session (nil before a session is established).
 func (mb *Member) GroupKey() []byte {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	k := mb.inner.Key()
+	k := mb.mach.Key()
 	if k == nil {
 		return nil
 	}
@@ -227,7 +222,7 @@ func (mb *Member) GroupKey() []byte {
 func (mb *Member) Roster() []string {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	s := mb.inner.Session()
+	s := mb.mach.Group()
 	if s == nil {
 		return nil
 	}
@@ -275,10 +270,10 @@ func (mb *Member) notePeerDownLocked(peer string) func(string) {
 }
 
 // Report snapshots the member's operation counters.
-func (mb *Member) Report() Report { return mb.m.Report() }
+func (mb *Member) Report() Report { return mb.mach.Meter().Report() }
 
 // ResetReport clears the member's operation counters.
-func (mb *Member) ResetReport() { mb.m.Reset() }
+func (mb *Member) ResetReport() { mb.mach.Meter().Reset() }
 
 // Network is the shared broadcast medium members communicate over.
 type Network struct {
@@ -290,7 +285,7 @@ func NewNetwork() *Network { return &Network{inner: netsim.New()} }
 
 // Attach registers a member on the medium.
 func (n *Network) Attach(mb *Member) error {
-	return n.inner.Register(mb.ID(), mb.m)
+	return n.inner.Register(mb.ID(), mb.mach.Meter())
 }
 
 // Detach removes a member from the medium (e.g. after it leaves).
@@ -299,45 +294,68 @@ func (n *Network) Detach(id string) { n.inner.Unregister(id) }
 // Totals reports medium-wide message and byte counts.
 func (n *Network) Totals() (msgs int, bytes int64) { return n.inner.Totals() }
 
-// unwrap converts the public slice to the internal one.
-func unwrap(members []*Member) []*core.Member {
-	out := make([]*core.Member, len(members))
-	for i, m := range members {
-		out[i] = m.inner
+// unwrap checks a lockstep helper's inputs — a network and no nil
+// member in any group — and returns each group's machines.
+func unwrap(n *Network, groups ...[]*Member) ([][]*engine.Machine, error) {
+	if n == nil {
+		return nil, errors.New("idgka: nil network")
 	}
-	return out
+	out := make([][]*engine.Machine, len(groups))
+	for g, members := range groups {
+		out[g] = make([]*engine.Machine, len(members))
+		for i, mb := range members {
+			if mb == nil {
+				return nil, errors.New("idgka: nil member")
+			}
+			out[g][i] = mb.mach
+		}
+	}
+	return out, nil
 }
 
 // Establish runs the two-round authenticated group key agreement of the
 // paper's Section 4 over the network. members[0] acts as the trusted
 // controller U_1; the slice order is the ring order.
 func Establish(n *Network, members []*Member) error {
-	if n == nil || len(members) < 2 {
-		return errors.New("idgka: Establish needs a network and >= 2 members")
+	ms, err := unwrap(n, members)
+	if err != nil {
+		return err
 	}
-	return core.RunInitial(n.inner, unwrap(members))
+	return core.RunInitial(n.inner, ms[0])
 }
 
 // Join admits joiner into the established group (3 rounds; Section 7).
 // The joiner must already be attached to the network.
 func Join(n *Network, members []*Member, joiner *Member) error {
-	return core.RunJoin(n.inner, unwrap(members), joiner.inner)
+	ms, err := unwrap(n, members, []*Member{joiner})
+	if err != nil {
+		return err
+	}
+	return core.RunJoin(n.inner, ms[0], ms[1][0])
 }
 
 // Leave removes one member and re-keys the survivors (2 rounds).
 func Leave(n *Network, members []*Member, leaver string) error {
-	return core.RunLeave(n.inner, unwrap(members), leaver)
+	return Partition(n, members, []string{leaver})
 }
 
 // Partition removes a set of members and re-keys the survivors (2 rounds).
 func Partition(n *Network, members []*Member, leavers []string) error {
-	return core.RunPartition(n.inner, unwrap(members), leavers)
+	ms, err := unwrap(n, members)
+	if err != nil {
+		return err
+	}
+	return core.RunPartition(n.inner, ms[0], leavers)
 }
 
 // Merge fuses two established groups into one (3 rounds). All members of
 // both groups must be attached to the same network.
 func Merge(n *Network, groupA, groupB []*Member) error {
-	return core.RunMerge(n.inner, unwrap(groupA), unwrap(groupB))
+	ms, err := unwrap(n, groupA, groupB)
+	if err != nil {
+		return err
+	}
+	return core.RunMerge(n.inner, ms[0], ms[1])
 }
 
 // DefaultEnergyModel returns the paper's Table 5 configuration: 133 MHz

@@ -168,6 +168,38 @@ func TestEstablishValidation(t *testing.T) {
 	}
 }
 
+// TestLockstepHelpersRejectNilInputs: every lockstep helper returns an
+// error, rather than panicking, on a nil network, a nil member in any
+// group, or a nil joiner.
+func TestLockstepHelpersRejectNilInputs(t *testing.T) {
+	_, net, g := buildPublicGroup(t, 4)
+	withNil := []*Member{g[0], nil, g[2]}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"Establish/nil network", func() error { return Establish(nil, g) }},
+		{"Establish/nil member", func() error { return Establish(net, withNil) }},
+		{"Join/nil network", func() error { return Join(nil, g[:3], g[3]) }},
+		{"Join/nil member", func() error { return Join(net, withNil, g[3]) }},
+		{"Join/nil joiner", func() error { return Join(net, g[:3], nil) }},
+		{"Leave/nil network", func() error { return Leave(nil, g, g[1].ID()) }},
+		{"Leave/nil member", func() error { return Leave(net, withNil, g[2].ID()) }},
+		{"Partition/nil network", func() error { return Partition(nil, g, []string{g[1].ID()}) }},
+		{"Partition/nil member", func() error { return Partition(net, withNil, []string{g[2].ID()}) }},
+		{"Merge/nil network", func() error { return Merge(nil, g[:2], g[2:]) }},
+		{"Merge/nil member in A", func() error { return Merge(net, withNil, g[3:]) }},
+		{"Merge/nil member in B", func() error { return Merge(net, g[3:], withNil) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
 func TestStrictConfigMember(t *testing.T) {
 	auth, err := NewAuthority()
 	if err != nil {

@@ -10,11 +10,8 @@ import (
 // authentication): every member broadcasts H(key ‖ id ‖ roster) and checks
 // every peer's digest. One hash broadcast per member; detects any
 // divergence in the computed group key before the key is used.
-func ConfirmKey(net netsim.Medium, members []*Member) error {
-	if len(members) == 0 {
-		return errNoSession
-	}
-	return runFlowFatal(net, members, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartConfirm(sid, lockstepBase)
-	}, "key confirmation")
+func ConfirmKey(net netsim.Medium, members []*engine.Machine) error {
+	return runFlow(net, members, func(mc *engine.Machine, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mc.StartConfirm(sid, lockstepBase)
+	}, "key confirmation", false)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math/big"
 	"testing"
+
+	"idgka/internal/engine"
 )
 
 func TestConfirmKeySucceeds(t *testing.T) {
@@ -21,7 +23,7 @@ func TestConfirmKeyDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one member's key.
-	members[1].Session().Key = new(big.Int).Add(members[1].Session().Key, big.NewInt(1))
+	members[1].Group().Key = new(big.Int).Add(members[1].Group().Key, big.NewInt(1))
 	if err := ConfirmKey(net, members); err == nil {
 		t.Fatal("diverged key passed confirmation")
 	}
@@ -45,7 +47,7 @@ func TestConfirmKeyAfterDynamicEvents(t *testing.T) {
 	if err := RunLeave(net, members, members[2].ID()); err != nil {
 		t.Fatal(err)
 	}
-	remain := append(append([]*Member{}, members[:2]...), members[3:]...)
+	remain := append(append([]*engine.Machine{}, members[:2]...), members[3:]...)
 	if err := ConfirmKey(net, remain); err != nil {
 		t.Fatalf("confirmation after leave: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"testing"
 
 	"idgka/internal/engine"
@@ -13,36 +14,42 @@ import (
 )
 
 // buildGroup extracts keys and wires up n members on a fresh network.
-func buildGroup(t testing.TB, n int, cfgMod func(*Config)) (*netsim.Network, []*Member) {
+func buildGroup(t testing.TB, n int, cfgMod func(*engine.Config)) (*netsim.Network, []*engine.Machine) {
 	t.Helper()
-	set := params.Default()
-	cfg := Config{Set: set.Public()}
-	if cfgMod != nil {
-		cfgMod(&cfg)
-	}
 	net := netsim.New()
-	members := make([]*Member, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("U%02d", i+1)
-		sk, err := gq.Extract(set.RSA, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := meter.New()
-		mb, err := NewMember(cfg, sk, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Register(id, m); err != nil {
-			t.Fatal(err)
-		}
-		members[i] = mb
+	members := make([]*engine.Machine, n)
+	for i := range members {
+		members[i] = newMachine(t, net, fmt.Sprintf("U%02d", i+1), cfgMod)
 	}
 	return net, members
 }
 
+// newMachine extracts id's GQ key and builds its protocol machine on the
+// default parameter set, metered and registered on net.
+func newMachine(t testing.TB, net *netsim.Network, id string, cfgMod func(*engine.Config)) *engine.Machine {
+	t.Helper()
+	set := params.Default()
+	cfg := engine.Config{Set: set.Public()}
+	if cfgMod != nil {
+		cfgMod(&cfg)
+	}
+	sk, err := gq.Extract(set.RSA, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := meter.New()
+	mc, err := engine.NewMachine(cfg, sk, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Register(id, m); err != nil {
+		t.Fatal(err)
+	}
+	return mc
+}
+
 // assertAgreement checks that every member holds the same non-nil key.
-func assertAgreement(t *testing.T, members []*Member) *big.Int {
+func assertAgreement(t *testing.T, members []*engine.Machine) *big.Int {
 	t.Helper()
 	key := members[0].Key()
 	if key == nil || key.Sign() == 0 {
@@ -64,6 +71,61 @@ func TestInitialGKAAgreement(t *testing.T) {
 				t.Fatalf("RunInitial: %v", err)
 			}
 			assertAgreement(t, members)
+		})
+	}
+}
+
+// TestDriversRejectEarly pins each driver's early rejection: the engine's
+// Start checks (or the drivers' own empty-slice guard) fail the run
+// before anything reaches the medium, and no machine keeps a flow of the
+// rejected run.
+func TestDriversRejectEarly(t *testing.T) {
+	cases := []struct {
+		name  string
+		keyed bool // run the initial GKA over all four members first
+		run   func(net *netsim.Network, g []*engine.Machine) error
+	}{
+		{"initial/singleton", false, func(net *netsim.Network, g []*engine.Machine) error { return RunInitial(net, g[:1]) }},
+		{"initial/empty", false, func(net *netsim.Network, g []*engine.Machine) error { return RunInitial(net, nil) }},
+		{"join/unkeyed", false, func(net *netsim.Network, g []*engine.Machine) error { return RunJoin(net, g[:3], g[3]) }},
+		{"join/singleton", true, func(net *netsim.Network, g []*engine.Machine) error { return RunJoin(net, g[:1], g[3]) }},
+		{"merge/unkeyed", false, func(net *netsim.Network, g []*engine.Machine) error { return RunMerge(net, g[:2], g[2:]) }},
+		{"merge/singleton", true, func(net *netsim.Network, g []*engine.Machine) error { return RunMerge(net, g[:1], g[1:]) }},
+		{"merge/empty", false, func(net *netsim.Network, g []*engine.Machine) error { return RunMerge(net, nil, nil) }},
+		{"merge-multi/one-group", true, func(net *netsim.Network, g []*engine.Machine) error {
+			_, err := RunMergeMulti(net, g)
+			return err
+		}},
+		{"confirm/unkeyed", false, func(net *netsim.Network, g []*engine.Machine) error { return ConfirmKey(net, g) }},
+		{"confirm/empty", true, func(net *netsim.Network, g []*engine.Machine) error { return ConfirmKey(net, nil) }},
+		{"partition/unkeyed", false, func(net *netsim.Network, g []*engine.Machine) error { return RunLeave(net, g, g[1].ID()) }},
+		{"partition/no-leavers", true, func(net *netsim.Network, g []*engine.Machine) error { return RunPartition(net, g, nil) }},
+		{"partition/unknown-leaver", true, func(net *netsim.Network, g []*engine.Machine) error { return RunLeave(net, g, "nobody") }},
+		{"partition/to-singleton", true, func(net *netsim.Network, g []*engine.Machine) error {
+			return RunPartition(net, g, []string{g[0].ID(), g[1].ID(), g[2].ID()})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net, g := buildGroup(t, 4, nil)
+			if tc.keyed {
+				if err := RunInitial(net, g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			msgs, bytes := net.Totals()
+			if err := tc.run(net, g); err == nil {
+				t.Fatal("accepted")
+			}
+			if m, b := net.Totals(); m != msgs || b != bytes {
+				t.Errorf("medium carried %d msgs / %d bytes of a rejected run", m-msgs, b-bytes)
+			}
+			sid := "lockstep/" + strconv.FormatUint(lockstepRuns.Load(), 10)
+			for _, mc := range g {
+				if mc.ActiveFlow(sid) {
+					t.Errorf("%s kept the rejected run's flow", mc.ID())
+				}
+			}
 		})
 	}
 }
@@ -109,7 +171,7 @@ func TestInitialCountersMatchTable1(t *testing.T) {
 }
 
 func TestInitialRecoversFromCorruptedRound2(t *testing.T) {
-	net, members := buildGroup(t, 4, func(c *Config) { c.MaxRetries = 3 })
+	net, members := buildGroup(t, 4, func(c *engine.Config) { c.MaxRetries = 3 })
 	// Corrupt the first round-2 broadcast: batch verification (or Lemma 1)
 	// must fail and the paper's retransmission path must recover.
 	net.SetFaults(netsim.FaultPlan{CorruptFirst: engine.MsgRound2})
@@ -120,7 +182,7 @@ func TestInitialRecoversFromCorruptedRound2(t *testing.T) {
 }
 
 func TestInitialFailsAfterPersistentCorruption(t *testing.T) {
-	net, members := buildGroup(t, 3, func(c *Config) { c.MaxRetries = 1 })
+	net, members := buildGroup(t, 3, func(c *engine.Config) { c.MaxRetries = 1 })
 	// Re-arm corruption before every attempt by corrupting round 1 too;
 	// a single FaultPlan disarms, so use drop of round1 permanently via
 	// repeated SetFaults through a wrapper is not available — instead use
@@ -143,33 +205,20 @@ func TestJoinProducesSharedKeyAndRoster(t *testing.T) {
 	}
 	oldKey := assertAgreement(t, members)
 
-	// Build the joiner.
-	set := params.Default()
-	sk, err := gq.Extract(set.RSA, "U99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jm := meter.New()
-	joiner, err := NewMember(Config{Set: set.Public()}, sk, jm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Register("U99", jm); err != nil {
-		t.Fatal(err)
-	}
+	joiner := newMachine(t, net, "U99", nil)
 	if err := RunJoin(net, members, joiner); err != nil {
 		t.Fatalf("RunJoin: %v", err)
 	}
-	all := append(append([]*Member{}, members...), joiner)
+	all := append(append([]*engine.Machine{}, members...), joiner)
 	newKey := assertAgreement(t, all)
 	if newKey.Cmp(oldKey) == 0 {
 		t.Fatal("join did not refresh the group key (no backward secrecy)")
 	}
 	for _, mb := range all {
-		if got := mb.Session().Size(); got != 6 {
+		if got := mb.Group().Size(); got != 6 {
 			t.Fatalf("%s: roster size %d, want 6", mb.ID(), got)
 		}
-		if mb.Session().Last() != "U99" {
+		if mb.Group().Last() != "U99" {
 			t.Fatalf("%s: joiner not last in ring", mb.ID())
 		}
 	}
@@ -188,13 +237,7 @@ func TestJoinCounters(t *testing.T) {
 	}
 	net.ResetTotals()
 
-	set := params.Default()
-	sk, _ := gq.Extract(set.RSA, "U99")
-	jm := meter.New()
-	joiner, _ := NewMember(Config{Set: set.Public()}, sk, jm)
-	if err := net.Register("U99", jm); err != nil {
-		t.Fatal(err)
-	}
+	joiner := newMachine(t, net, "U99", nil)
 	if err := RunJoin(net, members, joiner); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +279,7 @@ func TestLeaveExcludesLeaverAndRefreshesKey(t *testing.T) {
 	if err := RunLeave(net, members, leaver.ID()); err != nil {
 		t.Fatalf("RunLeave: %v", err)
 	}
-	remain := append(append([]*Member{}, members[:2]...), members[3:]...)
+	remain := append(append([]*engine.Machine{}, members[:2]...), members[3:]...)
 	newKey := assertAgreement(t, remain)
 	if newKey.Cmp(oldKey) == 0 {
 		t.Fatal("leave did not refresh the key (no forward secrecy)")
@@ -246,10 +289,10 @@ func TestLeaveExcludesLeaverAndRefreshesKey(t *testing.T) {
 		t.Fatal("leaver can compute the new key")
 	}
 	for _, mb := range remain {
-		if mb.Session().Size() != 5 {
-			t.Fatalf("%s: ring size %d after leave, want 5", mb.ID(), mb.Session().Size())
+		if mb.Group().Size() != 5 {
+			t.Fatalf("%s: ring size %d after leave, want 5", mb.ID(), mb.Group().Size())
 		}
-		if mb.Session().Position(leaver.ID()) != -1 {
+		if mb.Group().Position(leaver.ID()) != -1 {
 			t.Fatalf("%s still lists the leaver", mb.ID())
 		}
 	}
@@ -299,7 +342,7 @@ func TestPartitionRemovesMany(t *testing.T) {
 	if err := RunPartition(net, members, leavers); err != nil {
 		t.Fatalf("RunPartition: %v", err)
 	}
-	var remain []*Member
+	var remain []*engine.Machine
 	out := map[string]bool{}
 	for _, l := range leavers {
 		out[l] = true
@@ -313,8 +356,8 @@ func TestPartitionRemovesMany(t *testing.T) {
 	if newKey.Cmp(oldKey) == 0 {
 		t.Fatal("partition did not refresh the key")
 	}
-	if remain[0].Session().Size() != 5 {
-		t.Fatalf("ring size %d, want 5", remain[0].Session().Size())
+	if remain[0].Group().Size() != 5 {
+		t.Fatalf("ring size %d, want 5", remain[0].Group().Size())
 	}
 }
 
@@ -340,18 +383,10 @@ func TestMergeTwoGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Group B on its own medium first, then both join a common medium.
-	set := params.Default()
 	netB := netsim.New()
-	var groupB []*Member
+	var groupB []*engine.Machine
 	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("V%02d", i+1)
-		sk, _ := gq.Extract(set.RSA, id)
-		m := meter.New()
-		mb, _ := NewMember(Config{Set: set.Public()}, sk, m)
-		if err := netB.Register(id, m); err != nil {
-			t.Fatal(err)
-		}
-		groupB = append(groupB, mb)
+		groupB = append(groupB, newMachine(t, netB, fmt.Sprintf("V%02d", i+1), nil))
 	}
 	if err := RunInitial(netB, groupB); err != nil {
 		t.Fatal(err)
@@ -368,14 +403,14 @@ func TestMergeTwoGroups(t *testing.T) {
 	if err := RunMerge(netA, groupA, groupB); err != nil {
 		t.Fatalf("RunMerge: %v", err)
 	}
-	all := append(append([]*Member{}, groupA...), groupB...)
+	all := append(append([]*engine.Machine{}, groupA...), groupB...)
 	newKey := assertAgreement(t, all)
 	if newKey.Cmp(keyA) == 0 || newKey.Cmp(keyB) == 0 {
 		t.Fatal("merged key must differ from both old keys")
 	}
 	for _, mb := range all {
-		if mb.Session().Size() != 7 {
-			t.Fatalf("%s: merged ring size %d, want 7", mb.ID(), mb.Session().Size())
+		if mb.Group().Size() != 7 {
+			t.Fatalf("%s: merged ring size %d, want 7", mb.ID(), mb.Group().Size())
 		}
 	}
 }
@@ -387,21 +422,15 @@ func TestMergeCounters(t *testing.T) {
 	if err := RunInitial(net, groupA); err != nil {
 		t.Fatal(err)
 	}
-	set := params.Default()
-	var groupB []*Member
+	var groupB []*engine.Machine
 	netB := netsim.New()
 	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("V%02d", i+1)
-		sk, _ := gq.Extract(set.RSA, id)
-		m := meter.New()
-		mb, _ := NewMember(Config{Set: set.Public()}, sk, m)
-		_ = netB.Register(id, m)
-		groupB = append(groupB, mb)
+		groupB = append(groupB, newMachine(t, netB, fmt.Sprintf("V%02d", i+1), nil))
 	}
 	if err := RunInitial(netB, groupB); err != nil {
 		t.Fatal(err)
 	}
-	for _, mb := range append(append([]*Member{}, groupA...), groupB...) {
+	for _, mb := range append(append([]*engine.Machine{}, groupA...), groupB...) {
 		mb.Meter().Reset()
 		if err := func() error {
 			if mb.ID()[0] == 'V' {
@@ -424,7 +453,7 @@ func TestMergeCounters(t *testing.T) {
 	if uB.Exp != 4 {
 		t.Errorf("U_{n+1} Exp = %d, want 4", uB.Exp)
 	}
-	for _, mb := range append(append([]*Member{}, groupA[1:]...), groupB[1:]...) {
+	for _, mb := range append(append([]*engine.Machine{}, groupA[1:]...), groupB[1:]...) {
 		if r := mb.Meter().Report(); r.Exp != 0 {
 			t.Errorf("%s Exp = %d, want 0", mb.ID(), r.Exp)
 		}
@@ -436,18 +465,12 @@ func TestMergeCounters(t *testing.T) {
 }
 
 func TestMergeMultiThreeGroups(t *testing.T) {
-	set := params.Default()
 	net := netsim.New()
-	mk := func(prefix string, n int) []*Member {
+	mk := func(prefix string, n int) []*engine.Machine {
 		sub := netsim.New()
-		var g []*Member
+		var g []*engine.Machine
 		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("%s%02d", prefix, i+1)
-			sk, _ := gq.Extract(set.RSA, id)
-			m := meter.New()
-			mb, _ := NewMember(Config{Set: set.Public()}, sk, m)
-			_ = sub.Register(id, m)
-			g = append(g, mb)
+			g = append(g, newMachine(t, sub, fmt.Sprintf("%s%02d", prefix, i+1), nil))
 		}
 		if err := RunInitial(sub, g); err != nil {
 			t.Fatal(err)
@@ -477,28 +500,18 @@ func TestDynamicLifecycle(t *testing.T) {
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
-	set := params.Default()
-	addMember := func(id string) *Member {
-		sk, _ := gq.Extract(set.RSA, id)
-		m := meter.New()
-		mb, _ := NewMember(Config{Set: set.Public()}, sk, m)
-		if err := net.Register(id, m); err != nil {
-			t.Fatal(err)
-		}
-		return mb
-	}
-	j1 := addMember("J01")
+	j1 := newMachine(t, net, "J01", nil)
 	if err := RunJoin(net, members, j1); err != nil {
 		t.Fatalf("join 1: %v", err)
 	}
-	group := append(append([]*Member{}, members...), j1)
+	group := append(append([]*engine.Machine{}, members...), j1)
 	assertAgreement(t, group)
 
 	// U02 leaves.
 	if err := RunLeave(net, group, "U02"); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	var g2 []*Member
+	var g2 []*engine.Machine
 	for _, mb := range group {
 		if mb.ID() != "U02" {
 			g2 = append(g2, mb)
@@ -507,18 +520,18 @@ func TestDynamicLifecycle(t *testing.T) {
 	assertAgreement(t, g2)
 
 	// Another join.
-	j2 := addMember("J02")
+	j2 := newMachine(t, net, "J02", nil)
 	if err := RunJoin(net, g2, j2); err != nil {
 		t.Fatalf("join 2: %v", err)
 	}
-	g3 := append(append([]*Member{}, g2...), j2)
+	g3 := append(append([]*engine.Machine{}, g2...), j2)
 	assertAgreement(t, g3)
 
 	// Partition: two members drop off.
 	if err := RunPartition(net, g3, []string{g3[1].ID(), g3[3].ID()}); err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	var g4 []*Member
+	var g4 []*engine.Machine
 	for _, mb := range g3 {
 		if mb.ID() != g3[1].ID() && mb.ID() != g3[3].ID() {
 			g4 = append(g4, mb)
@@ -528,14 +541,14 @@ func TestDynamicLifecycle(t *testing.T) {
 }
 
 func TestStrictNonceRefreshMode(t *testing.T) {
-	net, members := buildGroup(t, 6, func(c *Config) { c.StrictNonceRefresh = true })
+	net, members := buildGroup(t, 6, func(c *engine.Config) { c.StrictNonceRefresh = true })
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
 	if err := RunLeave(net, members, members[3].ID()); err != nil {
 		t.Fatalf("strict-mode leave: %v", err)
 	}
-	remain := append(append([]*Member{}, members[:3]...), members[4:]...)
+	remain := append(append([]*engine.Machine{}, members[:3]...), members[4:]...)
 	assertAgreement(t, remain)
 	// In strict mode every survivor broadcasts in round 1 (fresh t'), so
 	// tx counts are n-1 round-1 messages + n-1 round-2 messages.
@@ -565,35 +578,32 @@ func TestPaperNonceReuseWeakness(t *testing.T) {
 		t.Fatal(err)
 	}
 	evenMember := members[1] // U02, 1-based index 2
-	tauBefore := evenMember.Session().Tau
+	tauBefore := evenMember.Group().Tau
 	if err := RunLeave(net, members, members[4].ID()); err != nil {
 		t.Fatal(err)
 	}
-	if evenMember.Session().Tau != tauBefore {
+	if evenMember.Group().Tau != tauBefore {
 		t.Fatal("paper-faithful mode should reuse the even member's commitment")
 	}
 	// Strict mode must NOT reuse: covered by TestStrictNonceRefreshMode's
 	// protocol success; verify directly here.
-	net2, members2 := buildGroup(t, 6, func(c *Config) { c.StrictNonceRefresh = true })
+	net2, members2 := buildGroup(t, 6, func(c *engine.Config) { c.StrictNonceRefresh = true })
 	if err := RunInitial(net2, members2); err != nil {
 		t.Fatal(err)
 	}
 	even2 := members2[1]
-	tau2 := even2.Session().Tau
+	tau2 := even2.Group().Tau
 	if err := RunLeave(net2, members2, members2[4].ID()); err != nil {
 		t.Fatal(err)
 	}
-	if even2.Session().Tau == tau2 {
+	if even2.Group().Tau == tau2 {
 		t.Fatal("strict mode must refresh the commitment")
 	}
 }
 
 func TestJoinRequiresSession(t *testing.T) {
 	net, members := buildGroup(t, 3, nil)
-	set := params.Default()
-	sk, _ := gq.Extract(set.RSA, "U99")
-	joiner, _ := NewMember(Config{Set: set.Public()}, sk, meter.New())
-	_ = net.Register("U99", meter.New())
+	joiner := newMachine(t, net, "U99", nil)
 	if err := RunJoin(net, members, joiner); err == nil {
 		t.Fatal("join without established session accepted")
 	}
@@ -607,13 +617,7 @@ func TestFailedFlowDoesNotPoisonNextRun(t *testing.T) {
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
-	set := params.Default()
-	sk, _ := gq.Extract(set.RSA, "U99")
-	jm := meter.New()
-	joiner, _ := NewMember(Config{Set: set.Public()}, sk, jm)
-	if err := net.Register("U99", jm); err != nil {
-		t.Fatal(err)
-	}
+	joiner := newMachine(t, net, "U99", nil)
 	// Drop the controller's join broadcast: the join stalls and fails.
 	net.SetFaults(netsim.FaultPlan{DropFirst: engine.MsgJoinCtl})
 	err := RunJoin(net, members, joiner)
@@ -623,7 +627,7 @@ func TestFailedFlowDoesNotPoisonNextRun(t *testing.T) {
 	// The failure must NOT invite a retry: members' sessions are now
 	// asymmetric (the controller may have committed), so a re-run cannot
 	// converge.
-	if IsRetryable(err) {
+	if engine.IsRetryable(err) {
 		t.Errorf("stalled join reported as retryable: %v", err)
 	}
 	// The group must still be able to re-key (old sessions intact,
@@ -631,6 +635,6 @@ func TestFailedFlowDoesNotPoisonNextRun(t *testing.T) {
 	if err := RunLeave(net, members, members[1].ID()); err != nil {
 		t.Fatalf("leave after failed join: %v", err)
 	}
-	remain := append(append([]*Member{}, members[:1]...), members[2:]...)
+	remain := append(append([]*engine.Machine{}, members[:1]...), members[2:]...)
 	assertAgreement(t, remain)
 }

@@ -37,7 +37,7 @@ const lockstepBase = ""
 
 // starter begins one member's flow under a session id and returns its
 // opening messages.
-type starter func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error)
+type starter func(mc *engine.Machine, sid string) ([]engine.Outbound, []engine.Event, error)
 
 // errStalled marks an attempt in which the network went quiet before every
 // member finished — e.g. a dropped broadcast; the paper's answer is "all
@@ -60,13 +60,13 @@ const maxSweeps = 1 << 10
 // aborted, so a retry starts under the next attempt; either way the
 // members release the run's session, whose committed group stays their
 // current one.
-func (run *lockstepRun) pump(net netsim.Medium, members []*Member, start starter) (err error) {
+func (run *lockstepRun) pump(net netsim.Medium, members []*engine.Machine, start starter) (err error) {
 	defer func() {
-		for _, mb := range members {
+		for _, mc := range members {
 			if err != nil {
-				mb.mach.Abort(run.sid)
+				mc.Abort(run.sid)
 			}
-			mb.mach.Release(run.sid)
+			mc.Release(run.sid)
 		}
 	}()
 	run.stripped = false
@@ -78,8 +78,8 @@ func (run *lockstepRun) pump(net netsim.Medium, members []*Member, start starter
 	inboxes := make([][]netsim.Message, n)
 	for sweep := 0; sweep <= maxSweeps; sweep++ {
 		total := 0
-		for i, mb := range members {
-			if inboxes[i], err = net.Recv(mb.ID()); err != nil {
+		for i, mc := range members {
+			if inboxes[i], err = net.Recv(mc.ID()); err != nil {
 				return err
 			}
 			total += len(inboxes[i])
@@ -90,15 +90,15 @@ func (run *lockstepRun) pump(net netsim.Medium, members []*Member, start starter
 			}
 			return engine.Retryable(errStalled)
 		}
-		forEach(members, func(i int, mb *Member) {
+		forEach(members, func(i int, mc *engine.Machine) {
 			if sweep == 0 {
-				outs[i], evts[i], errs[i] = start(mb, run.sid)
+				outs[i], evts[i], errs[i] = start(mc, run.sid)
 				return
 			}
 			outs[i], evts[i], errs[i] = nil, nil, nil
 			for _, msg := range inboxes[i] {
 				msg.Payload = engine.Envelope(run.sid, run.attempt, msg.Payload)
-				o, e := mb.mach.Step(msg)
+				o, e := mc.Step(msg)
 				outs[i] = append(outs[i], o...)
 				evts[i] = append(evts[i], e...)
 			}
@@ -113,52 +113,50 @@ func (run *lockstepRun) pump(net netsim.Medium, members []*Member, start starter
 	return engine.Retryable(errStalled)
 }
 
-// runFlowFatal runs a flow that cannot be retransmitted mid-flight: the
-// Join/Merge/Confirm protocols change per-member state asymmetrically
-// (e.g. the controller may commit the new key before a stall is
-// detected), so re-running them against half-updated sessions cannot
-// converge. Any failure — including a protocol-retryable one — is
-// surfaced stripped of the retryable marker, so callers are not invited
-// into a doomed retry. The full re-key flows (initial, partition) retry
-// safely via runFlowRetrying instead.
-func runFlowFatal(net netsim.Medium, members []*Member, start starter, what string) error {
-	err := newLockstepRun().pump(net, members, start)
-	if err != nil && IsRetryable(err) {
-		return fmt.Errorf("core: %s failed (not retryable mid-flight): %v", what, err)
-	}
-	return err
-}
-
-// runFlowRetrying wraps pump in the paper's retransmission loop:
+// runFlow pumps one flow over members. A retrying flow (the full re-key
+// flows: initial, partition) runs inside the paper's retransmission loop:
 // on a retryable failure every member aborts, and the flow restarts under
 // the next attempt of the same session with fresh randomness, up to the
-// configured retry budget.
-func runFlowRetrying(net netsim.Medium, members []*Member, start starter, what string) error {
-	retries := members[0].cfg.Retries()
+// controller's retry budget. The Join/Merge/Confirm flows cannot be
+// retransmitted mid-flight: they change per-member state asymmetrically
+// (e.g. the controller may commit the new key before a stall is
+// detected), so re-running them against half-updated sessions cannot
+// converge; any failure of theirs — including a protocol-retryable one —
+// is surfaced stripped of the retryable marker, so callers are not
+// invited into a doomed retry. Every precondition besides a non-empty
+// member list (group sizes, an established base group, known leavers) is
+// the engine's Start* check, which fails the first sweep before anything
+// reaches the medium.
+func runFlow(net netsim.Medium, members []*engine.Machine, start starter, what string, retrying bool) error {
+	if len(members) == 0 {
+		return fmt.Errorf("core: %s needs members", what)
+	}
+	retries := 0
+	if retrying {
+		retries = members[0].Retries()
+	}
 	run := newLockstepRun()
-	var lastErr error
+	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
-		err := run.pump(net, members, start)
-		if err == nil {
-			return nil
-		}
-		if !IsRetryable(err) {
+		if err = run.pump(net, members, start); err == nil || !engine.IsRetryable(err) {
 			return err
 		}
-		lastErr = err
 	}
-	return fmt.Errorf("core: %s failed after retries: %w", what, lastErr)
+	if !retrying {
+		return fmt.Errorf("core: %s failed (not retryable mid-flight): %v", what, err)
+	}
+	return fmt.Errorf("core: %s failed after retries: %w", what, err)
 }
 
 // forEach runs fn concurrently for every member (one goroutine per node).
-func forEach(members []*Member, fn func(int, *Member)) {
+func forEach(members []*engine.Machine, fn func(int, *engine.Machine)) {
 	var wg sync.WaitGroup
-	for i, mb := range members {
+	for i, mc := range members {
 		wg.Add(1)
-		go func(i int, mb *Member) {
+		go func(i int, mc *engine.Machine) {
 			defer wg.Done()
-			fn(i, mb)
-		}(i, mb)
+			fn(i, mc)
+		}(i, mc)
 	}
 	wg.Wait()
 }
@@ -166,12 +164,12 @@ func forEach(members []*Member, fn func(int, *Member)) {
 // harvest folds per-member step results into the done set, preferring a
 // retryable error over a fatal one when both occur in one phase (so the
 // orchestrator re-runs rather than aborts).
-func harvest(members []*Member, evts [][]engine.Event, errs []error, done []bool) error {
+func harvest(members []*engine.Machine, evts [][]engine.Event, errs []error, done []bool) error {
 	var firstFatal error
 	var retry error
 	for i := range members {
 		if errs[i] != nil {
-			if IsRetryable(errs[i]) {
+			if engine.IsRetryable(errs[i]) {
 				retry = errs[i]
 			} else if firstFatal == nil {
 				firstFatal = errs[i]
@@ -202,8 +200,8 @@ func harvest(members []*Member, evts [][]engine.Event, errs []error, done []bool
 // injector and the medium's traffic accounting). The try's first envelope
 // fixes the attempt pump restores on delivery; an envelope naming another
 // session or attempt is a driver bug and fails the run.
-func (run *lockstepRun) transmit(net netsim.Medium, members []*Member, outs [][]engine.Outbound) error {
-	for i, mb := range members {
+func (run *lockstepRun) transmit(net netsim.Medium, members []*engine.Machine, outs [][]engine.Outbound) error {
+	for i, mc := range members {
 		for j := range outs[i] {
 			sid, attempt, body, err := engine.OpenEnvelope(outs[i][j].Payload)
 			if err == nil && !run.stripped {
@@ -211,11 +209,11 @@ func (run *lockstepRun) transmit(net netsim.Medium, members []*Member, outs [][]
 			}
 			if err != nil || sid != run.sid || attempt != run.attempt {
 				return fmt.Errorf("core: driver bug: %s emitted a %s outside session %q attempt %d (%q, %d, %v)",
-					mb.ID(), outs[i][j].Type, run.sid, run.attempt, sid, attempt, err)
+					mc.ID(), outs[i][j].Type, run.sid, run.attempt, sid, attempt, err)
 			}
 			outs[i][j].Payload = body
 		}
-		if err := engine.SendAll(net, mb.ID(), outs[i]); err != nil {
+		if err := engine.SendAll(net, mc.ID(), outs[i]); err != nil {
 			return err
 		}
 	}
@@ -232,10 +230,10 @@ func allDone(done []bool) bool {
 }
 
 // rosterOf extracts the identity ring from a member slice.
-func rosterOf(members []*Member) []string {
+func rosterOf(members []*engine.Machine) []string {
 	ids := make([]string, len(members))
-	for i, m := range members {
-		ids[i] = m.ID()
+	for i, mc := range members {
+		ids[i] = mc.ID()
 	}
 	return ids
 }

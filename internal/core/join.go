@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"idgka/internal/engine"
 	"idgka/internal/netsim"
 )
@@ -18,18 +16,10 @@ import (
 // medium (the paper's Table 4 lists 5; see
 // docs/ARCHITECTURE.md#accounting-conventions), 2
 // exponentiations for U_1 and U_{n+1}, 1 for U_n, none for the rest.
-func RunJoin(net netsim.Medium, members []*Member, joiner *Member) error {
-	if len(members) < 2 {
-		return errors.New("core: join needs an existing group of >= 2")
-	}
-	for _, mb := range members {
-		if mb.Session() == nil || mb.Session().Key == nil {
-			return errNoSession
-		}
-	}
+func RunJoin(net netsim.Medium, members []*engine.Machine, joiner *engine.Machine) error {
 	roster := rosterOf(members)
-	all := append(append([]*Member{}, members...), joiner)
-	return runFlowFatal(net, all, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartJoin(sid, lockstepBase, roster, joiner.ID())
-	}, "join")
+	all := append(append([]*engine.Machine{}, members...), joiner)
+	return runFlow(net, all, func(mc *engine.Machine, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mc.StartJoin(sid, lockstepBase, roster, joiner.ID())
+	}, "join", false)
 }

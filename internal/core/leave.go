@@ -1,15 +1,13 @@
 package core
 
 import (
-	"errors"
-
 	"idgka/internal/engine"
 	"idgka/internal/netsim"
 )
 
 // RunLeave executes the two-round Leave protocol of Section 7, removing a
 // single member. members must be the current ring (including the leaver).
-func RunLeave(net netsim.Medium, members []*Member, leaver string) error {
+func RunLeave(net netsim.Medium, members []*engine.Machine, leaver string) error {
 	return RunPartition(net, members, []string{leaver})
 }
 
@@ -20,19 +18,17 @@ func RunLeave(net netsim.Medium, members []*Member, leaver string) error {
 // their exponents and GQ commitments; everyone remaining recomputes X
 // values over the contracted ring, authenticates with one batch
 // verification, and derives the new key (equations 11/13).
-func RunPartition(net netsim.Medium, members []*Member, leavers []string) error {
-	if len(leavers) == 0 {
-		return errors.New("core: no leavers given")
-	}
+func RunPartition(net netsim.Medium, members []*engine.Machine, leavers []string) error {
 	// Members whose stored commitment cannot be reused (e.g. a member that
 	// joined since the last full keying holds no τ) must refresh too.
 	stale := map[string]bool{}
-	for _, mb := range members {
-		if mb.Session() == nil || mb.Session().Key == nil {
-			return errNoSession
+	for _, mc := range members {
+		g := mc.Group()
+		if g == nil {
+			return engine.ErrNoSession
 		}
-		if mb.Session().Tau == nil {
-			stale[mb.ID()] = true
+		if g.Tau == nil {
+			stale[mc.ID()] = true
 		}
 	}
 	newRoster, refresh, err := engine.PlanPartition(rosterOf(members), leavers, stale)
@@ -43,13 +39,13 @@ func RunPartition(net netsim.Medium, members []*Member, leavers []string) error 
 	for _, id := range newRoster {
 		remainSet[id] = true
 	}
-	var remain []*Member
-	for _, mb := range members {
-		if remainSet[mb.ID()] {
-			remain = append(remain, mb)
+	var remain []*engine.Machine
+	for _, mc := range members {
+		if remainSet[mc.ID()] {
+			remain = append(remain, mc)
 		}
 	}
-	return runFlowRetrying(net, remain, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartPartition(sid, lockstepBase, newRoster, refresh)
-	}, "partition")
+	return runFlow(net, remain, func(mc *engine.Machine, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mc.StartPartition(sid, lockstepBase, newRoster, refresh)
+	}, "partition", true)
 }

@@ -12,26 +12,18 @@ import (
 // keyed group with ring A‖B. Only the two controllers U_1 and U_{n+1}
 // perform exponentiations (4 each); every other member does symmetric
 // decryptions only. The final key is K' = K*_A · K*_B (equation 9).
-func RunMerge(net netsim.Medium, groupA, groupB []*Member) error {
-	if len(groupA) < 2 || len(groupB) < 2 {
-		return errors.New("core: merge needs two groups of >= 2")
-	}
-	for _, mb := range append(append([]*Member{}, groupA...), groupB...) {
-		if mb.Session() == nil || mb.Session().Key == nil {
-			return errNoSession
-		}
-	}
+func RunMerge(net netsim.Medium, groupA, groupB []*engine.Machine) error {
 	rosterA := rosterOf(groupA)
 	rosterB := rosterOf(groupB)
-	all := append(append([]*Member{}, groupA...), groupB...)
-	return runFlowFatal(net, all, func(mb *Member, sid string) ([]engine.Outbound, []engine.Event, error) {
-		return mb.mach.StartMerge(sid, lockstepBase, rosterA, rosterB)
-	}, "merge")
+	all := append(append([]*engine.Machine{}, groupA...), groupB...)
+	return runFlow(net, all, func(mc *engine.Machine, sid string) ([]engine.Outbound, []engine.Event, error) {
+		return mc.StartMerge(sid, lockstepBase, rosterA, rosterB)
+	}, "merge", false)
 }
 
 // RunMergeMulti folds k groups into one by sequential pairwise merges
 // (k-1 merges, matching the paper's 6(k-1) message count).
-func RunMergeMulti(net netsim.Medium, groups ...[]*Member) ([]*Member, error) {
+func RunMergeMulti(net netsim.Medium, groups ...[]*engine.Machine) ([]*engine.Machine, error) {
 	if len(groups) < 2 {
 		return nil, errors.New("core: multi-merge needs >= 2 groups")
 	}
@@ -40,7 +32,7 @@ func RunMergeMulti(net netsim.Medium, groups ...[]*Member) ([]*Member, error) {
 		if err := RunMerge(net, acc, g); err != nil {
 			return nil, err
 		}
-		acc = append(append([]*Member{}, acc...), g...)
+		acc = append(append([]*engine.Machine{}, acc...), g...)
 	}
 	return acc, nil
 }

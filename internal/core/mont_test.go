@@ -10,10 +10,10 @@ import (
 	"testing"
 
 	"idgka/internal/bdkey"
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
-	"idgka/internal/sigs/gq"
 )
 
 // montCtrReader is a deterministic randomness stream (SHA-256 in counter
@@ -53,24 +53,12 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	t.Helper()
 	set := params.Default()
 	meters := map[string]*meter.Meter{}
-	newMb := func(net *netsim.Network, id string) *Member {
-		cfg := Config{Set: set.Public(), Rand: newMontCtrReader(seed + "/" + id)}
-		sk, err := gq.Extract(set.RSA, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := meter.New()
-		meters[id] = m
-		mb, err := NewMember(cfg, sk, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Register(id, m); err != nil {
-			t.Fatal(err)
-		}
-		return mb
+	newMb := func(net *netsim.Network, id string) *engine.Machine {
+		mc := newMachine(t, net, id, func(c *engine.Config) { c.Rand = newMontCtrReader(seed + "/" + id) })
+		meters[id] = mc.Meter()
+		return mc
 	}
-	confirm := func(net *netsim.Network, members []*Member, what string) *big.Int {
+	confirm := func(net *netsim.Network, members []*engine.Machine, what string) *big.Int {
 		if err := ConfirmKey(net, members); err != nil {
 			t.Fatalf("%s: key confirmation: %v", what, err)
 		}
@@ -79,15 +67,15 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	// directKey checks a ring-keyed flow's key against g^{Σ r_j r_{j+1}}
 	// over the members' own exponents in roster order: a reference that
 	// shares no code with the engine's equation (3).
-	directKey := func(members []*Member, key *big.Int, what string) {
-		byID := map[string]*Member{}
+	directKey := func(members []*engine.Machine, key *big.Int, what string) {
+		byID := map[string]*engine.Machine{}
 		for _, mb := range members {
 			byID[mb.ID()] = mb
 		}
-		roster := members[0].Session().Roster
+		roster := members[0].Group().Roster
 		rs := make([]*big.Int, len(roster))
 		for i, id := range roster {
-			rs[i] = byID[id].Session().R
+			rs[i] = byID[id].Group().R
 		}
 		sg := set.Schnorr
 		if bdkey.DirectKey(sg.G, rs, sg.Q, sg.P).Cmp(key) != 0 {
@@ -97,7 +85,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 
 	var keys []*big.Int
 	net := netsim.New()
-	var group []*Member
+	var group []*engine.Machine
 	for i := 0; i < 5; i++ {
 		group = append(group, newMb(net, fmt.Sprintf("M%02d", i+1)))
 	}
@@ -117,7 +105,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	if err := RunLeave(net, group, "M02"); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	var g2 []*Member
+	var g2 []*engine.Machine
 	for _, mb := range group {
 		if mb.ID() != "M02" {
 			g2 = append(g2, mb)
@@ -128,7 +116,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	directKey(group, keys[2], "leave")
 
 	netB := netsim.New()
-	var groupB []*Member
+	var groupB []*engine.Machine
 	for i := 0; i < 3; i++ {
 		groupB = append(groupB, newMb(netB, fmt.Sprintf("N%02d", i+1)))
 	}
@@ -150,7 +138,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	if err := RunPartition(net, group, evict); err != nil {
 		t.Fatalf("partition: %v", err)
 	}
-	var g3 []*Member
+	var g3 []*engine.Machine
 	for _, mb := range group {
 		if mb.ID() != evict[0] && mb.ID() != evict[1] {
 			g3 = append(g3, mb)

@@ -8,10 +8,8 @@ import (
 
 	"idgka/internal/bdkey"
 	"idgka/internal/engine"
-	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
-	"idgka/internal/sigs/gq"
 )
 
 // TestConsecutiveJoins checks state consistency across repeated joins:
@@ -21,24 +19,17 @@ func TestConsecutiveJoins(t *testing.T) {
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
-	set := params.Default()
 	group := members
 	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("J%02d", i+1)
-		sk, _ := gq.Extract(set.RSA, id)
-		m := meter.New()
-		joiner, _ := NewMember(Config{Set: set.Public()}, sk, m)
-		if err := net.Register(id, m); err != nil {
-			t.Fatal(err)
-		}
+		joiner := newMachine(t, net, fmt.Sprintf("J%02d", i+1), nil)
 		if err := RunJoin(net, group, joiner); err != nil {
 			t.Fatalf("join %d: %v", i+1, err)
 		}
 		group = append(group, joiner)
 		assertAgreement(t, group)
 	}
-	if group[0].Session().Size() != 6 {
-		t.Fatalf("final ring size %d, want 6", group[0].Session().Size())
+	if group[0].Group().Size() != 6 {
+		t.Fatalf("final ring size %d, want 6", group[0].Group().Size())
 	}
 }
 
@@ -50,22 +41,16 @@ func TestJoinThenLeaveJoiner(t *testing.T) {
 		if err := RunInitial(net, members); err != nil {
 			t.Fatal(err)
 		}
-		set := params.Default()
-		sk, _ := gq.Extract(set.RSA, "JX")
-		m := meter.New()
-		joiner, _ := NewMember(Config{Set: set.Public()}, sk, m)
-		if err := net.Register("JX", m); err != nil {
-			t.Fatal(err)
-		}
+		joiner := newMachine(t, net, "JX", nil)
 		if err := RunJoin(net, members, joiner); err != nil {
 			t.Fatal(err)
 		}
-		group := append(append([]*Member{}, members...), joiner)
+		group := append(append([]*engine.Machine{}, members...), joiner)
 		// Someone else leaves; the joiner must participate correctly.
 		if err := RunLeave(net, group, members[1].ID()); err != nil {
 			t.Fatalf("initial=%d: leave after join: %v", initial, err)
 		}
-		var remain []*Member
+		var remain []*engine.Machine
 		for _, mb := range group {
 			if mb.ID() != members[1].ID() {
 				remain = append(remain, mb)
@@ -77,7 +62,7 @@ func TestJoinThenLeaveJoiner(t *testing.T) {
 		if err := RunLeave(net, remain, "JX"); err != nil {
 			t.Fatalf("initial=%d: joiner leaving: %v", initial, err)
 		}
-		var rest []*Member
+		var rest []*engine.Machine
 		for _, mb := range remain {
 			if mb.ID() != "JX" {
 				rest = append(rest, mb)
@@ -94,16 +79,10 @@ func TestMergeThenLeaveAcrossBoundary(t *testing.T) {
 	if err := RunInitial(net, groupA); err != nil {
 		t.Fatal(err)
 	}
-	set := params.Default()
 	netB := netsim.New()
-	var groupB []*Member
+	var groupB []*engine.Machine
 	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("W%02d", i+1)
-		sk, _ := gq.Extract(set.RSA, id)
-		m := meter.New()
-		mb, _ := NewMember(Config{Set: set.Public()}, sk, m)
-		_ = netB.Register(id, m)
-		groupB = append(groupB, mb)
+		groupB = append(groupB, newMachine(t, netB, fmt.Sprintf("W%02d", i+1), nil))
 	}
 	if err := RunInitial(netB, groupB); err != nil {
 		t.Fatal(err)
@@ -116,14 +95,14 @@ func TestMergeThenLeaveAcrossBoundary(t *testing.T) {
 	if err := RunMerge(net, groupA, groupB); err != nil {
 		t.Fatal(err)
 	}
-	merged := append(append([]*Member{}, groupA...), groupB...)
+	merged := append(append([]*engine.Machine{}, groupA...), groupB...)
 	assertAgreement(t, merged)
 
 	// A former-B member leaves the merged ring.
 	if err := RunLeave(net, merged, "W02"); err != nil {
 		t.Fatalf("leave across merge boundary: %v", err)
 	}
-	var remain []*Member
+	var remain []*engine.Machine
 	for _, mb := range merged {
 		if mb.ID() != "W02" {
 			remain = append(remain, mb)
@@ -136,7 +115,7 @@ func TestMergeThenLeaveAcrossBoundary(t *testing.T) {
 	if err := RunLeave(net, remain, groupA[0].ID()); err != nil {
 		t.Fatalf("controller leaving: %v", err)
 	}
-	var rest []*Member
+	var rest []*engine.Machine
 	for _, mb := range remain {
 		if mb.ID() != groupA[0].ID() {
 			rest = append(rest, mb)
@@ -148,7 +127,7 @@ func TestMergeThenLeaveAcrossBoundary(t *testing.T) {
 // TestLeaveRecoversFromCorruption exercises the retransmission loop in the
 // Leave protocol.
 func TestLeaveRecoversFromCorruption(t *testing.T) {
-	net, members := buildGroup(t, 5, func(c *Config) { c.MaxRetries = 3 })
+	net, members := buildGroup(t, 5, func(c *engine.Config) { c.MaxRetries = 3 })
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +135,7 @@ func TestLeaveRecoversFromCorruption(t *testing.T) {
 	if err := RunLeave(net, members, members[2].ID()); err != nil {
 		t.Fatalf("leave with corruption: %v", err)
 	}
-	remain := append(append([]*Member{}, members[:2]...), members[3:]...)
+	remain := append(append([]*engine.Machine{}, members[:2]...), members[3:]...)
 	assertAgreement(t, remain)
 }
 
@@ -166,7 +145,7 @@ func TestSessionAccessors(t *testing.T) {
 	if err := RunInitial(net, members); err != nil {
 		t.Fatal(err)
 	}
-	s := members[0].Session()
+	s := members[0].Group()
 	if s.Controller() != members[0].ID() || s.Last() != members[3].ID() {
 		t.Fatal("controller/last wrong")
 	}
@@ -189,7 +168,7 @@ func TestGroupKeyMatchesDirectComputation(t *testing.T) {
 	sg := params.Default().Schnorr
 	rs := make([]*big.Int, len(members))
 	for i, mb := range members {
-		rs[i] = mb.Session().R
+		rs[i] = mb.Group().R
 	}
 	want := bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)
 	if members[0].Key().Cmp(want) != 0 {
@@ -215,25 +194,6 @@ func TestKeyUnpredictability(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNewMemberValidation covers constructor error paths.
-func TestNewMemberValidation(t *testing.T) {
-	set := params.Default()
-	sk, _ := gq.Extract(set.RSA, "x")
-	if _, err := NewMember(Config{}, sk, nil); err == nil {
-		t.Fatal("nil set accepted")
-	}
-	if _, err := NewMember(Config{Set: set.Public()}, nil, nil); err == nil {
-		t.Fatal("nil key accepted")
-	}
-	mb, err := NewMember(Config{Set: set.Public()}, sk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mb.Key() != nil || mb.Session() != nil {
-		t.Fatal("fresh member must have no session")
 	}
 }
 

@@ -122,14 +122,6 @@ func (c Config) rand() io.Reader {
 	return c.Rand
 }
 
-// Retries returns the retransmission budget (MaxRetries, defaulted).
-func (c Config) Retries() int {
-	if c.MaxRetries <= 0 {
-		return 2
-	}
-	return c.MaxRetries
-}
-
 // Outbound is one message a machine wants delivered. An empty To means
 // broadcast. StateLen marks the trailing bytes of the payload that carry
 // session-state transfer (metered separately from protocol traffic). SID
@@ -316,6 +308,15 @@ func (mc *Machine) ID() string { return mc.id }
 
 // Meter returns the member's operation meter (may be nil).
 func (mc *Machine) Meter() *meter.Meter { return mc.m }
+
+// Retries returns the member's retransmission budget per flow
+// (Config.MaxRetries, defaulted).
+func (mc *Machine) Retries() int {
+	if mc.cfg.MaxRetries <= 0 {
+		return 2
+	}
+	return mc.cfg.MaxRetries
+}
 
 // Group returns the most recently committed group view, or nil.
 func (mc *Machine) Group() *Group { return mc.group }

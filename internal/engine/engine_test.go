@@ -162,6 +162,33 @@ func assertSession(t *testing.T, nodes map[string]*node, ids []string, sid strin
 // TestEngineLifecycleOrdered is the tentpole acceptance path: establish a
 // group, admit a joiner and evict a member purely by routing
 // engine-emitted messages — no Run* driver involved.
+// TestNewMachineValidation covers the constructor's error paths and the
+// fresh machine's state, including the defaulted retry budget.
+func TestNewMachineValidation(t *testing.T) {
+	set := params.Default()
+	sk, _ := gq.Extract(set.RSA, "x")
+	if _, err := engine.NewMachine(engine.Config{}, sk, nil); err == nil {
+		t.Fatal("nil set accepted")
+	}
+	if _, err := engine.NewMachine(engine.Config{Set: set.Public()}, nil, nil); err == nil {
+		t.Fatal("nil key accepted")
+	}
+	mc, err := engine.NewMachine(engine.Config{Set: set.Public()}, sk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Key() != nil || mc.Group() != nil {
+		t.Fatal("fresh machine must have no group")
+	}
+	if mc.Retries() != 2 {
+		t.Fatalf("default retry budget %d, want 2", mc.Retries())
+	}
+	mc, _ = engine.NewMachine(engine.Config{Set: set.Public(), MaxRetries: 5}, sk, nil)
+	if mc.Retries() != 5 {
+		t.Fatalf("retry budget %d, want 5", mc.Retries())
+	}
+}
+
 func TestEngineLifecycleOrdered(t *testing.T) {
 	ring := []string{"U01", "U02", "U03", "U04"}
 	all := append(append([]string(nil), ring...), "J01")

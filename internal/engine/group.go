@@ -9,8 +9,8 @@ import (
 
 // Group is the per-member view of an established group: the ring roster,
 // the member's own secrets, everything it has learned about peers, and the
-// current group key. It is the commit target of every flow; internal/core
-// re-exports it as core.Session for the lockstep drivers.
+// current group key. It is the commit target of every flow; the lockstep
+// drivers of internal/core read it through Machine.Group.
 type Group struct {
 	// Roster is the ring order U_1 … U_n (index 0 is the trusted
 	// controller U_1).

@@ -8,6 +8,7 @@ import (
 	"idgka/internal/baseline"
 	"idgka/internal/core"
 	"idgka/internal/energy"
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 )
@@ -23,7 +24,7 @@ type DynamicResult struct {
 }
 
 // resetMeters clears all per-member meters and medium totals.
-func resetProposed(net *netsim.Network, members []*core.Member) {
+func resetProposed(net *netsim.Network, members []*engine.Machine) {
 	for _, mb := range members {
 		mb.Meter().Reset()
 	}
@@ -113,7 +114,7 @@ func (e *Env) MeasureProposedMerge(n, m int) (*DynamicResult, error) {
 		return nil, err
 	}
 	netB := netsim.New()
-	var groupB []*core.Member
+	var groupB []*engine.Machine
 	for i := 0; i < m; i++ {
 		id := fmt.Sprintf("V%03d", i+1)
 		mb, mm, err := e.NewProposedMember(id)
@@ -134,7 +135,7 @@ func (e *Env) MeasureProposedMerge(n, m int) (*DynamicResult, error) {
 			return nil, err
 		}
 	}
-	resetProposed(net, append(append([]*core.Member{}, groupA...), groupB...))
+	resetProposed(net, append(append([]*engine.Machine{}, groupA...), groupB...))
 	if err := core.RunMerge(net, groupA, groupB); err != nil {
 		return nil, err
 	}

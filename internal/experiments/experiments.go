@@ -16,6 +16,7 @@ import (
 	"idgka/internal/core"
 	"idgka/internal/ec"
 	"idgka/internal/energy"
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
 	"idgka/internal/params"
@@ -51,16 +52,16 @@ func NewEnv() (*Env, error) {
 
 // --- group builders -------------------------------------------------
 
-// ProposedGroup wires n instrumented core members onto a fresh network.
-func (e *Env) ProposedGroup(n int) (*netsim.Network, []*core.Member, error) {
+// ProposedGroup wires n instrumented protocol machines onto a fresh network.
+func (e *Env) ProposedGroup(n int) (*netsim.Network, []*engine.Machine, error) {
 	return e.ProposedGroupCfg(n, false)
 }
 
 // ProposedGroupCfg is ProposedGroup with the StrictNonceRefresh option.
-func (e *Env) ProposedGroupCfg(n int, strict bool) (*netsim.Network, []*core.Member, error) {
+func (e *Env) ProposedGroupCfg(n int, strict bool) (*netsim.Network, []*engine.Machine, error) {
 	net := netsim.New()
-	cfg := core.Config{Set: e.Set.Public(), StrictNonceRefresh: strict}
-	members := make([]*core.Member, n)
+	cfg := engine.Config{Set: e.Set.Public(), StrictNonceRefresh: strict}
+	members := make([]*engine.Machine, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("U%03d", i+1)
 		sk, err := e.PKG.ExtractGQ(id)
@@ -68,7 +69,7 @@ func (e *Env) ProposedGroupCfg(n int, strict bool) (*netsim.Network, []*core.Mem
 			return nil, nil, err
 		}
 		m := meter.New()
-		mb, err := core.NewMember(cfg, sk, m)
+		mb, err := engine.NewMachine(cfg, sk, m)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -81,13 +82,13 @@ func (e *Env) ProposedGroupCfg(n int, strict bool) (*netsim.Network, []*core.Mem
 }
 
 // NewProposedMember builds one more instrumented member (for joins).
-func (e *Env) NewProposedMember(id string) (*core.Member, *meter.Meter, error) {
+func (e *Env) NewProposedMember(id string) (*engine.Machine, *meter.Meter, error) {
 	sk, err := e.PKG.ExtractGQ(id)
 	if err != nil {
 		return nil, nil, err
 	}
 	m := meter.New()
-	mb, err := core.NewMember(core.Config{Set: e.Set.Public()}, sk, m)
+	mb, err := engine.NewMachine(engine.Config{Set: e.Set.Public()}, sk, m)
 	return mb, m, err
 }
 

@@ -122,6 +122,8 @@ func (f Finding) String() string {
 type waiver struct {
 	verb   string
 	reason string
+	pos    token.Position
+	used   bool // it covered a finding of this run
 }
 
 // WaiverPrefix introduces every gkalint control comment.
@@ -142,7 +144,7 @@ func parseWaiver(text string) (w waiver, ok bool) {
 }
 
 // waiverMap indexes a package's control comments by file and line.
-type waiverMap map[string]map[int][]waiver
+type waiverMap map[string]map[int][]*waiver
 
 func collectWaivers(pkg *Package) waiverMap {
 	wm := waiverMap{}
@@ -153,13 +155,13 @@ func collectWaivers(pkg *Package) waiverMap {
 				if !ok {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				m := wm[pos.Filename]
+				w.pos = pkg.Fset.Position(c.Pos())
+				m := wm[w.pos.Filename]
 				if m == nil {
-					m = map[int][]waiver{}
-					wm[pos.Filename] = m
+					m = map[int][]*waiver{}
+					wm[w.pos.Filename] = m
 				}
-				m[pos.Line] = append(m[pos.Line], w)
+				m[w.pos.Line] = append(m[w.pos.Line], &w)
 			}
 		}
 	}
@@ -168,19 +170,15 @@ func collectWaivers(pkg *Package) waiverMap {
 
 // lookup finds a waiver for verb covering line (same line or the line
 // directly above).
-func (wm waiverMap) lookup(file string, line int, verb string) (waiver, bool) {
-	m := wm[file]
-	if m == nil {
-		return waiver{}, false
-	}
+func (wm waiverMap) lookup(file string, line int, verb string) (*waiver, bool) {
 	for _, l := range [2]int{line, line - 1} {
-		for _, w := range m[l] {
+		for _, w := range wm[file][l] {
 			if w.verb == verb {
 				return w, true
 			}
 		}
 	}
-	return waiver{}, false
+	return nil, false
 }
 
 // buildIndex scans every loaded package for cross-package annotations.
@@ -335,7 +333,9 @@ func recvTypeName(pkg *Package, fd *ast.FuncDecl) string {
 // Run executes every analyzer over every package, applies waivers, and
 // returns the surviving findings sorted by position. A waiver whose
 // justification is empty does not suppress — it is itself reported, so
-// every waived site carries a reason reviewable in the diff.
+// every waived site carries a reason reviewable in the diff. So is a
+// waiver of an analyzer that ran but reported nothing it covers: a stale
+// waiver would silently excuse the next regression on its line.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	return RunWithIndex(pkgs, pkgs, analyzers)
 }
@@ -388,6 +388,7 @@ func RunAll(pkgs, indexed []*Package, analyzers []*Analyzer) ([]Finding, *Progra
 				pos := pkg.Fset.Position(d.Pos)
 				if a.WaiverVerb != "" {
 					if w, ok := wm.lookup(pos.Filename, pos.Line, a.WaiverVerb); ok {
+						w.used = true
 						if w.reason != "" {
 							// Justified waiver: suppressed but retained for
 							// the SARIF audit trail.
@@ -410,6 +411,7 @@ func RunAll(pkgs, indexed []*Package, analyzers []*Analyzer) ([]Finding, *Progra
 				}
 				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
 			}
+			findings = append(findings, unusedWaivers(wm, a)...)
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -423,4 +425,24 @@ func RunAll(pkgs, indexed []*Package, analyzers []*Analyzer) ([]Finding, *Progra
 		return a.Message < b.Message
 	})
 	return findings, prog, nil
+}
+
+// unusedWaivers reports the package's waivers of a's verb that covered
+// none of a's findings.
+func unusedWaivers(wm waiverMap, a *Analyzer) []Finding {
+	var out []Finding
+	for _, lines := range wm {
+		for _, ws := range lines {
+			for _, w := range ws {
+				if a.WaiverVerb != "" && w.verb == a.WaiverVerb && !w.used {
+					out = append(out, Finding{
+						Analyzer: a.Name,
+						Pos:      w.pos,
+						Message:  fmt.Sprintf("gkalint:%s waiver suppresses nothing", w.verb),
+					})
+				}
+			}
+		}
+	}
+	return out
 }

@@ -825,7 +825,7 @@ func (ft *fnTaint) selTaint(sel *ast.SelectorExpr) taintSet {
 		baseType = NamedName(t)
 	}
 	for r := range base {
-		if r == baseType {
+		if r == baseType || ft.paramOfType(r, baseType) {
 			continue // type-marker projection: field's own status decides
 		}
 		out.add(r)
@@ -834,6 +834,19 @@ func (ft *fnTaint) selTaint(sel *ast.SelectorExpr) taintSet {
 		return nil
 	}
 	return out
+}
+
+// paramOfType reports whether r tags a parameter declared with the
+// secret type name. Every argument in that slot carries the type marker,
+// which the field projection drops at the call site, so the projection
+// drops the tag too: a constructor storing sk.ID returns a public value.
+func (ft *fnTaint) paramOfType(r, name string) bool {
+	i, ok := tagIndex(r)
+	if !ok || !ft.t.secrets[name] {
+		return false
+	}
+	params := ft.fn.Params()
+	return i < len(params) && params[i] != nil && ft.typeSecret(params[i].Type()) == name
 }
 
 // ---------------------------------------------------------------------

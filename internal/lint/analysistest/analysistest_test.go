@@ -65,6 +65,12 @@ func TestMultiPackage(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), badFunc, "multi/...")
 }
 
+// TestWaivers runs the waiver fixture: a waiver that suppresses nothing
+// is a finding at the waiver itself.
+func TestWaivers(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), badFunc, "waivers")
+}
+
 // TestProblemsReportsBothDirections checks the harness core catches an
 // unexpected diagnostic and an unmatched marker.
 func TestProblemsReportsBothDirections(t *testing.T) {

@@ -28,6 +28,18 @@ func fine(sk *gq.PrivateKey) {
 	fmt.Println(len(sk.S.Bytes())) // a length leaks no limbs
 }
 
+// ident carries a key's public identity next to the key itself.
+type ident struct {
+	id string
+	sk *gq.PrivateKey
+}
+
+func newIdent(sk *gq.PrivateKey) ident { return ident{id: sk.ID, sk: sk} }
+
+func fineAcrossCall(sk *gq.PrivateKey) {
+	fmt.Println(newIdent(sk)) // the public-field projection holds through a call
+}
+
 func waived(sk *gq.PrivateKey) {
 	//gkalint:secretok test-vector dump behind a debug flag, never in production paths
 	fmt.Println(sk.S)

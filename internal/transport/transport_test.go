@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"idgka/internal/core"
+	"idgka/internal/engine"
 	"idgka/internal/meter"
 	"idgka/internal/params"
 	"idgka/internal/sigs/gq"
@@ -153,8 +154,8 @@ func TestFullGKAOverTCP(t *testing.T) {
 	defer router.Close()
 
 	set := params.Default()
-	cfg := core.Config{Set: set.Public()}
-	var members []*core.Member
+	cfg := engine.Config{Set: set.Public()}
+	var members []*engine.Machine
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("tcp-%02d", i+1)
 		sk, err := gq.Extract(set.RSA, id)
@@ -162,7 +163,7 @@ func TestFullGKAOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := meter.New()
-		mb, err := core.NewMember(cfg, sk, m)
+		mb, err := engine.NewMachine(cfg, sk, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +185,7 @@ func TestFullGKAOverTCP(t *testing.T) {
 	// Join over TCP, exercising unicast + state transfer.
 	sk, _ := gq.Extract(set.RSA, "tcp-join")
 	jm := meter.New()
-	joiner, _ := core.NewMember(cfg, sk, jm)
+	joiner, _ := engine.NewMachine(cfg, sk, jm)
 	if err := router.Attach("tcp-join", jm); err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 	var res ingestResult
 	for _, o := range outs {
 		pkt := Packet{
-			From: mb.inner.ID(), To: o.To, Type: o.Type, Payload: o.Payload, StateLen: o.StateLen,
+			From: mb.mach.ID(), To: o.To, Type: o.Type, Payload: o.Payload, StateLen: o.StateLen,
 		}
 		if stepping == nil {
 			res.reactions = append(res.reactions, pkt)
@@ -182,7 +182,7 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 			// (The engine fires at most one terminal event per flow.)
 			delete(mb.sessions, target.sid)
 		case engine.EventFailed:
-			if ev.Retryable && target.start != nil && target.attempts < target.mb.retries {
+			if ev.Retryable && target.start != nil && target.attempts < mb.mach.Retries() {
 				// The paper's "all members retransmit again" signal: the
 				// engine already retired the failed attempt, so instead of
 				// failing terminally, arm the retransmit scheduler — the
@@ -195,13 +195,11 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 			}
 			// A failed flow is terminal too: Done must release the
 			// application's routing loop, with Err/Key telling success
-			// from failure. Teardown matches Tick's budget-exhausted path
-			// (Abort + Release), so no live flow or buffered traffic of
-			// the dead session lingers in the machine.
+			// from failure. Teardown matches Tick's budget-exhausted path,
+			// so no live flow or buffered traffic of the dead session
+			// lingers in the machine.
 			target.done = true
-			delete(mb.sessions, target.sid)
-			mb.inner.Machine().Abort(target.sid)
-			mb.inner.Machine().Release(target.sid)
+			target.teardownLocked()
 			if target.err == nil {
 				target.err = ev.Err
 				if target.err == nil {
@@ -255,7 +253,7 @@ func (mb *Member) newHandle(sid string,
 // members do not accumulate per-session state.
 func (mb *Member) NewSession(sid string, roster []string) (*Session, error) {
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
-		return mb.inner.Machine().StartInitial(sid, roster)
+		return mb.mach.StartInitial(sid, roster)
 	})
 }
 
@@ -280,13 +278,13 @@ func (mb *Member) JoinSession(sid, base string, oldRoster []string, joiner strin
 		// restarts reuse the snapshot so a concurrent re-key cannot switch
 		// rings between attempts.
 		if mb.ID() != joiner && oldRoster == nil {
-			g := mb.inner.Machine().Session(base)
+			g := mb.mach.Session(base)
 			if g == nil {
 				return nil, nil, fmt.Errorf("idgka: no committed session %q to join onto", base)
 			}
 			oldRoster = append([]string(nil), g.Roster...)
 		}
-		return mb.inner.Machine().StartJoin(sid, base, oldRoster, joiner)
+		return mb.mach.StartJoin(sid, base, oldRoster, joiner)
 	})
 }
 
@@ -306,7 +304,7 @@ func (mb *Member) LeaveSession(sid, base string, leavers []string) (*Session, er
 		// Plan under the member lock on the first start; restarts reuse
 		// the plan (the base group snapshot is immutable anyway).
 		if !planned {
-			g := mb.inner.Machine().Session(base)
+			g := mb.mach.Session(base)
 			if g == nil {
 				return nil, nil, fmt.Errorf("idgka: no committed session %q to leave from", base)
 			}
@@ -317,7 +315,7 @@ func (mb *Member) LeaveSession(sid, base string, leavers []string) (*Session, er
 			}
 			planned = true
 		}
-		return mb.inner.Machine().StartPartition(sid, base, newRoster, refresh)
+		return mb.mach.StartPartition(sid, base, newRoster, refresh)
 	})
 }
 
@@ -331,7 +329,7 @@ func (mb *Member) MergeSession(sid, base string, rosterA, rosterB []string) (*Se
 		return nil, errors.New("idgka: MergeSession needs a base session id")
 	}
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
-		return mb.inner.Machine().StartMerge(sid, base, rosterA, rosterB)
+		return mb.mach.StartMerge(sid, base, rosterA, rosterB)
 	})
 }
 
@@ -344,7 +342,7 @@ func (mb *Member) ConfirmSession(sid, base string) (*Session, error) {
 		return nil, errors.New("idgka: ConfirmSession needs a base session id")
 	}
 	return mb.newHandle(sid, func() ([]engine.Outbound, []engine.Event, error) {
-		return mb.inner.Machine().StartConfirm(sid, base)
+		return mb.mach.StartConfirm(sid, base)
 	})
 }
 
@@ -360,8 +358,7 @@ func (mb *Member) ConfirmSession(sid, base string) (*Session, error) {
 // or be prepared to drain both paths.
 func (mb *Member) HandlePacket(p Packet) []Packet {
 	mb.mu.Lock()
-	//gkalint:blocked the engine pool's semaphore is drained by CPU-only workers that always finish; the wait under mb.mu is bounded by construction
-	outs, evts := mb.inner.Machine().Step(netsim.Message{
+	outs, evts := mb.mach.Step(netsim.Message{
 		From: p.From, To: p.To, Type: p.Type, Payload: p.Payload,
 	})
 	res := mb.ingestLocked(nil, outs, evts)
@@ -379,8 +376,7 @@ func (s *Session) SID() string { return s.sid }
 // never an error.
 func (s *Session) HandleMessage(p Packet) error {
 	s.mb.mu.Lock()
-	//gkalint:blocked the engine pool's semaphore is drained by CPU-only workers that always finish; the wait under mb.mu is bounded by construction
-	outs, evts := s.mb.inner.Machine().Step(netsim.Message{
+	outs, evts := s.mb.mach.Step(netsim.Message{
 		From: p.From, To: p.To, Type: p.Type, Payload: p.Payload,
 	})
 	res := s.mb.ingestLocked(s, outs, evts)
@@ -483,7 +479,7 @@ func (s *Session) Tick(now time.Time) error {
 		s.mb.mu.Unlock()
 		return nil
 	}
-	if s.start == nil || s.attempts >= s.mb.retries {
+	if s.start == nil || s.attempts >= s.mb.mach.Retries() {
 		s.done = true
 		if s.err == nil {
 			if expired {
@@ -493,9 +489,7 @@ func (s *Session) Tick(now time.Time) error {
 				s.err = fmt.Errorf("idgka: session %q: retransmission budget exhausted", s.sid)
 			}
 		}
-		delete(s.mb.sessions, s.sid)
-		s.mb.inner.Machine().Abort(s.sid)
-		s.mb.inner.Machine().Release(s.sid)
+		s.teardownLocked()
 		defer s.mb.mu.Unlock()
 		return s.err
 	}
@@ -510,9 +504,7 @@ func (s *Session) Tick(now time.Time) error {
 	if err != nil {
 		s.done = true
 		s.err = err
-		delete(s.mb.sessions, s.sid)
-		s.mb.inner.Machine().Abort(s.sid)
-		s.mb.inner.Machine().Release(s.sid)
+		s.teardownLocked()
 		defer s.mb.mu.Unlock()
 		return s.err
 	}
@@ -549,7 +541,15 @@ func (s *Session) Close() {
 	if cur := s.mb.sessions[s.sid]; cur != nil && cur != s {
 		return
 	}
+	s.teardownLocked()
+}
+
+// teardownLocked retires the session from the member: the handle leaves
+// the registry, and the machine discards the sid's in-flight flow, its
+// buffered traffic and any group committed under it. The caller holds
+// mb.mu.
+func (s *Session) teardownLocked() {
 	delete(s.mb.sessions, s.sid)
-	s.mb.inner.Machine().Abort(s.sid)
-	s.mb.inner.Machine().Release(s.sid)
+	s.mb.mach.Abort(s.sid)
+	s.mb.mach.Release(s.sid)
 }

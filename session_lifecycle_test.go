@@ -108,7 +108,7 @@ func TestTerminalFailureReleasesMachineState(t *testing.T) {
 	if err := s.HandleMessage(Packet{From: "tf-02", Type: engine.MsgRound1, Payload: append(future, 0x01)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := alice.inner.Machine().Buffered("tf"); got != 1 {
+	if got := alice.mach.Buffered("tf"); got != 1 {
 		t.Fatalf("future-attempt message not buffered: %d", got)
 	}
 
@@ -129,7 +129,7 @@ func TestTerminalFailureReleasesMachineState(t *testing.T) {
 		t.Fatalf("budget-exhausted failure not terminal: err=%v done=%v", err, s.Done())
 	}
 
-	mc := alice.inner.Machine()
+	mc := alice.mach
 	if mc.ActiveFlow("tf") {
 		t.Fatal("dead session still has a live flow in the machine")
 	}
@@ -162,7 +162,7 @@ func TestTickStartErrorReleasesMachineState(t *testing.T) {
 		if calls > 1 {
 			return nil, nil, fmt.Errorf("synthetic restart rejection")
 		}
-		return alice.inner.Machine().StartInitial("te", []string{"te-01", "te-02"})
+		return alice.mach.StartInitial("te", []string{"te-01", "te-02"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestTickStartErrorReleasesMachineState(t *testing.T) {
 	if err := s.Tick(now); err == nil || !s.Done() {
 		t.Fatalf("rejected restart not terminal: %v", err)
 	}
-	if got := alice.inner.Machine().Buffered("te"); got != 0 {
+	if got := alice.mach.Buffered("te"); got != 0 {
 		t.Fatalf("rejected restart left %d buffered message(s)", got)
 	}
 }

@@ -527,7 +527,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	}
 	first.Close()
 	first.Close() // idempotent
-	if members[0].inner.Machine().Session("room-cl") == nil {
+	if members[0].mach.Session("room-cl") == nil {
 		t.Fatal("closing a superseded handle released the live session's group")
 	}
 	if second.Done() {
@@ -538,7 +538,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	if !second.Done() || second.Err() == nil {
 		t.Fatal("closed in-flight session not terminal")
 	}
-	if members[0].inner.Machine().Session("room-cl") != nil {
+	if members[0].mach.Session("room-cl") != nil {
 		t.Fatal("owning handle's Close did not release the group")
 	}
 }
