@@ -32,23 +32,6 @@ func XValue(zNext, zPrev, r, m *big.Int) (*big.Int, error) {
 	return new(big.Int).Exp(base, r, m), nil
 }
 
-// XFromPowers assembles the round-2 broadcast value from the two directed
-// DH edge powers the member raised itself: given a = z_next^r and
-// b = z_prev^r it returns X = a·b^{-1} mod m — the same value XValue
-// computes from the raw z's. Splitting the computation this way costs the
-// same total work as XValue (two exponentiations and one inversion per
-// member across the session, counting the key derivation) but leaves b =
-// z_prev^{r} in the session state, which collapses the dominant
-// z_prev^{n·r} term of equation (3) to b^n — a handful of squarings.
-func XFromPowers(a, b, m *big.Int) (*big.Int, error) {
-	inv, err := mathx.ModInverse(b, m)
-	if err != nil {
-		return nil, fmt.Errorf("bdkey: edge power not invertible: %w", err)
-	}
-	x := new(big.Int).Mul(a, inv)
-	return x.Mod(x, m), nil
-}
-
 // CheckLemma1 verifies Π X_i ≡ 1 (mod m) — the paper's integrity check on
 // the round-2 values. The order of xs is irrelevant.
 func CheckLemma1(xs []*big.Int, m *big.Int) error {

@@ -109,27 +109,6 @@ func BenchmarkKeyN100(b *testing.B) {
 	}
 }
 
-// TestXFromPowersMatchesXValue checks the edge-carrying restructure: the
-// X assembled from the two directed edge powers must be bit-identical to
-// the ratio-form XValue.
-func TestXFromPowersMatchesXValue(t *testing.T) {
-	rs, zs, xs, g := buildRing(t, 5)
-	for i := 0; i < 5; i++ {
-		a := new(big.Int).Exp(zs[(i+1)%5], rs[i], g.P)
-		b := new(big.Int).Exp(zs[(i-1+5)%5], rs[i], g.P)
-		got, err := XFromPowers(a, b, g.P)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(xs[i]) != 0 {
-			t.Fatalf("member %d: XFromPowers diverges from XValue", i)
-		}
-	}
-	if _, err := XFromPowers(big.NewInt(2), new(big.Int).Set(g.P), g.P); err == nil {
-		t.Fatal("non-invertible edge power accepted")
-	}
-}
-
 // TestKeyFromEdgeMontMatchesKey checks the Montgomery-domain Horner
 // assembly against the straight-line equation (3) for every member of
 // several ring sizes, including the n=1 and n=2 degenerate shapes, and

@@ -240,9 +240,9 @@ type ringState struct {
 	bigZ, c *big.Int
 
 	// edge holds z_prev^r, as an element of the Schnorr group's
-	// Montgomery domain: round 2 computes X from its two directed edge
-	// powers, and equation (3)'s dominant z_prev^{n·r} term then
-	// collapses to edge^n (~log2 n squarings) in finish.
+	// Montgomery domain: round 2 raises it together with X, and equation
+	// (3)'s dominant z_prev^{n·r} term then collapses to edge^n (~log2 n
+	// squarings) in finish.
 	edge mathx.Elem
 }
 
@@ -301,20 +301,22 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	n := rs.n()
 	zNext := rs.z[rs.roster[(rs.self+1)%n]]
 	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
-	// Edge-carrying restructure: raise the two directed DH edges
-	// separately and keep b = z_prev^r for the key computation, where it
-	// collapses equation (3)'s z_prev^{n·r} to b^n. X is bit-identical to
+	// Edge-carrying restructure: X = (z_next·z_prev^{-1})^r and the edge
+	// b = z_prev^r are two powers of one exponent, raised together in one
+	// ExpPair call. b stays in the Montgomery domain for finish, where it
+	// collapses equation (3)'s z_prev^{n·r} to b^n. The inversion is of
+	// the public z_prev, not of a secret power. X is bit-identical to
 	// bdkey.XValue's, the session's total exponentiation count is
 	// unchanged (the saving lands in finish), and the meter charges the
-	// same logical operation. Both powers run on the Montgomery engine;
-	// b stays in its domain for finish.
+	// same logical operation.
 	mo := sg.Mont()
-	a := mo.ExpElem(mo.ToMont(zNext), rs.r)
-	rs.edge = mo.ExpElem(mo.ToMont(zPrev), rs.r)
-	x, err := bdkey.XFromPowers(mo.FromMont(a), mo.FromMont(rs.edge), sg.P)
+	inv, err := mathx.ModInverse(zPrev, sg.P)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("engine: z_prev not invertible: %w", err)
 	}
+	xm, edge := mo.ExpPair(mo.Mul(mo.ToMont(zNext), mo.ToMont(inv)), mo.ToMont(zPrev), rs.r)
+	rs.edge = edge
+	x := mo.FromMont(xm)
 	mc.m.Exp(1)
 
 	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z), both products as

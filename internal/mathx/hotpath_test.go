@@ -12,9 +12,9 @@ import (
 )
 
 // TestHotPathAllocsConstant pins the allocations of a generator power, a
-// modular product, a variable-base power and a tabled eq. 2 check: the
-// count is a small constant, independent of the exponent's size, of the
-// slice length and of the roster size.
+// modular product, a variable-base power, a paired one and a tabled eq. 2
+// check: the count is a small constant, independent of the exponent's
+// size, of the slice length and of the roster size.
 func TestHotPathAllocsConstant(t *testing.T) {
 	sg, err := mathx.GenerateSchnorrGroup(rand.Reader, 1024, 160)
 	if err != nil {
@@ -52,6 +52,13 @@ func TestHotPathAllocsConstant(t *testing.T) {
 		e := randBits(eBits)
 		varAllocs = append(varAllocs, testing.AllocsPerRun(20, func() { mo.ExpElem(base, e) }))
 	}
+	// Round 2's paired power: one result allocation and one table,
+	// whichever path runs.
+	var pairAllocs []float64
+	for _, eBits := range []int{17, 160, 1024} {
+		e := randBits(eBits)
+		pairAllocs = append(pairAllocs, testing.AllocsPerRun(20, func() { mo.ExpPair(base, base, e) }))
+	}
 	// Eq. 2 on a verifier well past its promotion to a fixed-base table
 	// of the inverse identity product.
 	var eq2Allocs []float64
@@ -63,7 +70,7 @@ func TestHotPathAllocsConstant(t *testing.T) {
 			}
 		}))
 	}
-	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs} {
+	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs, "Modulus.ExpPair": pairAllocs} {
 		t.Logf("%s allocations: %v", name, got)
 		for _, a := range got {
 			if a != got[0] || a > 2 {

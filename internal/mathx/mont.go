@@ -28,6 +28,12 @@ import (
 // assembly addMulVVW kernel (addmul.go); builds tagged math_big_pure_go,
 // whose math/big has no assembly, use neither and run the generic loop
 // in addmul_pure.go. Squaring is the same multiplication.
+//
+// Two powers of one exponent, round 2's pair of edge powers, run as
+// ExpPair (amm52.go). On amd64 CPUs with AVX-512 IFMA a 16-word modulus
+// walks the exponent's window once and computes both chains' products in
+// one radix-2^52 kernel call (amm52_amd64.s); every other case runs two
+// ExpElem calls. Both return the same limbs.
 
 // maxModulusWords bounds the fixed scratch buffers of the CIOS loops
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
@@ -52,6 +58,7 @@ type Modulus struct {
 	r2    Elem     // R² mod m  (ToMont multiplier)
 	one   Elem     // R mod m   (Montgomery image of 1)
 	asm   bool     // montMul runs the montMul1024 kernel
+	lane  *lane52  // ExpPair's amm52x20x2 state; nil where that kernel does not run
 }
 
 // NewModulus precomputes a Montgomery context for an odd modulus > 1.
@@ -83,6 +90,9 @@ func NewModulus(m *big.Int) (*Modulus, error) {
 		inv *= 2 - uint(mo.words[0])*inv
 	}
 	mo.n0 = big.Word(-inv)
+	if k == 16 && hasAMM52 {
+		mo.lane = newLane52(mo)
+	}
 	// R mod m and R² mod m via one-time big.Int reductions.
 	var buf [maxModulusWords]big.Word
 	r := new(big.Int).Lsh(One, uint(k*bits.UintSize))
@@ -255,6 +265,45 @@ func expWindow(bits int) int {
 	}
 }
 
+// slidingWindow walks a positive exponent e left to right in windows of
+// at most w bits that end in a set bit. It calls first with the top
+// window's odd digit, then sqr once per later bit and mul with each later
+// window's digit after that window's squarings.
+func slidingWindow(e *big.Int, w int, first func(d uint), sqr func(), mul func(d uint)) {
+	started := false
+	for i := e.BitLen() - 1; i >= 0; {
+		if e.Bit(i) == 0 {
+			if started {
+				sqr()
+			}
+			i--
+			continue
+		}
+		// Find the longest window [i..l] with a set low bit, width <= w.
+		l := i - w + 1
+		if l < 0 {
+			l = 0
+		}
+		for e.Bit(l) == 0 {
+			l++
+		}
+		var digit uint
+		for j := i; j >= l; j-- {
+			digit = digit<<1 | uint(e.Bit(j))
+		}
+		if started {
+			for j := 0; j < i-l+1; j++ {
+				sqr()
+			}
+			mul(digit)
+		} else {
+			first(digit)
+			started = true
+		}
+		i = l - 1
+	}
+}
+
 // ExpElem computes base^e in the Montgomery domain for a non-negative
 // exponent, with a left-to-right sliding window over precomputed odd
 // powers. e = 0 yields the Montgomery image of 1. The result and the
@@ -279,39 +328,11 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 			mo.MulInto(table[i:i+k], table[i-k:i], acc)
 		}
 	}
-	started := false
-	for i := eb - 1; i >= 0; {
-		if e.Bit(i) == 0 {
-			if started {
-				mo.SqrInto(acc, acc)
-			}
-			i--
-			continue
-		}
-		// Find the longest window [i..l] with a set low bit, width <= w.
-		l := i - w + 1
-		if l < 0 {
-			l = 0
-		}
-		for e.Bit(l) == 0 {
-			l++
-		}
-		var digit uint
-		for j := i; j >= l; j-- {
-			digit = digit<<1 | uint(e.Bit(j))
-		}
-		pow := Elem(table[int(digit>>1)*k:][:k])
-		if started {
-			for j := 0; j < i-l+1; j++ {
-				mo.SqrInto(acc, acc)
-			}
-			mo.MulInto(acc, acc, pow)
-		} else {
-			copy(acc, pow)
-			started = true
-		}
-		i = l - 1
-	}
+	pow := func(d uint) Elem { return table[int(d>>1)*k:][:k] }
+	slidingWindow(e, w,
+		func(d uint) { copy(acc, pow(d)) },
+		func() { mo.SqrInto(acc, acc) },
+		func(d uint) { mo.MulInto(acc, acc, pow(d)) })
 	return acc
 }
 

@@ -213,6 +213,25 @@ func BenchmarkVarBaseExp(b *testing.B) {
 	})
 }
 
+// BenchmarkExpPair raises two bases to one 160-bit exponent in the
+// Montgomery domain, as round 2 does: ExpPair ("pair", on the radix-2^52
+// kernel where the CPU runs it) against two ExpElem calls ("serial").
+func BenchmarkExpPair(b *testing.B) {
+	mo, base, exp := benchModulus(b, 1024)
+	b1 := mo.ToMont(base)
+	b2 := mo.Sqr(b1)
+	b.Run("pair", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mo.ExpPair(b1, b2, exp)
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mo.expPairSerial(b1, b2, exp)
+		}
+	})
+}
+
 func BenchmarkMontMul(b *testing.B) {
 	mo, base, _ := benchModulus(b, 1024)
 	x := mo.ToMont(base)

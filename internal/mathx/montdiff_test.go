@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"math/big"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -353,5 +354,170 @@ func FuzzMontMul1024(f *testing.F) {
 				t.Fatalf("m=%x: %s(%x, %x) = %x, want %x", m, engineName(mm), x, y, bigFromElem(z), want)
 			}
 		}
+	})
+}
+
+// limbs52 splits a value below 2^1040 into 20 limbs of 52 bits.
+func limbs52(v *big.Int) *[20]uint64 {
+	var x [20]uint64
+	t := new(big.Int).Set(v)
+	mask := new(big.Int).SetUint64(mask52)
+	for j := range x {
+		x[j] = new(big.Int).And(t, mask).Uint64()
+		t.Rsh(t, 52)
+	}
+	return &x
+}
+
+// bigFrom52 reads 20 limbs back, failing the test on a limb of more
+// than 52 bits.
+func bigFrom52(t testing.TB, x *[20]uint64) *big.Int {
+	t.Helper()
+	v := new(big.Int)
+	for j := len(x) - 1; j >= 0; j-- {
+		if x[j] > mask52 {
+			t.Fatalf("limb %d = %#x exceeds 52 bits", j, x[j])
+		}
+		v.Lsh(v, 52).Or(v, new(big.Int).SetUint64(x[j]))
+	}
+	return v
+}
+
+// checkAMM52 runs one amm52x20x2 call on (x1, y1) and (x2, y2), all
+// below 2m, and compares both lanes with the exact almost-Montgomery
+// product (x·y + Q·m)/2^1040 from big.Int, which must be below 2m.
+func checkAMM52(t testing.TB, mo *Modulus, x1, y1, x2, y2 *big.Int) {
+	t.Helper()
+	m := mo.Int()
+	r := new(big.Int).Lsh(One, 1040)
+	mInv := new(big.Int).ModInverse(m, r)
+	var z1, z2 [20]uint64
+	amm52x20x2(&z1, limbs52(x1), limbs52(y1), &z2, limbs52(x2), limbs52(y2), &mo.lane.m, mo.lane.k0)
+	twoM := new(big.Int).Lsh(m, 1)
+	for _, c := range []struct {
+		z    *[20]uint64
+		x, y *big.Int
+	}{{&z1, x1, y1}, {&z2, x2, y2}} {
+		_, want := montRef(c.x, c.y, m, r, mInv)
+		if got := bigFrom52(t, c.z); got.Cmp(want) != 0 || got.Cmp(twoM) >= 0 {
+			t.Fatalf("m=%x: amm52x20x2(%x, %x) = %x, want %x below 2m", m, c.x, c.y, got, want)
+		}
+	}
+}
+
+// kernelModuli returns 1024-bit moduli for the radix-2^52 kernel: random
+// ones with the top bit set and the two just below 2^1024.
+func kernelModuli(t *testing.T) []*big.Int {
+	out := belowR()
+	for i := 0; i < 4; i++ {
+		m := randBelow(t, new(big.Int).Lsh(One, 1024))
+		out = append(out, m.SetBit(m, 1023, 1).SetBit(m, 0, 1))
+	}
+	return out
+}
+
+// TestAMM52x20x2Differential checks both lanes of the radix-2^52 kernel
+// against big.Int for operands across [0, 2m): 0, 1, 2m-1 and random
+// values, each lane on different operands, and fully aliased r = a = b
+// in both lanes at once.
+func TestAMM52x20x2Differential(t *testing.T) {
+	if !hasAMM52 {
+		t.Skip("amm52x20x2 needs AVX512F, AVX512VL, AVX512IFMA and BMI2 with OS support")
+	}
+	for _, m := range kernelModuli(t) {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoM := new(big.Int).Lsh(m, 1)
+		vals := []*big.Int{big.NewInt(0), One, new(big.Int).Sub(twoM, One), new(big.Int).Sub(m, One), new(big.Int).Set(m)}
+		for i := 0; i < 8; i++ {
+			vals = append(vals, randBelow(t, twoM))
+		}
+		for i, x := range vals {
+			for j, y := range vals {
+				checkAMM52(t, mo, x, y, vals[(i+j)%len(vals)], vals[(i+1)%len(vals)])
+			}
+			r := new(big.Int).Lsh(One, 1040)
+			_, want := montRef(x, x, m, r, new(big.Int).ModInverse(m, r))
+			var z pair52
+			z[0], z[1] = *limbs52(x), *limbs52(x)
+			mo.lane.mul(&z, &z, &z)
+			for l := range z {
+				if got := bigFrom52(t, &z[l]); got.Cmp(want) != 0 {
+					t.Fatalf("m=%x: lane %d with r = a = b: %x, want %x", m, l, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExpPairDifferential checks ExpPair against two ExpElem calls limb
+// for limb at every width, for exponents from 0 to 1024 bits and bases at
+// the edges of [0, m). The serial fallback runs directly too, so a CPU
+// with the radix-2^52 kernel tests both paths.
+func TestExpPairDifferential(t *testing.T) {
+	var exps []*big.Int
+	for _, eb := range []int{1, 2, 9, 64, 160, 161, 1024} {
+		exps = append(exps, new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eb))), eb-1, 1))
+	}
+	exps = append(exps, big.NewInt(0), new(big.Int).Sub(new(big.Int).Lsh(One, 160), One))
+	for _, m := range append(diffModuli(t), belowR()...) {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mo.Words() == 16 && hasAMM52; (mo.lane != nil) != want {
+			t.Fatalf("%d words: radix-2^52 lane = %v, want %v", mo.Words(), mo.lane != nil, want)
+		}
+		bases := []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One), randBelow(t, m)}
+		for i, base := range bases {
+			b1, b2 := mo.ToMont(base), mo.ToMont(bases[(i+1)%len(bases)])
+			before1, before2 := append(Elem(nil), b1...), append(Elem(nil), b2...)
+			for _, e := range exps {
+				want1, want2 := mo.ExpElem(b1, e), mo.ExpElem(b2, e)
+				for name, f := range map[string]func(b1, b2 Elem, e *big.Int) (Elem, Elem){
+					"ExpPair": mo.ExpPair, "expPairSerial": mo.expPairSerial,
+				} {
+					got1, got2 := f(b1, b2, e)
+					if !slices.Equal(got1, want1) || !slices.Equal(got2, want2) {
+						t.Fatalf("%d words, %s, e of %d bits: (%x, %x), want (%x, %x)", mo.Words(), name, e.BitLen(), got1, got2, want1, want2)
+					}
+				}
+			}
+			if !slices.Equal(b1, before1) || !slices.Equal(b2, before2) {
+				t.Fatalf("%d words: ExpPair mutated a base", mo.Words())
+			}
+		}
+	}
+}
+
+// FuzzAMM52x20x2 builds an odd 1024-bit modulus and four operands below
+// 2m from the fuzz input and checks both lanes of the radix-2^52 kernel
+// against big.Int. It skips on a CPU without the kernel.
+func FuzzAMM52x20x2(f *testing.F) {
+	ones := make([]byte, 128) // m = 2^1024 - 1
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	top := append(append([]byte{1}, ones[:127]...), 0xfd) // 2m - 1 for that m
+	f.Add(ones, top, top, []byte{1}, []byte{})
+	f.Add([]byte{1}, ones, []byte{}, ones[:64], top) // m = 2^1023 + 1
+	f.Fuzz(func(t *testing.T, mb, x1b, y1b, x2b, y2b []byte) {
+		if !hasAMM52 {
+			t.Skip("amm52x20x2 needs AVX512F, AVX512VL, AVX512IFMA and BMI2 with OS support")
+		}
+		if len(mb) > 128 {
+			mb = mb[:128]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 1023, 1).SetBit(m, 0, 1)
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoM := new(big.Int).Lsh(m, 1)
+		op := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), twoM) }
+		checkAMM52(t, mo, op(x1b), op(y1b), op(x2b), op(y2b))
 	})
 }
