@@ -5,9 +5,9 @@
 #
 #   bash .github/bench-compare.sh <base-ref>
 #
-# The base commit is checked out into a temporary git worktree outside
-# the repository and removed on exit. For every workload in
-# BENCHMARK.json the script runs three pairs of
+# The base commit is extracted with git archive into a temporary
+# directory outside the repository and removed on exit. For every
+# workload in BENCHMARK.json the script runs three pairs of
 #
 #   bash <tree>/gkaperf/run.sh --workload W --seed S --seconds <run_seconds> --trace 0
 #
@@ -29,14 +29,10 @@ base_sha="$(git -C "$change" rev-parse --verify "$1^{commit}")"
 spec="$change/BENCHMARK.json"
 
 work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
 base="$work/base"
-cleanup() {
-	git -C "$change" worktree remove --force "$base" >/dev/null 2>&1 || true
-	git -C "$change" worktree prune
-	rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$change" worktree add --quiet --detach "$base" "$base_sha"
+mkdir -p "$base"
+git -C "$change" archive "$base_sha" | tar -x -C "$base"
 
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")"
 workloads="$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$spec")"

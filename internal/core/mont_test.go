@@ -46,9 +46,10 @@ func (r *montCtrReader) Read(p []byte) (int, error) {
 
 // runFiveFlows drives all five protocol flows — initial, join, leave,
 // merge, partition — with per-member deterministic randomness, running
-// the explicit key-confirmation round after every flow. It checks the
-// initial, leave and partition keys against bdkey.DirectKey and returns
-// the five committed keys in order plus every member's final meter.
+// the explicit key-confirmation round after every flow. It checks every
+// flow's key against bdkey.DirectKey over the new ring's exponents and
+// returns the five committed keys in order plus every member's final
+// meter.
 func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Report) {
 	t.Helper()
 	set := params.Default()
@@ -64,9 +65,9 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 		}
 		return assertAgreement(t, members)
 	}
-	// directKey checks a ring-keyed flow's key against g^{Σ r_j r_{j+1}}
-	// over the members' own exponents in roster order: a reference that
-	// shares no code with the engine's equation (3).
+	// directKey checks a flow's key against g^{Σ r_j r_{j+1}} over the
+	// members' own exponents in roster order: a reference that shares no
+	// code with the engine's equation (3) or the Join and Merge folds.
 	directKey := func(members []*engine.Machine, key *big.Int, what string) {
 		byID := map[string]*engine.Machine{}
 		for _, mb := range members {
@@ -101,6 +102,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	}
 	group = append(group, joiner)
 	keys = append(keys, confirm(net, group, "join"))
+	directKey(group, keys[1], "join")
 
 	if err := RunLeave(net, group, "M02"); err != nil {
 		t.Fatalf("leave: %v", err)
@@ -133,6 +135,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 	}
 	group = append(group, groupB...)
 	keys = append(keys, confirm(net, group, "merge"))
+	directKey(group, keys[3], "merge")
 
 	evict := []string{group[1].ID(), group[3].ID()}
 	if err := RunPartition(net, group, evict); err != nil {
@@ -155,8 +158,8 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 }
 
 // TestMontTransparent pins the Montgomery hot path across all five
-// flows. Initial, leave and partition keys are checked against
-// bdkey.DirectKey inside runFiveFlows. Every committed key and every
+// flows. Every key is checked against bdkey.DirectKey inside
+// runFiveFlows. Every committed key and every
 // member's meter, bytes included, must also match goldens. The goldens
 // were recorded on the serial math/big path (bdkey.XValue and bdkey.Key),
 // which the engine no longer carries, with the same seed.

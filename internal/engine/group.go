@@ -113,25 +113,3 @@ func encodeStateTables(g *Group) []byte {
 	}
 	return buf.Bytes()
 }
-
-// decodeStateTables parses encodeStateTables output into a group, without
-// overwriting values the group already holds fresher copies of (existing
-// entries win: the receiver may have observed later broadcasts).
-func decodeStateTables(r *wire.Reader, g *Group) error {
-	count := r.Uint()
-	for i := uint64(0); i < count; i++ {
-		id := r.String()
-		z := r.Big()
-		t := r.Big()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if _, have := g.Z[id]; !have && z != nil && z.Sign() > 0 {
-			g.Z[id] = z
-		}
-		if _, have := g.T[id]; !have && t != nil && t.Sign() > 0 {
-			g.T[id] = t
-		}
-	}
-	return nil
-}

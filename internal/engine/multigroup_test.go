@@ -1,11 +1,16 @@
 package engine_test
 
 import (
+	"crypto/rand"
 	"fmt"
+	"math/big"
+	"strings"
 	"testing"
 
 	"idgka/internal/engine"
 	"idgka/internal/netsim"
+	"idgka/internal/params"
+	"idgka/internal/sigs/gq"
 	"idgka/internal/wire"
 )
 
@@ -233,12 +238,18 @@ func step2(t *testing.T, nd *node, msg netsim.Message) []engine.Event {
 // TestJoinMergeFailuresAreRetryable: parse and verification failures in
 // the Join and Merge flows must carry the engine's retryable marker, the
 // trigger of the paper's "all members retransmit again" loop, exactly as
-// the initial and leave flows already do.
+// the initial and leave flows already do. Each row steps one crafted
+// message into a victim's fresh flow: a truncated payload, a z outside
+// (0, p) under a valid signature, or a leading identity that is not the
+// sender's. A signed out-of-range z would otherwise be folded into K*
+// (z = 0 commits the group key 0) or used as a DH base.
 func TestJoinMergeFailuresAreRetryable(t *testing.T) {
+	set := params.Default()
+	p, zero, two := set.Schnorr.P, new(big.Int), big.NewInt(2)
 	ringA := []string{"A01", "A02", "A03"}
 	ringB := []string{"B01", "B02"}
 	all := append(append([]string(nil), ringA...), ringB...)
-	nodes := buildNodes(t, all)
+	nodes := buildNodes(t, append(all, "J01"))
 	b := newBus(t, nodes, all)
 	for _, id := range ringA {
 		b.start(id, func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
@@ -253,37 +264,88 @@ func TestJoinMergeFailuresAreRetryable(t *testing.T) {
 	}
 	b.pump()
 
-	// Malformed join round-1 from the advertised joiner: the controller
-	// must fail retryably.
-	ctl := nodes["A01"].mc
-	if _, _, err := ctl.StartJoin("j", "g-a", ringA, "J01"); err != nil {
-		t.Fatal(err)
+	// signed returns the fields in w followed by signer's valid GQ
+	// signature over them.
+	signed := func(signer string, w *wire.Buffer) []byte {
+		sk, err := gq.Extract(set.RSA, signer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig, err := sk.Sign(rand.Reader, w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.PutBig(sig.S).PutBig(sig.C).Bytes()
 	}
-	garbage := wire.NewBuffer().PutString("j").PutUint(0).PutString("J01").Bytes()
-	_, evts := ctl.Step(netsim.Message{From: "J01", Type: engine.MsgJoin1, Payload: garbage})
-	assertRetryableFailure(t, "join", evts)
-
-	// Malformed merge advertisement from the peer controller: same.
-	if _, _, err := ctl.StartMerge("m", "g-a", ringA, ringB); err != nil {
-		t.Fatal(err)
+	join := func(mc *engine.Machine, sid string) error {
+		_, _, err := mc.StartJoin(sid, "g-a", ringA, "J01")
+		return err
 	}
-	garbage = wire.NewBuffer().PutString("m").PutUint(0).PutString("B01").Bytes()
-	_, evts = ctl.Step(netsim.Message{From: "B01", Type: engine.MsgMerge1, Payload: garbage})
-	assertRetryableFailure(t, "merge", evts)
+	joiner := func(mc *engine.Machine, sid string) error {
+		_, _, err := mc.StartJoin(sid, "", ringA, "J01")
+		return err
+	}
+	merge := func(mc *engine.Machine, sid string) error {
+		_, _, err := mc.StartMerge(sid, "g-a", ringA, ringB)
+		return err
+	}
+	junk := []byte("not a wrapped key")
+	cases := []struct {
+		name, victim string
+		start        func(mc *engine.Machine, sid string) error
+		from, typ    string
+		body         []byte
+		cause        string
+	}{
+		{"join round1 truncated", "A01", join, "J01", engine.MsgJoin1,
+			wire.NewBuffer().PutString("J01").Bytes(), "truncated"},
+		{"merge advert truncated", "A01", merge, "B01", engine.MsgMerge1,
+			wire.NewBuffer().PutString("B01").Bytes(), "truncated"},
+		{"join z_{n+1}=0 at U_1", "A01", join, "J01", engine.MsgJoin1,
+			signed("J01", wire.NewBuffer().PutString("J01").PutBig(zero)), "out of range"},
+		{"join z_{n+1}=p at U_n", "A03", join, "J01", engine.MsgJoin1,
+			signed("J01", wire.NewBuffer().PutString("J01").PutBig(p)), "out of range"},
+		{"join z_n=0 at the joiner", "J01", joiner, "A03", engine.MsgJoinLast,
+			append(wire.NewBuffer().PutString("A03").Bytes(), signed("A03", wire.NewBuffer().PutBytes(junk).PutBig(zero))...), "out of range"},
+		{"merge advert z~=0", "A01", merge, "B01", engine.MsgMerge1,
+			signed("B01", wire.NewBuffer().PutString("B01").PutBig(zero).PutBig(two)), "out of range"},
+		{"merge advert z_last=p", "A01", merge, "B01", engine.MsgMerge1,
+			signed("B01", wire.NewBuffer().PutString("B01").PutBig(two).PutBig(p)), "out of range"},
+		{"join m'_1 names another sender", "A02", join, "A01", engine.MsgJoinCtl,
+			wire.NewBuffer().PutString("A03").PutBytes(junk).Bytes(), "identity mismatch"},
+		{"merge round2 names another sender", "A02", merge, "A01", engine.MsgMerge2,
+			wire.NewBuffer().PutString("A02").PutBytes(junk).PutBytes(junk).Bytes(), "identity mismatch"},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sid := fmt.Sprintf("row-%d", i)
+			mc := nodes[tc.victim].mc
+			if err := tc.start(mc, sid); err != nil {
+				t.Fatal(err)
+			}
+			_, evts := mc.Step(netsim.Message{From: tc.from, Type: tc.typ, Payload: engine.Envelope(sid, 0, tc.body)})
+			err := assertRetryableFailure(t, tc.name, evts)
+			if !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("failure %v, want cause %q", err, tc.cause)
+			}
+		})
+	}
 }
 
-func assertRetryableFailure(t *testing.T, what string, evts []engine.Event) {
+// assertRetryableFailure returns the retryable failure among evts.
+func assertRetryableFailure(t *testing.T, what string, evts []engine.Event) error {
 	t.Helper()
 	for _, ev := range evts {
 		if ev.Kind == engine.EventFailed {
 			if !ev.Retryable {
-				t.Fatalf("%s: parse failure not retryable: %v", what, ev.Err)
+				t.Fatalf("%s: failure not retryable: %v", what, ev.Err)
 			}
 			if !engine.IsRetryable(ev.Err) {
 				t.Fatalf("%s: error lost the retryable marker: %v", what, ev.Err)
 			}
-			return
+			return ev.Err
 		}
 	}
 	t.Fatalf("%s: malformed message did not fail the flow", what)
+	return nil
 }

@@ -105,14 +105,10 @@ func (f *ringFlow) begin() ([]Outbound, error) {
 	}
 	var z *big.Int
 	if f.refreshers[mc.id] {
-		sg := mc.cfg.Set.Schnorr
-		r, err := mathx.RandScalar(mc.cfg.rand(), sg.Q)
-		if err != nil {
+		var err error
+		if f.ring.r, z, err = mc.freshExp(); err != nil {
 			return nil, fmt.Errorf("engine: round1: %w", err)
 		}
-		z = sg.Exp(r)
-		mc.m.Exp(1)
-		f.ring.r = r
 		f.ring.z[mc.id] = z
 	}
 	// Senders always draw a fresh GQ commitment: refreshers by protocol,
@@ -143,29 +139,23 @@ func (f *ringFlow) deliver(msg *netsim.Message) error {
 // refresher's z_j must lie in (0, p) and a non-refresher must send none;
 // every sender's t_j must lie in (0, N).
 func (f *ringFlow) recordRound1(msg *netsim.Message) error {
-	mc := f.mc
-	r := wire.NewReader(msg.Payload)
-	id := r.String()
-	z := r.Big()
-	t := r.Big()
-	if err := r.Close(); err != nil {
-		return Retryable(fmt.Errorf("%s from %s: %w", f.r1, msg.From, err))
+	var z, t *big.Int
+	if err := readPeer(msg, func(r *wire.Reader) { z, t = r.Big(), r.Big() }); err != nil {
+		return err
 	}
-	if id != msg.From {
-		return Retryable(fmt.Errorf("%s identity mismatch: payload %q, sender %q", f.r1, id, msg.From))
-	}
+	id := msg.From
 	if !f.senders[id] || !f.ring.inRoster(id) {
 		return Retryable(fmt.Errorf("%s from unexpected sender %q", f.r1, id))
 	}
 	if f.refreshers[id] {
-		if z.Sign() <= 0 || z.Cmp(mc.cfg.Set.Schnorr.P) >= 0 {
-			return Retryable(fmt.Errorf("%s z from %s out of range", f.r1, id))
+		if err := f.mc.checkZ(msg, z); err != nil {
+			return err
 		}
 		f.ring.z[id] = z
 	} else if z.Sign() != 0 {
 		return Retryable(fmt.Errorf("%s z from non-refresher %s unexpected", f.r1, id))
 	}
-	if t.Sign() <= 0 || t.Cmp(mc.cfg.Set.RSA.N) >= 0 {
+	if t.Sign() <= 0 || t.Cmp(f.mc.cfg.Set.RSA.N) >= 0 {
 		return Retryable(fmt.Errorf("%s t from %s out of range", f.r1, id))
 	}
 	f.ring.t[id] = t
@@ -278,18 +268,15 @@ func (rs *ringState) inRoster(id string) bool {
 // recordRound2 parses and records one peer's round-2 broadcast
 // U_i ‖ X_i ‖ s_i.
 func (rs *ringState) recordRound2(msg *netsim.Message) error {
-	r := wire.NewReader(msg.Payload)
-	id := r.String()
-	x := r.Big()
-	s := r.Big()
-	if err := r.Close(); err != nil {
-		return Retryable(fmt.Errorf("round2 from %s: %w", msg.From, err))
+	var x, s *big.Int
+	if err := readPeer(msg, func(r *wire.Reader) { x, s = r.Big(), r.Big() }); err != nil {
+		return err
 	}
-	if id != msg.From || !rs.inRoster(id) {
-		return Retryable(fmt.Errorf("round2 bad sender %q/%q", id, msg.From))
+	if !rs.inRoster(msg.From) {
+		return Retryable(fmt.Errorf("%s from unexpected sender %q", msg.Type, msg.From))
 	}
-	rs.x[id] = x
-	rs.s[id] = s
+	rs.x[msg.From] = x
+	rs.s[msg.From] = s
 	return nil
 }
 

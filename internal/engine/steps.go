@@ -1,0 +1,188 @@
+package engine
+
+import (
+	"fmt"
+	"math/big"
+
+	"idgka/internal/mathx"
+	"idgka/internal/meter"
+	"idgka/internal/netsim"
+	"idgka/internal/sigs/gq"
+	"idgka/internal/sym"
+	"idgka/internal/wire"
+)
+
+// The protocol steps the flows share. Join (Section 7, equations 5-6)
+// and Merge (equations 7-9) are built from the same few steps as the
+// ring flows' round 1: a fresh blinded exponent, a Diffie-Hellman power,
+// the K* fold, E_K(secret‖U) key transport, GQ-signed broadcasts and the
+// state-table transfer. Each step lives here once, with its meter charge
+// and its failure classification: a fault in a peer's bytes is
+// retryable, a fault in the member's own state is not.
+
+// readPeer is the intake rule of the ring, Join and Merge flows: a peer
+// payload's leading identity must equal the sender, read decodes the
+// remaining fields, and the payload must then be consumed exactly. A
+// violation is retryable.
+func readPeer(msg *netsim.Message, read func(r *wire.Reader)) error {
+	r := wire.NewReader(msg.Payload)
+	if id := r.String(); r.Err() == nil && id != msg.From {
+		return Retryable(fmt.Errorf("%s identity mismatch: payload %q, sender %q", msg.Type, id, msg.From))
+	}
+	read(r)
+	if err := r.Close(); err != nil {
+		return Retryable(fmt.Errorf("%s from %s: %w", msg.Type, msg.From, err))
+	}
+	return nil
+}
+
+// checkZ is the intake range check on the blinded exponents a peer sends:
+// each must lie in (0, p). Subgroup membership is not checked.
+func (mc *Machine) checkZ(msg *netsim.Message, zs ...*big.Int) error {
+	for _, z := range zs {
+		if z.Sign() <= 0 || z.Cmp(mc.cfg.Set.Schnorr.P) >= 0 {
+			return Retryable(fmt.Errorf("%s z from %s out of range", msg.Type, msg.From))
+		}
+	}
+	return nil
+}
+
+// freshExp draws a fresh exponent r in [1, q-1] and its blinded image
+// z = g^r.
+func (mc *Machine) freshExp() (r, z *big.Int, err error) {
+	sg := mc.cfg.Set.Schnorr
+	r, err = mathx.RandScalar(mc.cfg.rand(), sg.Q)
+	if err != nil {
+		return nil, nil, err
+	}
+	mc.m.Exp(1)
+	return r, sg.Exp(r), nil
+}
+
+// dhPower returns the Diffie-Hellman value z^r mod p.
+func (mc *Machine) dhPower(z, r *big.Int) *big.Int {
+	mc.m.Exp(1)
+	return new(big.Int).Exp(z, r, mc.cfg.Set.Schnorr.P)
+}
+
+// foldKey computes a controller's K* = K·(z_next·z_last)^{-r}·(z_next·z̃)^{r'}
+// mod p in its own ring view g, where it is U_1 (equation 5 for Join,
+// equations 7 and 8 for either side of a Merge): it takes out its two
+// edges of the old ring and puts in its edges of the new one. z̃ is its
+// new neighbour's blinded exponent (the joiner's z_{n+1}, or the other
+// ring's closing z in a Merge) and rNew its fresh r'. The public base
+// z_next·z_last is inverted once, so both powers take positive
+// exponents.
+func (mc *Machine) foldKey(g *Group, zNew, rNew *big.Int) (*big.Int, error) {
+	p := mc.cfg.Set.Schnorr.P
+	zNext := g.Z[g.Neighbor(0, 1)]
+	out := new(big.Int).Mul(zNext, g.Z[g.Last()])
+	out, err := mathx.ModInverse(out.Mod(out, p), p)
+	if err != nil {
+		return nil, err
+	}
+	out.Exp(out, g.R, p)
+	in := new(big.Int).Mul(zNext, zNew)
+	in.Exp(in.Mod(in, p), rNew, p)
+	mc.m.Exp(2)
+	k := new(big.Int).Mul(g.Key, out)
+	k.Mod(k, p).Mul(k, in)
+	return k.Mod(k, p), nil
+}
+
+// wrapKey returns E_k(secret‖U), U being this member: the key transport
+// of Join and Merge.
+func (mc *Machine) wrapKey(k, secret *big.Int) ([]byte, error) {
+	c, err := sym.NewFromBig(k)
+	if err != nil {
+		return nil, err
+	}
+	w, err := c.WrapSecret(mc.cfg.rand(), secret, mc.id)
+	if err != nil {
+		return nil, err
+	}
+	mc.m.Sym(1, 0)
+	return w, nil
+}
+
+// unwrapKey opens E_k(secret‖from) and returns the secret. A ciphertext
+// that does not open under k, or names another sender, is retryable.
+func (mc *Machine) unwrapKey(k *big.Int, wrapped []byte, from string) (*big.Int, error) {
+	c, err := sym.NewFromBig(k)
+	if err != nil {
+		return nil, err
+	}
+	secret, err := c.UnwrapSecret(wrapped, from)
+	if err != nil {
+		return nil, Retryable(fmt.Errorf("engine: %s failed to unwrap the key from %s: %w", mc.id, from, err))
+	}
+	mc.m.Sym(0, 1)
+	return secret, nil
+}
+
+// sign returns body ‖ s ‖ c: the encoded fields followed by this member's
+// GQ signature σ = (s, c) over them.
+func (mc *Machine) sign(body []byte) ([]byte, error) {
+	sig, err := mc.sk.Sign(mc.cfg.rand(), body)
+	if err != nil {
+		return nil, err
+	}
+	mc.m.SignGen(meter.SchemeGQ, 1)
+	return append(body, wire.NewBuffer().PutBig(sig.S).PutBig(sig.C).Bytes()...), nil
+}
+
+// verify checks signer's GQ signature over the encoded fields body. A bad
+// signature is retryable; the verification is charged either way.
+func (mc *Machine) verify(signer string, body []byte, sig *gq.Signature) error {
+	err := gq.Verify(gq.ParamsFrom(mc.cfg.Set.RSA), signer, body, sig)
+	mc.m.SignVer(meter.SchemeGQ, 1)
+	if err != nil {
+		return Retryable(fmt.Errorf("engine: %s rejects %s's signature: %w", mc.id, signer, err))
+	}
+	return nil
+}
+
+// readSig reads a signature σ = (s, c) that sign appended.
+func readSig(r *wire.Reader) *gq.Signature {
+	return &gq.Signature{S: r.Big(), C: r.Big()}
+}
+
+// withTables builds the round-3 message U ‖ wrapped ‖ tables of Join and
+// Merge: this member's identity, one wrapped key and the state tables of
+// g, whose bytes are metered as state transfer (see
+// docs/ARCHITECTURE.md#accounting-conventions). An empty to broadcasts.
+func (mc *Machine) withTables(typ, to string, wrapped []byte, g *Group) Outbound {
+	tables := encodeStateTables(g)
+	payload := append(wire.NewBuffer().PutString(mc.id).PutBytes(wrapped).Bytes(), tables...)
+	return Outbound{To: to, Type: typ, Payload: payload, StateLen: len(tables)}
+}
+
+// ingestStateTables merges a peer's encodeStateTables block into g,
+// without overwriting values g already holds fresher copies of (existing
+// entries win: the receiver may have observed later broadcasts). A zero
+// z or t marks an absent entry; any other z must lie in (0, p) and any
+// other t in (0, N). A malformed block is retryable. The block is
+// covered by no signature.
+func (mc *Machine) ingestStateTables(g *Group, tables []byte) error {
+	p, n := mc.cfg.Set.Schnorr.P, mc.cfg.Set.RSA.N
+	r := wire.NewReader(tables)
+	for i, count := uint64(0), r.Uint(); i < count; i++ {
+		id, z, t := r.String(), r.Big(), r.Big()
+		if r.Err() != nil {
+			break
+		}
+		if z.Cmp(p) >= 0 || t.Cmp(n) >= 0 {
+			return Retryable(fmt.Errorf("engine: state tables: z or t of %s out of range", id))
+		}
+		if _, have := g.Z[id]; !have && z.Sign() > 0 {
+			g.Z[id] = z
+		}
+		if _, have := g.T[id]; !have && t.Sign() > 0 {
+			g.T[id] = t
+		}
+	}
+	if err := r.Close(); err != nil {
+		return Retryable(fmt.Errorf("engine: state tables: %w", err))
+	}
+	return nil
+}

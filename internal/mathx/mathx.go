@@ -106,25 +106,6 @@ func ModInverse(v, m *big.Int) (*big.Int, error) {
 	return inv, nil
 }
 
-// ModExp is a convenience wrapper computing base^exp mod m with a fresh
-// result, accepting negative exponents (resolved through a modular
-// inverse, so m must be coprime with base in that case).
-func ModExp(base, exp, m *big.Int) (*big.Int, error) {
-	if m.Sign() <= 0 {
-		return nil, errors.New("mathx: ModExp modulus must be positive")
-	}
-	//gkalint:vartime dispatch on the exponent's sign only; both arms run big.Int.Exp on the magnitude
-	if exp.Sign() >= 0 {
-		return new(big.Int).Exp(base, exp, m), nil
-	}
-	inv, err := ModInverse(base, m)
-	if err != nil {
-		return nil, err
-	}
-	negExp := new(big.Int).Neg(exp)
-	return new(big.Int).Exp(inv, negExp, m), nil
-}
-
 // Legendre computes the Legendre symbol (a/p) for an odd prime p:
 // 1 when a is a non-zero quadratic residue, -1 when a is a non-residue and
 // 0 when p divides a.

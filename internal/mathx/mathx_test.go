@@ -57,21 +57,6 @@ func TestModInverse(t *testing.T) {
 	}
 }
 
-func TestModExpNegativeExponent(t *testing.T) {
-	m := big.NewInt(101)
-	base := big.NewInt(7)
-	got, err := ModExp(base, big.NewInt(-3), m)
-	if err != nil {
-		t.Fatalf("ModExp: %v", err)
-	}
-	// Check by multiplying back: got * 7^3 == 1 mod 101.
-	cube := new(big.Int).Exp(base, Three, m)
-	prod := new(big.Int).Mul(got, cube)
-	if prod.Mod(prod, m).Cmp(One) != 0 {
-		t.Fatalf("7^-3 * 7^3 != 1, got %v", got)
-	}
-}
-
 func TestLegendreSmallPrime(t *testing.T) {
 	p := big.NewInt(23)
 	residues := map[int64]bool{}

@@ -108,6 +108,16 @@ func (r *Reader) Big() *big.Int {
 	return new(big.Int).SetBytes(p)
 }
 
+// Rest reads every byte left in the message.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	out := r.b[r.off:]
+	r.off = len(r.b)
+	return out
+}
+
 // Uint reads a fixed 8-byte unsigned integer.
 func (r *Reader) Uint() uint64 {
 	if r.err != nil {

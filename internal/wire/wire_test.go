@@ -65,6 +65,21 @@ func TestTrailingBytesDetected(t *testing.T) {
 	}
 }
 
+func TestRestConsumesTheTail(t *testing.T) {
+	buf := append(NewBuffer().PutString("x").Bytes(), 1, 2, 3)
+	r := NewReader(buf)
+	_ = r.String()
+	if got := r.Rest(); string(got) != "\x01\x02\x03" {
+		t.Fatalf("Rest = %v, want the three trailing bytes", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close after Rest: %v", err)
+	}
+	if r := NewReader(nil); r.Bytes() != nil || r.Rest() != nil {
+		t.Fatal("Rest after an error should return nil")
+	}
+}
+
 func TestErrorSticky(t *testing.T) {
 	r := NewReader([]byte{0, 0})
 	_ = r.Bytes() // fails: truncated length
