@@ -3,11 +3,12 @@
 # BENCHMARK.json) on a base commit and on the checked-out commit, and
 # fails when the change is worse.
 #
-#   bash .github/bench-compare.sh <base-ref>
+#   bash .github/bench-compare.sh <base-ref> [<pairs> [<out.json>]]
 #
 # The base commit is extracted with git archive into a temporary
 # directory outside the repository and removed on exit. For every
-# workload in BENCHMARK.json the script runs three pairs of
+# workload in BENCHMARK.json the script runs <pairs> pairs (default 3,
+# seeds 1 to <pairs>) of
 #
 #   bash <tree>/gkaperf/run.sh --workload W --seed S --seconds <run_seconds> --trace 0
 #
@@ -17,15 +18,29 @@
 #   - the change fails a larger share of operations than the base;
 #   - for any end_to_end metric, the change's median is worse than the
 #     base's median by more than the metric's relative bound.
-# Run length, workloads and bounds all come from BENCHMARK.json.
+# Run length, workloads and bounds all come from BENCHMARK.json. For
+# every end_to_end metric it also prints each pair's change/base ratio,
+# the number of pairs the change wins and the base's interquartile
+# range. With <out.json> it writes every pair's result lines, the
+# commits, seeds, run length, Go version, GOMAXPROCS and CPU flags there
+# (the BENCH_<n>.json trajectory schema).
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-	echo "usage: bash .github/bench-compare.sh <base-ref>" >&2
+if [ $# -lt 1 ] || [ $# -gt 3 ]; then
+	echo "usage: bash .github/bench-compare.sh <base-ref> [<pairs> [<out.json>]]" >&2
 	exit 2
 fi
 change="$(git rev-parse --show-toplevel)"
 base_sha="$(git -C "$change" rev-parse --verify "$1^{commit}")"
+pairs="${2:-3}"
+out_json="${3:-}"
+if ! [ "$pairs" -ge 1 ] 2>/dev/null; then
+	echo "bench-compare: <pairs> must be a positive integer, got $pairs" >&2
+	exit 2
+fi
+if [ -n "$out_json" ]; then
+	out_json="$(cd "$(dirname "$out_json")" && pwd)/$(basename "$out_json")"
+fi
 spec="$change/BENCHMARK.json"
 
 work="$(mktemp -d)"
@@ -36,9 +51,10 @@ git -C "$change" archive "$base_sha" | tar -x -C "$base"
 
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")"
 workloads="$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$spec")"
-seeds=(1 2 3)
+seeds=($(seq 1 "$pairs"))
+change_id="$(git -C "$change" describe --always --dirty --abbrev=40)"
 
-echo "bench-compare: base $base_sha, change $(git -C "$change" describe --always --dirty --abbrev=40), ${seconds}s per run"
+echo "bench-compare: base $base_sha, change $change_id, ${seconds}s per run, ${pairs} pairs"
 mkdir -p "$work/results"
 
 # run SIDE TREE WORKLOAD SEED keeps the run's result line (the last line
@@ -76,14 +92,19 @@ for workload in $workloads; do
 	done
 done
 
-python3 - "$spec" "$work/results" "${seeds[@]}" <<'EOF'
-import json, statistics, sys
+python3 - "$spec" "$work/results" "$base_sha" "$change_id" "$seconds" "$out_json" "${seeds[@]}" <<'EOF'
+import json, statistics, subprocess, sys
 spec = json.load(open(sys.argv[1]))
-results, seeds = sys.argv[2], sys.argv[3:]
+results, base_sha, change_id, seconds, out_json = sys.argv[2:7]
+seeds = sys.argv[7:]
 bad = []
+trajectory = []
 for w in (w["name"] for w in spec["workloads"]):
     runs = {side: [json.load(open("%s/%s.%s.%s.json" % (results, w, side, s))) for s in seeds]
             for side in ("base", "change")}
+    for i, s in enumerate(seeds):
+        trajectory.append({"workload": w, "seed": int(s), "first": "base" if i % 2 == 0 else "change",
+                           "base": runs["base"][i], "change": runs["change"][i]})
     for side, rs in runs.items():
         for s, r in zip(seeds, rs):
             if not r["correct"]:
@@ -104,9 +125,38 @@ for w in (w["name"] for w in spec["workloads"]):
         verdict = "ok" if rel <= bound else "WORSE"
         print("%-12s %-18s base %.6g change %.6g  %+.1f%% (%s is better, bound %.0f%%)  %s"
               % (w, name, b, c, 100 * (c - b) / abs(b) if b else 0.0, m["better"], 100 * bound, verdict))
+        pv = [(r["metrics"][name]["value"], q["metrics"][name]["value"]) for r, q in zip(runs["base"], runs["change"])]
+        wins = sum(1 for bv, cv in pv if (cv < bv if m["better"] == "lower" else cv > bv))
+        bq = statistics.quantiles([bv for bv, _ in pv], n=4, method="inclusive") if len(pv) > 1 else [pv[0][0]] * 3
+        print("%-12s %-18s pairs change/base %s  change better in %d/%d  base IQR %.6g"
+              % (w, name, " ".join("%.3f" % (cv / bv) if bv else "n/a" for bv, cv in pv), wins, len(pv), bq[2] - bq[0]))
         if verdict != "ok":
             bad.append("%s %s: change median %.6g is worse than base %.6g by more than %.0f%%"
                        % (w, name, c, b, 100 * bound))
+if out_json:
+    def cmd(*args):
+        return subprocess.run(args, capture_output=True, text=True).stdout.strip()
+    header = open("%s/%s.change.%s.stdout" % (results, spec["workloads"][0]["name"], seeds[0])).readline().split()
+    fields = dict(f.split("=", 1) for f in header if "=" in f)
+    flags = set()
+    for line in open("/proc/cpuinfo"):
+        if line.startswith("flags"):
+            flags = set(line.split(":", 1)[1].split())
+            break
+    json.dump({
+        "description": "gkaperf result lines of every workload, base and change, one run each per pair, from .github/bench-compare.sh.",
+        "command": "bash gkaperf/run.sh --workload W --seed S --seconds %s --trace 0" % seconds,
+        "base": base_sha,
+        "change": change_id,
+        "seeds": [int(s) for s in seeds],
+        "seconds": float(seconds),
+        "trace": 0,
+        "go_version": fields.get("go", cmd("go", "env", "GOVERSION")),
+        "gomaxprocs": int(fields.get("gomaxprocs", "0")),
+        "cpu_flags": {f: f in flags for f in ("adx", "bmi2", "avx512f", "avx512ifma", "avx512vl")},
+        "pairs": trajectory,
+    }, open(out_json, "w"), indent=1)
+    print("bench-compare: wrote %s" % out_json)
 if bad:
     print("bench-compare: FAIL")
     for line in bad:

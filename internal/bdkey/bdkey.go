@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"idgka/internal/mathx"
 )
@@ -32,21 +33,15 @@ func XValue(zNext, zPrev, r, m *big.Int) (*big.Int, error) {
 	return new(big.Int).Exp(base, r, m), nil
 }
 
+// ErrLemma1 reports round-2 values whose product is not 1: at least one
+// X is corrupt.
+var ErrLemma1 = errors.New("bdkey: Lemma 1 failed: ΠX_i ≠ 1, at least one X is corrupt")
+
 // CheckLemma1 verifies Π X_i ≡ 1 (mod m) — the paper's integrity check on
 // the round-2 values. The order of xs is irrelevant.
 func CheckLemma1(xs []*big.Int, m *big.Int) error {
 	if mathx.ProductMod(xs, m).Cmp(mathx.One) != 0 {
-		return errors.New("bdkey: Lemma 1 failed: ΠX_i ≠ 1, at least one X is corrupt")
-	}
-	return nil
-}
-
-// CheckLemma1Mont is CheckLemma1 over X values already converted into the
-// Montgomery domain (the product check is domain-invariant: ΠX_i ≡ 1 iff
-// the Montgomery product of the images equals the image of 1).
-func CheckLemma1Mont(mo *mathx.Modulus, xs []mathx.Elem) error {
-	if !mo.IsOne(mo.ProductElem(xs)) {
-		return errors.New("bdkey: Lemma 1 failed: ΠX_i ≠ 1, at least one X is corrupt")
+		return ErrLemma1
 	}
 	return nil
 }
@@ -80,38 +75,54 @@ func Key(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) 
 	return k, nil
 }
 
-// KeyFromEdgeMont computes member i's group key (equation 3) from the
-// directed DH edge b = z_{i-1}^{r_i} that the restructured round 2 leaves
-// in the session state, entirely in the Montgomery domain:
+// KeyFromEdge checks Lemma 1 and computes member i's group key
+// (equation 3) in one chain of Montgomery products, from the directed DH
+// edge b = z_{i-1}^{r_i} that round 2 leaves in the session state (in the
+// Montgomery domain) and the ring's X values as raw residues:
 //
 //	K_i = b^n · X_i^{n-1} · X_{i+1}^{n-2} ··· X_{i+n-2}^{1} mod m
 //
-// b^n needs only ~log2(n) squarings, and the descending consecutive
-// exponents of the X chain telescope into prefix products (Horner):
-// Π_t S_t with S_t = X_i···X_{i+t} gives X_{i+j} exponent (n-1)-j. The
-// whole assembly is ~2n Montgomery multiplications with no full-width
-// exponentiation left. xs are the ring-ordered X values in Montgomery
-// form (converted once per session at the wire boundary); the result
-// converts back out and is bit-identical to Key.
-func KeyFromEdgeMont(mo *mathx.Modulus, i int, edge mathx.Elem, xs []mathx.Elem) (*big.Int, error) {
-	n := len(xs)
-	if n == 0 {
-		return nil, errors.New("bdkey: empty ring")
+// xs packs the X values in ring order, each in (0, m) and mo.Words()
+// words wide (X_j in xs[j·k:(j+1)·k]). The descending consecutive
+// exponents telescope into prefix products (Horner): Π_t S_t with
+// S_t = X_i···X_{i+t}. The prefixes run on the raw limbs, each product
+// dividing by R once, so no X is converted into the domain. One more
+// product extends the last prefix to Π X_j, which Lemma 1 compares with
+// the cached R^{-(n-1)} it must then equal; a failure returns ErrLemma1
+// before b^n is raised. b^n needs ~log2(n) squarings, and one product
+// with the cached R^{n(n-1)/2+1} restores the domain. The whole
+// assembly is ~2n Montgomery products, bit-identical to Key.
+func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big.Int, error) {
+	k := mo.Words()
+	n := len(xs) / k
+	if n == 0 || len(xs) != n*k {
+		return nil, fmt.Errorf("bdkey: %d limbs are no ring of %d-word X values", len(xs), k)
 	}
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("bdkey: index %d out of ring of %d", i, n)
 	}
-	k := mo.ExpElem(edge, big.NewInt(int64(n)))
-	if n > 1 {
-		prefix := append(mathx.Elem(nil), xs[i]...)
-		acc := append(mathx.Elem(nil), prefix...)
-		for j := 1; j <= n-2; j++ {
-			mo.MulInto(prefix, prefix, xs[(i+j)%n])
-			mo.MulInto(acc, acc, prefix)
-		}
-		mo.MulInto(k, k, acc)
+	x := func(j int) mathx.Elem { j %= n; return xs[j*k : (j+1)*k] }
+	buf := make(mathx.Elem, 2*k)
+	prefix, acc := buf[:k], buf[k:]
+	copy(prefix, x(i))
+	copy(acc, prefix)
+	for j := 1; j <= n-2; j++ {
+		mo.MulInto(prefix, prefix, x(i+j))
+		mo.MulInto(acc, acc, prefix)
 	}
-	return mo.FromMont(k), nil
+	// prefix = X_i···X_{i+j}·R^{-j}; acc = Π_t S_t·R^{-(n-2)(n-1)/2-(n-2)}.
+	if n > 1 {
+		mo.MulInto(prefix, prefix, x(i+n-1))
+	}
+	if !slices.Equal(prefix, mo.RPow(1-n)) {
+		return nil, ErrLemma1
+	}
+	key := mo.ExpElem(edge, big.NewInt(int64(n)))
+	if n > 1 {
+		mo.MulInto(key, key, acc)
+	}
+	mo.MulInto(key, key, mo.RPow(n*(n-1)/2+1))
+	return mo.FromMont(key), nil
 }
 
 // DirectKey computes g^{Σ r_j r_{j+1}} from all ring exponents — the

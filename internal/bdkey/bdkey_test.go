@@ -2,6 +2,7 @@ package bdkey
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 
@@ -109,21 +110,29 @@ func BenchmarkKeyN100(b *testing.B) {
 	}
 }
 
-// TestKeyFromEdgeMontMatchesKey checks the Montgomery-domain Horner
-// assembly against the straight-line equation (3) for every member of
-// several ring sizes, including the n=1 and n=2 degenerate shapes, and
-// its rejection of an empty ring and an out-of-range index.
-func TestKeyFromEdgeMontMatchesKey(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 16} {
-		rs, zs, xs, g := buildRing(t, n)
-		mo := g.Mont()
-		if mo == nil {
-			t.Fatal("nil Montgomery context")
+// pack widens X values into the packed raw limbs KeyFromEdge reads.
+func pack(t testing.TB, mo *mathx.Modulus, xs []*big.Int) []big.Word {
+	t.Helper()
+	k := mo.Words()
+	flat := make([]big.Word, len(xs)*k)
+	for j, x := range xs {
+		if !mo.Load(flat[j*k:(j+1)*k], x) {
+			t.Fatalf("X_%d out of range", j)
 		}
-		xsMont := make([]mathx.Elem, n)
-		for i := range xs {
-			xsMont[i] = mo.ToMont(xs[i])
-		}
+	}
+	return flat
+}
+
+// TestKeyFromEdgeMatchesKey checks the one-chain Lemma 1 and equation (3)
+// against the straight-line Key for every member of every ring size from
+// 1 to 33, and its rejection of an empty ring, a ragged limb slice and
+// an out-of-range index.
+func TestKeyFromEdgeMatchesKey(t *testing.T) {
+	g := params.Default().Schnorr
+	mo := g.Mont()
+	for n := 1; n <= 33; n++ {
+		rs, zs, xs, _ := buildRing(t, n)
+		flat := pack(t, mo, xs)
 		for i := 0; i < n; i++ {
 			zPrev := zs[(i-1+n)%n]
 			want, err := Key(i, rs[i], zPrev, xs, g.P)
@@ -131,41 +140,68 @@ func TestKeyFromEdgeMontMatchesKey(t *testing.T) {
 				t.Fatal(err)
 			}
 			edge := new(big.Int).Exp(zPrev, rs[i], g.P)
-			got, err := KeyFromEdgeMont(mo, i, mo.ToMont(edge), xsMont)
+			got, err := KeyFromEdge(mo, i, mo.ToMont(edge), flat)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("n=%d member %d: %v", n, i, err)
 			}
 			if got.Cmp(want) != 0 {
-				t.Fatalf("n=%d member %d: KeyFromEdgeMont diverges from Key", n, i)
+				t.Fatalf("n=%d member %d: KeyFromEdge diverges from Key", n, i)
 			}
 		}
 		one := mo.MontOne()
-		if _, err := KeyFromEdgeMont(mo, 0, one, nil); err == nil {
+		if _, err := KeyFromEdge(mo, 0, one, nil); err == nil {
 			t.Fatal("empty ring accepted")
 		}
-		if _, err := KeyFromEdgeMont(mo, n, one, xsMont); err == nil {
+		if _, err := KeyFromEdge(mo, 0, one, flat[1:]); err == nil {
+			t.Fatal("ragged limbs accepted")
+		}
+		if _, err := KeyFromEdge(mo, n, one, flat); err == nil {
 			t.Fatal("out-of-range index accepted")
 		}
 	}
 }
 
-// TestCheckLemma1MontMatches checks the Montgomery-domain Lemma 1 product
-// check agrees with the big.Int one on both honest and corrupted rings.
-func TestCheckLemma1MontMatches(t *testing.T) {
-	_, _, xs, g := buildRing(t, 6)
+// TestKeyFromEdgeLemma1 checks that one corrupted X fails Lemma 1 in the
+// chain at every member's position, as it does in CheckLemma1, and that
+// the failure comes before any key.
+func TestKeyFromEdgeLemma1(t *testing.T) {
+	g := params.Default().Schnorr
 	mo := g.Mont()
-	toMont := func(vs []*big.Int) []mathx.Elem {
-		es := make([]mathx.Elem, len(vs))
-		for i, v := range vs {
-			es[i] = mo.ToMont(v)
+	for _, n := range []int{2, 6, 33} {
+		rs, zs, xs, _ := buildRing(t, n)
+		xs[n/2] = new(big.Int).Add(xs[n/2], big.NewInt(1))
+		if err := CheckLemma1(xs, g.P); !errors.Is(err, ErrLemma1) {
+			t.Fatalf("n=%d: CheckLemma1 = %v on a corrupted ring", n, err)
 		}
-		return es
+		flat := pack(t, mo, xs)
+		for i := 0; i < n; i++ {
+			edge := mo.ToMont(new(big.Int).Exp(zs[(i-1+n)%n], rs[i], g.P))
+			if key, err := KeyFromEdge(mo, i, edge, flat); !errors.Is(err, ErrLemma1) || key != nil {
+				t.Fatalf("n=%d member %d: corrupted X gave key %v, error %v", n, i, key, err)
+			}
+		}
 	}
-	if err := CheckLemma1Mont(mo, toMont(xs)); err != nil {
-		t.Fatalf("honest ring rejected: %v", err)
-	}
-	xs[3] = new(big.Int).Add(xs[3], big.NewInt(1))
-	if err := CheckLemma1Mont(mo, toMont(xs)); err == nil {
-		t.Fatal("corrupted X passed Montgomery Lemma 1")
+}
+
+// TestKeyFromEdgeCachedCorrection alternates two ring sizes on one
+// modulus, so each size's R-power corrections are computed on first use
+// and read from the Modulus cache afterwards; every key must match Key.
+func TestKeyFromEdgeCachedCorrection(t *testing.T) {
+	g := params.Default().Schnorr
+	mo := g.Mont()
+	for round := 0; round < 3; round++ {
+		for _, n := range []int{7, 12} {
+			rs, zs, xs, _ := buildRing(t, n)
+			i := (round * 5) % n
+			zPrev := zs[(i-1+n)%n]
+			want, err := Key(i, rs[i], zPrev, xs, g.P)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := KeyFromEdge(mo, i, mo.ToMont(new(big.Int).Exp(zPrev, rs[i], g.P)), pack(t, mo, xs))
+			if err != nil || got.Cmp(want) != 0 {
+				t.Fatalf("round %d, n=%d: key %v, error %v", round, n, got, err)
+			}
+		}
 	}
 }

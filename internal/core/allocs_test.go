@@ -1,0 +1,32 @@
+package core
+
+import "testing"
+
+// maxEstablishAllocs8 bounds the heap allocations of one lockstep
+// establishment of 8 members: the drivers' sweeps and medium, and every
+// member's two rounds, equation (2), Lemma 1 and equation (3). Ring state
+// is indexed by roster position and sized once, and peers' values decode
+// straight into per-member limb slots with no per-message big.Int,
+// reader or identity string. The run measures about 1,360 on amd64 and
+// 1,410 on 386; the bound leaves room for that drift but not for one
+// more allocation per delivered message (8 members × 14 deliveries =
+// 112).
+const maxEstablishAllocs8 = 1450
+
+// TestEstablishAllocs pins the allocations of one n = 8 lockstep
+// establishment. It holds under -race too.
+func TestEstablishAllocs(t *testing.T) {
+	net, members := buildGroup(t, 8, nil)
+	if err := RunInitial(net, members); err != nil { // warm the shared verifier and caches
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(5, func() {
+		if err := RunInitial(net, members); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one n=8 lockstep establishment: %.0f allocations", got)
+	if got > maxEstablishAllocs8 {
+		t.Fatalf("one n=8 lockstep establishment made %.0f allocations, want at most %d", got, maxEstablishAllocs8)
+	}
+}

@@ -288,9 +288,10 @@ func TestAbortRestartFreshAttempt(t *testing.T) {
 	assertSession(t, nodes, ring, sid)
 }
 
-// TestHostileRound1Retryable delivers one crafted round-1 frame ahead of
-// the honest one, on both ring constructors: a z or t out of range, or a
-// z from a member that does not refresh. The victim must end the attempt
+// TestHostileRound1Retryable delivers one crafted frame ahead of the
+// honest one, on both ring constructors: in round 1 a z or t out of
+// range, or a z from a member that does not refresh; in round 2 an X
+// outside (0, p) or an s outside (0, N). The victim must end the attempt
 // in one retryable failure naming the bad value, and emit no round-2
 // message for it.
 //
@@ -305,17 +306,24 @@ func TestHostileRound1Retryable(t *testing.T) {
 		partition     bool
 		strict        bool
 		from, victim  string
-		z, commitment *big.Int
+		z, commitment *big.Int // X and s for a round-2 row
+		round2        bool
 	}{
-		{"leave z=p from predecessor", true, false, "A", "B", p, two},
-		{"leave z=0 from refresher", true, false, "A", "B", nil, two},
-		{"leave t=0", true, false, "C", "B", two, nil},
-		{"leave t=N", true, false, "C", "B", two, n},
-		{"leave z from strict non-refresher", true, true, "B", "C", two, two},
-		{"initial z=p", false, false, "A", "B", p, two},
-		{"initial z=0", false, false, "A", "B", nil, two},
-		{"initial t=0", false, false, "C", "B", two, nil},
-		{"initial t=N", false, false, "C", "B", two, n},
+		{"leave z=p from predecessor", true, false, "A", "B", p, two, false},
+		{"leave z=0 from refresher", true, false, "A", "B", nil, two, false},
+		{"leave t=0", true, false, "C", "B", two, nil, false},
+		{"leave t=N", true, false, "C", "B", two, n, false},
+		{"leave z from strict non-refresher", true, true, "B", "C", two, two, false},
+		{"initial z=p", false, false, "A", "B", p, two, false},
+		{"initial z=0", false, false, "A", "B", nil, two, false},
+		{"initial t=0", false, false, "C", "B", two, nil, false},
+		{"initial t=N", false, false, "C", "B", two, n, false},
+		{"initial X=p", false, false, "A", "B", p, two, true},
+		{"initial X=0", false, false, "A", "B", nil, two, true},
+		{"initial s=N", false, false, "C", "B", two, n, true},
+		{"initial s=0", false, false, "C", "B", two, nil, true},
+		{"leave X=p", true, false, "A", "B", p, two, true},
+		{"leave s=N", true, false, "C", "B", two, n, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,7 +358,11 @@ func TestHostileRound1Retryable(t *testing.T) {
 			// Start every member; the victim sees the crafted frame
 			// first, then every honest round-1 broadcast.
 			body := wire.NewBuffer().PutString(tc.from).PutBig(tc.z).PutBig(tc.commitment).Bytes()
-			inbox := []netsim.Message{{From: tc.from, Type: r1, Payload: engine.Envelope("h", 0, body)}}
+			typ := r1
+			if tc.round2 {
+				typ = r2
+			}
+			inbox := []netsim.Message{{From: tc.from, Type: typ, Payload: engine.Envelope("h", 0, body)}}
 			var outs []engine.Outbound
 			var evts []engine.Event
 			for _, id := range roster {

@@ -31,7 +31,7 @@ func (mc *Machine) StartConfirm(sid, base string) ([]Outbound, []Event, error) {
 		return nil, nil, err
 	}
 	f := &confirmFlow{mc: mc, g: g, got: map[string]bool{}}
-	return mc.start(sid, f)
+	return mc.start(sid, f, g.Size())
 }
 
 // digest computes H(key ‖ id ‖ roster) for one claimed holder.
@@ -43,7 +43,7 @@ func (f *confirmFlow) digest(holder string) []byte {
 	return hashx.Sum(hashx.TagKeyConfirm, chunks...)
 }
 
-func (f *confirmFlow) deliver(msg *netsim.Message) error {
+func (f *confirmFlow) deliver(msg netsim.Message) error {
 	if msg.Type != MsgConfirm {
 		return nil
 	}

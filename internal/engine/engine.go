@@ -219,7 +219,7 @@ func IsRetryable(err error) bool {
 // and lifecycle events. Flows never block: a message that cannot be acted
 // on yet is recorded and acted on by a later advance.
 type flow interface {
-	deliver(msg *netsim.Message) error
+	deliver(msg netsim.Message) error
 	advance() ([]Outbound, []Event, error)
 }
 
@@ -353,12 +353,14 @@ func (mc *Machine) Key() *big.Int {
 }
 
 // start registers a new flow, runs its opening transitions, and replays
-// any buffered early messages for the session.
-func (mc *Machine) start(sid string, f flow) ([]Outbound, []Event, error) {
+// any buffered early messages for the session. deliveries is the number
+// of distinct (type, sender) pairs the flow expects, so its duplicate
+// filter is sized once.
+func (mc *Machine) start(sid string, f flow, deliveries int) ([]Outbound, []Event, error) {
 	if sid == "" {
 		return nil, nil, errors.New("engine: empty session id")
 	}
-	rf := &runningFlow{sid: sid, f: f, seen: map[deliveryKey]bool{}}
+	rf := &runningFlow{sid: sid, f: f, seen: make(map[deliveryKey]bool, deliveries)}
 	if old := mc.flows[sid]; old != nil {
 		rf.attempt = old.attempt + 1
 	} else if last, ok := mc.finished[sid]; ok {
@@ -396,7 +398,7 @@ func (mc *Machine) dispatch(rf *runningFlow, msg *netsim.Message) ([]Outbound, [
 			return nil, nil
 		}
 		rf.seen[k] = true
-		if err := rf.f.deliver(msg); err != nil {
+		if err := rf.f.deliver(*msg); err != nil {
 			return nil, mc.failFlow(rf, err)
 		}
 	}
@@ -506,7 +508,7 @@ func (mc *Machine) wrapOuts(rf *runningFlow, outs []Outbound) []Outbound {
 // Envelope prefixes a flow message body with its session envelope: the
 // session id and the attempt counter.
 func Envelope(sid string, attempt uint64, body []byte) []byte {
-	return append(wire.NewBuffer().PutString(sid).PutUint(attempt).Bytes(), body...)
+	return append(wire.NewSizedBuffer(4+len(sid)+8+len(body)).PutString(sid).PutUint(attempt).Bytes(), body...)
 }
 
 // errNoEnvelope rejects a payload that is not an engine message.
@@ -516,10 +518,17 @@ var errNoEnvelope = errors.New("engine: payload carries no session envelope")
 // counter and body; the body aliases payload. A payload too short for an
 // envelope, or one naming the empty session id, is not an engine message.
 func OpenEnvelope(payload []byte) (sid string, attempt uint64, body []byte, err error) {
+	sidb, attempt, body, err := openEnvelope(payload)
+	return string(sidb), attempt, body, err
+}
+
+// openEnvelope is OpenEnvelope with the session id aliasing payload, so
+// Step can look the session up without copying it into a string.
+func openEnvelope(payload []byte) (sid []byte, attempt uint64, body []byte, err error) {
 	r := wire.NewReader(payload)
-	sid, attempt = r.String(), r.Uint()
-	if r.Err() != nil || sid == "" {
-		return "", 0, nil, errNoEnvelope
+	sid, attempt = r.Bytes(), r.Uint()
+	if r.Err() != nil || len(sid) == 0 {
+		return nil, 0, nil, errNoEnvelope
 	}
 	return sid, attempt, payload[len(payload)-r.Remaining():], nil
 }
@@ -546,24 +555,24 @@ func (mc *Machine) Step(msg netsim.Message) ([]Outbound, []Event) {
 		// message: surface it as a lifecycle event.
 		return nil, []Event{{Kind: EventPeerDown, Peer: msg.From}}
 	}
-	sid, attempt, body, err := OpenEnvelope(msg.Payload)
+	sid, attempt, body, err := openEnvelope(msg.Payload)
 	if err != nil {
 		return nil, nil
 	}
 	msg.Payload = body
-	rf, ok := mc.flows[sid]
+	rf, ok := mc.flows[string(sid)]
 	if !ok {
-		if last, fin := mc.finished[sid]; fin && attempt <= last {
+		if last, fin := mc.finished[string(sid)]; fin && attempt <= last {
 			return nil, nil // straggler of a completed session
 		}
-		mc.bufferEarly(sid, msg, attempt)
+		mc.bufferEarly(string(sid), msg, attempt)
 		return nil, nil
 	}
 	if attempt < rf.attempt {
 		return nil, nil // stale attempt
 	}
 	if attempt > rf.attempt {
-		mc.bufferEarly(sid, msg, attempt)
+		mc.bufferEarly(rf.sid, msg, attempt)
 		return nil, nil
 	}
 	outs, evts := mc.dispatch(rf, &msg)

@@ -95,12 +95,12 @@ func (mc *Machine) StartJoin(sid, base string, oldRoster []string, joiner string
 		}
 		f.base = g
 	}
-	return mc.start(sid, f)
+	return mc.start(sid, f, 0)
 }
 
 // deliver records the message of each round from the one member the
 // script expects it from; the same type from anyone else is ignored.
-func (f *joinFlow) deliver(msg *netsim.Message) error {
+func (f *joinFlow) deliver(msg netsim.Message) error {
 	switch {
 	case msg.Type == MsgJoin1 && msg.From == f.joiner:
 		if err := readPeer(msg, func(r *wire.Reader) { f.zJoin, f.m1Sig = r.Big(), readSig(r) }); err != nil {
@@ -164,7 +164,7 @@ func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
 		f.kDH = mc.dhPower(f.zn, f.rJoin)
 	}
 	if f.fwdWrapped != nil && f.kDH != nil {
-		kStar, err := mc.unwrapKey(f.kDH, f.fwdWrapped, f.un)
+		kStar, err := mc.unwrapKey(f.kDH, f.fwdWrapped, f.un, f.fwdTables)
 		if err != nil {
 			return outs, nil, err
 		}
@@ -193,7 +193,7 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		wrapped, err := mc.wrapKey(g.Key, kStar)
+		wrapped, err := mc.wrapKey(g.Key, kStar, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -201,7 +201,7 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		outs = append(outs, Outbound{Type: MsgJoinCtl, Payload: wire.NewBuffer().PutString(mc.id).PutBytes(wrapped).Bytes()})
 	}
 	if f.lastSig != nil && f.kDH == nil {
-		kDH, err := mc.unwrapKey(g.Key, f.wrapDH, f.un)
+		kDH, err := mc.unwrapKey(g.Key, f.wrapDH, f.un, nil)
 		if err != nil {
 			return outs, nil, err
 		}
@@ -226,7 +226,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 			return nil, nil, err
 		}
 		f.kDH = mc.dhPower(f.zJoin, g.R)
-		wrappedDH, err := mc.wrapKey(g.Key, f.kDH)
+		wrappedDH, err := mc.wrapKey(g.Key, f.kDH, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -238,15 +238,19 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		f.sentLast = true
 	}
 	if f.wrapStar != nil && f.kDH != nil {
-		kStar, err := mc.unwrapKey(g.Key, f.wrapStar, f.u1)
+		kStar, err := mc.unwrapKey(g.Key, f.wrapStar, f.u1, nil)
 		if err != nil {
 			return outs, nil, err
 		}
-		fwd, err := mc.wrapKey(f.kDH, kStar)
+		// The joiner's only view of the ring's z and t is the state
+		// tables: binding them to the wrap under K_DH, which only the
+		// joiner shares, authenticates them.
+		tables := encodeStateTables(g)
+		fwd, err := mc.wrapKey(f.kDH, kStar, tables)
 		if err != nil {
 			return outs, nil, err
 		}
-		outs = append(outs, mc.withTables(MsgJoinFwd, f.joiner, fwd, g))
+		outs = append(outs, mc.withTables(MsgJoinFwd, f.joiner, fwd, tables))
 		evts, err := f.commit(kStar, f.kDH, g.R)
 		return outs, evts, err
 	}
@@ -261,11 +265,11 @@ func (f *joinFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 	if f.m1Sig == nil || f.wrapStar == nil || f.lastSig == nil {
 		return nil, nil, nil
 	}
-	kStar, err := mc.unwrapKey(f.base.Key, f.wrapStar, f.u1)
+	kStar, err := mc.unwrapKey(f.base.Key, f.wrapStar, f.u1, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	kDH, err := mc.unwrapKey(f.base.Key, f.wrapDH, f.un)
+	kDH, err := mc.unwrapKey(f.base.Key, f.wrapDH, f.un, nil)
 	if err != nil {
 		return nil, nil, err
 	}

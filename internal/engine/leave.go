@@ -77,9 +77,5 @@ func (mc *Machine) StartPartition(sid, base string, newRoster, refresh []string)
 			return nil, nil, fmt.Errorf("engine: partition survivor %q not in base session ring %v", id, g.Roster)
 		}
 	}
-	senders := setOf(refresh)
-	if mc.cfg.StrictNonceRefresh {
-		senders = setOf(refresh, newRoster)
-	}
-	return mc.startRing(sid, &ringFlow{base: g, r1: MsgLeave1, r2: MsgLeave2, refreshers: setOf(refresh), senders: senders}, newRoster)
+	return mc.startRing(sid, &ringFlow{base: g, r1: MsgLeave1, r2: MsgLeave2}, newRoster, refresh, mc.cfg.StrictNonceRefresh)
 }

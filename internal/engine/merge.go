@@ -89,13 +89,13 @@ func (mc *Machine) StartMerge(sid, base string, rosterA, rosterB []string) ([]Ou
 	if !g.ringEquals(own) {
 		return nil, nil, fmt.Errorf("engine: merge base session ring %v does not match own ring %v", g.Roster, own)
 	}
-	return mc.start(sid, f)
+	return mc.start(sid, f, 0)
 }
 
 // deliver records the adverts of both controllers and the round-2 and
 // round-3 messages this member's script reads; every other message of
 // those types is checked and dropped.
-func (f *mergeFlow) deliver(msg *netsim.Message) error {
+func (f *mergeFlow) deliver(msg netsim.Message) error {
 	switch msg.Type {
 	case MsgMerge1:
 		if msg.From != f.ctlA && msg.From != f.ctlB {
@@ -182,11 +182,11 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 			return outs, nil, err
 		}
 		// Wrap K* under the old group key and under the DH key.
-		wrapGroup, err := mc.wrapKey(g.Key, kStar)
+		wrapGroup, err := mc.wrapKey(g.Key, kStar, nil)
 		if err != nil {
 			return outs, nil, err
 		}
-		wrapDH, err := mc.wrapKey(f.kDH, kStar)
+		wrapDH, err := mc.wrapKey(f.kDH, kStar, nil)
 		if err != nil {
 			return outs, nil, err
 		}
@@ -196,18 +196,18 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		f.sentR2 = true
 	}
 	if f.wrapDHPeer != nil && f.kDH != nil && !f.sentR3 {
-		peerKStar, err := mc.unwrapKey(f.kDH, f.wrapDHPeer, f.otherCtl)
+		peerKStar, err := mc.unwrapKey(f.kDH, f.wrapDHPeer, f.otherCtl, nil)
 		if err != nil {
 			return outs, nil, err
 		}
 		// Re-wrap under own group key for the rest of the ring, with this
 		// ring's z/t state for the other group.
-		rewrapped, err := mc.wrapKey(g.Key, peerKStar)
+		rewrapped, err := mc.wrapKey(g.Key, peerKStar, nil)
 		if err != nil {
 			return outs, nil, err
 		}
 		f.kStarForeign = peerKStar
-		outs = append(outs, mc.withTables(MsgMerge3, "", rewrapped, g))
+		outs = append(outs, mc.withTables(MsgMerge3, "", rewrapped, encodeStateTables(g)))
 		f.sentR3 = true
 	}
 	if f.kStarOwn != nil && f.kStarForeign != nil && f.tablesForeign != nil {
@@ -223,14 +223,14 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 func (f *mergeFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 	mc := f.mc
 	if f.wrapGroupOwn != nil && f.kStarOwn == nil {
-		own, err := mc.unwrapKey(f.base.Key, f.wrapGroupOwn, f.ownCtl)
+		own, err := mc.unwrapKey(f.base.Key, f.wrapGroupOwn, f.ownCtl, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		f.kStarOwn = own
 	}
 	if f.rewrapped != nil && f.kStarForeign == nil {
-		foreign, err := mc.unwrapKey(f.base.Key, f.rewrapped, f.ownCtl)
+		foreign, err := mc.unwrapKey(f.base.Key, f.rewrapped, f.ownCtl, nil)
 		if err != nil {
 			return nil, nil, err
 		}

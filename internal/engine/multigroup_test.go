@@ -289,6 +289,49 @@ func TestJoinMergeFailuresAreRetryable(t *testing.T) {
 		_, _, err := mc.StartMerge(sid, "g-a", ringA, ringB)
 		return err
 	}
+	// forged runs a live Join of J01 into ring A under sid, withholding
+	// U_n's m'''_n from the joiner, and returns that message's body with
+	// A02's z in the forwarded state tables rewritten to 2, an in-range
+	// value no member holds. The joiner is left waiting for m'''_n.
+	forged := func(mc *engine.Machine, sid string) ([]byte, error) {
+		lb := newBus(t, nodes, append(append([]string(nil), ringA...), "J01"))
+		for _, id := range ringA {
+			lb.start(id, func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
+				return mc.StartJoin(sid, "g-a", ringA, "J01")
+			})
+		}
+		lb.start("J01", func(mc *engine.Machine) ([]engine.Outbound, []engine.Event, error) {
+			return mc.StartJoin(sid, "", ringA, "J01")
+		})
+		var fwd []byte
+		for len(lb.queue) > 0 {
+			d := lb.queue[0]
+			lb.queue = lb.queue[1:]
+			if d.msg.Type == engine.MsgJoinFwd {
+				fwd = d.msg.Payload
+				continue
+			}
+			outs, evts := lb.nodes[d.to].mc.Step(d.msg)
+			lb.nodes[d.to].record(evts)
+			lb.send(d.to, outs)
+		}
+		_, _, body, err := engine.OpenEnvelope(fwd)
+		if err != nil {
+			return nil, err
+		}
+		r := wire.NewReader(body)
+		out := wire.NewBuffer().PutString(r.String()).PutBytes(r.Bytes())
+		count := r.Uint()
+		out.PutUint(count)
+		for i := uint64(0); i < count; i++ {
+			id, z, tv := r.String(), r.Big(), r.Big()
+			if id == "A02" {
+				z = two
+			}
+			out.PutString(id).PutBig(z).PutBig(tv)
+		}
+		return out.Bytes(), r.Close()
+	}
 	junk := []byte("not a wrapped key")
 	cases := []struct {
 		name, victim string
@@ -296,35 +339,48 @@ func TestJoinMergeFailuresAreRetryable(t *testing.T) {
 		from, typ    string
 		body         []byte
 		cause        string
+		// live, when set, runs the flow itself in place of start and
+		// returns the body of the message under test.
+		live func(mc *engine.Machine, sid string) ([]byte, error)
 	}{
 		{"join round1 truncated", "A01", join, "J01", engine.MsgJoin1,
-			wire.NewBuffer().PutString("J01").Bytes(), "truncated"},
+			wire.NewBuffer().PutString("J01").Bytes(), "truncated", nil},
 		{"merge advert truncated", "A01", merge, "B01", engine.MsgMerge1,
-			wire.NewBuffer().PutString("B01").Bytes(), "truncated"},
+			wire.NewBuffer().PutString("B01").Bytes(), "truncated", nil},
 		{"join z_{n+1}=0 at U_1", "A01", join, "J01", engine.MsgJoin1,
-			signed("J01", wire.NewBuffer().PutString("J01").PutBig(zero)), "out of range"},
+			signed("J01", wire.NewBuffer().PutString("J01").PutBig(zero)), "out of range", nil},
 		{"join z_{n+1}=p at U_n", "A03", join, "J01", engine.MsgJoin1,
-			signed("J01", wire.NewBuffer().PutString("J01").PutBig(p)), "out of range"},
+			signed("J01", wire.NewBuffer().PutString("J01").PutBig(p)), "out of range", nil},
 		{"join z_n=0 at the joiner", "J01", joiner, "A03", engine.MsgJoinLast,
-			append(wire.NewBuffer().PutString("A03").Bytes(), signed("A03", wire.NewBuffer().PutBytes(junk).PutBig(zero))...), "out of range"},
+			append(wire.NewBuffer().PutString("A03").Bytes(), signed("A03", wire.NewBuffer().PutBytes(junk).PutBig(zero))...), "out of range", nil},
 		{"merge advert z~=0", "A01", merge, "B01", engine.MsgMerge1,
-			signed("B01", wire.NewBuffer().PutString("B01").PutBig(zero).PutBig(two)), "out of range"},
+			signed("B01", wire.NewBuffer().PutString("B01").PutBig(zero).PutBig(two)), "out of range", nil},
 		{"merge advert z_last=p", "A01", merge, "B01", engine.MsgMerge1,
-			signed("B01", wire.NewBuffer().PutString("B01").PutBig(two).PutBig(p)), "out of range"},
+			signed("B01", wire.NewBuffer().PutString("B01").PutBig(two).PutBig(p)), "out of range", nil},
 		{"join m'_1 names another sender", "A02", join, "A01", engine.MsgJoinCtl,
-			wire.NewBuffer().PutString("A03").PutBytes(junk).Bytes(), "identity mismatch"},
+			wire.NewBuffer().PutString("A03").PutBytes(junk).Bytes(), "identity mismatch", nil},
 		{"merge round2 names another sender", "A02", merge, "A01", engine.MsgMerge2,
-			wire.NewBuffer().PutString("A02").PutBytes(junk).PutBytes(junk).Bytes(), "identity mismatch"},
+			wire.NewBuffer().PutString("A02").PutBytes(junk).PutBytes(junk).Bytes(), "identity mismatch", nil},
+		// Last: the live Join commits the new ring at A01-A03.
+		{"join forwarded tables rewritten", "J01", nil, "A03", engine.MsgJoinFwd,
+			nil, "unwrap", forged},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sid := fmt.Sprintf("row-%d", i)
 			mc := nodes[tc.victim].mc
-			if err := tc.start(mc, sid); err != nil {
+			body := tc.body
+			var err error
+			if tc.live != nil {
+				body, err = tc.live(mc, sid)
+			} else {
+				err = tc.start(mc, sid)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			_, evts := mc.Step(netsim.Message{From: tc.from, Type: tc.typ, Payload: engine.Envelope(sid, 0, tc.body)})
-			err := assertRetryableFailure(t, tc.name, evts)
+			_, evts := mc.Step(netsim.Message{From: tc.from, Type: tc.typ, Payload: engine.Envelope(sid, 0, body)})
+			err = assertRetryableFailure(t, tc.name, evts)
 			if !strings.Contains(err.Error(), tc.cause) {
 				t.Fatalf("failure %v, want cause %q", err, tc.cause)
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"idgka/internal/bdkey"
 	"idgka/internal/mathx"
@@ -35,12 +36,13 @@ type ringFlow struct {
 	// GKA, MsgLeave1/MsgLeave2 for Leave/Partition.
 	r1, r2 string
 
-	// refreshers draw fresh exponents; senders is the set of expected
-	// round-1 broadcasters (refreshers, plus every survivor in strict
-	// mode); gotR1 marks the senders heard from.
-	refreshers map[string]bool
-	senders    map[string]bool
-	gotR1      map[string]bool
+	// By ring position: refresh marks the members that draw fresh
+	// exponents and sends the expected round-1 broadcasters (the
+	// refreshers, plus every survivor in strict mode). waiting counts the
+	// peers among the senders not heard from yet; the machine delivers
+	// each sender's round 1 once.
+	refresh, sends []bool
+	waiting        int
 
 	started   bool
 	emittedR2 bool
@@ -53,29 +55,38 @@ func (mc *Machine) StartInitial(sid string, roster []string) ([]Outbound, []Even
 	if len(roster) < 2 {
 		return nil, nil, errors.New("engine: initial GKA needs at least 2 members")
 	}
-	all := setOf(roster)
-	return mc.startRing(sid, &ringFlow{r1: MsgRound1, r2: MsgRound2, refreshers: all, senders: all}, roster)
+	return mc.startRing(sid, &ringFlow{r1: MsgRound1, r2: MsgRound2}, roster, roster, true)
 }
 
-// startRing completes a ringFlow over roster and starts it.
-func (mc *Machine) startRing(sid string, f *ringFlow, roster []string) ([]Outbound, []Event, error) {
-	rs, err := newRingState(roster, mc.id)
+// startRing completes a ringFlow over roster, in which the members listed
+// in refresh draw fresh exponents and, when everySends is set, every
+// member broadcasts in round 1 (otherwise only the refreshers do), and
+// starts it.
+func (mc *Machine) startRing(sid string, f *ringFlow, roster, refresh []string, everySends bool) ([]Outbound, []Event, error) {
+	rs, err := newRingState(mc, roster)
 	if err != nil {
 		return nil, nil, err
 	}
-	f.mc, f.ring, f.gotR1 = mc, rs, map[string]bool{}
-	return mc.start(sid, f)
-}
-
-// setOf returns the set of ids listed in any of lists.
-func setOf(lists ...[]string) map[string]bool {
-	set := map[string]bool{}
-	for _, ids := range lists {
-		for _, id := range ids {
-			set[id] = true
+	n := rs.n()
+	marks := make([]bool, 2*n)
+	f.refresh, f.sends = marks[:n], marks[n:]
+	for _, id := range refresh {
+		i, ok := rs.pos[id]
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: refresher %q not in ring %v", id, roster)
+		}
+		f.refresh[i] = true
+	}
+	for i := range f.sends {
+		f.sends[i] = everySends || f.refresh[i]
+		if f.sends[i] && i != rs.self {
+			f.waiting++
 		}
 	}
-	return set
+	f.mc, f.ring = mc, rs
+	// Every peer sends one message per round: the duplicate filter holds
+	// at most 2n pairs.
+	return mc.start(sid, f, 2*n)
 }
 
 // begin seeds the ring views from the base group, draws fresh material
@@ -83,33 +94,30 @@ func setOf(lists ...[]string) map[string]bool {
 // U_j ‖ z_j ‖ t_j when this member is a sender (z_j empty when it does
 // not refresh).
 func (f *ringFlow) begin() ([]Outbound, error) {
-	mc := f.mc
+	mc, rs := f.mc, f.ring
 	if g := f.base; g != nil {
 		// Start from the session's stored views; fresh own values
 		// overwrite.
-		for _, id := range f.ring.roster {
-			if z, ok := g.Z[id]; ok {
-				f.ring.z[id] = z
-			}
-			if t, ok := g.T[id]; ok {
-				f.ring.t[id] = t
-			}
+		for i, id := range rs.roster {
+			rs.setZ(i, g.Z[id])
+			rs.setT(i, g.T[id])
 		}
-		f.ring.r = g.R
-		f.ring.tau = g.Tau
+		rs.r = g.R
+		rs.tau = g.Tau
 	}
-	if !f.senders[mc.id] {
+	self := rs.self
+	if !f.sends[self] {
 		// Paper behaviour: even members stay silent and will reuse their
 		// stored commitment.
 		return nil, nil
 	}
 	var z *big.Int
-	if f.refreshers[mc.id] {
+	if f.refresh[self] {
 		var err error
-		if f.ring.r, z, err = mc.freshExp(); err != nil {
+		if rs.r, z, err = mc.freshExp(); err != nil {
 			return nil, fmt.Errorf("engine: round1: %w", err)
 		}
-		f.ring.z[mc.id] = z
+		rs.setZ(self, z)
 	}
 	// Senders always draw a fresh GQ commitment: refreshers by protocol,
 	// strict-mode non-refreshers by design (see
@@ -118,13 +126,13 @@ func (f *ringFlow) begin() ([]Outbound, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.ring.tau = tau
-	f.ring.t[mc.id] = t
+	rs.tau = tau
+	rs.setT(self, t)
 	payload := wire.NewBuffer().PutString(mc.id).PutBig(z).PutBig(t).Bytes()
 	return []Outbound{{Type: f.r1, Payload: payload}}, nil
 }
 
-func (f *ringFlow) deliver(msg *netsim.Message) error {
+func (f *ringFlow) deliver(msg netsim.Message) error {
 	switch msg.Type {
 	case f.r1:
 		return f.recordRound1(msg)
@@ -137,45 +145,42 @@ func (f *ringFlow) deliver(msg *netsim.Message) error {
 
 // recordRound1 ingests one sender's round-1 broadcast U_j ‖ z_j ‖ t_j: a
 // refresher's z_j must lie in (0, p) and a non-refresher must send none;
-// every sender's t_j must lie in (0, N).
-func (f *ringFlow) recordRound1(msg *netsim.Message) error {
-	var z, t *big.Int
-	if err := readPeer(msg, func(r *wire.Reader) { z, t = r.Big(), r.Big() }); err != nil {
+// every sender's t_j must lie in (0, N). Both decode straight into the
+// sender's slot. The member's own broadcast, echoed back, is ignored.
+func (f *ringFlow) recordRound1(msg netsim.Message) error {
+	rs := f.ring
+	i, ok := rs.pos[msg.From]
+	if !ok || !f.sends[i] {
+		return Retryable(fmt.Errorf("%s from unexpected sender %q", f.r1, msg.From))
+	}
+	if i == rs.self {
+		return nil
+	}
+	r, err := openPeer(msg)
+	if err != nil {
 		return err
 	}
-	id := msg.From
-	if !f.senders[id] || !f.ring.inRoster(id) {
-		return Retryable(fmt.Errorf("%s from unexpected sender %q", f.r1, id))
+	z, t := r.Bytes(), r.Bytes()
+	if err := r.close(); err != nil {
+		return err
 	}
-	if f.refreshers[id] {
-		if err := f.mc.checkZ(msg, z); err != nil {
-			return err
+	if f.refresh[i] {
+		if !rs.loadZ(i, z) {
+			return Retryable(fmt.Errorf("%s z from %s out of range", f.r1, msg.From))
 		}
-		f.ring.z[id] = z
-	} else if z.Sign() != 0 {
-		return Retryable(fmt.Errorf("%s z from non-refresher %s unexpected", f.r1, id))
+	} else if slices.ContainsFunc(z, func(b byte) bool { return b != 0 }) {
+		return Retryable(fmt.Errorf("%s z from non-refresher %s unexpected", f.r1, msg.From))
 	}
-	if t.Sign() <= 0 || t.Cmp(f.mc.cfg.Set.RSA.N) >= 0 {
-		return Retryable(fmt.Errorf("%s t from %s out of range", f.r1, id))
+	if !rs.loadT(i, t) {
+		return Retryable(fmt.Errorf("%s t from %s out of range", f.r1, msg.From))
 	}
-	f.ring.t[id] = t
-	f.gotR1[id] = true
+	f.waiting--
 	return nil
-}
-
-// round1Done reports whether every expected round-1 broadcast (from peers)
-// has arrived.
-func (f *ringFlow) round1Done() bool {
-	for id := range f.senders {
-		if id != f.mc.id && !f.gotR1[id] {
-			return false
-		}
-	}
-	return true
 }
 
 func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 	var outs []Outbound
+	rs := f.ring
 	if !f.started {
 		o, err := f.begin()
 		if err != nil {
@@ -184,18 +189,17 @@ func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 		outs = append(outs, o...)
 		f.started = true
 	}
-	if !f.emittedR2 && f.round1Done() {
+	if !f.emittedR2 && f.waiting == 0 {
 		// Every ring member must now have a current z and t on file.
-		for _, id := range f.ring.roster {
-			if f.ring.z[id] == nil || f.ring.t[id] == nil {
+		for i, id := range rs.roster {
+			if rs.z[i] == nil || rs.t[i] == nil {
 				return outs, nil, Retryable(fmt.Errorf("engine: %s lacks round-1 values of %s", f.mc.id, id))
 			}
 		}
 		// The controller broadcasts its round-2 message only after every
-		// other member's has arrived (len(x) counts peers until our own
-		// round2Payload records ours).
-		if f.ring.self != 0 || len(f.ring.x) == f.ring.n()-1 {
-			payload, err := f.ring.round2Payload(f.mc)
+		// other member's has arrived.
+		if rs.self != 0 || rs.peersX == rs.n()-1 {
+			payload, err := rs.round2Payload(f.mc)
 			if err != nil {
 				return outs, nil, err
 			}
@@ -203,8 +207,8 @@ func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 			f.emittedR2 = true
 		}
 	}
-	if f.emittedR2 && len(f.ring.x) == f.ring.n() {
-		g, err := f.ring.finish(f.mc)
+	if f.emittedR2 && rs.peersX == rs.n()-1 {
+		g, err := rs.finish(f.mc)
 		if err != nil {
 			return outs, nil, err
 		}
@@ -215,17 +219,29 @@ func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 
 // ringState is the keying material a member accumulates while (re)keying a
 // Burmester-Desmedt ring: its own exponent and GQ commitment plus the z/t
-// and X/s views of every ring member. ringFlow owns it; its round-2 and
-// key-computation phases are the same for the initial GKA and
-// Leave/Partition.
+// and X/s views of every ring member, all indexed by ring position.
+// ringFlow owns it; its round-2 and key-computation phases are the same
+// for the initial GKA and Leave/Partition.
+//
+// Every view also lives as raw limbs in a per-position slot of zl, tl, xl
+// and sl, sized once at start: peers' values decode straight into their
+// slots, and the Z and T products, the eq. 2 response product and the
+// X chain of Lemma 1 and equation (3) all run over the slots. A z or t
+// decoded off the wire is a big.Int over its slot (zv, tv), so it costs
+// no allocation either.
 type ringState struct {
 	roster []string
 	pos    map[string]int
 	self   int
+	p, nn  *mathx.Modulus // the Schnorr group's p and the GQ modulus N
 
 	r, tau *big.Int
-	z, t   map[string]*big.Int
-	x, s   map[string]*big.Int
+	z, t   []*big.Int // nil until known
+	zv, tv []big.Int
+	// Slots of p.Words() (zl, xl) or nn.Words() (tl, sl) limbs each.
+	zl, tl, xl, sl []big.Word
+	// peersX counts the peers whose round-2 X and s are recorded.
+	peersX int
 
 	bigZ, c *big.Int
 
@@ -236,47 +252,107 @@ type ringState struct {
 	edge mathx.Elem
 }
 
-func newRingState(roster []string, self string) (*ringState, error) {
+func newRingState(mc *Machine, roster []string) (*ringState, error) {
+	n := len(roster)
 	rs := &ringState{
 		roster: append([]string(nil), roster...),
-		pos:    make(map[string]int, len(roster)),
-		z:      map[string]*big.Int{},
-		t:      map[string]*big.Int{},
-		x:      map[string]*big.Int{},
-		s:      map[string]*big.Int{},
+		pos:    make(map[string]int, n),
 		self:   -1,
+		p:      mc.cfg.Set.Schnorr.Mont(),
+		nn:     mc.cfg.Set.RSA.Mont(),
 	}
 	for i, id := range roster {
 		rs.pos[id] = i
-		if id == self {
+		if id == mc.id {
 			rs.self = i
 		}
 	}
 	if rs.self < 0 {
-		return nil, fmt.Errorf("engine: %s not in ring %v", self, roster)
+		return nil, fmt.Errorf("engine: %s not in ring %v", mc.id, roster)
 	}
+	views := make([]*big.Int, 2*n)
+	rs.z, rs.t = views[:n], views[n:]
+	vals := make([]big.Int, 2*n)
+	rs.zv, rs.tv = vals[:n], vals[n:]
+	// z and t limbs outlive the flow under the committed group's views;
+	// X and s limbs do not, so they get an array of their own.
+	kp, kn := rs.p.Words(), rs.nn.Words()
+	kept, round2 := make([]big.Word, n*(kp+kn)), make([]big.Word, n*(kp+kn))
+	rs.zl, rs.tl = kept[:n*kp], kept[n*kp:]
+	rs.xl, rs.sl = round2[:n*kp], round2[n*kp:]
 	return rs, nil
 }
 
 func (rs *ringState) n() int { return len(rs.roster) }
 
-func (rs *ringState) inRoster(id string) bool {
-	_, ok := rs.pos[id]
-	return ok
+// slot returns position i's limbs in a table of k-word slots.
+func slot(table []big.Word, i, k int) []big.Word { return table[i*k : (i+1)*k : (i+1)*k] }
+
+// setZ records a known z for position i (a nil or out-of-range one is
+// left unknown).
+func (rs *ringState) setZ(i int, z *big.Int) {
+	if z != nil && rs.p.Load(slot(rs.zl, i, rs.p.Words()), z) {
+		rs.z[i] = z
+	}
 }
 
-// recordRound2 parses and records one peer's round-2 broadcast
-// U_i ‖ X_i ‖ s_i.
-func (rs *ringState) recordRound2(msg *netsim.Message) error {
-	var x, s *big.Int
-	if err := readPeer(msg, func(r *wire.Reader) { x, s = r.Big(), r.Big() }); err != nil {
-		return err
+// setT records a known t for position i, as setZ.
+func (rs *ringState) setT(i int, t *big.Int) {
+	if t != nil && rs.nn.Load(slot(rs.tl, i, rs.nn.Words()), t) {
+		rs.t[i] = t
 	}
-	if !rs.inRoster(msg.From) {
+}
+
+// loadZ decodes a peer's z into position i's slot and reports whether it
+// lies in (0, p).
+func (rs *ringState) loadZ(i int, b []byte) bool {
+	return loadView(rs.p, slot(rs.zl, i, rs.p.Words()), b, &rs.zv[i], &rs.z[i])
+}
+
+// loadT decodes a peer's t into position i's slot and reports whether it
+// lies in (0, N).
+func (rs *ringState) loadT(i int, b []byte) bool {
+	return loadView(rs.nn, slot(rs.tl, i, rs.nn.Words()), b, &rs.tv[i], &rs.t[i])
+}
+
+// loadView decodes b into the slot and, when it is in range, points view
+// at v, a big.Int over the slot's limbs. The slot's capacity ends at its
+// last limb, so a write through v reallocates instead of spilling into
+// the next slot.
+func loadView(mo *mathx.Modulus, limbs []big.Word, b []byte, v *big.Int, view **big.Int) bool {
+	if !mo.LoadBytes(limbs, b) {
+		return false
+	}
+	*view = v.SetBits(limbs)
+	return true
+}
+
+// recordRound2 decodes one peer's round-2 broadcast U_i ‖ X_i ‖ s_i into
+// its slots: X_i must lie in (0, p) and s_i in (0, N). The member's own
+// broadcast, echoed back, is ignored.
+func (rs *ringState) recordRound2(msg netsim.Message) error {
+	i, ok := rs.pos[msg.From]
+	if !ok {
 		return Retryable(fmt.Errorf("%s from unexpected sender %q", msg.Type, msg.From))
 	}
-	rs.x[msg.From] = x
-	rs.s[msg.From] = s
+	if i == rs.self {
+		return nil
+	}
+	r, err := openPeer(msg)
+	if err != nil {
+		return err
+	}
+	x, s := r.Bytes(), r.Bytes()
+	if err := r.close(); err != nil {
+		return err
+	}
+	if !rs.p.LoadBytes(slot(rs.xl, i, rs.p.Words()), x) {
+		return Retryable(fmt.Errorf("%s X from %s out of range", msg.Type, msg.From))
+	}
+	if !rs.nn.LoadBytes(slot(rs.sl, i, rs.nn.Words()), s) {
+		return Retryable(fmt.Errorf("%s s from %s out of range", msg.Type, msg.From))
+	}
+	rs.peersX++
 	return nil
 }
 
@@ -284,10 +360,9 @@ func (rs *ringState) recordRound2(msg *netsim.Message) error {
 // c = H(T, Z) and the GQ response s_i, returning the encoded broadcast
 // m'_i = U_i ‖ X_i ‖ s_i.
 func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
-	sg := mc.cfg.Set.Schnorr
 	n := rs.n()
-	zNext := rs.z[rs.roster[(rs.self+1)%n]]
-	zPrev := rs.z[rs.roster[(rs.self-1+n)%n]]
+	zNext := rs.z[(rs.self+1)%n]
+	zPrev := rs.z[(rs.self-1+n)%n]
 	// Edge-carrying restructure: X = (z_next·z_prev^{-1})^r and the edge
 	// b = z_prev^r are two powers of one exponent, raised together in one
 	// ExpPair call. b stays in the Montgomery domain for finish, where it
@@ -296,8 +371,8 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	// bdkey.XValue's, the session's total exponentiation count is
 	// unchanged (the saving lands in finish), and the meter charges the
 	// same logical operation.
-	mo := sg.Mont()
-	inv, err := mathx.ModInverse(zPrev, sg.P)
+	mo := rs.p
+	inv, err := mathx.ModInverse(zPrev, mo.Int())
 	if err != nil {
 		return nil, fmt.Errorf("engine: z_prev not invertible: %w", err)
 	}
@@ -306,22 +381,16 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	x := mo.FromMont(xm)
 	mc.m.Exp(1)
 
-	// Z = Π z_i mod p, T = Π t_i mod n, c = H(T, Z), both products as
-	// division-free Montgomery chains.
-	zs := make([]*big.Int, 0, n)
-	ts := make([]*big.Int, 0, n)
-	for _, id := range rs.roster {
-		zs = append(zs, rs.z[id])
-		ts = append(ts, rs.t[id])
-	}
-	rs.bigZ = mo.Product(zs)
-	bigT := mc.cfg.Set.RSA.Mont().Product(ts)
-	rs.c = gq.GroupChallenge(bigT, rs.bigZ)
+	// Z = Π z_i mod p, T = Π t_i mod N, c = H(T, Z), both products as
+	// division-free Montgomery chains over the slots.
+	rs.bigZ = mo.ProductOf(rs.zl)
+	rs.c = gq.GroupChallenge(rs.nn.ProductOf(rs.tl), rs.bigZ)
 	s := mc.sk.Respond(rs.tau, rs.c)
 	mc.m.SignGen(meter.SchemeGQ, 1)
 
-	rs.x[mc.id] = x
-	rs.s[mc.id] = s
+	if !mo.Load(slot(rs.xl, rs.self, mo.Words()), x) || !rs.nn.Load(slot(rs.sl, rs.self, rs.nn.Words()), s) {
+		return nil, fmt.Errorf("engine: %s's own X or s is out of range", mc.id)
+	}
 	return wire.NewBuffer().PutString(mc.id).PutBig(x).PutBig(s).Bytes(), nil
 }
 
@@ -332,52 +401,46 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 // first failure, so a failed equation (2) or Lemma 1 never charges the
 // key computation's Exp.
 func (rs *ringState) finish(mc *Machine) (*Group, error) {
-	n := rs.n()
-	responses := make([]*big.Int, 0, n)
-	for _, id := range rs.roster {
-		responses = append(responses, rs.s[id])
-	}
-
 	// Equation (2): c == H((Πs_i)^e · (ΠH(U_i))^{-c}, Z), through the
 	// roster's process-shared verifier, so no identity is re-hashed, the
 	// identity product is not re-inverted per round, and a recurring
 	// roster walks a fixed-base table of the inverse.
 	gv, err := gq.SharedVerifier(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster)
 	if err == nil {
-		err = gv.BatchVerify(responses, rs.c, rs.bigZ)
+		err = gv.BatchVerifyPacked(rs.sl, rs.c, rs.bigZ)
 	}
 	mc.m.SignVer(meter.SchemeGQ, 1)
 	if err != nil {
 		return nil, Retryable(err)
 	}
 
-	// Lemma 1 (Π X_i ≡ 1 mod p) and equation (3) both run on the X
-	// values' Montgomery images, converted once. In equation (3), edge^n
-	// replaces the full-width z_prev^{n·r} exponentiation, and the
-	// descending-exponent chain telescopes into prefix products.
-	mo := mc.cfg.Set.Schnorr.Mont()
-	xs := make([]mathx.Elem, n)
-	for i, id := range rs.roster {
-		xs[i] = mo.ToMont(rs.x[id])
-	}
-	if err := bdkey.CheckLemma1Mont(mo, xs); err != nil {
+	// Lemma 1 (Π X_i ≡ 1 mod p) and equation (3) are one chain over the
+	// raw X slots. In equation (3), edge^n replaces the full-width
+	// z_prev^{n·r} exponentiation.
+	key, err := bdkey.KeyFromEdge(rs.p, rs.self, rs.edge, rs.xl)
+	if errors.Is(err, bdkey.ErrLemma1) {
 		return nil, Retryable(err)
 	}
-	key, err := bdkey.KeyFromEdgeMont(mo, rs.self, rs.edge, xs)
 	if err != nil {
 		return nil, err
 	}
 	mc.m.Exp(1)
 
-	g := NewGroup(rs.roster)
-	g.R = rs.r
-	g.Tau = rs.tau
-	for id, z := range rs.z {
-		g.Z[id] = z
+	// The committed group takes over the ring's roster and position map,
+	// which nothing writes after start.
+	n := rs.n()
+	g := &Group{
+		Roster: rs.roster,
+		pos:    rs.pos,
+		R:      rs.r,
+		Tau:    rs.tau,
+		Z:      make(map[string]*big.Int, n),
+		T:      make(map[string]*big.Int, n),
+		Key:    key,
 	}
-	for id, t := range rs.t {
-		g.T[id] = t
+	for i, id := range rs.roster {
+		g.Z[id] = rs.z[i]
+		g.T[id] = rs.t[i]
 	}
-	g.Key = key
 	return g, nil
 }

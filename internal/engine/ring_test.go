@@ -74,12 +74,13 @@ func TestRound2PowersMatchXValue(t *testing.T) {
 		for i := 1; i < n; i++ {
 			id := ring[i]
 			rs := machines[id].flows["r2"].f.(*ringFlow).ring
-			zNext, zPrev := rs.z[ring[(i+1)%n]], rs.z[ring[(i-1+n)%n]]
+			zNext, zPrev := rs.z[(i+1)%n], rs.z[(i-1+n)%n]
 			want, err := bdkey.XValue(zNext, zPrev, rs.r, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rs.x[id].Cmp(want) != 0 {
+			k := mo.Words()
+			if new(big.Int).SetBits(rs.xl[i*k:(i+1)*k]).Cmp(want) != 0 {
 				t.Fatalf("n=%d, %s: round-2 X differs from bdkey.XValue", n, id)
 			}
 			if mo.FromMont(rs.edge).Cmp(new(big.Int).Exp(zPrev, rs.r, p)) != 0 {

@@ -20,25 +20,47 @@ import (
 // and its failure classification: a fault in a peer's bytes is
 // retryable, a fault in the member's own state is not.
 
-// readPeer is the intake rule of the ring, Join and Merge flows: a peer
-// payload's leading identity must equal the sender, read decodes the
-// remaining fields, and the payload must then be consumed exactly. A
-// violation is retryable.
-func readPeer(msg *netsim.Message, read func(r *wire.Reader)) error {
-	r := wire.NewReader(msg.Payload)
-	if id := r.String(); r.Err() == nil && id != msg.From {
-		return Retryable(fmt.Errorf("%s identity mismatch: payload %q, sender %q", msg.Type, id, msg.From))
+// peerReader reads one peer payload under the intake rule of the ring,
+// Join and Merge flows: the payload's leading identity must equal the
+// sender (openPeer), the flow decodes the remaining fields, and the
+// payload must then be consumed exactly (close). A violation is
+// retryable. The reader lives on the caller's stack.
+type peerReader struct {
+	wire.Reader
+	typ, from string
+}
+
+// openPeer starts reading msg's payload after its identity.
+func openPeer(msg netsim.Message) (peerReader, error) {
+	r := peerReader{Reader: *wire.NewReader(msg.Payload), typ: msg.Type, from: msg.From}
+	if id := r.Bytes(); r.Err() == nil && string(id) != msg.From {
+		return r, Retryable(fmt.Errorf("%s identity mismatch: payload %q, sender %q", msg.Type, id, msg.From))
 	}
-	read(r)
+	return r, nil
+}
+
+// readPeer is openPeer, read and close in one call, for the Join and Merge
+// flows, whose few messages per member need no allocation-free intake.
+func readPeer(msg netsim.Message, read func(r *wire.Reader)) error {
+	r, err := openPeer(msg)
+	if err != nil {
+		return err
+	}
+	read(&r.Reader)
+	return r.close()
+}
+
+// close checks that the payload decoded cleanly and completely.
+func (r *peerReader) close() error {
 	if err := r.Close(); err != nil {
-		return Retryable(fmt.Errorf("%s from %s: %w", msg.Type, msg.From, err))
+		return Retryable(fmt.Errorf("%s from %s: %w", r.typ, r.from, err))
 	}
 	return nil
 }
 
 // checkZ is the intake range check on the blinded exponents a peer sends:
 // each must lie in (0, p). Subgroup membership is not checked.
-func (mc *Machine) checkZ(msg *netsim.Message, zs ...*big.Int) error {
+func (mc *Machine) checkZ(msg netsim.Message, zs ...*big.Int) error {
 	for _, z := range zs {
 		if z.Sign() <= 0 || z.Cmp(mc.cfg.Set.Schnorr.P) >= 0 {
 			return Retryable(fmt.Errorf("%s z from %s out of range", msg.Type, msg.From))
@@ -91,13 +113,14 @@ func (mc *Machine) foldKey(g *Group, zNew, rNew *big.Int) (*big.Int, error) {
 }
 
 // wrapKey returns E_k(secret‖U), U being this member: the key transport
-// of Join and Merge.
-func (mc *Machine) wrapKey(k, secret *big.Int) ([]byte, error) {
+// of Join and Merge. ad is bound to the ciphertext as AEAD associated
+// data, carried beside it rather than in it (nil for none).
+func (mc *Machine) wrapKey(k, secret *big.Int, ad []byte) ([]byte, error) {
 	c, err := sym.NewFromBig(k)
 	if err != nil {
 		return nil, err
 	}
-	w, err := c.WrapSecret(mc.cfg.rand(), secret, mc.id)
+	w, err := c.WrapSecret(mc.cfg.rand(), secret, mc.id, ad)
 	if err != nil {
 		return nil, err
 	}
@@ -105,14 +128,15 @@ func (mc *Machine) wrapKey(k, secret *big.Int) ([]byte, error) {
 	return w, nil
 }
 
-// unwrapKey opens E_k(secret‖from) and returns the secret. A ciphertext
-// that does not open under k, or names another sender, is retryable.
-func (mc *Machine) unwrapKey(k *big.Int, wrapped []byte, from string) (*big.Int, error) {
+// unwrapKey opens E_k(secret‖from), bound to ad, and returns the secret.
+// A ciphertext that does not open under k and ad, or names another
+// sender, is retryable.
+func (mc *Machine) unwrapKey(k *big.Int, wrapped []byte, from string, ad []byte) (*big.Int, error) {
 	c, err := sym.NewFromBig(k)
 	if err != nil {
 		return nil, err
 	}
-	secret, err := c.UnwrapSecret(wrapped, from)
+	secret, err := c.UnwrapSecret(wrapped, from, ad)
 	if err != nil {
 		return nil, Retryable(fmt.Errorf("engine: %s failed to unwrap the key from %s: %w", mc.id, from, err))
 	}
@@ -148,11 +172,11 @@ func readSig(r *wire.Reader) *gq.Signature {
 }
 
 // withTables builds the round-3 message U ‖ wrapped ‖ tables of Join and
-// Merge: this member's identity, one wrapped key and the state tables of
-// g, whose bytes are metered as state transfer (see
-// docs/ARCHITECTURE.md#accounting-conventions). An empty to broadcasts.
-func (mc *Machine) withTables(typ, to string, wrapped []byte, g *Group) Outbound {
-	tables := encodeStateTables(g)
+// Merge: this member's identity, one wrapped key and an
+// encodeStateTables block, whose bytes are metered as state transfer
+// (see docs/ARCHITECTURE.md#accounting-conventions). An empty to
+// broadcasts.
+func (mc *Machine) withTables(typ, to string, wrapped, tables []byte) Outbound {
 	payload := append(wire.NewBuffer().PutString(mc.id).PutBytes(wrapped).Bytes(), tables...)
 	return Outbound{To: to, Type: typ, Payload: payload, StateLen: len(tables)}
 }
@@ -162,7 +186,8 @@ func (mc *Machine) withTables(typ, to string, wrapped []byte, g *Group) Outbound
 // entries win: the receiver may have observed later broadcasts). A zero
 // z or t marks an absent entry; any other z must lie in (0, p) and any
 // other t in (0, N). A malformed block is retryable. The block is
-// covered by no signature.
+// covered by no signature; Join binds it to its forwarded key wrap as
+// associated data, Merge leaves it unauthenticated.
 func (mc *Machine) ingestStateTables(g *Group, tables []byte) error {
 	p, n := mc.cfg.Set.Schnorr.P, mc.cfg.Set.RSA.N
 	r := wire.NewReader(tables)

@@ -1,10 +1,13 @@
 package mathx
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // This file is the fixed-width Montgomery-form modular arithmetic engine
@@ -49,7 +52,8 @@ type Elem []big.Word
 // odd m: the limb image of m, the word count k, n0 = -m^{-1} mod 2^W and
 // R² mod m (R = 2^(W·k)). Construction costs one big.Int division; every
 // subsequent operation is division-free. A Modulus is immutable after
-// construction and safe for concurrent use.
+// construction, apart from its cache of R powers (RPow), and safe for
+// concurrent use.
 type Modulus struct {
 	m     *big.Int
 	words []big.Word // little-endian limbs of m, length k
@@ -59,6 +63,17 @@ type Modulus struct {
 	one   Elem     // R mod m   (Montgomery image of 1)
 	asm   bool     // montMul runs the montMul1024 kernel
 	lane  *lane52  // ExpPair's amm52x20x2 state; nil where that kernel does not run
+
+	rpow *rpowCache
+}
+
+// rpowCache holds RPow's results by exponent: an immutable map, replaced
+// whole under mu when a miss adds an entry, so a hit is one atomic load.
+// Nothing is evicted: the exponents follow from the ring and batch sizes
+// the process keys, never from peer bytes.
+type rpowCache struct {
+	m  atomic.Pointer[map[int]Elem]
+	mu sync.Mutex
 }
 
 // NewModulus precomputes a Montgomery context for an odd modulus > 1.
@@ -82,6 +97,7 @@ func NewModulus(m *big.Int) (*Modulus, error) {
 		words: append([]big.Word(nil), limbs...),
 		k:     k,
 		asm:   k == 16 && hasMontMul1024,
+		rpow:  &rpowCache{},
 	}
 	// n0 = -m^{-1} mod 2^W by Newton iteration: each step doubles the
 	// number of correct low bits, and odd m guarantees invertibility.
@@ -118,6 +134,63 @@ func (mo *Modulus) limbs(buf *[maxModulusWords]big.Word, v *big.Int) Elem {
 	clear(e)
 	copy(e, v.Bits())
 	return e
+}
+
+// Load widens v into dst, the modulus' width of raw limbs, and reports
+// whether v lies in (0, m); dst is unspecified when it does not.
+func (mo *Modulus) Load(dst []big.Word, v *big.Int) bool {
+	if v == nil || v.Sign() <= 0 || v.Cmp(mo.m) >= 0 {
+		return false
+	}
+	dst = dst[:mo.k]
+	clear(dst)
+	copy(dst, v.Bits())
+	return true
+}
+
+// LoadBytes decodes the big-endian integer b into dst, the modulus' width
+// of raw limbs, and reports whether it lies in (0, m); dst is unspecified
+// when it does not. Leading zero bytes are allowed, as in big.Int.SetBytes.
+func (mo *Modulus) LoadBytes(dst []big.Word, b []byte) bool {
+	for len(b) > 0 && b[0] == 0 {
+		b = b[1:]
+	}
+	const wb = bits.UintSize / 8
+	if len(b) > mo.k*wb {
+		return false
+	}
+	dst = dst[:mo.k]
+	w := 0
+	for ; len(b) >= wb; w++ {
+		if wb == 8 {
+			dst[w] = big.Word(binary.BigEndian.Uint64(b[len(b)-8:]))
+		} else {
+			dst[w] = big.Word(binary.BigEndian.Uint32(b[len(b)-4:]))
+		}
+		b = b[:len(b)-wb]
+	}
+	if len(b) > 0 {
+		var v big.Word
+		for _, c := range b {
+			v = v<<8 | big.Word(c)
+		}
+		dst[w] = v
+		w++
+	}
+	clear(dst[w:])
+	return mo.InRange(dst)
+}
+
+// InRange reports whether the raw limbs v, the modulus' width, hold a
+// value in (0, m).
+func (mo *Modulus) InRange(v []big.Word) bool {
+	v = v[:mo.k]
+	for _, w := range v {
+		if w != 0 {
+			return !geWords(v, mo.words)
+		}
+	}
+	return false
 }
 
 // bigFromElem reads a fixed-width limb vector back into a big.Int.
@@ -336,38 +409,51 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	return acc
 }
 
-// IsOne reports whether e is the Montgomery image of 1; an Elem of any
-// other width is not.
-func (mo *Modulus) IsOne(e Elem) bool {
-	if len(e) != mo.k {
-		return false
-	}
-	for i := range e {
-		if e[i] != mo.one[i] {
-			return false
+// RPow returns R^e mod m as raw limbs of the modulus' width, for any
+// integer e (R = 2^(W·k)). A chain of Montgomery products over raw
+// residues leaves its true value times a known power of R; one more
+// product with the right RPow cancels it. Results are cached per
+// exponent and shared: callers must not modify them. Each distinct ring
+// size adds a few entries of k words.
+func (mo *Modulus) RPow(e int) Elem {
+	cache := mo.rpow
+	if m := cache.m.Load(); m != nil {
+		if v, ok := (*m)[e]; ok {
+			return v
 		}
 	}
-	return true
-}
-
-// ProductElem folds Elems into their Montgomery-domain product. An empty
-// slice yields the image of 1 (the empty-product convention of the batch
-// verification equations).
-func (mo *Modulus) ProductElem(es []Elem) Elem {
-	acc := mo.MontOne()
-	for _, e := range es {
-		mo.MulInto(acc, acc, e)
+	abs := e
+	if abs < 0 {
+		abs = -abs
 	}
-	return acc
+	v := new(big.Int).Exp(bigFromElem(mo.one), big.NewInt(int64(abs)), mo.m)
+	if e < 0 {
+		// R is a unit: m is odd.
+		v.ModInverse(v, mo.m)
+	}
+	var buf [maxModulusWords]big.Word
+	pow := append(Elem(nil), mo.limbs(&buf, v)...)
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	next := map[int]Elem{e: pow}
+	if old := cache.m.Load(); old != nil {
+		if v, ok := (*old)[e]; ok { // added concurrently: keep the first
+			return v
+		}
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	cache.m.Store(&next)
+	return pow
 }
 
 // Product returns Π values mod m, bit-identical to ProductMod: an empty
 // slice yields 1 and values outside [0, m) are reduced first. The values
 // never enter the domain. Each Montgomery product of two raw residues
 // divides by R once, so the chain over k values leaves Π v·R^{-(k-1)},
-// and one final product with R^k mod m, raised from R's Montgomery image
-// in ~2·log2(k) steps, cancels it. That is k Montgomery products plus the
-// raise, with no division and no per-value conversion.
+// and one final product with the cached R^k cancels it: k Montgomery
+// products, with no division and no per-value conversion.
 func (mo *Modulus) Product(values []*big.Int) *big.Int {
 	if len(values) == 0 {
 		return big.NewInt(1)
@@ -377,16 +463,40 @@ func (mo *Modulus) Product(values []*big.Int) *big.Int {
 	for _, v := range values[1:] {
 		mo.montMul(acc, acc, mo.limbs(&vbuf, v))
 	}
-	// R^k is the Montgomery image of R^(k-1); R's own image is R² mod m.
-	corr := vbuf[:mo.k]
-	copy(corr, mo.one)
-	e := len(values) - 1
-	for b := bits.Len(uint(e)) - 1; b >= 0; b-- {
-		mo.SqrInto(corr, corr)
-		if e>>b&1 == 1 {
-			mo.montMul(corr, corr, mo.r2)
-		}
-	}
-	mo.montMul(acc, acc, corr)
+	mo.montMul(acc, acc, mo.RPow(len(values)))
 	return bigFromElem(acc)
+}
+
+// ProductOf returns Π v mod m over the raw residues packed in flat, each
+// in [0, m) and k words wide (value i in flat[i·k:(i+1)·k]), like
+// Product but with no per-value widening. An empty flat yields 1.
+func (mo *Modulus) ProductOf(flat []big.Word) *big.Int {
+	acc := mo.packedProduct(flat, 0)
+	return new(big.Int).SetBits(acc) // acc is fresh: the result may own it
+}
+
+// ProductMontOf is ProductOf that leaves the product in the Montgomery
+// domain, for a caller that goes on computing there: the correction
+// product lands on the image directly, with no conversion out and back.
+func (mo *Modulus) ProductMontOf(flat []big.Word) Elem {
+	return mo.packedProduct(flat, 1)
+}
+
+// packedProduct returns Π v·R^d mod m over the residues packed in flat,
+// d being 0 for the raw product and 1 for its Montgomery image.
+func (mo *Modulus) packedProduct(flat []big.Word, d int) Elem {
+	k, count := mo.k, len(flat)/mo.k
+	acc := make(Elem, k)
+	if count == 0 {
+		copy(acc, mo.RPow(d))
+		return acc
+	}
+	copy(acc, flat[:k])
+	for i := k; i < count*k; i += k {
+		mo.montMul(acc, acc, flat[i:i+k])
+	}
+	// acc is Π v·R^{-(count-1)}; one product with R^{count+d} leaves
+	// Π v·R^d.
+	mo.montMul(acc, acc, mo.RPow(count+d))
+	return acc
 }

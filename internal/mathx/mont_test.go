@@ -145,35 +145,6 @@ func TestMontExp(t *testing.T) {
 	}
 }
 
-// TestIsOne checks IsOne on the image of 1, on other residues and on
-// Elems one limb shorter or longer than the modulus, which are never 1.
-func TestIsOne(t *testing.T) {
-	for _, m := range montTestModuli(t) {
-		mo, err := NewModulus(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one := mo.MontOne()
-		for _, tc := range []struct {
-			name string
-			e    Elem
-			want bool
-		}{
-			{"one", one, true},
-			{"zero", mo.ToMont(big.NewInt(0)), false},
-			{"m-1", mo.ToMont(new(big.Int).Sub(m, One)), false},
-			{"shorter", one[:len(one)-1], false},
-			{"longer", append(mo.MontOne(), 0), false},
-			{"longer, non-zero", append(mo.MontOne(), 1), false},
-			{"nil", nil, false},
-		} {
-			if got := mo.IsOne(tc.e); got != tc.want {
-				t.Errorf("%d bits, %s: IsOne = %v, want %v", m.BitLen(), tc.name, got, tc.want)
-			}
-		}
-	}
-}
-
 func benchModulus(b *testing.B, bits int) (*Modulus, *big.Int, *big.Int) {
 	b.Helper()
 	p, err := RandPrime(rand.Reader, bits)

@@ -309,10 +309,82 @@ func TestModulusProductDifferential(t *testing.T) {
 			if got.Cmp(want) != 0 {
 				t.Fatalf("m=%d bits, %d values: got %v, want %v", m.BitLen(), len(vals), got, want)
 			}
+			// The packed forms take canonical residues.
+			k := mo.Words()
+			flat := make([]big.Word, len(vals)*k)
+			var buf [maxModulusWords]big.Word
+			for i, v := range vals {
+				copy(flat[i*k:], mo.limbs(&buf, v))
+			}
+			if got := mo.ProductOf(flat); got.Cmp(want) != 0 {
+				t.Fatalf("m=%d bits, %d values: ProductOf %v, want %v", m.BitLen(), len(vals), got, want)
+			}
+			if got := mo.FromMont(mo.ProductMontOf(flat)); got.Cmp(want) != 0 {
+				t.Fatalf("m=%d bits, %d values: ProductMontOf %v, want %v", m.BitLen(), len(vals), got, want)
+			}
 			for i, v := range vals {
 				if v.Cmp(before[i]) != 0 {
 					t.Fatalf("m=%d bits: Product mutated input %d", m.BitLen(), i)
 				}
+			}
+		}
+	}
+}
+
+// TestLoadBytes checks the limb decoder against big.Int.SetBytes and its
+// (0, m) range check at the edges: zero, 1, m - 1, m, m + 1, a value one
+// word too wide, and encodings with leading zero bytes.
+func TestLoadBytes(t *testing.T) {
+	for _, m := range diffModuli(t) {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide := new(big.Int).Lsh(One, uint(mo.Words()*bits.UintSize))
+		cases := []*big.Int{big.NewInt(0), One, randBelow(t, m), new(big.Int).Sub(m, One), m, new(big.Int).Add(m, One), wide}
+		for _, v := range cases {
+			want := v.Sign() > 0 && v.Cmp(m) < 0
+			for _, pad := range []int{0, 1, 9} {
+				b := append(make([]byte, pad), v.Bytes()...)
+				dst := make([]big.Word, mo.Words())
+				for i := range dst {
+					dst[i] = ^big.Word(0) // the decoder must overwrite every limb
+				}
+				if got := mo.LoadBytes(dst, b); got != want {
+					t.Fatalf("m=%d bits, v=%v, %d zero bytes: in range %v, want %v", m.BitLen(), v, pad, got, want)
+				}
+				if want && new(big.Int).SetBits(dst).Cmp(v) != 0 {
+					t.Fatalf("m=%d bits, %d zero bytes: decoded %v, want %v", m.BitLen(), pad, new(big.Int).SetBits(dst), v)
+				}
+			}
+			if got := mo.Load(make([]big.Word, mo.Words()), v); got != want {
+				t.Fatalf("m=%d bits, v=%v: Load in range %v, want %v", m.BitLen(), v, got, want)
+			}
+		}
+	}
+}
+
+// TestRPow checks the cached R powers against big.Int, for negative,
+// zero and positive exponents, on two moduli (so the caches stay apart),
+// and that a repeated call returns the cached limbs.
+func TestRPow(t *testing.T) {
+	for _, m := range diffModuli(t)[:2] {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := new(big.Int).Lsh(One, uint(mo.Words()*bits.UintSize))
+		for _, e := range []int{-31, -1, 0, 1, 2, 33, 497, 1000} {
+			want := new(big.Int).Exp(r, big.NewInt(int64(max(e, -e))), m)
+			if e < 0 {
+				want.ModInverse(want, m)
+			}
+			got := mo.RPow(e)
+			if new(big.Int).SetBits(append([]big.Word(nil), got...)).Cmp(want) != 0 {
+				t.Fatalf("m=%d bits: RPow(%d) = %v, want %v", m.BitLen(), e, got, want)
+			}
+			if again := mo.RPow(e); &again[0] != &got[0] {
+				t.Fatalf("m=%d bits: RPow(%d) was recomputed", m.BitLen(), e)
 			}
 		}
 	}

@@ -167,7 +167,11 @@ func Verify(pub Params, id string, msg []byte, sig *Signature) error {
 	if err != nil {
 		return err
 	}
-	lhs, err := gv.commitment([]*big.Int{sig.S}, sig.C)
+	packed, err := gv.pack([]*big.Int{sig.S})
+	if err != nil {
+		return err
+	}
+	lhs, err := gv.commitment(packed, sig.C)
 	if err != nil {
 		return err
 	}
@@ -256,7 +260,18 @@ func (gv *GroupVerifier) table() *mathx.FixedBaseTable {
 //
 //	c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z)
 func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
-	lhs, err := gv.commitment(responses, c)
+	packed, err := gv.pack(responses)
+	if err != nil {
+		return err
+	}
+	return gv.BatchVerifyPacked(packed, c, z)
+}
+
+// BatchVerifyPacked is BatchVerify over responses already widened to
+// limbs, the form a caller that decodes them straight off the wire holds:
+// response i occupies packed[i·k:(i+1)·k], k being the word count of N.
+func (gv *GroupVerifier) BatchVerifyPacked(packed []big.Word, c, z *big.Int) error {
+	lhs, err := gv.commitment(packed, c)
 	if err != nil {
 		return err
 	}
@@ -266,19 +281,41 @@ func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error 
 	return nil
 }
 
+// pack widens responses into the packed limbs commitment reads.
+func (gv *GroupVerifier) pack(responses []*big.Int) ([]big.Word, error) {
+	if len(responses) != gv.n {
+		return nil, errBatchSize
+	}
+	k := gv.mo.Words()
+	packed := make([]big.Word, len(responses)*k)
+	for i, s := range responses {
+		if !gv.mo.Load(packed[i*k:(i+1)*k], s) {
+			return nil, fmt.Errorf("gq: response %d out of range", i)
+		}
+	}
+	return packed, nil
+}
+
+// errBatchSize rejects a response count other than the signer count.
+var errBatchSize = errors.New("gq: batch size mismatch")
+
 // errChallengeRange rejects a challenge no honest signer produces: a
 // negative one, or one longer than the challenge hash.
 var errChallengeRange = errors.New("gq: challenge out of range")
 
 // commitment computes (Π s_i)^e · (Π H(ID_i))^{-c} mod n: the commitment
-// product a valid set of responses recovers. (Π s_i)^e is an ExpElem
-// power in the Montgomery domain. hInv^c is another until the verifier
-// is tabled; from then on (Π s_i)^e rides the table walk's conversion
-// out. Malformed inputs are rejected before any exponentiation, and the
-// range check keeps every walked challenge within the table's bits.
-func (gv *GroupVerifier) commitment(responses []*big.Int, c *big.Int) (*big.Int, error) {
-	if len(responses) != gv.n {
-		return nil, errors.New("gq: batch size mismatch")
+// product a valid set of responses recovers, from the responses packed
+// as pack lays them out. The response product lands in the Montgomery
+// domain directly and (Π s_i)^e is an ExpElem power there. hInv^c is
+// another until the verifier is tabled; from then on (Π s_i)^e rides the
+// table walk's conversion out. Malformed inputs are rejected before any
+// exponentiation, and the range check keeps every walked challenge
+// within the table's bits.
+func (gv *GroupVerifier) commitment(packed []big.Word, c *big.Int) (*big.Int, error) {
+	mo := gv.mo
+	k := mo.Words()
+	if len(packed) != gv.n*k {
+		return nil, errBatchSize
 	}
 	if c == nil {
 		return nil, errors.New("gq: nil challenge")
@@ -286,13 +323,12 @@ func (gv *GroupVerifier) commitment(responses []*big.Int, c *big.Int) (*big.Int,
 	if c.Sign() < 0 || c.BitLen() > hashx.ChallengeBits {
 		return nil, errChallengeRange
 	}
-	for i, s := range responses {
-		if s == nil || s.Sign() <= 0 || s.Cmp(gv.pub.N) >= 0 {
+	for i := 0; i < gv.n; i++ {
+		if !mo.InRange(packed[i*k : (i+1)*k]) {
 			return nil, fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
-	mo := gv.mo
-	lhs := mo.ExpElem(mo.ToMont(mo.Product(responses)), gv.pub.E)
+	lhs := mo.ExpElem(mo.ProductMontOf(packed), gv.pub.E)
 	if tab := gv.table(); tab != nil {
 		return tab.ExpMul(c, mo.FromMont(lhs)), nil
 	}

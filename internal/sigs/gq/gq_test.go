@@ -249,7 +249,7 @@ func TestBatchVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lhs, err := gv.commitment(tc.responses, tc.c); err == nil && lhs.Cmp(ref) != 0 {
+			if lhs, err := gv.commitmentOf(tc.responses, tc.c); err == nil && lhs.Cmp(ref) != 0 {
 				t.Fatalf("core commitment diverges from the reference")
 			}
 			if tc.z != nil {
@@ -457,7 +457,7 @@ func TestGroupVerifierPromotion(t *testing.T) {
 		}
 		ref := refCommitment(pub, ids, responses, c)
 		for use := 1; use <= promoteAfter+3; use++ {
-			lhs, err := gv.commitment(responses, c)
+			lhs, err := gv.commitmentOf(responses, c)
 			if err != nil {
 				t.Fatalf("n=%d use %d: %v", n, use, err)
 			}
@@ -510,7 +510,7 @@ func TestPromotedVerifierRejectsHostileInput(t *testing.T) {
 	}
 	for _, promoted := range []bool{false, true} {
 		for _, tc := range outOfRange {
-			if _, err := gv.commitment(tc.responses, tc.c); err == nil || strings.Contains(err.Error(), "verification failed") {
+			if _, err := gv.commitmentOf(tc.responses, tc.c); err == nil || strings.Contains(err.Error(), "verification failed") {
 				t.Fatalf("promoted=%v %s: got %v, want a range error", promoted, tc.name, err)
 			}
 			if err := gv.BatchVerify(tc.responses, tc.c, z); err == nil {
@@ -700,4 +700,14 @@ func BenchmarkBatchVerify4(b *testing.B) {
 			}
 		}
 	})
+}
+
+// commitmentOf runs the commitment core on big.Int responses, packed the
+// way BatchVerify packs them.
+func (gv *GroupVerifier) commitmentOf(responses []*big.Int, c *big.Int) (*big.Int, error) {
+	packed, err := gv.pack(responses)
+	if err != nil {
+		return nil, err
+	}
+	return gv.commitment(packed, c)
 }

@@ -80,8 +80,11 @@ func (c *Cipher) Open(ciphertext, ad []byte) ([]byte, error) {
 }
 
 // WrapSecret implements the paper's E_K(secret || senderID) pattern used by
-// the Join and Merge protocols to distribute intermediate keys.
-func (c *Cipher) WrapSecret(rnd io.Reader, secret *big.Int, senderID string) ([]byte, error) {
+// the Join and Merge protocols to distribute intermediate keys. ad is
+// authenticated with the ciphertext but neither encrypted nor carried in
+// it: the receiver must present the same bytes to UnwrapSecret (nil when
+// the wrap binds nothing else).
+func (c *Cipher) WrapSecret(rnd io.Reader, secret *big.Int, senderID string, ad []byte) ([]byte, error) {
 	if secret == nil {
 		return nil, errors.New("sym: nil secret")
 	}
@@ -93,14 +96,15 @@ func (c *Cipher) WrapSecret(rnd io.Reader, secret *big.Int, senderID string) ([]
 	buf[3] = byte(len(sb))
 	copy(buf[4:], sb)
 	copy(buf[4+len(sb):], senderID)
-	return c.Seal(rnd, buf, nil)
+	return c.Seal(rnd, buf, ad)
 }
 
 // UnwrapSecret decrypts a WrapSecret payload and performs the paper's
 // identity check: the decrypted sender identity must match the expected
-// one, which validates the wrapped secret's origin.
-func (c *Cipher) UnwrapSecret(ciphertext []byte, expectSender string) (*big.Int, error) {
-	pt, err := c.Open(ciphertext, nil)
+// one, which validates the wrapped secret's origin. ad must equal the
+// bytes the wrap bound, or authentication fails.
+func (c *Cipher) UnwrapSecret(ciphertext []byte, expectSender string, ad []byte) (*big.Int, error) {
+	pt, err := c.Open(ciphertext, ad)
 	if err != nil {
 		return nil, err
 	}

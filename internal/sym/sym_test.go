@@ -69,11 +69,11 @@ func TestOpenRejectsShortCiphertext(t *testing.T) {
 func TestWrapUnwrapSecret(t *testing.T) {
 	c := testCipher(t)
 	secret := new(big.Int).Lsh(big.NewInt(0xabcdef), 500)
-	ct, err := c.WrapSecret(rand.Reader, secret, "U1")
+	ct, err := c.WrapSecret(rand.Reader, secret, "U1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.UnwrapSecret(ct, "U1")
+	got, err := c.UnwrapSecret(ct, "U1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,23 +85,49 @@ func TestWrapUnwrapSecret(t *testing.T) {
 func TestUnwrapIdentityCheck(t *testing.T) {
 	// The paper's validity check: decrypted identity must match.
 	c := testCipher(t)
-	ct, _ := c.WrapSecret(rand.Reader, big.NewInt(42), "U1")
-	if _, err := c.UnwrapSecret(ct, "U2"); err == nil {
+	ct, _ := c.WrapSecret(rand.Reader, big.NewInt(42), "U1", nil)
+	if _, err := c.UnwrapSecret(ct, "U2", nil); err == nil {
 		t.Fatal("identity mismatch accepted")
+	}
+}
+
+// TestWrapSecretBindsAD checks that a wrap opens only with the associated
+// data it was sealed with, and adds no bytes for it.
+func TestWrapSecretBindsAD(t *testing.T) {
+	c := testCipher(t)
+	ad := []byte("state tables")
+	ct, err := c.WrapSecret(rand.Reader, big.NewInt(42), "U1", ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := c.WrapSecret(rand.Reader, big.NewInt(42), "U1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ct) != len(plain) {
+		t.Fatalf("bound wrap is %d bytes, unbound %d", len(ct), len(plain))
+	}
+	if got, err := c.UnwrapSecret(ct, "U1", ad); err != nil || got.Int64() != 42 {
+		t.Fatalf("bound wrap did not open: %v", err)
+	}
+	for _, wrong := range [][]byte{nil, []byte("state tablez"), ad[:5]} {
+		if _, err := c.UnwrapSecret(ct, "U1", wrong); err == nil {
+			t.Fatalf("wrap opened with associated data %q", wrong)
+		}
 	}
 }
 
 func TestWrapZeroAndEmptyEdge(t *testing.T) {
 	c := testCipher(t)
-	ct, err := c.WrapSecret(rand.Reader, big.NewInt(0), "U1")
+	ct, err := c.WrapSecret(rand.Reader, big.NewInt(0), "U1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.UnwrapSecret(ct, "U1")
+	got, err := c.UnwrapSecret(ct, "U1", nil)
 	if err != nil || got.Sign() != 0 {
 		t.Fatal("zero secret round trip failed")
 	}
-	if _, err := c.WrapSecret(rand.Reader, nil, "U1"); err == nil {
+	if _, err := c.WrapSecret(rand.Reader, nil, "U1", nil); err == nil {
 		t.Fatal("nil secret accepted")
 	}
 }

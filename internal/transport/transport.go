@@ -35,6 +35,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -102,9 +103,12 @@ type frame struct {
 	Payload  []byte
 }
 
-// writeFrame serialises a frame with a 4-byte length prefix.
+// writeFrame serialises a frame with a 4-byte length prefix, prefix and
+// body encoded into one buffer and written in one call.
 func writeFrame(w io.Writer, f *frame) error {
-	body := wire.NewBuffer().
+	n := 4 + len(f.Kind) + 8 + 4 + len(f.From) + 4 + len(f.To) + 4 + len(f.Type) + 8 + 4 + len(f.Payload)
+	buf := wire.NewSizedBuffer(4 + n).
+		PutLen(n).
 		PutString(f.Kind).
 		PutUint(f.Seq).
 		PutString(f.From).
@@ -113,12 +117,14 @@ func writeFrame(w io.Writer, f *frame) error {
 		PutUint(f.StateLen).
 		PutBytes(f.Payload).
 		Bytes()
-	head := wire.NewBuffer().PutBytes(body).Bytes()
-	_, err := w.Write(head)
+	_, err := w.Write(buf)
 	return err
 }
 
-// readFrame parses one length-prefixed frame.
+// readFrame parses one length-prefixed frame. A connection's reader is
+// buffered (one bufio.Reader per connection, for its whole life), so a
+// frame usually costs one read(2) or none. The payload aliases the
+// frame's own buffer.
 func readFrame(r io.Reader) (*frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -140,7 +146,7 @@ func readFrame(r io.Reader) (*frame, error) {
 		To:       rd.String(),
 		Type:     rd.String(),
 		StateLen: rd.Uint(),
-		Payload:  append([]byte(nil), rd.Bytes()...),
+		Payload:  rd.Bytes(),
 	}
 	if err := rd.Close(); err != nil {
 		return nil, fmt.Errorf("transport: bad frame: %w", err)
@@ -229,7 +235,8 @@ func (h *Hub) acceptLoop() {
 // told via a peer-down frame.
 func (h *Hub) serve(conn net.Conn) {
 	defer h.wg.Done()
-	hello, err := readFrame(conn)
+	rd := bufio.NewReader(conn)
+	hello, err := readFrame(rd)
 	if err != nil || hello.Kind != kindHello || hello.From == "" {
 		_ = conn.Close()
 		return
@@ -252,7 +259,7 @@ func (h *Hub) serve(conn net.Conn) {
 	}
 	defer h.disconnect(id, conn)
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(rd)
 		if err != nil {
 			return
 		}
@@ -423,6 +430,7 @@ func (h *Hub) PendingCount() int {
 type node struct {
 	id   string
 	conn net.Conn
+	rd   *bufio.Reader // conn's reader: the registration read, then readLoop
 	m    *meter.Meter
 
 	mu     sync.Mutex
@@ -472,7 +480,7 @@ func (r *Router) Attach(id string, m *meter.Meter) error {
 	if err != nil {
 		return fmt.Errorf("transport: dial: %w", err)
 	}
-	n := &node{id: id, conn: conn, m: m, done: map[uint64]chan error{}}
+	n := &node{id: id, conn: conn, rd: bufio.NewReader(conn), m: m, done: map[uint64]chan error{}}
 	n.arrive = sync.NewCond(&n.mu)
 	if err := writeFrame(conn, &frame{Kind: kindHello, From: id}); err != nil {
 		_ = conn.Close()
@@ -482,7 +490,7 @@ func (r *Router) Attach(id string, m *meter.Meter) error {
 	// node, so subsequent broadcasts from peers cannot miss it. The hub
 	// rejects duplicate ids by closing the socket, which surfaces here as
 	// a failed confirmation read.
-	if ack, err := readFrame(conn); err != nil || ack.Kind != kindDone {
+	if ack, err := readFrame(n.rd); err != nil || ack.Kind != kindDone {
 		_ = conn.Close()
 		return fmt.Errorf("transport: registration of %q not confirmed (duplicate id or hub down)", id)
 	}
@@ -544,7 +552,7 @@ func (n *node) fail(err error) {
 // surface as peer-down inbox messages.
 func (n *node) readLoop() {
 	for {
-		f, err := readFrame(n.conn)
+		f, err := readFrame(n.rd)
 		if err != nil {
 			n.fail(err)
 			return

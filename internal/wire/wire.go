@@ -19,17 +19,26 @@ type Buffer struct {
 // NewBuffer returns an empty encoder.
 func NewBuffer() *Buffer { return &Buffer{} }
 
+// NewSizedBuffer returns an empty encoder with room for n bytes, so a
+// message of known size is encoded in one allocation.
+func NewSizedBuffer(n int) *Buffer { return &Buffer{b: make([]byte, 0, n)} }
+
 // Bytes returns the encoded message.
 func (w *Buffer) Bytes() []byte { return w.b }
 
 // Len returns the current encoded size.
 func (w *Buffer) Len() int { return len(w.b) }
 
+// PutLen appends the 4-byte length prefix of an n-byte field whose bytes
+// the caller appends next; PutBytes is PutLen and the bytes in one call.
+func (w *Buffer) PutLen(n int) *Buffer {
+	w.b = binary.BigEndian.AppendUint32(w.b, uint32(n))
+	return w
+}
+
 // PutBytes appends a length-prefixed byte string.
 func (w *Buffer) PutBytes(p []byte) *Buffer {
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(p)))
-	w.b = append(w.b, l[:]...)
+	w.PutLen(len(p))
 	w.b = append(w.b, p...)
 	return w
 }
