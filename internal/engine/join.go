@@ -35,7 +35,9 @@ type joinFlow struct {
 	role      int
 
 	// Own secrets.
-	rJoin  *big.Int // joiner: fresh exponent r_{n+1}
+	//gkalint:secret
+	rJoin *big.Int // joiner: fresh exponent r_{n+1}
+	//gkalint:secret
 	rPrime *big.Int // U_1: fresh exponent r'_1
 	kDH    *big.Int // DH bridge key: the joiner and U_n compute it, U_1 unwraps it from m''_n
 	kStar  *big.Int // U_1: K* once folded

@@ -36,6 +36,7 @@ type mergeFlow struct {
 	otherCtl  string // controller of the other ring
 
 	// Controller state.
+	//gkalint:secret
 	rNew         *big.Int
 	kDH          *big.Int
 	kStarOwn     *big.Int // own ring's K*

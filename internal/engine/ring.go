@@ -235,7 +235,9 @@ type ringState struct {
 	self   int
 	p, nn  *mathx.Modulus // the Schnorr group's p and the GQ modulus N
 
-	r, tau *big.Int
+	//gkalint:secret
+	r      *big.Int
+	tau    *big.Int
 	z, t   []*big.Int // nil until known
 	zv, tv []big.Int
 	// Slots of p.Words() (zl, xl) or nn.Words() (tl, sl) limbs each.
@@ -365,7 +367,8 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	zPrev := rs.z[(rs.self-1+n)%n]
 	// Edge-carrying restructure: X = (z_next·z_prev^{-1})^r and the edge
 	// b = z_prev^r are two powers of one exponent, raised together in one
-	// ExpPair call. b stays in the Montgomery domain for finish, where it
+	// ExpPair call on the fixed window over q's bit length. b stays in the
+	// Montgomery domain for finish, where it
 	// collapses equation (3)'s z_prev^{n·r} to b^n. The inversion is of
 	// the public z_prev, not of a secret power. X is bit-identical to
 	// bdkey.XValue's, the session's total exponentiation count is
@@ -376,7 +379,7 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: z_prev not invertible: %w", err)
 	}
-	xm, edge := mo.ExpPair(mo.Mul(mo.ToMont(zNext), mo.ToMont(inv)), mo.ToMont(zPrev), rs.r)
+	xm, edge := mo.ExpPair(mo.Mul(mo.ToMont(zNext), mo.ToMont(inv)), rs.r, mo.ToMont(zPrev), rs.r, mc.cfg.Set.Schnorr.Q.BitLen())
 	rs.edge = edge
 	x := mo.FromMont(xm)
 	mc.m.Exp(1)

@@ -81,10 +81,13 @@ func (mc *Machine) freshExp() (r, z *big.Int, err error) {
 	return r, sg.Exp(r), nil
 }
 
-// dhPower returns the Diffie-Hellman value z^r mod p.
+// dhPower returns the Diffie-Hellman value z^r mod p, on the fixed window
+// over q's bit length, so its schedule does not depend on r.
 func (mc *Machine) dhPower(z, r *big.Int) *big.Int {
+	sg := mc.cfg.Set.Schnorr
+	mo := sg.Mont()
 	mc.m.Exp(1)
-	return new(big.Int).Exp(z, r, mc.cfg.Set.Schnorr.P)
+	return mo.FromMont(mo.ExpFixed(mo.ToMont(z), r, sg.Q.BitLen()))
 }
 
 // foldKey computes a controller's K* = K·(z_next·z_last)^{-r}·(z_next·z̃)^{r'}
@@ -94,21 +97,21 @@ func (mc *Machine) dhPower(z, r *big.Int) *big.Int {
 // new neighbour's blinded exponent (the joiner's z_{n+1}, or the other
 // ring's closing z in a Merge) and rNew its fresh r'. The public base
 // z_next·z_last is inverted once, so both powers take positive
-// exponents.
+// exponents, and they run as one ExpPair call on the fixed window over
+// q's bit length.
 func (mc *Machine) foldKey(g *Group, zNew, rNew *big.Int) (*big.Int, error) {
-	p := mc.cfg.Set.Schnorr.P
+	sg := mc.cfg.Set.Schnorr
+	p, mo := sg.P, sg.Mont()
 	zNext := g.Z[g.Neighbor(0, 1)]
 	out := new(big.Int).Mul(zNext, g.Z[g.Last()])
 	out, err := mathx.ModInverse(out.Mod(out, p), p)
 	if err != nil {
 		return nil, err
 	}
-	out.Exp(out, g.R, p)
-	in := new(big.Int).Mul(zNext, zNew)
-	in.Exp(in.Mod(in, p), rNew, p)
+	in := mo.Mul(mo.ToMont(zNext), mo.ToMont(zNew))
+	pOut, pIn := mo.ExpPair(mo.ToMont(out), g.R, in, rNew, sg.Q.BitLen())
 	mc.m.Exp(2)
-	k := new(big.Int).Mul(g.Key, out)
-	k.Mod(k, p).Mul(k, in)
+	k := new(big.Int).Mul(g.Key, mo.FromMont(mo.Mul(pOut, pIn)))
 	return k.Mod(k, p), nil
 }
 

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"crypto/rand"
 	"math/big"
 	"testing"
 
+	"idgka/internal/mathx"
+	"idgka/internal/meter"
 	"idgka/internal/params"
 	"idgka/internal/sigs/gq"
 	"idgka/internal/wire"
@@ -48,5 +51,62 @@ func TestIngestStateTablesRange(t *testing.T) {
 	}
 	if g.Z["A02"].Cmp(two) != 0 || g.T["A02"].Cmp(three) != 0 {
 		t.Fatalf("A02 not recorded: z %v t %v", g.Z["A02"], g.T["A02"])
+	}
+}
+
+// TestFoldKeyAndDHPowerMatchBig pins the fixed-window K* fold and
+// Diffie-Hellman power to their math/big formulas,
+// K·(z_next·z_last)^{-r}·(z_next·z̃)^{r'} mod p and z^r mod p, with
+// exponents 1, q - 1 and random ones, and checks their meter charges.
+func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
+	set := params.Default()
+	sk, err := gq.Extract(set.RSA, "A01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := meter.New()
+	mc, err := NewMachine(Config{Set: set.Public()}, sk, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q := set.Schnorr.P, set.Schnorr.Q
+	rnd := func(bound *big.Int) *big.Int {
+		v, err := mathx.RandScalar(rand.Reader, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	qMinus1 := new(big.Int).Sub(q, mathx.One)
+	exps := []*big.Int{mathx.One, qMinus1, rnd(q), rnd(q)}
+	g := NewGroup([]string{"A01", "A02", "A03", "A04"})
+	for _, id := range g.Roster {
+		g.Z[id] = rnd(p)
+	}
+	g.Key = rnd(p)
+	for i, r := range exps {
+		rNew, zNew := exps[(i+1)%len(exps)], rnd(p)
+		g.R = r
+		zNext, zLast := g.Z["A02"], g.Z["A04"]
+		out := new(big.Int).Mul(zNext, zLast)
+		out.ModInverse(out.Mod(out, p), p).Exp(out, r, p)
+		in := new(big.Int).Mul(zNext, zNew)
+		in.Exp(in.Mod(in, p), rNew, p)
+		want := new(big.Int).Mul(g.Key, out)
+		want.Mod(want, p).Mul(want, in).Mod(want, p)
+		before := m.Report().Exp
+		got, err := mc.foldKey(g, zNew, rNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(want) != 0 {
+			t.Fatalf("r=%v r'=%v: foldKey = %v, want %v", r, rNew, got, want)
+		}
+		if got := mc.dhPower(zNew, r); got.Cmp(new(big.Int).Exp(zNew, r, p)) != 0 {
+			t.Fatalf("r=%v: dhPower = %v, want %v", r, got, new(big.Int).Exp(zNew, r, p))
+		}
+		if d := m.Report().Exp - before; d != 3 {
+			t.Fatalf("foldKey and dhPower charged %d exponentiations, want 3", d)
+		}
 	}
 }

@@ -2,13 +2,15 @@ package mathx
 
 import "math/big"
 
-// This file runs two powers of one exponent in lockstep. Round 2 raises
-// both ring neighbours to the member's own secret, so the two product
-// chains share the exponent's window walk and the modulus. At the
-// protocols' 1024 bits on amd64 CPUs with AVX-512 IFMA, each squaring
-// and multiply of both chains is one call to amm52x20x2
-// (amm52_amd64.s), which runs the two products side by side in radix
-// 2^52. Every other case runs the two ExpElem calls.
+// This file runs two secret powers side by side on the fixed window
+// (mont.go). Both chains then share one schedule, whatever their
+// exponents: the same squarings and one product per digit. At the
+// protocols' 1024 bits on amd64 CPUs with AVX-512 IFMA, each squaring and
+// multiply of both chains is one call to amm52x20x2 (amm52_amd64.s),
+// which runs the two products side by side in radix 2^52, and each
+// digit's table entries come from sel52x2, a masked scan of the whole
+// table in the same file. Every other case runs each chain on montMul
+// with a Go masked scan (expFixedMont). Both give the same limbs.
 
 const mask52 = 1<<52 - 1
 
@@ -24,6 +26,7 @@ type lane52 struct {
 	m       [20]uint64
 	k0      uint64
 	in, out [20]uint64 // 2^1056 mod m and 2^1024 mod m
+	one     [20]uint64 // 2^1040 mod m, the kernel's image of 1
 }
 
 func newLane52(mo *Modulus) *lane52 {
@@ -32,6 +35,7 @@ func newLane52(mo *Modulus) *lane52 {
 	to52(&ln.m, mo.words)
 	to52(&ln.in, mo.limbs(&buf, new(big.Int).Lsh(One, 1056)))
 	to52(&ln.out, mo.limbs(&buf, new(big.Int).Lsh(One, 1024)))
+	to52(&ln.one, mo.limbs(&buf, new(big.Int).Lsh(One, 1040)))
 	return ln
 }
 
@@ -71,7 +75,7 @@ func (ln *lane52) mulBy(z *pair52, c *[20]uint64) {
 }
 
 // store reduces x, a value below 2m, into [0, m) and packs it into the
-// 16-word z.
+// 16-word z. The subtraction is kept or dropped by a mask, not a branch.
 func (ln *lane52) store(z Elem, x *[20]uint64) {
 	var d [20]uint64
 	var borrow uint64
@@ -80,63 +84,73 @@ func (ln *lane52) store(z Elem, x *[20]uint64) {
 		borrow = v >> 63
 		d[j] = v & mask52
 	}
-	if borrow != 0 {
-		d = *x
+	keep := -borrow // all ones where x < m
+	for j := range d {
+		d[j] = d[j]&^keep | x[j]&keep
 	}
 	from52(z, &d)
 }
 
-// ExpPair returns b1^e and b2^e in the Montgomery domain: the same limbs
-// as ExpElem(b1, e) and ExpElem(b2, e). On a 16-word modulus and a CPU
-// with AVX-512 IFMA it walks the sliding window once and runs every
-// product of both chains as one kernel call; otherwise it is the two
-// ExpElem calls.
-func (mo *Modulus) ExpPair(b1, b2 Elem, e *big.Int) (Elem, Elem) {
-	if mo.lane == nil {
-		return mo.expPairSerial(b1, b2, e)
-	}
-	return mo.expPairLane(b1, b2, e)
-}
-
-// expPairSerial is ExpPair as two ExpElem calls.
-func (mo *Modulus) expPairSerial(b1, b2 Elem, e *big.Int) (Elem, Elem) {
-	return mo.ExpElem(b1, e), mo.ExpElem(b2, e)
-}
-
-// expPairLane is ExpPair on amm52x20x2. Both results share one
-// allocation, the accumulator and odd-power table another.
-func (mo *Modulus) expPairLane(b1, b2 Elem, e *big.Int) (Elem, Elem) {
-	if e.Sign() < 0 {
-		panic("mathx: ExpPair needs a non-negative exponent")
-	}
+// ExpPair returns b1^e1 and b2^e2 in the Montgomery domain, for
+// exponents in [0, 2^bits), bits being a public bound such as the bit
+// length of the group order. Both chains walk the fixed window over the
+// whole bound, so which products run and which table entries are read
+// depends on bits alone, not on either exponent. Only the exponents' low
+// 4·⌈bits/4⌉ bits are read, and a negative exponent reads as its
+// absolute value: callers keep their exponents in range. On a 16-word
+// modulus and a CPU with AVX-512 IFMA every product of both chains is
+// one amm52x20x2 call; otherwise each chain runs on montMul. The
+// results are the same limbs as ExpElem's.
+func (mo *Modulus) ExpPair(b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) (Elem, Elem) {
 	out := make(Elem, 2*mo.k)
 	z1, z2 := out[:mo.k:mo.k], out[mo.k:]
-	eb := e.BitLen()
-	if eb == 0 {
-		copy(z1, mo.one)
-		copy(z2, mo.one)
-		return z1, z2
+	if mo.lane != nil {
+		mo.expPairLane(z1, z2, b1, e1, b2, e2, bits)
+	} else {
+		mo.expPairMont(z1, z2, b1, e1, b2, e2, bits)
 	}
+	return z1, z2
+}
+
+// ExpFixed returns base^e in the Montgomery domain on ExpPair's fixed
+// window, for one exponent in [0, 2^bits). Where ExpPair runs on the
+// radix-2^52 kernel, ExpFixed runs it with both lanes on the same chain:
+// one lane call costs less than one montMul chain.
+func (mo *Modulus) ExpFixed(base Elem, e *big.Int, bits int) Elem {
+	if mo.lane != nil {
+		z, _ := mo.ExpPair(base, e, base, e, bits)
+		return z
+	}
+	z := make(Elem, mo.k)
+	mo.expFixedMont(z, base, e, bits, make([]big.Word, (fixedEntries+1)*mo.k))
+	return z
+}
+
+// expPairLane is ExpPair on amm52x20x2. The table of each base's powers
+// 0 to 15, two lanes per entry, lives on the stack.
+func (mo *Modulus) expPairLane(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) {
+	var xbuf1, xbuf2 [maxModulusWords]big.Word
+	x1, x2 := widenExp(&xbuf1, e1, bits), widenExp(&xbuf2, e2, bits)
 	ln := mo.lane
-	w := expWindow(eb)
-	// The accumulator, then the odd powers: digit d's at tab[1+d>>1].
-	tab := make([]pair52, 1+1<<(w-1))
-	acc := &tab[0]
+	var tab [fixedEntries]pair52
+	var acc, t pair52
+	tab[0] = pair52{ln.one, ln.one}
 	to52(&tab[1][0], b1)
 	to52(&tab[1][1], b2)
 	ln.mulBy(&tab[1], &ln.in)
-	if len(tab) > 2 {
-		ln.mul(acc, &tab[1], &tab[1]) // base², scratch until the first window
-		for i := 2; i < len(tab); i++ {
-			ln.mul(&tab[i], &tab[i-1], acc)
-		}
+	for i := 2; i < fixedEntries; i++ {
+		ln.mul(&tab[i], &tab[i-1], &tab[1])
 	}
-	slidingWindow(e, w,
-		func(d uint) { *acc = tab[1+d>>1] },
-		func() { ln.mul(acc, acc, acc) },
-		func(d uint) { ln.mul(acc, acc, &tab[1+d>>1]) })
-	ln.mulBy(acc, &ln.out)
+	top := fixedTop(bits)
+	sel52x2(&acc, &tab[0], fixedEntries, uint64(digit(x1, top)), uint64(digit(x2, top)))
+	for i := top - 1; i >= 0; i-- {
+		for range fixedWindow {
+			ln.mul(&acc, &acc, &acc)
+		}
+		sel52x2(&t, &tab[0], fixedEntries, uint64(digit(x1, i)), uint64(digit(x2, i)))
+		ln.mul(&acc, &acc, &t)
+	}
+	ln.mulBy(&acc, &ln.out)
 	ln.store(z1, &acc[0])
 	ln.store(z2, &acc[1])
-	return z1, z2
 }

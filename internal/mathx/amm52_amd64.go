@@ -12,6 +12,15 @@ package mathx
 //go:noescape
 func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]uint64, k0 uint64)
 
+// sel52x2 sets dst[0] to tab[d1][0] and dst[1] to tab[d2][1], reading
+// all n >= 1 entries of tab with masks, so its memory accesses and
+// branches do not depend on the digits (amm52_amd64.s). Digits of n or
+// more select zero. It needs AVX512F and AVX512VL, which hasAMM52
+// implies.
+//
+//go:noescape
+func sel52x2(dst, tab *pair52, n int, d1, d2 uint64)
+
 // xgetbv reads XCR0, the register of state components the OS saves
 // (cpuid_amd64.s).
 func xgetbv() (eax, edx uint32)

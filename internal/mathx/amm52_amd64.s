@@ -173,3 +173,82 @@ row:
 	NORM(18)
 	NORM(19)
 	RET
+
+// PICK ORs the five YMM words of one lane's table entry at ptr, masked by
+// mask (all ones for the wanted entry, zero otherwise), into the lane's
+// five result registers. Y28 is scratch.
+#define PICK(ptr, mask, A0, A1, A2, A3, A4) \
+	VPANDQ 0(ptr), mask, Y28; \
+	VPORQ  Y28, A0, A0; \
+	VPANDQ 32(ptr), mask, Y28; \
+	VPORQ  Y28, A1, A1; \
+	VPANDQ 64(ptr), mask, Y28; \
+	VPORQ  Y28, A2, A2; \
+	VPANDQ 96(ptr), mask, Y28; \
+	VPORQ  Y28, A3, A3; \
+	VPANDQ 128(ptr), mask, Y28; \
+	VPORQ  Y28, A4, A4
+
+// func sel52x2(dst, tab *pair52, n int, d1, d2 uint64)
+// Requires: AVX512F, AVX512VL
+//
+// Register use across the entry loop:
+//
+//	SI   entry i's lane 1        R10  entry i's lane 2
+//	CX   n                       AX   entry index i
+//	R8   d1                      R9   d2
+//	DX   scalar mask scratch
+//	Y16-Y20  lane 1's result     Y21-Y25  lane 2's result
+//	Y26, Y27 lane 1's and lane 2's mask for entry i
+//
+// The loop reads every entry whatever the digits; only the masks depend
+// on them, and they come from SETEQ, not from a branch.
+TEXT ·sel52x2(SB), NOSPLIT, $0-40
+	MOVQ   tab+8(FP), SI
+	MOVQ   n+16(FP), CX
+	MOVQ   d1+24(FP), R8
+	MOVQ   d2+32(FP), R9
+	VPXORQ Y16, Y16, Y16
+	VPXORQ Y17, Y17, Y17
+	VPXORQ Y18, Y18, Y18
+	VPXORQ Y19, Y19, Y19
+	VPXORQ Y20, Y20, Y20
+	VPXORQ Y21, Y21, Y21
+	VPXORQ Y22, Y22, Y22
+	VPXORQ Y23, Y23, Y23
+	VPXORQ Y24, Y24, Y24
+	VPXORQ Y25, Y25, Y25
+	XORQ   AX, AX
+
+entry:
+	XORQ         DX, DX
+	CMPQ         AX, R8
+	SETEQ        DL
+	NEGQ         DX
+	VPBROADCASTQ DX, Y26
+	XORQ         DX, DX
+	CMPQ         AX, R9
+	SETEQ        DL
+	NEGQ         DX
+	VPBROADCASTQ DX, Y27
+	LEAQ         160(SI), R10
+	PICK(SI, Y26, Y16, Y17, Y18, Y19, Y20)
+	PICK(R10, Y27, Y21, Y22, Y23, Y24, Y25)
+	ADDQ         $320, SI
+	INCQ         AX
+	CMPQ         AX, CX
+	JB           entry
+
+	MOVQ      dst+0(FP), DI
+	VMOVDQU64 Y16, 0(DI)
+	VMOVDQU64 Y17, 32(DI)
+	VMOVDQU64 Y18, 64(DI)
+	VMOVDQU64 Y19, 96(DI)
+	VMOVDQU64 Y20, 128(DI)
+	VMOVDQU64 Y21, 160(DI)
+	VMOVDQU64 Y22, 192(DI)
+	VMOVDQU64 Y23, 224(DI)
+	VMOVDQU64 Y24, 256(DI)
+	VMOVDQU64 Y25, 288(DI)
+	VZEROUPPER
+	RET

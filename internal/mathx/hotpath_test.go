@@ -12,8 +12,8 @@ import (
 )
 
 // TestHotPathAllocsConstant pins the allocations of a generator power, a
-// modular product, a variable-base power, a paired one and a tabled eq. 2
-// check: the count is a small constant, independent of the exponent's
+// modular product, a variable-base power, the fixed-window pair and
+// single power and a tabled eq. 2 check: the count is a small constant, independent of the exponent's
 // size, of the slice length and of the roster size.
 func TestHotPathAllocsConstant(t *testing.T) {
 	sg, err := mathx.GenerateSchnorrGroup(rand.Reader, 1024, 160)
@@ -52,12 +52,14 @@ func TestHotPathAllocsConstant(t *testing.T) {
 		e := randBits(eBits)
 		varAllocs = append(varAllocs, testing.AllocsPerRun(20, func() { mo.ExpElem(base, e) }))
 	}
-	// Round 2's paired power: one result allocation and one table,
-	// whichever path runs.
-	var pairAllocs []float64
+	// The fixed-window powers of secret exponents: one result
+	// allocation, and one table where the chains run on montMul.
+	other := mo.Sqr(base)
+	var pairAllocs, fixedAllocs []float64
 	for _, eBits := range []int{17, 160, 1024} {
-		e := randBits(eBits)
-		pairAllocs = append(pairAllocs, testing.AllocsPerRun(20, func() { mo.ExpPair(base, base, e) }))
+		e1, e2 := randBits(eBits), randBits(eBits)
+		pairAllocs = append(pairAllocs, testing.AllocsPerRun(20, func() { mo.ExpPair(base, e1, other, e2, eBits) }))
+		fixedAllocs = append(fixedAllocs, testing.AllocsPerRun(20, func() { mo.ExpFixed(base, e1, eBits) }))
 	}
 	// Eq. 2 on a verifier well past its promotion to a fixed-base table
 	// of the inverse identity product.
@@ -70,7 +72,7 @@ func TestHotPathAllocsConstant(t *testing.T) {
 			}
 		}))
 	}
-	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs, "Modulus.ExpPair": pairAllocs} {
+	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs, "Modulus.ExpPair": pairAllocs, "Modulus.ExpFixed": fixedAllocs} {
 		t.Logf("%s allocations: %v", name, got)
 		for _, a := range got {
 			if a != got[0] || a > 2 {

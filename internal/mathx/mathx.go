@@ -58,26 +58,6 @@ func RandScalar(r io.Reader, q *big.Int) (*big.Int, error) {
 	return v.Add(v, One), nil // shift to [1, q-1]
 }
 
-// RandUnit returns a uniformly random element of Z_n^*, i.e. an integer in
-// [1, n-1] with gcd(v, n) = 1. For an RSA modulus the retry loop terminates
-// after a single iteration with overwhelming probability.
-func RandUnit(r io.Reader, n *big.Int) (*big.Int, error) {
-	if n.Cmp(Two) < 0 {
-		return nil, errors.New("mathx: RandUnit modulus must be >= 2")
-	}
-	gcd := new(big.Int)
-	for i := 0; i < 1000; i++ {
-		v, err := RandScalar(r, n)
-		if err != nil {
-			return nil, err
-		}
-		if gcd.GCD(nil, nil, v, n); gcd.Cmp(One) == 0 {
-			return v, nil
-		}
-	}
-	return nil, errors.New("mathx: RandUnit failed to find a unit (modulus hostile?)")
-}
-
 // RandPrime returns a random prime of exactly the given bit length.
 func RandPrime(r io.Reader, bits int) (*big.Int, error) {
 	if bits < 2 {

@@ -26,19 +26,6 @@ func TestRandScalarRejectsTinyModulus(t *testing.T) {
 	}
 }
 
-func TestRandUnitCoprime(t *testing.T) {
-	n := big.NewInt(15) // 3*5, plenty of non-units
-	for i := 0; i < 100; i++ {
-		v, err := RandUnit(rand.Reader, n)
-		if err != nil {
-			t.Fatalf("RandUnit: %v", err)
-		}
-		if new(big.Int).GCD(nil, nil, v, n).Cmp(One) != 0 {
-			t.Fatalf("RandUnit returned non-unit %v mod %v", v, n)
-		}
-	}
-}
-
 func TestModInverse(t *testing.T) {
 	m := big.NewInt(101)
 	for i := int64(1); i < 101; i++ {

@@ -32,11 +32,16 @@ import (
 // whose math/big has no assembly, use neither and run the generic loop
 // in addmul_pure.go. Squaring is the same multiplication.
 //
-// Two powers of one exponent, round 2's pair of edge powers, run as
-// ExpPair (amm52.go). On amd64 CPUs with AVX-512 IFMA a 16-word modulus
-// walks the exponent's window once and computes both chains' products in
-// one radix-2^52 kernel call (amm52_amd64.s); every other case runs two
-// ExpElem calls. Both return the same limbs.
+// Powers come in two kinds. A public exponent (the GQ e, a challenge,
+// a ring size) runs on ExpElem's sliding window, whose schedule follows
+// the exponent's bits. A secret exponent (a member's r, r' or a DH
+// exponent) runs on the fixed window below, through ExpPair and
+// ExpFixed (amm52.go): 4-bit digits over a public bit bound, with each
+// table entry picked by a masked scan, so the schedule depends on the
+// bound alone. On amd64 CPUs with AVX-512 IFMA a 16-word modulus runs
+// two such chains side by side in one radix-2^52 kernel call per
+// product (amm52_amd64.s); every other case runs each chain on montMul.
+// All of them return the same limbs.
 
 // maxModulusWords bounds the fixed scratch buffers of the CIOS loops
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
@@ -338,45 +343,6 @@ func expWindow(bits int) int {
 	}
 }
 
-// slidingWindow walks a positive exponent e left to right in windows of
-// at most w bits that end in a set bit. It calls first with the top
-// window's odd digit, then sqr once per later bit and mul with each later
-// window's digit after that window's squarings.
-func slidingWindow(e *big.Int, w int, first func(d uint), sqr func(), mul func(d uint)) {
-	started := false
-	for i := e.BitLen() - 1; i >= 0; {
-		if e.Bit(i) == 0 {
-			if started {
-				sqr()
-			}
-			i--
-			continue
-		}
-		// Find the longest window [i..l] with a set low bit, width <= w.
-		l := i - w + 1
-		if l < 0 {
-			l = 0
-		}
-		for e.Bit(l) == 0 {
-			l++
-		}
-		var digit uint
-		for j := i; j >= l; j-- {
-			digit = digit<<1 | uint(e.Bit(j))
-		}
-		if started {
-			for j := 0; j < i-l+1; j++ {
-				sqr()
-			}
-			mul(digit)
-		} else {
-			first(digit)
-			started = true
-		}
-		i = l - 1
-	}
-}
-
 // ExpElem computes base^e in the Montgomery domain for a non-negative
 // exponent, with a left-to-right sliding window over precomputed odd
 // powers. e = 0 yields the Montgomery image of 1. The result and the
@@ -402,11 +368,122 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		}
 	}
 	pow := func(d uint) Elem { return table[int(d>>1)*k:][:k] }
-	slidingWindow(e, w,
-		func(d uint) { copy(acc, pow(d)) },
-		func() { mo.SqrInto(acc, acc) },
-		func(d uint) { mo.MulInto(acc, acc, pow(d)) })
+	// Walk e left to right in windows of at most w bits that end in a set
+	// bit: the top window's odd digit seeds acc, every later bit squares
+	// it, and each later window multiplies in its digit's power after its
+	// squarings.
+	started := false
+	for i := eb - 1; i >= 0; {
+		if e.Bit(i) == 0 {
+			if started {
+				mo.SqrInto(acc, acc)
+			}
+			i--
+			continue
+		}
+		l := max(i-w+1, 0)
+		for e.Bit(l) == 0 {
+			l++
+		}
+		var d uint
+		for j := i; j >= l; j-- {
+			d = d<<1 | uint(e.Bit(j))
+		}
+		if started {
+			for j := l; j <= i; j++ {
+				mo.SqrInto(acc, acc)
+			}
+			mo.MulInto(acc, acc, pow(d))
+		} else {
+			copy(acc, pow(d))
+			started = true
+		}
+		i = l - 1
+	}
 	return acc
+}
+
+// The fixed window under ExpPair and ExpFixed, for secret exponents: the
+// exponent is read in digits of fixedWindow bits over a public bit bound,
+// each window is fixedWindow squarings and one product with the digit's
+// table entry, and that entry is picked by a masked scan of the whole
+// table. Nothing branches on, loops over or indexes by the exponent's
+// bits or its length.
+const (
+	fixedWindow  = 4
+	fixedEntries = 1 << fixedWindow
+	wordBits     = bits.UintSize
+)
+
+// widenExp widens the exponent e to the word count of a bits-bit
+// bound in buf. Words of e past the bound are not read.
+func widenExp(buf *[maxModulusWords]big.Word, e *big.Int, bits int) []big.Word {
+	if bits < 1 || bits > maxModulusWords*wordBits {
+		panic("mathx: fixed-window exponent bound out of range")
+	}
+	x := buf[:(bits+wordBits-1)/wordBits]
+	copy(x, e.Bits())
+	return x
+}
+
+// digit returns the i-th fixedWindow-bit digit of x, the least
+// significant being digit 0. A digit never straddles two words.
+func digit(x []big.Word, i int) uint {
+	return uint(x[i*fixedWindow/wordBits]>>(i*fixedWindow%wordBits)) & (fixedEntries - 1)
+}
+
+// fixedTop returns the index of the top digit under a bits-bit bound.
+func fixedTop(bits int) int { return (bits+fixedWindow-1)/fixedWindow - 1 }
+
+// expPairMont is ExpPair on montMul: two fixed-window chains, one after
+// the other, sharing one table allocation.
+func (mo *Modulus) expPairMont(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) {
+	tab := make([]big.Word, (fixedEntries+1)*mo.k)
+	mo.expFixedMont(z1, b1, e1, bits, tab)
+	mo.expFixedMont(z2, b2, e2, bits, tab)
+}
+
+// expFixedMont computes z = base^e on the fixed window over montMul. tab
+// is scratch for fixedEntries+1 values: base^0 … base^15, then the
+// selected entry. z must not alias base.
+func (mo *Modulus) expFixedMont(z, base Elem, e *big.Int, bits int, tab []big.Word) {
+	var xbuf [maxModulusWords]big.Word
+	x := widenExp(&xbuf, e, bits)
+	k := mo.k
+	pows, t := tab[:fixedEntries*k], Elem(tab[fixedEntries*k:][:k])
+	copy(pows, mo.one)
+	copy(pows[k:], base)
+	for i := 2; i < fixedEntries; i++ {
+		mo.montMul(pows[i*k:(i+1)*k], pows[(i-1)*k:i*k], base)
+	}
+	top := fixedTop(bits)
+	selectEntry(z, pows, digit(x, top))
+	for i := top - 1; i >= 0; i-- {
+		for range fixedWindow {
+			mo.montMul(z, z, z)
+		}
+		selectEntry(t, pows, digit(x, i))
+		mo.montMul(z, z, t)
+	}
+}
+
+// selectEntry sets z to entry d of tab, a packed table of len(z)-word
+// entries. It reads every entry: only a mask depends on d.
+func selectEntry(z Elem, tab []big.Word, d uint) {
+	k := len(z)
+	clear(z)
+	for i := 0; i < len(tab)/k; i++ {
+		m := eqMask(uint(i), d)
+		for j := range z {
+			z[j] |= tab[i*k+j] & m
+		}
+	}
+}
+
+// eqMask returns all ones when a == b and zero otherwise, with no branch.
+func eqMask(a, b uint) big.Word {
+	x := a ^ b
+	return big.Word((x|-x)>>(wordBits-1)) - 1
 }
 
 // RPow returns R^e mod m as raw limbs of the modulus' width, for any

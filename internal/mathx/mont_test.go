@@ -184,21 +184,58 @@ func BenchmarkVarBaseExp(b *testing.B) {
 	})
 }
 
-// BenchmarkExpPair raises two bases to one 160-bit exponent in the
-// Montgomery domain, as round 2 does: ExpPair ("pair", on the radix-2^52
-// kernel where the CPU runs it) against two ExpElem calls ("serial").
+// BenchmarkExpPair raises two bases to two 160-bit exponents in the
+// Montgomery domain, as round 2 and the K* fold do: ExpPair on the
+// radix-2^52 kernel ("lane", where the CPU runs it), the same fixed
+// window on montMul ("generic") and two big.Int.Exp calls ("big").
 func BenchmarkExpPair(b *testing.B) {
-	mo, base, exp := benchModulus(b, 1024)
+	mo, base, e1 := benchModulus(b, 1024)
+	e2, _ := RandInt(rand.Reader, new(big.Int).Lsh(One, 160))
 	b1 := mo.ToMont(base)
 	b2 := mo.Sqr(b1)
-	b.Run("pair", func(b *testing.B) {
+	z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
+	b.Run("lane", func(b *testing.B) {
+		if mo.lane == nil {
+			b.Skip("no radix-2^52 kernel on this CPU")
+		}
 		for i := 0; i < b.N; i++ {
-			mo.ExpPair(b1, b2, exp)
+			mo.expPairLane(z1, z2, b1, e1, b2, e2, 160)
 		}
 	})
-	b.Run("serial", func(b *testing.B) {
+	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mo.expPairSerial(b1, b2, exp)
+			mo.expPairMont(z1, z2, b1, e1, b2, e2, 160)
+		}
+	})
+	b.Run("big", func(b *testing.B) {
+		b2 := mo.FromMont(b2)
+		for i := 0; i < b.N; i++ {
+			new(big.Int).Exp(base, e1, mo.Int())
+			new(big.Int).Exp(b2, e2, mo.Int())
+		}
+	})
+}
+
+// BenchmarkExpFixed times one fixed-window power of a 160-bit exponent,
+// the Diffie-Hellman power of Join and Merge: ExpPair's lane call with
+// both lanes on the chain ("lane", where the CPU runs it) against one
+// montMul chain ("mont").
+func BenchmarkExpFixed(b *testing.B) {
+	mo, base, e := benchModulus(b, 1024)
+	be := mo.ToMont(base)
+	z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
+	b.Run("lane", func(b *testing.B) {
+		if mo.lane == nil {
+			b.Skip("no radix-2^52 kernel on this CPU")
+		}
+		for i := 0; i < b.N; i++ {
+			mo.expPairLane(z1, z2, be, e, be, e, 160)
+		}
+	})
+	tab := make([]big.Word, (fixedEntries+1)*mo.Words())
+	b.Run("mont", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mo.expFixedMont(z1, be, e, 160, tab)
 		}
 	})
 }

@@ -524,16 +524,53 @@ func TestAMM52x20x2Differential(t *testing.T) {
 	}
 }
 
-// TestExpPairDifferential checks ExpPair against two ExpElem calls limb
-// for limb at every width, for exponents from 0 to 1024 bits and bases at
-// the edges of [0, m). The serial fallback runs directly too, so a CPU
-// with the radix-2^52 kernel tests both paths.
-func TestExpPairDifferential(t *testing.T) {
-	var exps []*big.Int
-	for _, eb := range []int{1, 2, 9, 64, 160, 161, 1024} {
-		exps = append(exps, new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(eb))), eb-1, 1))
+// pairBackends returns ExpPair's backends for mo: expPairMont always and,
+// where the radix-2^52 kernel runs, expPairLane, so a CPU with the kernel
+// tests both.
+func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) {
+	out := map[string]func(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int){"montMul": mo.expPairMont}
+	if mo.lane != nil {
+		out["lane"] = mo.expPairLane
 	}
-	exps = append(exps, big.NewInt(0), new(big.Int).Sub(new(big.Int).Lsh(One, 160), One))
+	return out
+}
+
+// checkExpPair runs ExpPair's backends, ExpPair and ExpFixed on (b1, e1)
+// and (b2, e2) under a bits-bit bound and compares every result, limb for
+// limb, with the Montgomery image of big.Int.Exp.
+func checkExpPair(t testing.TB, mo *Modulus, b1, e1, b2, e2 *big.Int, bits int) {
+	t.Helper()
+	m := mo.Int()
+	want1, want2 := mo.ToMont(new(big.Int).Exp(b1, e1, m)), mo.ToMont(new(big.Int).Exp(b2, e2, m))
+	m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
+	before1, before2 := append(Elem(nil), m1...), append(Elem(nil), m2...)
+	check := func(name string, got1, got2 Elem) {
+		t.Helper()
+		if !slices.Equal(got1, want1) || !slices.Equal(got2, want2) {
+			t.Fatalf("%d words, %s, bound %d: (%v^%v, %v^%v) = (%x, %x), want (%x, %x)",
+				mo.Words(), name, bits, b1, e1, b2, e2, got1, got2, want1, want2)
+		}
+	}
+	for name, f := range pairBackends(mo) {
+		z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
+		f(z1, z2, m1, e1, m2, e2, bits)
+		check(name, z1, z2)
+	}
+	got1, got2 := mo.ExpPair(m1, e1, m2, e2, bits)
+	check("ExpPair", got1, got2)
+	check("ExpFixed", mo.ExpFixed(m1, e1, bits), mo.ExpFixed(m2, e2, bits))
+	if !slices.Equal(m1, before1) || !slices.Equal(m2, before2) {
+		t.Fatalf("%d words: a fixed-window power mutated its base", mo.Words())
+	}
+}
+
+// TestExpPairDifferential checks ExpPair on both backends against
+// big.Int.Exp per lane at every width, under bounds from 1 to 1024 bits:
+// exponents 0, 1, 15, 16, 2^bits - 1, q - 1 for a 160-bit q and random
+// values, distinct per lane, with distinct bases and with b1 = b2, and
+// bases 0, 1, m - 1 and random.
+func TestExpPairDifferential(t *testing.T) {
+	q := new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, 160)), 159, 1)
 	for _, m := range append(diffModuli(t), belowR()...) {
 		mo, err := NewModulus(m)
 		if err != nil {
@@ -542,23 +579,59 @@ func TestExpPairDifferential(t *testing.T) {
 		if want := mo.Words() == 16 && hasAMM52; (mo.lane != nil) != want {
 			t.Fatalf("%d words: radix-2^52 lane = %v, want %v", mo.Words(), mo.lane != nil, want)
 		}
-		bases := []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One), randBelow(t, m)}
-		for i, base := range bases {
-			b1, b2 := mo.ToMont(base), mo.ToMont(bases[(i+1)%len(bases)])
-			before1, before2 := append(Elem(nil), b1...), append(Elem(nil), b2...)
-			for _, e := range exps {
-				want1, want2 := mo.ExpElem(b1, e), mo.ExpElem(b2, e)
-				for name, f := range map[string]func(b1, b2 Elem, e *big.Int) (Elem, Elem){
-					"ExpPair": mo.ExpPair, "expPairSerial": mo.expPairSerial,
-				} {
-					got1, got2 := f(b1, b2, e)
-					if !slices.Equal(got1, want1) || !slices.Equal(got2, want2) {
-						t.Fatalf("%d words, %s, e of %d bits: (%x, %x), want (%x, %x)", mo.Words(), name, e.BitLen(), got1, got2, want1, want2)
-					}
+		bases := []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)}
+		bounds := []int{1, 4, 5, 160}
+		if mo.Words() <= 16 {
+			bounds = append(bounds, 1024)
+		}
+		for _, bits := range bounds {
+			bound := new(big.Int).Lsh(One, uint(bits))
+			var exps []*big.Int
+			for _, e := range []*big.Int{big.NewInt(0), One, big.NewInt(15), big.NewInt(16), new(big.Int).Sub(q, One), new(big.Int).Sub(bound, One)} {
+				if e.Cmp(bound) < 0 {
+					exps = append(exps, e)
 				}
 			}
-			if !slices.Equal(b1, before1) || !slices.Equal(b2, before2) {
-				t.Fatalf("%d words: ExpPair mutated a base", mo.Words())
+			exps = append(exps, randBelow(t, bound), randBelow(t, bound))
+			for bi, b1 := range bases {
+				b2 := bases[(bi+1)%len(bases)]
+				for ei, e1 := range exps {
+					e2 := exps[(ei+1)%len(exps)]
+					checkExpPair(t, mo, b1, e1, b2, e2, bits)
+					checkExpPair(t, mo, b1, e1, b1, e2, bits)
+				}
+			}
+		}
+	}
+}
+
+// TestSel52x2 checks the assembly table select against direct indexing
+// for every pair of digits in 0…15 on a table of random limbs, and that a
+// digit past the table selects zero.
+func TestSel52x2(t *testing.T) {
+	if !hasAMM52 {
+		t.Skip("sel52x2 needs AVX512F and AVX512VL with OS support")
+	}
+	var tab [fixedEntries]pair52
+	for i := range tab {
+		for l := range tab[i] {
+			tab[i][l] = *limbs52(randBelow(t, new(big.Int).Lsh(One, 1040)))
+		}
+	}
+	for d1 := range uint64(fixedEntries + 1) {
+		for d2 := range uint64(fixedEntries + 1) {
+			var got, want pair52
+			for i := range got {
+				got[i] = tab[(d1+d2)%fixedEntries][0] // the select must overwrite every limb
+			}
+			if d1 < fixedEntries {
+				want[0] = tab[d1][0]
+			}
+			if d2 < fixedEntries {
+				want[1] = tab[d2][1]
+			}
+			if sel52x2(&got, &tab[0], fixedEntries, d1, d2); got != want {
+				t.Fatalf("sel52x2(%d, %d) = %x, want %x", d1, d2, got, want)
 			}
 		}
 	}
@@ -591,5 +664,34 @@ func FuzzAMM52x20x2(f *testing.F) {
 		twoM := new(big.Int).Lsh(m, 1)
 		op := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), twoM) }
 		checkAMM52(t, mo, op(x1b), op(y1b), op(x2b), op(y2b))
+	})
+}
+
+// FuzzExpPair builds an odd 1024-bit modulus, two bases and two
+// exponents below a 160-bit bound from the fuzz input and checks both
+// lanes of ExpPair, on the radix-2^52 kernel where the CPU runs it and on
+// montMul, against big.Int.Exp.
+func FuzzExpPair(f *testing.F) {
+	ones := make([]byte, 128) // m = 2^1024 - 1
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	f.Add(ones, ones, []byte{}, ones[:20], []byte{})                   // m - 1 to 2^160 - 1; 0^0
+	f.Add([]byte{1}, []byte{2}, []byte{1}, []byte{0x0f}, []byte{0x10}) // m = 2^1023 + 1
+	f.Fuzz(func(t *testing.T, mb, b1b, b2b, e1b, e2b []byte) {
+		if len(mb) > 128 {
+			mb = mb[:128]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 1023, 1).SetBit(m, 0, 1)
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const bits = 160
+		bound := new(big.Int).Lsh(One, bits)
+		base := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), m) }
+		exp := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), bound) }
+		checkExpPair(t, mo, base(b1b), exp(e1b), base(b2b), exp(e2b), bits)
 	})
 }

@@ -21,6 +21,7 @@ package gq
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -112,9 +113,11 @@ func Extract(rp *mathx.RSAParams, id string) (*PrivateKey, error) {
 	return &PrivateKey{ID: id, S: s, Pub: ParamsFrom(rp)}, nil
 }
 
-// Commitment draws the per-signature randomness: τ ∈R Z_n^* and its public
-// image t = τ^e mod n. In the group protocol, t is the value t_i broadcast
-// in Round 1.
+// Commitment draws the per-signature randomness: τ ∈R [1, n-1] and its
+// public image t = τ^e mod n. In the group protocol, t is the value t_i
+// broadcast in Round 1. τ is not tested for coprimality with n: for an
+// RSA modulus of two 512-bit primes a uniform τ is a non-unit with
+// probability below 2^-510, and the test would be a GCD on a secret.
 func Commitment(r io.Reader, pub Params) (tau, t *big.Int, err error) {
 	if pub.E == nil || pub.E.Sign() < 0 {
 		return nil, nil, errors.New("gq: commitment: nil or negative public exponent")
@@ -123,7 +126,7 @@ func Commitment(r io.Reader, pub Params) (tau, t *big.Int, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("gq: commitment: %w", err)
 	}
-	tau, err = mathx.RandUnit(r, pub.N)
+	tau, err = mathx.RandScalar(r, pub.N)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gq: commitment: %w", err)
 	}
@@ -351,27 +354,27 @@ const verifierCacheSize = 64
 // them freely.
 var verifiers = struct {
 	mu    sync.Mutex
-	byKey map[string]*list.Element // of *cachedVerifier
+	byKey map[verifierKey]*list.Element // of *cachedVerifier
 	lru   list.List
-}{byKey: map[string]*list.Element{}}
+}{byKey: map[verifierKey]*list.Element{}}
 
 // cachedVerifier is one verifiers entry.
 type cachedVerifier struct {
-	key string
+	key verifierKey
 	gv  *GroupVerifier
 }
 
 // SharedVerifier returns the process-wide verifier for a signer set under
-// pub, keyed by (N, e, ids), so recurring rosters and signers — across
-// rounds, sessions and every member of the process — share the identity
-// hashing, the inversion and, once promoted, the fixed-base table. A
-// miss builds the verifier outside the cache lock; the cache keeps the
-// verifierCacheSize most recently used sets.
+// pub, keyed by a digest of (N, e, ids), so recurring rosters and signers
+// — across rounds, sessions and every member of the process — share the
+// identity hashing, the inversion and, once promoted, the fixed-base
+// table. A miss builds the verifier outside the cache lock; the cache
+// keeps the verifierCacheSize most recently used sets.
 func SharedVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 	if pub.N == nil || pub.E == nil {
 		return NewGroupVerifier(pub, ids)
 	}
-	key := verifierKey(pub, ids)
+	key := keyOf(pub, ids)
 	verifiers.mu.Lock()
 	if el, ok := verifiers.byKey[key]; ok {
 		verifiers.lru.MoveToFront(el)
@@ -397,17 +400,27 @@ func SharedVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 	return gv, nil
 }
 
-// verifierKey encodes (N, e, ids) injectively: every field is
-// length-prefixed.
-func verifierKey(pub Params, ids []string) string {
-	n, e := pub.N.Bytes(), pub.E.Bytes()
-	b := binary.AppendUvarint(nil, uint64(len(n)))
-	b = append(b, n...)
-	b = binary.AppendUvarint(b, uint64(len(e)))
-	b = append(b, e...)
+// verifierKey is the SHA-256 digest of an injective encoding of (N, e,
+// ids): a fixed-size cache key, so a lookup copies neither N nor the
+// roster onto the heap.
+type verifierKey [sha256.Size]byte
+
+// keyOf digests (N, e, ids), every field length-prefixed, with N and e as
+// their little-endian words. The encoding is built in a stack buffer,
+// which a roster of up to a few dozen short identities fits.
+func keyOf(pub Params, ids []string) verifierKey {
+	var buf [1024]byte
+	b := buf[:0]
+	for _, v := range []*big.Int{pub.N, pub.E} {
+		words := v.Bits()
+		b = binary.AppendUvarint(b, uint64(len(words)))
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, uint64(w))
+		}
+	}
 	for _, id := range ids {
 		b = binary.AppendUvarint(b, uint64(len(id)))
 		b = append(b, id...)
 	}
-	return string(b)
+	return sha256.Sum256(b)
 }

@@ -657,6 +657,31 @@ func TestSharedVerifierCacheBounded(t *testing.T) {
 	}
 }
 
+// TestSharedVerifierHitAllocs pins the cache's hit path: looking up a
+// cached signer set allocates nothing, from one signer (gq.Verify) up to
+// a 32-member roster.
+func TestSharedVerifierHitAllocs(t *testing.T) {
+	pub := ParamsFrom(params.Default().RSA)
+	for _, n := range []int{1, 4, 32} {
+		ids := make([]string, n)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("hit-allocs-%02d", i)
+		}
+		gv, err := SharedVerifier(pub, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if again, _ := SharedVerifier(pub, ids); again != gv {
+				t.Fatal("a cached set was rebuilt")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d signers: a cache hit makes %v allocations, want 0", n, allocs)
+		}
+	}
+}
+
 // BenchmarkBatchVerify4 times eq. 2 for a 4-member roster on a verifier
 // held below its promotion point and on a promoted one, and the table
 // build: the measurement behind promoteAfter.
