@@ -77,21 +77,23 @@ func Key(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) 
 
 // KeyFromEdge checks Lemma 1 and computes member i's group key
 // (equation 3) in one chain of Montgomery products, from the directed DH
-// edge b = z_{i-1}^{r_i} that round 2 leaves in the session state (in the
-// Montgomery domain) and the ring's X values as raw residues:
+// edge b = z_{i-1}^{r_i} = g^{r_{i-1}·r_i} (in the Montgomery domain) and
+// the ring's X values as raw residues:
 //
 //	K_i = b^n · X_i^{n-1} · X_{i+1}^{n-2} ··· X_{i+n-2}^{1} mod m
 //
+// b is also member i-1's forward edge z_i^{r_{i-1}}: a member holding
+// its forward edge e = z_{i+1}^{r_i} passes i+1 and gets the same key.
 // xs packs the X values in ring order, each in (0, m) and mo.Words()
 // words wide (X_j in xs[j·k:(j+1)·k]). The descending consecutive
-// exponents telescope into prefix products (Horner): Π_t S_t with
-// S_t = X_i···X_{i+t}. The prefixes run on the raw limbs, each product
+// exponents telescope into prefix products (Horner): Π_t S_t with S_t =
+// X_i···X_{i+t}. The prefixes run on the raw limbs, each product
 // dividing by R once, so no X is converted into the domain. One more
 // product extends the last prefix to Π X_j, which Lemma 1 compares with
 // the cached R^{-(n-1)} it must then equal; a failure returns ErrLemma1
 // before b^n is raised. b^n needs ~log2(n) squarings, and one product
-// with the cached R^{n(n-1)/2+1} restores the domain. The whole
-// assembly is ~2n Montgomery products, bit-identical to Key.
+// with the cached R^{n(n-1)/2+1} restores the domain. The whole assembly
+// is ~2n Montgomery products, bit-identical to Key.
 func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big.Int, error) {
 	k := mo.Words()
 	n := len(xs) / k

@@ -191,10 +191,7 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		kStar, err := mc.foldKey(g, f.zJoin, rPrime)
-		if err != nil {
-			return nil, nil, err
-		}
+		kStar := mc.foldKey(g, f.zJoin, rPrime)
 		wrapped, err := mc.wrapKey(g.Key, kStar, nil)
 		if err != nil {
 			return nil, nil, err

@@ -178,10 +178,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 			return outs, nil, err
 		}
 		f.kDH = mc.dhPower(a.zNew, f.rNew)
-		kStar, err := mc.foldKey(g, a.zLast, f.rNew)
-		if err != nil {
-			return outs, nil, err
-		}
+		kStar := mc.foldKey(g, a.zLast, f.rNew)
 		// Wrap K* under the old group key and under the DH key.
 		wrapGroup, err := mc.wrapKey(g.Key, kStar, nil)
 		if err != nil {

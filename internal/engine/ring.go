@@ -247,10 +247,10 @@ type ringState struct {
 
 	bigZ, c *big.Int
 
-	// edge holds z_prev^r, as an element of the Schnorr group's
-	// Montgomery domain: round 2 raises it together with X, and equation
-	// (3)'s dominant z_prev^{n·r} term then collapses to edge^n (~log2 n
-	// squarings) in finish.
+	// edge holds the forward edge z_next^r = g^{r·r_next}, as an element
+	// of the Schnorr group's Montgomery domain: round 2 raises it on the
+	// way to X, and finish computes the key from the next member's view,
+	// whose dominant z^{n·r} term is then edge^n (~log2 n squarings).
 	edge mathx.Elem
 }
 
@@ -365,23 +365,17 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	n := rs.n()
 	zNext := rs.z[(rs.self+1)%n]
 	zPrev := rs.z[(rs.self-1+n)%n]
-	// Edge-carrying restructure: X = (z_next·z_prev^{-1})^r and the edge
-	// b = z_prev^r are two powers of one exponent, raised together in one
-	// ExpPair call on the fixed window over q's bit length. b stays in the
-	// Montgomery domain for finish, where it
-	// collapses equation (3)'s z_prev^{n·r} to b^n. The inversion is of
-	// the public z_prev, not of a secret power. X is bit-identical to
-	// bdkey.XValue's, the session's total exponentiation count is
-	// unchanged (the saving lands in finish), and the meter charges the
-	// same logical operation.
-	mo := rs.p
-	inv, err := mathx.ModInverse(zPrev, mo.Int())
-	if err != nil {
-		return nil, fmt.Errorf("engine: z_prev not invertible: %w", err)
-	}
-	xm, edge := mo.ExpPair(mo.Mul(mo.ToMont(zNext), mo.ToMont(inv)), rs.r, mo.ToMont(zPrev), rs.r, mc.cfg.Set.Schnorr.Q.BitLen())
+	// X = z_next^r·z_prev^{-r} with no field inverse: z_prev lies in the
+	// order-q subgroup, so z_prev^{-r} = z_prev^{q-r} (see
+	// docs/ARCHITECTURE.md#deviations). One ExpPair call on the fixed
+	// window over q's bit length raises both; the forward edge z_next^r
+	// stays in the Montgomery domain for finish. X is bit-identical to
+	// bdkey.XValue's, and the meter charges the same logical operation.
+	mo, q := rs.p, mc.cfg.Set.Schnorr.Q
+	edge, back := mo.ExpPair(mo.ToMont(zNext), rs.r, mo.ToMont(zPrev), mathx.NegExp(q, rs.r), q.BitLen())
 	rs.edge = edge
-	x := mo.FromMont(xm)
+	mo.MulInto(back, edge, back)
+	x := mo.FromMont(back)
 	mc.m.Exp(1)
 
 	// Z = Π z_i mod p, T = Π t_i mod N, c = H(T, Z), both products as
@@ -418,9 +412,9 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	}
 
 	// Lemma 1 (Π X_i ≡ 1 mod p) and equation (3) are one chain over the
-	// raw X slots. In equation (3), edge^n replaces the full-width
-	// z_prev^{n·r} exponentiation.
-	key, err := bdkey.KeyFromEdge(rs.p, rs.self, rs.edge, rs.xl)
+	// raw X slots. The forward edge is the next member's backward edge, so
+	// the key is computed in that member's view, with edge^n.
+	key, err := bdkey.KeyFromEdge(rs.p, (rs.self+1)%rs.n(), rs.edge, rs.xl)
 	if errors.Is(err, bdkey.ErrLemma1) {
 		return nil, Retryable(err)
 	}

@@ -96,23 +96,19 @@ func (mc *Machine) dhPower(z, r *big.Int) *big.Int {
 // edges of the old ring and puts in its edges of the new one. z̃ is its
 // new neighbour's blinded exponent (the joiner's z_{n+1}, or the other
 // ring's closing z in a Merge) and rNew its fresh r'. The public base
-// z_next·z_last is inverted once, so both powers take positive
-// exponents, and they run as one ExpPair call on the fixed window over
-// q's bit length.
-func (mc *Machine) foldKey(g *Group, zNew, rNew *big.Int) (*big.Int, error) {
+// z_next·z_last lies in the order-q subgroup, so its power -r is taken
+// as q-r with no field inverse (see docs/ARCHITECTURE.md#deviations),
+// and both powers run as one ExpPair call on the fixed window over q's
+// bit length.
+func (mc *Machine) foldKey(g *Group, zNew, rNew *big.Int) *big.Int {
 	sg := mc.cfg.Set.Schnorr
-	p, mo := sg.P, sg.Mont()
-	zNext := g.Z[g.Neighbor(0, 1)]
-	out := new(big.Int).Mul(zNext, g.Z[g.Last()])
-	out, err := mathx.ModInverse(out.Mod(out, p), p)
-	if err != nil {
-		return nil, err
-	}
-	in := mo.Mul(mo.ToMont(zNext), mo.ToMont(zNew))
-	pOut, pIn := mo.ExpPair(mo.ToMont(out), g.R, in, rNew, sg.Q.BitLen())
+	mo := sg.Mont()
+	zNext := mo.ToMont(g.Z[g.Neighbor(0, 1)])
+	out, in := mo.Mul(zNext, mo.ToMont(g.Z[g.Last()])), mo.Mul(zNext, mo.ToMont(zNew))
+	pOut, pIn := mo.ExpPair(out, mathx.NegExp(sg.Q, g.R), in, rNew, sg.Q.BitLen())
 	mc.m.Exp(2)
 	k := new(big.Int).Mul(g.Key, mo.FromMont(mo.Mul(pOut, pIn)))
-	return k.Mod(k, p), nil
+	return k.Mod(k, sg.P)
 }
 
 // wrapKey returns E_k(secret‖U), U being this member: the key transport

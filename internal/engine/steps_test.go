@@ -58,6 +58,11 @@ func TestIngestStateTablesRange(t *testing.T) {
 // Diffie-Hellman power to their math/big formulas,
 // K·(z_next·z_last)^{-r}·(z_next·z̃)^{r'} mod p and z^r mod p, with
 // exponents 1, q - 1 and random ones, and checks their meter charges.
+// Every z is g^x, as an honest member's is: the fold raises
+// z_next·z_last to q - r, which equals the inverse power only in the
+// order-q subgroup. The last row puts z_last = p - 1, of order 2, and
+// pins the documented deviation: there the fold's K* is the formula's
+// negated.
 func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 	set := params.Default()
 	sk, err := gq.Extract(set.RSA, "A01")
@@ -69,7 +74,8 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, q := set.Schnorr.P, set.Schnorr.Q
+	sg := set.Schnorr
+	p, q := sg.P, sg.Q
 	rnd := func(bound *big.Int) *big.Int {
 		v, err := mathx.RandScalar(rand.Reader, bound)
 		if err != nil {
@@ -78,14 +84,18 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 		return v
 	}
 	qMinus1 := new(big.Int).Sub(q, mathx.One)
-	exps := []*big.Int{mathx.One, qMinus1, rnd(q), rnd(q)}
+	exps := []*big.Int{mathx.One, qMinus1, rnd(q), rnd(q), rnd(q)}
 	g := NewGroup([]string{"A01", "A02", "A03", "A04"})
 	for _, id := range g.Roster {
-		g.Z[id] = rnd(p)
+		g.Z[id] = sg.Exp(rnd(q))
 	}
 	g.Key = rnd(p)
 	for i, r := range exps {
-		rNew, zNew := exps[(i+1)%len(exps)], rnd(p)
+		deviant := i == len(exps)-1
+		if deviant {
+			g.Z["A04"] = new(big.Int).Sub(p, mathx.One)
+		}
+		rNew, zNew := exps[(i+1)%len(exps)], sg.Exp(rnd(q))
 		g.R = r
 		zNext, zLast := g.Z["A02"], g.Z["A04"]
 		out := new(big.Int).Mul(zNext, zLast)
@@ -94,13 +104,12 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 		in.Exp(in.Mod(in, p), rNew, p)
 		want := new(big.Int).Mul(g.Key, out)
 		want.Mod(want, p).Mul(want, in).Mod(want, p)
-		before := m.Report().Exp
-		got, err := mc.foldKey(g, zNew, rNew)
-		if err != nil {
-			t.Fatal(err)
+		if deviant {
+			want.Sub(p, want)
 		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("r=%v r'=%v: foldKey = %v, want %v", r, rNew, got, want)
+		before := m.Report().Exp
+		if got := mc.foldKey(g, zNew, rNew); got.Cmp(want) != 0 {
+			t.Fatalf("r=%v r'=%v deviant=%v: foldKey = %v, want %v", r, rNew, deviant, got, want)
 		}
 		if got := mc.dhPower(zNew, r); got.Cmp(new(big.Int).Exp(zNew, r, p)) != 0 {
 			t.Fatalf("r=%v: dhPower = %v, want %v", r, got, new(big.Int).Exp(zNew, r, p))

@@ -122,9 +122,6 @@ func NewModulus(m *big.Int) (*Modulus, error) {
 	return mo, nil
 }
 
-// Int returns the modulus as a big.Int. Callers must not mutate it.
-func (mo *Modulus) Int() *big.Int { return mo.m }
-
 // Words returns the modulus' limb count (the fixed width of its Elems).
 func (mo *Modulus) Words() int { return mo.k }
 

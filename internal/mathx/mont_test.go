@@ -168,7 +168,7 @@ func BenchmarkVarBaseExp(b *testing.B) {
 	mo, base, exp := benchModulus(b, 1024)
 	b.Run("big", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			new(big.Int).Exp(base, exp, mo.Int())
+			new(big.Int).Exp(base, exp, mo.m)
 		}
 	})
 	b.Run("mont", func(b *testing.B) {
@@ -210,8 +210,8 @@ func BenchmarkExpPair(b *testing.B) {
 	b.Run("big", func(b *testing.B) {
 		b2 := mo.FromMont(b2)
 		for i := 0; i < b.N; i++ {
-			new(big.Int).Exp(base, e1, mo.Int())
-			new(big.Int).Exp(b2, e2, mo.Int())
+			new(big.Int).Exp(base, e1, mo.m)
+			new(big.Int).Exp(b2, e2, mo.m)
 		}
 	})
 }
@@ -265,7 +265,7 @@ func BenchmarkMontMul(b *testing.B) {
 		t := new(big.Int)
 		for i := 0; i < b.N; i++ {
 			t.Mul(base, base)
-			t.Mod(t, mo.Int())
+			t.Mod(t, mo.m)
 		}
 	})
 }

@@ -460,7 +460,7 @@ func bigFrom52(t testing.TB, x *[20]uint64) *big.Int {
 // product (x·y + Q·m)/2^1040 from big.Int, which must be below 2m.
 func checkAMM52(t testing.TB, mo *Modulus, x1, y1, x2, y2 *big.Int) {
 	t.Helper()
-	m := mo.Int()
+	m := mo.m
 	r := new(big.Int).Lsh(One, 1040)
 	mInv := new(big.Int).ModInverse(m, r)
 	var z1, z2 [20]uint64
@@ -540,7 +540,7 @@ func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 Elem, e1 *big.Int, b2 
 // limb, with the Montgomery image of big.Int.Exp.
 func checkExpPair(t testing.TB, mo *Modulus, b1, e1, b2, e2 *big.Int, bits int) {
 	t.Helper()
-	m := mo.Int()
+	m := mo.m
 	want1, want2 := mo.ToMont(new(big.Int).Exp(b1, e1, m)), mo.ToMont(new(big.Int).Exp(b2, e2, m))
 	m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
 	before1, before2 := append(Elem(nil), m1...), append(Elem(nil), m2...)
