@@ -32,9 +32,9 @@ func dialRaw(t *testing.T, addr, id string) net.Conn {
 // TestCrossRouterConcurrentBroadcast is the regression test for the
 // sequence-number collision: two Router processes attached to one hub
 // number their frames independently, so a hub keyed on Seq alone conflates
-// their deliveries and one sender's done frame is lost forever. Before
-// the (sender, seq) pending key this deadlocked on the first concurrent
-// pair.
+// their deliveries and one sender's done frame is lost forever. Keyed on
+// Seq alone this deadlocked on the first concurrent pair; the hub now
+// keys pending deliveries by its own delivery id.
 func TestCrossRouterConcurrentBroadcast(t *testing.T) {
 	hub, err := NewHub("127.0.0.1:0")
 	if err != nil {
@@ -183,11 +183,8 @@ func TestSendDeadline(t *testing.T) {
 	}
 	// The slot was reclaimed: no leaked confirmation channel.
 	r.mu.Lock()
-	n := r.nodes["a"]
+	leaked := len(r.done)
 	r.mu.Unlock()
-	n.mu.Lock()
-	leaked := len(n.done)
-	n.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d confirmation slots leaked after timeout", leaked)
 	}
@@ -363,5 +360,181 @@ func TestUnicastToAbsentRecipientFails(t *testing.T) {
 	defer hub2.Close()
 	if err := r2.Broadcast("solo", "t", nil); err != nil {
 		t.Fatalf("empty-group broadcast: %v", err)
+	}
+}
+
+// TestForgedFromRefused: a connection may only send as the nodes it
+// registered. A raw peer registered as z that claims to be a gets a
+// reject frame, no node receives the message, and the hub keeps no
+// delivery for it.
+func TestForgedFromRefused(t *testing.T) {
+	hub, r, _ := newPair(t, "a", "b")
+	z := dialRaw(t, hub.Addr(), "z")
+	defer z.Close()
+	if err := writeFrame(z, &frame{Kind: kindMsg, Seq: 7, From: "a", Type: "t", Payload: []byte("forged")}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind != kindReject || f.Seq != 7 {
+		t.Fatalf("forged msg answered with %+v, want a reject of seq 7", f)
+	}
+	for _, id := range []string{"a", "b"} {
+		if msgs, _ := r.Recv(id); len(msgs) != 0 {
+			t.Fatalf("%s received a forged message: %+v", id, msgs)
+		}
+	}
+	if n := hub.PendingCount(); n != 0 {
+		t.Fatalf("hub holds %d pending deliveries after a refused frame", n)
+	}
+}
+
+// TestDetachKeepsSiblings: nodes share their Router's connection, so
+// detaching one must fail only that node — its blocked send and its
+// RecvWait — announce its departure to every survivor, local siblings
+// included, and leave the siblings' traffic and the hub's books intact.
+func TestDetachKeepsSiblings(t *testing.T) {
+	hub, r, _ := newPair(t, "a", "b", "c")
+	r2 := NewRouter(hub.Addr())
+	defer r2.Close()
+	if err := r2.Attach("d", nil); err != nil {
+		t.Fatal(err)
+	}
+	// z never acknowledges, so a's unicast to it stays blocked.
+	z := dialRaw(t, hub.Addr(), "z")
+	defer z.Close()
+	sent := make(chan error, 1)
+	go func() { sent <- r.Send("a", "z", "t", []byte("stuck")) }()
+	woke := make(chan error, 1)
+	go func() {
+		_, err := r.RecvWait("a")
+		woke <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for hub.PendingCount() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("a's send never reached the hub")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	r.Detach("a")
+	for name, ch := range map[string]chan error{"send": sent, "RecvWait": woke} {
+		select {
+		case err := <-ch:
+			if err == nil {
+				t.Fatalf("a's %s returned without error after Detach", name)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("a's %s still blocked after Detach", name)
+		}
+	}
+	for _, rc := range []struct {
+		r  *Router
+		id string
+	}{{r, "b"}, {r, "c"}, {r2, "d"}} {
+		if !awaitPeerDown(t, rc.r, rc.id, "a", deadline) {
+			t.Fatalf("%s got no peer-down notice for a", rc.id)
+		}
+	}
+
+	// Retire z so broadcasts settle, then the siblings carry on.
+	_ = z.Close()
+	for hub.NodeCount() != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("NodeCount = %d, want 3", hub.NodeCount())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := r.Broadcast("b", "t2", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []struct {
+		r  *Router
+		id string
+	}{{r, "c"}, {r2, "d"}} {
+		msgs, err := rc.r.RecvType(rc.id, "t2")
+		if err != nil || len(msgs) != 1 || msgs[0].From != "b" {
+			t.Fatalf("%s after Detach: %+v, %v", rc.id, msgs, err)
+		}
+	}
+	if n := hub.PendingCount(); n != 0 {
+		t.Fatalf("hub leaked %d pending deliveries", n)
+	}
+	if n := hub.NodeCount(); n != 3 {
+		t.Fatalf("NodeCount = %d, want 3", n)
+	}
+}
+
+// awaitPeerDown drains id's inbox until a peer-down notice for dead
+// arrives, or reports false once the deadline passes.
+func awaitPeerDown(t *testing.T, r *Router, id, dead string, deadline time.Time) bool {
+	t.Helper()
+	for {
+		msgs := recvBy(t, r, id, deadline)
+		if msgs == nil {
+			return false
+		}
+		for _, m := range msgs {
+			if m.Type == netsim.TypePeerDown && m.From == dead {
+				return true
+			}
+		}
+	}
+}
+
+// TestAttachSeesRelayBeforeConfirmation: a relay listing a node may reach
+// its Router before the hub's confirmation of the node's hello. A fake hub
+// answers the hello with such a relay and only then confirms; Attach
+// succeeds, the message is in the node's inbox, and the Router
+// acknowledges it as delivered.
+func TestAttachSeesRelayBeforeConfirmation(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	acked := make(chan *frame, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		hello, err := readFrame(conn)
+		if err != nil || hello.Kind != kindHello {
+			return
+		}
+		relay := &frame{Kind: kindRelay, Seq: 1, From: "peer", Type: "t", Payload: []byte("early"), Rcpt: []string{hello.From}}
+		if writeFrame(conn, relay) != nil || writeFrame(conn, &frame{Kind: kindDone, Seq: hello.Seq}) != nil {
+			return
+		}
+		ack, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		acked <- ack
+		_, _ = readFrame(conn) // hold the connection until the Router closes
+	}()
+
+	r := NewRouter(ln.Addr().String())
+	defer r.Close()
+	r.SetSendTimeout(10 * time.Second)
+	if err := r.Attach("x", nil); err != nil {
+		t.Fatalf("attach with an early relay: %v", err)
+	}
+	msgs, err := r.Recv("x")
+	if err != nil || len(msgs) != 1 || msgs[0].From != "peer" || string(msgs[0].Payload) != "early" {
+		t.Fatalf("x's inbox: %+v, %v", msgs, err)
+	}
+	select {
+	case ack := <-acked:
+		if ack.Kind != kindAck || ack.Seq != 1 || len(ack.Rcpt) != 0 {
+			t.Fatalf("early relay acknowledged with %+v", ack)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("early relay never acknowledged")
 	}
 }
