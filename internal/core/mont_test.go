@@ -76,7 +76,7 @@ func runFiveFlows(t *testing.T, seed string) ([]*big.Int, map[string]meter.Repor
 		roster := members[0].Group().Roster
 		rs := make([]*big.Int, len(roster))
 		for i, id := range roster {
-			rs[i] = byID[id].Group().R
+			rs[i] = byID[id].Group().R.BigVarTime()
 		}
 		sg := set.Schnorr
 		if bdkey.DirectKey(sg.G, rs, sg.Q, sg.P).Cmp(key) != 0 {

@@ -168,7 +168,7 @@ func TestGroupKeyMatchesDirectComputation(t *testing.T) {
 	sg := params.Default().Schnorr
 	rs := make([]*big.Int, len(members))
 	for i, mb := range members {
-		rs[i] = mb.Group().R
+		rs[i] = mb.Group().R.BigVarTime()
 	}
 	want := bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)
 	if members[0].Key().Cmp(want) != 0 {

@@ -114,7 +114,7 @@ func assertDirectKey(t *testing.T, nodes map[string]*node, sid string) {
 	}
 	rs := make([]*big.Int, len(roster))
 	for i, id := range roster {
-		rs[i] = nodes[id].mc.Session(sid).R
+		rs[i] = nodes[id].mc.Session(sid).R.BigVarTime()
 	}
 	want := bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)
 	for _, id := range roster {

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"slices"
 
+	"idgka/internal/mathx"
 	"idgka/internal/wire"
 )
 
@@ -18,8 +19,7 @@ type Group struct {
 	// pos maps identity to 0-based ring position.
 	pos map[string]int
 	// R is the member's own Diffie-Hellman exponent r_i.
-	//gkalint:secret
-	R *big.Int
+	R mathx.Scalar
 	// Tau is the member's GQ commitment τ_i, retained because the
 	// Leave/Partition protocols reuse it for even-indexed survivors.
 	Tau *big.Int

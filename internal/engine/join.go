@@ -35,12 +35,10 @@ type joinFlow struct {
 	role      int
 
 	// Own secrets.
-	//gkalint:secret
-	rJoin *big.Int // joiner: fresh exponent r_{n+1}
-	//gkalint:secret
-	rPrime *big.Int // U_1: fresh exponent r'_1
-	kDH    *big.Int // DH bridge key: the joiner and U_n compute it, U_1 unwraps it from m''_n
-	kStar  *big.Int // U_1: K* once folded
+	rJoin  mathx.Scalar // joiner: fresh exponent r_{n+1}
+	rPrime mathx.Scalar // U_1: fresh exponent r'_1
+	kDH    *big.Int     // DH bridge key: the joiner and U_n compute it, U_1 unwraps it from m''_n
+	kStar  *big.Int     // U_1: K* once folded
 
 	// Learned from traffic.
 	zJoin      *big.Int      // z_{n+1} from m_{n+1}
@@ -187,7 +185,7 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		if err := f.verifyM1(); err != nil {
 			return nil, nil, err
 		}
-		rPrime, err := mathx.RandScalar(mc.cfg.rand(), mc.cfg.Set.Schnorr.Q)
+		rPrime, err := mathx.DrawScalar(mc.cfg.rand(), mc.cfg.Set.Schnorr.Q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -279,7 +277,7 @@ func (f *joinFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 // commit builds the member's new session: K' = K* · K_DH (equation 6)
 // over the extended ring, recording the joiner's z. Members carry their
 // old z/t tables forward; the joiner ingests the tables U_n forwarded.
-func (f *joinFlow) commit(kStar, kDH, r *big.Int) ([]Event, error) {
+func (f *joinFlow) commit(kStar, kDH *big.Int, r mathx.Scalar) ([]Event, error) {
 	key := new(big.Int).Mul(kStar, kDH)
 	g := NewGroup(f.newRoster)
 	g.R = r

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"slices"
 
+	"idgka/internal/mathx"
 	"idgka/internal/netsim"
 	"idgka/internal/sigs/gq"
 	"idgka/internal/wire"
@@ -36,8 +37,7 @@ type mergeFlow struct {
 	otherCtl  string // controller of the other ring
 
 	// Controller state.
-	//gkalint:secret
-	rNew         *big.Int
+	rNew         mathx.Scalar
 	kDH          *big.Int
 	kStarOwn     *big.Int // own ring's K*
 	kStarForeign *big.Int // other ring's K*
@@ -248,7 +248,7 @@ func (f *mergeFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 // member also learns them; retaining them keeps later merges and leaves
 // runnable from any member's state), then ingests the foreign ring's
 // state tables. Both callers hold both adverts.
-func (f *mergeFlow) commit(r *big.Int) ([]Event, error) {
+func (f *mergeFlow) commit(r mathx.Scalar) ([]Event, error) {
 	key := new(big.Int).Mul(f.kStarOwn, f.kStarForeign)
 	advA, advB := f.adverts[f.ctlA], f.adverts[f.ctlB]
 	g := NewGroup(f.newRoster)

@@ -235,8 +235,7 @@ type ringState struct {
 	self   int
 	p, nn  *mathx.Modulus // the Schnorr group's p and the GQ modulus N
 
-	//gkalint:secret
-	r      *big.Int
+	r      mathx.Scalar
 	tau    *big.Int
 	z, t   []*big.Int // nil until known
 	zv, tv []big.Int
@@ -371,8 +370,8 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	// window over q's bit length raises both; the forward edge z_next^r
 	// stays in the Montgomery domain for finish. X is bit-identical to
 	// bdkey.XValue's, and the meter charges the same logical operation.
-	mo, q := rs.p, mc.cfg.Set.Schnorr.Q
-	edge, back := mo.ExpPair(mo.ToMont(zNext), rs.r, mo.ToMont(zPrev), mathx.NegExp(q, rs.r), q.BitLen())
+	mo := rs.p
+	edge, back := mo.ExpPair(mo.ToMont(zNext), rs.r, mo.ToMont(zPrev), rs.r.Neg())
 	rs.edge = edge
 	mo.MulInto(back, edge, back)
 	x := mo.FromMont(back)

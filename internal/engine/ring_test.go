@@ -26,7 +26,7 @@ func (f *firstBytes) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// drawing returns a source whose mathx.RandScalar(·, q) draws r, for r
+// drawing returns a source whose mathx.DrawScalar(·, q) draws r, for r
 // in [1, q-1]: crypto/rand.Int reads the draw r - 1 as one big-endian
 // block as wide as q - 2.
 func drawing(q, r *big.Int) *firstBytes {
@@ -122,15 +122,16 @@ func TestRound2PowersMatchXValue(t *testing.T) {
 		rs := make([]*big.Int, n)
 		for i, id := range ring {
 			st := machines[id].flows["r2"].f.(*ringFlow).ring
-			rs[i] = st.r
-			if exps[i] != nil && st.r.Cmp(exps[i]) != 0 {
-				t.Fatalf("n=%d, %s: drew r = %v, want %v", n, id, st.r, exps[i])
+			r := st.r.BigVarTime()
+			rs[i] = r
+			if exps[i] != nil && r.Cmp(exps[i]) != 0 {
+				t.Fatalf("n=%d, %s: drew r = %v, want %v", n, id, r, exps[i])
 			}
 			if i == 0 {
 				continue
 			}
 			zNext, zPrev := st.z[(i+1)%n], st.z[(i-1+n)%n]
-			want, err := bdkey.XValue(zNext, zPrev, st.r, p)
+			want, err := bdkey.XValue(zNext, zPrev, r, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +139,7 @@ func TestRound2PowersMatchXValue(t *testing.T) {
 			if new(big.Int).SetBits(st.xl[i*k:(i+1)*k]).Cmp(want) != 0 {
 				t.Fatalf("n=%d, %s: round-2 X differs from bdkey.XValue", n, id)
 			}
-			if mo.FromMont(st.edge).Cmp(new(big.Int).Exp(zNext, st.r, p)) != 0 {
+			if mo.FromMont(st.edge).Cmp(new(big.Int).Exp(zNext, r, p)) != 0 {
 				t.Fatalf("n=%d, %s: edge differs from z_next^r", n, id)
 			}
 		}

@@ -70,24 +70,24 @@ func (mc *Machine) checkZ(msg netsim.Message, zs ...*big.Int) error {
 }
 
 // freshExp draws a fresh exponent r in [1, q-1] and its blinded image
-// z = g^r.
-func (mc *Machine) freshExp() (r, z *big.Int, err error) {
+// z = g^r. g^r runs on the generator's comb, a variable-time walk over
+// r's bits: the one place a secret exponent leaves its Scalar.
+func (mc *Machine) freshExp() (r mathx.Scalar, z *big.Int, err error) {
 	sg := mc.cfg.Set.Schnorr
-	r, err = mathx.RandScalar(mc.cfg.rand(), sg.Q)
+	r, err = mathx.DrawScalar(mc.cfg.rand(), sg.Q)
 	if err != nil {
-		return nil, nil, err
+		return mathx.Scalar{}, nil, err
 	}
 	mc.m.Exp(1)
-	return r, sg.Exp(r), nil
+	return r, sg.Exp(r.BigVarTime()), nil
 }
 
 // dhPower returns the Diffie-Hellman value z^r mod p, on the fixed window
 // over q's bit length, so its schedule does not depend on r.
-func (mc *Machine) dhPower(z, r *big.Int) *big.Int {
-	sg := mc.cfg.Set.Schnorr
-	mo := sg.Mont()
+func (mc *Machine) dhPower(z *big.Int, r mathx.Scalar) *big.Int {
+	mo := mc.cfg.Set.Schnorr.Mont()
 	mc.m.Exp(1)
-	return mo.FromMont(mo.ExpFixed(mo.ToMont(z), r, sg.Q.BitLen()))
+	return mo.FromMont(mo.ExpFixed(mo.ToMont(z), r))
 }
 
 // foldKey computes a controller's K* = K·(z_next·z_last)^{-r}·(z_next·z̃)^{r'}
@@ -100,12 +100,12 @@ func (mc *Machine) dhPower(z, r *big.Int) *big.Int {
 // as q-r with no field inverse (see docs/ARCHITECTURE.md#deviations),
 // and both powers run as one ExpPair call on the fixed window over q's
 // bit length.
-func (mc *Machine) foldKey(g *Group, zNew, rNew *big.Int) *big.Int {
+func (mc *Machine) foldKey(g *Group, zNew *big.Int, rNew mathx.Scalar) *big.Int {
 	sg := mc.cfg.Set.Schnorr
 	mo := sg.Mont()
 	zNext := mo.ToMont(g.Z[g.Neighbor(0, 1)])
 	out, in := mo.Mul(zNext, mo.ToMont(g.Z[g.Last()])), mo.Mul(zNext, mo.ToMont(zNew))
-	pOut, pIn := mo.ExpPair(out, mathx.NegExp(sg.Q, g.R), in, rNew, sg.Q.BitLen())
+	pOut, pIn := mo.ExpPair(out, g.R.Neg(), in, rNew)
 	mc.m.Exp(2)
 	k := new(big.Int).Mul(g.Key, mo.FromMont(mo.Mul(pOut, pIn)))
 	return k.Mod(k, sg.P)

@@ -83,6 +83,13 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 		}
 		return v
 	}
+	scalar := func(r *big.Int) mathx.Scalar {
+		s, err := mathx.NewScalar(q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	qMinus1 := new(big.Int).Sub(q, mathx.One)
 	exps := []*big.Int{mathx.One, qMinus1, rnd(q), rnd(q), rnd(q)}
 	g := NewGroup([]string{"A01", "A02", "A03", "A04"})
@@ -96,7 +103,7 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 			g.Z["A04"] = new(big.Int).Sub(p, mathx.One)
 		}
 		rNew, zNew := exps[(i+1)%len(exps)], sg.Exp(rnd(q))
-		g.R = r
+		g.R = scalar(r)
 		zNext, zLast := g.Z["A02"], g.Z["A04"]
 		out := new(big.Int).Mul(zNext, zLast)
 		out.ModInverse(out.Mod(out, p), p).Exp(out, r, p)
@@ -108,10 +115,10 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 			want.Sub(p, want)
 		}
 		before := m.Report().Exp
-		if got := mc.foldKey(g, zNew, rNew); got.Cmp(want) != 0 {
+		if got := mc.foldKey(g, zNew, scalar(rNew)); got.Cmp(want) != 0 {
 			t.Fatalf("r=%v r'=%v deviant=%v: foldKey = %v, want %v", r, rNew, deviant, got, want)
 		}
-		if got := mc.dhPower(zNew, r); got.Cmp(new(big.Int).Exp(zNew, r, p)) != 0 {
+		if got := mc.dhPower(zNew, scalar(r)); got.Cmp(new(big.Int).Exp(zNew, r, p)) != 0 {
 			t.Fatalf("r=%v: dhPower = %v, want %v", r, got, new(big.Int).Exp(zNew, r, p))
 		}
 		if d := m.Report().Exp - before; d != 3 {

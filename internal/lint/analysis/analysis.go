@@ -62,7 +62,7 @@ type Pass struct {
 	// Index holds cross-package gkalint annotations collected over every
 	// loaded package (never nil during Run).
 	Index *Index
-	// Prog is the whole-program view (call graph, shared taint engine)
+	// Prog is the whole-program view (call graph, taint and lock engines)
 	// over every loaded package — the substrate of the interprocedural
 	// analyzers (never nil during Run).
 	Prog *Program
@@ -83,8 +83,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // (e.g. a secret field of an imported type). It is built by Run before
 // any analyzer executes.
 type Index struct {
-	// Secrets holds //gkalint:secret markers: "pkgpath.Type" for a whole
-	// type, "pkgpath.Type.Field" for one struct field.
+	// Secrets holds BuiltinSecrets and every //gkalint:secret marker:
+	// "pkgpath.Type" for a whole type, "pkgpath.Type.Field" for one
+	// struct field.
 	Secrets map[string]bool
 	// Callbacks holds //gkalint:callback markers on func-typed struct
 	// fields and on methods: "pkgpath.Type.Name". Marked callables are
@@ -95,6 +96,22 @@ type Index struct {
 	// value (e.g. "mu", "mb.mu"). Collected globally so a guard declared
 	// in one package protects accesses from every other package.
 	Guards map[string]map[string]string
+}
+
+// BuiltinSecrets is the floor of the secret set: the repo's known key
+// material, enforced even where //gkalint:secret markers are outside the
+// analyzed package set. "pkgpath.Type" marks a whole type,
+// "pkgpath.Type.Field" one struct field. mathx.Scalar is the secret
+// exponent type: every r_i, r' and DH exponent of the engine is one.
+var BuiltinSecrets = []string{
+	"idgka/internal/mathx.Scalar",
+	"idgka/internal/sigs/gq.PrivateKey",
+	"idgka/internal/sigs/gq.PrivateKey.S",
+	"idgka/internal/sigs/sok.PrivateKey",
+	"idgka/internal/sigs/sok.PrivateKey.D",
+	"idgka/internal/sigs/sok.PKG.s",
+	"idgka/internal/engine.Group.Key",
+	"idgka.Session.key",
 }
 
 // Guard returns the guard path for a field of an owner type, or "".
@@ -184,6 +201,9 @@ func (wm waiverMap) lookup(file string, line int, verb string) (*waiver, bool) {
 // buildIndex scans every loaded package for cross-package annotations.
 func buildIndex(pkgs []*Package) *Index {
 	idx := &Index{Secrets: map[string]bool{}, Callbacks: map[string]bool{}, Guards: map[string]map[string]string{}}
+	for _, s := range BuiltinSecrets {
+		idx.Secrets[s] = true
+	}
 	for _, pkg := range pkgs {
 		collectAnnotations(pkg, idx)
 		collectGuards(pkg, idx)

@@ -170,9 +170,6 @@ func (p *Program) PackageOf(tp *types.Package) *Package {
 	return nil
 }
 
-// FuncByKey resolves a symbolic key to its declaration.
-func (p *Program) FuncByKey(key string) *Func { return p.funcs[key] }
-
 // FuncKey computes the symbolic program-wide key of a function object:
 // "pkgpath.Name", or "pkgpath.Type.Name" for a method (pointerness of
 // the receiver erased). Interface methods and builtins yield "".

@@ -5,15 +5,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// This file is the whole-program taint engine shared by the
-// interprocedural analyzers (secretflow v2, consttime). Taint roots are
-// the repo's declared secrets — the builtin key-material list plus every
-// //gkalint:secret marker collected in the annotation index. Taint
+// This file is the whole-program taint engine behind secretflow. Taint
+// roots are the repo's declared secrets — the builtin key-material list
+// plus every //gkalint:secret marker, both in the annotation index. Taint
 // propagates through assignments, returns, composite literals, closures
 // scanned in place, method values, and call boundaries via per-function
 // summaries; a bounded fixpoint over the summaries makes the engine
@@ -23,21 +23,6 @@ import (
 // readers of x), channels, and package-level variables do not carry
 // taint, and unknown out-of-program callees (the standard library,
 // except the explicit propagator lists below) act as sanitizers.
-
-// BuiltinSecrets is the floor of taint roots: the repo's known key
-// material, enforced even where //gkalint:secret annotations are outside
-// the analyzed package set. "pkgpath.Type" marks a whole type,
-// "pkgpath.Type.Field" one struct field.
-var BuiltinSecrets = []string{
-	"idgka/internal/sigs/gq.PrivateKey",
-	"idgka/internal/sigs/gq.PrivateKey.S",
-	"idgka/internal/sigs/sok.PrivateKey",
-	"idgka/internal/sigs/sok.PrivateKey.D",
-	"idgka/internal/sigs/sok.PKG.s",
-	"idgka/internal/engine.Group.R",
-	"idgka/internal/engine.Group.Key",
-	"idgka.Session.key",
-}
 
 // SinkPkgs are the packages whose call arguments constitute formatted
 // or exported output: key material reaching any of them is a leak.
@@ -131,34 +116,6 @@ func newSummary() *summary {
 	return &summary{flows: map[int]uint64{}, sinks: map[int]sinkInfo{}, rets: map[int]taintSet{}}
 }
 
-func summaryEqual(a, b *summary) bool {
-	if len(a.flows) != len(b.flows) || len(a.sinks) != len(b.sinks) || len(a.rets) != len(b.rets) {
-		return false
-	}
-	for k, v := range a.flows {
-		if b.flows[k] != v {
-			return false
-		}
-	}
-	for k, v := range a.sinks {
-		if b.sinks[k] != v {
-			return false
-		}
-	}
-	for k, v := range a.rets {
-		o, ok := b.rets[k]
-		if !ok || len(o) != len(v) {
-			return false
-		}
-		for r := range v {
-			if !o[r] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Fixpoint bounds. Summary rounds bound the interprocedural fixpoint
 // (recursion and mutual recursion converge round by round); scan
 // iterations bound the flow-insensitive propagation inside one body.
@@ -178,43 +135,25 @@ type Leak struct {
 	Via  string // call chain ("helper → fmt.Errorf"), "" for direct calls
 }
 
-// Taint is the shared whole-program taint engine. Build it once per run
-// through Program.Taint; secretflow and consttime both consume it.
+// Taint is the whole-program taint engine. Build it once per run
+// through Program.Taint.
 type Taint struct {
-	prog         *Program
-	secrets      map[string]bool
-	sums         map[*Func]*summary
-	secretParams map[*Func]map[int]taintSet
-	spChanged    bool
+	prog    *Program
+	secrets map[string]bool // the index's secret set
+	sums    map[*Func]*summary
 }
 
-// Taint returns the program's shared taint engine, building it on first
-// use: the bounded summary fixpoint followed by the forward
-// secret-parameter propagation.
+// Taint returns the program's taint engine, building it on first use:
+// the bounded summary fixpoint.
 func (p *Program) Taint() *Taint {
 	if p.taint != nil {
 		return p.taint
 	}
-	t := &Taint{
-		prog:         p,
-		secrets:      map[string]bool{},
-		sums:         map[*Func]*summary{},
-		secretParams: map[*Func]map[int]taintSet{},
-	}
-	for _, s := range BuiltinSecrets {
-		t.secrets[s] = true
-	}
-	for s := range p.Index.Secrets {
-		t.secrets[s] = true
-	}
+	t := &Taint{prog: p, secrets: p.Index.Secrets, sums: map[*Func]*summary{}}
 	t.buildSummaries()
-	t.buildSecretParams()
 	p.taint = t
 	return t
 }
-
-// Secret reports whether a root name is in the engine's secret set.
-func (t *Taint) Secret(name string) bool { return t.secrets[name] }
 
 func (t *Taint) summaryOf(fn *Func) *summary {
 	if s, ok := t.sums[fn]; ok {
@@ -235,7 +174,7 @@ func (t *Taint) buildSummaries() {
 				continue
 			}
 			s := t.computeSummary(fn)
-			if !summaryEqual(t.summaryOf(fn), s) {
+			if !reflect.DeepEqual(t.summaryOf(fn), s) {
 				changed = true
 			}
 			t.sums[fn] = s
@@ -277,47 +216,6 @@ func (t *Taint) computeSummary(fn *Func) *summary {
 	return s
 }
 
-// buildSecretParams propagates secrets forward from call sites: a
-// parameter is secret-carrying if any caller, anywhere in the program,
-// passes it a tainted argument. Bounded rounds make transitive chains
-// (engine → bdkey → mathx) converge.
-func (t *Taint) buildSecretParams() {
-	for round := 0; round < maxSummaryRounds; round++ {
-		t.spChanged = false
-		for _, fn := range t.prog.all {
-			if fn.Body() == nil || fn.Lit != nil {
-				continue // literals are scanned in place by their encloser
-			}
-			ft := newFnTaint(t, fn, modeForward)
-			ft.capturing = true
-			ft.seedForward()
-			ft.propagate()
-		}
-		if !t.spChanged {
-			break
-		}
-	}
-}
-
-func (t *Taint) addSecretParam(fn *Func, idx int, roots taintSet) {
-	m := t.secretParams[fn]
-	if m == nil {
-		m = map[int]taintSet{}
-		t.secretParams[fn] = m
-	}
-	if m[idx] == nil {
-		m[idx] = taintSet{}
-	}
-	for r := range roots {
-		if _, isTag := tagIndex(r); isTag {
-			continue
-		}
-		if m[idx].add(r) {
-			t.spChanged = true
-		}
-	}
-}
-
 // Leaks runs the reporting pass over one package: every declared
 // function is scanned with roots seeded from actual secret expressions,
 // and each root that reaches a sink — directly or through the summaries
@@ -350,48 +248,6 @@ func (t *Taint) Leaks(pkg *Package) []Leak {
 		return out[i].Root < out[j].Root
 	})
 	return out
-}
-
-// FuncTaint exposes per-expression classification inside one function,
-// seeded with the function's own roots plus every parameter the forward
-// propagation proved secret-carrying. consttime drives its
-// branch/index checks off this.
-type FuncTaint struct{ ft *fnTaint }
-
-// FuncTaint builds the classification for a declared function.
-func (t *Taint) FuncTaint(fn *Func) *FuncTaint {
-	ft := newFnTaint(t, fn, modeForward)
-	ft.seedForward()
-	ft.propagate()
-	return &FuncTaint{ft: ft}
-}
-
-// Mentions returns, sorted, the secret roots appearing anywhere in the
-// expression subtree — the value itself or any sub-value it is computed
-// from. Comparisons against nil are pruned: nil-ness is presence, not
-// content, so `if sk.S == nil` validation branches reveal no key bits.
-func (q *FuncTaint) Mentions(e ast.Expr) []string {
-	roots := taintSet{}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			if (n.Op == token.EQL || n.Op == token.NEQ) && (q.isNil(n.X) || q.isNil(n.Y)) {
-				return false
-			}
-			// Operator nodes derive taint purely from their operands; the
-			// walk classifies the leaves, so pruned subtrees stay pruned.
-		case *ast.ParenExpr, *ast.UnaryExpr:
-		case ast.Expr:
-			roots.merge(q.ft.exprTaint(n))
-		}
-		return true
-	})
-	return sortedRoots(roots)
-}
-
-func (q *FuncTaint) isNil(e ast.Expr) bool {
-	tv, ok := q.ft.info().Types[e]
-	return ok && tv.IsNil()
 }
 
 func sortedRoots(ts taintSet) []string {
@@ -431,7 +287,6 @@ func filterRoots(roots []string) []string {
 const (
 	modeSummary = iota // params tagged; output: summary
 	modeReport         // roots only; output: leaks
-	modeForward        // roots + secret params; output: classification / capture
 )
 
 // binding records a local variable holding a known function value: a
@@ -457,7 +312,6 @@ type fnTaint struct {
 	paramSinks map[int]sinkInfo
 
 	reporting bool // final scan: emit leaks
-	capturing bool // forward rounds: record secret params at call sites
 	leaks     []Leak
 	changed   bool
 }
@@ -475,40 +329,20 @@ func newFnTaint(t *Taint, fn *Func, mode int) *fnTaint {
 
 func (ft *fnTaint) info() *types.Info { return ft.fn.Pkg.Info }
 
-func (ft *fnTaint) seedForward() {
-	params := ft.fn.Params()
-	for idx, roots := range ft.t.secretParams[ft.fn] {
-		if idx < len(params) && params[idx] != nil {
-			if ft.vars[params[idx]] == nil {
-				ft.vars[params[idx]] = taintSet{}
-			}
-			ft.vars[params[idx]].merge(roots)
-		}
-	}
-}
-
 // ownReturns collects the return statements belonging to the function
 // itself, excluding those of nested function literals (whose returns
 // must not feed the encloser's summary).
 func ownReturns(fn *Func) map[*ast.ReturnStmt]bool {
 	out := map[*ast.ReturnStmt]bool{}
-	body := fn.Body()
-	if body == nil {
-		return out
-	}
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.ReturnStmt:
-				out[m] = true
+	if body := fn.Body(); body != nil {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if ret, ok := n.(*ast.ReturnStmt); ok {
+				out[ret] = true
 			}
-			return true
+			_, lit := n.(*ast.FuncLit)
+			return !lit
 		})
 	}
-	walk(body)
 	return out
 }
 
@@ -525,8 +359,8 @@ func (ft *fnTaint) propagate() {
 }
 
 // scan makes one monotone pass over the body: statements transfer taint
-// between objects, every call is evaluated (for result taint, sink hits
-// and forward capture), and nested function literals are walked in
+// between objects, every call is evaluated (for result taint and sink
+// hits), and nested function literals are walked in
 // place so closures see their captured variables' taint.
 func (ft *fnTaint) scan() {
 	body := ft.fn.Body()
@@ -802,9 +636,10 @@ func (ft *fnTaint) typeSecret(t types.Type) string {
 }
 
 // selTaint classifies a field selection: a marked field is a root;
-// selecting an unmarked field out of a value tainted only by its own
-// type marker projects back to public (printing sk leaks, printing
-// sk.ID does not).
+// selecting an unmarked exported field out of a value tainted only by
+// its own type marker projects back to public (printing sk leaks,
+// printing sk.ID does not). An unexported field stays secret: an opaque
+// secret type such as mathx.Scalar keeps its value in one.
 func (ft *fnTaint) selTaint(sel *ast.SelectorExpr) taintSet {
 	fld, owner, ok := FieldOf(ft.info(), sel)
 	if !ok {
@@ -825,7 +660,7 @@ func (ft *fnTaint) selTaint(sel *ast.SelectorExpr) taintSet {
 		baseType = NamedName(t)
 	}
 	for r := range base {
-		if r == baseType || ft.paramOfType(r, baseType) {
+		if fld.Exported() && (r == baseType || ft.paramOfType(r, baseType)) {
 			continue // type-marker projection: field's own status decides
 		}
 		out.add(r)
@@ -852,8 +687,8 @@ func (ft *fnTaint) paramOfType(r, name string) bool {
 // ---------------------------------------------------------------------
 // Calls
 
-// evalCall computes per-result taint for a call and, depending on mode,
-// registers sink hits (summary/report) and secret parameters (forward).
+// evalCall computes per-result taint for a call and registers its sink
+// hits.
 func (ft *fnTaint) evalCall(call *ast.CallExpr) []taintSet {
 	info := ft.info()
 	// Conversion: T(x) keeps x's taint.
@@ -907,8 +742,7 @@ func (ft *fnTaint) evalCall(call *ast.CallExpr) []taintSet {
 }
 
 // applyCallee maps call arguments onto the callee's parameter slots and
-// applies its summary: result taint, transitive sink hits, and forward
-// secret-parameter capture. recvBound says the receiver slot is already
+// applies its summary: result taint and transitive sink hits. recvBound says the receiver slot is already
 // filled (method value / m.f(...) call), so arguments start at slot 1;
 // a method expression T.M(recv, args...) passes the receiver as args[0]
 // and the receiver-first params list lines up with offset 0.
@@ -952,9 +786,6 @@ func (ft *fnTaint) applyCallee(call *ast.CallExpr, callee *Func, recvTaint taint
 		out[i].merge(sum.rets[i])
 	}
 	for idx, ts := range argTaint {
-		if ft.capturing {
-			ft.t.addSecretParam(callee, idx, ts)
-		}
 		if mask, ok := sum.flows[idx]; ok {
 			for i := 0; i < nres; i++ {
 				if mask&(1<<uint(i)) != 0 {

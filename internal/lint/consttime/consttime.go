@@ -1,37 +1,27 @@
 // Package consttime enforces constant-time discipline in the crypto hot
 // paths: within internal/mathx, internal/bdkey and internal/sigs/...,
-// control flow and memory addressing must not depend on secret values.
-// A branch on a private exponent's bits, a loop bounded by key material,
-// or a table index derived from a secret is an instruction-cache /
-// branch-predictor side channel — the classic leak shape in modular
-// exponentiation code.
+// no branch, loop bound or slice/array/map index may depend on a
+// secret — the instruction-cache, branch-predictor and data-cache
+// side channels of modular exponentiation.
 //
-// Secrets are the same roots the secretflow analyzer uses (the builtin
-// list plus //gkalint:secret markers), carried interprocedurally by the
-// shared taint engine: the forward pass marks every parameter that any
-// caller, in any package, feeds a secret — so the engine knows that
-// mathx.ExpElem's exponent is the engine layer's Group.R long before
-// mathx itself mentions a marked field. Within a scoped function the
-// analyzer reports:
-//
-//   - an if condition or switch tag mentioning a secret-derived value
-//     (secret-dependent branch);
-//   - a for condition or range operand mentioning one (secret-dependent
-//     loop bound — iterating a secret's bits leaks its length and
-//     pattern);
-//   - a slice/array/map index mentioning one (secret-dependent table
-//     lookup — data-cache addressing leaks the digit).
-//
-// The repo's math/big-backed fallbacks are deliberately variable-time
-// (math/big itself is, irreducibly); those sites carry a justified
-// //gkalint:vartime <why> waiver so the exception is visible in the
-// diff, not silent.
+// Secrets are found by type, one function at a time: a value of type
+// mathx.Scalar or of one of the unexported exponent-word and digit types
+// its fixed window reads (so a helper taking a digit is checked in its
+// own body, whoever calls it), a //gkalint:secret marked field, or a
+// local assigned one of these through operators, conversions, indexing,
+// slicing or field selection. Any other call returns a secret only by
+// its result type. A function whose name ends in VarTime is exempt, as
+// in the Go toolchain's bigmod: its callers name the variable-time use.
+// Deliberately variable-time setup code carries a justified
+// //gkalint:vartime <why> waiver. docs/STATIC-ANALYSIS.md has the
+// details and the narrowing against the old interprocedural pass.
 package consttime
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"idgka/internal/lint/analysis"
@@ -45,11 +35,18 @@ var scopedPrefixes = []string{
 	"idgka/internal/sigs",
 }
 
+// secretTypes are the types every value of which is secret.
+var secretTypes = map[string]bool{
+	"idgka/internal/mathx.Scalar":      true,
+	"idgka/internal/mathx.scalarWords": true,
+	"idgka/internal/mathx.expDigit":    true,
+}
+
 // Analyzer reports secret-dependent control flow and indexing in the
 // crypto hot paths.
 var Analyzer = &analysis.Analyzer{
 	Name:       "consttime",
-	Doc:        "crypto hot paths must not branch, loop, or index on secret-derived values; deliberate variable-time fallbacks carry //gkalint:vartime (PR 9)",
+	Doc:        "crypto hot paths must not branch, loop, or index on a secret (a mathx.Scalar, its words or digits, a marked field, or a local derived from one); functions named ...VarTime and //gkalint:vartime sites are exempt",
 	WaiverVerb: "vartime",
 	Run:        run,
 }
@@ -67,60 +64,158 @@ func run(pass *analysis.Pass) error {
 	if !scoped(pass.Pkg.Path()) {
 		return nil
 	}
-	taint := pass.Prog.Taint()
-	pkg := pass.Prog.PackageOf(pass.Pkg)
-	if pkg == nil {
-		return nil
-	}
-	for _, fn := range pass.Prog.Funcs() {
-		if fn.Pkg != pkg || fn.Decl == nil || fn.Body() == nil {
-			continue
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "VarTime") {
+				continue
+			}
+			c := &checker{pass: pass, locals: map[types.Object]bool{}}
+			c.derive(fd.Body)
+			c.check(fd.Body)
 		}
-		checkFunc(pass, taint.FuncTaint(fn), fn)
 	}
 	return nil
 }
 
-func checkFunc(pass *analysis.Pass, q *analysis.FuncTaint, fn *analysis.Func) {
-	ast.Inspect(fn.Body(), func(n ast.Node) bool {
+// A checker classifies the expressions of one function body.
+type checker struct {
+	pass   *analysis.Pass
+	locals map[types.Object]bool // locals assigned a secret value
+}
+
+// derive marks every local assigned a secret value, to a fixpoint, so
+// that order in the body does not matter (loops carry values backwards).
+func (c *checker) derive(body *ast.BlockStmt) {
+	for changed := true; changed; {
+		changed = false
+		mark := func(lhs, rhs ast.Expr) {
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
+			if !ok {
+				return
+			}
+			if obj := c.pass.Info.ObjectOf(id); obj != nil && !c.locals[obj] && len(c.roots(rhs, false)) > 0 {
+				c.locals[obj] = true
+				changed = true
+			}
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					mark(l, n.Rhs[min(i, len(n.Rhs)-1)])
+				}
+			case *ast.ValueSpec:
+				for i, name := range n.Names {
+					if len(n.Values) > 0 {
+						mark(name, n.Values[min(i, len(n.Values)-1)])
+					}
+				}
+			case *ast.RangeStmt:
+				if n.Value != nil {
+					mark(n.Value, n.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+func (c *checker) check(body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IfStmt:
-			report(pass, q, n.Cond, n.Pos(), "branch")
+			c.report(n.Cond, n.Pos(), "branch")
 		case *ast.SwitchStmt:
-			if n.Tag != nil {
-				report(pass, q, n.Tag, n.Pos(), "branch")
-			}
+			c.report(n.Tag, n.Pos(), "branch")
 		case *ast.ForStmt:
-			if n.Cond != nil {
-				report(pass, q, n.Cond, n.Pos(), "loop bound")
-			}
+			c.report(n.Cond, n.Pos(), "loop bound")
 		case *ast.RangeStmt:
-			report(pass, q, n.X, n.Pos(), "loop bound")
+			c.report(n.X, n.Pos(), "loop bound")
 		case *ast.IndexExpr:
-			if indexable(pass, n.X) {
-				report(pass, q, n.Index, n.Pos(), "table index")
+			if t := c.pass.Info.TypeOf(n.X); t != nil && indexable(t) {
+				c.report(n.Index, n.Pos(), "table index")
 			}
 		}
 		return true
 	})
 }
 
-func report(pass *analysis.Pass, q *analysis.FuncTaint, e ast.Expr, pos token.Pos, kind string) {
-	roots := q.Mentions(e)
-	if len(roots) == 0 {
-		return
+func (c *checker) report(e ast.Expr, pos token.Pos, kind string) {
+	if roots := c.roots(e, true); len(roots) > 0 {
+		c.pass.Reportf(pos, "secret-dependent %s on %s in a crypto hot path; make it constant-time or waive with //gkalint:vartime <reason>",
+			kind, strings.Join(roots, ", "))
 	}
-	pass.Reportf(pos, "secret-dependent %s on %s in a crypto hot path; make it constant-time or waive with //gkalint:vartime <reason>",
-		kind, strings.Join(roots, ", "))
 }
 
-// indexable reports whether the indexed operand is data memory (slice,
-// array, map) rather than a generic instantiation.
-func indexable(pass *analysis.Pass, x ast.Expr) bool {
-	t := pass.Info.Types[x].Type
+// roots returns, sorted, the secrets e reads: values of a secret type,
+// marked fields and locals assigned one. With calls set it looks into
+// every call's arguments and receiver, as a condition that passes a
+// secret to any call depends on it; without, a call other than a
+// conversion is secret only by its result type. A comparison with nil is
+// presence, not content, and a field or method of a secret-typed value
+// (a Scalar's order) is public: the type's methods are constant-time.
+func (c *checker) roots(e ast.Expr, calls bool) []string {
+	info := c.pass.Info
+	var out []string
+	ast.Inspect(e, func(n ast.Node) bool {
+		x, ok := n.(ast.Expr)
+		if !ok || info.Types[x].IsType() {
+			return false
+		}
+		name := c.secretType(x)
+		switch x := x.(type) {
+		case *ast.Ident:
+			if name == "" && c.locals[info.ObjectOf(x)] {
+				name = "local " + x.Name
+			}
+		case *ast.SelectorExpr:
+			if fld, owner, ok := analysis.FieldOf(info, x); ok && c.pass.Index.Secrets[owner+"."+fld.Name()] {
+				name = owner + "." + fld.Name()
+			} else if name == "" && c.secretType(x.X) != "" {
+				return false
+			}
+		case *ast.BinaryExpr:
+			if nilCompare(info, x) {
+				return false
+			}
+		case *ast.CallExpr:
+			if name == "" && !calls && !(info.Types[x.Fun].IsType() && len(x.Args) == 1) {
+				return false
+			}
+		}
+		if name != "" && !slices.Contains(out, name) {
+			out = append(out, name)
+		}
+		return name == ""
+	})
+	slices.Sort(out)
+	return out
+}
+
+// secretType returns the name of e's type when it is a secret type or a
+// pointer to one, and "" otherwise.
+func (c *checker) secretType(e ast.Expr) string {
+	t := c.pass.Info.TypeOf(e)
 	if t == nil {
-		return false
+		return ""
 	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if name := analysis.NamedName(t); secretTypes[name] {
+		return name
+	}
+	return ""
+}
+
+func nilCompare(info *types.Info, b *ast.BinaryExpr) bool {
+	return (b.Op == token.EQL || b.Op == token.NEQ) && (info.Types[b.X].IsNil() || info.Types[b.Y].IsNil())
+}
+
+// indexable reports whether an indexed operand of type t is data memory
+// (slice, array, map) rather than a generic instantiation.
+func indexable(t types.Type) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}

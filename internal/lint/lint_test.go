@@ -1,12 +1,18 @@
 package lint_test
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"idgka/internal/lint"
+	"idgka/internal/lint/analysis"
 )
 
 // suiteBudget bounds the whole-repo sweep's wall-clock time. The
@@ -24,13 +30,8 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repo; skipped in -short")
 	}
-	_, file, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("runtime.Caller failed")
-	}
-	root := filepath.Dir(filepath.Dir(filepath.Dir(file)))
 	start := time.Now()
-	findings, err := lint.Check(root, "./...")
+	findings, err := lint.Check(repoRoot(t), "./...")
 	if err != nil {
 		t.Fatalf("lint.Check: %v", err)
 	}
@@ -42,5 +43,80 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Errorf("%d violation(s); fix them or waive with a justified //gkalint comment", len(findings))
+	}
+}
+
+// repoRoot returns the module root, two directories above this file's.
+func repoRoot(t *testing.T) string {
+	t.Helper()
+	_, file, _, ok := runtime.Caller(0)
+	if !ok {
+		t.Fatal("runtime.Caller failed")
+	}
+	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
+}
+
+// annotationCeiling pins, by verb, the //gkalint: annotations in the
+// module's Go files outside internal/lint (fixtures and nested modules
+// excluded); a verb not listed is pinned at 0. A count may fall; lower
+// its pin with it. A rise means a new marker or waiver where a type or a
+// fix could carry the invariant: secret exponents, for one, are secret
+// by their type, mathx.Scalar.
+var annotationCeiling = map[string]int{
+	"bounded":   3,
+	"callback":  3,
+	"guard":     16,
+	"secret":    10,
+	"secretok":  3,
+	"unbounded": 7,
+	"vartime":   2,
+}
+
+// TestAnnotationRatchet counts the annotations and fails above a pin.
+func TestAnnotationRatchet(t *testing.T) {
+	root := repoRoot(t)
+	counts := map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join(root, "internal", "lint") || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if rest, ok := strings.CutPrefix(c.Text, analysis.WaiverPrefix); ok {
+					verb, _, _ := strings.Cut(rest, " ")
+					counts[verb]++
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for verb, n := range counts {
+		if ceiling := annotationCeiling[verb]; n > ceiling {
+			t.Errorf("%d //gkalint:%s annotations outside internal/lint, above the pinned %d", n, verb, ceiling)
+		}
+	}
+	for verb, ceiling := range annotationCeiling {
+		if n := counts[verb]; n < ceiling {
+			t.Logf("//gkalint:%s: %d annotations, pinned at %d; lower the pin", verb, n, ceiling)
+		}
 	}
 }

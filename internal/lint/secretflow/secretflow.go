@@ -11,11 +11,11 @@
 // list (analysis.BuiltinSecrets) covers the repo's known key material as
 // a floor.
 //
-// Since PR 9 the analyzer is interprocedural: it rides the shared
-// whole-program taint engine (analysis.Taint), so a secret that leaves
-// through a helper's return value, a closure capture, a method value, or
-// an interface call and only then meets fmt.Errorf is reported at the
-// point where the secret entered the flow. The analyzer reports:
+// Since PR 9 the analyzer is interprocedural: it rides the whole-program
+// taint engine (analysis.Taint), so a secret that leaves through a
+// helper's return value, a closure capture, a method value, or an
+// interface call and only then meets fmt.Errorf is reported at the point
+// where the secret entered the flow. The analyzer reports:
 //
 //   - a secret value — or any value data-derived from one through
 //     assignments, returns, function summaries, math/big copies and
@@ -23,8 +23,9 @@
 //     function and package boundaries;
 //   - String/Text/GoString/Append called directly on a secret;
 //   - a marked type declaring String, GoString, Format, MarshalText or
-//     MarshalJSON (stringification invites accidental leaks; redact
-//     before formatting and waive the redacting method).
+//     MarshalJSON (stringification invites accidental leaks). A method
+//     with an unnamed or blank receiver cannot read the value, so it is
+//     a redaction, like mathx.Scalar's Format, and needs no waiver.
 //
 // Deliberate output — e.g. a test vector dump — carries
 // //gkalint:secretok <why>.
@@ -60,14 +61,13 @@ func run(pass *analysis.Pass) error {
 				leak.Root, sinkPhrase(leak.Sink), viaClause(leak.Via))
 		}
 	}
-	secrets := func(name string) bool { return taint.Secret(name) }
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkStringified(pass, secrets, n)
+				checkStringified(pass, n)
 			case *ast.FuncDecl:
-				checkStringer(pass, secrets, n)
+				checkStringer(pass, n)
 			}
 			return true
 		})
@@ -92,11 +92,11 @@ func viaClause(via string) string {
 // secretName classifies an expression directly: the key it is secret
 // under, or "". This is the local (v1) classification used for the
 // stringifier checks; flow-derived classification lives in the engine.
-func secretName(pass *analysis.Pass, secrets func(string) bool, e ast.Expr) string {
+func secretName(pass *analysis.Pass, e ast.Expr) string {
 	e = ast.Unparen(e)
 	if sel, ok := e.(*ast.SelectorExpr); ok {
 		if fld, owner, ok := analysis.FieldOf(pass.Info, sel); ok {
-			if key := owner + "." + fld.Name(); secrets(key) {
+			if key := owner + "." + fld.Name(); pass.Index.Secrets[key] {
 				return key
 			}
 		}
@@ -106,7 +106,7 @@ func secretName(pass *analysis.Pass, secrets func(string) bool, e ast.Expr) stri
 		if p, ok := t.Underlying().(*types.Pointer); ok {
 			t = p.Elem()
 		}
-		if name := analysis.NamedName(t); name != "" && secrets(name) {
+		if name := analysis.NamedName(t); pass.Index.Secrets[name] {
 			return name
 		}
 	}
@@ -114,17 +114,21 @@ func secretName(pass *analysis.Pass, secrets func(string) bool, e ast.Expr) stri
 }
 
 // checkStringified flags direct stringification of secrets.
-func checkStringified(pass *analysis.Pass, secrets func(string) bool, call *ast.CallExpr) {
+func checkStringified(pass *analysis.Pass, call *ast.CallExpr) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && stringifiers[sel.Sel.Name] {
-		if key := secretName(pass, secrets, sel.X); key != "" {
+		if key := secretName(pass, sel.X); key != "" {
 			pass.Reportf(call.Pos(), "secret %s stringified via %s; derive a fingerprint instead", key, sel.Sel.Name)
 		}
 	}
 }
 
-// checkStringer flags formatting methods declared on secret-marked types.
-func checkStringer(pass *analysis.Pass, secrets func(string) bool, fd *ast.FuncDecl) {
+// checkStringer flags formatting methods declared on secret-marked types,
+// except redactions, whose receiver is unnamed or blank.
+func checkStringer(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || !stringifiers[fd.Name.Name] {
+		return
+	}
+	if names := fd.Recv.List[0].Names; len(names) == 0 || names[0].Name == "_" {
 		return
 	}
 	t := pass.Info.Types[fd.Recv.List[0].Type].Type
@@ -134,7 +138,7 @@ func checkStringer(pass *analysis.Pass, secrets func(string) bool, fd *ast.FuncD
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if name := analysis.NamedName(t); name != "" && secrets(name) {
+	if name := analysis.NamedName(t); pass.Index.Secrets[name] {
 		pass.Reportf(fd.Pos(), "secret type %s declares %s: stringification leaks key material through every %%v; redact and waive with //gkalint:secretok", name, fd.Name.Name)
 	}
 }

@@ -22,3 +22,10 @@ func TestInterprocedural(t *testing.T) {
 func TestEngineEdgeCases(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), secretflow.Analyzer, "edge")
 }
+
+// TestScalarTypeRoot covers the secret exponent type: a mathx.Scalar in
+// a local reaching fmt.Errorf, BigVarTime's result reaching a sink, and
+// the redacting Format, which is neither reported nor waived.
+func TestScalarTypeRoot(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), secretflow.Analyzer, "scalar", "idgka/internal/mathx")
+}

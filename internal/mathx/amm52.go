@@ -91,46 +91,43 @@ func (ln *lane52) store(z Elem, x *[20]uint64) {
 	from52(z, &d)
 }
 
-// ExpPair returns b1^e1 and b2^e2 in the Montgomery domain, for
-// exponents in [0, 2^bits), bits being a public bound such as the bit
-// length of the group order. Both chains walk the fixed window over the
-// whole bound, so which products run and which table entries are read
-// depends on bits alone, not on either exponent. Only the exponents' low
-// 4·⌈bits/4⌉ bits are read, and a negative exponent reads as its
-// absolute value: callers keep their exponents in range. On a 16-word
-// modulus and a CPU with AVX-512 IFMA every product of both chains is
-// one amm52x20x2 call; otherwise each chain runs on montMul. The
-// results are the same limbs as ExpElem's.
-func (mo *Modulus) ExpPair(b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) (Elem, Elem) {
+// ExpPair returns b1^e1 and b2^e2 in the Montgomery domain. Both chains
+// walk the fixed window over the larger of the two exponents' order bit
+// lengths, so which products run and which table entries are read
+// depends on those public bounds alone, not on either exponent. On a
+// 16-word modulus and a CPU with AVX-512 IFMA every product of both
+// chains is one amm52x20x2 call; otherwise each chain runs on montMul.
+// The results are the same limbs as ExpElem's.
+func (mo *Modulus) ExpPair(b1 Elem, e1 Scalar, b2 Elem, e2 Scalar) (Elem, Elem) {
 	out := make(Elem, 2*mo.k)
 	z1, z2 := out[:mo.k:mo.k], out[mo.k:]
+	top := fixedTop(max(e1.q.BitLen(), e2.q.BitLen()))
 	if mo.lane != nil {
-		mo.expPairLane(z1, z2, b1, e1, b2, e2, bits)
+		mo.expPairLane(z1, z2, b1, &e1.w, b2, &e2.w, top)
 	} else {
-		mo.expPairMont(z1, z2, b1, e1, b2, e2, bits)
+		mo.expPairMont(z1, z2, b1, &e1.w, b2, &e2.w, top)
 	}
 	return z1, z2
 }
 
 // ExpFixed returns base^e in the Montgomery domain on ExpPair's fixed
-// window, for one exponent in [0, 2^bits). Where ExpPair runs on the
-// radix-2^52 kernel, ExpFixed runs it with both lanes on the same chain:
-// one lane call costs less than one montMul chain.
-func (mo *Modulus) ExpFixed(base Elem, e *big.Int, bits int) Elem {
+// window. Where ExpPair runs on the radix-2^52 kernel, ExpFixed runs it
+// with both lanes on the same chain: one lane call costs less than one
+// montMul chain.
+func (mo *Modulus) ExpFixed(base Elem, e Scalar) Elem {
 	if mo.lane != nil {
-		z, _ := mo.ExpPair(base, e, base, e, bits)
+		z, _ := mo.ExpPair(base, e, base, e)
 		return z
 	}
 	z := make(Elem, mo.k)
-	mo.expFixedMont(z, base, e, bits, make([]big.Word, (fixedEntries+1)*mo.k))
+	mo.expFixedMont(z, base, &e.w, fixedTop(e.q.BitLen()), make([]big.Word, (fixedEntries+1)*mo.k))
 	return z
 }
 
-// expPairLane is ExpPair on amm52x20x2. The table of each base's powers
-// 0 to 15, two lanes per entry, lives on the stack.
-func (mo *Modulus) expPairLane(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) {
-	var xbuf1, xbuf2 [maxModulusWords]big.Word
-	x1, x2 := widenExp(&xbuf1, e1, bits), widenExp(&xbuf2, e2, bits)
+// expPairLane is ExpPair on amm52x20x2, reading x1's and x2's digits top
+// down from digit top. The table of each base's powers 0 to 15, two
+// lanes per entry, lives on the stack.
+func (mo *Modulus) expPairLane(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int) {
 	ln := mo.lane
 	var tab [fixedEntries]pair52
 	var acc, t pair52
@@ -141,7 +138,6 @@ func (mo *Modulus) expPairLane(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.In
 	for i := 2; i < fixedEntries; i++ {
 		ln.mul(&tab[i], &tab[i-1], &tab[1])
 	}
-	top := fixedTop(bits)
 	sel52x2(&acc, &tab[0], fixedEntries, uint64(digit(x1, top)), uint64(digit(x2, top)))
 	for i := top - 1; i >= 0; i-- {
 		for range fixedWindow {

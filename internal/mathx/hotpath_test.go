@@ -57,9 +57,17 @@ func TestHotPathAllocsConstant(t *testing.T) {
 	other := mo.Sqr(base)
 	var pairAllocs, fixedAllocs []float64
 	for _, eBits := range []int{17, 160, 1024} {
-		e1, e2 := randBits(eBits), randBits(eBits)
-		pairAllocs = append(pairAllocs, testing.AllocsPerRun(20, func() { mo.ExpPair(base, e1, other, e2, eBits) }))
-		fixedAllocs = append(fixedAllocs, testing.AllocsPerRun(20, func() { mo.ExpFixed(base, e1, eBits) }))
+		q := randBits(eBits)
+		draw := func() mathx.Scalar {
+			s, err := mathx.DrawScalar(rand.Reader, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		e1, e2 := draw(), draw()
+		pairAllocs = append(pairAllocs, testing.AllocsPerRun(20, func() { mo.ExpPair(base, e1, other, e2.Neg()) }))
+		fixedAllocs = append(fixedAllocs, testing.AllocsPerRun(20, func() { mo.ExpFixed(base, e1) }))
 	}
 	// Eq. 2 on a verifier well past its promotion to a fixed-base table
 	// of the inverse identity product.

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"math/bits"
 )
 
 // Handy shared constants. They are treated as immutable; callers must not
@@ -57,21 +56,6 @@ func RandScalar(r io.Reader, q *big.Int) (*big.Int, error) {
 		return nil, err
 	}
 	return v.Add(v, One), nil // shift to [1, q-1]
-}
-
-// NegExp returns q − e for e in [0, q], so that z^{q−e} = z^{−e} for z of
-// order q, with no field inverse. It is one borrow chain over every word
-// of q, whatever e's value or length; an e above q wraps.
-func NegExp(q, e *big.Int) *big.Int {
-	qw := q.Bits()
-	z := make([]big.Word, len(qw))
-	copy(z, e.Bits())
-	var b uint
-	for i, w := range qw {
-		d, bb := bits.Sub(uint(w), uint(z[i]), b)
-		z[i], b = big.Word(d), bb
-	}
-	return new(big.Int).SetBits(z)
 }
 
 // RandPrime returns a random prime of exactly the given bit length.

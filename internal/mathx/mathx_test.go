@@ -26,33 +26,6 @@ func TestRandScalarRejectsTinyModulus(t *testing.T) {
 	}
 }
 
-// TestNegExp checks NegExp against big.Int.Sub for exponents 0, 1, q−1,
-// q, random ones and ones whose top words are zero, under a one-word
-// and two multi-word bounds.
-func TestNegExp(t *testing.T) {
-	for _, bits := range []int{7, 160, 1024} {
-		q, err := rand.Int(rand.Reader, new(big.Int).Lsh(One, uint(bits-1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		q.SetBit(q, bits-1, 1)
-		exps := []*big.Int{Zero, One, new(big.Int).Sub(q, One), q, big.NewInt(15)}
-		for range 4 {
-			e, err := rand.Int(rand.Reader, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exps = append(exps, e, new(big.Int).Rsh(e, uint(bits/2)))
-		}
-		for _, e := range exps {
-			want := new(big.Int).Sub(q, e)
-			if got := NegExp(q, e); got.Cmp(want) != 0 {
-				t.Fatalf("%d-bit q: NegExp(q, %v) = %v, want %v", bits, e, got, want)
-			}
-		}
-	}
-}
-
 func TestModInverse(t *testing.T) {
 	m := big.NewInt(101)
 	for i := int64(1); i < 101; i++ {

@@ -252,20 +252,6 @@ func (mo *Modulus) Sqr(x Elem) Elem {
 // not pay for its extra doubling and reduction passes.
 func (mo *Modulus) SqrInto(z, x Elem) { mo.montMul(z, x, x) }
 
-// subVV computes z = x - y and returns the outgoing borrow; the slices
-// must have equal length.
-func subVV(z, x, y []big.Word) big.Word {
-	y = y[:len(z)]
-	x = x[:len(z)]
-	var b uint
-	for i := range z {
-		d, bb := bits.Sub(uint(x[i]), uint(y[i]), b)
-		z[i] = big.Word(d)
-		b = bb
-	}
-	return big.Word(b)
-}
-
 // montMul computes z = x·y·R^{-1} mod m; z may alias x or y. A 16-word
 // modulus on a CPU with ADX and BMI2 takes the assembly kernel
 // montMul1024, every other case montMulGeneric. Both return the same
@@ -281,7 +267,7 @@ func (mo *Modulus) montMul(z, x, y Elem) {
 // montMulGeneric computes z = x·y·R^{-1} mod m with the CIOS method over
 // a sliding 2k-word accumulator (the math/big montgomery shape). z may
 // alias x or y: the product accumulates in a stack scratch buffer and is
-// copied out after the final conditional subtraction.
+// copied out after the final conditional subtraction, which is masked.
 func (mo *Modulus) montMulGeneric(z, x, y Elem) {
 	k := mo.k
 	n := mo.words
@@ -290,27 +276,29 @@ func (mo *Modulus) montMulGeneric(z, x, y Elem) {
 	for i := range t {
 		t[i] = 0
 	}
-	var c big.Word
+	var c uint
 	for i := 0; i < k; i++ {
 		win := t[i : i+k]
 		c2 := addMulWin(win, x, y[i])
 		q := t[i] * mo.n0
 		c3 := addMulWin(win, n, q)
-		cx := c + c2
-		cy := cx + c3
-		t[i+k] = cy
-		if cx < c2 || cy < c3 {
-			c = 1
-		} else {
-			c = 0
-		}
+		cx, k1 := bits.Add(c, uint(c2), 0)
+		cy, k2 := bits.Add(cx, uint(c3), 0)
+		t[i+k] = big.Word(cy)
+		c = k1 + k2 // at most one of them carries
 	}
-	// The result t[k:2k] with overflow bit c is < 2m: one conditional
-	// subtraction brings it into [0, m).
-	if c != 0 || geWords(t[k:], n) {
-		subVV(z, t[k:], n)
-	} else {
-		copy(z, t[k:])
+	// The result t[k:2k] with overflow bit c is < 2m. Subtract m into
+	// scratch, and keep that difference unless c is 0 and it borrowed
+	// (t < m): a mask picks, so nothing branches on the product.
+	var d [maxModulusWords]big.Word
+	var b uint
+	for i := range k {
+		di, bb := bits.Sub(uint(t[k+i]), uint(n[i]), b)
+		d[i], b = big.Word(di), bb
+	}
+	keepT := -big.Word(b &^ c)
+	for i := range k {
+		z[i] = d[i] ^ (d[i]^t[k+i])&keepT
 	}
 }
 
@@ -400,52 +388,31 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	return acc
 }
 
-// The fixed window under ExpPair and ExpFixed, for secret exponents: the
-// exponent is read in digits of fixedWindow bits over a public bit bound,
-// each window is fixedWindow squarings and one product with the digit's
-// table entry, and that entry is picked by a masked scan of the whole
-// table. Nothing branches on, loops over or indexes by the exponent's
-// bits or its length.
+// The fixed window under ExpPair and ExpFixed, for secret exponents (a
+// Scalar): the exponent is read in digits of fixedWindow bits over its
+// order's bit length, each window is fixedWindow squarings and one
+// product with the digit's table entry, and that entry is picked by a
+// masked scan of the whole table. Nothing branches on, loops over or
+// indexes by the exponent's bits or its length.
 const (
 	fixedWindow  = 4
 	fixedEntries = 1 << fixedWindow
 	wordBits     = bits.UintSize
 )
 
-// widenExp widens the exponent e to the word count of a bits-bit
-// bound in buf. Words of e past the bound are not read.
-func widenExp(buf *[maxModulusWords]big.Word, e *big.Int, bits int) []big.Word {
-	if bits < 1 || bits > maxModulusWords*wordBits {
-		panic("mathx: fixed-window exponent bound out of range")
-	}
-	x := buf[:(bits+wordBits-1)/wordBits]
-	copy(x, e.Bits())
-	return x
-}
-
-// digit returns the i-th fixedWindow-bit digit of x, the least
-// significant being digit 0. A digit never straddles two words.
-func digit(x []big.Word, i int) uint {
-	return uint(x[i*fixedWindow/wordBits]>>(i*fixedWindow%wordBits)) & (fixedEntries - 1)
-}
-
-// fixedTop returns the index of the top digit under a bits-bit bound.
-func fixedTop(bits int) int { return (bits+fixedWindow-1)/fixedWindow - 1 }
-
 // expPairMont is ExpPair on montMul: two fixed-window chains, one after
 // the other, sharing one table allocation.
-func (mo *Modulus) expPairMont(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) {
+func (mo *Modulus) expPairMont(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int) {
 	tab := make([]big.Word, (fixedEntries+1)*mo.k)
-	mo.expFixedMont(z1, b1, e1, bits, tab)
-	mo.expFixedMont(z2, b2, e2, bits, tab)
+	mo.expFixedMont(z1, b1, x1, top, tab)
+	mo.expFixedMont(z2, b2, x2, top, tab)
 }
 
-// expFixedMont computes z = base^e on the fixed window over montMul. tab
-// is scratch for fixedEntries+1 values: base^0 … base^15, then the
-// selected entry. z must not alias base.
-func (mo *Modulus) expFixedMont(z, base Elem, e *big.Int, bits int, tab []big.Word) {
-	var xbuf [maxModulusWords]big.Word
-	x := widenExp(&xbuf, e, bits)
+// expFixedMont computes z = base^x on the fixed window over montMul,
+// reading x's digits top down from digit top. tab is scratch for
+// fixedEntries+1 values: base^0 … base^15, then the selected entry. z
+// must not alias base.
+func (mo *Modulus) expFixedMont(z, base Elem, x *scalarWords, top int, tab []big.Word) {
 	k := mo.k
 	pows, t := tab[:fixedEntries*k], Elem(tab[fixedEntries*k:][:k])
 	copy(pows, mo.one)
@@ -453,7 +420,6 @@ func (mo *Modulus) expFixedMont(z, base Elem, e *big.Int, bits int, tab []big.Wo
 	for i := 2; i < fixedEntries; i++ {
 		mo.montMul(pows[i*k:(i+1)*k], pows[(i-1)*k:i*k], base)
 	}
-	top := fixedTop(bits)
 	selectEntry(z, pows, digit(x, top))
 	for i := top - 1; i >= 0; i-- {
 		for range fixedWindow {
@@ -466,11 +432,11 @@ func (mo *Modulus) expFixedMont(z, base Elem, e *big.Int, bits int, tab []big.Wo
 
 // selectEntry sets z to entry d of tab, a packed table of len(z)-word
 // entries. It reads every entry: only a mask depends on d.
-func selectEntry(z Elem, tab []big.Word, d uint) {
+func selectEntry(z Elem, tab []big.Word, d expDigit) {
 	k := len(z)
 	clear(z)
 	for i := 0; i < len(tab)/k; i++ {
-		m := eqMask(uint(i), d)
+		m := eqMask(uint(i), uint(d))
 		for j := range z {
 			z[j] |= tab[i*k+j] & m
 		}

@@ -156,8 +156,21 @@ func benchModulus(b *testing.B, bits int) (*Modulus, *big.Int, *big.Int) {
 		b.Fatal(err)
 	}
 	base, _ := RandInt(rand.Reader, p)
-	exp, _ := RandInt(rand.Reader, new(big.Int).Lsh(One, 160))
+	exp, _ := RandInt(rand.Reader, benchOrder)
 	return mo, base, exp
+}
+
+// benchOrder is the benchmarks' 160-bit exponent order, 2^160 - 1.
+var benchOrder = new(big.Int).Sub(new(big.Int).Lsh(One, 160), One)
+
+// benchScalar draws a Scalar below benchOrder.
+func benchScalar(b *testing.B) Scalar {
+	b.Helper()
+	s, err := DrawScalar(rand.Reader, benchOrder)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // BenchmarkVarBaseExp compares the Montgomery engine's variable-base
@@ -190,25 +203,26 @@ func BenchmarkVarBaseExp(b *testing.B) {
 // window on montMul ("generic") and two big.Int.Exp calls ("big").
 func BenchmarkExpPair(b *testing.B) {
 	mo, base, e1 := benchModulus(b, 1024)
-	e2, _ := RandInt(rand.Reader, new(big.Int).Lsh(One, 160))
+	e2 := benchScalar(b)
 	b1 := mo.ToMont(base)
 	b2 := mo.Sqr(b1)
 	z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
+	s1, top := mustScalar(b, benchOrder, e1), fixedTop(160)
 	b.Run("lane", func(b *testing.B) {
 		if mo.lane == nil {
 			b.Skip("no radix-2^52 kernel on this CPU")
 		}
 		for i := 0; i < b.N; i++ {
-			mo.expPairLane(z1, z2, b1, e1, b2, e2, 160)
+			mo.expPairLane(z1, z2, b1, &s1.w, b2, &e2.w, top)
 		}
 	})
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mo.expPairMont(z1, z2, b1, e1, b2, e2, 160)
+			mo.expPairMont(z1, z2, b1, &s1.w, b2, &e2.w, top)
 		}
 	})
 	b.Run("big", func(b *testing.B) {
-		b2 := mo.FromMont(b2)
+		b2, e2 := mo.FromMont(b2), e2.BigVarTime()
 		for i := 0; i < b.N; i++ {
 			new(big.Int).Exp(base, e1, mo.m)
 			new(big.Int).Exp(b2, e2, mo.m)
@@ -221,21 +235,21 @@ func BenchmarkExpPair(b *testing.B) {
 // both lanes on the chain ("lane", where the CPU runs it) against one
 // montMul chain ("mont").
 func BenchmarkExpFixed(b *testing.B) {
-	mo, base, e := benchModulus(b, 1024)
-	be := mo.ToMont(base)
+	mo, base, _ := benchModulus(b, 1024)
+	be, e, top := mo.ToMont(base), benchScalar(b), fixedTop(160)
 	z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
 	b.Run("lane", func(b *testing.B) {
 		if mo.lane == nil {
 			b.Skip("no radix-2^52 kernel on this CPU")
 		}
 		for i := 0; i < b.N; i++ {
-			mo.expPairLane(z1, z2, be, e, be, e, 160)
+			mo.expPairLane(z1, z2, be, &e.w, be, &e.w, top)
 		}
 	})
 	tab := make([]big.Word, (fixedEntries+1)*mo.Words())
 	b.Run("mont", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mo.expFixedMont(z1, be, e, 160, tab)
+			mo.expFixedMont(z1, be, &e.w, top, tab)
 		}
 	})
 }

@@ -527,50 +527,60 @@ func TestAMM52x20x2Differential(t *testing.T) {
 // pairBackends returns ExpPair's backends for mo: expPairMont always and,
 // where the radix-2^52 kernel runs, expPairLane, so a CPU with the kernel
 // tests both.
-func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int) {
-	out := map[string]func(z1, z2, b1 Elem, e1 *big.Int, b2 Elem, e2 *big.Int, bits int){"montMul": mo.expPairMont}
+func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int) {
+	out := map[string]func(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int){"montMul": mo.expPairMont}
 	if mo.lane != nil {
 		out["lane"] = mo.expPairLane
 	}
 	return out
 }
 
+// mustScalar returns v as a Scalar below q.
+func mustScalar(t testing.TB, q, v *big.Int) Scalar {
+	t.Helper()
+	s, err := NewScalar(q, v)
+	if err != nil {
+		t.Fatalf("NewScalar(%v, %v): %v", q, v, err)
+	}
+	return s
+}
+
 // checkExpPair runs ExpPair's backends, ExpPair and ExpFixed on (b1, e1)
-// and (b2, e2) under a bits-bit bound and compares every result, limb for
-// limb, with the Montgomery image of big.Int.Exp.
-func checkExpPair(t testing.TB, mo *Modulus, b1, e1, b2, e2 *big.Int, bits int) {
+// and (b2, e2), exponents below the order q, and compares every result,
+// limb for limb, with the Montgomery image of big.Int.Exp.
+func checkExpPair(t testing.TB, mo *Modulus, q, b1, e1, b2, e2 *big.Int) {
 	t.Helper()
 	m := mo.m
 	want1, want2 := mo.ToMont(new(big.Int).Exp(b1, e1, m)), mo.ToMont(new(big.Int).Exp(b2, e2, m))
 	m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
+	s1, s2 := mustScalar(t, q, e1), mustScalar(t, q, e2)
 	before1, before2 := append(Elem(nil), m1...), append(Elem(nil), m2...)
 	check := func(name string, got1, got2 Elem) {
 		t.Helper()
 		if !slices.Equal(got1, want1) || !slices.Equal(got2, want2) {
-			t.Fatalf("%d words, %s, bound %d: (%v^%v, %v^%v) = (%x, %x), want (%x, %x)",
-				mo.Words(), name, bits, b1, e1, b2, e2, got1, got2, want1, want2)
+			t.Fatalf("%d words, %s, %d-bit order: (%v^%v, %v^%v) = (%x, %x), want (%x, %x)",
+				mo.Words(), name, q.BitLen(), b1, e1, b2, e2, got1, got2, want1, want2)
 		}
 	}
 	for name, f := range pairBackends(mo) {
 		z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
-		f(z1, z2, m1, e1, m2, e2, bits)
+		f(z1, z2, m1, &s1.w, m2, &s2.w, fixedTop(q.BitLen()))
 		check(name, z1, z2)
 	}
-	got1, got2 := mo.ExpPair(m1, e1, m2, e2, bits)
+	got1, got2 := mo.ExpPair(m1, s1, m2, s2)
 	check("ExpPair", got1, got2)
-	check("ExpFixed", mo.ExpFixed(m1, e1, bits), mo.ExpFixed(m2, e2, bits))
+	check("ExpFixed", mo.ExpFixed(m1, s1), mo.ExpFixed(m2, s2))
 	if !slices.Equal(m1, before1) || !slices.Equal(m2, before2) {
 		t.Fatalf("%d words: a fixed-window power mutated its base", mo.Words())
 	}
 }
 
 // TestExpPairDifferential checks ExpPair on both backends against
-// big.Int.Exp per lane at every width, under bounds from 1 to 1024 bits:
-// exponents 0, 1, 15, 16, 2^bits - 1, q - 1 for a 160-bit q and random
-// values, distinct per lane, with distinct bases and with b1 = b2, and
-// bases 0, 1, m - 1 and random.
+// big.Int.Exp per lane at every width, for orders q of 1 to 1024 bits:
+// exponents 0, 1, 15, 16, q - 2, q - 1 and random values below q,
+// distinct per lane, with distinct bases and with b1 = b2, bases 0, 1,
+// m - 1 and random, and the ring's pair (r, q - r) through Neg.
 func TestExpPairDifferential(t *testing.T) {
-	q := new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, 160)), 159, 1)
 	for _, m := range append(diffModuli(t), belowR()...) {
 		mo, err := NewModulus(m)
 		if err != nil {
@@ -580,25 +590,30 @@ func TestExpPairDifferential(t *testing.T) {
 			t.Fatalf("%d words: radix-2^52 lane = %v, want %v", mo.Words(), mo.lane != nil, want)
 		}
 		bases := []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)}
-		bounds := []int{1, 4, 5, 160}
+		orders := []int{1, 4, 5, 160}
 		if mo.Words() <= 16 {
-			bounds = append(bounds, 1024)
+			orders = append(orders, 1024)
 		}
-		for _, bits := range bounds {
-			bound := new(big.Int).Lsh(One, uint(bits))
+		for _, bits := range orders {
+			q := new(big.Int).SetBit(randBelow(t, new(big.Int).Lsh(One, uint(bits))), bits-1, 1)
 			var exps []*big.Int
-			for _, e := range []*big.Int{big.NewInt(0), One, big.NewInt(15), big.NewInt(16), new(big.Int).Sub(q, One), new(big.Int).Sub(bound, One)} {
-				if e.Cmp(bound) < 0 {
+			for _, e := range []*big.Int{big.NewInt(0), One, big.NewInt(15), big.NewInt(16), new(big.Int).Sub(q, Two), new(big.Int).Sub(q, One)} {
+				if e.Sign() >= 0 && e.Cmp(q) < 0 {
 					exps = append(exps, e)
 				}
 			}
-			exps = append(exps, randBelow(t, bound), randBelow(t, bound))
+			exps = append(exps, randBelow(t, q), randBelow(t, q))
 			for bi, b1 := range bases {
 				b2 := bases[(bi+1)%len(bases)]
 				for ei, e1 := range exps {
 					e2 := exps[(ei+1)%len(exps)]
-					checkExpPair(t, mo, b1, e1, b2, e2, bits)
-					checkExpPair(t, mo, b1, e1, b1, e2, bits)
+					checkExpPair(t, mo, q, b1, e1, b2, e2)
+					checkExpPair(t, mo, q, b1, e1, b1, e2)
+					r := mustScalar(t, q, e1)
+					want := mo.ToMont(new(big.Int).Exp(b2, new(big.Int).Sub(q, e1), m))
+					if _, got := mo.ExpPair(mo.ToMont(b1), r, mo.ToMont(b2), r.Neg()); !slices.Equal(got, want) {
+						t.Fatalf("%d words, %d-bit order: %v^(q-%v) = %x, want %x", mo.Words(), bits, b2, e1, got, want)
+					}
 				}
 			}
 		}
@@ -668,7 +683,7 @@ func FuzzAMM52x20x2(f *testing.F) {
 }
 
 // FuzzExpPair builds an odd 1024-bit modulus, two bases and two
-// exponents below a 160-bit bound from the fuzz input and checks both
+// exponents below a 160-bit order from the fuzz input and checks both
 // lanes of ExpPair, on the radix-2^52 kernel where the CPU runs it and on
 // montMul, against big.Int.Exp.
 func FuzzExpPair(f *testing.F) {
@@ -676,7 +691,7 @@ func FuzzExpPair(f *testing.F) {
 	for i := range ones {
 		ones[i] = 0xff
 	}
-	f.Add(ones, ones, []byte{}, ones[:20], []byte{})                   // m - 1 to 2^160 - 1; 0^0
+	f.Add(ones, ones, []byte{}, ones[:20], []byte{})                   // (m - 1)^0, as 2^160 - 1 reduces to 0 mod q; 0^0
 	f.Add([]byte{1}, []byte{2}, []byte{1}, []byte{0x0f}, []byte{0x10}) // m = 2^1023 + 1
 	f.Fuzz(func(t *testing.T, mb, b1b, b2b, e1b, e2b []byte) {
 		if len(mb) > 128 {
@@ -688,10 +703,9 @@ func FuzzExpPair(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const bits = 160
-		bound := new(big.Int).Lsh(One, bits)
+		q := new(big.Int).Sub(new(big.Int).Lsh(One, 160), One)
 		base := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), m) }
-		exp := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), bound) }
-		checkExpPair(t, mo, base(b1b), exp(e1b), base(b2b), exp(e2b), bits)
+		exp := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), q) }
+		checkExpPair(t, mo, q, base(b1b), exp(e1b), base(b2b), exp(e2b))
 	})
 }
