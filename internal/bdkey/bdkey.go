@@ -87,13 +87,14 @@ func Key(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) 
 // xs packs the X values in ring order, each in (0, m) and mo.Words()
 // words wide (X_j in xs[j·k:(j+1)·k]). The descending consecutive
 // exponents telescope into prefix products (Horner): Π_t S_t with S_t =
-// X_i···X_{i+t}. The prefixes run on the raw limbs, each product
-// dividing by R once, so no X is converted into the domain. One more
-// product extends the last prefix to Π X_j, which Lemma 1 compares with
-// the cached R^{-(n-1)} it must then equal; a failure returns ErrLemma1
-// before b^n is raised. b^n needs ~log2(n) squarings, and one product
-// with the cached R^{n(n-1)/2+1} restores the domain. The whole assembly
-// is ~2n Montgomery products, bit-identical to Key.
+// X_i···X_{i+t}. mathx.Modulus.PrefixProducts runs them on the raw limbs,
+// so no X is converted into the domain, and extends the last prefix to
+// Π X_j, which Lemma 1 compares with the cached R^{-(n-1)} it must then
+// equal; a failure returns ErrLemma1 before b^n is raised. b^n needs
+// ~log2(n) squarings, and one product with the cached R^{n(n-1)/2+1}
+// restores the domain. The whole assembly is ~2n Montgomery products (n
+// paired calls for the chain where mathx runs the radix-2^52 lane),
+// bit-identical to Key.
 func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big.Int, error) {
 	k := mo.Words()
 	n := len(xs) / k
@@ -103,19 +104,10 @@ func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("bdkey: index %d out of ring of %d", i, n)
 	}
-	x := func(j int) mathx.Elem { j %= n; return xs[j*k : (j+1)*k] }
 	buf := make(mathx.Elem, 2*k)
 	prefix, acc := buf[:k], buf[k:]
-	copy(prefix, x(i))
-	copy(acc, prefix)
-	for j := 1; j <= n-2; j++ {
-		mo.MulInto(prefix, prefix, x(i+j))
-		mo.MulInto(acc, acc, prefix)
-	}
-	// prefix = X_i···X_{i+j}·R^{-j}; acc = Π_t S_t·R^{-(n-2)(n-1)/2-(n-2)}.
-	if n > 1 {
-		mo.MulInto(prefix, prefix, x(i+n-1))
-	}
+	// prefix = Π X_j·R^{-(n-1)}; acc = Π_t S_t·R^{-(n-2)(n+1)/2}.
+	mo.PrefixProducts(prefix, acc, xs, i)
 	if !slices.Equal(prefix, mo.RPow(1-n)) {
 		return nil, ErrLemma1
 	}

@@ -141,6 +141,7 @@ type Taint struct {
 	prog    *Program
 	secrets map[string]bool // the index's secret set
 	sums    map[*Func]*summary
+	held    map[types.Type]string // heldRoot's results
 }
 
 // Taint returns the program's taint engine, building it on first use:
@@ -149,7 +150,7 @@ func (p *Program) Taint() *Taint {
 	if p.taint != nil {
 		return p.taint
 	}
-	t := &Taint{prog: p, secrets: p.Index.Secrets, sums: map[*Func]*summary{}}
+	t := &Taint{prog: p, secrets: p.Index.Secrets, sums: map[*Func]*summary{}, held: map[types.Type]string{}}
 	t.buildSummaries()
 	p.taint = t
 	return t
@@ -635,6 +636,111 @@ func (ft *fnTaint) typeSecret(t types.Type) string {
 	return ""
 }
 
+// heldRoot returns the root a value of type t prints under when fmt
+// formats it whole, or "". A struct that holds a root by value — a marked
+// type, a marked field, or another such struct, also in an array, slice
+// or map — is itself a root, named after the struct where it has a name:
+// fmt prints an unexported field by reflection, words included, whatever
+// formatter the field's type has. A struct with its own redacting Format
+// (an unnamed or blank receiver) is not. Pointers, channels and functions
+// hold nothing: fmt prints a nested one as an address. Holder roots do
+// not propagate through the program like a marked type's: they attach
+// where a value is formatted (sinkTaint).
+func (t *Taint) heldRoot(typ types.Type) string {
+	if root, ok := t.held[typ]; ok {
+		return root
+	}
+	root := t.holds(typ, map[types.Type]bool{})
+	if name := NamedName(typ); root != "" && name != "" && !t.secrets[name] {
+		if _, isStruct := typ.Underlying().(*types.Struct); isStruct {
+			root = name
+		}
+	}
+	t.held[typ] = root
+	return root
+}
+
+// holds returns the first root held by value in typ, or "". seen cuts
+// recursion through slices and maps of the type itself.
+func (t *Taint) holds(typ types.Type, seen map[types.Type]bool) string {
+	name := NamedName(typ)
+	if name != "" && t.secrets[name] {
+		return name
+	}
+	if seen[typ] {
+		return ""
+	}
+	seen[typ] = true
+	switch u := typ.Underlying().(type) {
+	case *types.Struct:
+		if redacts(typ) {
+			return ""
+		}
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if key := name + "." + f.Name(); name != "" && t.secrets[key] {
+				return key
+			}
+			if root := t.holds(f.Type(), seen); root != "" {
+				return root
+			}
+		}
+	case *types.Array:
+		return t.holds(u.Elem(), seen)
+	case *types.Slice:
+		return t.holds(u.Elem(), seen)
+	case *types.Map:
+		if root := t.holds(u.Key(), seen); root != "" {
+			return root
+		}
+		return t.holds(u.Elem(), seen)
+	}
+	return ""
+}
+
+// redacts reports whether typ has a Format method that cannot read the
+// value: an unnamed or blank receiver, as secretflow exempts.
+func redacts(typ types.Type) bool {
+	sel := types.NewMethodSet(types.NewPointer(typ)).Lookup(nil, "Format")
+	if sel == nil {
+		return false
+	}
+	recv := sel.Obj().Type().(*types.Signature).Recv()
+	return recv != nil && (recv.Name() == "" || recv.Name() == "_")
+}
+
+// sinkTaint is the taint argument a brings where it is formatted whole:
+// its own, plus the holder root of its type (heldRoot; through one
+// pointer, as fmt prints &{…} at the top level).
+func (ft *fnTaint) sinkTaint(a ast.Expr) taintSet {
+	ts := ft.exprTaint(a)
+	t := ft.info().Types[a].Type
+	if t == nil {
+		return ts
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if root := ft.t.heldRoot(t); root != "" {
+		if ts == nil {
+			ts = taintSet{}
+		}
+		ts.add(root)
+	}
+	return ts
+}
+
+// emptyInterface reports whether a parameter of type t takes any value
+// as is: an empty interface, or a variadic tail of them. A value passed
+// there may be formatted whole, so it brings its holder root (sinkTaint).
+func emptyInterface(t types.Type, variadic bool) bool {
+	if s, ok := t.Underlying().(*types.Slice); ok && variadic {
+		t = s.Elem()
+	}
+	i, ok := t.Underlying().(*types.Interface)
+	return ok && i.Empty()
+}
+
 // selTaint classifies a field selection: a marked field is a root;
 // selecting an unmarked exported field out of a value tainted only by
 // its own type marker projects back to public (printing sk leaks,
@@ -769,6 +875,9 @@ func (ft *fnTaint) applyCallee(call *ast.CallExpr, callee *Func, recvTaint taint
 	for i, a := range call.Args {
 		idx := clamp(offset + i)
 		ts := ft.exprTaint(a)
+		if idx < len(params) && params[idx] != nil && emptyInterface(params[idx].Type(), idx == len(params)-1) {
+			ts = ft.sinkTaint(a)
+		}
 		if len(ts) == 0 {
 			continue
 		}
@@ -841,7 +950,7 @@ func (ft *fnTaint) evalExternal(call *ast.CallExpr) []taintSet {
 	if SinkPkgs[pkgPath] {
 		out := taintSet{}
 		for _, a := range call.Args {
-			ts := ft.exprTaint(a)
+			ts := ft.sinkTaint(a)
 			if len(ts) == 0 {
 				continue
 			}

@@ -21,6 +21,14 @@
 //     assignments, returns, function summaries, math/big copies and
 //     encodings — reaching any fmt/log/log-slog/metrics sink, across
 //     function and package boundaries;
+//   - a value formatted whole whose type holds a secret by value: a
+//     struct with a marked field, a field of a marked type (mathx.Scalar)
+//     or another such struct, also in an array, slice or map. fmt prints
+//     an unexported field by reflection, so the field type's own
+//     redacting Format never runs. Such a holder is a root where it is
+//     formatted — at a sink, or passed to a function's empty-interface
+//     parameter that reaches one — unless it has its own redacting
+//     Format;
 //   - String/Text/GoString/Append called directly on a secret;
 //   - a marked type declaring String, GoString, Format, MarshalText or
 //     MarshalJSON (stringification invites accidental leaks). A method

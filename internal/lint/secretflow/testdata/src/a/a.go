@@ -21,6 +21,7 @@ func leaksAnnotated(st vault.DRBGState, c vault.Creds) {
 	fmt.Println(st)      // want `secret vault\.DRBGState reaches fmt formatting`
 	fmt.Println(c.Token) // want `secret vault\.Creds\.Token reaches fmt formatting`
 	fmt.Println(c.User)  // public field: fine
+	fmt.Println(c)       // want `secret vault\.Creds reaches fmt formatting`
 }
 
 func fine(sk *gq.PrivateKey) {

@@ -2,15 +2,27 @@ package mathx
 
 import "math/big"
 
-// This file runs two secret powers side by side on the fixed window
-// (mont.go). Both chains then share one schedule, whatever their
-// exponents: the same squarings and one product per digit. At the
-// protocols' 1024 bits on amd64 CPUs with AVX-512 IFMA, each squaring and
-// multiply of both chains is one call to amm52x20x2 (amm52_amd64.s),
-// which runs the two products side by side in radix 2^52, and each
-// digit's table entries come from sel52x2, a masked scan of the whole
-// table in the same file. Every other case runs each chain on montMul
-// with a Go masked scan (expFixedMont). Both give the same limbs.
+// This file runs the 1024-bit product chains on amm52x20x2
+// (amm52_amd64.s), which computes two independent products side by side
+// in radix 2^52 in about the time of one montMul1024, on amd64 CPUs with
+// AVX-512 IFMA. Each chain is cut into two halves, one per lane:
+//
+//   - ExpPair: two secret powers on the fixed window (mont.go), sharing
+//     one schedule whatever their exponents, each digit's table entries
+//     from sel52x2, a masked scan of the whole table; ExpFixed and
+//     ExpElem above 8 bits run one chain with both lanes on it;
+//   - packedProduct (productLane): the odd and even factors;
+//   - PrefixProducts (prefixLane): the prefix and the product of the
+//     prefixes of Lemma 1 and equation (3);
+//   - FixedBaseTable.ExpMul (combLane, fixedbase.go): the comb's two
+//     blocks.
+//
+// The lane divides each product by R' = 2^1040 where montMul divides by
+// R = 2^1024. A power enters and leaves through the conversion factors
+// below; a raw product chain instead ends with one product by a cached
+// power of two (twoPow) that cancels what its R' divisions left. Every
+// other width, CPU and build runs the montMul code each function names.
+// Both give the same limbs.
 
 const mask52 = 1<<52 - 1
 
@@ -72,6 +84,20 @@ func (ln *lane52) mul(z, x, y *pair52) {
 // mulBy computes z = z·c for both chains, c a single factor.
 func (ln *lane52) mulBy(z *pair52, c *[20]uint64) {
 	amm52x20x2(&z[0], &z[0], c, &z[1], &z[1], c, &ln.m, ln.k0)
+}
+
+// mul2 computes z1 = x1·y1 and z2 = x2·y2 in one call. The kernel reads
+// every operand before it stores, so each z may alias any x or y, also
+// the other lane's; z1 and z2 must differ.
+func (ln *lane52) mul2(z1, x1, y1, z2, x2, y2 *[20]uint64) {
+	amm52x20x2(z1, x1, y1, z2, x2, y2, &ln.m, ln.k0)
+}
+
+// mul1 computes z = x·y in lane 0 for a chain with no second half: lane 1
+// repeats the product into scratch.
+func (ln *lane52) mul1(z, x, y *[20]uint64) {
+	var t [20]uint64
+	amm52x20x2(z, x, y, &t, x, y, &ln.m, ln.k0)
 }
 
 // store reduces x, a value below 2m, into [0, m) and packs it into the
@@ -149,4 +175,54 @@ func (mo *Modulus) expPairLane(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *sc
 	ln.mulBy(&acc, &ln.out)
 	ln.store(z1, &acc[0])
 	ln.store(z2, &acc[1])
+}
+
+// productLane is packedProduct on amm52x20x2, for count >= 1 raw
+// residues. The correction c = R'^count·R^d heads the sequence c, v_0,
+// …, v_{count-1}, whose even slots run in lane 0 and odd slots in lane 1;
+// a lane with no factor left takes the kernel's image of 1. One last call
+// joins the two accumulators. Each of the count products that takes a
+// factor divides by R', so the result is c·Π v·R'^{-count} = Π v·R^d.
+// That is ceil((count+1)/2) calls for count montMul products.
+func (mo *Modulus) productLane(z Elem, flat []big.Word, count, d int) {
+	ln, k := mo.lane, mo.k
+	var acc, t pair52
+	to52(&acc[0], mo.twoPow(1040*count+1024*d))
+	to52(&acc[1], flat[:k])
+	for i := 1; i < count; i += 2 {
+		to52(&t[0], flat[i*k:(i+1)*k])
+		if i+1 < count {
+			to52(&t[1], flat[(i+1)*k:(i+2)*k])
+		} else {
+			t[1] = ln.one
+		}
+		ln.mul(&acc, &acc, &t)
+	}
+	ln.mul1(&acc[0], &acc[0], &acc[1])
+	ln.store(z, &acc[0])
+}
+
+// prefixLane is PrefixProducts on amm52x20x2 for n >= 2. Call j steps
+// both halves of the chain: lane 0 takes the prefix from S_{j-1} to S_j
+// while lane 1 multiplies the accumulator by S_{j-1}, read before the
+// call stores S_j. The accumulator starts at the kernel's image of 1, so
+// the n-1 calls leave S_{n-1}·R'^{-(n-1)} and Π S_t·R'^{-e}, e = (n-2)(n+1)/2,
+// and one more call with 2^(16e'+1040) for each exponent e' turns R'^{-e'}
+// into PrefixProducts' R^{-e'}.
+func (mo *Modulus) prefixLane(prefix, acc Elem, xs []big.Word, i, n int) {
+	ln, k := mo.lane, mo.k
+	x := func(j int) []big.Word { j %= n; return xs[j*k : (j+1)*k] }
+	var p, a, t [20]uint64
+	to52(&p, x(i))
+	a = ln.one
+	for j := 1; j < n; j++ {
+		to52(&t, x(i+j))
+		ln.mul2(&p, &p, &t, &a, &a, &p)
+	}
+	var cp, ca [20]uint64
+	to52(&cp, mo.twoPow(16*(n-1)+1040))
+	to52(&ca, mo.twoPow(16*((n-2)*(n+1)/2)+1040))
+	ln.mul2(&p, &p, &cp, &a, &a, &ca)
+	ln.store(prefix, &p)
+	ln.store(acc, &a)
 }

@@ -5,8 +5,9 @@ package mathx
 // amm52x20x2 computes two independent almost-Montgomery products over
 // one modulus in radix 2^52 (amm52_amd64.s): r1 = a1·b1·2^-1040 and
 // r2 = a2·b2·2^-1040 mod m, each below 2m, for 20-limb operands of 52
-// bits below 2m and k0 = -m^{-1} mod 2^52. Any r may alias its own
-// lane's a or b. It needs AVX512F, AVX512VL, AVX512IFMA and BMI2;
+// bits below 2m and k0 = -m^{-1} mod 2^52. It reads every operand
+// before it stores, so r1 and r2 may alias any a or b, the other lane's
+// too, but not each other. It needs AVX512F, AVX512VL, AVX512IFMA and BMI2;
 // hasAMM52 says whether the CPU and OS provide them.
 //
 //go:noescape

@@ -31,57 +31,87 @@ func testModulus(t *testing.T, bits int) (*big.Int, *big.Int) {
 // not divide the common exponent sizes, and the production geometry.
 var combGeometries = [][2]int{{1, 1}, {2, 3}, {5, 2}, {7, 3}, {combTeeth, combBlocks}}
 
+// TestFixedBaseTableMatchesModExp checks random 160-bit walks against
+// big.Int.Exp for every swept geometry at 512 and 1024 bits, on the
+// radix-2^52 lane (two-block tables at 1024 bits, where the CPU runs it)
+// and on montMul.
 func TestFixedBaseTableMatchesModExp(t *testing.T) {
-	p, base := testModulus(t, 512)
-	maxBits := 160
-	for _, g := range combGeometries {
-		tab, err := newCombTable(base, p, maxBits, g[0], g[1])
-		if err != nil {
-			t.Fatalf("h=%d v=%d: %v", g[0], g[1], err)
-		}
-		bound := new(big.Int).Lsh(One, uint(maxBits))
-		for i := 0; i < 40; i++ {
-			e, err := RandInt(rand.Reader, bound)
+	for _, size := range []int{512, 1024} {
+		p, base := testModulus(t, size)
+		maxBits := 160
+		for _, g := range combGeometries {
+			tab, err := newCombTable(base, p, maxBits, g[0], g[1])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("h=%d v=%d: %v", g[0], g[1], err)
 			}
-			want := new(big.Int).Exp(base, e, p)
-			if got := tab.Exp(e); got.Cmp(want) != 0 {
-				t.Fatalf("h=%d v=%d: table exp mismatch for e=%v", g[0], g[1], e)
+			bound := new(big.Int).Lsh(One, uint(maxBits))
+			for i := 0; i < 40; i++ {
+				e, err := RandInt(rand.Reader, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := new(big.Int).Exp(base, e, p)
+				for name, tab := range tableBackends(tab) {
+					if got := tab.Exp(e); got.Cmp(want) != 0 {
+						t.Fatalf("%d bits, h=%d v=%d, %s: table exp mismatch for e=%v", size, g[0], g[1], name, e)
+					}
+				}
 			}
 		}
 	}
 }
 
+// TestFixedBaseTableEdgeExponents checks the production table at 256 and
+// 1024 bits, on both walks, at the edge exponents — 0, 1, 2, q-1, q,
+// 2^maxBits-1 and a random one, and the oversized and negative ones that
+// fall back to big.Int — and ExpMul at each with y = 0, 1, m-1 and a
+// random factor.
 func TestFixedBaseTableEdgeExponents(t *testing.T) {
-	p, base := testModulus(t, 256)
-	q, err := RandPrime(rand.Reader, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := NewFixedBaseTable(base, p, q.BitLen())
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(2),
-		new(big.Int).Sub(q, One),                // q-1: the largest protocol exponent
-		q,                                       // exactly q
-		new(big.Int).Lsh(One, uint(q.BitLen())), // oversized: falls back
-		new(big.Int).Neg(One),                   // negative: falls back to big.Int.Exp semantics
-	}
-	for _, e := range edges {
-		want := new(big.Int).Exp(base, e, p)
-		got := tab.Exp(e)
-		switch {
-		case want == nil && got == nil:
-			// both signal non-invertible negative exponent
-		case want == nil || got == nil:
-			t.Fatalf("e=%v: nil mismatch (want %v, got %v)", e, want, got)
-		case got.Cmp(want) != 0:
-			t.Fatalf("e=%v: mismatch", e)
+	for _, size := range []int{256, 1024} {
+		p, base := testModulus(t, size)
+		q, err := RandPrime(rand.Reader, 96+size/16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := NewFixedBaseTable(base, p, q.BitLen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := size == 1024 && bits.UintSize == 64 && hasAMM52; (tab.lane != nil) != want {
+			t.Fatalf("%d bits: lane walk = %v, want %v", size, tab.lane != nil, want)
+		}
+		bound := new(big.Int).Lsh(One, uint(q.BitLen()))
+		edges := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			big.NewInt(2),
+			new(big.Int).Sub(q, One),     // q-1: the largest protocol exponent
+			q,                            // exactly q
+			new(big.Int).Sub(bound, One), // every bit of every strip set
+			randBelow(t, bound),
+			bound,                 // oversized: falls back
+			new(big.Int).Neg(One), // negative: falls back to big.Int.Exp semantics
+		}
+		ys := []*big.Int{big.NewInt(0), One, new(big.Int).Sub(p, One), randBelow(t, p)}
+		for _, e := range edges {
+			want := new(big.Int).Exp(base, e, p)
+			for name, tab := range tableBackends(tab) {
+				got := tab.Exp(e)
+				switch {
+				case want == nil && got == nil:
+					continue // both signal non-invertible negative exponent
+				case want == nil || got == nil:
+					t.Fatalf("%d bits, %s, e=%v: nil mismatch (want %v, got %v)", size, name, e, want, got)
+				case got.Cmp(want) != 0:
+					t.Fatalf("%d bits, %s, e=%v: mismatch", size, name, e)
+				}
+				for _, y := range ys {
+					prod := new(big.Int).Mul(want, y)
+					if got := tab.ExpMul(e, y); got.Cmp(prod.Mod(prod, p)) != 0 {
+						t.Fatalf("%d bits, %s, e=%v, y=%v: ExpMul mismatch", size, name, e, y)
+					}
+				}
+			}
 		}
 	}
 }
@@ -171,7 +201,9 @@ func BenchmarkSchnorrExpFixedBase(b *testing.B) {
 
 // BenchmarkCombGeometry times a 160-bit walk and a table build at the
 // protocols' 1024-bit modulus for the production comb and its
-// neighbours, the measurement behind combTeeth and combBlocks.
+// neighbours, the measurement behind combTeeth and combBlocks. "walk"
+// runs on montMul; "lane" is the two-block walk on the radix-2^52 kernel,
+// where the CPU runs it.
 func BenchmarkCombGeometry(b *testing.B) {
 	sg, exps := benchGroup(b)
 	for _, g := range [][2]int{{6, 2}, {7, 2}, {8, 1}, {combTeeth, combBlocks}, {8, 3}, {9, 2}} {
@@ -182,6 +214,15 @@ func BenchmarkCombGeometry(b *testing.B) {
 		}
 		b.Run(name+"/walk", func(b *testing.B) {
 			b.ReportMetric(float64(len(tab.flat)*bits.UintSize/8)/1024, "KiB")
+			generic := tableBackends(tab)["montMul"]
+			for i := 0; i < b.N; i++ {
+				generic.Exp(exps[i%len(exps)])
+			}
+		})
+		b.Run(name+"/lane", func(b *testing.B) {
+			if tab.lane == nil {
+				b.Skip("no radix-2^52 walk for this table on this CPU")
+			}
 			for i := 0; i < b.N; i++ {
 				tab.Exp(exps[i%len(exps)])
 			}

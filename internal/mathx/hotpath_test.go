@@ -11,10 +11,12 @@ import (
 	"idgka/internal/sigs/gq"
 )
 
-// TestHotPathAllocsConstant pins the allocations of a generator power, a
-// modular product, a variable-base power, the fixed-window pair and
-// single power and a tabled eq. 2 check: the count is a small constant, independent of the exponent's
-// size, of the slice length and of the roster size.
+// TestHotPathAllocsConstant pins the allocations of a generator power and
+// a comb walk with a factor, a modular product over big.Ints and over
+// packed limbs, a variable-base power, the fixed-window pair and single
+// power and a tabled eq. 2 check: the count is a small constant,
+// independent of the exponent's size, of the slice length and of the
+// roster size. The radix-2^52 chains keep their scratch on the stack.
 func TestHotPathAllocsConstant(t *testing.T) {
 	sg, err := mathx.GenerateSchnorrGroup(rand.Reader, 1024, 160)
 	if err != nil {
@@ -30,19 +32,24 @@ func TestHotPathAllocsConstant(t *testing.T) {
 		}
 		return v.SetBit(v, n-1, 1)
 	}
-	var expAllocs []float64
+	var expAllocs, combAllocs []float64
+	y := randBits(1023)
 	for _, eBits := range []int{1, 40, 160} {
 		e := randBits(eBits)
 		expAllocs = append(expAllocs, testing.AllocsPerRun(20, func() { sg.Exp(e) }))
+		combAllocs = append(combAllocs, testing.AllocsPerRun(20, func() { sg.FixedBase().ExpMul(e, y) }))
 	}
 	mo := sg.Mont()
-	var prodAllocs []float64
+	var prodAllocs, packedAllocs []float64
 	for _, n := range []int{1, 8, 64} {
 		vals := make([]*big.Int, n)
+		flat := make([]big.Word, n*mo.Words())
 		for i := range vals {
 			vals[i] = randBits(1023)
+			mo.Load(flat[i*mo.Words():(i+1)*mo.Words()], vals[i])
 		}
 		prodAllocs = append(prodAllocs, testing.AllocsPerRun(20, func() { mo.Product(vals) }))
+		packedAllocs = append(packedAllocs, testing.AllocsPerRun(20, func() { mo.ProductOf(flat) }))
 	}
 	// A variable-base power carves its odd-power table and accumulator
 	// from one array, whatever the window width the exponent selects.
@@ -80,7 +87,7 @@ func TestHotPathAllocsConstant(t *testing.T) {
 			}
 		}))
 	}
-	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "Modulus.Product": prodAllocs, "Modulus.ExpElem": varAllocs, "Modulus.ExpPair": pairAllocs, "Modulus.ExpFixed": fixedAllocs} {
+	for name, got := range map[string][]float64{"SchnorrGroup.Exp": expAllocs, "FixedBaseTable.ExpMul": combAllocs, "Modulus.Product": prodAllocs, "Modulus.ProductOf": packedAllocs, "Modulus.ExpElem": varAllocs, "Modulus.ExpPair": pairAllocs, "Modulus.ExpFixed": fixedAllocs} {
 		t.Logf("%s allocations: %v", name, got)
 		for _, a := range got {
 			if a != got[0] || a > 2 {

@@ -40,8 +40,10 @@ import (
 // table entry picked by a masked scan, so the schedule depends on the
 // bound alone. On amd64 CPUs with AVX-512 IFMA a 16-word modulus runs
 // two such chains side by side in one radix-2^52 kernel call per
-// product (amm52_amd64.s); every other case runs each chain on montMul.
-// All of them return the same limbs.
+// product (amm52_amd64.s), and so do the raw product chains, the prefix
+// chain of equation (3) and ExpElem above 8 bits (amm52.go); every
+// other case runs each chain on montMul. All of them return the same
+// limbs.
 
 // maxModulusWords bounds the fixed scratch buffers of the CIOS loops
 // (64 words = 4096 bits on 64-bit platforms), far above the 1024/2048-bit
@@ -67,15 +69,15 @@ type Modulus struct {
 	r2    Elem     // R² mod m  (ToMont multiplier)
 	one   Elem     // R mod m   (Montgomery image of 1)
 	asm   bool     // montMul runs the montMul1024 kernel
-	lane  *lane52  // ExpPair's amm52x20x2 state; nil where that kernel does not run
+	lane  *lane52  // the radix-2^52 chains' amm52x20x2 state; nil where that kernel does not run
 
 	rpow *rpowCache
 }
 
-// rpowCache holds RPow's results by exponent: an immutable map, replaced
-// whole under mu when a miss adds an entry, so a hit is one atomic load.
-// Nothing is evicted: the exponents follow from the ring and batch sizes
-// the process keys, never from peer bytes.
+// rpowCache holds twoPow's results, RPow's among them, by exponent of 2:
+// an immutable map, replaced whole under mu when a miss adds an entry, so
+// a hit is one atomic load. Nothing is evicted: the exponents follow from
+// the ring and batch sizes the process keys, never from peer bytes.
 type rpowCache struct {
 	m  atomic.Pointer[map[int]Elem]
 	mu sync.Mutex
@@ -312,6 +314,9 @@ func geWords(a, b []big.Word) bool {
 	return true
 }
 
+// maxExpWindow is the widest window expWindow picks.
+const maxExpWindow = 6
+
 // expWindow picks the sliding-window width for an exponent size.
 func expWindow(bits int) int {
 	switch {
@@ -324,14 +329,17 @@ func expWindow(bits int) int {
 	case bits <= 768:
 		return 5
 	default:
-		return 6
+		return maxExpWindow
 	}
 }
 
 // ExpElem computes base^e in the Montgomery domain for a non-negative
 // exponent, with a left-to-right sliding window over precomputed odd
 // powers. e = 0 yields the Montgomery image of 1. The result and the
-// odd-power table share one allocation.
+// odd-power table share one allocation. Where the radix-2^52 lane serves
+// the modulus, an exponent of more than 8 bits (a window wider than one
+// bit) runs on it with both lanes on the chain, as ExpFixed does: its two
+// conversion calls cost more than they save on the shorter ones.
 func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	eb := e.BitLen()
 	if e.Sign() < 0 {
@@ -341,6 +349,11 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		return mo.MontOne()
 	}
 	k, w := mo.k, expWindow(eb)
+	if mo.lane != nil && w > 1 {
+		z := make(Elem, k)
+		mo.expElemLane(z, base, e, w)
+		return z
+	}
 	// acc, then the odd powers base^1, base^3, ..., base^(2^w - 1): the
 	// power for odd digit d sits at table[(d>>1)·k:][:k].
 	flat := make([]big.Word, (1+1<<(w-1))*k)
@@ -353,15 +366,46 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		}
 	}
 	pow := func(d uint) Elem { return table[int(d>>1)*k:][:k] }
-	// Walk e left to right in windows of at most w bits that end in a set
-	// bit: the top window's odd digit seeds acc, every later bit squares
-	// it, and each later window multiplies in its digit's power after its
-	// squarings.
+	slidingWindow(e, w,
+		func(d uint) { copy(acc, pow(d)) },
+		func() { mo.SqrInto(acc, acc) },
+		func(d uint) { mo.MulInto(acc, acc, pow(d)) })
+	return acc
+}
+
+// expElemLane is ExpElem on amm52x20x2 with both lanes on one chain, for
+// a window w > 1: the odd-power table holds single lane values on the
+// stack, and the base enters and the result leaves through one
+// conversion call each.
+func (mo *Modulus) expElemLane(z, base Elem, e *big.Int, w int) {
+	ln := mo.lane
+	var tab [1 << (maxExpWindow - 1)][20]uint64
+	var acc [20]uint64
+	to52(&tab[0], base)
+	ln.mul1(&tab[0], &tab[0], &ln.in)
+	ln.mul1(&acc, &tab[0], &tab[0]) // base², scratch until the first window
+	for i := 1; i < 1<<(w-1); i++ {
+		ln.mul1(&tab[i], &tab[i-1], &acc)
+	}
+	slidingWindow(e, w,
+		func(d uint) { acc = tab[d>>1] },
+		func() { ln.mul1(&acc, &acc, &acc) },
+		func(d uint) { ln.mul1(&acc, &acc, &tab[d>>1]) })
+	ln.mul1(&acc, &acc, &ln.out)
+	ln.store(z, &acc)
+}
+
+// slidingWindow walks e > 0 left to right in windows of at most w bits
+// that end in a set bit: the top window's odd digit d seeds the
+// accumulator (first(d)), every later bit squares it (sqr), and each
+// later window multiplies in its digit's power after its squarings
+// (mul(d)).
+func slidingWindow(e *big.Int, w int, first func(d uint), sqr func(), mul func(d uint)) {
 	started := false
-	for i := eb - 1; i >= 0; {
+	for i := e.BitLen() - 1; i >= 0; {
 		if e.Bit(i) == 0 {
 			if started {
-				mo.SqrInto(acc, acc)
+				sqr()
 			}
 			i--
 			continue
@@ -376,16 +420,15 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		}
 		if started {
 			for j := l; j <= i; j++ {
-				mo.SqrInto(acc, acc)
+				sqr()
 			}
-			mo.MulInto(acc, acc, pow(d))
+			mul(d)
 		} else {
-			copy(acc, pow(d))
+			first(d)
 			started = true
 		}
 		i = l - 1
 	}
-	return acc
 }
 
 // The fixed window under ExpPair and ExpFixed, for secret exponents (a
@@ -455,20 +498,22 @@ func eqMask(a, b uint) big.Word {
 // product with the right RPow cancels it. Results are cached per
 // exponent and shared: callers must not modify them. Each distinct ring
 // size adds a few entries of k words.
-func (mo *Modulus) RPow(e int) Elem {
+func (mo *Modulus) RPow(e int) Elem { return mo.twoPow(e * mo.k * wordBits) }
+
+// twoPow returns 2^e mod m as raw limbs of the modulus' width, for any
+// integer e, from the cache RPow shares: R^e is 2^(W·k·e). The radix-2^52
+// chains (amm52.go) take their corrections here too, since each of their
+// products divides by R' = 2^1040 rather than by R.
+func (mo *Modulus) twoPow(e int) Elem {
 	cache := mo.rpow
 	if m := cache.m.Load(); m != nil {
 		if v, ok := (*m)[e]; ok {
 			return v
 		}
 	}
-	abs := e
-	if abs < 0 {
-		abs = -abs
-	}
-	v := new(big.Int).Exp(bigFromElem(mo.one), big.NewInt(int64(abs)), mo.m)
+	v := new(big.Int).Exp(Two, big.NewInt(int64(max(e, -e))), mo.m)
 	if e < 0 {
-		// R is a unit: m is odd.
+		// 2 is a unit: m is odd.
 		v.ModInverse(v, mo.m)
 	}
 	var buf [maxModulusWords]big.Word
@@ -490,28 +535,28 @@ func (mo *Modulus) RPow(e int) Elem {
 
 // Product returns Π values mod m, bit-identical to ProductMod: an empty
 // slice yields 1 and values outside [0, m) are reduced first. The values
-// never enter the domain. Each Montgomery product of two raw residues
-// divides by R once, so the chain over k values leaves Π v·R^{-(k-1)},
-// and one final product with the cached R^k cancels it: k Montgomery
-// products, with no division and no per-value conversion.
+// are widened into one packed array and multiplied as ProductOf does.
 func (mo *Modulus) Product(values []*big.Int) *big.Int {
 	if len(values) == 0 {
 		return big.NewInt(1)
 	}
-	var abuf, vbuf [maxModulusWords]big.Word
-	acc := mo.limbs(&abuf, values[0])
-	for _, v := range values[1:] {
-		mo.montMul(acc, acc, mo.limbs(&vbuf, v))
+	k := mo.k
+	flat := make([]big.Word, len(values)*k)
+	var buf [maxModulusWords]big.Word
+	for i, v := range values {
+		copy(flat[i*k:], mo.limbs(&buf, v))
 	}
-	mo.montMul(acc, acc, mo.RPow(len(values)))
-	return bigFromElem(acc)
+	acc := flat[:k:k] // the chain reads slot 0 before it writes acc
+	mo.packedProduct(acc, flat, 0)
+	return new(big.Int).SetBits(acc)
 }
 
 // ProductOf returns Π v mod m over the raw residues packed in flat, each
 // in [0, m) and k words wide (value i in flat[i·k:(i+1)·k]), like
 // Product but with no per-value widening. An empty flat yields 1.
 func (mo *Modulus) ProductOf(flat []big.Word) *big.Int {
-	acc := mo.packedProduct(flat, 0)
+	acc := make(Elem, mo.k)
+	mo.packedProduct(acc, flat, 0)
 	return new(big.Int).SetBits(acc) // acc is fresh: the result may own it
 }
 
@@ -519,24 +564,62 @@ func (mo *Modulus) ProductOf(flat []big.Word) *big.Int {
 // domain, for a caller that goes on computing there: the correction
 // product lands on the image directly, with no conversion out and back.
 func (mo *Modulus) ProductMontOf(flat []big.Word) Elem {
-	return mo.packedProduct(flat, 1)
+	acc := make(Elem, mo.k)
+	mo.packedProduct(acc, flat, 1)
+	return acc
 }
 
-// packedProduct returns Π v·R^d mod m over the residues packed in flat,
-// d being 0 for the raw product and 1 for its Montgomery image.
-func (mo *Modulus) packedProduct(flat []big.Word, d int) Elem {
+// packedProduct sets acc to Π v·R^d mod m over the residues packed in
+// flat, d being 0 for the raw product and 1 for its Montgomery image.
+// acc may alias the first value. Each Montgomery product of two raw
+// residues divides by R once, so the chain over count values leaves
+// Π v·R^{-(count-1)}, and one final product with the cached R^{count+d}
+// leaves Π v·R^d: count products, with no division and no per-value
+// conversion. On the radix-2^52 lane (productLane) two such chains run
+// side by side.
+func (mo *Modulus) packedProduct(acc Elem, flat []big.Word, d int) {
 	k, count := mo.k, len(flat)/mo.k
-	acc := make(Elem, k)
-	if count == 0 {
+	switch {
+	case count == 0:
 		copy(acc, mo.RPow(d))
-		return acc
+	case mo.lane != nil:
+		mo.productLane(acc, flat, count, d)
+	default:
+		copy(acc, flat[:k])
+		for i := k; i < count*k; i += k {
+			mo.montMul(acc, acc, flat[i:i+k])
+		}
+		mo.montMul(acc, acc, mo.RPow(count+d))
 	}
-	copy(acc, flat[:k])
-	for i := k; i < count*k; i += k {
-		mo.montMul(acc, acc, flat[i:i+k])
+}
+
+// PrefixProducts runs the one chain under Lemma 1 and equation (3) over
+// the ring of n raw residues packed in xs (X_j in xs[j·k:(j+1)·k], each
+// in [0, m)), starting at slot i. With S_t = X_i···X_{i+t} (indices mod
+// n) it sets
+//
+//	prefix = S_{n-1}·R^{-(n-1)}                    (Lemma 1's product)
+//	acc    = S_0·S_1···S_{n-2}·R^{-(n-2)(n+1)/2}   (the Horner product)
+//
+// and acc = X_i when n = 1. On montMul that is 2n-3 products: prefix
+// steps to S_j while acc takes S_{j-1}. On the radix-2^52 lane both
+// steps of each j are one call, n calls in all (prefixLane). Both give
+// the same limbs. prefix and acc must not alias xs or each other.
+func (mo *Modulus) PrefixProducts(prefix, acc Elem, xs []big.Word, i int) {
+	k := mo.k
+	n := len(xs) / k
+	if mo.lane != nil && n > 1 {
+		mo.prefixLane(prefix, acc, xs, i, n)
+		return
 	}
-	// acc is Π v·R^{-(count-1)}; one product with R^{count+d} leaves
-	// Π v·R^d.
-	mo.montMul(acc, acc, mo.RPow(count+d))
-	return acc
+	x := func(j int) Elem { j %= n; return xs[j*k : (j+1)*k] }
+	copy(prefix, x(i))
+	copy(acc, prefix)
+	for j := 1; j <= n-2; j++ {
+		mo.montMul(prefix, prefix, x(i+j))
+		mo.montMul(acc, acc, prefix)
+	}
+	if n > 1 {
+		mo.montMul(prefix, prefix, x(i+n-1))
+	}
 }

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"math/bits"
 	"testing"
@@ -197,6 +198,33 @@ func BenchmarkVarBaseExp(b *testing.B) {
 	})
 }
 
+// BenchmarkExpElem times public-exponent powers in the Montgomery domain
+// at the protocols' sizes: a 6-bit ring size (edge^n for n = 32), the
+// 17-bit GQ e = 65537 and a 160-bit challenge, on the radix-2^52 lane
+// with both lanes on the chain ("lane", where the CPU runs it; ExpElem
+// takes it above 8 bits) and on montMul ("generic").
+func BenchmarkExpElem(b *testing.B) {
+	mo, base, exp := benchModulus(b, 1024)
+	be, generic := mo.ToMont(base), WithoutLane(mo)
+	z := make(Elem, mo.Words())
+	for _, e := range []*big.Int{big.NewInt(32), big.NewInt(65537), exp} {
+		w := expWindow(e.BitLen())
+		b.Run(fmt.Sprintf("e=%dbit/lane", e.BitLen()), func(b *testing.B) {
+			if mo.lane == nil {
+				b.Skip("no radix-2^52 kernel on this CPU")
+			}
+			for i := 0; i < b.N; i++ {
+				mo.expElemLane(z, be, e, w)
+			}
+		})
+		b.Run(fmt.Sprintf("e=%dbit/generic", e.BitLen()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				generic.ExpElem(be, e)
+			}
+		})
+	}
+}
+
 // BenchmarkExpPair raises two bases to two 160-bit exponents in the
 // Montgomery domain, as round 2 and the K* fold do: ExpPair on the
 // radix-2^52 kernel ("lane", where the CPU runs it), the same fixed
@@ -254,6 +282,34 @@ func BenchmarkExpFixed(b *testing.B) {
 	})
 }
 
+// BenchmarkProductOf multiplies 32 packed 1024-bit residues, the size of
+// the ring32 workload's Z, T and Πs products: the two-accumulator chain
+// on the radix-2^52 kernel ("lane", where the CPU runs it) against one
+// montMul chain ("generic").
+func BenchmarkProductOf(b *testing.B) {
+	mo, _, _ := benchModulus(b, 1024)
+	k := mo.Words()
+	flat := make([]big.Word, 32*k)
+	for i := 0; i < 32; i++ {
+		v, _ := RandInt(rand.Reader, mo.m)
+		copy(flat[i*k:], v.Bits())
+	}
+	b.Run("lane", func(b *testing.B) {
+		if mo.lane == nil {
+			b.Skip("no radix-2^52 kernel on this CPU")
+		}
+		for i := 0; i < b.N; i++ {
+			mo.ProductOf(flat)
+		}
+	})
+	generic := WithoutLane(mo)
+	b.Run("generic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			generic.ProductOf(flat)
+		}
+	})
+}
+
 func BenchmarkMontMul(b *testing.B) {
 	mo, base, _ := benchModulus(b, 1024)
 	x := mo.ToMont(base)
@@ -264,7 +320,8 @@ func BenchmarkMontMul(b *testing.B) {
 			mo.MulInto(z, x, y)
 		}
 	})
-	generic := withGeneric(mo)[1]
+	generics := withGeneric(mo)
+	generic := generics[len(generics)-1]
 	b.Run("mul-generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			generic.MulInto(z, x, y)

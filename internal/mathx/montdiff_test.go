@@ -49,7 +49,8 @@ func randBelow(t *testing.T, bound *big.Int) *big.Int {
 // teeth and teeth lengths that are not a multiple of the blocks — and
 // the exponent shapes at the edges of the strip decomposition, and
 // ExpMul against the power times a factor inside and outside [0, m)
-// (the factors rotate across the exponents).
+// (the factors rotate across the exponents), on both walks where the
+// table has two (tableBackends).
 func TestFixedBaseTableDifferential(t *testing.T) {
 	for _, m := range diffModuli(t) {
 		bases := []*big.Int{
@@ -85,22 +86,24 @@ func TestFixedBaseTableDifferential(t *testing.T) {
 					}
 					for i, e := range exps {
 						want := new(big.Int).Exp(base, e, m)
-						got := tab.Exp(e)
-						switch {
-						case want == nil || got == nil:
-							if want != nil || got != nil {
-								t.Fatalf("m=%d bits h=%d v=%d e=%v: nil mismatch (want %v, got %v)", m.BitLen(), g[0], g[1], e, want, got)
+						for name, tab := range tableBackends(tab) {
+							got := tab.Exp(e)
+							switch {
+							case want == nil || got == nil:
+								if want != nil || got != nil {
+									t.Fatalf("%s, m=%d bits h=%d v=%d e=%v: nil mismatch (want %v, got %v)", name, m.BitLen(), g[0], g[1], e, want, got)
+								}
+							case got.Cmp(want) != 0:
+								t.Fatalf("%s, m=%d bits h=%d v=%d maxBits=%d e=%v: got %v, want %v", name, m.BitLen(), g[0], g[1], maxBits, e, got, want)
 							}
-						case got.Cmp(want) != 0:
-							t.Fatalf("m=%d bits h=%d v=%d maxBits=%d e=%v: got %v, want %v", m.BitLen(), g[0], g[1], maxBits, e, got, want)
-						}
-						if want == nil {
-							continue
-						}
-						y := factors[i%len(factors)]
-						prod := new(big.Int).Mul(want, y)
-						if got := tab.ExpMul(e, y); got.Cmp(prod.Mod(prod, m)) != 0 {
-							t.Fatalf("m=%d bits h=%d v=%d e=%v y=%v: ExpMul got %v, want %v", m.BitLen(), g[0], g[1], e, y, got, prod)
+							if want == nil {
+								continue
+							}
+							y := factors[i%len(factors)]
+							prod := new(big.Int).Mul(want, y)
+							if got := tab.ExpMul(e, y); got.Cmp(prod.Mod(prod, m)) != 0 {
+								t.Fatalf("%s, m=%d bits h=%d v=%d e=%v y=%v: ExpMul got %v, want %v", name, m.BitLen(), g[0], g[1], e, y, got, prod)
+							}
 						}
 					}
 				}
@@ -129,21 +132,31 @@ func belowR() []*big.Int {
 	return []*big.Int{new(big.Int).Sub(r, One), new(big.Int).Sub(r, big.NewInt(3))}
 }
 
-// withGeneric returns mo and a copy of it that never takes the
-// assembly kernel, so a test runs both montMul1024 (at 16 words on a CPU
-// with ADX and BMI2) and montMulGeneric on the same operands.
+// withGeneric returns mo, a copy of it without the radix-2^52 lane
+// where mo has one, and last a copy that takes no assembly kernel, so a
+// test runs the lane, montMul1024 (at 16 words on a CPU with ADX and
+// BMI2) and montMulGeneric on the same operands.
 func withGeneric(mo *Modulus) []*Modulus {
-	generic := *mo
+	out := []*Modulus{mo}
+	if mo.lane != nil {
+		out = append(out, WithoutLane(mo))
+	}
+	generic := WithoutLane(mo)
 	generic.asm = false
-	return []*Modulus{mo, &generic}
+	return append(out, generic)
 }
 
-// engineName names the multiplier a Modulus runs, for failure messages.
+// engineName names the multiplier a Modulus runs, and the lane where it
+// has one, for failure messages.
 func engineName(mo *Modulus) string {
+	name := "montMulGeneric"
 	if mo.asm {
-		return "montMul1024"
+		name = "montMul1024"
 	}
-	return "montMulGeneric"
+	if mo.lane != nil {
+		name += "+lane"
+	}
+	return name
 }
 
 // TestMontMulDifferential checks Mul, MulInto and SqrInto against
@@ -221,8 +234,8 @@ func TestMontMulDifferential(t *testing.T) {
 // TestExpElemDifferential checks the sliding-window exponentiation
 // against (*big.Int).Exp at every width, for exponents on both sides of
 // each window-size boundary and bases at the edges of [0, m). At 16
-// words the assembly kernel and the generic loop both run the same
-// powers (withGeneric).
+// words the radix-2^52 lane (where the CPU runs it), the assembly kernel
+// and the generic loop all run the same powers (withGeneric).
 func TestExpElemDifferential(t *testing.T) {
 	var exps []*big.Int
 	for _, eb := range []int{1, 2, 8, 9, 17, 48, 49, 160, 161, 768, 769, 1024} {
@@ -264,7 +277,8 @@ func TestFixedBaseTableRejectsEvenModulus(t *testing.T) {
 
 // TestModulusProductDifferential compares the raw-operand Montgomery
 // product against ProductMod, including the empty product, single
-// values and operands outside [0, m).
+// values, odd and even counts and operands outside [0, m), on the
+// radix-2^52 lane (at 16 words, where the CPU runs it) and on montMul.
 func TestModulusProductDifferential(t *testing.T) {
 	for _, m := range diffModuli(t) {
 		mo, err := NewModulus(m)
@@ -305,10 +319,6 @@ func TestModulusProductDifferential(t *testing.T) {
 				before[i] = new(big.Int).Set(v)
 			}
 			want := ProductMod(vals, m)
-			got := mo.Product(vals)
-			if got.Cmp(want) != 0 {
-				t.Fatalf("m=%d bits, %d values: got %v, want %v", m.BitLen(), len(vals), got, want)
-			}
 			// The packed forms take canonical residues.
 			k := mo.Words()
 			flat := make([]big.Word, len(vals)*k)
@@ -316,15 +326,77 @@ func TestModulusProductDifferential(t *testing.T) {
 			for i, v := range vals {
 				copy(flat[i*k:], mo.limbs(&buf, v))
 			}
-			if got := mo.ProductOf(flat); got.Cmp(want) != 0 {
-				t.Fatalf("m=%d bits, %d values: ProductOf %v, want %v", m.BitLen(), len(vals), got, want)
-			}
-			if got := mo.FromMont(mo.ProductMontOf(flat)); got.Cmp(want) != 0 {
-				t.Fatalf("m=%d bits, %d values: ProductMontOf %v, want %v", m.BitLen(), len(vals), got, want)
+			for name, mo := range chainBackends(mo) {
+				if got := mo.Product(vals); got.Cmp(want) != 0 {
+					t.Fatalf("%s, m=%d bits, %d values: got %v, want %v", name, m.BitLen(), len(vals), got, want)
+				}
+				if got := mo.ProductOf(flat); got.Cmp(want) != 0 {
+					t.Fatalf("%s, m=%d bits, %d values: ProductOf %v, want %v", name, m.BitLen(), len(vals), got, want)
+				}
+				if got := mo.FromMont(mo.ProductMontOf(flat)); got.Cmp(want) != 0 {
+					t.Fatalf("%s, m=%d bits, %d values: ProductMontOf %v, want %v", name, m.BitLen(), len(vals), got, want)
+				}
 			}
 			for i, v := range vals {
 				if v.Cmp(before[i]) != 0 {
 					t.Fatalf("m=%d bits: Product mutated input %d", m.BitLen(), i)
+				}
+			}
+		}
+	}
+}
+
+// prefixRef returns PrefixProducts' two values from big.Int for the ring
+// xs starting at slot i.
+func prefixRef(mo *Modulus, xs []*big.Int, i int) (prefix, acc *big.Int) {
+	n, m := len(xs), mo.m
+	rInv := new(big.Int).ModInverse(bigFromElem(mo.one), m)
+	s := new(big.Int).Set(xs[i])
+	acc = new(big.Int).Set(s)
+	for t := 1; t <= n-2; t++ {
+		s.Mod(s.Mul(s, xs[(i+t)%n]), m)
+		acc.Mod(acc.Mul(acc, s), m)
+	}
+	if n > 1 {
+		s.Mod(s.Mul(s, xs[(i+n-1)%n]), m)
+		e := big.NewInt(int64((n - 2) * (n + 1) / 2))
+		acc.Mod(acc.Mul(acc, new(big.Int).Exp(rInv, e, m)), m)
+	}
+	return s.Mod(s.Mul(s, new(big.Int).Exp(rInv, big.NewInt(int64(n-1)), m)), m), acc
+}
+
+// TestPrefixProductsDifferential checks the chain under Lemma 1 and
+// equation (3) against big.Int for every ring size from 1 to 33 and
+// every starting position, on the radix-2^52 lane and on montMul, at 4,
+// 16 and 17 words; the ring holds random residues, 0, 1 and m - 1.
+func TestPrefixProductsDifferential(t *testing.T) {
+	for _, m := range diffModuli(t)[4:10] {
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := mo.Words()
+		edge := []*big.Int{new(big.Int).Sub(m, One), One, big.NewInt(0)}
+		for n := 1; n <= 33; n++ {
+			xs := make([]*big.Int, n)
+			for j := range xs {
+				xs[j] = randBelow(t, m)
+			}
+			if n >= 5 {
+				copy(xs[n-3:], edge)
+			}
+			flat := make([]big.Word, n*k)
+			for j, x := range xs {
+				copy(flat[j*k:], x.Bits())
+			}
+			prefix, acc := make(Elem, k), make(Elem, k)
+			for i := range n {
+				wantP, wantA := prefixRef(mo, xs, i)
+				for name, mo := range chainBackends(mo) {
+					mo.PrefixProducts(prefix, acc, flat, i)
+					if bigFromElem(prefix).Cmp(wantP) != 0 || bigFromElem(acc).Cmp(wantA) != 0 {
+						t.Fatalf("%s, m=%d bits, n=%d, i=%d: prefix %x acc %x, want %x %x", name, m.BitLen(), n, i, prefix, acc, wantP, wantA)
+					}
 				}
 			}
 		}
@@ -707,5 +779,88 @@ func FuzzExpPair(f *testing.F) {
 		base := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), m) }
 		exp := func(b []byte) *big.Int { return new(big.Int).Mod(new(big.Int).SetBytes(b), q) }
 		checkExpPair(t, mo, q, base(b1b), exp(e1b), base(b2b), exp(e2b))
+	})
+}
+
+// FuzzLaneChains builds an odd 1024-bit modulus, up to 40 residues, an
+// exponent of up to 168 bits and a factor from the fuzz input, and runs
+// every chain the radix-2^52 lane takes over from montMul on both
+// backends: the packed product (raw and Montgomery), the prefix chain
+// from a fuzzed start, a comb walk with a factor over a table of the
+// first residue (the exponent past 160 bits takes the big.Int fallback)
+// and a public-exponent power. Each result must match the other
+// backend limb for limb and big.Int. On a CPU without the lane only the
+// montMul side runs.
+func FuzzLaneChains(f *testing.F) {
+	ones := make([]byte, 128) // m = 2^1024 - 1
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	f.Add(ones, append(ones, ones[:64]...), ones[:20], ones, uint8(1))
+	f.Add([]byte{1}, []byte{2, 0, 0, 0, 3}, []byte{0x80}, []byte{}, uint8(0)) // m = 2^1023 + 1
+	f.Add(ones[:100], make([]byte, 300), ones[:21], []byte{1}, uint8(7))
+	f.Fuzz(func(t *testing.T, mb, vb, eb, yb []byte, start uint8) {
+		if len(mb) > 128 {
+			mb = mb[:128]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 1023, 1).SetBit(m, 0, 1)
+		mo, err := NewModulus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []*big.Int
+		for ; len(vb) > 0 && len(vals) < 40; vb = vb[min(len(vb), 128):] {
+			vals = append(vals, new(big.Int).Mod(new(big.Int).SetBytes(vb[:min(len(vb), 128)]), m))
+		}
+		n, k := len(vals), mo.Words()
+		flat := make([]big.Word, n*k)
+		for i, v := range vals {
+			copy(flat[i*k:], v.Bits())
+		}
+		want := ProductMod(vals, m)
+		backends := chainBackends(mo)
+		for name, mo := range backends {
+			if got := mo.ProductOf(flat); got.Cmp(want) != 0 {
+				t.Fatalf("%s: ProductOf of %d values %v, want %v", name, n, got, want)
+			}
+			if got := mo.FromMont(mo.ProductMontOf(flat)); got.Cmp(want) != 0 {
+				t.Fatalf("%s: ProductMontOf of %d values %v, want %v", name, n, got, want)
+			}
+		}
+		if n > 0 {
+			i := int(start) % n
+			wantP, wantA := prefixRef(mo, vals, i)
+			prefix, acc := make(Elem, k), make(Elem, k)
+			for name, mo := range backends {
+				mo.PrefixProducts(prefix, acc, flat, i)
+				if bigFromElem(prefix).Cmp(wantP) != 0 || bigFromElem(acc).Cmp(wantA) != 0 {
+					t.Fatalf("%s, n=%d, i=%d: prefix %x acc %x, want %x %x", name, n, i, prefix, acc, wantP, wantA)
+				}
+			}
+		}
+		base := Two
+		if n > 0 {
+			base = vals[0]
+		}
+		e := new(big.Int).SetBytes(eb[:min(len(eb), 21)])
+		y := new(big.Int).SetBytes(yb[:min(len(yb), 129)])
+		tab, err := NewFixedBaseTable(base, m, 160)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantExp := new(big.Int).Exp(base, e, m)
+		wantMul := new(big.Int).Mod(new(big.Int).Mul(wantExp, y), m)
+		for name, tab := range tableBackends(tab) {
+			if got := tab.ExpMul(e, y); got.Cmp(wantMul) != 0 {
+				t.Fatalf("%s: ExpMul(%x, %x) = %x, want %x", name, e, y, got, wantMul)
+			}
+		}
+		be := mo.ToMont(base)
+		for name, mo := range backends {
+			if got := mo.FromMont(mo.ExpElem(be, e)); got.Cmp(wantExp) != 0 {
+				t.Fatalf("%s: ExpElem(%x) = %x, want %x", name, e, got, wantExp)
+			}
+		}
 	})
 }
