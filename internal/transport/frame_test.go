@@ -61,6 +61,8 @@ func FuzzReadFrame(f *testing.F) {
 		{Kind: kindBye, From: "a"},
 		{Kind: kindMsg, Seq: 2, From: "a", To: "b", Type: "t", StateLen: 3, Payload: []byte{1, 2, 3, 4}},
 		{Kind: kindRelay, Seq: 9, From: "a", Type: "t", Payload: []byte("x"), Rcpt: []string{"b", "c", "d"}},
+		{Kind: kindOwn, Seq: 2, From: "a", Type: "t", StateLen: 1, Payload: []byte("y"), Rcpt: []string{"b", "c"}},
+		{Kind: kindOwnFirst, Seq: 3, From: "a", To: "b", Type: "t", Payload: []byte("z"), Rcpt: []string{"b"}},
 		{Kind: kindAck, Seq: 9, Rcpt: []string{"c"}},
 		{Kind: kindDone, Seq: 2, From: "c"},
 		{Kind: kindReject, Seq: 1, From: "a"},

@@ -10,18 +10,27 @@
 // serves them all, and a node is an inbox plus a meter. Every frame
 // crosses the hub, even when sender and recipients share a Router. For
 // each message the hub groups the recipients by connection and writes one
-// relay per connection, listing that connection's recipient ids; the
-// Router files the message into each listed inbox and answers with one
-// acknowledgement. Once every connection acknowledged, the hub sends the
-// sender its done frame, giving the synchronous semantics netsim.Medium
-// promises.
+// frame per connection, listing that connection's recipient ids. The
+// sender's own connection gets its group first, as an own frame carrying
+// the sender's frame seq; every other connection gets a relay, which its
+// Router files into each listed inbox and answers with one
+// acknowledgement. Once every other connection acknowledged, the hub sends
+// the sender its done frame, giving the synchronous semantics
+// netsim.Medium promises. The own frame needs no acknowledgement: TCP
+// keeps one connection's frames in order and the Router's read loop
+// handles them in that order, so the own frame is filed before the done
+// that follows it is read. When the own group is the only one, the own
+// frame is the done: a broadcast between nodes of one Router is one msg
+// frame up and one own frame down.
 //
 // Failure semantics: the hub gives every blocked sender an explicit
 // outcome. Pending deliveries are keyed by a hub-assigned delivery id, so
 // the independently numbered frames of concurrent Routers cannot collide.
 // An acknowledgement names any listed recipient that was no longer
 // attached, and the sender's done frame then names it: the send fails
-// with a *PeerDownError. When a connection drops, every delivery still
+// with a *PeerDownError. A recipient of an own frame no longer attached
+// fails the send the same way, at once or, when a done follows, through
+// the done. When a connection drops, every delivery still
 // waiting on its acknowledgement is settled the same way, naming a node of
 // that connection; deliveries the connection originated are dropped; and
 // each surviving connection receives one peer-down frame per departed
@@ -43,10 +52,13 @@
 // "reject" unless From registered on the same connection), "ack"
 // (delivery Seq filed; the list names recipients no longer attached).
 // Hub→Router: "relay" (a message with the hub's delivery id as Seq, for
-// the listed local recipients), "done" (hello confirmed, or message Seq
-// delivered; a non-empty From names a recipient that died first),
-// "reject" (hello of an id already registered, or a forged msg; the
-// connection stays open), "down" (node From departed).
+// the listed local recipients; acknowledged), "own" (the sender's own
+// message Seq, for the listed recipients on its own connection; never
+// acknowledged, and it ends the send), "own+" (the same, with a done to
+// follow once the other connections acknowledged), "done" (hello
+// confirmed, or message Seq delivered; a non-empty From names a recipient
+// that died first), "reject" (hello of an id already registered, or a
+// forged msg; the connection stays open), "down" (node From departed).
 package transport
 
 import (
@@ -56,7 +68,7 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -75,14 +87,16 @@ var (
 
 // Frame kinds.
 const (
-	kindHello  = "hello"
-	kindBye    = "bye"
-	kindMsg    = "msg"
-	kindRelay  = "relay"
-	kindAck    = "ack"
-	kindDone   = "done"
-	kindReject = "reject"
-	kindDown   = "down"
+	kindHello    = "hello"
+	kindBye      = "bye"
+	kindMsg      = "msg"
+	kindRelay    = "relay"
+	kindOwn      = "own"  // the sender's own group; ends the send
+	kindOwnFirst = "own+" // the sender's own group; a done follows
+	kindAck      = "ack"
+	kindDone     = "done"
+	kindReject   = "reject"
+	kindDown     = "down"
 )
 
 // DefaultSendTimeout bounds how long a Broadcast/Send may wait for the
@@ -125,7 +139,7 @@ type frame struct {
 	Type     string
 	StateLen uint64
 	Payload  []byte
-	Rcpt     []string // relay: local recipients; ack: recipients no longer attached
+	Rcpt     []string // relay, own: local recipients; ack: recipients no longer attached
 }
 
 // Frame size limits: a frame body is at most maxFrame bytes, read in
@@ -241,7 +255,8 @@ type Hub struct {
 }
 
 // delivery tracks the outstanding acknowledgements of one relayed
-// message: one per connection it was relayed on.
+// message: one per connection it was relayed on, the sender's own
+// excepted.
 type delivery struct {
 	sender  *link  // the connection the message came from
 	seq     uint64 // the sender's frame seq, echoed in the done frame
@@ -438,11 +453,15 @@ func announce(survivors []*link, gone []string) {
 	}
 }
 
-// relay forwards a message to its recipients, one relay frame per
-// connection, and records the pending delivery; when there are no
-// recipients the done is immediate. Write failures are surfaced: a
-// connection whose socket rejects the frame is settled as failed instead
-// of leaving the sender waiting on an ack that can never come.
+// relay forwards a message to its recipients, one frame per connection.
+// The sender's own connection gets its group first, as an own frame that
+// is never acknowledged; the delivery pending on the other connections'
+// acks is recorded only after it, so no done can overtake it on the
+// sender's connection. With no other connection the own frame ends the
+// send, and with no recipient at all the done is immediate. Write
+// failures are surfaced: a connection whose socket rejects the frame is
+// settled as failed instead of leaving the sender waiting on an ack that
+// can never come.
 func (h *Hub) relay(src *link, f *frame) {
 	h.mu.Lock()
 	// The sending node must be registered on this connection: a Router
@@ -452,8 +471,13 @@ func (h *Hub) relay(src *link, f *frame) {
 		_ = src.write(&frame{Kind: kindReject, Seq: f.Seq, From: f.From})
 		return
 	}
+	var own []string
 	var groups []relayGroup
 	add := func(id string, l *link) {
+		if l == src {
+			own = append(own, id)
+			return
+		}
 		for i := range groups {
 			if groups[i].l == l {
 				groups[i].ids = append(groups[i].ids, id)
@@ -471,8 +495,8 @@ func (h *Hub) relay(src *link, f *frame) {
 	} else if l := h.nodes[f.To]; l != nil && f.To != f.From {
 		add(f.To, l)
 	}
-	if len(groups) == 0 {
-		h.mu.Unlock()
+	h.mu.Unlock()
+	if len(own) == 0 && len(groups) == 0 {
 		// A broadcast to an empty group (or a self-addressed send, which
 		// the hub never loops back) is vacuously delivered; a directed
 		// send to an absent (dead or never-registered) recipient is a
@@ -485,6 +509,19 @@ func (h *Hub) relay(src *link, f *frame) {
 		_ = src.write(done)
 		return
 	}
+	if len(own) > 0 {
+		out := *f
+		out.Kind, out.Rcpt = kindOwn, own
+		if len(groups) > 0 {
+			out.Kind = kindOwnFirst
+		}
+		if src.write(&out) != nil || len(groups) == 0 {
+			// Either the own frame ended the send, or the sender's
+			// connection broke and its Router fails the send.
+			return
+		}
+	}
+	h.mu.Lock()
 	h.lastID++
 	id := h.lastID
 	// The delivery gets its own copy of the groups: acks shrink it while
@@ -582,6 +619,9 @@ type node struct {
 type slot struct {
 	n  *node
 	ch chan error // buffered (cap 1); whoever deletes the slot sends once
+	// failed is a recipient of an own frame found no longer attached,
+	// reported when the done that follows carries no failure of its own.
+	failed error
 }
 
 // Router bundles local nodes behind the netsim.Medium interface over one
@@ -732,7 +772,7 @@ func (r *Router) Close() {
 // caller holds r.mu.
 func (r *Router) slotLocked(n *node, ch chan error) uint64 {
 	r.seq++
-	r.done[r.seq] = slot{n, ch}
+	r.done[r.seq] = slot{n: n, ch: ch}
 	return r.seq
 }
 
@@ -756,13 +796,17 @@ func answerAll(chs []chan error, err error) {
 	}
 }
 
-// answer settles the slot of frame seq with err, if it is still armed.
+// answer settles the slot of frame seq, if it is still armed, with err
+// or, when err is nil, with the failure recorded on the slot.
 func (r *Router) answer(seq uint64, err error) {
 	r.mu.Lock()
 	s, ok := r.done[seq]
 	delete(r.done, seq)
 	r.mu.Unlock()
 	if ok {
+		if err == nil {
+			err = s.failed
+		}
 		s.ch <- err //gkalint:unbounded buffered (cap 1); deleting the slot under r.mu made this the only sender
 	}
 }
@@ -811,9 +855,10 @@ func (n *node) push(m netsim.Message) {
 }
 
 // readLoop drains the hub connection: relays go to the listed inboxes
-// (with one ack back to the hub), done and reject frames answer blocked
-// hellos and sends, down frames surface as peer-down inbox messages of
-// every local node. When the connection fails, every node on it fails.
+// (with one ack back to the hub), own frames too (with none), done and
+// reject frames answer blocked hellos and sends, down frames surface as
+// peer-down inbox messages of every local node. When the connection
+// fails, every node on it fails.
 func (r *Router) readLoop(conn *link) {
 	rd := bufio.NewReader(conn.c)
 	for {
@@ -826,6 +871,8 @@ func (r *Router) readLoop(conn *link) {
 			return
 		}
 		switch f.Kind {
+		case kindOwn, kindOwnFirst:
+			r.fileOwn(f)
 		case kindDone:
 			var res error
 			if f.From != "" {
@@ -866,6 +913,30 @@ func (r *Router) deliver(f *frame) (gone []string) {
 		n.m.RxState(int(f.StateLen))
 	}
 	return gone
+}
+
+// fileOwn files an own frame into the listed inboxes. A listed recipient
+// no longer attached fails the send with a *PeerDownError naming it. An
+// "own" frame ends the send and answers its slot; after an "own+" frame
+// the failure waits on the slot for the done.
+func (r *Router) fileOwn(f *frame) {
+	var err error
+	if gone := r.deliver(f); len(gone) > 0 {
+		err = &PeerDownError{Peer: gone[0]}
+	}
+	if f.Kind == kindOwn {
+		r.answer(f.Seq, err)
+		return
+	}
+	if err == nil {
+		return
+	}
+	r.mu.Lock()
+	if s, ok := r.done[f.Seq]; ok && s.failed == nil {
+		s.failed = err
+		r.done[f.Seq] = s
+	}
+	r.mu.Unlock()
 }
 
 // lost fails the Router after its connection broke: every armed slot gets
@@ -1021,11 +1092,11 @@ func (r *Router) RecvType(id, typ string) ([]netsim.Message, error) {
 // sortMessages orders deterministically by (Type, From), matching the
 // simulator.
 func sortMessages(msgs []netsim.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].Type != msgs[j].Type {
-			return msgs[i].Type < msgs[j].Type
+	slices.SortStableFunc(msgs, func(a, b netsim.Message) int {
+		if c := strings.Compare(a.Type, b.Type); c != 0 {
+			return c
 		}
-		return msgs[i].From < msgs[j].From
+		return strings.Compare(a.From, b.From)
 	})
 }
 

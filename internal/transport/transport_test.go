@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -205,19 +206,24 @@ func TestFullGKAOverTCP(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &frame{Kind: kindMsg, Seq: 42, From: "a", To: "b", Type: "x", StateLen: 7, Payload: []byte{9, 8}}
-	if err := writeFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != in.Kind || out.Seq != in.Seq || out.From != in.From ||
-		out.To != in.To || out.Type != in.Type || out.StateLen != in.StateLen ||
-		!bytes.Equal(out.Payload, in.Payload) {
-		t.Fatalf("round trip mismatch: %+v", out)
+	for _, in := range []*frame{
+		{Kind: kindMsg, Seq: 42, From: "a", To: "b", Type: "x", StateLen: 7, Payload: []byte{9, 8}},
+		{Kind: kindOwn, Seq: 43, From: "a", Type: "x", StateLen: 1, Payload: []byte{7}, Rcpt: []string{"b", "c"}},
+		{Kind: kindOwnFirst, Seq: 44, From: "a", Type: "x", Payload: []byte{6}, Rcpt: []string{"b"}},
+	} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Kind != in.Kind || out.Seq != in.Seq || out.From != in.From ||
+			out.To != in.To || out.Type != in.Type || out.StateLen != in.StateLen ||
+			!bytes.Equal(out.Payload, in.Payload) || !slices.Equal(out.Rcpt, in.Rcpt) {
+			t.Fatalf("round trip mismatch: %+v", out)
+		}
 	}
 }
 
