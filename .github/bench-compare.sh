@@ -23,7 +23,10 @@
 # the number of pairs the change wins and the base's interquartile
 # range. With <out.json> it writes every pair's result lines, the
 # commits, seeds, run length, Go version, GOMAXPROCS and CPU flags there
-# (the BENCH_<n>.json trajectory schema).
+# (the BENCH_<n>.json trajectory schema). The change is recorded as
+# HEAD's commit and, when the working tree differs from HEAD, also as
+# change_tree, the tree id of the measured checkout with its untracked
+# files.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
@@ -52,9 +55,19 @@ git -C "$change" archive "$base_sha" | tar -x -C "$base"
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$spec")"
 workloads="$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$spec")"
 seeds=($(seq 1 "$pairs"))
-change_id="$(git -C "$change" describe --always --dirty --abbrev=40)"
+change_sha="$(git -C "$change" rev-parse HEAD)"
+# The measured checkout's tree, untracked files included, written through
+# a throwaway index so that the real index stays untouched. It is
+# recorded only when it differs from HEAD's.
+tree_git() { GIT_INDEX_FILE="$work/index" git -C "$change" "$@"; }
+tree_git read-tree HEAD
+tree_git add -A
+change_tree="$(tree_git write-tree)"
+if [ "$change_tree" = "$(git -C "$change" rev-parse 'HEAD^{tree}')" ]; then
+	change_tree=""
+fi
 
-echo "bench-compare: base $base_sha, change $change_id, ${seconds}s per run, ${pairs} pairs"
+echo "bench-compare: base $base_sha, change $change_sha${change_tree:+ (tree $change_tree)}, ${seconds}s per run, ${pairs} pairs"
 mkdir -p "$work/results"
 
 # run SIDE TREE WORKLOAD SEED keeps the run's result line (the last line
@@ -92,11 +105,11 @@ for workload in $workloads; do
 	done
 done
 
-python3 - "$spec" "$work/results" "$base_sha" "$change_id" "$seconds" "$out_json" "${seeds[@]}" <<'EOF'
+python3 - "$spec" "$work/results" "$base_sha" "$change_sha" "$change_tree" "$seconds" "$out_json" "${seeds[@]}" <<'EOF'
 import json, statistics, subprocess, sys
 spec = json.load(open(sys.argv[1]))
-results, base_sha, change_id, seconds, out_json = sys.argv[2:7]
-seeds = sys.argv[7:]
+results, base_sha, change_sha, change_tree, seconds, out_json = sys.argv[2:8]
+seeds = sys.argv[8:]
 bad = []
 trajectory = []
 for w in (w["name"] for w in spec["workloads"]):
@@ -143,11 +156,16 @@ if out_json:
         if line.startswith("flags"):
             flags = set(line.split(":", 1)[1].split())
             break
-    json.dump({
+    head = {
         "description": "gkaperf result lines of every workload, base and change, one run each per pair, from .github/bench-compare.sh.",
         "command": "bash gkaperf/run.sh --workload W --seed S --seconds %s --trace 0" % seconds,
         "base": base_sha,
-        "change": change_id,
+        "change": change_sha,
+    }
+    if change_tree:
+        head["change_tree"] = change_tree
+    json.dump({
+        **head,
         "seeds": [int(s) for s in seeds],
         "seconds": float(seconds),
         "trace": 0,

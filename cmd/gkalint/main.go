@@ -29,7 +29,6 @@
 //	goroleak       //gkalint:bounded   goroutines need a visible shutdown path (PR 9)
 //	lockcycle      //gkalint:lockcycle lock acquisition order stays acyclic (PR 10)
 //	lockorder      //gkalint:unlocked  guarded state needs its documented lock (interprocedural since PR 10)
-//	montdomain     //gkalint:rawdomain mathx.Elem converts before boundaries (PR 6)
 //	secretflow     //gkalint:secretok  key material stays out of logs (interprocedural since PR 9)
 package main
 

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"slices"
 
 	"idgka/internal/mathx"
 )
@@ -89,10 +88,9 @@ func Key(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) 
 // exponents telescope into prefix products (Horner): Π_t S_t with S_t =
 // X_i···X_{i+t}. mathx.Modulus.PrefixProducts runs them on the raw limbs,
 // so no X is converted into the domain, and extends the last prefix to
-// Π X_j, which Lemma 1 compares with the cached R^{-(n-1)} it must then
-// equal; a failure returns ErrLemma1 before b^n is raised. b^n needs
-// ~log2(n) squarings, and one product with the cached R^{n(n-1)/2+1}
-// restores the domain. The whole assembly is ~2n Montgomery products (n
+// Π X_j for Lemma 1; a failure returns ErrLemma1 before b^n is raised.
+// b^n needs ~log2(n) squarings, and one product joins it with the Horner
+// product's image. The whole assembly is ~2n Montgomery products (n
 // paired calls for the chain where mathx runs the radix-2^52 lane),
 // bit-identical to Key.
 func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big.Int, error) {
@@ -104,18 +102,12 @@ func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("bdkey: index %d out of ring of %d", i, n)
 	}
-	buf := make(mathx.Elem, 2*k)
-	prefix, acc := buf[:k], buf[k:]
-	// prefix = Π X_j·R^{-(n-1)}; acc = Π_t S_t·R^{-(n-2)(n+1)/2}.
-	mo.PrefixProducts(prefix, acc, xs, i)
-	if !slices.Equal(prefix, mo.RPow(1-n)) {
+	horner, ok := mo.PrefixProducts(xs, i)
+	if !ok {
 		return nil, ErrLemma1
 	}
 	key := mo.ExpElem(edge, big.NewInt(int64(n)))
-	if n > 1 {
-		mo.MulInto(key, key, acc)
-	}
-	mo.MulInto(key, key, mo.RPow(n*(n-1)/2+1))
+	mo.MulInto(key, key, horner)
 	return mo.FromMont(key), nil
 }
 

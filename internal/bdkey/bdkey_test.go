@@ -148,7 +148,7 @@ func TestKeyFromEdgeMatchesKey(t *testing.T) {
 				t.Fatalf("n=%d member %d: KeyFromEdge diverges from Key", n, i)
 			}
 		}
-		one := mo.MontOne()
+		one := mo.ToMont(big.NewInt(1))
 		if _, err := KeyFromEdge(mo, 0, one, nil); err == nil {
 			t.Fatal("empty ring accepted")
 		}

@@ -25,30 +25,6 @@ func NamedName(t types.Type) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
-// TypeContains reports whether t is the named type full, or a pointer,
-// slice, array, or map whose element (or key) is. It looks through one
-// container level — enough for the []Elem / map[string]Elem shapes the
-// analyzers care about.
-func TypeContains(t types.Type, full string) bool {
-	if t == nil {
-		return false
-	}
-	if NamedName(t) == full {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Pointer:
-		return NamedName(u.Elem()) == full
-	case *types.Slice:
-		return NamedName(u.Elem()) == full
-	case *types.Array:
-		return NamedName(u.Elem()) == full
-	case *types.Map:
-		return NamedName(u.Key()) == full || NamedName(u.Elem()) == full
-	}
-	return false
-}
-
 // CalleeObj resolves the object a call expression invokes (function,
 // method, or nil for indirect calls through non-selector expressions).
 func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {

@@ -3,7 +3,7 @@
 // golang.org/x/tools/go/analysis/analysistest over the in-tree
 // framework. Fixtures live in a GOPATH-style tree (testdata/src/<path>)
 // so they can replicate the real repo's import paths — an analyzer
-// matching idgka/internal/mathx.Elem sees the same fully-qualified name
+// matching idgka/internal/mathx.Scalar sees the same fully-qualified name
 // in fixtures and production code. Diagnostics pass through the central
 // waiver filter, so negative fixtures prove //gkalint:<verb> comments
 // suppress findings (and that justification-free waivers do not).

@@ -22,7 +22,6 @@ import (
 	"idgka/internal/lint/load"
 	"idgka/internal/lint/lockcycle"
 	"idgka/internal/lint/lockorder"
-	"idgka/internal/lint/montdomain"
 	"idgka/internal/lint/secretflow"
 )
 
@@ -35,7 +34,6 @@ var Suite = []*analysis.Analyzer{
 	goroleak.Analyzer,
 	lockcycle.Analyzer,
 	lockorder.Analyzer,
-	montdomain.Analyzer,
 	secretflow.Analyzer,
 }
 

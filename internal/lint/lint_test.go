@@ -4,9 +4,12 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,4 +122,81 @@ func TestAnnotationRatchet(t *testing.T) {
 			t.Logf("//gkalint:%s: %d annotations, pinned at %d; lower the pin", verb, n, ceiling)
 		}
 	}
+}
+
+// gkalintVerbLine matches one line of cmd/gkalint's analyzer list:
+// "//	<analyzer> //gkalint:<verb> <invariant>".
+var gkalintVerbLine = regexp.MustCompile(`(?m)^//\t(\w+) +//gkalint:(\w+) `)
+
+// TestAnalyzerDocsMatchSuite is the docs meta-test for the analyzer
+// list: docs/STATIC-ANALYSIS.md's analyzer table, its verb table and the
+// analyzer list in cmd/gkalint's package comment must name exactly the
+// analyzers of lint.Suite, each with its WaiverVerb. An analyzer added or
+// deleted without its documentation fails here.
+func TestAnalyzerDocsMatchSuite(t *testing.T) {
+	root := repoRoot(t)
+	suite := map[string]string{} // analyzer → waiver verb
+	for _, a := range lint.Suite {
+		suite[a.Name] = a.WaiverVerb
+	}
+	doc, err := os.ReadFile(filepath.Join(root, "docs", "STATIC-ANALYSIS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyzers := markdownTable(t, string(doc), "| Analyzer | Invariant | Origin |")
+	if got, want := sortedKeys(analyzers), sortedKeys(suite); !slices.Equal(got, want) {
+		t.Errorf("docs/STATIC-ANALYSIS.md's analyzer table names %v, lint.Suite runs %v", got, want)
+	}
+	verbs := map[string]string{}
+	for verb, analyzer := range markdownTable(t, string(doc), "| Verb | Analyzer | Waives |") {
+		verbs[strings.Trim(analyzer, "`")] = verb
+	}
+	if !maps.Equal(verbs, suite) {
+		t.Errorf("docs/STATIC-ANALYSIS.md's verb table pairs analyzers with verbs %v, lint.Suite %v", verbs, suite)
+	}
+	src, err := os.ReadFile(filepath.Join(root, "cmd", "gkalint", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]string{}
+	for _, m := range gkalintVerbLine.FindAllStringSubmatch(string(src), -1) {
+		listed[m[1]] = m[2]
+	}
+	if !maps.Equal(listed, suite) {
+		t.Errorf("cmd/gkalint's package comment lists %v, lint.Suite %v", listed, suite)
+	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// markdownTable returns the rows of the table under the given header
+// line as first column → second column, backquotes trimmed from the
+// first.
+func markdownTable(t *testing.T, doc, header string) map[string]string {
+	t.Helper()
+	_, body, ok := strings.Cut(doc, "\n"+header+"\n")
+	if !ok {
+		t.Fatalf("no table %q", header)
+	}
+	rows := map[string]string{}
+	for _, line := range strings.Split(body, "\n")[1:] { // past the |---| line
+		cells := strings.Split(line, "|")
+		if len(cells) < 4 {
+			break
+		}
+		key := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		if _, dup := rows[key]; dup {
+			t.Errorf("table %q lists %q twice", header, key)
+		}
+		rows[key] = strings.TrimSpace(cells[2])
+	}
+	return rows
 }

@@ -102,7 +102,7 @@ func (ln *lane52) mul1(z, x, y *[20]uint64) {
 
 // store reduces x, a value below 2m, into [0, m) and packs it into the
 // 16-word z. The subtraction is kept or dropped by a mask, not a branch.
-func (ln *lane52) store(z Elem, x *[20]uint64) {
+func (ln *lane52) store(z []big.Word, x *[20]uint64) {
 	var d [20]uint64
 	var borrow uint64
 	for j := range x {
@@ -125,15 +125,15 @@ func (ln *lane52) store(z Elem, x *[20]uint64) {
 // chains is one amm52x20x2 call; otherwise each chain runs on montMul.
 // The results are the same limbs as ExpElem's.
 func (mo *Modulus) ExpPair(b1 Elem, e1 Scalar, b2 Elem, e2 Scalar) (Elem, Elem) {
-	out := make(Elem, 2*mo.k)
+	out := make([]big.Word, 2*mo.k)
 	z1, z2 := out[:mo.k:mo.k], out[mo.k:]
 	top := fixedTop(max(e1.q.BitLen(), e2.q.BitLen()))
 	if mo.lane != nil {
-		mo.expPairLane(z1, z2, b1, &e1.w, b2, &e2.w, top)
+		mo.expPairLane(z1, z2, b1.w, &e1.w, b2.w, &e2.w, top)
 	} else {
-		mo.expPairMont(z1, z2, b1, &e1.w, b2, &e2.w, top)
+		mo.expPairMont(z1, z2, b1.w, &e1.w, b2.w, &e2.w, top)
 	}
-	return z1, z2
+	return Elem{z1}, Elem{z2}
 }
 
 // ExpFixed returns base^e in the Montgomery domain on ExpPair's fixed
@@ -145,15 +145,15 @@ func (mo *Modulus) ExpFixed(base Elem, e Scalar) Elem {
 		z, _ := mo.ExpPair(base, e, base, e)
 		return z
 	}
-	z := make(Elem, mo.k)
-	mo.expFixedMont(z, base, &e.w, fixedTop(e.q.BitLen()), make([]big.Word, (fixedEntries+1)*mo.k))
-	return z
+	z := make([]big.Word, mo.k)
+	mo.expFixedMont(z, base.w, &e.w, fixedTop(e.q.BitLen()), make([]big.Word, (fixedEntries+1)*mo.k))
+	return Elem{z}
 }
 
 // expPairLane is ExpPair on amm52x20x2, reading x1's and x2's digits top
 // down from digit top. The table of each base's powers 0 to 15, two
 // lanes per entry, lives on the stack.
-func (mo *Modulus) expPairLane(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int) {
+func (mo *Modulus) expPairLane(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int) {
 	ln := mo.lane
 	var tab [fixedEntries]pair52
 	var acc, t pair52
@@ -184,7 +184,7 @@ func (mo *Modulus) expPairLane(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *sc
 // joins the two accumulators. Each of the count products that takes a
 // factor divides by R', so the result is c·Π v·R'^{-count} = Π v·R^d.
 // That is ceil((count+1)/2) calls for count montMul products.
-func (mo *Modulus) productLane(z Elem, flat []big.Word, count, d int) {
+func (mo *Modulus) productLane(z, flat []big.Word, count, d int) {
 	ln, k := mo.lane, mo.k
 	var acc, t pair52
 	to52(&acc[0], mo.twoPow(1040*count+1024*d))
@@ -202,14 +202,16 @@ func (mo *Modulus) productLane(z Elem, flat []big.Word, count, d int) {
 	ln.store(z, &acc[0])
 }
 
-// prefixLane is PrefixProducts on amm52x20x2 for n >= 2. Call j steps
-// both halves of the chain: lane 0 takes the prefix from S_{j-1} to S_j
-// while lane 1 multiplies the accumulator by S_{j-1}, read before the
-// call stores S_j. The accumulator starts at the kernel's image of 1, so
-// the n-1 calls leave S_{n-1}·R'^{-(n-1)} and Π S_t·R'^{-e}, e = (n-2)(n+1)/2,
-// and one more call with 2^(16e'+1040) for each exponent e' turns R'^{-e'}
-// into PrefixProducts' R^{-e'}.
-func (mo *Modulus) prefixLane(prefix, acc Elem, xs []big.Word, i, n int) {
+// prefixLane is PrefixProducts on amm52x20x2 for n >= 2: it sets prefix
+// to S_{n-1}·R^{-(n-1)} and acc to the Horner product's image Π S_t·R.
+// Call j steps both halves of the chain: lane 0 takes the prefix from
+// S_{j-1} to S_j while lane 1 multiplies the accumulator by S_{j-1},
+// read before the call stores S_j. The accumulator starts at the
+// kernel's image of 1, so the n-1 calls leave S_{n-1}·R'^{-(n-1)} and
+// Π S_t·R'^{-e}, e = (n-2)(n+1)/2. One more call joins both
+// corrections: 2^(16(n-1)+1040) turns R'^{-(n-1)} into R^{-(n-1)}, and
+// 2^(1040e+2064) turns R'^{-e} into R, so the image costs no product.
+func (mo *Modulus) prefixLane(prefix, acc, xs []big.Word, i, n int) {
 	ln, k := mo.lane, mo.k
 	x := func(j int) []big.Word { j %= n; return xs[j*k : (j+1)*k] }
 	var p, a, t [20]uint64
@@ -221,7 +223,7 @@ func (mo *Modulus) prefixLane(prefix, acc Elem, xs []big.Word, i, n int) {
 	}
 	var cp, ca [20]uint64
 	to52(&cp, mo.twoPow(16*(n-1)+1040))
-	to52(&ca, mo.twoPow(16*((n-2)*(n+1)/2)+1040))
+	to52(&ca, mo.twoPow(1040*((n-2)*(n+1)/2)+2064))
 	ln.mul2(&p, &p, &cp, &a, &a, &ca)
 	ln.store(prefix, &p)
 	ln.store(acc, &a)

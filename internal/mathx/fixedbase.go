@@ -82,7 +82,7 @@ func newCombTable(base, mod *big.Int, maxBits, h, v int) (*FixedBaseTable, error
 		flat:    make([]big.Word, v<<h*mo.k),
 	}
 	k := mo.k
-	cur := mo.ToMont(t.base) // base^(2^(s·b)) for the current strip s
+	cur := mo.ToMont(t.base).w // base^(2^(s·b)) for the current strip s
 	for i := 0; i < h; i++ {
 		for j := 0; j < v; j++ {
 			blk := t.flat[(j<<h)*k : ((j+1)<<h)*k]
@@ -93,11 +93,11 @@ func newCombTable(base, mod *big.Int, maxBits, h, v int) (*FixedBaseTable, error
 			// below 2^i.
 			copy(blk[(1<<i)*k:], cur)
 			for u := 1; u < 1<<i; u++ {
-				mo.MulInto(blk[((1<<i)+u)*k:][:k], blk[u*k:][:k], cur)
+				mo.montMul(blk[((1<<i)+u)*k:][:k], blk[u*k:][:k], cur)
 			}
 			if i < h-1 || j < v-1 {
 				for s := 0; s < t.b; s++ {
-					mo.SqrInto(cur, cur)
+					mo.sqrInto(cur, cur)
 				}
 			}
 		}
@@ -160,24 +160,24 @@ func (t *FixedBaseTable) ExpMul(e, y *big.Int) *big.Int {
 	acc := abuf[:k]
 	if t.lane != nil {
 		t.combLane(acc, e.Bits(), mo.limbs(&ybuf, y))
-		return bigFromElem(acc)
+		return bigFromLimbs(acc)
 	}
 	copy(acc, mo.one)
 	ws := e.Bits()
 	started := false
 	for c := t.b - 1; c >= 0; c-- {
 		if started {
-			mo.SqrInto(acc, acc)
+			mo.sqrInto(acc, acc)
 		}
 		for j := t.v - 1; j >= 0; j-- {
 			if u := t.digitAt(ws, j, c); u != 0 {
-				mo.MulInto(acc, acc, t.entry(j, u))
+				mo.montMul(acc, acc, t.entry(j, u))
 				started = true
 			}
 		}
 	}
 	mo.montMul(acc, acc, mo.limbs(&ybuf, y))
-	return bigFromElem(acc)
+	return bigFromLimbs(acc)
 }
 
 // digitAt returns column c's digit u of block j: bit i of u is bit
@@ -202,7 +202,7 @@ func (t *FixedBaseTable) entry(j, u int) []big.Word {
 // so the calls do not depend on the digits (the entries read do). Two
 // more calls join the lanes with y times the table's correction
 // (combCorrection). It sets z to base^e·y mod m.
-func (t *FixedBaseTable) combLane(z Elem, ws []big.Word, y Elem) {
+func (t *FixedBaseTable) combLane(z, ws, y []big.Word) {
 	ln := t.mo.lane
 	var acc, u pair52
 	to52(&acc[0], t.entry(0, t.digitAt(ws, 0, t.b-1)))

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,8 +18,9 @@ import (
 // verification core. A Modulus precomputes everything expensive about
 // one modulus — the word count, -m^{-1} mod 2^W and R² mod m — exactly
 // once; Elem values stay in the Montgomery domain across whole
-// verification pipelines, converting on entry and leaving only at wire
-// boundaries. Every operation is mathematically transparent: results are
+// verification pipelines, entering through ToMont and leaving through
+// FromMont alone, since no other package can read their limbs. Every
+// operation is mathematically transparent: results are
 // bit-identical to the math/big computation, so transcripts, keys and
 // operation meters are unaffected by which engine ran.
 //
@@ -52,34 +55,45 @@ const maxModulusWords = 64
 
 // Elem is one residue in the Montgomery domain of a Modulus: a fixed-width
 // little-endian limb vector of exactly the modulus' word count, holding
-// v·R mod m. Elems are only meaningful with the Modulus that created them.
-type Elem []big.Word
+// v·R mod m in [0, m). Elems are only meaningful with the Modulus that
+// created them. An Elem is opaque, as the Go toolchain's
+// crypto/internal/fips140/bigmod keeps its Nat: its limbs are
+// unexported, so a residue reaches a canonical big.Int, the wire or a
+// SetBits only through FromMont, and it formats as a fixed token. Inside
+// this package the arithmetic works on the limbs, and each exported
+// method unwraps its Elems at the boundary. The zero Elem holds no
+// residue.
+type Elem struct{ w []big.Word }
+
+// Format prints the same token for every verb, so an Elem in a log line
+// or a wrapped error shows no limb of its residue.
+func (Elem) Format(f fmt.State, _ rune) { io.WriteString(f, "mathx.Elem(redacted)") }
 
 // Modulus is the precomputed context for Montgomery arithmetic modulo one
 // odd m: the limb image of m, the word count k, n0 = -m^{-1} mod 2^W and
 // R² mod m (R = 2^(W·k)). Construction costs one big.Int division; every
 // subsequent operation is division-free. A Modulus is immutable after
-// construction, apart from its cache of R powers (RPow), and safe for
+// construction, apart from its cache of R powers (rPow), and safe for
 // concurrent use.
 type Modulus struct {
 	m     *big.Int
 	words []big.Word // little-endian limbs of m, length k
 	k     int
-	n0    big.Word // -m^{-1} mod 2^W
-	r2    Elem     // R² mod m  (ToMont multiplier)
-	one   Elem     // R mod m   (Montgomery image of 1)
-	asm   bool     // montMul runs the montMul1024 kernel
-	lane  *lane52  // the radix-2^52 chains' amm52x20x2 state; nil where that kernel does not run
+	n0    big.Word   // -m^{-1} mod 2^W
+	r2    []big.Word // R² mod m  (ToMont multiplier)
+	one   []big.Word // R mod m   (Montgomery image of 1)
+	asm   bool       // montMul runs the montMul1024 kernel
+	lane  *lane52    // the radix-2^52 chains' amm52x20x2 state; nil where that kernel does not run
 
 	rpow *rpowCache
 }
 
-// rpowCache holds twoPow's results, RPow's among them, by exponent of 2:
+// rpowCache holds twoPow's results, rPow's among them, by exponent of 2:
 // an immutable map, replaced whole under mu when a miss adds an entry, so
 // a hit is one atomic load. Nothing is evicted: the exponents follow from
 // the ring and batch sizes the process keys, never from peer bytes.
 type rpowCache struct {
-	m  atomic.Pointer[map[int]Elem]
+	m  atomic.Pointer[map[int][]big.Word]
 	mu sync.Mutex
 }
 
@@ -119,8 +133,8 @@ func NewModulus(m *big.Int) (*Modulus, error) {
 	// R mod m and R² mod m via one-time big.Int reductions.
 	var buf [maxModulusWords]big.Word
 	r := new(big.Int).Lsh(One, uint(k*bits.UintSize))
-	mo.one = append(Elem(nil), mo.limbs(&buf, r)...)
-	mo.r2 = append(Elem(nil), mo.limbs(&buf, new(big.Int).Mul(r, r))...)
+	mo.one = append([]big.Word(nil), mo.limbs(&buf, r)...)
+	mo.r2 = append([]big.Word(nil), mo.limbs(&buf, new(big.Int).Mul(r, r))...)
 	return mo, nil
 }
 
@@ -130,7 +144,7 @@ func (mo *Modulus) Words() int { return mo.k }
 // limbs widens v mod m (v itself when already in [0, m)) to the fixed
 // width in a caller-owned scratch buffer, typically on the caller's
 // stack, so a transient raw operand costs no allocation.
-func (mo *Modulus) limbs(buf *[maxModulusWords]big.Word, v *big.Int) Elem {
+func (mo *Modulus) limbs(buf *[maxModulusWords]big.Word, v *big.Int) []big.Word {
 	if v.Sign() < 0 || v.Cmp(mo.m) >= 0 {
 		v = new(big.Int).Mod(v, mo.m)
 	}
@@ -197,8 +211,8 @@ func (mo *Modulus) InRange(v []big.Word) bool {
 	return false
 }
 
-// bigFromElem reads a fixed-width limb vector back into a big.Int.
-func bigFromElem(e Elem) *big.Int {
+// bigFromLimbs reads a fixed-width limb vector back into a big.Int.
+func bigFromLimbs(e []big.Word) *big.Int {
 	// Trim high zero limbs; big.Int.SetBits requires a normalized slice.
 	i := len(e)
 	for i > 0 && e[i-1] == 0 {
@@ -211,9 +225,9 @@ func bigFromElem(e Elem) *big.Int {
 // [0, m)) into the Montgomery domain: one Montgomery multiplication by R².
 func (mo *Modulus) ToMont(v *big.Int) Elem {
 	var buf [maxModulusWords]big.Word
-	z := make(Elem, mo.k)
+	z := make([]big.Word, mo.k)
 	mo.montMul(z, mo.limbs(&buf, v), mo.r2)
-	return z
+	return Elem{z}
 }
 
 // FromMont converts an Elem back to a canonical big.Int residue in [0, m):
@@ -222,43 +236,31 @@ func (mo *Modulus) FromMont(e Elem) *big.Int {
 	var zbuf, obuf [maxModulusWords]big.Word
 	z, oneLimb := zbuf[:mo.k], obuf[:mo.k]
 	oneLimb[0] = 1
-	mo.montMul(z, e, oneLimb)
-	return bigFromElem(z)
-}
-
-// MontOne returns the Montgomery image of 1 (a fresh copy).
-func (mo *Modulus) MontOne() Elem {
-	return append(Elem(nil), mo.one...)
+	mo.montMul(z, e.w, oneLimb)
+	return bigFromLimbs(z)
 }
 
 // Mul returns x·y in the Montgomery domain.
 func (mo *Modulus) Mul(x, y Elem) Elem {
-	z := make(Elem, mo.k)
-	mo.montMul(z, x, y)
-	return z
+	z := make([]big.Word, mo.k)
+	mo.montMul(z, x.w, y.w)
+	return Elem{z}
 }
 
 // MulInto computes z = x·y in the Montgomery domain; z may alias x or y.
-func (mo *Modulus) MulInto(z, x, y Elem) { mo.montMul(z, x, y) }
+func (mo *Modulus) MulInto(z, x, y Elem) { mo.montMul(z.w, x.w, y.w) }
 
-// Sqr returns x² in the Montgomery domain.
-func (mo *Modulus) Sqr(x Elem) Elem {
-	z := make(Elem, mo.k)
-	mo.SqrInto(z, x)
-	return z
-}
-
-// SqrInto computes z = x² in the Montgomery domain; z may alias x. It is
+// sqrInto computes z = x² in the Montgomery domain; z may alias x. It is
 // a plain multiplication: at the protocols' widths the kernel-driven CIOS
 // multiply beats a separated squaring, whose halved partial products do
 // not pay for its extra doubling and reduction passes.
-func (mo *Modulus) SqrInto(z, x Elem) { mo.montMul(z, x, x) }
+func (mo *Modulus) sqrInto(z, x []big.Word) { mo.montMul(z, x, x) }
 
 // montMul computes z = x·y·R^{-1} mod m; z may alias x or y. A 16-word
 // modulus on a CPU with ADX and BMI2 takes the assembly kernel
 // montMul1024, every other case montMulGeneric. Both return the same
 // limbs.
-func (mo *Modulus) montMul(z, x, y Elem) {
+func (mo *Modulus) montMul(z, x, y []big.Word) {
 	if mo.asm {
 		montMul1024((*[16]big.Word)(z), (*[16]big.Word)(x), (*[16]big.Word)(y), (*[16]big.Word)(mo.words), mo.n0)
 		return
@@ -270,7 +272,7 @@ func (mo *Modulus) montMul(z, x, y Elem) {
 // a sliding 2k-word accumulator (the math/big montgomery shape). z may
 // alias x or y: the product accumulates in a stack scratch buffer and is
 // copied out after the final conditional subtraction, which is masked.
-func (mo *Modulus) montMulGeneric(z, x, y Elem) {
+func (mo *Modulus) montMulGeneric(z, x, y []big.Word) {
 	k := mo.k
 	n := mo.words
 	var tbuf [2 * maxModulusWords]big.Word
@@ -346,38 +348,38 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		panic("mathx: ExpElem needs a non-negative exponent")
 	}
 	if eb == 0 {
-		return mo.MontOne()
+		return Elem{slices.Clone(mo.one)}
 	}
 	k, w := mo.k, expWindow(eb)
 	if mo.lane != nil && w > 1 {
-		z := make(Elem, k)
-		mo.expElemLane(z, base, e, w)
-		return z
+		z := make([]big.Word, k)
+		mo.expElemLane(z, base.w, e, w)
+		return Elem{z}
 	}
 	// acc, then the odd powers base^1, base^3, ..., base^(2^w - 1): the
 	// power for odd digit d sits at table[(d>>1)·k:][:k].
 	flat := make([]big.Word, (1+1<<(w-1))*k)
-	acc, table := Elem(flat[:k:k]), flat[k:]
-	copy(table, base)
+	acc, table := flat[:k:k], flat[k:]
+	copy(table, base.w)
 	if len(table) > k {
-		mo.SqrInto(acc, base) // base², scratch until the first window
+		mo.sqrInto(acc, base.w) // base², scratch until the first window
 		for i := k; i < len(table); i += k {
-			mo.MulInto(table[i:i+k], table[i-k:i], acc)
+			mo.montMul(table[i:i+k], table[i-k:i], acc)
 		}
 	}
-	pow := func(d uint) Elem { return table[int(d>>1)*k:][:k] }
+	pow := func(d uint) []big.Word { return table[int(d>>1)*k:][:k] }
 	slidingWindow(e, w,
 		func(d uint) { copy(acc, pow(d)) },
-		func() { mo.SqrInto(acc, acc) },
-		func(d uint) { mo.MulInto(acc, acc, pow(d)) })
-	return acc
+		func() { mo.sqrInto(acc, acc) },
+		func(d uint) { mo.montMul(acc, acc, pow(d)) })
+	return Elem{acc}
 }
 
 // expElemLane is ExpElem on amm52x20x2 with both lanes on one chain, for
 // a window w > 1: the odd-power table holds single lane values on the
 // stack, and the base enters and the result leaves through one
 // conversion call each.
-func (mo *Modulus) expElemLane(z, base Elem, e *big.Int, w int) {
+func (mo *Modulus) expElemLane(z, base []big.Word, e *big.Int, w int) {
 	ln := mo.lane
 	var tab [1 << (maxExpWindow - 1)][20]uint64
 	var acc [20]uint64
@@ -445,7 +447,7 @@ const (
 
 // expPairMont is ExpPair on montMul: two fixed-window chains, one after
 // the other, sharing one table allocation.
-func (mo *Modulus) expPairMont(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int) {
+func (mo *Modulus) expPairMont(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int) {
 	tab := make([]big.Word, (fixedEntries+1)*mo.k)
 	mo.expFixedMont(z1, b1, x1, top, tab)
 	mo.expFixedMont(z2, b2, x2, top, tab)
@@ -455,9 +457,9 @@ func (mo *Modulus) expPairMont(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *sc
 // reading x's digits top down from digit top. tab is scratch for
 // fixedEntries+1 values: base^0 … base^15, then the selected entry. z
 // must not alias base.
-func (mo *Modulus) expFixedMont(z, base Elem, x *scalarWords, top int, tab []big.Word) {
+func (mo *Modulus) expFixedMont(z, base []big.Word, x *scalarWords, top int, tab []big.Word) {
 	k := mo.k
-	pows, t := tab[:fixedEntries*k], Elem(tab[fixedEntries*k:][:k])
+	pows, t := tab[:fixedEntries*k], tab[fixedEntries*k:][:k]
 	copy(pows, mo.one)
 	copy(pows[k:], base)
 	for i := 2; i < fixedEntries; i++ {
@@ -475,7 +477,7 @@ func (mo *Modulus) expFixedMont(z, base Elem, x *scalarWords, top int, tab []big
 
 // selectEntry sets z to entry d of tab, a packed table of len(z)-word
 // entries. It reads every entry: only a mask depends on d.
-func selectEntry(z Elem, tab []big.Word, d expDigit) {
+func selectEntry(z, tab []big.Word, d expDigit) {
 	k := len(z)
 	clear(z)
 	for i := 0; i < len(tab)/k; i++ {
@@ -492,19 +494,20 @@ func eqMask(a, b uint) big.Word {
 	return big.Word((x|-x)>>(wordBits-1)) - 1
 }
 
-// RPow returns R^e mod m as raw limbs of the modulus' width, for any
+// rPow returns R^e mod m as raw limbs of the modulus' width, for any
 // integer e (R = 2^(W·k)). A chain of Montgomery products over raw
 // residues leaves its true value times a known power of R; one more
-// product with the right RPow cancels it. Results are cached per
-// exponent and shared: callers must not modify them. Each distinct ring
-// size adds a few entries of k words.
-func (mo *Modulus) RPow(e int) Elem { return mo.twoPow(e * mo.k * wordBits) }
+// product with the right rPow cancels it, and Lemma 1's product is
+// compared with one. Results are cached per exponent and shared:
+// callers must not modify them. Each distinct ring size adds a few
+// entries of k words.
+func (mo *Modulus) rPow(e int) []big.Word { return mo.twoPow(e * mo.k * wordBits) }
 
 // twoPow returns 2^e mod m as raw limbs of the modulus' width, for any
-// integer e, from the cache RPow shares: R^e is 2^(W·k·e). The radix-2^52
+// integer e, from the cache rPow shares: R^e is 2^(W·k·e). The radix-2^52
 // chains (amm52.go) take their corrections here too, since each of their
 // products divides by R' = 2^1040 rather than by R.
-func (mo *Modulus) twoPow(e int) Elem {
+func (mo *Modulus) twoPow(e int) []big.Word {
 	cache := mo.rpow
 	if m := cache.m.Load(); m != nil {
 		if v, ok := (*m)[e]; ok {
@@ -517,10 +520,10 @@ func (mo *Modulus) twoPow(e int) Elem {
 		v.ModInverse(v, mo.m)
 	}
 	var buf [maxModulusWords]big.Word
-	pow := append(Elem(nil), mo.limbs(&buf, v)...)
+	pow := append([]big.Word(nil), mo.limbs(&buf, v)...)
 	cache.mu.Lock()
 	defer cache.mu.Unlock()
-	next := map[int]Elem{e: pow}
+	next := map[int][]big.Word{e: pow}
 	if old := cache.m.Load(); old != nil {
 		if v, ok := (*old)[e]; ok { // added concurrently: keep the first
 			return v
@@ -555,7 +558,7 @@ func (mo *Modulus) Product(values []*big.Int) *big.Int {
 // in [0, m) and k words wide (value i in flat[i·k:(i+1)·k]), like
 // Product but with no per-value widening. An empty flat yields 1.
 func (mo *Modulus) ProductOf(flat []big.Word) *big.Int {
-	acc := make(Elem, mo.k)
+	acc := make([]big.Word, mo.k)
 	mo.packedProduct(acc, flat, 0)
 	return new(big.Int).SetBits(acc) // acc is fresh: the result may own it
 }
@@ -564,9 +567,9 @@ func (mo *Modulus) ProductOf(flat []big.Word) *big.Int {
 // domain, for a caller that goes on computing there: the correction
 // product lands on the image directly, with no conversion out and back.
 func (mo *Modulus) ProductMontOf(flat []big.Word) Elem {
-	acc := make(Elem, mo.k)
+	acc := make([]big.Word, mo.k)
 	mo.packedProduct(acc, flat, 1)
-	return acc
+	return Elem{acc}
 }
 
 // packedProduct sets acc to Π v·R^d mod m over the residues packed in
@@ -577,11 +580,11 @@ func (mo *Modulus) ProductMontOf(flat []big.Word) Elem {
 // leaves Π v·R^d: count products, with no division and no per-value
 // conversion. On the radix-2^52 lane (productLane) two such chains run
 // side by side.
-func (mo *Modulus) packedProduct(acc Elem, flat []big.Word, d int) {
+func (mo *Modulus) packedProduct(acc, flat []big.Word, d int) {
 	k, count := mo.k, len(flat)/mo.k
 	switch {
 	case count == 0:
-		copy(acc, mo.RPow(d))
+		copy(acc, mo.rPow(d))
 	case mo.lane != nil:
 		mo.productLane(acc, flat, count, d)
 	default:
@@ -589,37 +592,45 @@ func (mo *Modulus) packedProduct(acc Elem, flat []big.Word, d int) {
 		for i := k; i < count*k; i += k {
 			mo.montMul(acc, acc, flat[i:i+k])
 		}
-		mo.montMul(acc, acc, mo.RPow(count+d))
+		mo.montMul(acc, acc, mo.rPow(count+d))
 	}
 }
 
 // PrefixProducts runs the one chain under Lemma 1 and equation (3) over
 // the ring of n raw residues packed in xs (X_j in xs[j·k:(j+1)·k], each
 // in [0, m)), starting at slot i. With S_t = X_i···X_{i+t} (indices mod
-// n) it sets
+// n) it returns the Horner product S_0·S_1···S_{n-2} as a Montgomery
+// image, the image of 1 when n = 1, and whether S_{n-1} = Π X_j ≡ 1 mod
+// m (Lemma 1).
 //
-//	prefix = S_{n-1}·R^{-(n-1)}                    (Lemma 1's product)
-//	acc    = S_0·S_1···S_{n-2}·R^{-(n-2)(n+1)/2}   (the Horner product)
-//
-// and acc = X_i when n = 1. On montMul that is 2n-3 products: prefix
-// steps to S_j while acc takes S_{j-1}. On the radix-2^52 lane both
-// steps of each j are one call, n calls in all (prefixLane). Both give
-// the same limbs. prefix and acc must not alias xs or each other.
-func (mo *Modulus) PrefixProducts(prefix, acc Elem, xs []big.Word, i int) {
+// On montMul that is 2n-2 products for n > 1. In 2n-3 of them the prefix
+// steps to S_j while the Horner product takes S_{j-1}; they leave
+// S_{n-1}·R^{-(n-1)}, which Lemma 1 compares with the cached R^{-(n-1)},
+// and Π S_t·R^{-e}, e = (n-2)(n+1)/2, which the last product, with the
+// cached R^{e+2}, turns into its image. On the radix-2^52 lane both
+// steps of each j are one call, and so are both corrections: n calls in
+// all (prefixLane). Both give the same limbs.
+func (mo *Modulus) PrefixProducts(xs []big.Word, i int) (Elem, bool) {
 	k := mo.k
 	n := len(xs) / k
-	if mo.lane != nil && n > 1 {
+	x := func(j int) []big.Word { j %= n; return xs[j*k : (j+1)*k] }
+	var pbuf [maxModulusWords]big.Word
+	prefix, acc := pbuf[:k], make([]big.Word, k)
+	switch {
+	case n == 1:
+		copy(prefix, x(i))
+		copy(acc, mo.one)
+	case mo.lane != nil:
 		mo.prefixLane(prefix, acc, xs, i, n)
-		return
-	}
-	x := func(j int) Elem { j %= n; return xs[j*k : (j+1)*k] }
-	copy(prefix, x(i))
-	copy(acc, prefix)
-	for j := 1; j <= n-2; j++ {
-		mo.montMul(prefix, prefix, x(i+j))
-		mo.montMul(acc, acc, prefix)
-	}
-	if n > 1 {
+	default:
+		copy(prefix, x(i))
+		copy(acc, prefix)
+		for j := 1; j <= n-2; j++ {
+			mo.montMul(prefix, prefix, x(i+j))
+			mo.montMul(acc, acc, prefix)
+		}
 		mo.montMul(prefix, prefix, x(i+n-1))
+		mo.montMul(acc, acc, mo.rPow((n-2)*(n+1)/2+2))
 	}
+	return Elem{acc}, slices.Equal(prefix, mo.rPow(1-n))
 }

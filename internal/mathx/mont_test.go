@@ -2,9 +2,13 @@ package mathx
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/bits"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -97,7 +101,7 @@ func TestMontMulSqr(t *testing.T) {
 		for _, x := range operands {
 			mx := mo.ToMont(x)
 			wantSq := new(big.Int).Mod(new(big.Int).Mul(x, x), m)
-			if got := mo.FromMont(mo.Sqr(mx)); got.Cmp(wantSq) != 0 {
+			if got := mo.FromMont(mo.Mul(mx, mx)); got.Cmp(wantSq) != 0 {
 				t.Fatalf("sqr mod %d bits: x=%v got %v want %v", m.BitLen(), x, got, wantSq)
 			}
 			for _, y := range operands {
@@ -141,6 +145,53 @@ func TestMontExp(t *testing.T) {
 				if got := mo.FromMont(mo.ExpElem(mo.ToMont(b), e)); got.Cmp(want) != 0 {
 					t.Fatalf("Exp(%v, %v) mod %d bits: got %v want %v", b, e, m.BitLen(), got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestElemFormatRedacts prints an Elem, a []Elem and an error wrapping
+// an Elem with every common verb, and checks that no limb of the residue
+// or of its canonical value, in decimal or hex, appears.
+func TestElemFormatRedacts(t *testing.T) {
+	p, err := RandPrime(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo, err := NewModulus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := RandInt(rand.Reader, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mo.ToMont(v)
+	wrapped := fmt.Errorf("eq. 3: %w", fmt.Errorf("edge %v: %w", e, io.ErrUnexpectedEOF))
+	if !errors.Is(wrapped, io.ErrUnexpectedEOF) {
+		t.Fatal("the wrapped error is lost")
+	}
+	// Every Elem output and the error's message show the token; the
+	// error's own verbs print its message (%x in hex).
+	redacted := []string{wrapped.Error()}
+	var messages []string
+	for _, verb := range []string{"%v", "%x", "%d", "%s", "%+v", "%#v"} {
+		redacted = append(redacted, fmt.Sprintf(verb, e), fmt.Sprintf(verb, []Elem{e, e}))
+		messages = append(messages, fmt.Sprintf(verb, wrapped))
+	}
+	var limbs []string
+	for _, w := range append(slices.Clone(e.w), v.Bits()...) {
+		limbs = append(limbs, fmt.Sprintf("%d", w), fmt.Sprintf("%x", w), fmt.Sprintf("%X", w))
+	}
+	for _, o := range redacted {
+		if !strings.Contains(o, "mathx.Elem(redacted)") {
+			t.Errorf("%q: no redaction", o)
+		}
+	}
+	for _, o := range append(redacted, messages...) {
+		for _, l := range limbs {
+			if strings.Contains(o, l) {
+				t.Errorf("%q shows the limb %s", o, l)
 			}
 		}
 	}
@@ -206,7 +257,7 @@ func BenchmarkVarBaseExp(b *testing.B) {
 func BenchmarkExpElem(b *testing.B) {
 	mo, base, exp := benchModulus(b, 1024)
 	be, generic := mo.ToMont(base), WithoutLane(mo)
-	z := make(Elem, mo.Words())
+	z := make([]big.Word, mo.Words())
 	for _, e := range []*big.Int{big.NewInt(32), big.NewInt(65537), exp} {
 		w := expWindow(e.BitLen())
 		b.Run(fmt.Sprintf("e=%dbit/lane", e.BitLen()), func(b *testing.B) {
@@ -214,7 +265,7 @@ func BenchmarkExpElem(b *testing.B) {
 				b.Skip("no radix-2^52 kernel on this CPU")
 			}
 			for i := 0; i < b.N; i++ {
-				mo.expElemLane(z, be, e, w)
+				mo.expElemLane(z, be.w, e, w)
 			}
 		})
 		b.Run(fmt.Sprintf("e=%dbit/generic", e.BitLen()), func(b *testing.B) {
@@ -233,20 +284,20 @@ func BenchmarkExpPair(b *testing.B) {
 	mo, base, e1 := benchModulus(b, 1024)
 	e2 := benchScalar(b)
 	b1 := mo.ToMont(base)
-	b2 := mo.Sqr(b1)
-	z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
+	b2 := mo.Mul(b1, b1)
+	z1, z2 := make([]big.Word, mo.Words()), make([]big.Word, mo.Words())
 	s1, top := mustScalar(b, benchOrder, e1), fixedTop(160)
 	b.Run("lane", func(b *testing.B) {
 		if mo.lane == nil {
 			b.Skip("no radix-2^52 kernel on this CPU")
 		}
 		for i := 0; i < b.N; i++ {
-			mo.expPairLane(z1, z2, b1, &s1.w, b2, &e2.w, top)
+			mo.expPairLane(z1, z2, b1.w, &s1.w, b2.w, &e2.w, top)
 		}
 	})
 	b.Run("generic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mo.expPairMont(z1, z2, b1, &s1.w, b2, &e2.w, top)
+			mo.expPairMont(z1, z2, b1.w, &s1.w, b2.w, &e2.w, top)
 		}
 	})
 	b.Run("big", func(b *testing.B) {
@@ -265,19 +316,19 @@ func BenchmarkExpPair(b *testing.B) {
 func BenchmarkExpFixed(b *testing.B) {
 	mo, base, _ := benchModulus(b, 1024)
 	be, e, top := mo.ToMont(base), benchScalar(b), fixedTop(160)
-	z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
+	z1, z2 := make([]big.Word, mo.Words()), make([]big.Word, mo.Words())
 	b.Run("lane", func(b *testing.B) {
 		if mo.lane == nil {
 			b.Skip("no radix-2^52 kernel on this CPU")
 		}
 		for i := 0; i < b.N; i++ {
-			mo.expPairLane(z1, z2, be, &e.w, be, &e.w, top)
+			mo.expPairLane(z1, z2, be.w, &e.w, be.w, &e.w, top)
 		}
 	})
 	tab := make([]big.Word, (fixedEntries+1)*mo.Words())
 	b.Run("mont", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mo.expFixedMont(z1, be, &e.w, top, tab)
+			mo.expFixedMont(z1, be.w, &e.w, top, tab)
 		}
 	})
 }
@@ -313,8 +364,8 @@ func BenchmarkProductOf(b *testing.B) {
 func BenchmarkMontMul(b *testing.B) {
 	mo, base, _ := benchModulus(b, 1024)
 	x := mo.ToMont(base)
-	y := mo.Sqr(x)
-	z := make(Elem, mo.Words())
+	y := mo.Mul(x, x)
+	z := Elem{make([]big.Word, mo.Words())}
 	b.Run("mul", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mo.MulInto(z, x, y)
@@ -329,7 +380,7 @@ func BenchmarkMontMul(b *testing.B) {
 	})
 	b.Run("sqr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mo.SqrInto(z, x)
+			mo.sqrInto(z.w, x.w)
 		}
 	})
 	b.Run("big-mulmod", func(b *testing.B) {

@@ -159,7 +159,7 @@ func engineName(mo *Modulus) string {
 	return name
 }
 
-// TestMontMulDifferential checks Mul, MulInto and SqrInto against
+// TestMontMulDifferential checks Mul, MulInto and sqrInto against
 // big.Int at every width, including fully aliased z = x = y, operands at
 // the edges of [0, m), and — on the moduli with an all-ones top limb —
 // products whose accumulator carries into the final subtraction. At 16
@@ -176,7 +176,7 @@ func TestMontMulDifferential(t *testing.T) {
 		r := new(big.Int).Lsh(One, uint(k*bits.UintSize))
 		mInv := new(big.Int).ModInverse(m, r)
 		var buf [maxModulusWords]big.Word
-		elem := func(v *big.Int) Elem { return append(Elem(nil), mo.limbs(&buf, v)...) }
+		elem := func(v *big.Int) Elem { return Elem{append([]big.Word(nil), mo.limbs(&buf, v)...)} }
 		mMinus1 := new(big.Int).Sub(m, One)
 		vals := []*big.Int{big.NewInt(0), One, mMinus1, new(big.Int).Sub(m, Two)}
 		for i := 0; i < 12; i++ {
@@ -194,35 +194,32 @@ func TestMontMulDifferential(t *testing.T) {
 				}
 				ex, ey := elem(x), elem(y)
 				for _, mm := range withGeneric(mo) {
-					if got := bigFromElem(mm.Mul(ex, ey)); got.Cmp(want) != 0 {
+					if got := bigFromLimbs(mm.Mul(ex, ey).w); got.Cmp(want) != 0 {
 						t.Fatalf("%d words: %s(%v, %v) = %v, want %v", k, engineName(mm), x, y, got, want)
 					}
 					z := elem(x)
-					if mm.MulInto(z, z, ey); bigFromElem(z).Cmp(want) != 0 {
-						t.Fatalf("%d words: %s with z = x: %v, want %v", k, engineName(mm), bigFromElem(z), want)
+					if mm.MulInto(z, z, ey); bigFromLimbs(z.w).Cmp(want) != 0 {
+						t.Fatalf("%d words: %s with z = x: %v, want %v", k, engineName(mm), bigFromLimbs(z.w), want)
 					}
 					z = elem(y)
-					if mm.MulInto(z, ex, z); bigFromElem(z).Cmp(want) != 0 {
-						t.Fatalf("%d words: %s with z = y: %v, want %v", k, engineName(mm), bigFromElem(z), want)
+					if mm.MulInto(z, ex, z); bigFromLimbs(z.w).Cmp(want) != 0 {
+						t.Fatalf("%d words: %s with z = y: %v, want %v", k, engineName(mm), bigFromLimbs(z.w), want)
 					}
 				}
-				if bigFromElem(ex).Cmp(x) != 0 || bigFromElem(ey).Cmp(y) != 0 {
+				if bigFromLimbs(ex.w).Cmp(x) != 0 || bigFromLimbs(ey.w).Cmp(y) != 0 {
 					t.Fatalf("%d words: Mul mutated an operand", k)
 				}
 			}
 			sq, _ := montRef(x, x, m, r, mInv)
 			for _, mm := range withGeneric(mo) {
 				z := elem(x)
-				if mm.MulInto(z, z, z); bigFromElem(z).Cmp(sq) != 0 {
-					t.Fatalf("%d words: %s with z = x = y: %v, want %v", k, engineName(mm), bigFromElem(z), sq)
+				if mm.MulInto(z, z, z); bigFromLimbs(z.w).Cmp(sq) != 0 {
+					t.Fatalf("%d words: %s with z = x = y: %v, want %v", k, engineName(mm), bigFromLimbs(z.w), sq)
 				}
 			}
-			z := elem(x)
-			if mo.SqrInto(z, z); bigFromElem(z).Cmp(sq) != 0 {
-				t.Fatalf("%d words: SqrInto with z = x: %v, want %v", k, bigFromElem(z), sq)
-			}
-			if got := bigFromElem(mo.Sqr(elem(x))); got.Cmp(sq) != 0 {
-				t.Fatalf("%d words: Sqr = %v, want %v", k, got, sq)
+			z := elem(x).w
+			if mo.sqrInto(z, z); bigFromLimbs(z).Cmp(sq) != 0 {
+				t.Fatalf("%d words: sqrInto with z = x: %v, want %v", k, bigFromLimbs(z), sq)
 			}
 		}
 		if top := m.Bits()[k-1]; ^top == 0 && carries == 0 {
@@ -249,7 +246,7 @@ func TestExpElemDifferential(t *testing.T) {
 		}
 		for _, base := range []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)} {
 			be := mo.ToMont(base)
-			before := append(Elem(nil), be...)
+			before := slices.Clone(be.w)
 			for _, e := range exps {
 				want := new(big.Int).Exp(base, e, m)
 				for _, mm := range withGeneric(mo) {
@@ -258,10 +255,8 @@ func TestExpElemDifferential(t *testing.T) {
 					}
 				}
 			}
-			for i := range be {
-				if be[i] != before[i] {
-					t.Fatalf("%d words: ExpElem mutated its base", mo.Words())
-				}
+			if !slices.Equal(be.w, before) {
+				t.Fatalf("%d words: ExpElem mutated its base", mo.Words())
 			}
 		}
 	}
@@ -346,29 +341,43 @@ func TestModulusProductDifferential(t *testing.T) {
 	}
 }
 
-// prefixRef returns PrefixProducts' two values from big.Int for the ring
-// xs starting at slot i.
-func prefixRef(mo *Modulus, xs []*big.Int, i int) (prefix, acc *big.Int) {
-	n, m := len(xs), mo.m
-	rInv := new(big.Int).ModInverse(bigFromElem(mo.one), m)
-	s := new(big.Int).Set(xs[i])
-	acc = new(big.Int).Set(s)
-	for t := 1; t <= n-2; t++ {
+// prefixRef returns PrefixProducts' two results from big.Int for the
+// ring xs starting at slot i: the Horner product Π_{t<n-1} S_t with S_t =
+// X_i···X_{i+t}, and whether Π X_j ≡ 1 (Lemma 1).
+func prefixRef(m *big.Int, xs []*big.Int, i int) (horner *big.Int, lemma1 bool) {
+	n := len(xs)
+	s, horner := big.NewInt(1), big.NewInt(1)
+	for t := 0; t < n-1; t++ {
 		s.Mod(s.Mul(s, xs[(i+t)%n]), m)
-		acc.Mod(acc.Mul(acc, s), m)
+		horner.Mod(horner.Mul(horner, s), m)
 	}
-	if n > 1 {
-		s.Mod(s.Mul(s, xs[(i+n-1)%n]), m)
-		e := big.NewInt(int64((n - 2) * (n + 1) / 2))
-		acc.Mod(acc.Mul(acc, new(big.Int).Exp(rInv, e, m)), m)
+	return horner, ProductMod(xs, m).Cmp(One) == 0
+}
+
+// checkPrefixProducts runs PrefixProducts from slot i on every backend
+// and compares the Horner image, limb for limb, and the Lemma 1 flag with
+// big.Int.
+func checkPrefixProducts(t testing.TB, mo *Modulus, xs []*big.Int, flat []big.Word, i int) (lemma1 bool) {
+	t.Helper()
+	want, lemma1 := prefixRef(mo.m, xs, i)
+	wantImage := mo.ToMont(want)
+	for name, mo := range chainBackends(mo) {
+		got, ok := mo.PrefixProducts(flat, i)
+		if !slices.Equal(got.w, wantImage.w) || ok != lemma1 {
+			t.Fatalf("%s, m=%d bits, n=%d, i=%d: Horner product %x, Lemma 1 %v; want %x, %v",
+				name, mo.m.BitLen(), len(xs), i, mo.FromMont(got), ok, want, lemma1)
+		}
 	}
-	return s.Mod(s.Mul(s, new(big.Int).Exp(rInv, big.NewInt(int64(n-1)), m)), m), acc
+	return lemma1
 }
 
 // TestPrefixProductsDifferential checks the chain under Lemma 1 and
 // equation (3) against big.Int for every ring size from 1 to 33 and
 // every starting position, on the radix-2^52 lane and on montMul, at 4,
-// 16 and 17 words; the ring holds random residues, 0, 1 and m - 1.
+// 16 and 17 words. Three rings per size: an honest one (Π X_j = 1, with
+// 1 and m - 1 among its values), which must pass Lemma 1; the same ring
+// with one X perturbed, which must fail it; and random residues with 0,
+// 1 and m - 1.
 func TestPrefixProductsDifferential(t *testing.T) {
 	for _, m := range diffModuli(t)[4:10] {
 		mo, err := NewModulus(m)
@@ -376,26 +385,36 @@ func TestPrefixProductsDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := mo.Words()
-		edge := []*big.Int{new(big.Int).Sub(m, One), One, big.NewInt(0)}
 		for n := 1; n <= 33; n++ {
-			xs := make([]*big.Int, n)
-			for j := range xs {
-				xs[j] = randBelow(t, m)
+			honest := make([]*big.Int, n)
+			for j := range honest {
+				honest[j] = randBelow(t, m)
+				for new(big.Int).GCD(nil, nil, honest[j], m).Cmp(One) != 0 { // a unit: the moduli are composite
+					honest[j] = randBelow(t, m)
+				}
 			}
 			if n >= 5 {
-				copy(xs[n-3:], edge)
+				copy(honest[n-3:], []*big.Int{new(big.Int).Sub(m, One), One})
 			}
-			flat := make([]big.Word, n*k)
-			for j, x := range xs {
-				copy(flat[j*k:], x.Bits())
+			honest[n-1] = new(big.Int).ModInverse(ProductMod(honest[:n-1], m), m)
+			perturbed := slices.Clone(honest)
+			perturbed[n/2] = new(big.Int).Mod(new(big.Int).Add(honest[n/2], One), m)
+			random := make([]*big.Int, n)
+			for j := range random {
+				random[j] = randBelow(t, m)
 			}
-			prefix, acc := make(Elem, k), make(Elem, k)
-			for i := range n {
-				wantP, wantA := prefixRef(mo, xs, i)
-				for name, mo := range chainBackends(mo) {
-					mo.PrefixProducts(prefix, acc, flat, i)
-					if bigFromElem(prefix).Cmp(wantP) != 0 || bigFromElem(acc).Cmp(wantA) != 0 {
-						t.Fatalf("%s, m=%d bits, n=%d, i=%d: prefix %x acc %x, want %x %x", name, m.BitLen(), n, i, prefix, acc, wantP, wantA)
+			if n >= 5 {
+				copy(random[n-3:], []*big.Int{new(big.Int).Sub(m, One), One, big.NewInt(0)})
+			}
+			for ring, xs := range map[string][]*big.Int{"honest": honest, "perturbed": perturbed, "random": random} {
+				flat := make([]big.Word, n*k)
+				for j, x := range xs {
+					copy(flat[j*k:], x.Bits())
+				}
+				for i := range n {
+					lemma1 := checkPrefixProducts(t, mo, xs, flat, i)
+					if want := ring == "honest"; ring != "random" && lemma1 != want {
+						t.Fatalf("m=%d bits, n=%d: the %s ring has Lemma 1 %v", m.BitLen(), n, ring, lemma1)
 					}
 				}
 			}
@@ -451,12 +470,12 @@ func TestRPow(t *testing.T) {
 			if e < 0 {
 				want.ModInverse(want, m)
 			}
-			got := mo.RPow(e)
-			if new(big.Int).SetBits(append([]big.Word(nil), got...)).Cmp(want) != 0 {
-				t.Fatalf("m=%d bits: RPow(%d) = %v, want %v", m.BitLen(), e, got, want)
+			got := mo.rPow(e)
+			if bigFromLimbs(got).Cmp(want) != 0 {
+				t.Fatalf("m=%d bits: rPow(%d) = %v, want %v", m.BitLen(), e, got, want)
 			}
-			if again := mo.RPow(e); &again[0] != &got[0] {
-				t.Fatalf("m=%d bits: RPow(%d) was recomputed", m.BitLen(), e)
+			if again := mo.rPow(e); &again[0] != &got[0] {
+				t.Fatalf("m=%d bits: rPow(%d) was recomputed", m.BitLen(), e)
 			}
 		}
 	}
@@ -493,9 +512,9 @@ func FuzzMontMul1024(f *testing.F) {
 		var xbuf, ybuf [maxModulusWords]big.Word
 		ex, ey := mo.limbs(&xbuf, x), mo.limbs(&ybuf, y)
 		for _, mm := range withGeneric(mo) {
-			z := make(Elem, mo.Words())
-			if mm.montMul(z, ex, ey); bigFromElem(z).Cmp(want) != 0 {
-				t.Fatalf("m=%x: %s(%x, %x) = %x, want %x", m, engineName(mm), x, y, bigFromElem(z), want)
+			z := make([]big.Word, mo.Words())
+			if mm.montMul(z, ex, ey); bigFromLimbs(z).Cmp(want) != 0 {
+				t.Fatalf("m=%x: %s(%x, %x) = %x, want %x", m, engineName(mm), x, y, bigFromLimbs(z), want)
 			}
 		}
 	})
@@ -599,8 +618,8 @@ func TestAMM52x20x2Differential(t *testing.T) {
 // pairBackends returns ExpPair's backends for mo: expPairMont always and,
 // where the radix-2^52 kernel runs, expPairLane, so a CPU with the kernel
 // tests both.
-func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int) {
-	out := map[string]func(z1, z2, b1 Elem, x1 *scalarWords, b2 Elem, x2 *scalarWords, top int){"montMul": mo.expPairMont}
+func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int) {
+	out := map[string]func(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int){"montMul": mo.expPairMont}
 	if mo.lane != nil {
 		out["lane"] = mo.expPairLane
 	}
@@ -626,23 +645,23 @@ func checkExpPair(t testing.TB, mo *Modulus, q, b1, e1, b2, e2 *big.Int) {
 	want1, want2 := mo.ToMont(new(big.Int).Exp(b1, e1, m)), mo.ToMont(new(big.Int).Exp(b2, e2, m))
 	m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
 	s1, s2 := mustScalar(t, q, e1), mustScalar(t, q, e2)
-	before1, before2 := append(Elem(nil), m1...), append(Elem(nil), m2...)
-	check := func(name string, got1, got2 Elem) {
+	before1, before2 := slices.Clone(m1.w), slices.Clone(m2.w)
+	check := func(name string, got1, got2 []big.Word) {
 		t.Helper()
-		if !slices.Equal(got1, want1) || !slices.Equal(got2, want2) {
+		if !slices.Equal(got1, want1.w) || !slices.Equal(got2, want2.w) {
 			t.Fatalf("%d words, %s, %d-bit order: (%v^%v, %v^%v) = (%x, %x), want (%x, %x)",
 				mo.Words(), name, q.BitLen(), b1, e1, b2, e2, got1, got2, want1, want2)
 		}
 	}
 	for name, f := range pairBackends(mo) {
-		z1, z2 := make(Elem, mo.Words()), make(Elem, mo.Words())
-		f(z1, z2, m1, &s1.w, m2, &s2.w, fixedTop(q.BitLen()))
+		z1, z2 := make([]big.Word, mo.Words()), make([]big.Word, mo.Words())
+		f(z1, z2, m1.w, &s1.w, m2.w, &s2.w, fixedTop(q.BitLen()))
 		check(name, z1, z2)
 	}
 	got1, got2 := mo.ExpPair(m1, s1, m2, s2)
-	check("ExpPair", got1, got2)
-	check("ExpFixed", mo.ExpFixed(m1, s1), mo.ExpFixed(m2, s2))
-	if !slices.Equal(m1, before1) || !slices.Equal(m2, before2) {
+	check("ExpPair", got1.w, got2.w)
+	check("ExpFixed", mo.ExpFixed(m1, s1).w, mo.ExpFixed(m2, s2).w)
+	if !slices.Equal(m1.w, before1) || !slices.Equal(m2.w, before2) {
 		t.Fatalf("%d words: a fixed-window power mutated its base", mo.Words())
 	}
 }
@@ -683,7 +702,7 @@ func TestExpPairDifferential(t *testing.T) {
 					checkExpPair(t, mo, q, b1, e1, b1, e2)
 					r := mustScalar(t, q, e1)
 					want := mo.ToMont(new(big.Int).Exp(b2, new(big.Int).Sub(q, e1), m))
-					if _, got := mo.ExpPair(mo.ToMont(b1), r, mo.ToMont(b2), r.Neg()); !slices.Equal(got, want) {
+					if _, got := mo.ExpPair(mo.ToMont(b1), r, mo.ToMont(b2), r.Neg()); !slices.Equal(got.w, want.w) {
 						t.Fatalf("%d words, %d-bit order: %v^(q-%v) = %x, want %x", mo.Words(), bits, b2, e1, got, want)
 					}
 				}
@@ -829,15 +848,7 @@ func FuzzLaneChains(f *testing.F) {
 			}
 		}
 		if n > 0 {
-			i := int(start) % n
-			wantP, wantA := prefixRef(mo, vals, i)
-			prefix, acc := make(Elem, k), make(Elem, k)
-			for name, mo := range backends {
-				mo.PrefixProducts(prefix, acc, flat, i)
-				if bigFromElem(prefix).Cmp(wantP) != 0 || bigFromElem(acc).Cmp(wantA) != 0 {
-					t.Fatalf("%s, n=%d, i=%d: prefix %x acc %x, want %x %x", name, n, i, prefix, acc, wantP, wantA)
-				}
-			}
+			checkPrefixProducts(t, mo, vals, flat, int(start)%n)
 		}
 		base := Two
 		if n > 0 {

@@ -27,6 +27,7 @@ import (
 
 	"idgka"
 	"idgka/internal/engine"
+	"idgka/internal/metrics"
 )
 
 // Transmit sends one outbound packet on behalf of member from. An empty
@@ -132,7 +133,7 @@ type Host struct {
 	delivered  atomic.Uint64
 	sendErrors atomic.Uint64
 	sheds      atomic.Uint64
-	peakDepth  atomic.Int64
+	peakDepth  metrics.Gauge // unregistered: this host's own high-water mark
 }
 
 // hostMember is one member plus the live runs the host drives for it.
@@ -401,12 +402,7 @@ func (h *Host) enqueue(s *shard, t task) {
 	mQueueDepth.Add(1)
 	d := int64(depth)
 	mQueuePeak.SetMax(d)
-	for {
-		cur := h.peakDepth.Load()
-		if d <= cur || h.peakDepth.CompareAndSwap(cur, d) {
-			break
-		}
-	}
+	h.peakDepth.SetMax(d)
 }
 
 // Start begins one flow on a hosted member and returns its Run handle.
@@ -601,7 +597,7 @@ func (h *Host) Stats() Stats {
 		Delivered:      h.delivered.Load(),
 		SendErrors:     h.sendErrors.Load(),
 		Sheds:          h.sheds.Load(),
-		PeakQueueDepth: int(h.peakDepth.Load()),
+		PeakQueueDepth: int(h.peakDepth.Value()),
 	}
 	for _, s := range h.shards {
 		st.QueueDepth += s.depth()
