@@ -103,6 +103,10 @@ type Index struct {
 // analyzed package set. "pkgpath.Type" marks a whole type,
 // "pkgpath.Type.Field" one struct field. mathx.Scalar is the secret
 // exponent type: every r_i, r' and DH exponent of the engine is one.
+// mathx.Elem is not a secret type, as most residues are public, but its
+// redacting Format never runs on an unexported field, so an Elem field
+// that holds key material is listed by name: ringState.edge holds
+// g^{r_i·r_{i+1}}.
 var BuiltinSecrets = []string{
 	"idgka/internal/mathx.Scalar",
 	"idgka/internal/sigs/gq.PrivateKey",
@@ -111,6 +115,7 @@ var BuiltinSecrets = []string{
 	"idgka/internal/sigs/sok.PrivateKey.D",
 	"idgka/internal/sigs/sok.PKG.s",
 	"idgka/internal/engine.Group.Key",
+	"idgka/internal/engine.ringState.edge",
 	"idgka.Session.key",
 }
 

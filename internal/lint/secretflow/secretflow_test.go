@@ -29,3 +29,10 @@ func TestEngineEdgeCases(t *testing.T) {
 func TestScalarTypeRoot(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), secretflow.Analyzer, "scalar", "idgka/internal/mathx")
 }
+
+// TestElemFieldRoot covers a marked mathx.Elem field: a struct whose only
+// secret is such a field, formatted whole, is reported, while a struct
+// holding an Elem in an unmarked field is not.
+func TestElemFieldRoot(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), secretflow.Analyzer, "idgka/internal/engine", "idgka/internal/mathx")
+}

@@ -1,5 +1,6 @@
 // Package mathx is the fixture stub of idgka/internal/mathx: its Scalar
-// matches the builtin secret list's type root.
+// matches the builtin secret list's type root, and its Elem is the
+// residue type of the list's marked engine field.
 package mathx
 
 import (
@@ -30,3 +31,12 @@ func (Scalar) Format(f fmt.State, _ rune) { io.WriteString(f, "mathx.Scalar(reda
 func (s Scalar) BigVarTime() *big.Int {
 	return new(big.Int).SetBits(append([]big.Word(nil), s.w[:]...))
 }
+
+// Elem mirrors the real Montgomery residue: no secret type, with a
+// redacting Format that fmt calls only where it can reach the method.
+type Elem struct {
+	w []big.Word
+}
+
+// Format redacts, with an unnamed receiver.
+func (Elem) Format(f fmt.State, _ rune) { io.WriteString(f, "mathx.Elem(redacted)") }

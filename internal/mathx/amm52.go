@@ -4,8 +4,11 @@ import "math/big"
 
 // This file runs the 1024-bit product chains on amm52x20x2
 // (amm52_amd64.s), which computes two independent products side by side
-// in radix 2^52 in about the time of one montMul1024, on amd64 CPUs with
-// AVX-512 IFMA. Each chain is cut into two halves, one per lane:
+// in radix 2^52 on amd64 CPUs with AVX-512 IFMA. On a 2-vCPU Xeon of the
+// Sapphire Rapids class one call took 217 ns at the minimum of 20 runs
+// (240 ns median), against 242 ns (285 ns) for the single product of
+// one montMul1024 (BenchmarkAMM52x20x2, BenchmarkMontMul; see
+// docs/PERFORMANCE.md). Each chain is cut into two halves, one per lane:
 //
 //   - ExpPair: two secret powers on the fixed window (mont.go), sharing
 //     one schedule whatever their exponents, each digit's table entries

@@ -13,6 +13,15 @@ package mathx
 //go:noescape
 func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]uint64, k0 uint64)
 
+// norm52x2 runs amm52x20x2's carry pass alone (amm52_amd64.s): it sets
+// r1 and r2 to x1 and x2, 20 limbs of 64 bits each, mod 2^1040 in limbs
+// of exactly 52 bits. r1 and r2 may alias x1 and x2. Only tests call it:
+// random products almost never reach the pass's second step. It needs
+// AVX512F and AVX512VL, which hasAMM52 implies.
+//
+//go:noescape
+func norm52x2(r1, x1, r2, x2 *[20]uint64)
+
 // sel52x2 sets dst[0] to tab[d1][0] and dst[1] to tab[d2][1], reading
 // all n >= 1 entries of tab with masks, so its memory accesses and
 // branches do not depend on the digits (amm52_amd64.s). Digits of n or

@@ -9,30 +9,39 @@
 // 20 limbs of 52 bits below 2m with R' = 2^1040; since 4m < R' the result
 // is below 2m as well and needs no final subtraction.
 //
+// Each 20-limb value lives in two ZMM registers and one YMM register:
+// limbs 0-7, 8-15 and 16-19. A row is 12 multiply-adds per lane, each
+// operand register against a broadcast b_i (read from memory by the
+// instruction itself) or q_i. The 256-bit operations zero bits 256-511
+// of their ZMM register, so a YMM register read as ZMM holds its four
+// limbs and then zeros.
+//
 // Register use across the row loop:
 //
-//	SI   a1           DI   a2           CX   m
-//	BX   b1           R8   b2           R11  row index i
-//	R9   lane 1's limb 0, exact           R10  lane 2's limb 0, exact
+//	SI   a1's limb 0             DI   a2's limb 0
+//	CX   m's limb 0              R11  row index i
+//	BX   b1                      R8   b2
+//	R9   lane 1's limb 0, exact  R10  lane 2's limb 0, exact
 //	AX, DX, R12, R13  scalar scratch
-//	Y16-Y20  lane 1's accumulator limbs 0-19 (limb 0 lives in R9)
-//	Y21-Y25  lane 2's accumulator limbs 0-19 (limb 0 lives in R10)
-//	Y26, Y27 lane 1's b_i and q_i broadcast
-//	Y28, Y29 lane 2's b_i and q_i broadcast
-//	Y30      zero
+//	Z16, Z17, Y18  lane 1's accumulator (its limb 0 lives in R9)
+//	Z19, Z20, Y21  lane 2's accumulator (its limb 0 lives in R10)
+//	Z22, Z23, Y24  a1                Z25, Z26, Y27  a2
+//	Z28, Z29, Y30  m                 Z31  zero
+//	Z0, Z1         lane 1's and lane 2's q_i broadcast
 //
 // Every accumulator limb takes at most four 52-bit terms per row, so 20
-// rows stay below 2^59 and never overflow their 64 bits.
+// rows stay below 2^59 and never overflow their 64 bits. The carry pass
+// after the loop (CARRY2) reuses Z22-Z29 and K1-K7 and keeps the whole
+// result in registers until its one store per limb. Nothing in this
+// file touches X15, and every entry ends with VZEROUPPER.
 
 // SCALAR computes one lane's row multiplier q_i = (acc + a_0·b_i)·k0 mod
-// 2^52 and broadcasts b_i into bv and q_i into qv. It leaves the lane's
-// exact limb 0 shifted down one limb: acc = (acc + a_0·b_i + q_i·m_0) / 2^52,
-// a 128-bit sum held in R12:acc.
-#define SCALAR(bptr, aptr, acc, bv, qv) \
-	MOVQ         (bptr)(R11*8), R13; \
-	VPBROADCASTQ R13, bv; \
-	MOVQ         (aptr), DX; \
-	MULXQ        R13, R13, R12; \
+// 2^52 and broadcasts it into qv. It leaves the lane's exact limb 0
+// shifted down one limb: acc = (acc + a_0·b_i + q_i·m_0) / 2^52, a
+// 128-bit sum held in R12:acc.
+#define SCALAR(bptr, a0, acc, qv) \
+	MOVQ         (bptr)(R11*8), DX; \
+	MULXQ        a0, R13, R12; \
 	ADDQ         R13, acc; \
 	ADCQ         $0, R12; \
 	MOVQ         k0+56(FP), R13; \
@@ -40,8 +49,8 @@
 	MOVQ         $0xfffffffffffff, AX; \
 	ANDQ         AX, R13; \
 	VPBROADCASTQ R13, qv; \
-	MOVQ         (CX), DX; \
-	MULXQ        R13, R13, AX; \
+	MOVQ         R13, DX; \
+	MULXQ        CX, R13, AX; \
 	ADDQ         R13, acc; \
 	ADCQ         AX, R12; \
 	SHRQ         $52, acc; \
@@ -49,129 +58,184 @@
 	ORQ          R12, acc
 
 // MADD adds the low (op = VPMADD52LUQ) or high (op = VPMADD52HUQ) 52-bit
-// halves of a·bv and m·qv into the lane's five accumulator registers.
-#define MADD(op, aptr, bv, qv, A0, A1, A2, A3, A4) \
-	op 0(aptr), bv, A0; \
-	op 32(aptr), bv, A1; \
-	op 64(aptr), bv, A2; \
-	op 96(aptr), bv, A3; \
-	op 128(aptr), bv, A4; \
-	op 0(CX), qv, A0; \
-	op 32(CX), qv, A1; \
-	op 64(CX), qv, A2; \
-	op 96(CX), qv, A3; \
-	op 128(CX), qv, A4
+// halves of a·b_i, b_i broadcast from bptr, and of m·q_i (qv, and yq its
+// low half) into the lane's accumulator.
+#define MADD(op, bptr, qv, yq, A0, A1, A2, B0, B1, B2) \
+	op.BCST (bptr)(R11*8), B0, A0; \
+	op.BCST (bptr)(R11*8), B1, A1; \
+	op.BCST (bptr)(R11*8), B2, A2; \
+	op      qv, Z28, A0; \
+	op      qv, Z29, A1; \
+	op      yq, Y30, A2
 
-// SHIFT moves the lane's accumulator down one limb, zero-filling limb 19.
-// The limb it drops is limb 0, whose exact value the lane keeps in a GPR.
-#define SHIFT(A0, A1, A2, A3, A4) \
+// SHIFT moves the lane's accumulator down one limb, zero-filling limb 19;
+// ZA2 is A2 read as ZMM. The limb it drops is limb 0, whose exact value
+// the lane keeps in a GPR.
+#define SHIFT(A0, A1, A2, ZA2) \
 	VALIGNQ $1, A0, A1, A0; \
-	VALIGNQ $1, A1, A2, A1; \
-	VALIGNQ $1, A2, A3, A2; \
-	VALIGNQ $1, A3, A4, A3; \
-	VALIGNQ $1, A4, Y30, A4
+	VALIGNQ $1, A1, ZA2, A1; \
+	VALIGNQ $1, A2, Y31, A2
 
-// STORE writes the lane's accumulator to r, with the exact limb 0 from
-// acc in place of the vector's.
-#define STORE(r, acc, A0, A1, A2, A3, A4) \
-	VMOVDQU64 A0, 0(r); \
-	VMOVDQU64 A1, 32(r); \
-	VMOVDQU64 A2, 64(r); \
-	VMOVDQU64 A3, 96(r); \
-	VMOVDQU64 A4, 128(r); \
-	MOVQ      acc, 0(r)
+// CARRY carries one lane's accumulator (A0, A1 and A2, with the exact
+// limb 0 in acc) into limbs of exactly 52 bits, in registers. ZA2 is A2
+// read as ZMM, and YC2 is the scratch C2 read as YMM. It needs Z28 =
+// 2^52 - 1, Z29 = 1 and Z31 = 0 in every limb, K1 = 1, and C0, C1 and C2
+// as scratch; it leaves AX, DX and R12 clobbered.
+//
+// Pass 1 adds each limb's bits above 52 into the next limb: VALIGNQ $7
+// moves the carries up one limb, across register boundaries too. Each
+// limb is then at most 2^52 - 1 + 2^12 - 1, so it carries at most one.
+// Pass 2 finds in 20-bit masks the limbs that carry one (g: above 2^52 -
+// 1) and the limbs that pass a carry on (p: equal to it). The limbs that
+// take one are then ((g<<1) + p) ^ p, like a binary sum. The carry out
+// of limb 19 is dropped in both passes, so the result is the input
+// mod 2^1040; the product is below 2m < 2^1040, so nothing is lost.
+#define CARRY(acc, A0, A1, A2, ZA2, C0, C1, C2, YC2) \
+	VPBROADCASTQ acc, K1, A0; \
+	VPSRLQ       $52, A0, C0; \
+	VPSRLQ       $52, A1, C1; \
+	VPSRLQ       $52, ZA2, C2; \
+	VPANDQ       Z28, A0, A0; \
+	VPANDQ       Z28, A1, A1; \
+	VPANDQ       Y28, A2, A2; \
+	VALIGNQ      $7, C1, C2, C2; \
+	VALIGNQ      $7, C0, C1, C1; \
+	VALIGNQ      $7, Z31, C0, C0; \
+	VPADDQ       C0, A0, A0; \
+	VPADDQ       C1, A1, A1; \
+	VPADDQ       YC2, A2, A2; \
+	VPCMPUQ      $6, Z28, A0, K2; \
+	VPCMPUQ      $6, Z28, A1, K3; \
+	VPCMPUQ      $6, Y28, A2, K4; \
+	VPCMPUQ      $0, Z28, A0, K5; \
+	VPCMPUQ      $0, Z28, A1, K6; \
+	VPCMPUQ      $0, Y28, A2, K7; \
+	KMOVW        K2, AX; \
+	KMOVW        K3, DX; \
+	SHLQ         $8, DX; \
+	ORQ          DX, AX; \
+	KMOVW        K4, DX; \
+	SHLQ         $16, DX; \
+	ORQ          DX, AX; \
+	KMOVW        K5, R12; \
+	KMOVW        K6, DX; \
+	SHLQ         $8, DX; \
+	ORQ          DX, R12; \
+	KMOVW        K7, DX; \
+	SHLQ         $16, DX; \
+	ORQ          DX, R12; \
+	LEAQ         (R12)(AX*2), AX; \
+	XORQ         R12, AX; \
+	KMOVW        AX, K2; \
+	SHRQ         $8, AX; \
+	KMOVW        AX, K3; \
+	SHRQ         $8, AX; \
+	KMOVW        AX, K4; \
+	VPADDQ       Z29, A0, K2, A0; \
+	VPADDQ       Z29, A1, K3, A1; \
+	VPADDQ       Y29, A2, K4, A2; \
+	VPANDQ       Z28, A0, A0; \
+	VPANDQ       Z28, A1, A1; \
+	VPANDQ       Y28, A2, A2
 
-// NORM carries limb j of both results (at AX and BX) into 52 bits, with
-// the incoming and outgoing carries in R9 and R10 and the mask in DX.
-#define NORM(j) \
-	MOVQ (j*8)(AX), R12; \
-	MOVQ (j*8)(BX), R13; \
-	ADDQ R9, R12; \
-	ADDQ R10, R13; \
-	MOVQ R12, R9; \
-	MOVQ R13, R10; \
-	SHRQ $52, R9; \
-	SHRQ $52, R10; \
-	ANDQ DX, R12; \
-	ANDQ DX, R13; \
-	MOVQ R12, (j*8)(AX); \
-	MOVQ R13, (j*8)(BX)
+// CARRY2 runs CARRY on both lanes, lane 1 in Z16, Z17, Y18 with limb 0
+// in R9 and lane 2 in Z19, Z20, Y21 with limb 0 in R10, and writes them
+// to r1 and r2, each once.
+#define CARRY2(r1, r2) \
+	VPTERNLOGQ $0xff, Z29, Z29, Z29; \
+	VPSRLQ     $12, Z29, Z28; \
+	VPSRLQ     $63, Z29, Z29; \
+	VPXORQ     Z31, Z31, Z31; \
+	MOVL       $1, AX; \
+	KMOVW      AX, K1; \
+	CARRY(R9, Z16, Z17, Y18, Z18, Z22, Z23, Z24, Y24); \
+	CARRY(R10, Z19, Z20, Y21, Z21, Z25, Z26, Z27, Y27); \
+	VMOVDQU64  Z16, 0(r1); \
+	VMOVDQU64  Z17, 64(r1); \
+	VMOVDQU64  Y18, 128(r1); \
+	VMOVDQU64  Z19, 0(r2); \
+	VMOVDQU64  Z20, 64(r2); \
+	VMOVDQU64  Y21, 128(r2)
 
 // func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]uint64, k0 uint64)
 // Requires: AVX512F, AVX512VL, AVX512IFMA, BMI2
 TEXT ·amm52x20x2(SB), NOSPLIT, $0-64
-	MOVQ   a1+8(FP), SI
-	MOVQ   b1+16(FP), BX
-	MOVQ   a2+32(FP), DI
-	MOVQ   b2+40(FP), R8
-	MOVQ   m+48(FP), CX
-	XORQ   R9, R9
-	XORQ   R10, R10
-	XORQ   R11, R11
-	VPXORQ Y16, Y16, Y16
-	VPXORQ Y17, Y17, Y17
-	VPXORQ Y18, Y18, Y18
-	VPXORQ Y19, Y19, Y19
-	VPXORQ Y20, Y20, Y20
-	VPXORQ Y21, Y21, Y21
-	VPXORQ Y22, Y22, Y22
-	VPXORQ Y23, Y23, Y23
-	VPXORQ Y24, Y24, Y24
-	VPXORQ Y25, Y25, Y25
-	VPXORQ Y30, Y30, Y30
+	MOVQ      a1+8(FP), SI
+	MOVQ      b1+16(FP), BX
+	MOVQ      a2+32(FP), DI
+	MOVQ      b2+40(FP), R8
+	MOVQ      m+48(FP), CX
+	VMOVDQU64 0(SI), Z22
+	VMOVDQU64 64(SI), Z23
+	VMOVDQU64 128(SI), Y24
+	VMOVDQU64 0(DI), Z25
+	VMOVDQU64 64(DI), Z26
+	VMOVDQU64 128(DI), Y27
+	VMOVDQU64 0(CX), Z28
+	VMOVDQU64 64(CX), Z29
+	VMOVDQU64 128(CX), Y30
+	MOVQ      (SI), SI
+	MOVQ      (DI), DI
+	MOVQ      (CX), CX
+	XORQ      R9, R9
+	XORQ      R10, R10
+	XORQ      R11, R11
+	VPXORQ    Z16, Z16, Z16
+	VPXORQ    Z17, Z17, Z17
+	VPXORQ    Y18, Y18, Y18
+	VPXORQ    Z19, Z19, Z19
+	VPXORQ    Z20, Z20, Z20
+	VPXORQ    Y21, Y21, Y21
+	VPXORQ    Y31, Y31, Y31
 
 row:
-	SCALAR(BX, SI, R9, Y26, Y27)
-	SCALAR(R8, DI, R10, Y28, Y29)
-	MADD(VPMADD52LUQ, SI, Y26, Y27, Y16, Y17, Y18, Y19, Y20)
-	MADD(VPMADD52LUQ, DI, Y28, Y29, Y21, Y22, Y23, Y24, Y25)
-	SHIFT(Y16, Y17, Y18, Y19, Y20)
-	SHIFT(Y21, Y22, Y23, Y24, Y25)
+	SCALAR(BX, SI, R9, Z0)
+	SCALAR(R8, DI, R10, Z1)
+	MADD(VPMADD52LUQ, BX, Z0, Y0, Z16, Z17, Y18, Z22, Z23, Y24)
+	MADD(VPMADD52LUQ, R8, Z1, Y1, Z19, Z20, Y21, Z25, Z26, Y27)
+	SHIFT(Z16, Z17, Y18, Z18)
+	SHIFT(Z19, Z20, Y21, Z21)
 
 	// The new limb 0 of each lane: its shifted-in vector value joins the
 	// carry already in the GPR. The high halves added next belong to
 	// limb 0 too, but the scalar shift has already counted them.
 	VMOVQ X16, R13
 	ADDQ  R13, R9
-	VMOVQ X21, R13
+	VMOVQ X19, R13
 	ADDQ  R13, R10
-	MADD(VPMADD52HUQ, SI, Y26, Y27, Y16, Y17, Y18, Y19, Y20)
-	MADD(VPMADD52HUQ, DI, Y28, Y29, Y21, Y22, Y23, Y24, Y25)
+	MADD(VPMADD52HUQ, BX, Z0, Y0, Z16, Z17, Y18, Z22, Z23, Y24)
+	MADD(VPMADD52HUQ, R8, Z1, Y1, Z19, Z20, Y21, Z25, Z26, Y27)
 	INCQ R11
 	CMPQ R11, $20
 	JB   row
 
-	MOVQ r1+0(FP), AX
-	MOVQ r2+24(FP), BX
-	STORE(AX, R9, Y16, Y17, Y18, Y19, Y20)
-	STORE(BX, R10, Y21, Y22, Y23, Y24, Y25)
+	MOVQ r1+0(FP), BX
+	MOVQ r2+24(FP), R8
+	CARRY2(BX, R8)
 	VZEROUPPER
+	RET
 
-	// Both results are below 2m < 2^1040, so the carry out of limb 19
-	// is zero.
-	MOVQ $0xfffffffffffff, DX
-	XORQ R9, R9
-	XORQ R10, R10
-	NORM(0)
-	NORM(1)
-	NORM(2)
-	NORM(3)
-	NORM(4)
-	NORM(5)
-	NORM(6)
-	NORM(7)
-	NORM(8)
-	NORM(9)
-	NORM(10)
-	NORM(11)
-	NORM(12)
-	NORM(13)
-	NORM(14)
-	NORM(15)
-	NORM(16)
-	NORM(17)
-	NORM(18)
-	NORM(19)
+// func norm52x2(r1, x1, r2, x2 *[20]uint64)
+// Requires: AVX512F, AVX512VL
+//
+// norm52x2 runs amm52x20x2's carry pass alone on two inputs of 20 limbs
+// of 64 bits: x1's limb 0 enters through R9 and x2's through R10, as the
+// kernel's exact limbs do.
+TEXT ·norm52x2(SB), NOSPLIT, $0-32
+	MOVQ      r1+0(FP), BX
+	MOVQ      x1+8(FP), SI
+	MOVQ      r2+16(FP), R8
+	MOVQ      x2+24(FP), DI
+	VMOVDQU64 0(SI), Z16
+	VMOVDQU64 64(SI), Z17
+	VMOVDQU64 128(SI), Y18
+	VMOVDQU64 0(DI), Z19
+	VMOVDQU64 64(DI), Z20
+	VMOVDQU64 128(DI), Y21
+	MOVQ      (SI), R9
+	MOVQ      (DI), R10
+	CARRY2(BX, R8)
+	VZEROUPPER
 	RET
 
 // PICK ORs the five YMM words of one lane's table entry at ptr, masked by

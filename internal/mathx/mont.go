@@ -319,29 +319,56 @@ func geWords(a, b []big.Word) bool {
 // maxExpWindow is the widest window expWindow picks.
 const maxExpWindow = 6
 
-// expWindow picks the sliding-window width for an exponent size.
-func expWindow(bits int) int {
-	switch {
-	case bits <= 8:
-		return 1
-	case bits <= 48:
-		return 3
-	case bits <= 160:
-		return 4
-	case bits <= 768:
-		return 5
-	default:
-		return maxExpWindow
+// expWindow picks the sliding-window width for a public exponent e > 0
+// by counting: the w in 1…maxExpWindow whose walk over e takes the
+// fewest products. A walk with w > 1 builds its table of odd powers in
+// 2^(w-1) products (base² and one per entry past base); every walk takes
+// one product per window after the first and one squaring per bit below
+// the first window. The smaller w wins a tie. Widths are tried upwards
+// and the search stops at the first whose table and fewest possible
+// squarings already cost as much as the best walk, as every wider one
+// does too: for e = 65537 it looks at w = 1 and 2 alone.
+func expWindow(e *big.Int) int {
+	ws, top := e.Bits(), e.BitLen()-1
+	bit := func(i int) bool { return ws[i/wordBits]>>(i%wordBits)&1 != 0 }
+	best, bestW := 2*top+1, 1 // more than any walk's cost
+	for w := 1; w <= maxExpWindow; w++ {
+		n := 0
+		if w > 1 {
+			n = 1 << (w - 1)
+		}
+		if n+top-(w-1) >= best {
+			break
+		}
+		l := max(top-w+1, 0) // the first window's lowest set bit
+		for !bit(l) {
+			l++
+		}
+		n += l
+		// A later window starting at bit i covers bits i-w+1…i: those
+		// below its lowest set bit are zeros the walk squares past.
+		for i := l - 1; i >= 0; {
+			if bit(i) {
+				n++
+				i -= w
+			} else {
+				i--
+			}
+		}
+		if n < best {
+			best, bestW = n, w
+		}
 	}
+	return bestW
 }
 
 // ExpElem computes base^e in the Montgomery domain for a non-negative
 // exponent, with a left-to-right sliding window over precomputed odd
-// powers. e = 0 yields the Montgomery image of 1. The result and the
-// odd-power table share one allocation. Where the radix-2^52 lane serves
-// the modulus, an exponent of more than 8 bits (a window wider than one
-// bit) runs on it with both lanes on the chain, as ExpFixed does: its two
-// conversion calls cost more than they save on the shorter ones.
+// powers, its width chosen by expWindow. e = 0 yields the Montgomery
+// image of 1. The result and the odd-power table share one allocation.
+// Where the radix-2^52 lane serves the modulus, an exponent of more than
+// 8 bits runs on it with both lanes on the chain, as ExpFixed does: its
+// two conversion calls cost more than they save on the shorter ones.
 func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	eb := e.BitLen()
 	if e.Sign() < 0 {
@@ -350,8 +377,8 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	if eb == 0 {
 		return Elem{slices.Clone(mo.one)}
 	}
-	k, w := mo.k, expWindow(eb)
-	if mo.lane != nil && w > 1 {
+	k, w := mo.k, expWindow(e)
+	if mo.lane != nil && eb > 8 {
 		z := make([]big.Word, k)
 		mo.expElemLane(z, base.w, e, w)
 		return Elem{z}
@@ -376,8 +403,8 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 }
 
 // expElemLane is ExpElem on amm52x20x2 with both lanes on one chain, for
-// a window w > 1: the odd-power table holds single lane values on the
-// stack, and the base enters and the result leaves through one
+// a window of w bits: the odd-power table holds single lane values on
+// the stack, and the base enters and the result leaves through one
 // conversion call each.
 func (mo *Modulus) expElemLane(z, base []big.Word, e *big.Int, w int) {
 	ln := mo.lane
@@ -385,9 +412,11 @@ func (mo *Modulus) expElemLane(z, base []big.Word, e *big.Int, w int) {
 	var acc [20]uint64
 	to52(&tab[0], base)
 	ln.mul1(&tab[0], &tab[0], &ln.in)
-	ln.mul1(&acc, &tab[0], &tab[0]) // base², scratch until the first window
-	for i := 1; i < 1<<(w-1); i++ {
-		ln.mul1(&tab[i], &tab[i-1], &acc)
+	if w > 1 {
+		ln.mul1(&acc, &tab[0], &tab[0]) // base², scratch until the first window
+		for i := 1; i < 1<<(w-1); i++ {
+			ln.mul1(&tab[i], &tab[i-1], &acc)
+		}
 	}
 	slidingWindow(e, w,
 		func(d uint) { acc = tab[d>>1] },

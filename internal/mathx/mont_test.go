@@ -132,7 +132,7 @@ func TestMontExp(t *testing.T) {
 				t.Fatal(err)
 			}
 			bases = append(bases, b)
-			bl := uint(16 << i) // 16..512-bit exponents span every window width
+			bl := uint(16 << i) // 16..512-bit exponents take windows of several widths
 			e, err := RandInt(rand.Reader, new(big.Int).Lsh(One, bl))
 			if err != nil {
 				t.Fatal(err)
@@ -145,6 +145,51 @@ func TestMontExp(t *testing.T) {
 				if got := mo.FromMont(mo.ExpElem(mo.ToMont(b), e)); got.Cmp(want) != 0 {
 					t.Fatalf("Exp(%v, %v) mod %d bits: got %v want %v", b, e, m.BitLen(), got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestExpWindow checks expWindow's counted choice. The GQ exponent 65537
+// takes w = 1: 16 squarings and one product, where w = 3 adds a table of
+// four. A 160-bit exponent of random-looking bits (the first hex digits
+// of e) takes w = 4, and 2^160 - 1 takes w = 5: 16 + 31 + 155 calls
+// against 8 + 39 + 156 for w = 4. For exponents of 2 to 1024 bits, the
+// pick must cost no more than any width's walk, counted on slidingWindow
+// itself.
+func TestExpWindow(t *testing.T) {
+	digits, _ := new(big.Int).SetString("b7e151628aed2a6abf7158809cf4f3c762e7160f", 16)
+	for _, c := range []struct {
+		e *big.Int
+		w int
+	}{
+		{big.NewInt(65537), 1},
+		{big.NewInt(32), 1},
+		{digits, 4},
+		{new(big.Int).Sub(new(big.Int).Lsh(One, 160), One), 5},
+	} {
+		if got := expWindow(c.e); got != c.w {
+			t.Errorf("expWindow(%x) = %d, want %d", c.e, got, c.w)
+		}
+	}
+	cost := func(e *big.Int, w int) int {
+		n := 0
+		if w > 1 {
+			n = 1 << (w - 1)
+		}
+		slidingWindow(e, w, func(uint) {}, func() { n++ }, func(uint) { n++ })
+		return n
+	}
+	for bits := 2; bits <= 1024; bits += 7 {
+		e, err := RandInt(rand.Reader, new(big.Int).Lsh(One, uint(bits)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetBit(e, bits-1, 1)
+		got := cost(e, expWindow(e))
+		for w := 1; w <= maxExpWindow; w++ {
+			if c := cost(e, w); c < got {
+				t.Fatalf("%d-bit %x: expWindow picks %d for %d calls, w = %d takes %d", bits, e, expWindow(e), got, w, c)
 			}
 		}
 	}
@@ -259,7 +304,7 @@ func BenchmarkExpElem(b *testing.B) {
 	be, generic := mo.ToMont(base), WithoutLane(mo)
 	z := make([]big.Word, mo.Words())
 	for _, e := range []*big.Int{big.NewInt(32), big.NewInt(65537), exp} {
-		w := expWindow(e.BitLen())
+		w := expWindow(e)
 		b.Run(fmt.Sprintf("e=%dbit/lane", e.BitLen()), func(b *testing.B) {
 			if mo.lane == nil {
 				b.Skip("no radix-2^52 kernel on this CPU")
@@ -359,6 +404,23 @@ func BenchmarkProductOf(b *testing.B) {
 			generic.ProductOf(flat)
 		}
 	})
+}
+
+// BenchmarkAMM52x20x2 times the radix-2^52 kernel alone, one ns/op per
+// call: a dependent chain in which each call squares both lanes' results
+// of the one before, as the power and product chains do.
+func BenchmarkAMM52x20x2(b *testing.B) {
+	if !hasAMM52 {
+		b.Skip("no radix-2^52 kernel on this CPU")
+	}
+	mo, base, exp := benchModulus(b, 1024)
+	var z pair52
+	to52(&z[0], mo.ToMont(base).w)
+	to52(&z[1], mo.ToMont(exp).w)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mo.lane.mul(&z, &z, &z)
+	}
 }
 
 func BenchmarkMontMul(b *testing.B) {

@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 	"slices"
@@ -32,6 +33,15 @@ func diffModuli(t *testing.T) []*big.Int {
 		out = append(out, ones.SetBit(ones, 0, 1))
 	}
 	return out
+}
+
+func randUint64(t *testing.T) uint64 {
+	t.Helper()
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 func randBelow(t *testing.T, bound *big.Int) *big.Int {
@@ -565,6 +575,94 @@ func checkAMM52(t testing.TB, mo *Modulus, x1, y1, x2, y2 *big.Int) {
 		if got := bigFrom52(t, c.z); got.Cmp(want) != 0 || got.Cmp(twoM) >= 0 {
 			t.Fatalf("m=%x: amm52x20x2(%x, %x) = %x, want %x below 2m", m, c.x, c.y, got, want)
 		}
+	}
+}
+
+// norm52Ref is norm52x2 on big.Int: x, 20 limbs of 64 bits, mod 2^1040
+// in limbs of 52 bits.
+func norm52Ref(x *[20]uint64) [20]uint64 {
+	v := new(big.Int)
+	for j := len(x) - 1; j >= 0; j-- {
+		v.Lsh(v, 52).Add(v, new(big.Int).SetUint64(x[j]))
+	}
+	return *limbs52(v.And(v, new(big.Int).Sub(new(big.Int).Lsh(One, 1040), One)))
+}
+
+// checkNorm52 runs norm52x2 on x1 and x2, once into fresh results and
+// once in place, and compares both lanes with norm52Ref.
+func checkNorm52(t *testing.T, x1, x2 [20]uint64) {
+	t.Helper()
+	want1, want2 := norm52Ref(&x1), norm52Ref(&x2)
+	var r1, r2 [20]uint64
+	norm52x2(&r1, &x1, &r2, &x2)
+	if r1 != want1 || r2 != want2 {
+		t.Fatalf("norm52x2(%x, %x) = (%x, %x), want (%x, %x)", x1, x2, r1, r2, want1, want2)
+	}
+	in1, in2 := x1, x2
+	if norm52x2(&x1, &x1, &x2, &x2); x1 != want1 || x2 != want2 {
+		t.Fatalf("norm52x2 in place (%x, %x) = (%x, %x), want (%x, %x)", in1, in2, x1, x2, want1, want2)
+	}
+}
+
+// TestNorm52x2 checks the kernel's carry pass against big.Int on limbs
+// that reach its second step, which random products reach with a chance
+// of about 2^-45 per limb: a limb that carries one in from the first
+// step (2^52 - 1 with a carry from below) followed by a run of limbs of
+// 2^52 - 1 that pass it on, at every start and length, so that runs
+// cross limbs 7 to 8, 15 to 16 and 19 out of the value; limbs of 64 bits
+// whose first-step carries cross the same boundaries; and random mixes
+// of such limbs.
+func TestNorm52x2(t *testing.T) {
+	if !hasAMM52 {
+		t.Skip("norm52x2 needs AVX512F and AVX512VL with OS support")
+	}
+	const ones = uint64(mask52)
+	random52 := func() [20]uint64 {
+		var x [20]uint64
+		for j := range x {
+			x[j] = randUint64(t) & (mask52 >> 1) // never 2^52 - 1
+		}
+		return x
+	}
+	for g := 1; g < 20; g++ {
+		for end := g; end < 20; end++ {
+			x := random52()
+			x[g-1] |= 1 << 52 // the first step carries one into limb g
+			for j := g; j <= end; j++ {
+				x[j] = ones
+			}
+			y := random52()
+			y[g-1] = ones << 12 // carries 2^12 - 1 into limb g
+			y[g] = ones
+			for j := g + 1; j <= end; j++ {
+				y[j] = ones
+			}
+			checkNorm52(t, x, y)
+		}
+	}
+	for _, b := range []int{7, 15, 19} {
+		var x, y [20]uint64
+		for j := range x {
+			x[j], y[j] = ^uint64(0), ones
+		}
+		y[b] = ^uint64(0) // its carry makes limb b+1 take one
+		checkNorm52(t, x, y)
+	}
+	pick := []func() uint64{
+		func() uint64 { return ones },
+		func() uint64 { return ones | randUint64(t)<<52 },
+		func() uint64 { return randUint64(t) },
+		func() uint64 { return randUint64(t) & mask52 },
+		func() uint64 { return 0 },
+		func() uint64 { return 1 << 52 },
+	}
+	for range 2000 {
+		var x, y [20]uint64
+		for j := range x {
+			x[j] = pick[randUint64(t)%uint64(len(pick))]()
+			y[j] = pick[randUint64(t)%uint64(len(pick))]()
+		}
+		checkNorm52(t, x, y)
 	}
 }
 

@@ -25,3 +25,8 @@ func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]uint64, k0 uint64) {
 func sel52x2(dst, tab *pair52, n int, d1, d2 uint64) {
 	panic("mathx: no radix-2^52 kernel in this build")
 }
+
+// norm52x2 is never called where hasAMM52 is false.
+func norm52x2(r1, x1, r2, x2 *[20]uint64) {
+	panic("mathx: no radix-2^52 kernel in this build")
+}
