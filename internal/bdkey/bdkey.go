@@ -83,21 +83,20 @@ func Key(i int, r, zPrev *big.Int, xs []*big.Int, m *big.Int) (*big.Int, error) 
 //
 // b is also member i-1's forward edge z_i^{r_{i-1}}: a member holding
 // its forward edge e = z_{i+1}^{r_i} passes i+1 and gets the same key.
-// xs packs the X values in ring order, each in (0, m) and mo.Words()
-// words wide (X_j in xs[j·k:(j+1)·k]). The descending consecutive
-// exponents telescope into prefix products (Horner): Π_t S_t with S_t =
-// X_i···X_{i+t}. mathx.Modulus.PrefixProducts runs them on the raw limbs,
-// so no X is converted into the domain, and extends the last prefix to
-// Π X_j for Lemma 1; a failure returns ErrLemma1 before b^n is raised.
+// xs holds the X values in ring order, each in (0, m), X_j in slot j.
+// The descending consecutive exponents telescope into prefix products
+// (Horner): Π_t S_t with S_t = X_i···X_{i+t}.
+// mathx.Modulus.PrefixProducts runs them on the raw slots, so no X is
+// converted into the domain, and extends the last prefix to Π X_j for
+// Lemma 1; a failure returns ErrLemma1 before b^n is raised.
 // b^n needs ~log2(n) squarings, and one product joins it with the Horner
 // product's image. The whole assembly is ~2n Montgomery products (n
 // paired calls for the chain where mathx runs the radix-2^52 lane),
 // bit-identical to Key.
-func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs []big.Word) (*big.Int, error) {
-	k := mo.Words()
-	n := len(xs) / k
-	if n == 0 || len(xs) != n*k {
-		return nil, fmt.Errorf("bdkey: %d limbs are no ring of %d-word X values", len(xs), k)
+func KeyFromEdge(mo *mathx.Modulus, i int, edge mathx.Elem, xs mathx.Packed) (*big.Int, error) {
+	n := xs.Len()
+	if n == 0 {
+		return nil, errors.New("bdkey: empty ring")
 	}
 	if i < 0 || i >= n {
 		return nil, fmt.Errorf("bdkey: index %d out of ring of %d", i, n)

@@ -110,23 +110,21 @@ func BenchmarkKeyN100(b *testing.B) {
 	}
 }
 
-// pack widens X values into the packed raw limbs KeyFromEdge reads.
-func pack(t testing.TB, mo *mathx.Modulus, xs []*big.Int) []big.Word {
+// pack loads X values into the Packed KeyFromEdge reads.
+func pack(t testing.TB, mo *mathx.Modulus, xs []*big.Int) mathx.Packed {
 	t.Helper()
-	k := mo.Words()
-	flat := make([]big.Word, len(xs)*k)
+	p := mo.NewPacked(len(xs))
 	for j, x := range xs {
-		if !mo.Load(flat[j*k:(j+1)*k], x) {
+		if !p.Load(j, x) {
 			t.Fatalf("X_%d out of range", j)
 		}
 	}
-	return flat
+	return p
 }
 
 // TestKeyFromEdgeMatchesKey checks the one-chain Lemma 1 and equation (3)
 // against the straight-line Key for every member of every ring size from
-// 1 to 33, and its rejection of an empty ring, a ragged limb slice and
-// an out-of-range index.
+// 1 to 33, and its rejection of an empty ring and an out-of-range index.
 func TestKeyFromEdgeMatchesKey(t *testing.T) {
 	g := params.Default().Schnorr
 	mo := g.Mont()
@@ -149,11 +147,11 @@ func TestKeyFromEdgeMatchesKey(t *testing.T) {
 			}
 		}
 		one := mo.ToMont(big.NewInt(1))
-		if _, err := KeyFromEdge(mo, 0, one, nil); err == nil {
+		if _, err := KeyFromEdge(mo, 0, one, mathx.Packed{}); err == nil {
 			t.Fatal("empty ring accepted")
 		}
-		if _, err := KeyFromEdge(mo, 0, one, flat[1:]); err == nil {
-			t.Fatal("ragged limbs accepted")
+		if _, err := KeyFromEdge(mo, 0, one, mo.NewPacked(0)); err == nil {
+			t.Fatal("empty packed ring accepted")
 		}
 		if _, err := KeyFromEdge(mo, n, one, flat); err == nil {
 			t.Fatal("out-of-range index accepted")

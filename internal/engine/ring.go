@@ -99,8 +99,8 @@ func (f *ringFlow) begin() ([]Outbound, error) {
 		// Start from the session's stored views; fresh own values
 		// overwrite.
 		for i, id := range rs.roster {
-			rs.setZ(i, g.Z[id])
-			rs.setT(i, g.T[id])
+			rs.zs.Load(i, g.Z[id]) // a nil or out-of-range one stays unknown
+			rs.ts.Load(i, g.T[id])
 		}
 		rs.r = g.R
 		rs.tau = g.Tau
@@ -117,7 +117,7 @@ func (f *ringFlow) begin() ([]Outbound, error) {
 		if rs.r, z, err = mc.freshExp(); err != nil {
 			return nil, fmt.Errorf("engine: round1: %w", err)
 		}
-		rs.setZ(self, z)
+		rs.zs.Load(self, z)
 	}
 	// Senders always draw a fresh GQ commitment: refreshers by protocol,
 	// strict-mode non-refreshers by design (see
@@ -127,7 +127,7 @@ func (f *ringFlow) begin() ([]Outbound, error) {
 		return nil, err
 	}
 	rs.tau = tau
-	rs.setT(self, t)
+	rs.ts.Load(self, t)
 	payload := wire.NewBuffer().PutString(mc.id).PutBig(z).PutBig(t).Bytes()
 	return []Outbound{{Type: f.r1, Payload: payload}}, nil
 }
@@ -165,13 +165,13 @@ func (f *ringFlow) recordRound1(msg netsim.Message) error {
 		return err
 	}
 	if f.refresh[i] {
-		if !rs.loadZ(i, z) {
+		if !rs.zs.LoadBytes(i, z) {
 			return Retryable(fmt.Errorf("%s z from %s out of range", f.r1, msg.From))
 		}
 	} else if slices.ContainsFunc(z, func(b byte) bool { return b != 0 }) {
 		return Retryable(fmt.Errorf("%s z from non-refresher %s unexpected", f.r1, msg.From))
 	}
-	if !rs.loadT(i, t) {
+	if !rs.ts.LoadBytes(i, t) {
 		return Retryable(fmt.Errorf("%s t from %s out of range", f.r1, msg.From))
 	}
 	f.waiting--
@@ -192,7 +192,7 @@ func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 	if !f.emittedR2 && f.waiting == 0 {
 		// Every ring member must now have a current z and t on file.
 		for i, id := range rs.roster {
-			if rs.z[i] == nil || rs.t[i] == nil {
+			if !rs.zs.InRange(i) || !rs.ts.InRange(i) {
 				return outs, nil, Retryable(fmt.Errorf("engine: %s lacks round-1 values of %s", f.mc.id, id))
 			}
 		}
@@ -219,28 +219,27 @@ func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 
 // ringState is the keying material a member accumulates while (re)keying a
 // Burmester-Desmedt ring: its own exponent and GQ commitment plus the z/t
-// and X/s views of every ring member, all indexed by ring position.
+// and X/s values of every ring member, all indexed by ring position.
 // ringFlow owns it; its round-2 and key-computation phases are the same
 // for the initial GKA and Leave/Partition.
 //
-// Every view also lives as raw limbs in a per-position slot of zl, tl, xl
-// and sl, sized once at start: peers' values decode straight into their
-// slots, and the Z and T products, the eq. 2 response product and the
-// X chain of Lemma 1 and equation (3) all run over the slots. A z or t
-// decoded off the wire is a big.Int over its slot (zv, tv), so it costs
-// no allocation either.
+// Every value lives in a per-position slot of zs, ts, xs and ss, sized
+// once at start: peers' values decode straight into their slots, round
+// 2's edge powers take their bases from them, and the Z and T products,
+// the eq. 2 response product and the X chain of Lemma 1 and equation (3)
+// all run over them. A slot not (yet) known reads as empty. No big.Int
+// is made for a z or t until finish unpacks the committed group's views
+// in place.
 type ringState struct {
 	roster []string
 	pos    map[string]int
 	self   int
 	p, nn  *mathx.Modulus // the Schnorr group's p and the GQ modulus N
 
-	r      mathx.Scalar
-	tau    *big.Int
-	z, t   []*big.Int // nil until known
-	zv, tv []big.Int
-	// Slots of p.Words() (zl, xl) or nn.Words() (tl, sl) limbs each.
-	zl, tl, xl, sl []big.Word
+	r   mathx.Scalar
+	tau *big.Int
+	// zs and xs hold p's values, ts and ss N's.
+	zs, ts, xs, ss mathx.Packed
 	// peersX counts the peers whose round-2 X and s are recorded.
 	peersX int
 
@@ -271,62 +270,12 @@ func newRingState(mc *Machine, roster []string) (*ringState, error) {
 	if rs.self < 0 {
 		return nil, fmt.Errorf("engine: %s not in ring %v", mc.id, roster)
 	}
-	views := make([]*big.Int, 2*n)
-	rs.z, rs.t = views[:n], views[n:]
-	vals := make([]big.Int, 2*n)
-	rs.zv, rs.tv = vals[:n], vals[n:]
-	// z and t limbs outlive the flow under the committed group's views;
-	// X and s limbs do not, so they get an array of their own.
-	kp, kn := rs.p.Words(), rs.nn.Words()
-	kept, round2 := make([]big.Word, n*(kp+kn)), make([]big.Word, n*(kp+kn))
-	rs.zl, rs.tl = kept[:n*kp], kept[n*kp:]
-	rs.xl, rs.sl = round2[:n*kp], round2[n*kp:]
+	rs.zs, rs.xs = rs.p.NewPacked(n), rs.p.NewPacked(n)
+	rs.ts, rs.ss = rs.nn.NewPacked(n), rs.nn.NewPacked(n)
 	return rs, nil
 }
 
 func (rs *ringState) n() int { return len(rs.roster) }
-
-// slot returns position i's limbs in a table of k-word slots.
-func slot(table []big.Word, i, k int) []big.Word { return table[i*k : (i+1)*k : (i+1)*k] }
-
-// setZ records a known z for position i (a nil or out-of-range one is
-// left unknown).
-func (rs *ringState) setZ(i int, z *big.Int) {
-	if z != nil && rs.p.Load(slot(rs.zl, i, rs.p.Words()), z) {
-		rs.z[i] = z
-	}
-}
-
-// setT records a known t for position i, as setZ.
-func (rs *ringState) setT(i int, t *big.Int) {
-	if t != nil && rs.nn.Load(slot(rs.tl, i, rs.nn.Words()), t) {
-		rs.t[i] = t
-	}
-}
-
-// loadZ decodes a peer's z into position i's slot and reports whether it
-// lies in (0, p).
-func (rs *ringState) loadZ(i int, b []byte) bool {
-	return loadView(rs.p, slot(rs.zl, i, rs.p.Words()), b, &rs.zv[i], &rs.z[i])
-}
-
-// loadT decodes a peer's t into position i's slot and reports whether it
-// lies in (0, N).
-func (rs *ringState) loadT(i int, b []byte) bool {
-	return loadView(rs.nn, slot(rs.tl, i, rs.nn.Words()), b, &rs.tv[i], &rs.t[i])
-}
-
-// loadView decodes b into the slot and, when it is in range, points view
-// at v, a big.Int over the slot's limbs. The slot's capacity ends at its
-// last limb, so a write through v reallocates instead of spilling into
-// the next slot.
-func loadView(mo *mathx.Modulus, limbs []big.Word, b []byte, v *big.Int, view **big.Int) bool {
-	if !mo.LoadBytes(limbs, b) {
-		return false
-	}
-	*view = v.SetBits(limbs)
-	return true
-}
 
 // recordRound2 decodes one peer's round-2 broadcast U_i ‖ X_i ‖ s_i into
 // its slots: X_i must lie in (0, p) and s_i in (0, N). The member's own
@@ -347,10 +296,10 @@ func (rs *ringState) recordRound2(msg netsim.Message) error {
 	if err := r.close(); err != nil {
 		return err
 	}
-	if !rs.p.LoadBytes(slot(rs.xl, i, rs.p.Words()), x) {
+	if !rs.xs.LoadBytes(i, x) {
 		return Retryable(fmt.Errorf("%s X from %s out of range", msg.Type, msg.From))
 	}
-	if !rs.nn.LoadBytes(slot(rs.sl, i, rs.nn.Words()), s) {
+	if !rs.ss.LoadBytes(i, s) {
 		return Retryable(fmt.Errorf("%s s from %s out of range", msg.Type, msg.From))
 	}
 	rs.peersX++
@@ -362,16 +311,15 @@ func (rs *ringState) recordRound2(msg netsim.Message) error {
 // m'_i = U_i ‖ X_i ‖ s_i.
 func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 	n := rs.n()
-	zNext := rs.z[(rs.self+1)%n]
-	zPrev := rs.z[(rs.self-1+n)%n]
 	// X = z_next^r·z_prev^{-r} with no field inverse: z_prev lies in the
 	// order-q subgroup, so z_prev^{-r} = z_prev^{q-r} (see
 	// docs/ARCHITECTURE.md#deviations). One ExpPair call on the fixed
-	// window over q's bit length raises both; the forward edge z_next^r
-	// stays in the Montgomery domain for finish. X is bit-identical to
+	// window over q's bit length raises both, their bases taken into the
+	// domain straight from the z slots; the forward edge z_next^r stays
+	// in the Montgomery domain for finish. X is bit-identical to
 	// bdkey.XValue's, and the meter charges the same logical operation.
 	mo := rs.p
-	edge, back := mo.ExpPair(mo.ToMont(zNext), rs.r, mo.ToMont(zPrev), rs.r.Neg())
+	edge, back := mo.ExpPair(rs.zs.ToMont((rs.self+1)%n), rs.r, rs.zs.ToMont((rs.self-1+n)%n), rs.r.Neg())
 	rs.edge = edge
 	mo.MulInto(back, edge, back)
 	x := mo.FromMont(back)
@@ -379,12 +327,12 @@ func (rs *ringState) round2Payload(mc *Machine) ([]byte, error) {
 
 	// Z = Π z_i mod p, T = Π t_i mod N, c = H(T, Z), both products as
 	// division-free Montgomery chains over the slots.
-	rs.bigZ = mo.ProductOf(rs.zl)
-	rs.c = gq.GroupChallenge(rs.nn.ProductOf(rs.tl), rs.bigZ)
+	rs.bigZ = mo.ProductOf(rs.zs)
+	rs.c = gq.GroupChallenge(rs.nn.ProductOf(rs.ts), rs.bigZ)
 	s := mc.sk.Respond(rs.tau, rs.c)
 	mc.m.SignGen(meter.SchemeGQ, 1)
 
-	if !mo.Load(slot(rs.xl, rs.self, mo.Words()), x) || !rs.nn.Load(slot(rs.sl, rs.self, rs.nn.Words()), s) {
+	if !rs.xs.Load(rs.self, x) || !rs.ss.Load(rs.self, s) {
 		return nil, fmt.Errorf("engine: %s's own X or s is out of range", mc.id)
 	}
 	return wire.NewBuffer().PutString(mc.id).PutBig(x).PutBig(s).Bytes(), nil
@@ -403,7 +351,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	// roster walks a fixed-base table of the inverse.
 	gv, err := gq.SharedVerifier(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster)
 	if err == nil {
-		err = gv.BatchVerifyPacked(rs.sl, rs.c, rs.bigZ)
+		err = gv.BatchVerifyPacked(rs.ss, rs.c, rs.bigZ)
 	}
 	mc.m.SignVer(meter.SchemeGQ, 1)
 	if err != nil {
@@ -413,7 +361,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	// Lemma 1 (Π X_i ≡ 1 mod p) and equation (3) are one chain over the
 	// raw X slots. The forward edge is the next member's backward edge, so
 	// the key is computed in that member's view, with edge^n.
-	key, err := bdkey.KeyFromEdge(rs.p, (rs.self+1)%rs.n(), rs.edge, rs.xl)
+	key, err := bdkey.KeyFromEdge(rs.p, (rs.self+1)%rs.n(), rs.edge, rs.xs)
 	if errors.Is(err, bdkey.ErrLemma1) {
 		return nil, Retryable(err)
 	}
@@ -423,8 +371,13 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	mc.m.Exp(1)
 
 	// The committed group takes over the ring's roster and position map,
-	// which nothing writes after start.
+	// which nothing writes after start, and its z and t views are
+	// unpacked in place from the slots, which the flow does not read
+	// again.
 	n := rs.n()
+	views := make([]big.Int, 2*n)
+	rs.zs.Unpack(views[:n])
+	rs.ts.Unpack(views[n:])
 	g := &Group{
 		Roster: rs.roster,
 		pos:    rs.pos,
@@ -435,8 +388,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 		Key:    key,
 	}
 	for i, id := range rs.roster {
-		g.Z[id] = rs.z[i]
-		g.T[id] = rs.t[i]
+		g.Z[id], g.T[id] = &views[i], &views[n+i]
 	}
 	return g, nil
 }

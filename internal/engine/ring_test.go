@@ -130,13 +130,12 @@ func TestRound2PowersMatchXValue(t *testing.T) {
 			if i == 0 {
 				continue
 			}
-			zNext, zPrev := st.z[(i+1)%n], st.z[(i-1+n)%n]
+			zNext, zPrev := mo.FromMont(st.zs.ToMont((i+1)%n)), mo.FromMont(st.zs.ToMont((i-1+n)%n))
 			want, err := bdkey.XValue(zNext, zPrev, r, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := mo.Words()
-			if new(big.Int).SetBits(st.xl[i*k:(i+1)*k]).Cmp(want) != 0 {
+			if mo.FromMont(st.xs.ToMont(i)).Cmp(want) != 0 {
 				t.Fatalf("n=%d, %s: round-2 X differs from bdkey.XValue", n, id)
 			}
 			if mo.FromMont(st.edge).Cmp(new(big.Int).Exp(zNext, r, p)) != 0 {

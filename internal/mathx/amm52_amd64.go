@@ -2,16 +2,20 @@
 
 package mathx
 
+import "math/big"
+
 // amm52x20x2 computes two independent almost-Montgomery products over
 // one modulus in radix 2^52 (amm52_amd64.s): r1 = a1·b1·2^-1040 and
 // r2 = a2·b2·2^-1040 mod m, each below 2m, for 20-limb operands of 52
-// bits below 2m and k0 = -m^{-1} mod 2^52. It reads every operand
-// before it stores, so r1 and r2 may alias any a or b, the other lane's
-// too, but not each other. It needs AVX512F, AVX512VL, AVX512IFMA and BMI2;
-// hasAMM52 says whether the CPU and OS provide them.
+// bits below 2m and k0 = -m^{-1} mod 2^52. big.Word is 64 bits wherever
+// it runs, so the limbs of an Elem, a Packed slot or a table entry pass
+// as they are. It reads every operand before it stores, so r1 and r2
+// may alias any a or b, the other lane's too, but not each other. It
+// needs AVX512F, AVX512VL, AVX512IFMA and BMI2; hasAMM52 says whether
+// the CPU and OS provide them.
 //
 //go:noescape
-func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]uint64, k0 uint64)
+func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]big.Word, k0 uint64)
 
 // norm52x2 runs amm52x20x2's carry pass alone (amm52_amd64.s): it sets
 // r1 and r2 to x1 and x2, 20 limbs of 64 bits each, mod 2^1040 in limbs

@@ -11,14 +11,13 @@ import (
 	"idgka/internal/params"
 )
 
-// honestRing returns n packed X values over the default group's p whose
+// honestRing returns n X values over the default group's p whose
 // product is 1, as Lemma 1 requires of an honest ring, and a directed
-// edge in the Montgomery domain.
-func honestRing(t testing.TB, mo *mathx.Modulus, n int) ([]big.Word, mathx.Elem) {
+// edge, as big.Ints that each backend loads into its own representation.
+func honestRing(t testing.TB, n int) ([]*big.Int, *big.Int) {
 	t.Helper()
 	p := params.Default().Schnorr.P
-	k := mo.Words()
-	flat := make([]big.Word, n*k)
+	xs := make([]*big.Int, n)
 	prod := big.NewInt(1)
 	draw := func() *big.Int {
 		v, err := mathx.RandInt(rand.Reader, p)
@@ -28,29 +27,41 @@ func honestRing(t testing.TB, mo *mathx.Modulus, n int) ([]big.Word, mathx.Elem)
 		return v.SetBit(v, 0, 1) // never 0
 	}
 	for j := 0; j < n-1; j++ {
-		x := draw()
-		prod.Mod(prod.Mul(prod, x), p)
-		mo.Load(flat[j*k:(j+1)*k], x)
+		xs[j] = draw()
+		prod.Mod(prod.Mul(prod, xs[j]), p)
 	}
-	last := new(big.Int).ModInverse(prod, p)
-	mo.Load(flat[(n-1)*k:], last)
-	return flat, mo.ToMont(draw())
+	xs[n-1] = new(big.Int).ModInverse(prod, p)
+	return xs, draw()
+}
+
+// packRing loads xs into a Packed of mo's.
+func packRing(t testing.TB, mo *mathx.Modulus, xs []*big.Int) mathx.Packed {
+	t.Helper()
+	p := mo.NewPacked(len(xs))
+	for j, x := range xs {
+		if !p.Load(j, x) {
+			t.Fatalf("X_%d out of range", j)
+		}
+	}
+	return p
 }
 
 // TestKeyFromEdgeBackends runs bdkey.KeyFromEdge with its chain on the
 // radix-2^52 lane and on montMul for every ring size from 1 to 33 and
-// every position, and requires the same key from both.
+// every position, each backend on the ring and edge loaded into its own
+// representation, and requires the same key from both.
 func TestKeyFromEdgeBackends(t *testing.T) {
 	mo := params.Default().Schnorr.Mont()
 	generic := mathx.WithoutLane(mo)
 	for n := 1; n <= 33; n++ {
-		flat, edge := honestRing(t, mo, n)
+		xs, edge := honestRing(t, n)
+		flat, gflat := packRing(t, mo, xs), packRing(t, generic, xs)
 		for i := 0; i < n; i++ {
-			want, err := bdkey.KeyFromEdge(generic, i, edge, flat)
+			want, err := bdkey.KeyFromEdge(generic, i, generic.ToMont(edge), gflat)
 			if err != nil {
 				t.Fatalf("n=%d member %d, montMul: %v", n, i, err)
 			}
-			got, err := bdkey.KeyFromEdge(mo, i, edge, flat)
+			got, err := bdkey.KeyFromEdge(mo, i, mo.ToMont(edge), flat)
 			if err != nil || got.Cmp(want) != 0 {
 				t.Fatalf("n=%d member %d: lane key %v (error %v), montMul key %v", n, i, got, err, want)
 			}
@@ -62,17 +73,19 @@ func TestKeyFromEdgeBackends(t *testing.T) {
 // at the default 1024-bit group, with the chain on the radix-2^52 kernel
 // ("lane", where the CPU runs it) and on montMul ("generic").
 func BenchmarkKeyFromEdge(b *testing.B) {
-	mo := params.Default().Schnorr.Mont()
+	lane := params.Default().Schnorr.Mont()
 	for _, n := range []int{4, 32} {
-		flat, edge := honestRing(b, mo, n)
+		xs, e := honestRing(b, n)
 		for _, name := range []string{"lane", "generic"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
-				mo := mo
+				mo := lane
 				if name == "generic" {
 					mo = mathx.WithoutLane(mo)
 				} else if !mathx.HasLane(mo) {
 					b.Skip("no radix-2^52 kernel on this CPU")
 				}
+				flat, edge := packRing(b, mo, xs), mo.ToMont(e)
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := bdkey.KeyFromEdge(mo, i%n, edge, flat); err != nil {
 						b.Fatal(err)

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// testModulus returns a deterministic-ish odd prime modulus and a base for
-// table tests at a size large enough to exercise multi-word arithmetic.
-func testModulus(t *testing.T, bits int) (*big.Int, *big.Int) {
+// testModulus returns a random odd prime modulus, its Montgomery context
+// and a base for table tests at a size large enough to exercise
+// multi-word arithmetic.
+func testModulus(t *testing.T, bits int) (*big.Int, *Modulus, *big.Int) {
 	t.Helper()
 	p, err := RandPrime(rand.Reader, bits)
 	if err != nil {
@@ -23,7 +24,17 @@ func testModulus(t *testing.T, bits int) (*big.Int, *big.Int) {
 	if b.Sign() == 0 {
 		b.SetInt64(2)
 	}
-	return p, b
+	return p, mustModulus(t, p), b
+}
+
+// mustModulus returns NewModulus(m), failing the test on an error.
+func mustModulus(t testing.TB, m *big.Int) *Modulus {
+	t.Helper()
+	mo, err := NewModulus(m)
+	if err != nil {
+		t.Fatalf("NewModulus(%v): %v", m, err)
+	}
+	return mo
 }
 
 // combGeometries are the (teeth, blocks) shapes the table tests sweep:
@@ -37,10 +48,10 @@ var combGeometries = [][2]int{{1, 1}, {2, 3}, {5, 2}, {7, 3}, {combTeeth, combBl
 // and on montMul.
 func TestFixedBaseTableMatchesModExp(t *testing.T) {
 	for _, size := range []int{512, 1024} {
-		p, base := testModulus(t, size)
+		p, mo, base := testModulus(t, size)
 		maxBits := 160
 		for _, g := range combGeometries {
-			tab, err := newCombTable(base, p, maxBits, g[0], g[1])
+			tab, err := newCombTable(base, mo, maxBits, g[0], g[1])
 			if err != nil {
 				t.Fatalf("h=%d v=%d: %v", g[0], g[1], err)
 			}
@@ -68,17 +79,17 @@ func TestFixedBaseTableMatchesModExp(t *testing.T) {
 // random factor.
 func TestFixedBaseTableEdgeExponents(t *testing.T) {
 	for _, size := range []int{256, 1024} {
-		p, base := testModulus(t, size)
+		p, mo, base := testModulus(t, size)
 		q, err := RandPrime(rand.Reader, 96+size/16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab, err := NewFixedBaseTable(base, p, q.BitLen())
+		tab, err := NewFixedBaseTable(base, mo, q.BitLen())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := size == 1024 && bits.UintSize == 64 && hasAMM52; (tab.lane != nil) != want {
-			t.Fatalf("%d bits: lane walk = %v, want %v", size, tab.lane != nil, want)
+		if want := size == 1024 && bits.UintSize == 64 && hasAMM52; tab.mo.lane != want {
+			t.Fatalf("%d bits: lane walk = %v, want %v", size, tab.mo.lane, want)
 		}
 		bound := new(big.Int).Lsh(One, uint(q.BitLen()))
 		edges := []*big.Int{
@@ -117,14 +128,14 @@ func TestFixedBaseTableEdgeExponents(t *testing.T) {
 }
 
 func TestFixedBaseTableRejectsBadShapes(t *testing.T) {
-	p, base := testModulus(t, 128)
-	if _, err := NewFixedBaseTable(base, big.NewInt(1), 16); err == nil {
-		t.Fatal("modulus 1 accepted")
+	_, mo, base := testModulus(t, 128)
+	if _, err := NewFixedBaseTable(base, nil, 16); err == nil {
+		t.Fatal("nil modulus accepted")
 	}
-	if _, err := NewFixedBaseTable(nil, p, 16); err == nil {
+	if _, err := NewFixedBaseTable(nil, mo, 16); err == nil {
 		t.Fatal("nil base accepted")
 	}
-	if _, err := NewFixedBaseTable(base, p, 0); err == nil {
+	if _, err := NewFixedBaseTable(base, mo, 0); err == nil {
 		t.Fatal("zero maxBits accepted")
 	}
 }
@@ -208,28 +219,29 @@ func BenchmarkCombGeometry(b *testing.B) {
 	sg, exps := benchGroup(b)
 	for _, g := range [][2]int{{6, 2}, {7, 2}, {8, 1}, {combTeeth, combBlocks}, {8, 3}, {9, 2}} {
 		name := fmt.Sprintf("h=%d,v=%d", g[0], g[1])
-		tab, err := newCombTable(sg.G, sg.P, 160, g[0], g[1])
+		tab, err := newCombTable(sg.G, sg.Mont(), 160, g[0], g[1])
 		if err != nil {
 			b.Fatal(err)
 		}
+		generic := tableBackends(tab)["montMul"]
 		b.Run(name+"/walk", func(b *testing.B) {
-			b.ReportMetric(float64(len(tab.flat)*bits.UintSize/8)/1024, "KiB")
-			generic := tableBackends(tab)["montMul"]
+			b.ReportMetric(float64(len(generic.flat)*bits.UintSize/8)/1024, "KiB")
 			for i := 0; i < b.N; i++ {
 				generic.Exp(exps[i%len(exps)])
 			}
 		})
 		b.Run(name+"/lane", func(b *testing.B) {
-			if tab.lane == nil {
+			if !tab.mo.lane || g[1] != 2 {
 				b.Skip("no radix-2^52 walk for this table on this CPU")
 			}
+			b.ReportMetric(float64(len(tab.flat)*bits.UintSize/8)/1024, "KiB")
 			for i := 0; i < b.N; i++ {
 				tab.Exp(exps[i%len(exps)])
 			}
 		})
 		b.Run(name+"/build", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := newCombTable(sg.G, sg.P, 160, g[0], g[1]); err != nil {
+				if _, err := newCombTable(sg.G, sg.Mont(), 160, g[0], g[1]); err != nil {
 					b.Fatal(err)
 				}
 			}

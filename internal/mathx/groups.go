@@ -141,7 +141,7 @@ func (sg *SchnorrGroup) Precompute() *FixedBaseTable {
 	if t := sg.fixedBase.Load(); t != nil {
 		return t
 	}
-	t, err := NewFixedBaseTable(sg.G, sg.P, sg.Q.BitLen())
+	t, err := NewFixedBaseTable(sg.G, sg.Mont(), sg.Q.BitLen())
 	if err != nil {
 		return nil
 	}

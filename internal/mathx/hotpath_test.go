@@ -43,10 +43,10 @@ func TestHotPathAllocsConstant(t *testing.T) {
 	var prodAllocs, packedAllocs []float64
 	for _, n := range []int{1, 8, 64} {
 		vals := make([]*big.Int, n)
-		flat := make([]big.Word, n*mo.Words())
+		flat := mo.NewPacked(n)
 		for i := range vals {
 			vals[i] = randBits(1023)
-			mo.Load(flat[i*mo.Words():(i+1)*mo.Words()], vals[i])
+			flat.Load(i, vals[i])
 		}
 		prodAllocs = append(prodAllocs, testing.AllocsPerRun(20, func() { mo.Product(vals) }))
 		packedAllocs = append(packedAllocs, testing.AllocsPerRun(20, func() { mo.ProductOf(flat) }))

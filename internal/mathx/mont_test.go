@@ -297,27 +297,23 @@ func BenchmarkVarBaseExp(b *testing.B) {
 // BenchmarkExpElem times public-exponent powers in the Montgomery domain
 // at the protocols' sizes: a 6-bit ring size (edge^n for n = 32), the
 // 17-bit GQ e = 65537 and a 160-bit challenge, on the radix-2^52 lane
-// with both lanes on the chain ("lane", where the CPU runs it; ExpElem
-// takes it above 8 bits) and on montMul ("generic").
+// with both lanes on the chain ("lane", where the CPU runs it) and on
+// montMul ("generic").
 func BenchmarkExpElem(b *testing.B) {
 	mo, base, exp := benchModulus(b, 1024)
-	be, generic := mo.ToMont(base), WithoutLane(mo)
-	z := make([]big.Word, mo.Words())
+	generic := WithoutLane(mo)
 	for _, e := range []*big.Int{big.NewInt(32), big.NewInt(65537), exp} {
-		w := expWindow(e)
-		b.Run(fmt.Sprintf("e=%dbit/lane", e.BitLen()), func(b *testing.B) {
-			if mo.lane == nil {
-				b.Skip("no radix-2^52 kernel on this CPU")
-			}
-			for i := 0; i < b.N; i++ {
-				mo.expElemLane(z, be.w, e, w)
-			}
-		})
-		b.Run(fmt.Sprintf("e=%dbit/generic", e.BitLen()), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				generic.ExpElem(be, e)
-			}
-		})
+		for name, mo := range map[string]*Modulus{"lane": mo, "generic": generic} {
+			b.Run(fmt.Sprintf("e=%dbit/%s", e.BitLen(), name), func(b *testing.B) {
+				if name == "lane" && !mo.lane {
+					b.Skip("no radix-2^52 kernel on this CPU")
+				}
+				be := mo.ToMont(base)
+				for i := 0; i < b.N; i++ {
+					mo.ExpElem(be, e)
+				}
+			})
+		}
 	}
 }
 
@@ -326,30 +322,26 @@ func BenchmarkExpElem(b *testing.B) {
 // radix-2^52 kernel ("lane", where the CPU runs it), the same fixed
 // window on montMul ("generic") and two big.Int.Exp calls ("big").
 func BenchmarkExpPair(b *testing.B) {
-	mo, base, e1 := benchModulus(b, 1024)
+	lane, base, e1 := benchModulus(b, 1024)
 	e2 := benchScalar(b)
-	b1 := mo.ToMont(base)
-	b2 := mo.Mul(b1, b1)
-	z1, z2 := make([]big.Word, mo.Words()), make([]big.Word, mo.Words())
-	s1, top := mustScalar(b, benchOrder, e1), fixedTop(160)
-	b.Run("lane", func(b *testing.B) {
-		if mo.lane == nil {
-			b.Skip("no radix-2^52 kernel on this CPU")
-		}
-		for i := 0; i < b.N; i++ {
-			mo.expPairLane(z1, z2, b1.w, &s1.w, b2.w, &e2.w, top)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mo.expPairMont(z1, z2, b1.w, &s1.w, b2.w, &e2.w, top)
-		}
-	})
+	s1 := mustScalar(b, benchOrder, e1)
+	for name, mo := range map[string]*Modulus{"lane": lane, "generic": WithoutLane(lane)} {
+		b.Run(name, func(b *testing.B) {
+			if name == "lane" && !mo.lane {
+				b.Skip("no radix-2^52 kernel on this CPU")
+			}
+			b1 := mo.ToMont(base)
+			b2 := mo.Mul(b1, b1)
+			for i := 0; i < b.N; i++ {
+				mo.ExpPair(b1, s1, b2, e2)
+			}
+		})
+	}
 	b.Run("big", func(b *testing.B) {
-		b2, e2 := mo.FromMont(b2), e2.BigVarTime()
+		b2, e2 := new(big.Int).Exp(base, Two, lane.m), e2.BigVarTime()
 		for i := 0; i < b.N; i++ {
-			new(big.Int).Exp(base, e1, mo.m)
-			new(big.Int).Exp(b2, e2, mo.m)
+			new(big.Int).Exp(base, e1, lane.m)
+			new(big.Int).Exp(b2, e2, lane.m)
 		}
 	})
 }
@@ -359,23 +351,19 @@ func BenchmarkExpPair(b *testing.B) {
 // both lanes on the chain ("lane", where the CPU runs it) against one
 // montMul chain ("mont").
 func BenchmarkExpFixed(b *testing.B) {
-	mo, base, _ := benchModulus(b, 1024)
-	be, e, top := mo.ToMont(base), benchScalar(b), fixedTop(160)
-	z1, z2 := make([]big.Word, mo.Words()), make([]big.Word, mo.Words())
-	b.Run("lane", func(b *testing.B) {
-		if mo.lane == nil {
-			b.Skip("no radix-2^52 kernel on this CPU")
-		}
-		for i := 0; i < b.N; i++ {
-			mo.expPairLane(z1, z2, be.w, &e.w, be.w, &e.w, top)
-		}
-	})
-	tab := make([]big.Word, (fixedEntries+1)*mo.Words())
-	b.Run("mont", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mo.expFixedMont(z1, be.w, &e.w, top, tab)
-		}
-	})
+	lane, base, _ := benchModulus(b, 1024)
+	e := benchScalar(b)
+	for name, mo := range map[string]*Modulus{"lane": lane, "mont": WithoutLane(lane)} {
+		b.Run(name, func(b *testing.B) {
+			if name == "lane" && !mo.lane {
+				b.Skip("no radix-2^52 kernel on this CPU")
+			}
+			be := mo.ToMont(base)
+			for i := 0; i < b.N; i++ {
+				mo.ExpFixed(be, e)
+			}
+		})
+	}
 }
 
 // BenchmarkProductOf multiplies 32 packed 1024-bit residues, the size of
@@ -383,27 +371,25 @@ func BenchmarkExpFixed(b *testing.B) {
 // on the radix-2^52 kernel ("lane", where the CPU runs it) against one
 // montMul chain ("generic").
 func BenchmarkProductOf(b *testing.B) {
-	mo, _, _ := benchModulus(b, 1024)
-	k := mo.Words()
-	flat := make([]big.Word, 32*k)
-	for i := 0; i < 32; i++ {
-		v, _ := RandInt(rand.Reader, mo.m)
-		copy(flat[i*k:], v.Bits())
+	lane, _, _ := benchModulus(b, 1024)
+	vals := make([]*big.Int, 32)
+	for i := range vals {
+		vals[i], _ = RandInt(rand.Reader, lane.m)
 	}
-	b.Run("lane", func(b *testing.B) {
-		if mo.lane == nil {
-			b.Skip("no radix-2^52 kernel on this CPU")
-		}
-		for i := 0; i < b.N; i++ {
-			mo.ProductOf(flat)
-		}
-	})
-	generic := WithoutLane(mo)
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			generic.ProductOf(flat)
-		}
-	})
+	for name, mo := range map[string]*Modulus{"lane": lane, "generic": WithoutLane(lane)} {
+		b.Run(name, func(b *testing.B) {
+			if name == "lane" && !mo.lane {
+				b.Skip("no radix-2^52 kernel on this CPU")
+			}
+			flat := mo.NewPacked(len(vals))
+			for i, v := range vals {
+				flat.Load(i, v)
+			}
+			for i := 0; i < b.N; i++ {
+				mo.ProductOf(flat)
+			}
+		})
+	}
 }
 
 // BenchmarkAMM52x20x2 times the radix-2^52 kernel alone, one ns/op per
@@ -414,37 +400,34 @@ func BenchmarkAMM52x20x2(b *testing.B) {
 		b.Skip("no radix-2^52 kernel on this CPU")
 	}
 	mo, base, exp := benchModulus(b, 1024)
-	var z pair52
-	to52(&z[0], mo.ToMont(base).w)
-	to52(&z[1], mo.ToMont(exp).w)
+	z := pair52{[20]big.Word(mo.ToMont(base).w), [20]big.Word(mo.ToMont(exp).w)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mo.lane.mul(&z, &z, &z)
+		mo.mulPair(&z, &z, &z)
 	}
 }
 
+// BenchmarkMontMul times one MulInto on the radix-2^52 lane ("lane",
+// where the CPU runs it), on montMul ("mul": montMul1024 on a CPU with
+// ADX and BMI2) and on the generic loop ("mul-generic"), against
+// big.Int's product and division.
 func BenchmarkMontMul(b *testing.B) {
 	mo, base, _ := benchModulus(b, 1024)
-	x := mo.ToMont(base)
-	y := mo.Mul(x, x)
-	z := Elem{make([]big.Word, mo.Words())}
-	b.Run("mul", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mo.MulInto(z, x, y)
-		}
-	})
 	generics := withGeneric(mo)
-	generic := generics[len(generics)-1]
-	b.Run("mul-generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			generic.MulInto(z, x, y)
-		}
-	})
-	b.Run("sqr", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mo.sqrInto(z.w, x.w)
-		}
-	})
+	backends := map[string]*Modulus{"lane": mo, "mul": WithoutLane(mo), "mul-generic": generics[len(generics)-1]}
+	for name, mo := range backends {
+		b.Run(name, func(b *testing.B) {
+			if name == "lane" && !mo.lane {
+				b.Skip("no radix-2^52 kernel on this CPU")
+			}
+			x := mo.ToMont(base)
+			y := mo.Mul(x, x)
+			z := mo.Mul(x, y)
+			for i := 0; i < b.N; i++ {
+				mo.MulInto(z, x, y)
+			}
+		})
+	}
 	b.Run("big-mulmod", func(b *testing.B) {
 		t := new(big.Int)
 		for i := 0; i < b.N; i++ {

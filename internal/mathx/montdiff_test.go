@@ -63,6 +63,7 @@ func randBelow(t *testing.T, bound *big.Int) *big.Int {
 // table has two (tableBackends).
 func TestFixedBaseTableDifferential(t *testing.T) {
 	for _, m := range diffModuli(t) {
+		mo := mustModulus(t, m)
 		bases := []*big.Int{
 			randBelow(t, m),
 			new(big.Int).Add(m, randBelow(t, m)), // >= m: reduced on entry
@@ -72,7 +73,7 @@ func TestFixedBaseTableDifferential(t *testing.T) {
 		for _, base := range bases {
 			for _, g := range combGeometries {
 				for _, maxBits := range []int{1, 61, 160} {
-					tab, err := newCombTable(base, m, maxBits, g[0], g[1])
+					tab, err := newCombTable(base, mo, maxBits, g[0], g[1])
 					if err != nil {
 						t.Fatalf("m=%d bits h=%d v=%d maxBits=%d: %v", m.BitLen(), g[0], g[1], maxBits, err)
 					}
@@ -148,7 +149,7 @@ func belowR() []*big.Int {
 // BMI2) and montMulGeneric on the same operands.
 func withGeneric(mo *Modulus) []*Modulus {
 	out := []*Modulus{mo}
-	if mo.lane != nil {
+	if mo.lane {
 		out = append(out, WithoutLane(mo))
 	}
 	generic := WithoutLane(mo)
@@ -163,30 +164,31 @@ func engineName(mo *Modulus) string {
 	if mo.asm {
 		name = "montMul1024"
 	}
-	if mo.lane != nil {
-		name += "+lane"
+	if mo.lane {
+		name = "lane"
 	}
 	return name
 }
 
-// TestMontMulDifferential checks Mul, MulInto and sqrInto against
-// big.Int at every width, including fully aliased z = x = y, operands at
-// the edges of [0, m), and — on the moduli with an all-ones top limb —
+// TestMontMulDifferential checks Mul and MulInto against big.Int at
+// every width, including fully aliased z = x = y, operands at the edges
+// of [0, m), and — on the moduli with an all-ones top limb — montMul
 // products whose accumulator carries into the final subtraction. At 16
-// words the assembly kernel and the generic loop both run (withGeneric)
-// and must agree with big.Int on the same operands, also with z
-// aliasing x, y or both, and on the 16-word moduli just below R.
+// words the radix-2^52 lane (where the CPU runs it), the assembly
+// kernel and the generic loop all run (withGeneric) and must agree with
+// big.Int on the same operands, also with z aliasing x, y or both, and
+// on the 16-word moduli just below R. An operand is an Elem whose limbs
+// hold v, the image of v·R^{-1}, so that montMul sees v itself; a
+// product of two leaves x·y·R^{-2} behind FromMont.
 func TestMontMulDifferential(t *testing.T) {
 	for _, m := range append(diffModuli(t), belowR()...) {
 		mo, err := NewModulus(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := mo.Words()
+		k := len(m.Bits())
 		r := new(big.Int).Lsh(One, uint(k*bits.UintSize))
 		mInv := new(big.Int).ModInverse(m, r)
-		var buf [maxModulusWords]big.Word
-		elem := func(v *big.Int) Elem { return Elem{append([]big.Word(nil), mo.limbs(&buf, v)...)} }
 		mMinus1 := new(big.Int).Sub(m, One)
 		vals := []*big.Int{big.NewInt(0), One, mMinus1, new(big.Int).Sub(m, Two)}
 		for i := 0; i < 12; i++ {
@@ -196,40 +198,41 @@ func TestMontMulDifferential(t *testing.T) {
 			t.Fatalf("%d words: kernel chosen = %v, want %v", k, mo.asm, want)
 		}
 		carries := 0
-		for i, x := range vals {
-			for _, y := range vals[i:] {
-				want, pre := montRef(x, y, m, r, mInv)
-				if pre.Cmp(r) >= 0 {
-					carries++
-				}
-				ex, ey := elem(x), elem(y)
-				for _, mm := range withGeneric(mo) {
-					if got := bigFromLimbs(mm.Mul(ex, ey).w); got.Cmp(want) != 0 {
+		for _, mm := range withGeneric(mo) {
+			var buf [maxModulusWords]big.Word
+			elem := func(v *big.Int) Elem { return Elem{slices.Clone(mm.limbs(&buf, v))} }
+			rInv := new(big.Int).ModInverse(new(big.Int).Lsh(One, uint(mm.k)*mm.limbBits), m)
+			prod := func(x, y *big.Int) *big.Int {
+				v := new(big.Int).Mul(x, y)
+				v.Mul(v, rInv).Mul(v, rInv)
+				return v.Mod(v, m)
+			}
+			for i, x := range vals {
+				for _, y := range vals[i:] {
+					if _, pre := montRef(x, y, m, r, mInv); !mm.lane && pre.Cmp(r) >= 0 {
+						carries++
+					}
+					want := prod(x, y)
+					ex, ey := elem(x), elem(y)
+					if got := mm.FromMont(mm.Mul(ex, ey)); got.Cmp(want) != 0 {
 						t.Fatalf("%d words: %s(%v, %v) = %v, want %v", k, engineName(mm), x, y, got, want)
 					}
 					z := elem(x)
-					if mm.MulInto(z, z, ey); bigFromLimbs(z.w).Cmp(want) != 0 {
-						t.Fatalf("%d words: %s with z = x: %v, want %v", k, engineName(mm), bigFromLimbs(z.w), want)
+					if mm.MulInto(z, z, ey); mm.FromMont(z).Cmp(want) != 0 {
+						t.Fatalf("%d words: %s with z = x: %v, want %v", k, engineName(mm), mm.FromMont(z), want)
 					}
 					z = elem(y)
-					if mm.MulInto(z, ex, z); bigFromLimbs(z.w).Cmp(want) != 0 {
-						t.Fatalf("%d words: %s with z = y: %v, want %v", k, engineName(mm), bigFromLimbs(z.w), want)
+					if mm.MulInto(z, ex, z); mm.FromMont(z).Cmp(want) != 0 {
+						t.Fatalf("%d words: %s with z = y: %v, want %v", k, engineName(mm), mm.FromMont(z), want)
+					}
+					if !slices.Equal(ex.w, elem(x).w) || !slices.Equal(ey.w, elem(y).w) {
+						t.Fatalf("%d words: %s: Mul mutated an operand", k, engineName(mm))
 					}
 				}
-				if bigFromLimbs(ex.w).Cmp(x) != 0 || bigFromLimbs(ey.w).Cmp(y) != 0 {
-					t.Fatalf("%d words: Mul mutated an operand", k)
-				}
-			}
-			sq, _ := montRef(x, x, m, r, mInv)
-			for _, mm := range withGeneric(mo) {
 				z := elem(x)
-				if mm.MulInto(z, z, z); bigFromLimbs(z.w).Cmp(sq) != 0 {
-					t.Fatalf("%d words: %s with z = x = y: %v, want %v", k, engineName(mm), bigFromLimbs(z.w), sq)
+				if mm.MulInto(z, z, z); mm.FromMont(z).Cmp(prod(x, x)) != 0 {
+					t.Fatalf("%d words: %s with z = x = y: %v, want %v", k, engineName(mm), mm.FromMont(z), prod(x, x))
 				}
-			}
-			z := elem(x).w
-			if mo.sqrInto(z, z); bigFromLimbs(z).Cmp(sq) != 0 {
-				t.Fatalf("%d words: sqrInto with z = x: %v, want %v", k, bigFromLimbs(z), sq)
 			}
 		}
 		if top := m.Bits()[k-1]; ^top == 0 && carries == 0 {
@@ -254,27 +257,35 @@ func TestExpElemDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		k := len(m.Bits())
 		for _, base := range []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)} {
-			be := mo.ToMont(base)
-			before := slices.Clone(be.w)
-			for _, e := range exps {
-				want := new(big.Int).Exp(base, e, m)
-				for _, mm := range withGeneric(mo) {
+			for _, mm := range withGeneric(mo) {
+				be := mm.ToMont(base)
+				before := slices.Clone(be.w)
+				for _, e := range exps {
+					want := new(big.Int).Exp(base, e, m)
 					if got := mm.FromMont(mm.ExpElem(be, e)); got.Cmp(want) != 0 {
-						t.Fatalf("%d words, %s: %v^%v: got %v, want %v", mo.Words(), engineName(mm), base, e, got, want)
+						t.Fatalf("%d words, %s: %v^%v: got %v, want %v", k, engineName(mm), base, e, got, want)
 					}
 				}
-			}
-			if !slices.Equal(be.w, before) {
-				t.Fatalf("%d words: ExpElem mutated its base", mo.Words())
+				if !slices.Equal(be.w, before) {
+					t.Fatalf("%d words, %s: ExpElem mutated its base", k, engineName(mm))
+				}
 			}
 		}
 	}
 }
 
+// TestFixedBaseTableRejectsEvenModulus checks that no table is built over
+// an even modulus: NewModulus refuses it, and a table refuses the nil
+// Modulus that leaves.
 func TestFixedBaseTableRejectsEvenModulus(t *testing.T) {
 	for _, m := range []*big.Int{big.NewInt(2), big.NewInt(1 << 20), new(big.Int).Lsh(One, 1024)} {
-		if _, err := NewFixedBaseTable(big.NewInt(3), m, 16); err == nil {
+		mo, err := NewModulus(m)
+		if err == nil {
+			t.Errorf("NewModulus accepted the even modulus %v", m)
+		}
+		if _, err := NewFixedBaseTable(big.NewInt(3), mo, 16); err == nil {
 			t.Errorf("NewFixedBaseTable accepted the even modulus %v", m)
 		}
 	}
@@ -324,14 +335,9 @@ func TestModulusProductDifferential(t *testing.T) {
 				before[i] = new(big.Int).Set(v)
 			}
 			want := ProductMod(vals, m)
-			// The packed forms take canonical residues.
-			k := mo.Words()
-			flat := make([]big.Word, len(vals)*k)
-			var buf [maxModulusWords]big.Word
-			for i, v := range vals {
-				copy(flat[i*k:], mo.limbs(&buf, v))
-			}
 			for name, mo := range chainBackends(mo) {
+				// The packed forms take canonical residues.
+				flat := packAll(mo, vals)
 				if got := mo.Product(vals); got.Cmp(want) != 0 {
 					t.Fatalf("%s, m=%d bits, %d values: got %v, want %v", name, m.BitLen(), len(vals), got, want)
 				}
@@ -364,16 +370,26 @@ func prefixRef(m *big.Int, xs []*big.Int, i int) (horner *big.Int, lemma1 bool) 
 	return horner, ProductMod(xs, m).Cmp(One) == 0
 }
 
-// checkPrefixProducts runs PrefixProducts from slot i on every backend
-// and compares the Horner image, limb for limb, and the Lemma 1 flag with
-// big.Int.
-func checkPrefixProducts(t testing.TB, mo *Modulus, xs []*big.Int, flat []big.Word, i int) (lemma1 bool) {
+// packAll sets a Packed of mo's to vals mod m, zero included, which
+// Load refuses.
+func packAll(mo *Modulus, vals []*big.Int) Packed {
+	p := mo.NewPacked(len(vals))
+	var buf [maxModulusWords]big.Word
+	for i, v := range vals {
+		copy(p.slot(i), mo.limbs(&buf, v))
+	}
+	return p
+}
+
+// checkPrefixProducts runs PrefixProducts from slot i on every backend,
+// each over xs packed in its own representation, and compares the
+// Horner product and the Lemma 1 flag with big.Int.
+func checkPrefixProducts(t testing.TB, mo *Modulus, xs []*big.Int, i int) (lemma1 bool) {
 	t.Helper()
 	want, lemma1 := prefixRef(mo.m, xs, i)
-	wantImage := mo.ToMont(want)
 	for name, mo := range chainBackends(mo) {
-		got, ok := mo.PrefixProducts(flat, i)
-		if !slices.Equal(got.w, wantImage.w) || ok != lemma1 {
+		got, ok := mo.PrefixProducts(packAll(mo, xs), i)
+		if mo.FromMont(got).Cmp(want) != 0 || ok != lemma1 {
 			t.Fatalf("%s, m=%d bits, n=%d, i=%d: Horner product %x, Lemma 1 %v; want %x, %v",
 				name, mo.m.BitLen(), len(xs), i, mo.FromMont(got), ok, want, lemma1)
 		}
@@ -394,7 +410,6 @@ func TestPrefixProductsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := mo.Words()
 		for n := 1; n <= 33; n++ {
 			honest := make([]*big.Int, n)
 			for j := range honest {
@@ -417,12 +432,8 @@ func TestPrefixProductsDifferential(t *testing.T) {
 				copy(random[n-3:], []*big.Int{new(big.Int).Sub(m, One), One, big.NewInt(0)})
 			}
 			for ring, xs := range map[string][]*big.Int{"honest": honest, "perturbed": perturbed, "random": random} {
-				flat := make([]big.Word, n*k)
-				for j, x := range xs {
-					copy(flat[j*k:], x.Bits())
-				}
 				for i := range n {
-					lemma1 := checkPrefixProducts(t, mo, xs, flat, i)
+					lemma1 := checkPrefixProducts(t, mo, xs, i)
 					if want := ring == "honest"; ring != "random" && lemma1 != want {
 						t.Fatalf("m=%d bits, n=%d: the %s ring has Lemma 1 %v", m.BitLen(), n, ring, lemma1)
 					}
@@ -432,37 +443,118 @@ func TestPrefixProductsDifferential(t *testing.T) {
 	}
 }
 
-// TestLoadBytes checks the limb decoder against big.Int.SetBytes and its
-// (0, m) range check at the edges: zero, 1, m - 1, m, m + 1, a value one
-// word too wide, and encodings with leading zero bytes.
+// TestLoadBytes checks the slot decoder on both representations against
+// big.Int.SetBytes and its (0, m) range check at the edges: zero, 1,
+// m - 1, m, m + 1, a value one word too wide, and encodings with leading
+// zero bytes, over a slot filled with ones; a refused value leaves the
+// slot empty.
 func TestLoadBytes(t *testing.T) {
-	for _, m := range diffModuli(t) {
-		mo, err := NewModulus(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide := new(big.Int).Lsh(One, uint(mo.Words()*bits.UintSize))
+	for _, m := range append(diffModuli(t), kernelModuli(t)...) {
+		wide := new(big.Int).Lsh(One, uint(len(m.Bits())*bits.UintSize))
 		cases := []*big.Int{big.NewInt(0), One, randBelow(t, m), new(big.Int).Sub(m, One), m, new(big.Int).Add(m, One), wide}
-		for _, v := range cases {
-			want := v.Sign() > 0 && v.Cmp(m) < 0
-			for _, pad := range []int{0, 1, 9} {
-				b := append(make([]byte, pad), v.Bytes()...)
-				dst := make([]big.Word, mo.Words())
-				for i := range dst {
-					dst[i] = ^big.Word(0) // the decoder must overwrite every limb
+		for name, mo := range chainBackends(mustModulus(t, m)) {
+			p := mo.NewPacked(2)
+			for _, v := range cases {
+				want := v.Sign() > 0 && v.Cmp(m) < 0
+				for _, pad := range []int{0, 1, 9} {
+					for i := range p.w {
+						p.w[i] = ^big.Word(0) // the decoder must overwrite every limb
+					}
+					b := append(make([]byte, pad), v.Bytes()...)
+					if ok := p.LoadBytes(1, b); ok != want || p.InRange(1) != want {
+						t.Fatalf("%s, m=%d bits, v=%v, %d zero bytes: in range %v, want %v", name, m.BitLen(), v, pad, ok, want)
+					}
+					if got := mo.bigOf(p.slot(1)); want && got.Cmp(v) != 0 || !want && got.Sign() != 0 {
+						t.Fatalf("%s, m=%d bits, %d zero bytes: decoded %v, want %v", name, m.BitLen(), pad, got, v)
+					}
 				}
-				if got := mo.LoadBytes(dst, b); got != want {
-					t.Fatalf("m=%d bits, v=%v, %d zero bytes: in range %v, want %v", m.BitLen(), v, pad, got, want)
+				if ok := p.Load(0, v); ok != want || p.InRange(0) != want {
+					t.Fatalf("%s, m=%d bits, v=%v: Load in range %v, want %v", name, m.BitLen(), v, ok, want)
 				}
-				if want && new(big.Int).SetBits(dst).Cmp(v) != 0 {
-					t.Fatalf("m=%d bits, %d zero bytes: decoded %v, want %v", m.BitLen(), pad, new(big.Int).SetBits(dst), v)
-				}
-			}
-			if got := mo.Load(make([]big.Word, mo.Words()), v); got != want {
-				t.Fatalf("m=%d bits, v=%v: Load in range %v, want %v", m.BitLen(), v, got, want)
 			}
 		}
 	}
+}
+
+// TestRepresentationRoundTrip takes values at the edges — 0, 1, m - 1,
+// m, 2^1024 - 1 and encodings of 129 and 130 bytes — through both
+// representations of 1024-bit moduli: FromMont(ToMont(v)) is v mod m,
+// and Load, LoadBytes and InRange accept exactly the values in (0, m),
+// which the slot, FromMont(ToMont) of it and Unpack then read back.
+func TestRepresentationRoundTrip(t *testing.T) {
+	over := new(big.Int).Lsh(One, 1024)
+	for _, m := range kernelModuli(t) {
+		vals := []*big.Int{big.NewInt(0), One, new(big.Int).Sub(m, One), m, new(big.Int).Sub(over, One), over, new(big.Int).Add(over, m)}
+		for name, mo := range chainBackends(mustModulus(t, m)) {
+			p, got := mo.NewPacked(1), make([]big.Int, 1)
+			for _, v := range vals {
+				if got := mo.FromMont(mo.ToMont(v)); got.Cmp(new(big.Int).Mod(v, m)) != 0 {
+					t.Fatalf("%s, m=%x: FromMont(ToMont(%x)) = %x", name, m, v, got)
+				}
+				want := v.Sign() > 0 && v.Cmp(m) < 0
+				loads := map[string]func() bool{
+					"Load":             func() bool { return p.Load(0, v) },
+					"LoadBytes":        func() bool { return p.LoadBytes(0, v.Bytes()) },
+					"LoadBytes padded": func() bool { return p.LoadBytes(0, v.FillBytes(make([]byte, 130))) },
+				}
+				for load, f := range loads {
+					if ok := f(); ok != want || p.InRange(0) != want {
+						t.Fatalf("%s, m=%x: %s(%x) = %v, in range %v, want %v", name, m, load, v, ok, p.InRange(0), want)
+					}
+					if got := mo.bigOf(p.slot(0)); want && (got.Cmp(v) != 0 || mo.FromMont(p.ToMont(0)).Cmp(v) != 0) || !want && got.Sign() != 0 {
+						t.Fatalf("%s, m=%x: %s(%x) reads back %x", name, m, load, v, got)
+					}
+					if p.Unpack(got); want && got[0].Cmp(v) != 0 || !want && got[0].Sign() != 0 {
+						t.Fatalf("%s, m=%x: %s(%x) unpacks to %x", name, m, load, v, &got[0])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzLoadBytes decodes a byte string, as a peer sends it, into a slot of
+// an odd 1024-bit modulus built from the fuzz input, in both
+// representations: each must accept exactly when big.Int.SetBytes gives
+// a value in (0, m), and then hold that value, as FromMont(ToMont) of
+// the slot and Unpack read it back.
+func FuzzLoadBytes(f *testing.F) {
+	ones := make([]byte, 128) // m = 2^1024 - 1
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	m := new(big.Int).SetBytes(ones[:100])
+	f.Add(ones[:100], m.SetBit(m, 1023, 1).Bytes())           // m itself
+	f.Add(ones, ones)                                         // 2^1024 - 1, which is m
+	f.Add([]byte{1}, append(make([]byte, 3), ones...))        // leading zeros; 2^1024 - 1 above m = 2^1023 + 1
+	f.Add(ones, append([]byte{1}, make([]byte, 128)...))      // 129 bytes
+	f.Add([]byte{1}, append(make([]byte, 40), ones[:127]...)) // leading zeros, in range
+	f.Add(ones[:64], []byte{})                                // zero
+	f.Fuzz(func(t *testing.T, mb, b []byte) {
+		if len(mb) > 128 {
+			mb = mb[:128]
+		}
+		m := new(big.Int).SetBytes(mb)
+		m.SetBit(m, 1023, 1).SetBit(m, 0, 1)
+		v := new(big.Int).SetBytes(b)
+		want := v.Sign() > 0 && v.Cmp(m) < 0
+		got := make([]big.Int, 1)
+		for name, mo := range chainBackends(mustModulus(t, m)) {
+			p := mo.NewPacked(1)
+			if ok := p.LoadBytes(0, b); ok != want {
+				t.Fatalf("%s, m=%x: LoadBytes(%x) = %v, want %v", name, m, b, ok, want)
+			}
+			if !want {
+				continue
+			}
+			if r := mo.FromMont(p.ToMont(0)); r.Cmp(v) != 0 {
+				t.Fatalf("%s, m=%x: FromMont(ToMont) of %x = %x", name, m, v, r)
+			}
+			if p.Unpack(got); got[0].Cmp(v) != 0 {
+				t.Fatalf("%s, m=%x: LoadBytes(%x) unpacks to %x", name, m, b, &got[0])
+			}
+		}
+	})
 }
 
 // TestRPow checks the cached R powers against big.Int, for negative,
@@ -474,14 +566,14 @@ func TestRPow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := new(big.Int).Lsh(One, uint(mo.Words()*bits.UintSize))
+		r := new(big.Int).Lsh(One, uint(mo.k)*mo.limbBits)
 		for _, e := range []int{-31, -1, 0, 1, 2, 33, 497, 1000} {
 			want := new(big.Int).Exp(r, big.NewInt(int64(max(e, -e))), m)
 			if e < 0 {
 				want.ModInverse(want, m)
 			}
 			got := mo.rPow(e)
-			if bigFromLimbs(got).Cmp(want) != 0 {
+			if mo.bigOf(got).Cmp(want) != 0 {
 				t.Fatalf("m=%d bits: rPow(%d) = %v, want %v", m.BitLen(), e, got, want)
 			}
 			if again := mo.rPow(e); &again[0] != &got[0] {
@@ -520,23 +612,26 @@ func FuzzMontMul1024(f *testing.F) {
 		r := new(big.Int).Lsh(One, 1024)
 		want, _ := montRef(x, y, m, r, new(big.Int).ModInverse(m, r))
 		var xbuf, ybuf [maxModulusWords]big.Word
-		ex, ey := mo.limbs(&xbuf, x), mo.limbs(&ybuf, y)
+		ex, ey := WithoutLane(mo).limbs(&xbuf, x), WithoutLane(mo).limbs(&ybuf, y)
 		for _, mm := range withGeneric(mo) {
-			z := make([]big.Word, mo.Words())
-			if mm.montMul(z, ex, ey); bigFromLimbs(z).Cmp(want) != 0 {
-				t.Fatalf("m=%x: %s(%x, %x) = %x, want %x", m, engineName(mm), x, y, bigFromLimbs(z), want)
+			if mm.lane {
+				continue // not montMul
+			}
+			z := make([]big.Word, mm.k)
+			if mm.mul(z, ex, ey); mm.bigOf(z).Cmp(want) != 0 {
+				t.Fatalf("m=%x: %s(%x, %x) = %x, want %x", m, engineName(mm), x, y, mm.bigOf(z), want)
 			}
 		}
 	})
 }
 
 // limbs52 splits a value below 2^1040 into 20 limbs of 52 bits.
-func limbs52(v *big.Int) *[20]uint64 {
-	var x [20]uint64
+func limbs52(v *big.Int) *[20]big.Word {
+	var x [20]big.Word
 	t := new(big.Int).Set(v)
 	mask := new(big.Int).SetUint64(mask52)
 	for j := range x {
-		x[j] = new(big.Int).And(t, mask).Uint64()
+		x[j] = big.Word(new(big.Int).And(t, mask).Uint64())
 		t.Rsh(t, 52)
 	}
 	return &x
@@ -544,14 +639,14 @@ func limbs52(v *big.Int) *[20]uint64 {
 
 // bigFrom52 reads 20 limbs back, failing the test on a limb of more
 // than 52 bits.
-func bigFrom52(t testing.TB, x *[20]uint64) *big.Int {
+func bigFrom52(t testing.TB, x *[20]big.Word) *big.Int {
 	t.Helper()
 	v := new(big.Int)
 	for j := len(x) - 1; j >= 0; j-- {
-		if x[j] > mask52 {
+		if uint64(x[j]) > mask52 {
 			t.Fatalf("limb %d = %#x exceeds 52 bits", j, x[j])
 		}
-		v.Lsh(v, 52).Or(v, new(big.Int).SetUint64(x[j]))
+		v.Lsh(v, 52).Or(v, new(big.Int).SetUint64(uint64(x[j])))
 	}
 	return v
 }
@@ -564,11 +659,11 @@ func checkAMM52(t testing.TB, mo *Modulus, x1, y1, x2, y2 *big.Int) {
 	m := mo.m
 	r := new(big.Int).Lsh(One, 1040)
 	mInv := new(big.Int).ModInverse(m, r)
-	var z1, z2 [20]uint64
-	amm52x20x2(&z1, limbs52(x1), limbs52(y1), &z2, limbs52(x2), limbs52(y2), &mo.lane.m, mo.lane.k0)
+	var z1, z2 [20]big.Word
+	amm52x20x2(&z1, limbs52(x1), limbs52(y1), &z2, limbs52(x2), limbs52(y2), (*[20]big.Word)(mo.words), uint64(mo.n0))
 	twoM := new(big.Int).Lsh(m, 1)
 	for _, c := range []struct {
-		z    *[20]uint64
+		z    *[20]big.Word
 		x, y *big.Int
 	}{{&z1, x1, y1}, {&z2, x2, y2}} {
 		_, want := montRef(c.x, c.y, m, r, mInv)
@@ -585,7 +680,11 @@ func norm52Ref(x *[20]uint64) [20]uint64 {
 	for j := len(x) - 1; j >= 0; j-- {
 		v.Lsh(v, 52).Add(v, new(big.Int).SetUint64(x[j]))
 	}
-	return *limbs52(v.And(v, new(big.Int).Sub(new(big.Int).Lsh(One, 1040), One)))
+	var r [20]uint64
+	for j, l := range limbs52(v.And(v, new(big.Int).Sub(new(big.Int).Lsh(One, 1040), One))) {
+		r[j] = uint64(l)
+	}
+	return r
 }
 
 // checkNorm52 runs norm52x2 on x1 and x2, once into fresh results and
@@ -703,7 +802,7 @@ func TestAMM52x20x2Differential(t *testing.T) {
 			_, want := montRef(x, x, m, r, new(big.Int).ModInverse(m, r))
 			var z pair52
 			z[0], z[1] = *limbs52(x), *limbs52(x)
-			mo.lane.mul(&z, &z, &z)
+			mo.mulPair(&z, &z, &z)
 			for l := range z {
 				if got := bigFrom52(t, &z[l]); got.Cmp(want) != 0 {
 					t.Fatalf("m=%x: lane %d with r = a = b: %x, want %x", m, l, got, want)
@@ -711,17 +810,6 @@ func TestAMM52x20x2Differential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// pairBackends returns ExpPair's backends for mo: expPairMont always and,
-// where the radix-2^52 kernel runs, expPairLane, so a CPU with the kernel
-// tests both.
-func pairBackends(mo *Modulus) map[string]func(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int) {
-	out := map[string]func(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int){"montMul": mo.expPairMont}
-	if mo.lane != nil {
-		out["lane"] = mo.expPairLane
-	}
-	return out
 }
 
 // mustScalar returns v as a Scalar below q.
@@ -734,33 +822,31 @@ func mustScalar(t testing.TB, q, v *big.Int) Scalar {
 	return s
 }
 
-// checkExpPair runs ExpPair's backends, ExpPair and ExpFixed on (b1, e1)
-// and (b2, e2), exponents below the order q, and compares every result,
-// limb for limb, with the Montgomery image of big.Int.Exp.
+// checkExpPair runs ExpPair and ExpFixed on (b1, e1) and (b2, e2),
+// exponents below the order q, on every backend with its own images of
+// the bases (expPairLane where the CPU runs it, expPairMont always), and
+// compares every result with big.Int.Exp.
 func checkExpPair(t testing.TB, mo *Modulus, q, b1, e1, b2, e2 *big.Int) {
 	t.Helper()
 	m := mo.m
-	want1, want2 := mo.ToMont(new(big.Int).Exp(b1, e1, m)), mo.ToMont(new(big.Int).Exp(b2, e2, m))
-	m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
+	want1, want2 := new(big.Int).Exp(b1, e1, m), new(big.Int).Exp(b2, e2, m)
 	s1, s2 := mustScalar(t, q, e1), mustScalar(t, q, e2)
-	before1, before2 := slices.Clone(m1.w), slices.Clone(m2.w)
-	check := func(name string, got1, got2 []big.Word) {
-		t.Helper()
-		if !slices.Equal(got1, want1.w) || !slices.Equal(got2, want2.w) {
-			t.Fatalf("%d words, %s, %d-bit order: (%v^%v, %v^%v) = (%x, %x), want (%x, %x)",
-				mo.Words(), name, q.BitLen(), b1, e1, b2, e2, got1, got2, want1, want2)
+	for name, mo := range chainBackends(mo) {
+		m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
+		before1, before2 := slices.Clone(m1.w), slices.Clone(m2.w)
+		check := func(fn string, got1, got2 Elem) {
+			t.Helper()
+			if g1, g2 := mo.FromMont(got1), mo.FromMont(got2); g1.Cmp(want1) != 0 || g2.Cmp(want2) != 0 {
+				t.Fatalf("%d words, %s %s, %d-bit order: (%v^%v, %v^%v) = (%x, %x), want (%x, %x)",
+					len(m.Bits()), name, fn, q.BitLen(), b1, e1, b2, e2, g1, g2, want1, want2)
+			}
 		}
-	}
-	for name, f := range pairBackends(mo) {
-		z1, z2 := make([]big.Word, mo.Words()), make([]big.Word, mo.Words())
-		f(z1, z2, m1.w, &s1.w, m2.w, &s2.w, fixedTop(q.BitLen()))
-		check(name, z1, z2)
-	}
-	got1, got2 := mo.ExpPair(m1, s1, m2, s2)
-	check("ExpPair", got1.w, got2.w)
-	check("ExpFixed", mo.ExpFixed(m1, s1).w, mo.ExpFixed(m2, s2).w)
-	if !slices.Equal(m1.w, before1) || !slices.Equal(m2.w, before2) {
-		t.Fatalf("%d words: a fixed-window power mutated its base", mo.Words())
+		got1, got2 := mo.ExpPair(m1, s1, m2, s2)
+		check("ExpPair", got1, got2)
+		check("ExpFixed", mo.ExpFixed(m1, s1), mo.ExpFixed(m2, s2))
+		if !slices.Equal(m1.w, before1) || !slices.Equal(m2.w, before2) {
+			t.Fatalf("%d words, %s: a fixed-window power mutated its base", len(m.Bits()), name)
+		}
 	}
 }
 
@@ -775,12 +861,13 @@ func TestExpPairDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := mo.Words() == 16 && hasAMM52; (mo.lane != nil) != want {
-			t.Fatalf("%d words: radix-2^52 lane = %v, want %v", mo.Words(), mo.lane != nil, want)
+		k := len(m.Bits())
+		if want := k == 16 && hasAMM52; mo.lane != want {
+			t.Fatalf("%d words: radix-2^52 lane = %v, want %v", k, mo.lane, want)
 		}
 		bases := []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)}
 		orders := []int{1, 4, 5, 160}
-		if mo.Words() <= 16 {
+		if k <= 16 {
 			orders = append(orders, 1024)
 		}
 		for _, bits := range orders {
@@ -799,9 +886,11 @@ func TestExpPairDifferential(t *testing.T) {
 					checkExpPair(t, mo, q, b1, e1, b2, e2)
 					checkExpPair(t, mo, q, b1, e1, b1, e2)
 					r := mustScalar(t, q, e1)
-					want := mo.ToMont(new(big.Int).Exp(b2, new(big.Int).Sub(q, e1), m))
-					if _, got := mo.ExpPair(mo.ToMont(b1), r, mo.ToMont(b2), r.Neg()); !slices.Equal(got.w, want.w) {
-						t.Fatalf("%d words, %d-bit order: %v^(q-%v) = %x, want %x", mo.Words(), bits, b2, e1, got, want)
+					want := new(big.Int).Exp(b2, new(big.Int).Sub(q, e1), m)
+					for name, mo := range chainBackends(mo) {
+						if _, got := mo.ExpPair(mo.ToMont(b1), r, mo.ToMont(b2), r.Neg()); mo.FromMont(got).Cmp(want) != 0 {
+							t.Fatalf("%d words, %s, %d-bit order: %v^(q-%v) = %x, want %x", k, name, bits, b2, e1, mo.FromMont(got), want)
+						}
 					}
 				}
 			}
@@ -905,8 +994,9 @@ func FuzzExpPair(f *testing.F) {
 // backends: the packed product (raw and Montgomery), the prefix chain
 // from a fuzzed start, a comb walk with a factor over a table of the
 // first residue (the exponent past 160 bits takes the big.Int fallback)
-// and a public-exponent power. Each result must match the other
-// backend limb for limb and big.Int. On a CPU without the lane only the
+// and a public-exponent power. Each backend runs on the inputs in its own
+// representation, and each result must match the other backend's
+// canonical value and big.Int. On a CPU without the lane only the
 // montMul side runs.
 func FuzzLaneChains(f *testing.F) {
 	ones := make([]byte, 128) // m = 2^1024 - 1
@@ -930,14 +1020,11 @@ func FuzzLaneChains(f *testing.F) {
 		for ; len(vb) > 0 && len(vals) < 40; vb = vb[min(len(vb), 128):] {
 			vals = append(vals, new(big.Int).Mod(new(big.Int).SetBytes(vb[:min(len(vb), 128)]), m))
 		}
-		n, k := len(vals), mo.Words()
-		flat := make([]big.Word, n*k)
-		for i, v := range vals {
-			copy(flat[i*k:], v.Bits())
-		}
+		n := len(vals)
 		want := ProductMod(vals, m)
 		backends := chainBackends(mo)
 		for name, mo := range backends {
+			flat := packAll(mo, vals)
 			if got := mo.ProductOf(flat); got.Cmp(want) != 0 {
 				t.Fatalf("%s: ProductOf of %d values %v, want %v", name, n, got, want)
 			}
@@ -946,7 +1033,7 @@ func FuzzLaneChains(f *testing.F) {
 			}
 		}
 		if n > 0 {
-			checkPrefixProducts(t, mo, vals, flat, int(start)%n)
+			checkPrefixProducts(t, mo, vals, int(start)%n)
 		}
 		base := Two
 		if n > 0 {
@@ -954,7 +1041,7 @@ func FuzzLaneChains(f *testing.F) {
 		}
 		e := new(big.Int).SetBytes(eb[:min(len(eb), 21)])
 		y := new(big.Int).SetBytes(yb[:min(len(yb), 129)])
-		tab, err := NewFixedBaseTable(base, m, 160)
+		tab, err := NewFixedBaseTable(base, mo, 160)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -965,9 +1052,8 @@ func FuzzLaneChains(f *testing.F) {
 				t.Fatalf("%s: ExpMul(%x, %x) = %x, want %x", name, e, y, got, wantMul)
 			}
 		}
-		be := mo.ToMont(base)
 		for name, mo := range backends {
-			if got := mo.FromMont(mo.ExpElem(be, e)); got.Cmp(wantExp) != 0 {
+			if got := mo.FromMont(mo.ExpElem(mo.ToMont(base), e)); got.Cmp(wantExp) != 0 {
 				t.Fatalf("%s: ExpElem(%x) = %x, want %x", name, e, got, wantExp)
 			}
 		}

@@ -17,7 +17,7 @@ func montMul1024(z, x, y, m *[16]big.Word, n0 big.Word) {
 }
 
 // amm52x20x2 is never called where hasAMM52 is false.
-func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]uint64, k0 uint64) {
+func amm52x20x2(r1, a1, b1, r2, a2, b2, m *[20]big.Word, k0 uint64) {
 	panic("mathx: no radix-2^52 kernel in this build")
 }
 

@@ -85,7 +85,11 @@ func (sk *PrivateKey) Precompute() *mathx.FixedBaseTable {
 	if t := sk.fixedBase.Load(); t != nil {
 		return t
 	}
-	t, err := mathx.NewFixedBaseTable(sk.S, sk.Pub.N, hashx.ChallengeBits)
+	mo, err := sk.Pub.mont()
+	if err != nil {
+		return nil
+	}
+	t, err := mathx.NewFixedBaseTable(sk.S, mo, hashx.ChallengeBits)
 	if err != nil {
 		return nil
 	}
@@ -251,7 +255,7 @@ func (gv *GroupVerifier) table() *mathx.FixedBaseTable {
 	if gv.uses.Add(1) != promoteAfter {
 		return nil
 	}
-	t, err := mathx.NewFixedBaseTable(gv.hInv, gv.pub.N, hashx.ChallengeBits)
+	t, err := mathx.NewFixedBaseTable(gv.hInv, gv.mo, hashx.ChallengeBits)
 	if err != nil {
 		return nil
 	}
@@ -270,10 +274,10 @@ func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error 
 	return gv.BatchVerifyPacked(packed, c, z)
 }
 
-// BatchVerifyPacked is BatchVerify over responses already widened to
-// limbs, the form a caller that decodes them straight off the wire holds:
-// response i occupies packed[i·k:(i+1)·k], k being the word count of N.
-func (gv *GroupVerifier) BatchVerifyPacked(packed []big.Word, c, z *big.Int) error {
+// BatchVerifyPacked is BatchVerify over responses already packed, the
+// form a caller that decodes them straight off the wire holds: response
+// i in slot i of a Packed of N's Modulus.
+func (gv *GroupVerifier) BatchVerifyPacked(packed mathx.Packed, c, z *big.Int) error {
 	lhs, err := gv.commitment(packed, c)
 	if err != nil {
 		return err
@@ -284,16 +288,15 @@ func (gv *GroupVerifier) BatchVerifyPacked(packed []big.Word, c, z *big.Int) err
 	return nil
 }
 
-// pack widens responses into the packed limbs commitment reads.
-func (gv *GroupVerifier) pack(responses []*big.Int) ([]big.Word, error) {
+// pack loads responses into the Packed commitment reads.
+func (gv *GroupVerifier) pack(responses []*big.Int) (mathx.Packed, error) {
 	if len(responses) != gv.n {
-		return nil, errBatchSize
+		return mathx.Packed{}, errBatchSize
 	}
-	k := gv.mo.Words()
-	packed := make([]big.Word, len(responses)*k)
+	packed := gv.mo.NewPacked(len(responses))
 	for i, s := range responses {
-		if !gv.mo.Load(packed[i*k:(i+1)*k], s) {
-			return nil, fmt.Errorf("gq: response %d out of range", i)
+		if !packed.Load(i, s) {
+			return mathx.Packed{}, fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
 	return packed, nil
@@ -314,10 +317,9 @@ var errChallengeRange = errors.New("gq: challenge out of range")
 // table walk's conversion out. Malformed inputs are rejected before any
 // exponentiation, and the range check keeps every walked challenge
 // within the table's bits.
-func (gv *GroupVerifier) commitment(packed []big.Word, c *big.Int) (*big.Int, error) {
+func (gv *GroupVerifier) commitment(packed mathx.Packed, c *big.Int) (*big.Int, error) {
 	mo := gv.mo
-	k := mo.Words()
-	if len(packed) != gv.n*k {
+	if packed.Len() != gv.n {
 		return nil, errBatchSize
 	}
 	if c == nil {
@@ -327,7 +329,7 @@ func (gv *GroupVerifier) commitment(packed []big.Word, c *big.Int) (*big.Int, er
 		return nil, errChallengeRange
 	}
 	for i := 0; i < gv.n; i++ {
-		if !mo.InRange(packed[i*k : (i+1)*k]) {
+		if !packed.InRange(i) {
 			return nil, fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
@@ -340,9 +342,10 @@ func (gv *GroupVerifier) commitment(packed []big.Word, c *big.Int) (*big.Int, er
 }
 
 // verifierCacheSize bounds the process-wide verifier cache. A tabled
-// entry holds a 64 KiB comb at the 1024-bit N (2·2^8 entries of 16
-// words), so the cache's table memory stays under 64 × 64 KiB = 4 MiB,
-// scaling linearly with the modulus width. The signer sets a process
+// entry holds an 80 KiB comb at the 1024-bit N where the radix-2^52
+// lane runs (2·2^8 entries of 20 limbs; 64 KiB of 16 words elsewhere),
+// so the cache's table memory stays under 64 × 80 KiB = 5 MiB, scaling
+// linearly with the modulus width. The signer sets a process
 // checks over and over fit with room to spare: gkaperf's serve-churn
 // workload keys at most 48 (16 establish and 16 leave rosters, up to 16
 // joiners), tcp-hub 4 and ring32 1.

@@ -720,7 +720,7 @@ func BenchmarkBatchVerify4(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := mathx.NewFixedBaseTable(gv.hInv, pub.N, hashx.ChallengeBits); err != nil {
+			if _, err := mathx.NewFixedBaseTable(gv.hInv, gv.mo, hashx.ChallengeBits); err != nil {
 				b.Fatal(err)
 			}
 		}
