@@ -74,9 +74,9 @@ func emitGoSource(set *params.Set) {
 	fmt.Fprintf(w, "\tdefSchnorrG = %q\n", fmt.Sprintf("%x", set.Schnorr.G))
 	fmt.Fprintf(w, "\tdefRSAN     = %q\n", fmt.Sprintf("%x", set.RSA.N))
 	fmt.Fprintf(w, "\tdefRSAE     = %q\n", fmt.Sprintf("%x", set.RSA.E))
-	fmt.Fprintf(w, "\tdefRSAP     = %q\n", fmt.Sprintf("%x", set.RSA.P)) //gkalint:secretok paramgen exists to serialize the full set, master secrets included, into the embedded default
-	fmt.Fprintf(w, "\tdefRSAQ     = %q\n", fmt.Sprintf("%x", set.RSA.Q)) //gkalint:secretok paramgen exists to serialize the full set, master secrets included, into the embedded default
-	fmt.Fprintf(w, "\tdefRSAD     = %q\n", fmt.Sprintf("%x", set.RSA.D)) //gkalint:secretok paramgen exists to serialize the full set, master secrets included, into the embedded default
+	fmt.Fprintf(w, "\tdefRSAP     = %q\n", fmt.Sprintf("%x", set.RSA.P.BigVarTime()))
+	fmt.Fprintf(w, "\tdefRSAQ     = %q\n", fmt.Sprintf("%x", set.RSA.Q.BigVarTime()))
+	fmt.Fprintf(w, "\tdefRSAD     = %q\n", fmt.Sprintf("%x", set.RSA.D.BigVarTime()))
 	fmt.Fprintf(w, "\tdefPairP    = %q\n", fmt.Sprintf("%x", set.Pairing.P))
 	fmt.Fprintf(w, "\tdefPairQ    = %q\n", fmt.Sprintf("%x", set.Pairing.Q))
 	fmt.Fprintf(w, "\tdefPairC    = %q\n", fmt.Sprintf("%x", set.Pairing.C))

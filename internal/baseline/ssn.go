@@ -102,7 +102,7 @@ func RunSSN(net netsim.Medium, parts []*SSNParticipant) error {
 		p.m.Exp(1)
 		h := hashx.ScalarDigest(hashx.TagTranscript, bound, []byte(p.id), z.Bytes())
 		w := new(big.Int).Exp(z, h, n)
-		w.Mul(w, p.sk.S)
+		w.Mul(w, p.sk.S.BigVarTime())
 		w.Mod(w, n)
 		p.m.Exp(1)
 		p.roster = roster

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idgka/internal/engine"
+	"idgka/internal/mathx"
 )
 
 func TestConfirmKeySucceeds(t *testing.T) {
@@ -23,7 +24,12 @@ func TestConfirmKeyDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one member's key.
-	members[1].Group().Key = new(big.Int).Add(members[1].Group().Key, big.NewInt(1))
+	g := members[1].Group()
+	key, err := mathx.NewScalar(g.Key.Order(), new(big.Int).Add(g.Key.BigVarTime(), big.NewInt(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Key = key
 	if err := ConfirmKey(net, members); err == nil {
 		t.Fatal("diverged key passed confirmation")
 	}

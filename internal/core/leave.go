@@ -27,7 +27,7 @@ func RunPartition(net netsim.Medium, members []*engine.Machine, leavers []string
 		if g == nil {
 			return engine.ErrNoSession
 		}
-		if g.Tau == nil {
+		if g.Tau.Order() == nil {
 			stale[mc.ID()] = true
 		}
 	}

@@ -118,7 +118,7 @@ func assertDirectKey(t *testing.T, nodes map[string]*node, sid string) {
 	}
 	want := bdkey.DirectKey(sg.G, rs, sg.Q, sg.P)
 	for _, id := range roster {
-		if nodes[id].mc.Session(sid).Key.Cmp(want) != 0 {
+		if nodes[id].mc.Session(sid).Key.BigVarTime().Cmp(want) != 0 {
 			t.Fatalf("%s: %s's key differs from g^{Σ r_j r_{j+1}}", sid, id)
 		}
 	}
@@ -187,7 +187,7 @@ func TestAccelTransparent(t *testing.T) {
 			reports := runLifecycle(t, nodes, tc.ring)
 			for sid, want := range tc.keys {
 				assertDirectKey(t, nodes, sid)
-				if got := keyDigest(nodes[tc.ring[0]].mc.Session(sid).Key); got != want {
+				if got := keyDigest(nodes[tc.ring[0]].mc.Session(sid).Key.BigVarTime()); got != want {
 					t.Errorf("%s: key digest %s, golden %s", sid, got, want)
 				}
 			}

@@ -191,10 +191,10 @@ func TestInterleavedSessions(t *testing.T) {
 	}
 	// Machine-level session lookup agrees with the events.
 	for _, id := range ring {
-		if g := nodes[id].mc.Session("red"); g == nil || g.Key.Cmp(red) != 0 {
+		if g := nodes[id].mc.Session("red"); g == nil || g.Key.BigVarTime().Cmp(red) != 0 {
 			t.Fatalf("%s: Session(red) lookup mismatch", id)
 		}
-		if g := nodes[id].mc.Session("blue"); g == nil || g.Key.Cmp(blue) != 0 {
+		if g := nodes[id].mc.Session("blue"); g == nil || g.Key.BigVarTime().Cmp(blue) != 0 {
 			t.Fatalf("%s: Session(blue) lookup mismatch", id)
 		}
 	}

@@ -36,7 +36,7 @@ func (mc *Machine) StartConfirm(sid, base string) ([]Outbound, []Event, error) {
 
 // digest computes H(key ‖ id ‖ roster) for one claimed holder.
 func (f *confirmFlow) digest(holder string) []byte {
-	chunks := [][]byte{f.g.Key.Bytes(), []byte(holder)}
+	chunks := [][]byte{f.g.Key.BigVarTime().Bytes(), []byte(holder)}
 	for _, id := range f.g.Roster {
 		chunks = append(chunks, []byte(id))
 	}

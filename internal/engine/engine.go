@@ -335,7 +335,7 @@ func (mc *Machine) baseGroup(base string) (*Group, error) {
 	if base != "" {
 		g = mc.sessions[base]
 	}
-	if g == nil || g.Key == nil {
+	if g == nil || g.Key.Order() == nil {
 		if base != "" {
 			return nil, fmt.Errorf("%w (no committed group under base session %q)", ErrNoSession, base)
 		}
@@ -349,7 +349,7 @@ func (mc *Machine) Key() *big.Int {
 	if mc.group == nil {
 		return nil
 	}
-	return mc.group.Key
+	return mc.group.Key.BigVarTime()
 }
 
 // start registers a new flow, runs its opening transitions, and replays

@@ -144,12 +144,12 @@ func assertSession(t *testing.T, nodes map[string]*node, ids []string, sid strin
 			t.Fatalf("%s reported failure: %v", id, fs[0].Err)
 		}
 		g := nodes[id].established(sid)
-		if g == nil || g.Key == nil {
+		if g == nil || g.Key.Order() == nil {
 			t.Fatalf("%s did not establish session %q", id, sid)
 		}
 		if key == nil {
-			key = g.Key
-		} else if key.Cmp(g.Key) != 0 {
+			key = g.Key.BigVarTime()
+		} else if key.Cmp(g.Key.BigVarTime()) != 0 {
 			t.Fatalf("%s disagrees on the key of session %q", id, sid)
 		}
 	}
@@ -226,7 +226,7 @@ func TestEngineLifecycleOrdered(t *testing.T) {
 	// each survivor's own session state.
 	stale := map[string]bool{}
 	for _, id := range all {
-		if g := nodes[id].established("s-join"); g.Tau == nil {
+		if g := nodes[id].established("s-join"); g.Tau.Order() == nil {
 			stale[id] = true
 		}
 	}
@@ -306,7 +306,7 @@ func TestEngineLifecycleShuffled(t *testing.T) {
 
 			stale := map[string]bool{}
 			for _, id := range all {
-				if g := nodes[id].established("s-join"); g.Tau == nil {
+				if g := nodes[id].established("s-join"); g.Tau.Order() == nil {
 					stale[id] = true
 				}
 			}

@@ -21,15 +21,15 @@ type Group struct {
 	// R is the member's own Diffie-Hellman exponent r_i.
 	R mathx.Scalar
 	// Tau is the member's GQ commitment τ_i, retained because the
-	// Leave/Partition protocols reuse it for even-indexed survivors.
-	Tau *big.Int
+	// Leave/Partition protocols reuse it for even-indexed survivors; the
+	// zero Scalar when the member holds none.
+	Tau mathx.Scalar
 	// Z holds the latest z_j seen for each member (own included).
 	Z map[string]*big.Int
 	// T holds the latest GQ commitment image t_j for each member.
 	T map[string]*big.Int
-	// Key is the current group key K.
-	//gkalint:secret
-	Key *big.Int
+	// Key is the current group key K, below p.
+	Key mathx.Scalar
 }
 
 // NewGroup builds an empty group view over the given ring order.

@@ -37,8 +37,8 @@ type joinFlow struct {
 	// Own secrets.
 	rJoin  mathx.Scalar // joiner: fresh exponent r_{n+1}
 	rPrime mathx.Scalar // U_1: fresh exponent r'_1
-	kDH    *big.Int     // DH bridge key: the joiner and U_n compute it, U_1 unwraps it from m''_n
-	kStar  *big.Int     // U_1: K* once folded
+	kDH    mathx.Scalar // DH bridge key: the joiner and U_n compute it, U_1 unwraps it from m''_n
+	kStar  mathx.Scalar // U_1: K* once folded
 
 	// Learned from traffic.
 	zJoin      *big.Int      // z_{n+1} from m_{n+1}
@@ -157,13 +157,17 @@ func (f *joinFlow) advanceJoiner() ([]Outbound, []Event, error) {
 		f.rJoin, f.zJoin, f.started = r, z, true
 		outs = append(outs, Outbound{Type: MsgJoin1, Payload: payload})
 	}
-	if f.lastSig != nil && f.kDH == nil {
+	if f.lastSig != nil && f.kDH.Order() == nil {
 		if err := mc.verify(f.un, wire.NewBuffer().PutBytes(f.wrapDH).PutBig(f.zn).Bytes(), f.lastSig); err != nil {
 			return outs, nil, err
 		}
-		f.kDH = mc.dhPower(f.zn, f.rJoin)
+		kDH, err := mc.dhPower(f.zn, f.rJoin)
+		if err != nil {
+			return outs, nil, err
+		}
+		f.kDH = kDH
 	}
-	if f.fwdWrapped != nil && f.kDH != nil {
+	if f.fwdWrapped != nil && f.kDH.Order() != nil {
 		kStar, err := mc.unwrapKey(f.kDH, f.fwdWrapped, f.un, f.fwdTables)
 		if err != nil {
 			return outs, nil, err
@@ -189,7 +193,10 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		kStar := mc.foldKey(g, f.zJoin, rPrime)
+		kStar, err := mc.foldKey(g, f.zJoin, rPrime)
+		if err != nil {
+			return nil, nil, err
+		}
 		wrapped, err := mc.wrapKey(g.Key, kStar, nil)
 		if err != nil {
 			return nil, nil, err
@@ -197,14 +204,14 @@ func (f *joinFlow) advanceController() ([]Outbound, []Event, error) {
 		f.rPrime, f.kStar, f.sentCtl = rPrime, kStar, true
 		outs = append(outs, Outbound{Type: MsgJoinCtl, Payload: wire.NewBuffer().PutString(mc.id).PutBytes(wrapped).Bytes()})
 	}
-	if f.lastSig != nil && f.kDH == nil {
+	if f.lastSig != nil && f.kDH.Order() == nil {
 		kDH, err := mc.unwrapKey(g.Key, f.wrapDH, f.un, nil)
 		if err != nil {
 			return outs, nil, err
 		}
 		f.kDH = kDH
 	}
-	if f.sentCtl && f.kDH != nil {
+	if f.sentCtl && f.kDH.Order() != nil {
 		evts, err := f.commit(f.kStar, f.kDH, f.rPrime) // U_1's exponent becomes r'_1
 		return outs, evts, err
 	}
@@ -222,8 +229,12 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		if err := f.verifyM1(); err != nil {
 			return nil, nil, err
 		}
-		f.kDH = mc.dhPower(f.zJoin, g.R)
-		wrappedDH, err := mc.wrapKey(g.Key, f.kDH, nil)
+		kDH, err := mc.dhPower(f.zJoin, g.R)
+		if err != nil {
+			return nil, nil, err
+		}
+		f.kDH = kDH
+		wrappedDH, err := mc.wrapKey(g.Key, kDH, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -234,7 +245,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		outs = append(outs, Outbound{Type: MsgJoinLast, Payload: append(wire.NewBuffer().PutString(mc.id).Bytes(), signed...)})
 		f.sentLast = true
 	}
-	if f.wrapStar != nil && f.kDH != nil {
+	if f.wrapStar != nil && f.kDH.Order() != nil {
 		kStar, err := mc.unwrapKey(g.Key, f.wrapStar, f.u1, nil)
 		if err != nil {
 			return outs, nil, err
@@ -277,12 +288,15 @@ func (f *joinFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 // commit builds the member's new session: K' = K* · K_DH (equation 6)
 // over the extended ring, recording the joiner's z. Members carry their
 // old z/t tables forward; the joiner ingests the tables U_n forwarded.
-func (f *joinFlow) commit(kStar, kDH *big.Int, r mathx.Scalar) ([]Event, error) {
-	key := new(big.Int).Mul(kStar, kDH)
+func (f *joinFlow) commit(kStar, kDH, r mathx.Scalar) ([]Event, error) {
+	key, err := f.mc.groupKey(new(big.Int).Mul(kStar.BigVarTime(), kDH.BigVarTime()))
+	if err != nil {
+		return nil, err
+	}
 	g := NewGroup(f.newRoster)
 	g.R = r
 	g.Z[f.joiner] = f.zJoin
-	g.Key = key.Mod(key, f.mc.cfg.Set.Schnorr.P)
+	g.Key = key
 	if f.role == jrJoiner {
 		if err := f.mc.ingestStateTables(g, f.fwdTables); err != nil {
 			return nil, err

@@ -38,9 +38,9 @@ type mergeFlow struct {
 
 	// Controller state.
 	rNew         mathx.Scalar
-	kDH          *big.Int
-	kStarOwn     *big.Int // own ring's K*
-	kStarForeign *big.Int // other ring's K*
+	kDH          mathx.Scalar
+	kStarOwn     mathx.Scalar // own ring's K*
+	kStarForeign mathx.Scalar // other ring's K*
 
 	// Learned from traffic.
 	adverts       map[string]*mergeAdvert
@@ -177,8 +177,15 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		if err := mc.verify(f.otherCtl, signed, a.sig); err != nil {
 			return outs, nil, err
 		}
-		f.kDH = mc.dhPower(a.zNew, f.rNew)
-		kStar := mc.foldKey(g, a.zLast, f.rNew)
+		kDH, err := mc.dhPower(a.zNew, f.rNew)
+		if err != nil {
+			return outs, nil, err
+		}
+		kStar, err := mc.foldKey(g, a.zLast, f.rNew)
+		if err != nil {
+			return outs, nil, err
+		}
+		f.kDH = kDH
 		// Wrap K* under the old group key and under the DH key.
 		wrapGroup, err := mc.wrapKey(g.Key, kStar, nil)
 		if err != nil {
@@ -193,7 +200,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		outs = append(outs, Outbound{Type: MsgMerge2, Payload: payload})
 		f.sentR2 = true
 	}
-	if f.wrapDHPeer != nil && f.kDH != nil && !f.sentR3 {
+	if f.wrapDHPeer != nil && f.kDH.Order() != nil && !f.sentR3 {
 		peerKStar, err := mc.unwrapKey(f.kDH, f.wrapDHPeer, f.otherCtl, nil)
 		if err != nil {
 			return outs, nil, err
@@ -208,7 +215,7 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		outs = append(outs, mc.withTables(MsgMerge3, "", rewrapped, encodeStateTables(g)))
 		f.sentR3 = true
 	}
-	if f.kStarOwn != nil && f.kStarForeign != nil && f.tablesForeign != nil {
+	if f.kStarOwn.Order() != nil && f.kStarForeign.Order() != nil && f.tablesForeign != nil {
 		evts, err := f.commit(f.rNew)
 		return outs, evts, err
 	}
@@ -220,21 +227,21 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 // once the foreign controller's tables and both adverts are in.
 func (f *mergeFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 	mc := f.mc
-	if f.wrapGroupOwn != nil && f.kStarOwn == nil {
+	if f.wrapGroupOwn != nil && f.kStarOwn.Order() == nil {
 		own, err := mc.unwrapKey(f.base.Key, f.wrapGroupOwn, f.ownCtl, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		f.kStarOwn = own
 	}
-	if f.rewrapped != nil && f.kStarForeign == nil {
+	if f.rewrapped != nil && f.kStarForeign.Order() == nil {
 		foreign, err := mc.unwrapKey(f.base.Key, f.rewrapped, f.ownCtl, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		f.kStarForeign = foreign
 	}
-	if f.kStarOwn != nil && f.kStarForeign != nil && f.tablesForeign != nil &&
+	if f.kStarOwn.Order() != nil && f.kStarForeign.Order() != nil && f.tablesForeign != nil &&
 		f.adverts[f.ctlA] != nil && f.adverts[f.ctlB] != nil {
 		evts, err := f.commit(f.base.R)
 		return nil, evts, err
@@ -249,7 +256,10 @@ func (f *mergeFlow) advanceOrdinary() ([]Outbound, []Event, error) {
 // runnable from any member's state), then ingests the foreign ring's
 // state tables. Both callers hold both adverts.
 func (f *mergeFlow) commit(r mathx.Scalar) ([]Event, error) {
-	key := new(big.Int).Mul(f.kStarOwn, f.kStarForeign)
+	key, err := f.mc.groupKey(new(big.Int).Mul(f.kStarOwn.BigVarTime(), f.kStarForeign.BigVarTime()))
+	if err != nil {
+		return nil, err
+	}
 	advA, advB := f.adverts[f.ctlA], f.adverts[f.ctlB]
 	g := NewGroup(f.newRoster)
 	g.R = r
@@ -259,7 +269,7 @@ func (f *mergeFlow) commit(r mathx.Scalar) ([]Event, error) {
 	g.Z[f.ctlB] = advB.zNew
 	g.Z[f.rosterA[len(f.rosterA)-1]] = advA.zLast
 	g.Z[f.rosterB[len(f.rosterB)-1]] = advB.zLast
-	g.Key = key.Mod(key, f.mc.cfg.Set.Schnorr.P)
+	g.Key = key
 	if err := f.mc.ingestStateTables(g, f.tablesForeign); err != nil {
 		return nil, err
 	}

@@ -108,16 +108,16 @@ func TestTwoGroupsOneMachineConcurrentDynamics(t *testing.T) {
 			// The shared machine's registry holds all four groups, each
 			// under its own sid, with the right rosters.
 			s := nodes["S01"].mc
-			if g := s.Session("f-join"); g == nil || g.Key.Cmp(newKeyA) != 0 || g.Size() != 4 || g.Last() != "J01" {
+			if g := s.Session("f-join"); g == nil || g.Key.BigVarTime().Cmp(newKeyA) != 0 || g.Size() != 4 || g.Last() != "J01" {
 				t.Fatalf("S01: bad f-join registry entry %+v", g)
 			}
-			if g := s.Session("f-leave"); g == nil || g.Key.Cmp(newKeyB) != 0 || g.Position("B02") != -1 {
+			if g := s.Session("f-leave"); g == nil || g.Key.BigVarTime().Cmp(newKeyB) != 0 || g.Position("B02") != -1 {
 				t.Fatalf("S01: bad f-leave registry entry %+v", g)
 			}
-			if g := s.Session("g-a"); g == nil || g.Key.Cmp(keyA) != 0 {
+			if g := s.Session("g-a"); g == nil || g.Key.BigVarTime().Cmp(keyA) != 0 {
 				t.Fatal("S01: base session g-a lost")
 			}
-			if g := s.Session("g-b"); g == nil || g.Key.Cmp(keyB) != 0 {
+			if g := s.Session("g-b"); g == nil || g.Key.BigVarTime().Cmp(keyB) != 0 {
 				t.Fatal("S01: base session g-b lost")
 			}
 		})

@@ -236,8 +236,7 @@ type ringState struct {
 	self   int
 	p, nn  *mathx.Modulus // the Schnorr group's p and the GQ modulus N
 
-	r   mathx.Scalar
-	tau *big.Int
+	r, tau mathx.Scalar
 	// zs and xs hold p's values, ts and ss N's.
 	zs, ts, xs, ss mathx.Packed
 	// peersX counts the peers whose round-2 X and s are recorded.
@@ -369,6 +368,10 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 		return nil, err
 	}
 	mc.m.Exp(1)
+	k, err := mc.groupKey(key)
+	if err != nil {
+		return nil, err
+	}
 
 	// The committed group takes over the ring's roster and position map,
 	// which nothing writes after start, and its z and t views are
@@ -385,7 +388,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 		Tau:    rs.tau,
 		Z:      make(map[string]*big.Int, n),
 		T:      make(map[string]*big.Int, n),
-		Key:    key,
+		Key:    k,
 	}
 	for i, id := range rs.roster {
 		g.Z[id], g.T[id] = &views[i], &views[n+i]

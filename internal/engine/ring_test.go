@@ -97,7 +97,7 @@ func TestRound2PowersMatchXValue(t *testing.T) {
 				if e.Kind != EventEstablished {
 					t.Fatalf("n=%d, %s: unexpected event %+v", n, from, e)
 				}
-				keys[from] = e.Group.Key
+				keys[from] = e.Group.Key.BigVarTime()
 			}
 		}
 		for _, id := range ring {

@@ -82,12 +82,12 @@ func (mc *Machine) freshExp() (r mathx.Scalar, z *big.Int, err error) {
 	return r, sg.Exp(r.BigVarTime()), nil
 }
 
-// dhPower returns the Diffie-Hellman value z^r mod p, on the fixed window
+// dhPower returns the Diffie-Hellman key z^r mod p, on the fixed window
 // over q's bit length, so its schedule does not depend on r.
-func (mc *Machine) dhPower(z *big.Int, r mathx.Scalar) *big.Int {
+func (mc *Machine) dhPower(z *big.Int, r mathx.Scalar) (mathx.Scalar, error) {
 	mo := mc.cfg.Set.Schnorr.Mont()
 	mc.m.Exp(1)
-	return mo.FromMont(mo.ExpFixed(mo.ToMont(z), r))
+	return mc.groupKey(mo.FromMont(mo.ExpFixed(mo.ToMont(z), r)))
 }
 
 // foldKey computes a controller's K* = K·(z_next·z_last)^{-r}·(z_next·z̃)^{r'}
@@ -100,26 +100,30 @@ func (mc *Machine) dhPower(z *big.Int, r mathx.Scalar) *big.Int {
 // as q-r with no field inverse (see docs/ARCHITECTURE.md#deviations),
 // and both powers run as one ExpPair call on the fixed window over q's
 // bit length.
-func (mc *Machine) foldKey(g *Group, zNew *big.Int, rNew mathx.Scalar) *big.Int {
-	sg := mc.cfg.Set.Schnorr
-	mo := sg.Mont()
+func (mc *Machine) foldKey(g *Group, zNew *big.Int, rNew mathx.Scalar) (mathx.Scalar, error) {
+	mo := mc.cfg.Set.Schnorr.Mont()
 	zNext := mo.ToMont(g.Z[g.Neighbor(0, 1)])
 	out, in := mo.Mul(zNext, mo.ToMont(g.Z[g.Last()])), mo.Mul(zNext, mo.ToMont(zNew))
 	pOut, pIn := mo.ExpPair(out, g.R.Neg(), in, rNew)
 	mc.m.Exp(2)
-	k := new(big.Int).Mul(g.Key, mo.FromMont(mo.Mul(pOut, pIn)))
-	return k.Mod(k, sg.P)
+	return mc.groupKey(new(big.Int).Mul(g.Key.BigVarTime(), mo.FromMont(mo.Mul(pOut, pIn))))
+}
+
+// groupKey returns k mod p as a key: a group key, K* or K_DH.
+func (mc *Machine) groupKey(k *big.Int) (mathx.Scalar, error) {
+	p := mc.cfg.Set.Schnorr.P
+	return mathx.NewScalar(p, k.Mod(k, p))
 }
 
 // wrapKey returns E_k(secret‖U), U being this member: the key transport
 // of Join and Merge. ad is bound to the ciphertext as AEAD associated
 // data, carried beside it rather than in it (nil for none).
-func (mc *Machine) wrapKey(k, secret *big.Int, ad []byte) ([]byte, error) {
-	c, err := sym.NewFromBig(k)
+func (mc *Machine) wrapKey(k, secret mathx.Scalar, ad []byte) ([]byte, error) {
+	c, err := sym.NewFromBig(k.BigVarTime())
 	if err != nil {
 		return nil, err
 	}
-	w, err := c.WrapSecret(mc.cfg.rand(), secret, mc.id, ad)
+	w, err := c.WrapSecret(mc.cfg.rand(), secret.BigVarTime(), mc.id, ad)
 	if err != nil {
 		return nil, err
 	}
@@ -127,20 +131,20 @@ func (mc *Machine) wrapKey(k, secret *big.Int, ad []byte) ([]byte, error) {
 	return w, nil
 }
 
-// unwrapKey opens E_k(secret‖from), bound to ad, and returns the secret.
-// A ciphertext that does not open under k and ad, or names another
+// unwrapKey opens E_k(secret‖from), bound to ad, and returns the secret
+// mod p. A ciphertext that does not open under k and ad, or names another
 // sender, is retryable.
-func (mc *Machine) unwrapKey(k *big.Int, wrapped []byte, from string, ad []byte) (*big.Int, error) {
-	c, err := sym.NewFromBig(k)
+func (mc *Machine) unwrapKey(k mathx.Scalar, wrapped []byte, from string, ad []byte) (mathx.Scalar, error) {
+	c, err := sym.NewFromBig(k.BigVarTime())
 	if err != nil {
-		return nil, err
+		return mathx.Scalar{}, err
 	}
 	secret, err := c.UnwrapSecret(wrapped, from, ad)
 	if err != nil {
-		return nil, Retryable(fmt.Errorf("engine: %s failed to unwrap the key from %s: %w", mc.id, from, err))
+		return mathx.Scalar{}, Retryable(fmt.Errorf("engine: %s failed to unwrap the key from %s: %w", mc.id, from, err))
 	}
 	mc.m.Sym(0, 1)
-	return secret, nil
+	return mc.groupKey(secret)
 }
 
 // sign returns body ‖ s ‖ c: the encoded fields followed by this member's

@@ -96,7 +96,10 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 	for _, id := range g.Roster {
 		g.Z[id] = sg.Exp(rnd(q))
 	}
-	g.Key = rnd(p)
+	key := rnd(p)
+	if g.Key, err = mathx.NewScalar(p, key); err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range exps {
 		deviant := i == len(exps)-1
 		if deviant {
@@ -109,16 +112,24 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 		out.ModInverse(out.Mod(out, p), p).Exp(out, r, p)
 		in := new(big.Int).Mul(zNext, zNew)
 		in.Exp(in.Mod(in, p), rNew, p)
-		want := new(big.Int).Mul(g.Key, out)
+		want := new(big.Int).Mul(key, out)
 		want.Mod(want, p).Mul(want, in).Mod(want, p)
 		if deviant {
 			want.Sub(p, want)
 		}
 		before := m.Report().Exp
-		if got := mc.foldKey(g, zNew, scalar(rNew)); got.Cmp(want) != 0 {
+		kStar, err := mc.foldKey(g, zNew, scalar(rNew))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := kStar.BigVarTime(); got.Cmp(want) != 0 {
 			t.Fatalf("r=%v r'=%v deviant=%v: foldKey = %v, want %v", r, rNew, deviant, got, want)
 		}
-		if got := mc.dhPower(zNew, scalar(r)); got.Cmp(new(big.Int).Exp(zNew, r, p)) != 0 {
+		kDH, err := mc.dhPower(zNew, scalar(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := kDH.BigVarTime(); got.Cmp(new(big.Int).Exp(zNew, r, p)) != 0 {
 			t.Fatalf("r=%v: dhPower = %v, want %v", r, got, new(big.Int).Exp(zNew, r, p))
 		}
 		if d := m.Report().Exp - before; d != 3 {

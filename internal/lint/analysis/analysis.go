@@ -6,7 +6,7 @@
 // diagnostics; a shared waiver mechanism (//gkalint:<verb> <reason>
 // comments) suppresses individual findings with an audit trail, and an
 // annotation index carries cross-package markers such as
-// //gkalint:secret. If the x/tools dependency ever becomes available,
+// //gkalint:callback. If the x/tools dependency ever becomes available,
 // analyzers port over by swapping the import path.
 package analysis
 
@@ -62,7 +62,7 @@ type Pass struct {
 	// Index holds cross-package gkalint annotations collected over every
 	// loaded package (never nil during Run).
 	Index *Index
-	// Prog is the whole-program view (call graph, taint and lock engines)
+	// Prog is the whole-program view (call graph and lock engine)
 	// over every loaded package — the substrate of the interprocedural
 	// analyzers (never nil during Run).
 	Prog *Program
@@ -80,13 +80,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Index aggregates gkalint annotations across every package of a run, so
 // an analyzer checking package A sees markers declared in package B
-// (e.g. a secret field of an imported type). It is built by Run before
+// (e.g. a guarded field of an imported type). It is built by Run before
 // any analyzer executes.
 type Index struct {
-	// Secrets holds BuiltinSecrets and every //gkalint:secret marker:
-	// "pkgpath.Type" for a whole type, "pkgpath.Type.Field" for one
-	// struct field.
-	Secrets map[string]bool
 	// Callbacks holds //gkalint:callback markers on func-typed struct
 	// fields and on methods: "pkgpath.Type.Name". Marked callables are
 	// user callbacks that must not be invoked while a lock is held.
@@ -96,27 +92,6 @@ type Index struct {
 	// value (e.g. "mu", "mb.mu"). Collected globally so a guard declared
 	// in one package protects accesses from every other package.
 	Guards map[string]map[string]string
-}
-
-// BuiltinSecrets is the floor of the secret set: the repo's known key
-// material, enforced even where //gkalint:secret markers are outside the
-// analyzed package set. "pkgpath.Type" marks a whole type,
-// "pkgpath.Type.Field" one struct field. mathx.Scalar is the secret
-// exponent type: every r_i, r' and DH exponent of the engine is one.
-// mathx.Elem is not a secret type, as most residues are public, but its
-// redacting Format never runs on an unexported field, so an Elem field
-// that holds key material is listed by name: ringState.edge holds
-// g^{r_i·r_{i+1}}.
-var BuiltinSecrets = []string{
-	"idgka/internal/mathx.Scalar",
-	"idgka/internal/sigs/gq.PrivateKey",
-	"idgka/internal/sigs/gq.PrivateKey.S",
-	"idgka/internal/sigs/sok.PrivateKey",
-	"idgka/internal/sigs/sok.PrivateKey.D",
-	"idgka/internal/sigs/sok.PKG.s",
-	"idgka/internal/engine.Group.Key",
-	"idgka/internal/engine.ringState.edge",
-	"idgka.Session.key",
 }
 
 // Guard returns the guard path for a field of an owner type, or "".
@@ -205,10 +180,7 @@ func (wm waiverMap) lookup(file string, line int, verb string) (*waiver, bool) {
 
 // buildIndex scans every loaded package for cross-package annotations.
 func buildIndex(pkgs []*Package) *Index {
-	idx := &Index{Secrets: map[string]bool{}, Callbacks: map[string]bool{}, Guards: map[string]map[string]string{}}
-	for _, s := range BuiltinSecrets {
-		idx.Secrets[s] = true
-	}
+	idx := &Index{Callbacks: map[string]bool{}, Guards: map[string]map[string]string{}}
 	for _, pkg := range pkgs {
 		collectAnnotations(pkg, idx)
 		collectGuards(pkg, idx)
@@ -293,18 +265,11 @@ func markerOn(pkg *Package, wm waiverMap, verbs map[string]bool, docs []*ast.Com
 	return "", false
 }
 
-var annotationVerbs = map[string]bool{"secret": true, "callback": true}
+var annotationVerbs = map[string]bool{"callback": true}
 
 func collectAnnotations(pkg *Package, idx *Index) {
 	wm := collectWaivers(pkg)
-	record := func(verb, key string) {
-		switch verb {
-		case "secret":
-			idx.Secrets[key] = true
-		case "callback":
-			idx.Callbacks[key] = true
-		}
-	}
+	record := func(_, key string) { idx.Callbacks[key] = true }
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -367,8 +332,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 
 // RunWithIndex is Run with the annotation index built over a wider
 // package set than the analyzed one — analysistest uses it so fixture
-// dependency packages contribute their //gkalint:secret markers without
-// being analyzed themselves.
+// dependency packages contribute their markers without being analyzed
+// themselves.
 func RunWithIndex(pkgs, indexed []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	all, _, err := RunAll(pkgs, indexed, analyzers)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // A Func is one analyzable function body in the program: a declared
 // function or method (Decl set) or a function literal (Lit set), with
 // the package it lives in. Function literals are registered so the
-// taint engine can summarize closures bound to variables; their bodies
+// lock engine can summarize closures bound to variables; their bodies
 // are additionally scanned in place as part of their enclosing
 // declaration, which is how captured variables stay visible.
 type Func struct {
@@ -114,7 +114,6 @@ type Program struct {
 	all     []*Func                // deterministic order: package, file, position
 	methods map[string][]*Func     // method name -> declared methods (interface fallback)
 
-	taint *Taint // lazily built shared taint engine
 	locks *Locks // lazily built shared lock engine
 }
 

@@ -5,12 +5,13 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // This file is the whole-program lock engine shared by the concurrency
-// analyzers (lockorder v2, blockunderlock, lockcycle). It mirrors the
-// taint engine's architecture: every function gets a summary — the
+// analyzers (lockorder v2, blockunderlock, lockcycle). Every function
+// gets a summary — the
 // locks it net-acquires or net-releases on behalf of its caller, the
 // locks it may transitively acquire anywhere beneath it, and whether it
 // may block — iterated to a bounded fixpoint so recursion converges.
@@ -198,8 +199,26 @@ func (l *Locks) summaryOf(fn *Func) *lockSummary {
 // FnBlock returns the function's transitive blocking site, or nil.
 func (l *Locks) FnBlock(fn *Func) *BlockSite { return l.summaryOf(fn).block }
 
+// maxSummaryRounds bounds the interprocedural fixpoint: recursion and
+// mutual recursion converge round by round, and a pathological input
+// degrades to an under-approximation instead of blowing up CI time.
+const maxSummaryRounds = 6
+
+// paramTag is the positional tag "#i" of parameter i (the receiver is 0
+// for a method) in a summary's caller-visible lock keys.
+func paramTag(i int) string { return "#" + strconv.Itoa(i) }
+
+// tagIndex returns the parameter index of a tag paramTag made.
+func tagIndex(r string) (int, bool) {
+	if !strings.HasPrefix(r, "#") {
+		return 0, false
+	}
+	i, err := strconv.Atoi(r[1:])
+	return i, err == nil
+}
+
 // buildSummaries iterates the per-function summaries to a bounded
-// fixpoint, exactly like the taint engine: round N sees the round N-1
+// fixpoint: round N sees the round N-1
 // summaries of every callee, so effects through recursion and mutual
 // recursion accumulate monotonically.
 func (l *Locks) buildSummaries() {

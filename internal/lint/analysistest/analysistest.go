@@ -10,8 +10,8 @@
 //
 // Since PR 9 fixture arguments may be "dir/..." patterns: every package
 // directory beneath testdata/src/dir is loaded as a target, which is how
-// the interprocedural analyzers get multi-package fixtures — a secret
-// declared in one fixture package, leaked from another, with want
+// the interprocedural analyzers get multi-package fixtures — a lock
+// declared in one fixture package, misused from another, with want
 // markers on both sides of the import edge.
 //
 // Since PR 10 a fixture can also pin the analyzer's machine-readable

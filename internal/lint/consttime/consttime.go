@@ -4,17 +4,17 @@
 // secret — the instruction-cache, branch-predictor and data-cache
 // side channels of modular exponentiation.
 //
-// Secrets are found by type, one function at a time: a value of type
-// mathx.Scalar or of one of the unexported exponent-word and digit types
-// its fixed window reads (so a helper taking a digit is checked in its
-// own body, whoever calls it), a //gkalint:secret marked field, or a
-// local assigned one of these through operators, conversions, indexing,
-// slicing or field selection. Any other call returns a secret only by
-// its result type. A function whose name ends in VarTime is exempt, as
-// in the Go toolchain's bigmod: its callers name the variable-time use.
-// Deliberately variable-time setup code carries a justified
-// //gkalint:vartime <why> waiver. docs/STATIC-ANALYSIS.md has the
-// details and the narrowing against the old interprocedural pass.
+// Secrets are found by type alone, one function at a time: a value of
+// type mathx.Scalar or of one of the unexported exponent-word and digit
+// types its fixed window reads (so a helper taking a digit is checked in
+// its own body, whoever calls it), or a local assigned one of these
+// through operators, conversions, indexing, slicing or field selection.
+// Secrets are Scalars by type, so no field carries a marker. Any other
+// call returns a secret only by its result type. A function whose name
+// ends in VarTime is exempt, as in the Go toolchain's bigmod: its callers
+// name the variable-time use. Deliberately variable-time code carries a
+// justified //gkalint:vartime <why> waiver. docs/STATIC-ANALYSIS.md has
+// the details.
 package consttime
 
 import (
@@ -46,7 +46,7 @@ var secretTypes = map[string]bool{
 // crypto hot paths.
 var Analyzer = &analysis.Analyzer{
 	Name:       "consttime",
-	Doc:        "crypto hot paths must not branch, loop, or index on a secret (a mathx.Scalar, its words or digits, a marked field, or a local derived from one); functions named ...VarTime and //gkalint:vartime sites are exempt",
+	Doc:        "crypto hot paths must not branch, loop, or index on a secret (a mathx.Scalar, its words or digits, or a local derived from one); functions named ...VarTime and //gkalint:vartime sites are exempt",
 	WaiverVerb: "vartime",
 	Run:        run,
 }
@@ -148,8 +148,8 @@ func (c *checker) report(e ast.Expr, pos token.Pos, kind string) {
 	}
 }
 
-// roots returns, sorted, the secrets e reads: values of a secret type,
-// marked fields and locals assigned one. With calls set it looks into
+// roots returns, sorted, the secrets e reads: values of a secret type and
+// locals assigned one. With calls set it looks into
 // every call's arguments and receiver, as a condition that passes a
 // secret to any call depends on it; without, a call other than a
 // conversion is secret only by its result type. A comparison with nil is
@@ -170,9 +170,7 @@ func (c *checker) roots(e ast.Expr, calls bool) []string {
 				name = "local " + x.Name
 			}
 		case *ast.SelectorExpr:
-			if fld, owner, ok := analysis.FieldOf(info, x); ok && c.pass.Index.Secrets[owner+"."+fld.Name()] {
-				name = owner + "." + fld.Name()
-			} else if name == "" && c.secretType(x.X) != "" {
+			if name == "" && c.secretType(x.X) != "" {
 				return false
 			}
 		case *ast.BinaryExpr:

@@ -5,34 +5,42 @@ package mathx
 
 import "math/big"
 
-// Key is fixture key material behind a marked field.
-type Key struct {
-	//gkalint:secret
-	K []byte
+// scalarWords and expDigit mirror the real exponent word and digit
+// types: every value of them is secret.
+type (
+	scalarWords [4]big.Word
+	expDigit    uint
+)
+
+// Scalar mirrors the real opaque secret: secret words behind a
+// pointer, public order.
+type Scalar struct {
+	w *scalarWords
+	q *big.Int
 }
 
-// Select branches and table-indexes on secret bytes — the classic
+// Select branches and table-indexes on secret words — the classic
 // sliding-window leak shape.
-func Select(s Key, table []uint32) uint32 {
-	if s.K[0]&1 == 1 { // want `secret-dependent branch on idgka/internal/mathx\.Key\.K`
-		return table[s.K[1]] // want `secret-dependent table index on idgka/internal/mathx\.Key\.K`
+func Select(s Scalar, table []uint32) uint32 {
+	if s.w[0]&1 == 1 { // want `secret-dependent branch on idgka/internal/mathx\.scalarWords`
+		return table[s.w[1]] // want `secret-dependent table index on idgka/internal/mathx\.scalarWords`
 	}
 	return 0
 }
 
-// Iterate loops over the secret: the bound leaks its length and the
-// body's trip pattern its content.
-func Iterate(s Key) int {
+// Iterate loops over the secret: the body's trip pattern leaks its
+// content.
+func Iterate(s Scalar) int {
 	n := 0
-	for _, b := range s.K { // want `secret-dependent loop bound on idgka/internal/mathx\.Key\.K`
-		n += int(b)
+	for _, w := range s.w { // want `secret-dependent loop bound on idgka/internal/mathx\.scalarWords`
+		n += int(w)
 	}
 	return n
 }
 
 // Validate stays clean: nil-ness is presence, not content.
-func Validate(s Key) bool {
-	if s.K == nil {
+func Validate(s Scalar) bool {
+	if s.w == nil {
 		return false
 	}
 	return true
@@ -40,9 +48,9 @@ func Validate(s Key) bool {
 
 // Waived is the sanctioned escape hatch for deliberate variable-time
 // code.
-func Waived(s Key, table []uint32) uint32 {
+func Waived(s Scalar, table []uint32) uint32 {
 	//gkalint:vartime fixture justification for a deliberate branch
-	if s.K[0] == 0 {
+	if s.w[0] == 0 {
 		return table[0]
 	}
 	return 1
@@ -54,19 +62,6 @@ func Public(n int, table []uint32) uint32 {
 		return table[n]
 	}
 	return 0
-}
-
-// scalarWords and expDigit mirror the real exponent word and digit
-// types: every value of them is secret.
-type (
-	scalarWords [4]big.Word
-	expDigit    uint
-)
-
-// Scalar mirrors the real opaque exponent: secret words, public order.
-type Scalar struct {
-	w scalarWords
-	q *big.Int
 }
 
 func digit(x *scalarWords, i int) expDigit {
@@ -85,7 +80,7 @@ func inner(d expDigit) int {
 
 // Outer feeds a digit across the call edge.
 func Outer(s Scalar) int {
-	return inner(digit(&s.w, 0))
+	return inner(digit(s.w, 0))
 }
 
 // untyped takes a plain integer: a digit converted before the call is
@@ -99,7 +94,7 @@ func untyped(k uint) int {
 
 // OuterUntyped converts the digit away before the call.
 func OuterUntyped(s Scalar) int {
-	return untyped(uint(digit(&s.w, 0)))
+	return untyped(uint(digit(s.w, 0)))
 }
 
 func mul(z, x, y *[4]big.Word) {}

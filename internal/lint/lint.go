@@ -22,7 +22,6 @@ import (
 	"idgka/internal/lint/load"
 	"idgka/internal/lint/lockcycle"
 	"idgka/internal/lint/lockorder"
-	"idgka/internal/lint/secretflow"
 )
 
 // Suite is every gkalint analyzer, in reporting order.
@@ -34,7 +33,6 @@ var Suite = []*analysis.Analyzer{
 	goroleak.Analyzer,
 	lockcycle.Analyzer,
 	lockorder.Analyzer,
-	secretflow.Analyzer,
 }
 
 // Check loads the packages matching the go-list patterns rooted at dir

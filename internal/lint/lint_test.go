@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -19,7 +20,7 @@ import (
 )
 
 // suiteBudget bounds the whole-repo sweep's wall-clock time. The
-// whole-program layer (call graph + bounded taint fixpoint) must stay
+// whole-program layer (call graph + bounded lock fixpoint) must stay
 // cheap enough to run on every push; if the suite outgrows this, fix
 // the engine, don't raise the budget.
 const suiteBudget = 2 * time.Minute
@@ -63,22 +64,37 @@ func repoRoot(t *testing.T) string {
 // module's Go files outside internal/lint (fixtures and nested modules
 // excluded); a verb not listed is pinned at 0. A count may fall; lower
 // its pin with it. A rise means a new marker or waiver where a type or a
-// fix could carry the invariant: secret exponents, for one, are secret
-// by their type, mathx.Scalar.
+// fix could carry the invariant: secrets, for one, are secret by their
+// type, mathx.Scalar.
 var annotationCeiling = map[string]int{
 	"bounded":   3,
 	"callback":  3,
 	"guard":     16,
-	"secret":    10,
-	"secretok":  3,
 	"unbounded": 7,
-	"vartime":   2,
 }
 
-// TestAnnotationRatchet counts the annotations and fails above a pin.
+// varTimeCeiling pins, by package directory, the call sites of methods
+// named ...VarTime in the same files, test files excluded; a package not
+// listed is pinned at 0. Each such call is a variable-time view of a
+// secret (a Scalar's BigVarTime), so a secret leaves its type only at a
+// named, counted call. A count may fall; lower its pin with it.
+var varTimeCeiling = map[string]int{
+	".":                   1,
+	"cmd/paramgen":        3,
+	"internal/baseline":   1,
+	"internal/engine":     11,
+	"internal/mathx":      4,
+	"internal/sigs/dsa":   2,
+	"internal/sigs/ecdsa": 2,
+	"internal/sigs/gq":    4,
+	"internal/sigs/sok":   2,
+}
+
+// TestAnnotationRatchet counts the annotations and the ...VarTime call
+// sites and fails above a pin.
 func TestAnnotationRatchet(t *testing.T) {
 	root := repoRoot(t)
-	counts := map[string]int{}
+	counts, varTime := map[string]int{}, map[string]int{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -107,19 +123,43 @@ func TestAnnotationRatchet(t *testing.T) {
 				}
 			}
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && strings.HasSuffix(sel.Sel.Name, "VarTime") {
+					varTime[filepath.ToSlash(dir)]++
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for verb, n := range counts {
-		if ceiling := annotationCeiling[verb]; n > ceiling {
-			t.Errorf("%d //gkalint:%s annotations outside internal/lint, above the pinned %d", n, verb, ceiling)
+	ratchet(t, counts, annotationCeiling, "//gkalint:%s annotations outside internal/lint")
+	ratchet(t, varTime, varTimeCeiling, "...VarTime call sites in %s")
+}
+
+// ratchet fails for every key counted above its ceiling (0 when not
+// listed) and logs the ceilings that can fall. what names the counted
+// thing, formatted with the key.
+func ratchet(t *testing.T, counts, ceiling map[string]int, what string) {
+	t.Helper()
+	for key, n := range counts {
+		if c := ceiling[key]; n > c {
+			t.Errorf("%d "+what+", above the pinned %d", n, key, c)
 		}
 	}
-	for verb, ceiling := range annotationCeiling {
-		if n := counts[verb]; n < ceiling {
-			t.Logf("//gkalint:%s: %d annotations, pinned at %d; lower the pin", verb, n, ceiling)
+	for key, c := range ceiling {
+		if n := counts[key]; n < c {
+			t.Logf("%d "+what+", pinned at %d; lower the pin", n, key, c)
 		}
 	}
 }

@@ -114,15 +114,15 @@ func (mo *Modulus) reduce(z, x []big.Word) {
 // chains is one amm52x20x2 call; otherwise each chain runs on montMul.
 // The results are the same values as ExpElem's.
 func (mo *Modulus) ExpPair(b1 Elem, e1 Scalar, b2 Elem, e2 Scalar) (Elem, Elem) {
-	out := make([]big.Word, 2*mo.k)
-	z1, z2 := out[:mo.k:mo.k], out[mo.k:]
+	out := new([2]elemBox)
+	z1, z2 := mo.elemIn(&out[0]), mo.elemIn(&out[1])
 	top := fixedTop(max(e1.q.BitLen(), e2.q.BitLen()))
 	if mo.lane {
-		mo.expPairLane(z1, z2, b1.w, &e1.w, b2.w, &e2.w, top)
+		mo.expPairLane(z1.limbs(), z2.limbs(), b1.limbs(), e1.r.w, b2.limbs(), e2.r.w, top)
 	} else {
-		mo.expPairMont(z1, z2, b1.w, &e1.w, b2.w, &e2.w, top)
+		mo.expPairMont(z1.limbs(), z2.limbs(), b1.limbs(), e1.r.w, b2.limbs(), e2.r.w, top)
 	}
-	return Elem{z1}, Elem{z2}
+	return z1, z2
 }
 
 // ExpFixed returns base^e in the Montgomery domain on ExpPair's fixed
@@ -134,9 +134,10 @@ func (mo *Modulus) ExpFixed(base Elem, e Scalar) Elem {
 		z, _ := mo.ExpPair(base, e, base, e)
 		return z
 	}
-	z := make([]big.Word, mo.k)
-	mo.expFixedMont(z, base.w, &e.w, fixedTop(e.q.BitLen()), make([]big.Word, (fixedEntries+1)*mo.k))
-	return Elem{z}
+	z := mo.newElem()
+	var tbuf [(fixedEntries + 1) * inlineLimbs]big.Word
+	mo.expFixedMont(z.limbs(), base.limbs(), e.r.w, fixedTop(e.q.BitLen()), scratch(tbuf[:], (fixedEntries+1)*mo.k))
+	return z
 }
 
 // expPairLane is ExpPair on amm52x20x2, reading x1's and x2's digits top

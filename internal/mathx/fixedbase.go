@@ -76,7 +76,7 @@ func newCombTable(base *big.Int, mo *Modulus, maxBits, h, v int) (*FixedBaseTabl
 		flat:    make([]big.Word, v<<h*mo.k),
 	}
 	k := mo.k
-	cur := mo.ToMont(t.base).w // base^(2^(s·b)) for the current strip s
+	cur := mo.ToMont(t.base).limbs() // base^(2^(s·b)) for the current strip s
 	for i := 0; i < h; i++ {
 		for j := 0; j < v; j++ {
 			blk := t.flat[(j<<h)*k : ((j+1)<<h)*k]
@@ -129,9 +129,26 @@ func (t *FixedBaseTable) ExpMul(e, y *big.Int) *big.Int {
 		}
 		return z.Mod(z.Mul(z, y), t.mo.m)
 	}
-	var abuf, ybuf [maxModulusWords]big.Word
+	var ybuf [maxModulusWords]big.Word
+	return t.expMul(e, t.mo.limbs(&ybuf, y))
+}
+
+// ExpMulScalar is ExpMul with a secret factor y, whose words enter the
+// product with no test of their range: y's order must not exceed m, or
+// the product runs through y.BigVarTime().
+func (t *FixedBaseTable) ExpMulScalar(e *big.Int, y Scalar) *big.Int {
+	if !t.Covers(e) || y.q.Cmp(t.mo.m) > 0 {
+		return t.ExpMul(e, y.BigVarTime())
+	}
+	var ybuf [maxModulusWords]big.Word
+	return t.expMul(e, t.mo.scalarLimbs(&ybuf, y))
+}
+
+// expMul is ExpMul for a covered exponent e and the factor's limbs yl.
+func (t *FixedBaseTable) expMul(e *big.Int, yl []big.Word) *big.Int {
+	var abuf [maxModulusWords]big.Word
 	mo, ws := t.mo, e.Bits()
-	acc, yl := abuf[:mo.k], mo.limbs(&ybuf, y)
+	acc := abuf[:mo.k]
 	if mo.lane && t.v == 2 {
 		t.combLane(acc, ws, yl)
 	} else {

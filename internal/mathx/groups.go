@@ -180,12 +180,9 @@ func (sg *SchnorrGroup) InSubgroup(v *big.Int) bool {
 type RSAParams struct {
 	N *big.Int // public modulus
 	E *big.Int // public verification exponent
-	//gkalint:secret
-	P *big.Int // secret prime factor
-	//gkalint:secret
-	Q *big.Int // secret prime factor
-	//gkalint:secret
-	D *big.Int // secret extraction exponent
+	P Scalar   // secret prime factor, below N
+	Q Scalar   // secret prime factor, below N
+	D Scalar   // secret extraction exponent, below N
 
 	// mont caches the Montgomery context for N (built lazily by Mont).
 	mont atomic.Pointer[Modulus]
@@ -234,29 +231,36 @@ func GenerateRSAParams(r io.Reader, bits int) (*RSAParams, error) {
 		if d == nil {
 			continue
 		}
-		return &RSAParams{N: n, E: new(big.Int).Set(e), P: p, Q: q, D: d}, nil
+		ps, errP := NewScalar(n, p)
+		qs, errQ := NewScalar(n, q)
+		ds, errD := NewScalar(n, d)
+		if err := errors.Join(errP, errQ, errD); err != nil {
+			return nil, err
+		}
+		return &RSAParams{N: n, E: new(big.Int).Set(e), P: ps, Q: qs, D: ds}, nil
 	}
 	return nil, errors.New("mathx: RSA parameter generation exhausted retries")
 }
 
-// Validate checks the public/secret consistency of the parameter set.
+// Validate checks the public/secret consistency of the parameter set. It
+// runs at setup, on the variable-time views of the secrets.
 func (rp *RSAParams) Validate() error {
 	if rp == nil || rp.N == nil || rp.E == nil {
 		return errors.New("mathx: incomplete RSA params")
 	}
-	if rp.P != nil && rp.Q != nil {
-		//gkalint:vartime offline parameter validation at setup, not a per-session signing path
-		if new(big.Int).Mul(rp.P, rp.Q).Cmp(rp.N) != 0 {
-			return errors.New("mathx: N != P*Q")
-		}
-		//gkalint:vartime Miller-Rabin on the factors is inherently variable-time; setup only
-		if !IsProbablePrime(rp.P) || !IsProbablePrime(rp.Q) {
-			return errors.New("mathx: RSA factor not prime")
-		}
+	if rp.P.q == nil || rp.Q.q == nil {
+		return nil
 	}
-	if rp.D != nil && rp.P != nil && rp.Q != nil {
+	p, q := rp.P.BigVarTime(), rp.Q.BigVarTime()
+	if new(big.Int).Mul(p, q).Cmp(rp.N) != 0 {
+		return errors.New("mathx: N != P*Q")
+	}
+	if !IsProbablePrime(p) || !IsProbablePrime(q) {
+		return errors.New("mathx: RSA factor not prime")
+	}
+	if rp.D.q != nil {
 		probe := big.NewInt(0xabcdef)
-		sig := new(big.Int).Exp(probe, rp.D, rp.N)
+		sig := new(big.Int).Exp(probe, rp.D.BigVarTime(), rp.N)
 		back := new(big.Int).Exp(sig, rp.E, rp.N)
 		if back.Cmp(probe) != 0 {
 			return errors.New("mathx: e,d are not inverse exponents")

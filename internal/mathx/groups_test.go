@@ -74,7 +74,7 @@ func TestGenerateRSAParams(t *testing.T) {
 	}
 	// Exponent round trip: (x^d)^e == x.
 	x := big.NewInt(123456789)
-	s := new(big.Int).Exp(x, rp.D, rp.N)
+	s := new(big.Int).Exp(x, rp.D.BigVarTime(), rp.N)
 	back := new(big.Int).Exp(s, rp.E, rp.N)
 	if back.Cmp(x) != 0 {
 		t.Fatal("d/e are not inverse exponents")
@@ -87,7 +87,7 @@ func TestRSAPublicStripsSecrets(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := rp.Public()
-	if pub.D != nil || pub.P != nil || pub.Q != nil {
+	if pub.D.Order() != nil || pub.P.Order() != nil || pub.Q.Order() != nil {
 		t.Fatal("Public() leaked secret components")
 	}
 	if pub.N.Cmp(rp.N) != 0 || pub.E.Cmp(rp.E) != 0 {
@@ -100,7 +100,11 @@ func TestRSAValidateRejectsInconsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &RSAParams{N: rp.N, E: rp.E, P: rp.P, Q: new(big.Int).Add(rp.Q, Two), D: rp.D}
+	q2, err := NewScalar(rp.N, new(big.Int).Add(rp.Q.BigVarTime(), Two))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &RSAParams{N: rp.N, E: rp.E, P: rp.P, Q: q2, D: rp.D}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("N != P*Q accepted")
 	}

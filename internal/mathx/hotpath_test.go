@@ -110,7 +110,7 @@ func tabledRound(t *testing.T, n int) (gv *gq.GroupVerifier, responses []*big.In
 	rp := params.Default().RSA
 	pub := gq.ParamsFrom(rp)
 	ids := make([]string, n)
-	taus := make([]*big.Int, n)
+	taus := make([]mathx.Scalar, n)
 	ts := make([]*big.Int, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("allocs-%02d", i)

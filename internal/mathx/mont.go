@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -60,13 +59,52 @@ const maxModulusWords = 64
 // vector in its representation. Elems are only meaningful with the
 // Modulus that created them (or one of the same value and
 // representation). An Elem is opaque, as the Go toolchain's
-// crypto/internal/fips140/bigmod keeps its Nat: its limbs are
-// unexported, so a residue reaches a canonical big.Int, the wire or a
-// SetBits only through FromMont, and it formats as a fixed token. Inside
-// this package the arithmetic works on the limbs, and each exported
-// method unwraps its Elems at the boundary. The zero Elem holds no
-// residue.
-type Elem struct{ w []big.Word }
+// crypto/internal/fips140/bigmod keeps its Nat: a residue reaches a
+// canonical big.Int, the wire or a SetBits only through FromMont, it
+// formats as a fixed token, and its limbs sit two pointers away
+// (elemRef, as a Scalar's words sit behind a scalarRef), so fmt shows
+// none of them wherever it reaches the Elem. Inside this package the
+// arithmetic works on the limbs, and each exported method unwraps its
+// Elems at the boundary. The zero Elem holds no residue.
+type Elem struct{ r *elemRef }
+
+// elemRef leads to an Elem's limbs and holds nothing else, as a
+// scalarRef does for a Scalar's words.
+type elemRef struct{ w *[]big.Word }
+
+// elemBox is an Elem's storage: its elemRef and its k limbs, in inline
+// where they fit (every 1024-bit modulus), so an Elem is one allocation.
+type elemBox struct {
+	elemRef
+	w      []big.Word
+	inline [inlineLimbs]big.Word
+}
+
+// inlineLimbs is the most limbs an Elem holds inline: a 1024-bit value on
+// the radix-2^52 lane or in machine words.
+const inlineLimbs = max(20, 1024/wordBits)
+
+// limbs returns e's limbs.
+func (e Elem) limbs() []big.Word { return *e.r.w }
+
+// scratch returns buf's first n words, or n new ones where buf is
+// shorter.
+func scratch(buf []big.Word, n int) []big.Word {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]big.Word, n)
+}
+
+// newElem returns an Elem of mo's width, its limbs zero.
+func (mo *Modulus) newElem() Elem { return mo.elemIn(new(elemBox)) }
+
+// elemIn returns an Elem of mo's width over the storage b.
+func (mo *Modulus) elemIn(b *elemBox) Elem {
+	b.w = scratch(b.inline[:], mo.k)
+	b.elemRef.w = &b.w
+	return Elem{&b.elemRef}
+}
 
 // Format prints the same token for every verb, so an Elem in a log line
 // or a wrapped error shows no limb of its residue.
@@ -181,6 +219,14 @@ func (mo *Modulus) limbs(buf *[maxModulusWords]big.Word, v *big.Int) []big.Word 
 	return e
 }
 
+// scalarLimbs sets buf's first k limbs to s, whose order is at most m,
+// in mo's representation and returns them.
+func (mo *Modulus) scalarLimbs(buf *[maxModulusWords]big.Word, s Scalar) []big.Word {
+	e := buf[:mo.k]
+	mo.fromWords(e, s.r.w[:min(len(s.r.w), len(mo.m.Bits()))])
+	return e
+}
+
 // ToMont converts v (any integer; reduced mod m first unless already in
 // [0, m)) into the Montgomery domain: one Montgomery multiplication by R².
 func (mo *Modulus) ToMont(v *big.Int) Elem {
@@ -188,12 +234,19 @@ func (mo *Modulus) ToMont(v *big.Int) Elem {
 	return mo.toMont(mo.limbs(&buf, v))
 }
 
+// ToMontScalar converts s, whose order is at most m, into the Montgomery
+// domain like ToMont, with no test of its value's range.
+func (mo *Modulus) ToMontScalar(s Scalar) Elem {
+	var buf [maxModulusWords]big.Word
+	return mo.toMont(mo.scalarLimbs(&buf, s))
+}
+
 // toMont returns the Montgomery image of the raw limbs x.
 func (mo *Modulus) toMont(x []big.Word) Elem {
-	z := make([]big.Word, mo.k)
-	mo.mul(z, x, mo.r2)
-	mo.reduce(z, z)
-	return Elem{z}
+	z := mo.newElem()
+	mo.mul(z.limbs(), x, mo.r2)
+	mo.reduce(z.limbs(), z.limbs())
+	return z
 }
 
 // FromMont converts an Elem back to a canonical big.Int residue in [0, m):
@@ -202,22 +255,22 @@ func (mo *Modulus) FromMont(e Elem) *big.Int {
 	var zbuf, obuf [maxModulusWords]big.Word
 	z, oneLimb := zbuf[:mo.k], obuf[:mo.k]
 	oneLimb[0] = 1
-	mo.mul(z, e.w, oneLimb)
+	mo.mul(z, e.limbs(), oneLimb)
 	mo.reduce(z, z)
 	return mo.bigOf(z)
 }
 
 // Mul returns x·y in the Montgomery domain.
 func (mo *Modulus) Mul(x, y Elem) Elem {
-	z := make([]big.Word, mo.k)
-	mo.MulInto(Elem{z}, x, y)
-	return Elem{z}
+	z := mo.newElem()
+	mo.MulInto(z, x, y)
+	return z
 }
 
 // MulInto computes z = x·y in the Montgomery domain; z may alias x or y.
 func (mo *Modulus) MulInto(z, x, y Elem) {
-	mo.mul(z.w, x.w, y.w)
-	mo.reduce(z.w, z.w)
+	mo.mul(z.limbs(), x.limbs(), y.limbs())
+	mo.reduce(z.limbs(), z.limbs())
 }
 
 // mul computes z = x·y·R^{-1} mod m, the one product of every chain; z
@@ -337,24 +390,28 @@ func expWindow(e *big.Int) int {
 // ExpElem computes base^e in the Montgomery domain for a non-negative
 // exponent, with a left-to-right sliding window over precomputed odd
 // powers, its width chosen by expWindow. e = 0 yields the Montgomery
-// image of 1. The result and the odd-power table share one allocation.
-// Where the radix-2^52 lane serves the modulus, every product is one
-// lane call, and the result is reduced into [0, m) once at the end.
+// image of 1. The odd-power table sits on the stack wherever an Elem's
+// limbs are inline, so the result is the one allocation. Where the
+// radix-2^52 lane serves the modulus, every product is one lane call,
+// and the result is reduced into [0, m) once at the end.
 func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 	if e.Sign() < 0 {
 		panic("mathx: ExpElem needs a non-negative exponent")
 	}
+	z := mo.newElem()
+	acc := z.limbs()
 	if e.Sign() == 0 {
-		return Elem{slices.Clone(mo.one)}
+		copy(acc, mo.one)
+		return z
 	}
 	k, w := mo.k, expWindow(e)
-	// acc, then the odd powers base^1, base^3, ..., base^(2^w - 1): the
-	// power for odd digit d sits at table[(d>>1)·k:][:k].
-	flat := make([]big.Word, (1+1<<(w-1))*k)
-	acc, table := flat[:k:k], flat[k:]
-	copy(table, base.w)
+	// The odd powers base^1, base^3, ..., base^(2^w - 1): the power for
+	// odd digit d sits at table[(d>>1)·k:][:k].
+	var tbuf [1 << (maxExpWindow - 1) * inlineLimbs]big.Word
+	table := scratch(tbuf[:], k<<(w-1))
+	copy(table, base.limbs())
 	if len(table) > k {
-		mo.mul(acc, base.w, base.w) // base², scratch until the first window
+		mo.mul(acc, base.limbs(), base.limbs()) // base², scratch until the first window
 		for i := k; i < len(table); i += k {
 			mo.mul(table[i:i+k], table[i-k:i], acc)
 		}
@@ -365,7 +422,7 @@ func (mo *Modulus) ExpElem(base Elem, e *big.Int) Elem {
 		func() { mo.mul(acc, acc, acc) },
 		func(d uint) { mo.mul(acc, acc, pow(d)) })
 	mo.reduce(acc, acc)
-	return Elem{acc}
+	return z
 }
 
 // slidingWindow walks e > 0 left to right in windows of at most w bits
@@ -417,9 +474,10 @@ const (
 )
 
 // expPairMont is ExpPair on montMul: two fixed-window chains, one after
-// the other, sharing one table allocation.
+// the other, sharing one table, on the stack where it fits.
 func (mo *Modulus) expPairMont(z1, z2, b1 []big.Word, x1 *scalarWords, b2 []big.Word, x2 *scalarWords, top int) {
-	tab := make([]big.Word, (fixedEntries+1)*mo.k)
+	var tbuf [(fixedEntries + 1) * inlineLimbs]big.Word
+	tab := scratch(tbuf[:], (fixedEntries+1)*mo.k)
 	mo.expFixedMont(z1, b1, x1, top, tab)
 	mo.expFixedMont(z2, b2, x2, top, tab)
 }

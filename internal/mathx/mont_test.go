@@ -225,7 +225,7 @@ func TestElemFormatRedacts(t *testing.T) {
 		messages = append(messages, fmt.Sprintf(verb, wrapped))
 	}
 	var limbs []string
-	for _, w := range append(slices.Clone(e.w), v.Bits()...) {
+	for _, w := range append(slices.Clone(e.limbs()), v.Bits()...) {
 		limbs = append(limbs, fmt.Sprintf("%d", w), fmt.Sprintf("%x", w), fmt.Sprintf("%X", w))
 	}
 	for _, o := range redacted {
@@ -400,7 +400,7 @@ func BenchmarkAMM52x20x2(b *testing.B) {
 		b.Skip("no radix-2^52 kernel on this CPU")
 	}
 	mo, base, exp := benchModulus(b, 1024)
-	z := pair52{[20]big.Word(mo.ToMont(base).w), [20]big.Word(mo.ToMont(exp).w)}
+	z := pair52{[20]big.Word(mo.ToMont(base).limbs()), [20]big.Word(mo.ToMont(exp).limbs())}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mo.mulPair(&z, &z, &z)

@@ -200,7 +200,11 @@ func TestMontMulDifferential(t *testing.T) {
 		carries := 0
 		for _, mm := range withGeneric(mo) {
 			var buf [maxModulusWords]big.Word
-			elem := func(v *big.Int) Elem { return Elem{slices.Clone(mm.limbs(&buf, v))} }
+			elem := func(v *big.Int) Elem {
+				e := mm.newElem()
+				copy(e.limbs(), mm.limbs(&buf, v))
+				return e
+			}
 			rInv := new(big.Int).ModInverse(new(big.Int).Lsh(One, uint(mm.k)*mm.limbBits), m)
 			prod := func(x, y *big.Int) *big.Int {
 				v := new(big.Int).Mul(x, y)
@@ -225,7 +229,7 @@ func TestMontMulDifferential(t *testing.T) {
 					if mm.MulInto(z, ex, z); mm.FromMont(z).Cmp(want) != 0 {
 						t.Fatalf("%d words: %s with z = y: %v, want %v", k, engineName(mm), mm.FromMont(z), want)
 					}
-					if !slices.Equal(ex.w, elem(x).w) || !slices.Equal(ey.w, elem(y).w) {
+					if !slices.Equal(ex.limbs(), elem(x).limbs()) || !slices.Equal(ey.limbs(), elem(y).limbs()) {
 						t.Fatalf("%d words: %s: Mul mutated an operand", k, engineName(mm))
 					}
 				}
@@ -261,14 +265,14 @@ func TestExpElemDifferential(t *testing.T) {
 		for _, base := range []*big.Int{randBelow(t, m), big.NewInt(0), One, new(big.Int).Sub(m, One)} {
 			for _, mm := range withGeneric(mo) {
 				be := mm.ToMont(base)
-				before := slices.Clone(be.w)
+				before := slices.Clone(be.limbs())
 				for _, e := range exps {
 					want := new(big.Int).Exp(base, e, m)
 					if got := mm.FromMont(mm.ExpElem(be, e)); got.Cmp(want) != 0 {
 						t.Fatalf("%d words, %s: %v^%v: got %v, want %v", k, engineName(mm), base, e, got, want)
 					}
 				}
-				if !slices.Equal(be.w, before) {
+				if !slices.Equal(be.limbs(), before) {
 					t.Fatalf("%d words, %s: ExpElem mutated its base", k, engineName(mm))
 				}
 			}
@@ -833,7 +837,7 @@ func checkExpPair(t testing.TB, mo *Modulus, q, b1, e1, b2, e2 *big.Int) {
 	s1, s2 := mustScalar(t, q, e1), mustScalar(t, q, e2)
 	for name, mo := range chainBackends(mo) {
 		m1, m2 := mo.ToMont(b1), mo.ToMont(b2)
-		before1, before2 := slices.Clone(m1.w), slices.Clone(m2.w)
+		before1, before2 := slices.Clone(m1.limbs()), slices.Clone(m2.limbs())
 		check := func(fn string, got1, got2 Elem) {
 			t.Helper()
 			if g1, g2 := mo.FromMont(got1), mo.FromMont(got2); g1.Cmp(want1) != 0 || g2.Cmp(want2) != 0 {
@@ -844,7 +848,7 @@ func checkExpPair(t testing.TB, mo *Modulus, q, b1, e1, b2, e2 *big.Int) {
 		got1, got2 := mo.ExpPair(m1, s1, m2, s2)
 		check("ExpPair", got1, got2)
 		check("ExpFixed", mo.ExpFixed(m1, s1), mo.ExpFixed(m2, s2))
-		if !slices.Equal(m1.w, before1) || !slices.Equal(m2.w, before2) {
+		if !slices.Equal(m1.limbs(), before1) || !slices.Equal(m2.limbs(), before2) {
 			t.Fatalf("%d words, %s: a fixed-window power mutated its base", len(m.Bits()), name)
 		}
 	}

@@ -146,9 +146,9 @@ func (mo *Modulus) ProductOf(p Packed) *big.Int {
 // domain, for a caller that goes on computing there: the correction
 // product lands on the image directly, with no conversion out and back.
 func (mo *Modulus) ProductMontOf(p Packed) Elem {
-	acc := make([]big.Word, mo.k)
-	mo.packedProduct(acc, p, 1)
-	return Elem{acc}
+	z := mo.newElem()
+	mo.packedProduct(z.limbs(), p, 1)
+	return z
 }
 
 // packedProduct sets acc, in [0, m), to Π v·R^d mod m over p's slots, d
@@ -192,7 +192,8 @@ func (mo *Modulus) PrefixProducts(xs Packed, i int) (Elem, bool) {
 	k, n := mo.k, xs.Len()
 	x := func(j int) []big.Word { return xs.slot(j % n) }
 	var pbuf [maxModulusWords]big.Word
-	prefix, acc := pbuf[:k], make([]big.Word, k)
+	z := mo.newElem()
+	prefix, acc := pbuf[:k], z.limbs()
 	switch {
 	case n == 1:
 		copy(prefix, x(i))
@@ -209,5 +210,5 @@ func (mo *Modulus) PrefixProducts(xs Packed, i int) (Elem, bool) {
 		mo.mul(prefix, prefix, x(i+n-1))
 		mo.mul(acc, acc, mo.rPow((n-2)*(n+1)/2+2))
 	}
-	return Elem{acc}, slices.Equal(prefix, mo.rPow(1-n))
+	return z, slices.Equal(prefix, mo.rPow(1-n))
 }

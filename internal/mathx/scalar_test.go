@@ -9,6 +9,8 @@ import (
 	"math/big"
 	"strings"
 	"testing"
+
+	"idgka/internal/redacttest"
 )
 
 // TestScalarNeg checks Neg against big.Int.Sub for r = 0, 1, q - 2,
@@ -113,5 +115,54 @@ func TestScalarFormatRedacts(t *testing.T) {
 				t.Errorf("%q shows the word %s of the value", o, w)
 			}
 		}
+	}
+}
+
+// TestRedaction formats a Scalar, an Elem and a full RSAParams with every
+// verb, at top level, in exported and unexported fields, in a slice and
+// in a wrapped error, and looks for every word and limb of their secrets.
+func TestRedaction(t *testing.T) {
+	rp, err := GenerateRSAParams(rand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := rp.Mont()
+	v := randBelow(t, rp.N)
+	s := mustScalar(t, rp.N, v)
+	redacttest.Check(t, "Scalar", s, v)
+	redacttest.Check(t, "Elem", mo.ToMont(v), redacttest.Montgomery(v, rp.N)...)
+	redacttest.Check(t, "Scalar and Elem", &struct {
+		r Scalar
+		e Elem
+		R []Scalar
+		E map[string]Elem
+	}{s, mo.ToMontScalar(s), []Scalar{s}, map[string]Elem{"e": mo.ToMont(v)}}, redacttest.Montgomery(v, rp.N)...)
+	redacttest.Check(t, "RSAParams", rp, rp.P.BigVarTime(), rp.Q.BigVarTime(), rp.D.BigVarTime())
+}
+
+// TestScalarCopyAndNegLeaveOriginal checks that copies of a Scalar, which
+// share its words, and its negation leave its value as it was.
+func TestScalarCopyAndNegLeaveOriginal(t *testing.T) {
+	q := randBelow(t, new(big.Int).Lsh(One, 1024))
+	v := randBelow(t, q)
+	s := mustScalar(t, q, v)
+	c := s
+	neg := c.Neg()
+	negAgain := neg.Neg()
+	for name, x := range map[string]Scalar{"original": s, "copy": c} {
+		if got := x.BigVarTime(); got.Cmp(v) != 0 {
+			t.Errorf("%s after Neg: %v, want %v", name, got, v)
+		}
+	}
+	if got, want := neg.BigVarTime(), new(big.Int).Sub(q, v); got.Cmp(want) != 0 {
+		t.Errorf("Neg: %v, want %v", got, want)
+	}
+	if got := negAgain.BigVarTime(); got.Cmp(v) != 0 {
+		t.Errorf("Neg of Neg: %v, want %v", got, v)
+	}
+	big := s.BigVarTime()
+	big.Add(big, One)
+	if got := s.BigVarTime(); got.Cmp(v) != 0 {
+		t.Errorf("after writing BigVarTime's result: %v, want %v", got, v)
 	}
 }

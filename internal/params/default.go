@@ -18,6 +18,7 @@ var (
 // role deterministically; real deployments must call Generate.
 func Default() *Set {
 	defaultOnce.Do(func() {
+		n := mustHex(defRSAN)
 		defaultSet = &Set{
 			Schnorr: &mathx.SchnorrGroup{
 				P: mustHex(defSchnorrP),
@@ -25,11 +26,11 @@ func Default() *Set {
 				G: mustHex(defSchnorrG),
 			},
 			RSA: &mathx.RSAParams{
-				N: mustHex(defRSAN),
+				N: n,
 				E: mustHex(defRSAE),
-				P: mustHex(defRSAP),
-				Q: mustHex(defRSAQ),
-				D: mustHex(defRSAD),
+				P: mustScalar(n, defRSAP),
+				Q: mustScalar(n, defRSAQ),
+				D: mustScalar(n, defRSAD),
 			},
 			Pairing: &PairingParams{
 				P:  mustHex(defPairP),
@@ -46,6 +47,15 @@ func Default() *Set {
 func mustHex(s string) *big.Int {
 	v, ok := new(big.Int).SetString(s, 16)
 	if !ok {
+		panic("params: corrupt embedded constant")
+	}
+	return v
+}
+
+// mustScalar returns the hex constant s as a secret below n.
+func mustScalar(n *big.Int, s string) mathx.Scalar {
+	v, err := mathx.NewScalar(n, mustHex(s))
+	if err != nil {
 		panic("params: corrupt embedded constant")
 	}
 	return v

@@ -276,5 +276,5 @@ func (s *Set) Validate() error {
 
 // HasMasterKey reports whether the set carries the PKG extraction exponent.
 func (s *Set) HasMasterKey() bool {
-	return s != nil && s.RSA != nil && s.RSA.D != nil
+	return s != nil && s.RSA != nil && s.RSA.D.Order() != nil
 }

@@ -19,9 +19,8 @@ import (
 // KeyPair holds a DSA private/public key over the given Schnorr group.
 type KeyPair struct {
 	Group *mathx.SchnorrGroup
-	//gkalint:secret
-	X *big.Int // private, in [1, q-1]
-	Y *big.Int // public, g^x mod p
+	X     mathx.Scalar // private, in [1, q-1]
+	Y     *big.Int     // public, g^x mod p
 }
 
 // Signature is the DSA pair (r, s), both in [1, q-1].
@@ -31,11 +30,11 @@ type Signature struct {
 
 // GenerateKey draws a fresh key pair.
 func GenerateKey(rnd io.Reader, g *mathx.SchnorrGroup) (*KeyPair, error) {
-	x, err := mathx.RandScalar(rnd, g.Q)
+	x, err := mathx.DrawScalar(rnd, g.Q)
 	if err != nil {
 		return nil, fmt.Errorf("dsa: keygen: %w", err)
 	}
-	return &KeyPair{Group: g, X: x, Y: g.Exp(x)}, nil
+	return &KeyPair{Group: g, X: x, Y: g.Exp(x.BigVarTime())}, nil
 }
 
 // PublicOnly returns a verification-only copy of the key pair.
@@ -46,7 +45,7 @@ func (kp *KeyPair) PublicOnly() *KeyPair {
 // Sign produces a signature on msg. The per-signature nonce k is drawn from
 // rnd; the rare degenerate cases (r = 0 or s = 0) are retried.
 func (kp *KeyPair) Sign(rnd io.Reader, msg []byte) (*Signature, error) {
-	if kp.X == nil {
+	if kp.X.Order() == nil {
 		return nil, errors.New("dsa: signing needs the private key")
 	}
 	g := kp.Group
@@ -66,7 +65,7 @@ func (kp *KeyPair) Sign(rnd io.Reader, msg []byte) (*Signature, error) {
 			continue
 		}
 		// s = k^-1 (h + x r) mod q
-		s := new(big.Int).Mul(kp.X, r)
+		s := new(big.Int).Mul(kp.X.BigVarTime(), r)
 		s.Add(s, h)
 		s.Mul(s, kInv)
 		s.Mod(s, g.Q)

@@ -20,9 +20,8 @@ import (
 // KeyPair holds an ECDSA key pair on a curve.
 type KeyPair struct {
 	Curve *ec.Curve
-	//gkalint:secret
-	D *big.Int // private scalar
-	Q ec.Point // public point D*G
+	D     mathx.Scalar // private scalar, in [1, N-1]
+	Q     ec.Point     // public point D*G
 }
 
 // Signature is the ECDSA pair (r, s).
@@ -32,11 +31,11 @@ type Signature struct {
 
 // GenerateKey draws a fresh key pair on the curve.
 func GenerateKey(rnd io.Reader, c *ec.Curve) (*KeyPair, error) {
-	d, err := c.RandScalar(rnd)
+	d, err := mathx.DrawScalar(rnd, c.N)
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa: keygen: %w", err)
 	}
-	return &KeyPair{Curve: c, D: d, Q: c.ScalarBaseMult(d)}, nil
+	return &KeyPair{Curve: c, D: d, Q: c.ScalarBaseMult(d.BigVarTime())}, nil
 }
 
 // PublicOnly returns a verification-only copy.
@@ -46,7 +45,7 @@ func (kp *KeyPair) PublicOnly() *KeyPair {
 
 // Sign produces a signature on msg.
 func (kp *KeyPair) Sign(rnd io.Reader, msg []byte) (*Signature, error) {
-	if kp.D == nil {
+	if kp.D.Order() == nil {
 		return nil, errors.New("ecdsa: signing needs the private key")
 	}
 	c := kp.Curve
@@ -65,7 +64,7 @@ func (kp *KeyPair) Sign(rnd io.Reader, msg []byte) (*Signature, error) {
 		if err != nil {
 			continue
 		}
-		s := new(big.Int).Mul(kp.D, r)
+		s := new(big.Int).Mul(kp.D.BigVarTime(), r)
 		s.Add(s, e)
 		s.Mul(s, kInv)
 		s.Mod(s, c.N)

@@ -61,9 +61,8 @@ func (pub Params) mont() (*mathx.Modulus, error) {
 
 // PrivateKey is the ID-based secret S_ID = H(ID)^d delivered by the PKG.
 type PrivateKey struct {
-	ID string
-	//gkalint:secret
-	S   *big.Int
+	ID  string
+	S   mathx.Scalar // S_ID, below N
 	Pub Params
 
 	// fixedBase caches the fixed-base comb table for S_ID, attached by
@@ -79,7 +78,7 @@ type PrivateKey struct {
 // safe for concurrent use, and mathematically transparent: responses are
 // bit-identical to the naive computation.
 func (sk *PrivateKey) Precompute() *mathx.FixedBaseTable {
-	if sk == nil || sk.S == nil || sk.Pub.N == nil {
+	if sk == nil || sk.S.Order() == nil || sk.Pub.N == nil {
 		return nil
 	}
 	if t := sk.fixedBase.Load(); t != nil {
@@ -89,7 +88,7 @@ func (sk *PrivateKey) Precompute() *mathx.FixedBaseTable {
 	if err != nil {
 		return nil
 	}
-	t, err := mathx.NewFixedBaseTable(sk.S, mo, hashx.ChallengeBits)
+	t, err := mathx.NewFixedBaseTable(sk.S.BigVarTime(), mo, hashx.ChallengeBits)
 	if err != nil {
 		return nil
 	}
@@ -106,14 +105,17 @@ type Signature struct {
 // Extract computes the secret key for an identity using the PKG master
 // exponent d. This is the paper's Extract phase; only the PKG can run it.
 func Extract(rp *mathx.RSAParams, id string) (*PrivateKey, error) {
-	if rp.D == nil {
+	if rp.D.Order() == nil {
 		return nil, errors.New("gq: Extract requires the PKG master key")
 	}
 	if id == "" {
 		return nil, errors.New("gq: empty identity")
 	}
 	h := hashx.IdentityDigest(id, rp.N)
-	s := new(big.Int).Exp(h, rp.D, rp.N)
+	s, err := mathx.NewScalar(rp.N, new(big.Int).Exp(h, rp.D.BigVarTime(), rp.N))
+	if err != nil {
+		return nil, fmt.Errorf("gq: extract: %w", err)
+	}
 	return &PrivateKey{ID: id, S: s, Pub: ParamsFrom(rp)}, nil
 }
 
@@ -122,31 +124,31 @@ func Extract(rp *mathx.RSAParams, id string) (*PrivateKey, error) {
 // broadcast in Round 1. τ is not tested for coprimality with n: for an
 // RSA modulus of two 512-bit primes a uniform τ is a non-unit with
 // probability below 2^-510, and the test would be a GCD on a secret.
-func Commitment(r io.Reader, pub Params) (tau, t *big.Int, err error) {
+func Commitment(r io.Reader, pub Params) (tau mathx.Scalar, t *big.Int, err error) {
 	if pub.E == nil || pub.E.Sign() < 0 {
-		return nil, nil, errors.New("gq: commitment: nil or negative public exponent")
+		return mathx.Scalar{}, nil, errors.New("gq: commitment: nil or negative public exponent")
 	}
 	mo, err := pub.mont()
 	if err != nil {
-		return nil, nil, fmt.Errorf("gq: commitment: %w", err)
+		return mathx.Scalar{}, nil, fmt.Errorf("gq: commitment: %w", err)
 	}
-	tau, err = mathx.RandScalar(r, pub.N)
+	tau, err = mathx.DrawScalar(r, pub.N)
 	if err != nil {
-		return nil, nil, fmt.Errorf("gq: commitment: %w", err)
+		return mathx.Scalar{}, nil, fmt.Errorf("gq: commitment: %w", err)
 	}
-	return tau, mo.FromMont(mo.ExpElem(mo.ToMont(tau), pub.E)), nil
+	return tau, mo.FromMont(mo.ExpElem(mo.ToMontScalar(tau), pub.E)), nil
 }
 
 // Respond computes the response s = τ·S_ID^c mod n for a previously drawn
 // commitment τ and an agreed challenge c, through the fixed-base table
 // when one has been precomputed. In the group protocol this is the s_i
 // broadcast in Round 2.
-func (sk *PrivateKey) Respond(tau, c *big.Int) *big.Int {
+func (sk *PrivateKey) Respond(tau mathx.Scalar, c *big.Int) *big.Int {
 	if t := sk.fixedBase.Load(); t != nil {
-		return t.ExpMul(c, tau)
+		return t.ExpMulScalar(c, tau)
 	}
-	s := new(big.Int).Exp(sk.S, c, sk.Pub.N)
-	s.Mul(s, tau)
+	s := new(big.Int).Exp(sk.S.BigVarTime(), c, sk.Pub.N)
+	s.Mul(s, tau.BigVarTime())
 	return s.Mod(s, sk.Pub.N)
 }
 

@@ -95,7 +95,7 @@ func TestExtractConsistency(t *testing.T) {
 	rp := params.Default().RSA
 	sk := testKey(t, "alice")
 	// S_ID^e == H(ID) mod n.
-	back := new(big.Int).Exp(sk.S, rp.E, rp.N)
+	back := new(big.Int).Exp(sk.S.BigVarTime(), rp.E, rp.N)
 	if back.Cmp(hashx.IdentityDigest("alice", rp.N)) != 0 {
 		t.Fatal("extracted key does not invert to identity digest")
 	}
@@ -119,7 +119,7 @@ func batchRound(t testing.TB, ids []string) (pub Params, responses []*big.Int, c
 	t.Helper()
 	pub = ParamsFrom(params.Default().RSA)
 	n := len(ids)
-	taus := make([]*big.Int, n)
+	taus := make([]mathx.Scalar, n)
 	ts := make([]*big.Int, n)
 	for i := range ids {
 		tau, ti, err := Commitment(rand.Reader, pub)
@@ -401,7 +401,7 @@ func TestCommitmentInRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tau.Sign() <= 0 || tau.Cmp(pub.N) >= 0 || ti.Sign() <= 0 || ti.Cmp(pub.N) >= 0 {
+		if tau := tau.BigVarTime(); tau.Sign() <= 0 || tau.Cmp(pub.N) >= 0 || ti.Sign() <= 0 || ti.Cmp(pub.N) >= 0 {
 			t.Fatal("commitment out of range")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"idgka/internal/pairing"
 	"idgka/internal/params"
+	"idgka/internal/redacttest"
 )
 
 var (
@@ -165,4 +166,16 @@ func BenchmarkVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestRedaction formats the PKG and an extracted key with every verb in
+// every placement and looks for the master secret and D_ID's coordinates.
+func TestRedaction(t *testing.T) {
+	p := testPKG(t)
+	sk, err := p.Extract("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	redacttest.Check(t, "PKG", p, p.s.BigVarTime())
+	redacttest.Check(t, "PrivateKey", sk, sk.d.X, sk.d.Y)
 }

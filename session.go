@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"idgka/internal/engine"
+	"idgka/internal/mathx"
 	"idgka/internal/metrics"
 	"idgka/internal/netsim"
 )
@@ -83,9 +84,9 @@ type Session struct {
 	done   bool
 	closed bool
 	err    error
-	// Terminal results, cached when the flow commits.
-	//gkalint:secret
-	key    []byte
+	// Terminal results, cached when the flow commits: the committed
+	// group key (the zero Scalar before then) and ring.
+	key    mathx.Scalar
 	roster []string
 
 	// Timeout/retransmit runtime (see SetDeadline and Tick). start
@@ -172,7 +173,7 @@ func (mb *Member) ingestLocked(stepping *Session, outs []engine.Outbound, evts [
 			if ev.Group != nil {
 				// Establishment commits ev.Group; confirmation carries the
 				// flow's snapshot of the confirmed group.
-				target.key = ev.Group.Key.Bytes()
+				target.key = ev.Group.Key
 				target.roster = append([]string(nil), ev.Group.Roster...)
 			}
 			// Terminal: cache the results above and drop the handle
@@ -411,11 +412,15 @@ func (s *Session) Err() error {
 }
 
 // Key returns the established session key material, or nil before Done
-// (and nil after a failure).
+// (and nil after a failure): the key's big-endian bytes, fresh on every
+// call.
 func (s *Session) Key() []byte {
 	s.mb.mu.Lock()
 	defer s.mb.mu.Unlock()
-	return s.key
+	if s.key.Order() == nil {
+		return nil
+	}
+	return s.key.BigVarTime().Bytes()
 }
 
 // Roster returns the committed ring of this session, or nil before Done.
