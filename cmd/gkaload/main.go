@@ -39,7 +39,6 @@ func main() {
 		duration = flag.Duration("duration", 5*time.Second, "offering window")
 		queue    = flag.Int("queue", 0, "admission high watermark on shard queue depth (0 = unbounded)")
 		queueAge = flag.Duration("queue-age", 0, "admission high watermark on shard queue age (0 = unbounded)")
-		fair     = flag.Float64("fair-share", 0, "fairness share of a pressured shard one group may hold (0 = default 0.5)")
 		budget   = flag.Duration("op-budget", 30*time.Second, "settle budget per admitted operation")
 		maxShed  = flag.Float64("max-shed-rate", -1, "fail (exit 1) when the shed rate exceeds this fraction (<0 disables)")
 		out      = flag.String("o", "", "write the JSON report to this file instead of stdout")
@@ -54,7 +53,6 @@ func main() {
 		Duration:         *duration,
 		MaxShardQueue:    *queue,
 		MaxShardQueueAge: *queueAge,
-		FairShare:        *fair,
 		OpBudget:         *budget,
 	})
 	if err != nil {

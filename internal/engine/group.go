@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/big"
 	"slices"
 
 	"idgka/internal/mathx"
@@ -24,21 +23,23 @@ type Group struct {
 	// Leave/Partition protocols reuse it for even-indexed survivors; the
 	// zero Scalar when the member holds none.
 	Tau mathx.Scalar
-	// Z holds the latest z_j seen for each member (own included).
-	Z map[string]*big.Int
-	// T holds the latest GQ commitment image t_j for each member.
-	T map[string]*big.Int
+	// zs and ts hold the latest z_j (over p) and GQ commitment image t_j
+	// (over N) seen for each member, own included, in its ring position's
+	// slot; an empty slot marks a value not known. Once committed, a
+	// group's slots are only read: concurrent flows snapshot it.
+	zs, ts mathx.Packed
 	// Key is the current group key K, below p.
 	Key mathx.Scalar
 }
 
-// NewGroup builds an empty group view over the given ring order.
-func NewGroup(roster []string) *Group {
+// newGroup builds an empty group view over the given ring order, its
+// slots sized for the roster.
+func (mc *Machine) newGroup(roster []string) *Group {
 	g := &Group{
 		Roster: append([]string(nil), roster...),
 		pos:    make(map[string]int, len(roster)),
-		Z:      map[string]*big.Int{},
-		T:      map[string]*big.Int{},
+		zs:     mc.cfg.Set.Schnorr.Mont().NewPacked(len(roster)),
+		ts:     mc.cfg.Set.RSA.Mont().NewPacked(len(roster)),
 	}
 	for i, id := range roster {
 		g.pos[id] = i
@@ -71,24 +72,12 @@ func (g *Group) ringEquals(ring []string) bool {
 	return slices.Equal(g.Roster, ring)
 }
 
-// Neighbor returns the id at offset d from position i around the ring.
-func (g *Group) Neighbor(i, d int) string {
-	n := len(g.Roster)
-	return g.Roster[((i+d)%n+n)%n]
-}
-
-// copyTables copies the z/t views of src into g without overwriting
-// entries g already holds.
-func (g *Group) copyTables(src *Group) {
-	for id, z := range src.Z {
-		if _, have := g.Z[id]; !have {
-			g.Z[id] = z
-		}
-	}
-	for id, t := range src.T {
-		if _, have := g.T[id]; !have {
-			g.T[id] = t
-		}
+// copyViews copies src's z and t slots into g's from position at on,
+// src's ring being g's from there.
+func (g *Group) copyViews(src *Group, at int) {
+	for i := range src.Roster {
+		g.zs.Copy(at+i, src.zs, i)
+		g.ts.Copy(at+i, src.ts, i)
 	}
 }
 
@@ -99,17 +88,15 @@ func (g *Group) copyTables(src *Group) {
 // state traffic. Entries with neither z nor t are skipped.
 func encodeStateTables(g *Group) []byte {
 	buf := wire.NewBuffer()
-	var ids []string
-	for _, id := range g.Roster {
-		if g.Z[id] != nil || g.T[id] != nil {
-			ids = append(ids, id)
+	var known []int
+	for i := range g.Roster {
+		if g.zs.InRange(i) || g.ts.InRange(i) {
+			known = append(known, i)
 		}
 	}
-	buf.PutUint(uint64(len(ids)))
-	for _, id := range ids {
-		buf.PutString(id)
-		buf.PutBig(g.Z[id])
-		buf.PutBig(g.T[id])
+	buf.PutUint(uint64(len(known)))
+	for _, i := range known {
+		buf.PutString(g.Roster[i]).PutBytes(g.zs.Bytes(i)).PutBytes(g.ts.Bytes(i))
 	}
 	return buf.Bytes()
 }

@@ -238,7 +238,7 @@ func (f *joinFlow) advanceLast() ([]Outbound, []Event, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		signed, err := mc.sign(wire.NewBuffer().PutBytes(wrappedDH).PutBig(g.Z[mc.id]).Bytes())
+		signed, err := mc.sign(wire.NewBuffer().PutBytes(wrappedDH).PutBytes(g.zs.Bytes(g.Position(mc.id))).Bytes())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -293,9 +293,9 @@ func (f *joinFlow) commit(kStar, kDH, r mathx.Scalar) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := NewGroup(f.newRoster)
+	g := f.mc.newGroup(f.newRoster)
 	g.R = r
-	g.Z[f.joiner] = f.zJoin
+	g.zs.Load(g.Position(f.joiner), f.zJoin)
 	g.Key = key
 	if f.role == jrJoiner {
 		if err := f.mc.ingestStateTables(g, f.fwdTables); err != nil {
@@ -303,7 +303,7 @@ func (f *joinFlow) commit(kStar, kDH, r mathx.Scalar) ([]Event, error) {
 		}
 	} else {
 		g.Tau = f.base.Tau
-		g.copyTables(f.base)
+		g.copyViews(f.base, 0)
 	}
 	return []Event{{Kind: EventEstablished, Group: g}}, nil
 }

@@ -48,8 +48,8 @@ func PlanPartition(ring, leavers []string, stale map[string]bool) (newRoster, re
 // an identical plan with no coordinator.
 func PlanLeave(g *Group, leavers []string) (newRoster, refresh []string, err error) {
 	stale := map[string]bool{}
-	for _, id := range g.Roster {
-		if g.T[id] == nil {
+	for i, id := range g.Roster {
+		if !g.ts.InRange(i) {
 			stale[id] = true
 		}
 	}

@@ -162,13 +162,13 @@ func (f *mergeFlow) advanceController() ([]Outbound, []Event, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		zLast := g.Z[g.Last()]
-		payload, err := mc.sign(wire.NewBuffer().PutString(mc.id).PutBig(zNew).PutBig(zLast).Bytes())
+		zLast := g.zs.Bytes(g.Size() - 1)
+		payload, err := mc.sign(wire.NewBuffer().PutString(mc.id).PutBig(zNew).PutBytes(zLast).Bytes())
 		if err != nil {
 			return nil, nil, err
 		}
 		f.rNew = rNew
-		f.adverts[mc.id] = &mergeAdvert{zNew: zNew, zLast: zLast}
+		f.adverts[mc.id] = &mergeAdvert{zNew: zNew, zLast: new(big.Int).SetBytes(zLast)}
 		outs = append(outs, Outbound{Type: MsgMerge1, Payload: payload})
 		f.started = true
 	}
@@ -261,14 +261,15 @@ func (f *mergeFlow) commit(r mathx.Scalar) ([]Event, error) {
 		return nil, err
 	}
 	advA, advB := f.adverts[f.ctlA], f.adverts[f.ctlB]
-	g := NewGroup(f.newRoster)
+	g := f.mc.newGroup(f.newRoster)
 	g.R = r
 	g.Tau = f.base.Tau
-	g.copyTables(f.base)
-	g.Z[f.ctlA] = advA.zNew
-	g.Z[f.ctlB] = advB.zNew
-	g.Z[f.rosterA[len(f.rosterA)-1]] = advA.zLast
-	g.Z[f.rosterB[len(f.rosterB)-1]] = advB.zLast
+	g.copyViews(f.base, g.Position(f.ownCtl)) // the own ring starts at its controller
+	nA := len(f.rosterA)
+	g.zs.Load(0, advA.zNew)
+	g.zs.Load(nA, advB.zNew)
+	g.zs.Load(nA-1, advA.zLast)
+	g.zs.Load(g.Size()-1, advB.zLast)
 	g.Key = key
 	if err := f.mc.ingestStateTables(g, f.tablesForeign); err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func TestRedaction(t *testing.T) {
 	r, rPrime, tau := draw(q), draw(q), draw(set.RSA.N)
 	key, kDH, kStar := draw(p), draw(p), draw(p)
 	roster := []string{"A01", "A02", "A03"}
-	g := NewGroup(roster)
+	g := mc.newGroup(roster)
 	g.R, g.Tau, g.Key = r, tau, key
 	rs, err := newRingState(mc, roster)
 	if err != nil {

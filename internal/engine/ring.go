@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"slices"
 
 	"idgka/internal/bdkey"
 	"idgka/internal/mathx"
@@ -96,11 +95,12 @@ func (mc *Machine) startRing(sid string, f *ringFlow, roster, refresh []string, 
 func (f *ringFlow) begin() ([]Outbound, error) {
 	mc, rs := f.mc, f.ring
 	if g := f.base; g != nil {
-		// Start from the session's stored views; fresh own values
-		// overwrite.
+		// Start from the session's stored views, each survivor's slots
+		// copied to its contracted position; fresh own values overwrite.
 		for i, id := range rs.roster {
-			rs.zs.Load(i, g.Z[id]) // a nil or out-of-range one stays unknown
-			rs.ts.Load(i, g.T[id])
+			j := g.Position(id)
+			rs.zs.Copy(i, g.zs, j)
+			rs.ts.Copy(i, g.ts, j)
 		}
 		rs.r = g.R
 		rs.tau = g.Tau
@@ -168,7 +168,7 @@ func (f *ringFlow) recordRound1(msg netsim.Message) error {
 		if !rs.zs.LoadBytes(i, z) {
 			return Retryable(fmt.Errorf("%s z from %s out of range", f.r1, msg.From))
 		}
-	} else if slices.ContainsFunc(z, func(b byte) bool { return b != 0 }) {
+	} else if !isZero(z) {
 		return Retryable(fmt.Errorf("%s z from non-refresher %s unexpected", f.r1, msg.From))
 	}
 	if !rs.ts.LoadBytes(i, t) {
@@ -227,9 +227,8 @@ func (f *ringFlow) advance() ([]Outbound, []Event, error) {
 // once at start: peers' values decode straight into their slots, round
 // 2's edge powers take their bases from them, and the Z and T products,
 // the eq. 2 response product and the X chain of Lemma 1 and equation (3)
-// all run over them. A slot not (yet) known reads as empty. No big.Int
-// is made for a z or t until finish unpacks the committed group's views
-// in place.
+// all run over them. A slot not (yet) known reads as empty. The
+// committed group takes over the z and t slots as they are.
 type ringState struct {
 	roster []string
 	pos    map[string]int
@@ -373,25 +372,15 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 		return nil, err
 	}
 
-	// The committed group takes over the ring's roster and position map,
-	// which nothing writes after start, and its z and t views are
-	// unpacked in place from the slots, which the flow does not read
-	// again.
-	n := rs.n()
-	views := make([]big.Int, 2*n)
-	rs.zs.Unpack(views[:n])
-	rs.ts.Unpack(views[n:])
-	g := &Group{
+	// The committed group takes over the ring's roster, position map and
+	// z and t slots, which nothing writes after the flow commits.
+	return &Group{
 		Roster: rs.roster,
 		pos:    rs.pos,
 		R:      rs.r,
 		Tau:    rs.tau,
-		Z:      make(map[string]*big.Int, n),
-		T:      make(map[string]*big.Int, n),
+		zs:     rs.zs,
+		ts:     rs.ts,
 		Key:    k,
-	}
-	for i, id := range rs.roster {
-		g.Z[id], g.T[id] = &views[i], &views[n+i]
-	}
-	return g, nil
+	}, nil
 }

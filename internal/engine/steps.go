@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"idgka/internal/mathx"
 	"idgka/internal/meter"
@@ -102,8 +103,8 @@ func (mc *Machine) dhPower(z *big.Int, r mathx.Scalar) (mathx.Scalar, error) {
 // bit length.
 func (mc *Machine) foldKey(g *Group, zNew *big.Int, rNew mathx.Scalar) (mathx.Scalar, error) {
 	mo := mc.cfg.Set.Schnorr.Mont()
-	zNext := mo.ToMont(g.Z[g.Neighbor(0, 1)])
-	out, in := mo.Mul(zNext, mo.ToMont(g.Z[g.Last()])), mo.Mul(zNext, mo.ToMont(zNew))
+	zNext := g.zs.ToMont(1)
+	out, in := mo.Mul(zNext, g.zs.ToMont(g.Size()-1)), mo.Mul(zNext, mo.ToMont(zNew))
 	pOut, pIn := mo.ExpPair(out, g.R.Neg(), in, rNew)
 	mc.m.Exp(2)
 	return mc.groupKey(new(big.Int).Mul(g.Key.BigVarTime(), mo.FromMont(mo.Mul(pOut, pIn))))
@@ -184,33 +185,45 @@ func (mc *Machine) withTables(typ, to string, wrapped, tables []byte) Outbound {
 	return Outbound{To: to, Type: typ, Payload: payload, StateLen: len(tables)}
 }
 
-// ingestStateTables merges a peer's encodeStateTables block into g,
-// without overwriting values g already holds fresher copies of (existing
-// entries win: the receiver may have observed later broadcasts). A zero
-// z or t marks an absent entry; any other z must lie in (0, p) and any
+// ingestStateTables merges a peer's encodeStateTables block into g:
+// each entry's z and t decode straight into the member's slots where
+// those are empty, and into a spare slot, for their range alone, where g
+// already holds a value (existing entries win: the receiver may have
+// observed later broadcasts) or the member is not in g's ring. A zero z
+// or t marks an absent entry; any other z must lie in (0, p) and any
 // other t in (0, N). A malformed block is retryable. The block is
 // covered by no signature; Join binds it to its forwarded key wrap as
 // associated data, Merge leaves it unauthenticated.
 func (mc *Machine) ingestStateTables(g *Group, tables []byte) error {
-	p, n := mc.cfg.Set.Schnorr.P, mc.cfg.Set.RSA.N
+	spareZ, spareT := mc.cfg.Set.Schnorr.Mont().NewPacked(1), mc.cfg.Set.RSA.Mont().NewPacked(1)
 	r := wire.NewReader(tables)
 	for i, count := uint64(0), r.Uint(); i < count; i++ {
-		id, z, t := r.String(), r.Big(), r.Big()
+		id, z, t := r.String(), r.Bytes(), r.Bytes()
 		if r.Err() != nil {
 			break
 		}
-		if z.Cmp(p) >= 0 || t.Cmp(n) >= 0 {
+		j := g.Position(id)
+		if !fillEmpty(g.zs, spareZ, j, z) || !fillEmpty(g.ts, spareT, j, t) {
 			return Retryable(fmt.Errorf("engine: state tables: z or t of %s out of range", id))
-		}
-		if _, have := g.Z[id]; !have && z.Sign() > 0 {
-			g.Z[id] = z
-		}
-		if _, have := g.T[id]; !have && t.Sign() > 0 {
-			g.T[id] = t
 		}
 	}
 	if err := r.Close(); err != nil {
 		return Retryable(fmt.Errorf("engine: state tables: %w", err))
 	}
 	return nil
+}
+
+// fillEmpty decodes the big-endian value b into slot j of p when j is a
+// position whose slot is empty, else into spare's one slot, and reports
+// whether b is zero or lies in p's range.
+func fillEmpty(p, spare mathx.Packed, j int, b []byte) bool {
+	if j < 0 || p.InRange(j) {
+		p, j = spare, 0
+	}
+	return p.LoadBytes(j, b) || isZero(b)
+}
+
+// isZero reports whether the big-endian value b is zero.
+func isZero(b []byte) bool {
+	return !slices.ContainsFunc(b, func(c byte) bool { return c != 0 })
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -14,7 +15,8 @@ import (
 
 // TestIngestStateTablesRange: a state-table entry whose z is not below p,
 // or whose t is not below N, fails the ingestion retryably; a zero value
-// marks an absent entry and an entry the group already holds is kept.
+// marks an absent entry, a slot the group already holds is kept and a
+// new entry fills its member's empty slots.
 func TestIngestStateTablesRange(t *testing.T) {
 	set := params.Default()
 	sk, err := gq.Extract(set.RSA, "tables-01")
@@ -33,24 +35,24 @@ func TestIngestStateTablesRange(t *testing.T) {
 		name string
 		z, t *big.Int
 	}{{"z=p", p, two}, {"t=N", two, n}} {
-		if err := mc.ingestStateTables(NewGroup([]string{"A01"}), block("A01", tc.z, tc.t)); !IsRetryable(err) {
+		if err := mc.ingestStateTables(mc.newGroup([]string{"A01"}), block("A01", tc.z, tc.t)); !IsRetryable(err) {
 			t.Errorf("%s: got %v, want a retryable error", tc.name, err)
 		}
 	}
 
-	g := NewGroup([]string{"A01", "A02"})
-	g.Z["A01"] = three
+	g := mc.newGroup([]string{"A01", "A02"})
+	g.zs.Load(0, three)
 	if err := mc.ingestStateTables(g, block("A01", two, zero)); err != nil {
 		t.Fatal(err)
 	}
-	if g.Z["A01"] != three || g.T["A01"] != nil {
-		t.Fatalf("existing z or absent t overwritten: z %v t %v", g.Z["A01"], g.T["A01"])
+	if z, tb := g.zs.Bytes(0), g.ts.Bytes(0); !bytes.Equal(z, three.Bytes()) || len(tb) != 0 {
+		t.Fatalf("existing z or absent t overwritten: z %x t %x", z, tb)
 	}
 	if err := mc.ingestStateTables(g, block("A02", two, three)); err != nil {
 		t.Fatal(err)
 	}
-	if g.Z["A02"].Cmp(two) != 0 || g.T["A02"].Cmp(three) != 0 {
-		t.Fatalf("A02 not recorded: z %v t %v", g.Z["A02"], g.T["A02"])
+	if z, tb := g.zs.Bytes(1), g.ts.Bytes(1); !bytes.Equal(z, two.Bytes()) || !bytes.Equal(tb, three.Bytes()) {
+		t.Fatalf("A02 not recorded: z %x t %x", z, tb)
 	}
 }
 
@@ -92,9 +94,11 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 	}
 	qMinus1 := new(big.Int).Sub(q, mathx.One)
 	exps := []*big.Int{mathx.One, qMinus1, rnd(q), rnd(q), rnd(q)}
-	g := NewGroup([]string{"A01", "A02", "A03", "A04"})
-	for _, id := range g.Roster {
-		g.Z[id] = sg.Exp(rnd(q))
+	g := mc.newGroup([]string{"A01", "A02", "A03", "A04"})
+	zs := make([]*big.Int, g.Size())
+	for i := range zs {
+		zs[i] = sg.Exp(rnd(q))
+		g.zs.Load(i, zs[i])
 	}
 	key := rnd(p)
 	if g.Key, err = mathx.NewScalar(p, key); err != nil {
@@ -103,11 +107,12 @@ func TestFoldKeyAndDHPowerMatchBig(t *testing.T) {
 	for i, r := range exps {
 		deviant := i == len(exps)-1
 		if deviant {
-			g.Z["A04"] = new(big.Int).Sub(p, mathx.One)
+			zs[3] = new(big.Int).Sub(p, mathx.One)
+			g.zs.Load(3, zs[3])
 		}
 		rNew, zNew := exps[(i+1)%len(exps)], sg.Exp(rnd(q))
 		g.R = scalar(r)
-		zNext, zLast := g.Z["A02"], g.Z["A04"]
+		zNext, zLast := zs[1], zs[3]
 		out := new(big.Int).Mul(zNext, zLast)
 		out.ModInverse(out.Mod(out, p), p).Exp(out, r, p)
 		in := new(big.Int).Mul(zNext, zNew)

@@ -30,7 +30,7 @@ func chainBackends(mo *Modulus) map[string]*Modulus {
 // WithoutLane of its modulus by name, as chainBackends does: "lane"
 // where t walks on the radix-2^52 kernel, and always "montMul".
 func tableBackends(t *FixedBaseTable) map[string]*FixedBaseTable {
-	generic, err := newCombTable(t.base, WithoutLane(t.mo), t.maxBits, t.h, t.v)
+	generic, err := newCombTable(t.base(), WithoutLane(t.mo), t.maxBits, t.h, t.v)
 	if err != nil {
 		panic(err)
 	}

@@ -37,14 +37,16 @@ const (
 // is bit (i·v+j)·b+k of e: b-1 squarings and at most v·b products. The
 // entries live in the Montgomery domain of the table's Modulus in one
 // flat array, so a walk is a chain of Montgomery products with a single
-// conversion out. A table is immutable after construction and safe for
-// concurrent use.
+// conversion out; entry 1 of block 0 is the base's image. A table is
+// immutable after construction and safe for concurrent use.
 type FixedBaseTable struct {
-	base    *big.Int // base mod m, for the big.Int fallback
 	mo      *Modulus
 	maxBits int
 	h, v, b int
-	flat    []big.Word // entry u of block j at ((j<<h)+u)·k
+	// flat holds entry u of block j at ((j<<h)+u)·k, two pointers away
+	// as an Elem's limbs are, so fmt shows none of them wherever it
+	// reaches the table: the base may be a secret, such as S_ID.
+	flat *elemRef
 }
 
 // NewFixedBaseTable precomputes the powers of base modulo mo's modulus
@@ -66,20 +68,20 @@ func newCombTable(base *big.Int, mo *Modulus, maxBits, h, v int) (*FixedBaseTabl
 		return nil, errors.New("mathx: fixed-base maxBits must be >= 1")
 	}
 	strips := h * v
+	flat := make([]big.Word, v<<h*mo.k)
 	t := &FixedBaseTable{
-		base:    new(big.Int).Mod(base, mo.m),
 		mo:      mo,
 		maxBits: maxBits,
 		h:       h,
 		v:       v,
 		b:       (maxBits + strips - 1) / strips,
-		flat:    make([]big.Word, v<<h*mo.k),
+		flat:    &elemRef{&flat},
 	}
 	k := mo.k
-	cur := mo.ToMont(t.base).limbs() // base^(2^(s·b)) for the current strip s
+	cur := mo.ToMont(base).limbs() // base^(2^(s·b)) for the current strip s
 	for i := 0; i < h; i++ {
 		for j := 0; j < v; j++ {
-			blk := t.flat[(j<<h)*k : ((j+1)<<h)*k]
+			blk := flat[(j<<h)*k : ((j+1)<<h)*k]
 			if i == 0 {
 				copy(blk[:k], mo.one)
 			}
@@ -123,7 +125,7 @@ func (t *FixedBaseTable) Exp(e *big.Int) *big.Int { return t.ExpMul(e, One) }
 // one product at a time; both give the same values.
 func (t *FixedBaseTable) ExpMul(e, y *big.Int) *big.Int {
 	if !t.Covers(e) {
-		z := new(big.Int).Exp(t.base, e, t.mo.m)
+		z := new(big.Int).Exp(t.base(), e, t.mo.m)
 		if z == nil {
 			return nil
 		}
@@ -184,7 +186,14 @@ func (t *FixedBaseTable) digitAt(ws []big.Word, j, c int) int {
 // entry returns entry u of block j.
 func (t *FixedBaseTable) entry(j, u int) []big.Word {
 	k := t.mo.k
-	return t.flat[((j<<t.h)+u)*k:][:k]
+	return (*t.flat.w)[((j<<t.h)+u)*k:][:k]
+}
+
+// base returns the table's base mod m, from its image in entry 1 of
+// block 0.
+func (t *FixedBaseTable) base() *big.Int {
+	img := t.entry(0, 1)
+	return t.mo.FromMont(Elem{&elemRef{&img}})
 }
 
 // combLane is ExpMul's walk on amm52x20x2 for a two-block table: block 0

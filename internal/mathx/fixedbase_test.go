@@ -225,7 +225,7 @@ func BenchmarkCombGeometry(b *testing.B) {
 		}
 		generic := tableBackends(tab)["montMul"]
 		b.Run(name+"/walk", func(b *testing.B) {
-			b.ReportMetric(float64(len(generic.flat)*bits.UintSize/8)/1024, "KiB")
+			b.ReportMetric(float64(len(*generic.flat.w)*bits.UintSize/8)/1024, "KiB")
 			for i := 0; i < b.N; i++ {
 				generic.Exp(exps[i%len(exps)])
 			}
@@ -234,7 +234,7 @@ func BenchmarkCombGeometry(b *testing.B) {
 			if !tab.mo.lane || g[1] != 2 {
 				b.Skip("no radix-2^52 walk for this table on this CPU")
 			}
-			b.ReportMetric(float64(len(tab.flat)*bits.UintSize/8)/1024, "KiB")
+			b.ReportMetric(float64(len(*tab.flat.w)*bits.UintSize/8)/1024, "KiB")
 			for i := 0; i < b.N; i++ {
 				tab.Exp(exps[i%len(exps)])
 			}

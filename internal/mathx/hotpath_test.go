@@ -82,7 +82,7 @@ func TestHotPathAllocsConstant(t *testing.T) {
 	for _, n := range []int{2, 16, 40} {
 		gv, responses, c, z := tabledRound(t, n)
 		eq2Allocs = append(eq2Allocs, testing.AllocsPerRun(20, func() {
-			if err := gv.BatchVerify(responses, c, z); err != nil {
+			if err := gv.BatchVerifyPacked(responses, c, z); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -95,17 +95,18 @@ func TestHotPathAllocsConstant(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("tabled GroupVerifier.BatchVerify allocations: %v", eq2Allocs)
+	t.Logf("tabled GroupVerifier.BatchVerifyPacked allocations: %v", eq2Allocs)
 	for _, a := range eq2Allocs {
 		if a != eq2Allocs[0] {
-			t.Errorf("tabled GroupVerifier.BatchVerify allocations %v: want one constant across roster sizes", eq2Allocs)
+			t.Errorf("tabled GroupVerifier.BatchVerifyPacked allocations %v: want one constant across roster sizes", eq2Allocs)
 		}
 	}
 }
 
-// tabledRound builds one honest keying round of n signers and a verifier
-// for it that has served enough checks to carry its fixed-base table.
-func tabledRound(t *testing.T, n int) (gv *gq.GroupVerifier, responses []*big.Int, c, z *big.Int) {
+// tabledRound builds one honest keying round of n signers, its responses
+// packed one per slot, and a verifier for it that has served enough
+// checks to carry its fixed-base table.
+func tabledRound(t *testing.T, n int) (gv *gq.GroupVerifier, responses mathx.Packed, c, z *big.Int) {
 	t.Helper()
 	rp := params.Default().RSA
 	pub := gq.ParamsFrom(rp)
@@ -122,20 +123,22 @@ func tabledRound(t *testing.T, n int) (gv *gq.GroupVerifier, responses []*big.In
 	}
 	z = big.NewInt(0xfeed)
 	c = gq.GroupChallenge(mathx.ProductMod(ts, pub.N), z)
-	responses = make([]*big.Int, n)
+	responses = rp.Mont().NewPacked(n)
 	for i, id := range ids {
 		sk, err := gq.Extract(rp, id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		responses[i] = sk.Respond(taus[i], c)
+		if !responses.Load(i, sk.Respond(taus[i], c)) {
+			t.Fatal("response out of range")
+		}
 	}
 	gv, err := gq.NewGroupVerifier(pub, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ { // well past the promotion point
-		if err := gv.BatchVerify(responses, c, z); err != nil {
+		if err := gv.BatchVerifyPacked(responses, c, z); err != nil {
 			t.Fatal(err)
 		}
 	}

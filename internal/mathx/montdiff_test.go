@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"math/big"
@@ -471,6 +472,9 @@ func TestLoadBytes(t *testing.T) {
 					if got := mo.bigOf(p.slot(1)); want && got.Cmp(v) != 0 || !want && got.Sign() != 0 {
 						t.Fatalf("%s, m=%d bits, %d zero bytes: decoded %v, want %v", name, m.BitLen(), pad, got, v)
 					}
+					if got := p.Bytes(1); !bytes.Equal(got, slotBytes(v, want)) {
+						t.Fatalf("%s, m=%d bits, v=%v, %d zero bytes: Bytes = %x", name, m.BitLen(), v, pad, got)
+					}
 				}
 				if ok := p.Load(0, v); ok != want || p.InRange(0) != want {
 					t.Fatalf("%s, m=%d bits, v=%v: Load in range %v, want %v", name, m.BitLen(), v, ok, want)
@@ -484,13 +488,14 @@ func TestLoadBytes(t *testing.T) {
 // m, 2^1024 - 1 and encodings of 129 and 130 bytes — through both
 // representations of 1024-bit moduli: FromMont(ToMont(v)) is v mod m,
 // and Load, LoadBytes and InRange accept exactly the values in (0, m),
-// which the slot, FromMont(ToMont) of it and Unpack then read back.
+// which the slot, FromMont(ToMont) of it and Bytes then read back; a
+// refused value leaves the slot empty, and Bytes gives none.
 func TestRepresentationRoundTrip(t *testing.T) {
 	over := new(big.Int).Lsh(One, 1024)
 	for _, m := range kernelModuli(t) {
 		vals := []*big.Int{big.NewInt(0), One, new(big.Int).Sub(m, One), m, new(big.Int).Sub(over, One), over, new(big.Int).Add(over, m)}
 		for name, mo := range chainBackends(mustModulus(t, m)) {
-			p, got := mo.NewPacked(1), make([]big.Int, 1)
+			p := mo.NewPacked(1)
 			for _, v := range vals {
 				if got := mo.FromMont(mo.ToMont(v)); got.Cmp(new(big.Int).Mod(v, m)) != 0 {
 					t.Fatalf("%s, m=%x: FromMont(ToMont(%x)) = %x", name, m, v, got)
@@ -508,8 +513,8 @@ func TestRepresentationRoundTrip(t *testing.T) {
 					if got := mo.bigOf(p.slot(0)); want && (got.Cmp(v) != 0 || mo.FromMont(p.ToMont(0)).Cmp(v) != 0) || !want && got.Sign() != 0 {
 						t.Fatalf("%s, m=%x: %s(%x) reads back %x", name, m, load, v, got)
 					}
-					if p.Unpack(got); want && got[0].Cmp(v) != 0 || !want && got[0].Sign() != 0 {
-						t.Fatalf("%s, m=%x: %s(%x) unpacks to %x", name, m, load, v, &got[0])
+					if got := p.Bytes(0); !bytes.Equal(got, slotBytes(v, want)) {
+						t.Fatalf("%s, m=%x: %s(%x) gives bytes %x", name, m, load, v, got)
 					}
 				}
 			}
@@ -521,7 +526,7 @@ func TestRepresentationRoundTrip(t *testing.T) {
 // an odd 1024-bit modulus built from the fuzz input, in both
 // representations: each must accept exactly when big.Int.SetBytes gives
 // a value in (0, m), and then hold that value, as FromMont(ToMont) of
-// the slot and Unpack read it back.
+// the slot and Bytes read it back; a refused slot gives no bytes.
 func FuzzLoadBytes(f *testing.F) {
 	ones := make([]byte, 128) // m = 2^1024 - 1
 	for i := range ones {
@@ -542,11 +547,13 @@ func FuzzLoadBytes(f *testing.F) {
 		m.SetBit(m, 1023, 1).SetBit(m, 0, 1)
 		v := new(big.Int).SetBytes(b)
 		want := v.Sign() > 0 && v.Cmp(m) < 0
-		got := make([]big.Int, 1)
 		for name, mo := range chainBackends(mustModulus(t, m)) {
 			p := mo.NewPacked(1)
 			if ok := p.LoadBytes(0, b); ok != want {
 				t.Fatalf("%s, m=%x: LoadBytes(%x) = %v, want %v", name, m, b, ok, want)
+			}
+			if got := p.Bytes(0); !bytes.Equal(got, slotBytes(v, want)) {
+				t.Fatalf("%s, m=%x: LoadBytes(%x) gives bytes %x", name, m, b, got)
 			}
 			if !want {
 				continue
@@ -554,11 +561,18 @@ func FuzzLoadBytes(f *testing.F) {
 			if r := mo.FromMont(p.ToMont(0)); r.Cmp(v) != 0 {
 				t.Fatalf("%s, m=%x: FromMont(ToMont) of %x = %x", name, m, v, r)
 			}
-			if p.Unpack(got); got[0].Cmp(v) != 0 {
-				t.Fatalf("%s, m=%x: LoadBytes(%x) unpacks to %x", name, m, b, &got[0])
-			}
 		}
 	})
+}
+
+// slotBytes returns the bytes Packed.Bytes gives for a slot loaded
+// with v: v's minimal big-endian bytes when the load accepted it, else
+// none.
+func slotBytes(v *big.Int, accepted bool) []byte {
+	if !accepted {
+		return nil
+	}
+	return v.Bytes()
 }
 
 // TestRPow checks the cached R powers against big.Int, for negative,

@@ -102,21 +102,13 @@ func (p Packed) InRange(i int) bool {
 // Modulus.ToMont does for a big.Int.
 func (p Packed) ToMont(i int) Elem { return p.mo.toMont(p.slot(i)) }
 
-// Unpack sets dst[i] to slot i's value for every slot, each over its
-// slot's own memory, which now holds the value's machine words: the
-// big.Ints cost no allocation, and p's slots are spent. An empty slot
-// reads as 0.
-func (p Packed) Unpack(dst []big.Int) {
-	kw := len(p.mo.m.Bits())
-	for i := range p.Len() {
-		s := p.slot(i)
-		if p.mo.lane {
-			limbs := [20]big.Word(s)
-			from52(s[:kw], limbs[:])
-		}
-		dst[i].SetBits(s[:kw:kw])
-	}
-}
+// Bytes returns slot i's value as minimal big-endian bytes, as
+// big.Int.Bytes does; an empty slot gives none.
+func (p Packed) Bytes(i int) []byte { return p.mo.bigOf(p.slot(i)).Bytes() }
+
+// Copy sets slot i to src's slot j, src being a Packed of the same
+// Modulus, or one of the same value and representation.
+func (p Packed) Copy(i int, src Packed, j int) { copy(p.slot(i), src.slot(j)) }
 
 // Product returns Π values mod m, bit-identical to ProductMod: an empty
 // slice yields 1 and values outside [0, m) are reduced first. It is one

@@ -118,9 +118,10 @@ func TestScalarFormatRedacts(t *testing.T) {
 	}
 }
 
-// TestRedaction formats a Scalar, an Elem and a full RSAParams with every
-// verb, at top level, in exported and unexported fields, in a slice and
-// in a wrapped error, and looks for every word and limb of their secrets.
+// TestRedaction formats a Scalar, an Elem, a full RSAParams and a
+// fixed-base table of a secret base with every verb, at top level, in
+// exported and unexported fields, in a slice and in a wrapped error, and
+// looks for every word and limb of their secrets.
 func TestRedaction(t *testing.T) {
 	rp, err := GenerateRSAParams(rand.Reader, 512)
 	if err != nil {
@@ -138,6 +139,11 @@ func TestRedaction(t *testing.T) {
 		E map[string]Elem
 	}{s, mo.ToMontScalar(s), []Scalar{s}, map[string]Elem{"e": mo.ToMont(v)}}, redacttest.Montgomery(v, rp.N)...)
 	redacttest.Check(t, "RSAParams", rp, rp.P.BigVarTime(), rp.Q.BigVarTime(), rp.D.BigVarTime())
+	tab, err := NewFixedBaseTable(v, mo, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	redacttest.Check(t, "FixedBaseTable", tab, redacttest.Montgomery(v, rp.N)...)
 }
 
 // TestScalarCopyAndNegLeaveOriginal checks that copies of a Scalar, which

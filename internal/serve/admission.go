@@ -87,7 +87,7 @@ func (h *Host) admit(hm *hostMember, sid string) error {
 			runs, group := hm.sh.groupLoad(sid)
 			// Fairness bites only when OTHER groups hold runs on this
 			// shard — with nobody to starve, a lone group may fill it.
-			if runs > group && group+1 > fairLimit(runs+1, h.cfg.fairShare()) {
+			if runs > group && group+1 > fairLimit(runs+1, fairShare) {
 				reason = "group-fairness"
 			}
 		}
@@ -103,8 +103,13 @@ func (h *Host) admit(hm *hostMember, sid string) error {
 	}
 }
 
+// fairShare is the fraction of a pressured shard's live runs one group
+// (session id) may hold before its new Starts are shed ahead of everyone
+// else's; pressure begins at half a configured watermark.
+const fairShare = 0.5
+
 // fairLimit is the most live runs one group may hold of a pressured
-// shard's total: the configured share, never below one run.
+// shard's total: the given share, never below one run.
 func fairLimit(total int, share float64) int {
 	limit := int(share * float64(total))
 	if limit < 1 {

@@ -63,11 +63,6 @@ type Config struct {
 	// a Start aimed at a shard whose oldest queued task has waited this
 	// long is rejected with ErrOverloaded. 0 disables the age watermark.
 	MaxShardQueueAge time.Duration
-	// FairShare is the fraction (0, 1] of a pressured shard's live runs
-	// one group (session id) may hold before its new Starts are shed
-	// ahead of everyone else's; pressure begins at half a configured
-	// watermark. 0 selects 0.5. Irrelevant while no watermark is set.
-	FairShare float64
 }
 
 func (c Config) shards() int {
@@ -85,13 +80,6 @@ func (c Config) tickInterval() time.Duration {
 		return 100 * time.Millisecond
 	}
 	return c.TickInterval
-}
-
-func (c Config) fairShare() float64 {
-	if c.FairShare > 0 && c.FairShare <= 1 {
-		return c.FairShare
-	}
-	return 0.5
 }
 
 // Stats is a point-in-time snapshot of a Host's counters.

@@ -28,12 +28,10 @@ type SoakOptions struct {
 	// driver keeps offering. Defaults: 25/sec for 5s.
 	Rate     float64
 	Duration time.Duration
-	// MaxShardQueue/MaxShardQueueAge/FairShare feed straight into the
-	// host's admission Config — zero watermarks soak the unbounded
-	// baseline.
+	// MaxShardQueue/MaxShardQueueAge feed straight into the host's
+	// admission Config — zero watermarks soak the unbounded baseline.
 	MaxShardQueue    int
 	MaxShardQueueAge time.Duration
-	FairShare        float64
 	// OpBudget bounds how long one admitted operation may take to settle
 	// before it counts as failed. Default 30s.
 	OpBudget time.Duration
@@ -174,7 +172,6 @@ func RunSoak(opt SoakOptions) (*SoakReport, error) {
 		Deadline:         opt.deadline(),
 		MaxShardQueue:    opt.MaxShardQueue,
 		MaxShardQueueAge: opt.MaxShardQueueAge,
-		FairShare:        opt.FairShare,
 	}, lb.tx)
 	lb.setHost(host)
 	defer host.Close()

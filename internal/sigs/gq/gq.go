@@ -176,10 +176,8 @@ func Verify(pub Params, id string, msg []byte, sig *Signature) error {
 	if err != nil {
 		return err
 	}
-	packed, err := gv.pack([]*big.Int{sig.S})
-	if err != nil {
-		return err
-	}
+	packed := gv.mo.NewPacked(1)
+	packed.Load(0, sig.S) // commitment refuses a response out of range
 	lhs, err := gv.commitment(packed, sig.C)
 	if err != nil {
 		return err
@@ -207,8 +205,8 @@ const promoteAfter = 4
 
 // GroupVerifier checks equation (2) for one fixed signer set. Construction
 // hashes every identity, folds the digests into H = Π H(ID_i) and inverts
-// it once, so each BatchVerify costs one response product, one short
-// public-exponent power and one challenge-sized power of the cached
+// it once, so each BatchVerifyPacked costs one response product, one
+// short public-exponent power and one challenge-sized power of the cached
 // inverse. The promoteAfter-th check attaches a fixed-base table of the
 // inverse, which turns that power into a table walk for every later
 // check. Safe for concurrent use once built.
@@ -265,20 +263,13 @@ func (gv *GroupVerifier) table() *mathx.FixedBaseTable {
 	return gv.tab.Load()
 }
 
-// BatchVerify checks equation (2) for one round of the signer set:
+// BatchVerifyPacked checks equation (2) for one round of the signer
+// set,
 //
-//	c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z)
-func (gv *GroupVerifier) BatchVerify(responses []*big.Int, c, z *big.Int) error {
-	packed, err := gv.pack(responses)
-	if err != nil {
-		return err
-	}
-	return gv.BatchVerifyPacked(packed, c, z)
-}
-
-// BatchVerifyPacked is BatchVerify over responses already packed, the
-// form a caller that decodes them straight off the wire holds: response
-// i in slot i of a Packed of N's Modulus.
+//	c == H((Π s_i)^e · (Π H(ID_i))^{-c}, Z),
+//
+// over the responses in the form a caller that decodes them straight off
+// the wire holds: response i in slot i of a Packed of N's Modulus.
 func (gv *GroupVerifier) BatchVerifyPacked(packed mathx.Packed, c, z *big.Int) error {
 	lhs, err := gv.commitment(packed, c)
 	if err != nil {
@@ -290,20 +281,6 @@ func (gv *GroupVerifier) BatchVerifyPacked(packed mathx.Packed, c, z *big.Int) e
 	return nil
 }
 
-// pack loads responses into the Packed commitment reads.
-func (gv *GroupVerifier) pack(responses []*big.Int) (mathx.Packed, error) {
-	if len(responses) != gv.n {
-		return mathx.Packed{}, errBatchSize
-	}
-	packed := gv.mo.NewPacked(len(responses))
-	for i, s := range responses {
-		if !packed.Load(i, s) {
-			return mathx.Packed{}, fmt.Errorf("gq: response %d out of range", i)
-		}
-	}
-	return packed, nil
-}
-
 // errBatchSize rejects a response count other than the signer count.
 var errBatchSize = errors.New("gq: batch size mismatch")
 
@@ -313,8 +290,8 @@ var errChallengeRange = errors.New("gq: challenge out of range")
 
 // commitment computes (Π s_i)^e · (Π H(ID_i))^{-c} mod n: the commitment
 // product a valid set of responses recovers, from the responses packed
-// as pack lays them out. The response product lands in the Montgomery
-// domain directly and (Π s_i)^e is an ExpElem power there. hInv^c is
+// one per slot. The response product lands in the Montgomery domain
+// directly and (Π s_i)^e is an ExpElem power there. hInv^c is
 // another until the verifier is tabled; from then on (Π s_i)^e rides the
 // table walk's conversion out. Malformed inputs are rejected before any
 // exponentiation, and the range check keeps every walked challenge

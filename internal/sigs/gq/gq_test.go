@@ -14,6 +14,7 @@ import (
 	"idgka/internal/hashx"
 	"idgka/internal/mathx"
 	"idgka/internal/params"
+	"idgka/internal/redacttest"
 )
 
 func testKey(t testing.TB, id string) *PrivateKey {
@@ -23,6 +24,14 @@ func testKey(t testing.TB, id string) *PrivateKey {
 		t.Fatalf("Extract(%q): %v", id, err)
 	}
 	return sk
+}
+
+// TestRedaction formats the comb table Precompute builds for S_ID with
+// every verb and placement and looks for S_ID and every Montgomery image
+// of it, whose words or limbs the table's entries hold.
+func TestRedaction(t *testing.T) {
+	sk := testKey(t, "redact-01")
+	redacttest.Check(t, "FixedBaseTable", sk.Precompute(), redacttest.Montgomery(sk.S.BigVarTime(), sk.Pub.N)...)
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -163,8 +172,8 @@ func refCommitment(pub Params, ids []string, responses []*big.Int, c *big.Int) *
 }
 
 // TestBatchVerify is the differential test of the one verifier core:
-// GroupVerifier.BatchVerify (equation 2) and Verify (its one-identity case
-// over a message) must give the verdict of the math/big reference on
+// GroupVerifier.BatchVerifyPacked (equation 2) and Verify (its
+// one-identity case over a message) must give the verdict of the math/big reference on
 // valid batches of every ring size, on corrupted, impostor and re-bound
 // inputs, and on out-of-range responses and challenges; wherever the core
 // computes, its commitment must equal the reference bit for bit.
@@ -253,7 +262,7 @@ func TestBatchVerify(t *testing.T) {
 				t.Fatalf("core commitment diverges from the reference")
 			}
 			if tc.z != nil {
-				err = gv.BatchVerify(tc.responses, tc.c, tc.z)
+				err = batchVerify(gv, tc.responses, tc.c, tc.z)
 			} else {
 				err = Verify(pub, tc.ids[0], tc.msg, &Signature{S: tc.responses[0], C: tc.c})
 			}
@@ -276,7 +285,7 @@ func TestBatchVerifySizeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rs := range [][]*big.Int{nil, responses[:2], append(responses[:3:3], responses[0])} {
-		if err := gv.BatchVerify(rs, c, z); err == nil {
+		if err := batchVerify(gv, rs, c, z); err == nil {
 			t.Fatalf("%d responses accepted by a %d-signer verifier", len(rs), len(ids))
 		}
 	}
@@ -299,18 +308,18 @@ func TestGroupVerifierMatchesBatchVerify(t *testing.T) {
 	if !refVerify(responses) {
 		t.Fatal("reference rejected an honest batch")
 	}
-	if err := gv.BatchVerify(responses, c, z); err != nil {
-		t.Fatalf("GroupVerifier.BatchVerify: %v", err)
+	if err := batchVerify(gv, responses, c, z); err != nil {
+		t.Fatalf("GroupVerifier.BatchVerifyPacked: %v", err)
 	}
 	bad := append([]*big.Int(nil), responses...)
 	bad[2] = new(big.Int).Add(bad[2], mathx.One)
-	if err := gv.BatchVerify(bad, c, z); err == nil {
+	if err := batchVerify(gv, bad, c, z); err == nil {
 		t.Fatal("corrupted response accepted")
 	}
 	if refVerify(bad) {
 		t.Fatal("reference accepted corrupted response")
 	}
-	if err := gv.BatchVerify(responses[:3], c, z); err == nil {
+	if err := batchVerify(gv, responses[:3], c, z); err == nil {
 		t.Fatal("short batch accepted")
 	}
 	if _, err := NewGroupVerifier(pub, nil); err == nil {
@@ -328,7 +337,7 @@ func TestGroupVerifierRejectsBadChallenge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gv.BatchVerify(responses, c, z); err != nil {
+	if err := batchVerify(gv, responses, c, z); err != nil {
 		t.Fatalf("honest batch rejected: %v", err)
 	}
 	bound := new(big.Int).Lsh(mathx.One, hashx.ChallengeBits)
@@ -347,7 +356,7 @@ func TestGroupVerifierRejectsBadChallenge(t *testing.T) {
 					t.Errorf("c = %s panicked: %v", name, r)
 				}
 			}()
-			if err := gv.BatchVerify(responses, bc, z); err == nil {
+			if err := batchVerify(gv, responses, bc, z); err == nil {
 				t.Errorf("c = %s accepted", name)
 			}
 		}()
@@ -438,7 +447,7 @@ func BenchmarkBatchVerify100(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := gv.BatchVerify(responses, c, z); err != nil {
+		if err := batchVerify(gv, responses, c, z); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -471,7 +480,7 @@ func TestGroupVerifierPromotion(t *testing.T) {
 		if tab := gv.tab.Load(); tab.MaxBits() != hashx.ChallengeBits {
 			t.Fatalf("table covers %d bits, want the %d-bit challenge", tab.MaxBits(), hashx.ChallengeBits)
 		}
-		if err := gv.BatchVerify(responses, c, z); err != nil {
+		if err := batchVerify(gv, responses, c, z); err != nil {
 			t.Fatalf("n=%d: tabled verifier rejected an honest batch: %v", n, err)
 		}
 	}
@@ -513,7 +522,7 @@ func TestPromotedVerifierRejectsHostileInput(t *testing.T) {
 			if _, err := gv.commitmentOf(tc.responses, tc.c); err == nil || strings.Contains(err.Error(), "verification failed") {
 				t.Fatalf("promoted=%v %s: got %v, want a range error", promoted, tc.name, err)
 			}
-			if err := gv.BatchVerify(tc.responses, tc.c, z); err == nil {
+			if err := batchVerify(gv, tc.responses, tc.c, z); err == nil {
 				t.Fatalf("promoted=%v %s: accepted", promoted, tc.name)
 			}
 		}
@@ -522,7 +531,7 @@ func TestPromotedVerifierRejectsHostileInput(t *testing.T) {
 				t.Fatalf("%d rejected checks counted towards promotion", n)
 			}
 			for i := 0; i < promoteAfter; i++ {
-				if err := gv.BatchVerify(responses, c, z); err != nil {
+				if err := batchVerify(gv, responses, c, z); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -532,7 +541,7 @@ func TestPromotedVerifierRejectsHostileInput(t *testing.T) {
 		}
 	}
 	corrupt := with(3, new(big.Int).Add(responses[3], mathx.One))
-	if err := gv.BatchVerify(corrupt, c, z); err == nil {
+	if err := batchVerify(gv, corrupt, c, z); err == nil {
 		t.Fatal("promoted verifier accepted a corrupted response")
 	}
 	impostor := append([]string(nil), ids...)
@@ -542,7 +551,7 @@ func TestPromotedVerifierRejectsHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i <= promoteAfter; i++ {
-		if err := igv.BatchVerify(responses, c, z); err == nil {
+		if err := batchVerify(igv, responses, c, z); err == nil {
 			t.Fatalf("check %d: impostor roster accepted", i+1)
 		}
 	}
@@ -579,14 +588,14 @@ func TestSharedVerifierRace(t *testing.T) {
 					return
 				}
 				if (w+r)%3 == 0 {
-					err = gv.BatchVerify(corrupt, c, z)
+					err = batchVerify(gv, corrupt, c, z)
 					if err == nil {
 						err = errors.New("corrupted batch accepted")
 					} else {
 						err = nil
 					}
 				} else {
-					err = gv.BatchVerify(responses, c, z)
+					err = batchVerify(gv, responses, c, z)
 				}
 				if err != nil {
 					errs <- err
@@ -642,7 +651,7 @@ func TestSharedVerifierCacheBounded(t *testing.T) {
 	if again == first {
 		t.Fatal("the least recently used set was not evicted")
 	}
-	if err := again.BatchVerify(responses, c, z); err != nil {
+	if err := batchVerify(again, responses, c, z); err != nil {
 		t.Fatalf("rebuilt verifier rejected an honest batch: %v", err)
 	}
 	if same, _ := SharedVerifier(pub, ids); same != again {
@@ -693,8 +702,9 @@ func BenchmarkBatchVerify4(b *testing.B) {
 			b.Fatal(err)
 		}
 		gv.uses.Store(promoteAfter) // past the promoting check: never tabled
+		packed := pack(gv.mo, responses)
 		for i := 0; i < b.N; i++ {
-			if err := gv.BatchVerify(responses, c, z); err != nil {
+			if err := gv.BatchVerifyPacked(packed, c, z); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -704,12 +714,13 @@ func BenchmarkBatchVerify4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		packed := pack(gv.mo, responses)
 		for i := 0; i < promoteAfter; i++ {
-			gv.BatchVerify(responses, c, z)
+			gv.BatchVerifyPacked(packed, c, z)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := gv.BatchVerify(responses, c, z); err != nil {
+			if err := gv.BatchVerifyPacked(packed, c, z); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -727,12 +738,23 @@ func BenchmarkBatchVerify4(b *testing.B) {
 	})
 }
 
-// commitmentOf runs the commitment core on big.Int responses, packed the
-// way BatchVerify packs them.
-func (gv *GroupVerifier) commitmentOf(responses []*big.Int, c *big.Int) (*big.Int, error) {
-	packed, err := gv.pack(responses)
-	if err != nil {
-		return nil, err
+// pack loads big.Int responses one per slot of a Packed of N's Modulus
+// mo, as the ring flow decodes them off the wire; a response out of
+// range leaves its slot empty, which the verifier refuses.
+func pack(mo *mathx.Modulus, responses []*big.Int) mathx.Packed {
+	packed := mo.NewPacked(len(responses))
+	for i, s := range responses {
+		packed.Load(i, s)
 	}
-	return gv.commitment(packed, c)
+	return packed
+}
+
+// batchVerify runs BatchVerifyPacked on big.Int responses.
+func batchVerify(gv *GroupVerifier, responses []*big.Int, c, z *big.Int) error {
+	return gv.BatchVerifyPacked(pack(gv.mo, responses), c, z)
+}
+
+// commitmentOf runs the commitment core on big.Int responses.
+func (gv *GroupVerifier) commitmentOf(responses []*big.Int, c *big.Int) (*big.Int, error) {
+	return gv.commitment(pack(gv.mo, responses), c)
 }
