@@ -152,6 +152,9 @@ func TestSessionAccessors(t *testing.T) {
 	if s.Position(members[2].ID()) != 2 || s.Position("nobody") != -1 {
 		t.Fatal("Position wrong")
 	}
+	if s.Neighbor(0, -1) != members[3].ID() || s.Neighbor(3, 1) != members[0].ID() {
+		t.Fatal("ring neighbours wrong")
+	}
 }
 
 // TestGroupKeyMatchesDirectComputation white-boxes equation (3): the

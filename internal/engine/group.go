@@ -72,6 +72,12 @@ func (g *Group) ringEquals(ring []string) bool {
 	return slices.Equal(g.Roster, ring)
 }
 
+// Neighbor returns the id at offset d from position i around the ring.
+func (g *Group) Neighbor(i, d int) string {
+	n := len(g.Roster)
+	return g.Roster[((i+d)%n+n)%n]
+}
+
 // copyViews copies src's z and t slots into g's from position at on,
 // src's ring being g's from there.
 func (g *Group) copyViews(src *Group, at int) {
