@@ -106,8 +106,8 @@ type Config struct {
 	// commitments instead of reusing them as the paper (unsafely)
 	// specifies.
 	StrictNonceRefresh bool
-	// Precompute is ignored: every member builds the fixed-base tables
-	// for the group generator and its identity key at creation.
+	// Precompute is ignored: the fixed-base tables for the group
+	// generator and a member's identity key are built on first use.
 	//
 	// Deprecated: precomputation is unconditional. The field remains for
 	// one release so existing configurations keep compiling.

@@ -146,14 +146,11 @@ func TestSessionAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := members[0].Group()
-	if s.Controller() != members[0].ID() || s.Last() != members[3].ID() {
+	if s.Roster[0] != members[0].ID() || s.Last() != members[3].ID() {
 		t.Fatal("controller/last wrong")
 	}
 	if s.Position(members[2].ID()) != 2 || s.Position("nobody") != -1 {
 		t.Fatal("Position wrong")
-	}
-	if s.Neighbor(0, -1) != members[3].ID() || s.Neighbor(3, 1) != members[0].ID() {
-		t.Fatal("ring neighbours wrong")
 	}
 }
 

@@ -285,12 +285,6 @@ func NewMachine(cfg Config, sk *gq.PrivateKey, m *meter.Meter) (*Machine, error)
 	if sk == nil {
 		return nil, errors.New("engine: nil identity key")
 	}
-	// Attach the fixed-base tables for z_i = g^r and s_i = τ·S^c before
-	// the machine serves traffic. Both calls are idempotent and
-	// race-safe: the group table lives on the (process-shared) parameter
-	// set, the response table on this member's identity key.
-	cfg.Set.Schnorr.Precompute()
-	sk.Precompute()
 	return &Machine{
 		cfg:      cfg,
 		id:       sk.ID,

@@ -381,7 +381,7 @@ func TestEngineMergeShuffled(t *testing.T) {
 		t.Fatal("merge did not refresh the group key")
 	}
 	for _, id := range all {
-		if g := nodes[id].established("s-m"); g.Size() != 5 || g.Controller() != "A01" {
+		if g := nodes[id].established("s-m"); g.Size() != 5 || g.Roster[0] != "A01" {
 			t.Fatalf("%s: bad merged ring %v", id, g.Roster)
 		}
 	}

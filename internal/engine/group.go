@@ -58,9 +58,6 @@ func (g *Group) Position(id string) int {
 // Size returns the ring size.
 func (g *Group) Size() int { return len(g.Roster) }
 
-// Controller returns the trusted controller U_1.
-func (g *Group) Controller() string { return g.Roster[0] }
-
 // Last returns U_n, the closing member of the ring.
 func (g *Group) Last() string { return g.Roster[len(g.Roster)-1] }
 
@@ -70,12 +67,6 @@ func (g *Group) Last() string { return g.Roster[len(g.Roster)-1] }
 // the symptom of keying off the wrong group.
 func (g *Group) ringEquals(ring []string) bool {
 	return slices.Equal(g.Roster, ring)
-}
-
-// Neighbor returns the id at offset d from position i around the ring.
-func (g *Group) Neighbor(i, d int) string {
-	n := len(g.Roster)
-	return g.Roster[((i+d)%n+n)%n]
 }
 
 // copyViews copies src's z and t slots into g's from position at on,

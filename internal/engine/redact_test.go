@@ -26,7 +26,9 @@ func TestRedaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk.Precompute()
+	if _, err := sk.Sign(rand.Reader, []byte("builds the S_ID table")); err != nil {
+		t.Fatal(err)
+	}
 	mc, err := NewMachine(Config{Set: set.Public()}, sk, meter.New())
 	if err != nil {
 		t.Fatal(err)

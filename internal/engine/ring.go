@@ -122,7 +122,7 @@ func (f *ringFlow) begin() ([]Outbound, error) {
 	// Senders always draw a fresh GQ commitment: refreshers by protocol,
 	// strict-mode non-refreshers by design (see
 	// docs/ARCHITECTURE.md#deviations).
-	tau, t, err := gq.Commitment(mc.cfg.rand(), gq.ParamsFrom(mc.cfg.Set.RSA))
+	tau, t, err := gq.Commitment(mc.cfg.rand(), mc.cfg.Set.RSA)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +347,7 @@ func (rs *ringState) finish(mc *Machine) (*Group, error) {
 	// roster's process-shared verifier, so no identity is re-hashed, the
 	// identity product is not re-inverted per round, and a recurring
 	// roster walks a fixed-base table of the inverse.
-	gv, err := gq.SharedVerifier(gq.ParamsFrom(mc.cfg.Set.RSA), rs.roster)
+	gv, err := gq.SharedVerifier(mc.cfg.Set.RSA, rs.roster)
 	if err == nil {
 		err = gv.BatchVerifyPacked(rs.ss, rs.c, rs.bigZ)
 	}

@@ -162,7 +162,7 @@ func (mc *Machine) sign(body []byte) ([]byte, error) {
 // verify checks signer's GQ signature over the encoded fields body. A bad
 // signature is retryable; the verification is charged either way.
 func (mc *Machine) verify(signer string, body []byte, sig *gq.Signature) error {
-	err := gq.Verify(gq.ParamsFrom(mc.cfg.Set.RSA), signer, body, sig)
+	err := gq.Verify(mc.cfg.Set.RSA, signer, body, sig)
 	mc.m.SignVer(meter.SchemeGQ, 1)
 	if err != nil {
 		return Retryable(fmt.Errorf("engine: %s rejects %s's signature: %w", mc.id, signer, err))

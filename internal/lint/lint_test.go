@@ -86,7 +86,7 @@ var varTimeCeiling = map[string]int{
 	"internal/mathx":      4,
 	"internal/sigs/dsa":   2,
 	"internal/sigs/ecdsa": 2,
-	"internal/sigs/gq":    4,
+	"internal/sigs/gq":    2,
 	"internal/sigs/sok":   2,
 }
 

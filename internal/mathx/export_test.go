@@ -13,6 +13,10 @@ func WithoutLane(mo *Modulus) *Modulus {
 	return generic
 }
 
+// GeneratorTable returns the comb table sg has published for G: nil
+// before its first Exp, and the same table on every read after it.
+func GeneratorTable(sg *SchnorrGroup) *FixedBaseTable { return sg.fixedBase.Load() }
+
 // HasLane reports whether mo's chains run on the radix-2^52 lane.
 func HasLane(mo *Modulus) bool { return mo.lane }
 

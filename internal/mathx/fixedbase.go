@@ -101,9 +101,6 @@ func newCombTable(base *big.Int, mo *Modulus, maxBits, h, v int) (*FixedBaseTabl
 	return t, nil
 }
 
-// MaxBits returns the largest exponent bit length the table covers.
-func (t *FixedBaseTable) MaxBits() int { return t.maxBits }
-
 // Covers reports whether the table path applies to exponent e
 // (non-negative and within the precomputed bit range).
 func (t *FixedBaseTable) Covers(e *big.Int) bool {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync"
 	"testing"
 )
 
@@ -140,6 +141,9 @@ func TestFixedBaseTableRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestSchnorrGroupPrecomputeTransparent checks that Exp, a walk of the
+// group's comb table, equals the big.Int power for random exponents
+// below q and the edges 0, 1, q-1 and q.
 func TestSchnorrGroupPrecomputeTransparent(t *testing.T) {
 	sg, err := GenerateSchnorrGroup(rand.Reader, 256, 96)
 	if err != nil {
@@ -154,22 +158,57 @@ func TestSchnorrGroupPrecomputeTransparent(t *testing.T) {
 		exps = append(exps, e)
 	}
 	exps = append(exps, big.NewInt(0), big.NewInt(1), new(big.Int).Sub(sg.Q, One), sg.Q)
-	naive := make([]*big.Int, len(exps))
+	for _, e := range exps {
+		if got, want := sg.Exp(e), new(big.Int).Exp(sg.G, e, sg.P); got.Cmp(want) != 0 {
+			t.Fatalf("Exp diverges from the big.Int power for exponent %v", e)
+		}
+	}
+}
+
+// TestSchnorrGeneratorTablePublishedOnce races eight first uses of a
+// fresh group's Exp: every result equals the big.Int power, and exactly
+// one comb table is published, the same one on every later read.
+func TestSchnorrGeneratorTablePublishedOnce(t *testing.T) {
+	sg, err := GenerateSchnorrGroup(rand.Reader, 512, 160)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if GeneratorTable(sg) != nil {
+		t.Fatal("table published before the first Exp")
+	}
+	const workers = 8
+	exps := make([]*big.Int, workers)
+	for i := range exps {
+		if exps[i], err = RandScalar(rand.Reader, sg.Q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*big.Int, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range exps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = sg.Exp(exps[i])
+		}()
+	}
+	close(start)
+	wg.Wait()
 	for i, e := range exps {
-		naive[i] = sg.Exp(e)
+		if got[i].Cmp(new(big.Int).Exp(sg.G, e, sg.P)) != 0 {
+			t.Fatalf("worker %d: Exp diverges from the big.Int power", i)
+		}
 	}
-	if sg.FixedBase() != nil {
-		t.Fatal("table attached before Precompute")
+	tab := GeneratorTable(sg)
+	if tab == nil {
+		t.Fatal("no table published after the first Exp")
 	}
-	if tab := sg.Precompute(); tab == nil {
-		t.Fatal("Precompute returned nil on a valid group")
-	}
-	if sg.Precompute() != sg.FixedBase() {
-		t.Fatal("Precompute is not idempotent")
-	}
-	for i, e := range exps {
-		if got := sg.Exp(e); got.Cmp(naive[i]) != 0 {
-			t.Fatalf("accelerated Exp diverges for exponent %v", e)
+	for i := 0; i < 4; i++ {
+		sg.Exp(exps[i])
+		if GeneratorTable(sg) != tab {
+			t.Fatal("a second table was published")
 		}
 	}
 }
@@ -200,10 +239,7 @@ func BenchmarkSchnorrExpNaive(b *testing.B) {
 
 func BenchmarkSchnorrExpFixedBase(b *testing.B) {
 	sg, exps := benchGroup(b)
-	tab := sg.Precompute()
-	if tab == nil {
-		b.Fatal("no table")
-	}
+	tab := sg.generatorTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab.Exp(exps[i%len(exps)])

@@ -16,10 +16,9 @@ type SchnorrGroup struct {
 	Q *big.Int // subgroup order (paper: 160-bit)
 	G *big.Int // generator of the order-q subgroup
 
-	// fixedBase caches the fixed-base comb table for G, attached by
-	// Precompute. Groups are shared by pointer across every member of a
-	// deployment, so the table is published atomically; a nil table
-	// selects the naive path.
+	// fixedBase caches the fixed-base comb table for G, built on first
+	// use by generatorTable. Groups are shared by pointer across every
+	// member of a deployment, so the table is published atomically.
 	fixedBase atomic.Pointer[FixedBaseTable]
 
 	// mont caches the Montgomery context for p (built lazily by Mont).
@@ -127,17 +126,10 @@ func (sg *SchnorrGroup) Validate() error {
 	return nil
 }
 
-// Precompute attaches a fixed-base comb table for the generator, turning
-// subsequent Exp calls into a table walk (9 squarings and at most 20
-// products at |q| = 160) instead of a full square-and-multiply.
-// Idempotent and safe to call concurrently; returns the attached table
-// (nil only when the group is structurally unusable). The accelerated
-// Exp returns bit-identical values, so transcripts and operation
-// accounting are unaffected.
-func (sg *SchnorrGroup) Precompute() *FixedBaseTable {
-	if sg == nil || sg.P == nil || sg.Q == nil || sg.G == nil {
-		return nil
-	}
+// generatorTable returns the group's fixed-base comb table for G over
+// Mont() and q's bit length, building it on first use. A concurrent
+// first use may build a second table; only one is ever published.
+func (sg *SchnorrGroup) generatorTable() *FixedBaseTable {
 	if t := sg.fixedBase.Load(); t != nil {
 		return t
 	}
@@ -149,27 +141,12 @@ func (sg *SchnorrGroup) Precompute() *FixedBaseTable {
 	return sg.fixedBase.Load()
 }
 
-// FixedBase returns the precomputation table attached by Precompute, or
-// nil when the group runs the naive path.
-func (sg *SchnorrGroup) FixedBase() *FixedBaseTable { return sg.fixedBase.Load() }
-
-// Exp computes g^x mod p for the group generator, through the fixed-base
-// table when one has been precomputed.
-func (sg *SchnorrGroup) Exp(x *big.Int) *big.Int {
-	if t := sg.fixedBase.Load(); t != nil {
-		return t.Exp(x)
-	}
-	return new(big.Int).Exp(sg.G, x, sg.P)
-}
-
-// InSubgroup reports whether v is a member of the order-q subgroup
-// (excluding 0; the identity 1 is a member).
-func (sg *SchnorrGroup) InSubgroup(v *big.Int) bool {
-	if v.Sign() <= 0 || v.Cmp(sg.P) >= 0 {
-		return false
-	}
-	return new(big.Int).Exp(v, sg.Q, sg.P).Cmp(One) == 0
-}
+// Exp computes g^x mod p for the group generator as a walk of the
+// group's comb table (9 squarings and at most 20 products at |q| = 160),
+// bit-identical to the square-and-multiply power, so transcripts and
+// operation accounting do not depend on it. Exp is defined on a group
+// Validate accepts, as Mont is.
+func (sg *SchnorrGroup) Exp(x *big.Int) *big.Int { return sg.generatorTable().Exp(x) }
 
 // RSAParams is the PKG-side description of the GQ modulus: n = p*q with the
 // signing/verification exponent pair d, e satisfying e*d ≡ 1 (mod λ(n)).
@@ -270,9 +247,12 @@ func (rp *RSAParams) Validate() error {
 }
 
 // Public returns a copy with the secret components stripped, suitable for
-// distribution to protocol participants.
+// distribution to protocol participants. The copy carries rp's
+// Montgomery context, so every view taken from one set shares one.
 func (rp *RSAParams) Public() *RSAParams {
-	return &RSAParams{N: new(big.Int).Set(rp.N), E: new(big.Int).Set(rp.E)}
+	pub := &RSAParams{N: new(big.Int).Set(rp.N), E: new(big.Int).Set(rp.E)}
+	pub.mont.Store(rp.Mont())
+	return pub
 }
 
 // String renders a short fingerprint for logs; secrets are never printed.

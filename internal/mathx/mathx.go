@@ -178,10 +178,3 @@ func ProductMod(values []*big.Int, m *big.Int) *big.Int {
 	}
 	return acc
 }
-
-// EqualMod reports whether a ≡ b (mod m).
-func EqualMod(a, b, m *big.Int) bool {
-	x := new(big.Int).Mod(a, m)
-	y := new(big.Int).Mod(b, m)
-	return x.Cmp(y) == 0
-}

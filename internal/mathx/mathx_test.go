@@ -128,19 +128,6 @@ func TestProductMod(t *testing.T) {
 	}
 }
 
-func TestEqualMod(t *testing.T) {
-	m := big.NewInt(7)
-	if !EqualMod(big.NewInt(10), big.NewInt(3), m) {
-		t.Fatal("10 ≡ 3 mod 7")
-	}
-	if EqualMod(big.NewInt(10), big.NewInt(4), m) {
-		t.Fatal("10 ≢ 4 mod 7")
-	}
-	if !EqualMod(big.NewInt(-4), big.NewInt(3), m) {
-		t.Fatal("-4 ≡ 3 mod 7")
-	}
-}
-
 // Property: for random residues a mod p, SqrtMod(a^2) squares back to a^2.
 func TestSqrtModProperty(t *testing.T) {
 	p := big.NewInt(1000003) // prime, ≡ 3 mod 4

@@ -95,16 +95,10 @@ func (kp *KeyPair) Verify(msg []byte, sig *Signature) error {
 	u1.Mod(u1, g.Q)
 	u2 := new(big.Int).Mul(sig.R, w)
 	u2.Mod(u2, g.Q)
-	// v = (g^u1 · y^u2 mod p) mod q. The g^u1 leg is a fixed-base power;
-	// when the group carries a precomputation table (sg.Precompute) it is
-	// read from the table — bit-identical to big.Exp — while the
-	// variable-base y^u2 leg stays on big.Exp.
-	var v *big.Int
-	if tab := g.FixedBase(); tab != nil && tab.Covers(u1) {
-		v = tab.Exp(u1)
-	} else {
-		v = new(big.Int).Exp(g.G, u1, g.P)
-	}
+	// v = (g^u1 · y^u2 mod p) mod q. The g^u1 leg is a fixed-base power,
+	// a walk of the group's comb table (built on first use, bit-identical
+	// to big.Exp); the variable-base y^u2 leg stays on big.Exp.
+	v := g.Exp(u1)
 	yv := new(big.Int).Exp(kp.Y, u2, g.P)
 	v.Mul(v, yv)
 	v.Mod(v, g.P)

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"testing"
 
+	"idgka/internal/hashx"
 	"idgka/internal/mathx"
 	"idgka/internal/params"
 )
@@ -75,33 +76,38 @@ func TestVerifyRejectsRangeViolations(t *testing.T) {
 	}
 }
 
-// TestVerifyFixedBaseMatches pins the fixed-base verify path to the plain
-// path: the same signature must verify (and the same tampered one must
-// fail) whether or not the group carries a precomputation table.
+// TestVerifyFixedBaseMatches pins Verify, whose g^u1 leg walks the
+// group's comb table, to the DSA equation computed on big.Int.Exp: a
+// good signature and a tampered one get the same verdict from both.
 func TestVerifyFixedBaseMatches(t *testing.T) {
 	def := params.Default().Schnorr
-	plain := &mathx.SchnorrGroup{P: def.P, Q: def.Q, G: def.G}
-	accel := &mathx.SchnorrGroup{P: def.P, Q: def.Q, G: def.G}
-	if accel.Precompute() == nil {
-		t.Fatal("Precompute returned nil table")
-	}
-	kp, err := GenerateKey(rand.Reader, plain)
+	kp, err := GenerateKey(rand.Reader, &mathx.SchnorrGroup{P: def.P, Q: def.Q, G: def.G})
 	if err != nil {
 		t.Fatalf("GenerateKey: %v", err)
 	}
-	kpAccel := &KeyPair{Group: accel, Y: kp.Y}
+	g := kp.Group
+	// reference is (g^u1 · y^u2 mod p) mod q == r, on big.Int.Exp.
+	reference := func(msg []byte, sig *Signature) bool {
+		w := new(big.Int).ModInverse(sig.S, g.Q)
+		h := hashx.ScalarDigest(hashx.TagDSADigest, g.Q, msg)
+		u1 := new(big.Int).Mod(new(big.Int).Mul(h, w), g.Q)
+		u2 := new(big.Int).Mod(new(big.Int).Mul(sig.R, w), g.Q)
+		v := new(big.Int).Exp(g.G, u1, g.P)
+		v.Mod(v.Mul(v, new(big.Int).Exp(kp.Y, u2, g.P)), g.P)
+		return v.Mod(v, g.Q).Cmp(sig.R) == 0
+	}
 	for i := 0; i < 8; i++ {
 		msg := []byte{byte(i), 'm'}
 		sig, err := kp.Sign(rand.Reader, msg)
 		if err != nil {
 			t.Fatalf("Sign: %v", err)
 		}
-		if err := kpAccel.Verify(msg, sig); err != nil {
-			t.Fatalf("fixed-base Verify rejected a good signature: %v", err)
+		if err := kp.Verify(msg, sig); err != nil || !reference(msg, sig) {
+			t.Fatalf("good signature: Verify = %v, reference = %v", err, reference(msg, sig))
 		}
 		bad := &Signature{R: sig.R, S: new(big.Int).Add(sig.S, big.NewInt(1))}
-		if kpAccel.Verify(msg, bad) == nil {
-			t.Fatal("fixed-base Verify accepted a tampered signature")
+		if kp.Verify(msg, bad) == nil || reference(msg, bad) {
+			t.Fatal("a tampered signature verified")
 		}
 	}
 }

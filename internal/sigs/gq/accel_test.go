@@ -3,19 +3,21 @@ package gq
 import (
 	"crypto/rand"
 	"math/big"
+	"sync"
 	"testing"
 
 	"idgka/internal/mathx"
 )
 
-// TestPrecomputeRespondTransparent checks the fixed-base response path is
-// bit-identical to the naive one across random challenges and edges.
-func TestPrecomputeRespondTransparent(t *testing.T) {
-	sk := testKey(t, "accel-alice")
-	tau, _, err := Commitment(rand.Reader, sk.Pub)
-	if err != nil {
-		t.Fatal(err)
-	}
+// respondRef is the big.Int reference for Respond: τ·S_ID^c mod N.
+func respondRef(sk *PrivateKey, tau mathx.Scalar, c *big.Int) *big.Int {
+	s := new(big.Int).Exp(sk.S.BigVarTime(), c, sk.Pub.N)
+	s.Mul(s, tau.BigVarTime())
+	return s.Mod(s, sk.Pub.N)
+}
+
+// challenges returns 0, 1 and eight random 160-bit challenges.
+func challenges(t testing.TB) []*big.Int {
 	cs := []*big.Int{big.NewInt(0), big.NewInt(1)}
 	for i := 0; i < 8; i++ {
 		c, err := mathx.RandInt(rand.Reader, new(big.Int).Lsh(mathx.One, 160))
@@ -24,36 +26,82 @@ func TestPrecomputeRespondTransparent(t *testing.T) {
 		}
 		cs = append(cs, c)
 	}
-	naive := make([]*big.Int, len(cs))
-	for i, c := range cs {
-		naive[i] = sk.Respond(tau, c)
+	return cs
+}
+
+// TestPrecomputeRespondTransparent checks that Respond, a walk of S_ID's
+// comb table, equals τ·S_ID^c mod N on big.Int across random challenges
+// and edges.
+func TestPrecomputeRespondTransparent(t *testing.T) {
+	sk := testKey(t, "accel-alice")
+	tau, _, err := Commitment(rand.Reader, sk.Pub)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sk.Precompute() == nil {
-		t.Fatal("Precompute returned nil")
-	}
-	for i, c := range cs {
-		if got := sk.Respond(tau, c); got.Cmp(naive[i]) != 0 {
-			t.Fatalf("precomputed Respond diverges for c=%v", c)
+	for _, c := range challenges(t) {
+		if got := sk.Respond(tau, c); got.Cmp(respondRef(sk, tau, c)) != 0 {
+			t.Fatalf("Respond diverges from the big.Int reference for c=%v", c)
 		}
 	}
-	// Precomputed responses still verify.
+	// Tabled responses still verify.
 	msg := []byte("accelerated signing")
 	sig, err := sk.Sign(rand.Reader, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Verify(sk.Pub, sk.ID, msg, sig); err != nil {
-		t.Fatalf("precomputed signature rejected: %v", err)
+		t.Fatalf("tabled signature rejected: %v", err)
 	}
 }
 
-// TestRespondAllocsConstant pins the allocations of a precomputed
-// response: one constant, whatever the challenge's digit count.
+// TestRespondTablePublishedOnce races eight first responses of a fresh
+// key: every response equals the big.Int reference, and exactly one comb
+// table of S_ID is published, the same one on every later read.
+func TestRespondTablePublishedOnce(t *testing.T) {
+	sk := testKey(t, "accel-race")
+	if sk.fixedBase.Load() != nil {
+		t.Fatal("table published before the first Respond")
+	}
+	tau, _, err := Commitment(rand.Reader, sk.Pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := challenges(t)[2:]
+	got := make([]*big.Int, len(cs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = sk.Respond(tau, cs[i])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range cs {
+		if got[i].Cmp(respondRef(sk, tau, c)) != 0 {
+			t.Fatalf("worker %d: Respond diverges from the big.Int reference", i)
+		}
+	}
+	tab := sk.fixedBase.Load()
+	if tab == nil {
+		t.Fatal("no table published after the first Respond")
+	}
+	for _, c := range cs[:4] {
+		sk.Respond(tau, c)
+		if sk.fixedBase.Load() != tab {
+			t.Fatal("a second table was published")
+		}
+	}
+}
+
+// TestRespondAllocsConstant pins the allocations of a tabled response:
+// one constant, whatever the challenge's digit count.
 func TestRespondAllocsConstant(t *testing.T) {
 	sk := testKey(t, "accel-allocs")
-	if sk.Precompute() == nil {
-		t.Fatal("Precompute returned nil")
-	}
+	sk.table() // built outside the measured runs
 	tau, _, err := Commitment(rand.Reader, sk.Pub)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +120,7 @@ func TestRespondAllocsConstant(t *testing.T) {
 	}
 }
 
+// BenchmarkRespondNaive times the big.Int reference response.
 func BenchmarkRespondNaive(b *testing.B) {
 	sk := testKey(b, "bench-respond")
 	tau, _, err := Commitment(rand.Reader, sk.Pub)
@@ -81,13 +130,13 @@ func BenchmarkRespondNaive(b *testing.B) {
 	c, _ := mathx.RandInt(rand.Reader, new(big.Int).Lsh(mathx.One, 160))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sk.Respond(tau, c)
+		respondRef(sk, tau, c)
 	}
 }
 
 func BenchmarkRespondPrecomputed(b *testing.B) {
 	sk := testKey(b, "bench-respond")
-	sk.Precompute()
+	sk.table()
 	tau, _, err := Commitment(rand.Reader, sk.Pub)
 	if err != nil {
 		b.Fatal(err)

@@ -34,61 +34,28 @@ import (
 	"idgka/internal/mathx"
 )
 
-// Params carries the public GQ parameters (n, e).
-type Params struct {
-	N *big.Int
-	E *big.Int
-
-	// mo is the parameter set's cached Montgomery context for N when the
-	// view came from ParamsFrom; nil otherwise.
-	mo *mathx.Modulus
-}
-
-// ParamsFrom extracts the public view of an RSA parameter set, carrying
-// its cached Montgomery context.
-func ParamsFrom(rp *mathx.RSAParams) Params {
-	return Params{N: rp.N, E: rp.E, mo: rp.Mont()}
-}
-
-// mont returns the Montgomery context for N: the cached one, or a fresh
-// one for a view built without ParamsFrom.
-func (pub Params) mont() (*mathx.Modulus, error) {
-	if pub.mo != nil {
-		return pub.mo, nil
-	}
-	return mathx.NewModulus(pub.N)
-}
-
 // PrivateKey is the ID-based secret S_ID = H(ID)^d delivered by the PKG.
 type PrivateKey struct {
 	ID  string
-	S   mathx.Scalar // S_ID, below N
-	Pub Params
+	S   mathx.Scalar     // S_ID, below N
+	Pub *mathx.RSAParams // the public view (N, e) of the PKG's set
 
-	// fixedBase caches the fixed-base comb table for S_ID, attached by
-	// Precompute. S_ID is exponentiated by a fresh challenge on every
+	// fixedBase caches the fixed-base comb table for S_ID, built on first
+	// use by table. S_ID is exponentiated by a fresh challenge on every
 	// response the member signs, so the table pays for itself after a
 	// handful of rounds. Published atomically because every machine built
-	// on the key attaches it, and may do so while another signs.
+	// on the key may sign concurrently.
 	fixedBase atomic.Pointer[mathx.FixedBaseTable]
 }
 
-// Precompute attaches a fixed-base table for S_ID covering challenge-
-// sized exponents, accelerating Respond (and hence Sign). Idempotent,
-// safe for concurrent use, and mathematically transparent: responses are
-// bit-identical to the naive computation.
-func (sk *PrivateKey) Precompute() *mathx.FixedBaseTable {
-	if sk == nil || sk.S.Order() == nil || sk.Pub.N == nil {
-		return nil
-	}
+// table returns the comb table of S_ID over N's Montgomery context for
+// challenge-sized exponents, building it on first use. A concurrent
+// first use may build a second table; only one is ever published.
+func (sk *PrivateKey) table() *mathx.FixedBaseTable {
 	if t := sk.fixedBase.Load(); t != nil {
 		return t
 	}
-	mo, err := sk.Pub.mont()
-	if err != nil {
-		return nil
-	}
-	t, err := mathx.NewFixedBaseTable(sk.S.BigVarTime(), mo, hashx.ChallengeBits)
+	t, err := mathx.NewFixedBaseTable(sk.S.BigVarTime(), sk.Pub.Mont(), hashx.ChallengeBits)
 	if err != nil {
 		return nil
 	}
@@ -116,7 +83,7 @@ func Extract(rp *mathx.RSAParams, id string) (*PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gq: extract: %w", err)
 	}
-	return &PrivateKey{ID: id, S: s, Pub: ParamsFrom(rp)}, nil
+	return &PrivateKey{ID: id, S: s, Pub: rp.Public()}, nil
 }
 
 // Commitment draws the per-signature randomness: τ ∈R [1, n-1] and its
@@ -124,13 +91,13 @@ func Extract(rp *mathx.RSAParams, id string) (*PrivateKey, error) {
 // broadcast in Round 1. τ is not tested for coprimality with n: for an
 // RSA modulus of two 512-bit primes a uniform τ is a non-unit with
 // probability below 2^-510, and the test would be a GCD on a secret.
-func Commitment(r io.Reader, pub Params) (tau mathx.Scalar, t *big.Int, err error) {
+func Commitment(r io.Reader, pub *mathx.RSAParams) (tau mathx.Scalar, t *big.Int, err error) {
 	if pub.E == nil || pub.E.Sign() < 0 {
 		return mathx.Scalar{}, nil, errors.New("gq: commitment: nil or negative public exponent")
 	}
-	mo, err := pub.mont()
-	if err != nil {
-		return mathx.Scalar{}, nil, fmt.Errorf("gq: commitment: %w", err)
+	mo := pub.Mont()
+	if mo == nil {
+		return mathx.Scalar{}, nil, errors.New("gq: commitment: modulus unusable")
 	}
 	tau, err = mathx.DrawScalar(r, pub.N)
 	if err != nil {
@@ -140,16 +107,11 @@ func Commitment(r io.Reader, pub Params) (tau mathx.Scalar, t *big.Int, err erro
 }
 
 // Respond computes the response s = τ·S_ID^c mod n for a previously drawn
-// commitment τ and an agreed challenge c, through the fixed-base table
-// when one has been precomputed. In the group protocol this is the s_i
-// broadcast in Round 2.
+// commitment τ and an agreed challenge c, as a walk of S_ID's comb table.
+// In the group protocol this is the s_i broadcast in Round 2. Respond is
+// defined on a key Extract returns.
 func (sk *PrivateKey) Respond(tau mathx.Scalar, c *big.Int) *big.Int {
-	if t := sk.fixedBase.Load(); t != nil {
-		return t.ExpMulScalar(c, tau)
-	}
-	s := new(big.Int).Exp(sk.S.BigVarTime(), c, sk.Pub.N)
-	s.Mul(s, tau.BigVarTime())
-	return s.Mod(s, sk.Pub.N)
+	return sk.table().ExpMulScalar(c, tau)
 }
 
 // Sign produces a standalone signature σ = (s, c) on msg, used by the
@@ -168,7 +130,7 @@ func (sk *PrivateKey) Sign(r io.Reader, msg []byte) (*Signature, error) {
 // is hashed and inverted once. A challenge longer than the challenge
 // hash is refused before any exponentiation, so a peer cannot buy CPU
 // with an oversized exponent.
-func Verify(pub Params, id string, msg []byte, sig *Signature) error {
+func Verify(pub *mathx.RSAParams, id string, msg []byte, sig *Signature) error {
 	if sig == nil {
 		return errors.New("gq: malformed signature")
 	}
@@ -211,7 +173,7 @@ const promoteAfter = 4
 // inverse, which turns that power into a table walk for every later
 // check. Safe for concurrent use once built.
 type GroupVerifier struct {
-	pub  Params
+	e    *big.Int // public exponent
 	mo   *mathx.Modulus
 	n    int      // signer count
 	hInv *big.Int // H^{-1} mod N, public
@@ -224,16 +186,16 @@ type GroupVerifier struct {
 }
 
 // NewGroupVerifier builds the verification context for a signer set.
-func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
+func NewGroupVerifier(pub *mathx.RSAParams, ids []string) (*GroupVerifier, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("gq: empty signer set")
 	}
 	if pub.E == nil || pub.E.Sign() < 0 {
 		return nil, errors.New("gq: nil or negative public exponent")
 	}
-	mo, err := pub.mont()
-	if err != nil {
-		return nil, err
+	mo := pub.Mont()
+	if mo == nil {
+		return nil, errors.New("gq: modulus unusable")
 	}
 	digests := make([]*big.Int, len(ids))
 	for i, id := range ids {
@@ -243,7 +205,7 @@ func NewGroupVerifier(pub Params, ids []string) (*GroupVerifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gq: identity product not invertible: %w", err)
 	}
-	return &GroupVerifier{pub: pub, mo: mo, n: len(ids), hInv: hInv}, nil
+	return &GroupVerifier{e: pub.E, mo: mo, n: len(ids), hInv: hInv}, nil
 }
 
 // table returns the fixed-base table of hInv, counting one more check
@@ -312,7 +274,7 @@ func (gv *GroupVerifier) commitment(packed mathx.Packed, c *big.Int) (*big.Int, 
 			return nil, fmt.Errorf("gq: response %d out of range", i)
 		}
 	}
-	lhs := mo.ExpElem(mo.ProductMontOf(packed), gv.pub.E)
+	lhs := mo.ExpElem(mo.ProductMontOf(packed), gv.e)
 	if tab := gv.table(); tab != nil {
 		return tab.ExpMul(c, mo.FromMont(lhs)), nil
 	}
@@ -352,7 +314,7 @@ type cachedVerifier struct {
 // identity hashing, the inversion and, once promoted, the fixed-base
 // table. A miss builds the verifier outside the cache lock; the cache
 // keeps the verifierCacheSize most recently used sets.
-func SharedVerifier(pub Params, ids []string) (*GroupVerifier, error) {
+func SharedVerifier(pub *mathx.RSAParams, ids []string) (*GroupVerifier, error) {
 	if pub.N == nil || pub.E == nil {
 		return NewGroupVerifier(pub, ids)
 	}
@@ -390,7 +352,7 @@ type verifierKey [sha256.Size]byte
 // keyOf digests (N, e, ids), every field length-prefixed, with N and e as
 // their little-endian words. The encoding is built in a stack buffer,
 // which a roster of up to a few dozen short identities fits.
-func keyOf(pub Params, ids []string) verifierKey {
+func keyOf(pub *mathx.RSAParams, ids []string) verifierKey {
 	var buf [1024]byte
 	b := buf[:0]
 	for _, v := range []*big.Int{pub.N, pub.E} {

@@ -26,12 +26,12 @@ func testKey(t testing.TB, id string) *PrivateKey {
 	return sk
 }
 
-// TestRedaction formats the comb table Precompute builds for S_ID with
+// TestRedaction formats the comb table Respond builds for S_ID with
 // every verb and placement and looks for S_ID and every Montgomery image
 // of it, whose words or limbs the table's entries hold.
 func TestRedaction(t *testing.T) {
 	sk := testKey(t, "redact-01")
-	redacttest.Check(t, "FixedBaseTable", sk.Precompute(), redacttest.Montgomery(sk.S.BigVarTime(), sk.Pub.N)...)
+	redacttest.Check(t, "FixedBaseTable", sk.table(), redacttest.Montgomery(sk.S.BigVarTime(), sk.Pub.N)...)
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -113,7 +113,7 @@ func TestExtractConsistency(t *testing.T) {
 // batchFixture builds one honest keying round for n signers: commitments,
 // the common challenge c = H(T, Z) and every response, as rounds 1-2 of
 // the protocol would.
-func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*big.Int, c, z *big.Int) {
+func batchFixture(t testing.TB, n int) (pub *mathx.RSAParams, ids []string, responses []*big.Int, c, z *big.Int) {
 	t.Helper()
 	ids = make([]string, n)
 	for i := range ids {
@@ -124,9 +124,9 @@ func batchFixture(t testing.TB, n int) (pub Params, ids []string, responses []*b
 }
 
 // batchRound is batchFixture for a given signer set.
-func batchRound(t testing.TB, ids []string) (pub Params, responses []*big.Int, c, z *big.Int) {
+func batchRound(t testing.TB, ids []string) (pub *mathx.RSAParams, responses []*big.Int, c, z *big.Int) {
 	t.Helper()
-	pub = ParamsFrom(params.Default().RSA)
+	pub = params.Default().RSA.Public()
 	n := len(ids)
 	taus := make([]mathx.Scalar, n)
 	ts := make([]*big.Int, n)
@@ -151,7 +151,7 @@ func batchRound(t testing.TB, ids []string) (pub Params, responses []*big.Int, c
 // nil challenge, a size mismatch or a response outside (0, n). It computes
 // negative challenges too (they then fail the hash check), so it is
 // independent of the core's range check.
-func refCommitment(pub Params, ids []string, responses []*big.Int, c *big.Int) *big.Int {
+func refCommitment(pub *mathx.RSAParams, ids []string, responses []*big.Int, c *big.Int) *big.Int {
 	if c == nil || len(ids) == 0 || len(ids) != len(responses) {
 		return nil
 	}
@@ -189,7 +189,7 @@ func TestBatchVerify(t *testing.T) {
 	}
 	var cases []tcase
 	// mutate adds the hostile variants of an honest case.
-	mutate := func(base tcase, pub Params) {
+	mutate := func(base tcase, pub *mathx.RSAParams) {
 		at := len(base.responses) / 2
 		with := func(name string, s, c *big.Int) tcase {
 			v := base
@@ -390,7 +390,7 @@ func TestNegativePublicExponentRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []*big.Int{nil, big.NewInt(-65537)} {
-		pub := Params{N: sk.Pub.N, E: e}
+		pub := &mathx.RSAParams{N: sk.Pub.N, E: e}
 		if _, _, err := Commitment(rand.Reader, pub); err == nil {
 			t.Errorf("Commitment accepted e = %v", e)
 		}
@@ -404,7 +404,7 @@ func TestNegativePublicExponentRejected(t *testing.T) {
 }
 
 func TestCommitmentInRange(t *testing.T) {
-	pub := ParamsFrom(params.Default().RSA)
+	pub := params.Default().RSA.Public()
 	for i := 0; i < 10; i++ {
 		tau, ti, err := Commitment(rand.Reader, pub)
 		if err != nil {
@@ -477,8 +477,9 @@ func TestGroupVerifierPromotion(t *testing.T) {
 				t.Fatalf("n=%d use %d: tabled = %v", n, use, tabled)
 			}
 		}
-		if tab := gv.tab.Load(); tab.MaxBits() != hashx.ChallengeBits {
-			t.Fatalf("table covers %d bits, want the %d-bit challenge", tab.MaxBits(), hashx.ChallengeBits)
+		top := new(big.Int).Lsh(mathx.One, hashx.ChallengeBits)
+		if tab := gv.tab.Load(); !tab.Covers(new(big.Int).Sub(top, mathx.One)) || tab.Covers(top) {
+			t.Fatalf("table does not cover exactly the %d-bit challenges", hashx.ChallengeBits)
 		}
 		if err := batchVerify(gv, responses, c, z); err != nil {
 			t.Fatalf("n=%d: tabled verifier rejected an honest batch: %v", n, err)
@@ -657,11 +658,11 @@ func TestSharedVerifierCacheBounded(t *testing.T) {
 	if same, _ := SharedVerifier(pub, ids); same != again {
 		t.Fatal("a cached set was rebuilt")
 	}
-	other := Params{N: new(big.Int).Add(pub.N, big.NewInt(2)), E: pub.E}
+	other := &mathx.RSAParams{N: new(big.Int).Add(pub.N, big.NewInt(2)), E: pub.E}
 	if gv, err := SharedVerifier(other, ids); err == nil && gv == again {
 		t.Fatal("two moduli share one cache entry")
 	}
-	if gv, _ := SharedVerifier(Params{N: pub.N, E: big.NewInt(3)}, ids); gv == again {
+	if gv, _ := SharedVerifier(&mathx.RSAParams{N: pub.N, E: big.NewInt(3)}, ids); gv == again {
 		t.Fatal("two public exponents share one cache entry")
 	}
 }
@@ -670,7 +671,7 @@ func TestSharedVerifierCacheBounded(t *testing.T) {
 // cached signer set allocates nothing, from one signer (gq.Verify) up to
 // a 32-member roster.
 func TestSharedVerifierHitAllocs(t *testing.T) {
-	pub := ParamsFrom(params.Default().RSA)
+	pub := params.Default().RSA.Public()
 	for _, n := range []int{1, 4, 32} {
 		ids := make([]string, n)
 		for i := range ids {
