@@ -14,8 +14,6 @@ import (
 	"idgka/internal/sigs/sok"
 )
 
-func newBig(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
-
 // SOKAuth authenticates BD with Sakai-Ohgishi-Kasahara ID-based
 // signatures: no certificates, but every verification costs three pairings
 // plus a MapToPoint.
@@ -59,57 +57,56 @@ func (a *SOKAuth) CheckCredential(string, []byte) error { return nil }
 // UsesMapToPoint implements Authenticator.
 func (a *SOKAuth) UsesMapToPoint() bool { return true }
 
-// ECDSAAuth authenticates BD with certificate-based ECDSA (secp160r1): the
-// cheapest per-verification baseline, but each member must ship, receive
-// and verify certificates.
-type ECDSAAuth struct {
-	kp     *ecdsa.KeyPair
+// certAuth authenticates BD with certificate-based signatures, 160-bit
+// ECDSA (secp160r1) or 1024-bit DSA: the cheapest per-verification
+// baselines, but each member must ship, receive and verify certificates.
+// NewECDSAIdentity and NewDSAIdentity fix its scheme through its key.
+type certAuth struct {
+	key    certKey
 	cert   *pki.Certificate
 	anchor *pki.TrustAnchor
 
 	mu    sync.Mutex
-	peers map[string]*ecdsa.KeyPair // verified peer keys
+	peers map[string]certKey // verified peer keys
 }
 
-// NewECDSAAuth builds the authenticator from the member's key pair, its
-// CA-issued certificate and the CA trust anchor.
-func NewECDSAAuth(kp *ecdsa.KeyPair, cert *pki.Certificate, anchor *pki.TrustAnchor) *ECDSAAuth {
-	return &ECDSAAuth{kp: kp, cert: cert, anchor: anchor, peers: map[string]*ecdsa.KeyPair{}}
+// certKey is a DSA or ECDSA key with its wire encodings: signatures as
+// two order-sized blocks, public keys as big-endian Y or a compressed
+// point.
+type certKey interface {
+	scheme() meter.Scheme
+	publicKey() []byte
+	sign(rnd io.Reader, msg []byte) ([]byte, error)
+	verify(msg, sig []byte) error
+	// peer parses a certified public key of the same scheme and group.
+	peer(pub []byte) (certKey, error)
 }
 
 // Scheme implements Authenticator.
-func (a *ECDSAAuth) Scheme() meter.Scheme { return meter.SchemeECDSA }
+func (a *certAuth) Scheme() meter.Scheme { return a.key.scheme() }
 
 // Sign implements Authenticator.
-func (a *ECDSAAuth) Sign(rnd io.Reader, msg []byte) ([]byte, error) {
-	sig, err := a.kp.Sign(rnd, msg)
-	if err != nil {
-		return nil, err
-	}
-	return sig.Encode(a.kp.Curve), nil
+func (a *certAuth) Sign(rnd io.Reader, msg []byte) ([]byte, error) {
+	return a.key.sign(rnd, msg)
 }
 
 // Verify implements Authenticator.
-func (a *ECDSAAuth) Verify(peerID string, msg, sigBytes []byte) error {
+func (a *certAuth) Verify(peerID string, msg, sig []byte) error {
 	a.mu.Lock()
 	peer := a.peers[peerID]
 	a.mu.Unlock()
 	if peer == nil {
 		return fmt.Errorf("baseline: no verified certificate for %s", peerID)
 	}
-	sig, err := ecdsa.Decode(sigBytes, peer.Curve)
-	if err != nil {
-		return err
-	}
-	return peer.Verify(msg, sig)
+	return peer.verify(msg, sig)
 }
 
 // Credential implements Authenticator.
-func (a *ECDSAAuth) Credential() []byte { return a.cert.Encode() }
+func (a *certAuth) Credential() []byte { return a.cert.Encode() }
 
 // CheckCredential implements Authenticator: verify the CA signature and
 // cache the bound public key.
-func (a *ECDSAAuth) CheckCredential(peerID string, cred []byte) error {
+func (a *certAuth) CheckCredential(peerID string, cred []byte) error {
 	cert, err := pki.DecodeCertificate(cred)
 	if err != nil {
 		return err
@@ -120,106 +117,94 @@ func (a *ECDSAAuth) CheckCredential(peerID string, cred []byte) error {
 	if err := a.anchor.VerifyCertificate(cert); err != nil {
 		return err
 	}
-	curve := a.kp.Curve
-	pt, err := curve.UnmarshalCompressed(cert.PublicKey)
+	peer, err := a.key.peer(cert.PublicKey)
 	if err != nil {
 		return err
 	}
 	a.mu.Lock()
-	a.peers[peerID] = &ecdsa.KeyPair{Curve: curve, Q: pt}
+	a.peers[peerID] = peer
 	a.mu.Unlock()
 	return nil
 }
 
 // UsesMapToPoint implements Authenticator.
-func (a *ECDSAAuth) UsesMapToPoint() bool { return false }
+func (a *certAuth) UsesMapToPoint() bool { return false }
+
+// newCertAuth has ca certify key for id.
+func newCertAuth(rnd io.Reader, id string, ca *pki.CA, key certKey) (Authenticator, error) {
+	cert, err := ca.Issue(rnd, id, key.publicKey())
+	if err != nil {
+		return nil, err
+	}
+	return &certAuth{key: key, cert: cert, anchor: ca.Anchor(), peers: map[string]certKey{}}, nil
+}
 
 // NewECDSAIdentity issues a key pair plus certificate for one member.
-func NewECDSAIdentity(rnd io.Reader, id string, curve *ec.Curve, ca *pki.CA) (*ECDSAAuth, error) {
+func NewECDSAIdentity(rnd io.Reader, id string, curve *ec.Curve, ca *pki.CA) (Authenticator, error) {
 	kp, err := ecdsa.GenerateKey(rnd, curve)
 	if err != nil {
 		return nil, err
 	}
-	cert, err := ca.Issue(rnd, id, curve.MarshalCompressed(kp.Q))
+	return newCertAuth(rnd, id, ca, ecdsaKey{kp})
+}
+
+// NewDSAIdentity issues a certificate for one member's key pair.
+func NewDSAIdentity(rnd io.Reader, id string, ca *pki.CA, kp *dsa.KeyPair) (Authenticator, error) {
+	return newCertAuth(rnd, id, ca, dsaKey{kp})
+}
+
+type ecdsaKey struct{ kp *ecdsa.KeyPair }
+
+func (k ecdsaKey) scheme() meter.Scheme { return meter.SchemeECDSA }
+
+func (k ecdsaKey) publicKey() []byte { return k.kp.Curve.MarshalCompressed(k.kp.Q) }
+
+func (k ecdsaKey) sign(rnd io.Reader, msg []byte) ([]byte, error) {
+	sig, err := k.kp.Sign(rnd, msg)
 	if err != nil {
 		return nil, err
 	}
-	return NewECDSAAuth(kp, cert, ca.Anchor()), nil
+	return sig.Encode(k.kp.Curve), nil
 }
 
-// DSAAuth authenticates BD with certificate-based 1024-bit DSA.
-type DSAAuth struct {
-	kp     *dsa.KeyPair
-	cert   *pki.Certificate
-	anchor *pki.TrustAnchor
-
-	mu    sync.Mutex
-	peers map[string]*dsa.KeyPair
+func (k ecdsaKey) verify(msg, sig []byte) error {
+	s, err := ecdsa.Decode(sig, k.kp.Curve)
+	if err != nil {
+		return err
+	}
+	return k.kp.Verify(msg, s)
 }
 
-// NewDSAAuth builds the authenticator from key pair, certificate and
-// anchor.
-func NewDSAAuth(kp *dsa.KeyPair, cert *pki.Certificate, anchor *pki.TrustAnchor) *DSAAuth {
-	return &DSAAuth{kp: kp, cert: cert, anchor: anchor, peers: map[string]*dsa.KeyPair{}}
-}
-
-// Scheme implements Authenticator.
-func (a *DSAAuth) Scheme() meter.Scheme { return meter.SchemeDSA }
-
-// Sign implements Authenticator.
-func (a *DSAAuth) Sign(rnd io.Reader, msg []byte) ([]byte, error) {
-	sig, err := a.kp.Sign(rnd, msg)
+func (k ecdsaKey) peer(pub []byte) (certKey, error) {
+	pt, err := k.kp.Curve.UnmarshalCompressed(pub)
 	if err != nil {
 		return nil, err
 	}
-	return sig.Encode(a.kp.Group.Q), nil
+	return ecdsaKey{&ecdsa.KeyPair{Curve: k.kp.Curve, Q: pt}}, nil
 }
 
-// Verify implements Authenticator.
-func (a *DSAAuth) Verify(peerID string, msg, sigBytes []byte) error {
-	a.mu.Lock()
-	peer := a.peers[peerID]
-	a.mu.Unlock()
-	if peer == nil {
-		return fmt.Errorf("baseline: no verified certificate for %s", peerID)
-	}
-	sig, err := dsa.Decode(sigBytes, peer.Group.Q)
-	if err != nil {
-		return err
-	}
-	return peer.Verify(msg, sig)
-}
+type dsaKey struct{ kp *dsa.KeyPair }
 
-// Credential implements Authenticator.
-func (a *DSAAuth) Credential() []byte { return a.cert.Encode() }
+func (k dsaKey) scheme() meter.Scheme { return meter.SchemeDSA }
 
-// CheckCredential implements Authenticator.
-func (a *DSAAuth) CheckCredential(peerID string, cred []byte) error {
-	cert, err := pki.DecodeCertificate(cred)
-	if err != nil {
-		return err
-	}
-	if cert.Subject != peerID {
-		return fmt.Errorf("baseline: certificate subject %q != sender %q", cert.Subject, peerID)
-	}
-	if err := a.anchor.VerifyCertificate(cert); err != nil {
-		return err
-	}
-	y := newBig(cert.PublicKey)
-	a.mu.Lock()
-	a.peers[peerID] = &dsa.KeyPair{Group: a.kp.Group, Y: y}
-	a.mu.Unlock()
-	return nil
-}
+func (k dsaKey) publicKey() []byte { return k.kp.Y.Bytes() }
 
-// UsesMapToPoint implements Authenticator.
-func (a *DSAAuth) UsesMapToPoint() bool { return false }
-
-// NewDSAIdentity issues a key pair plus certificate for one member.
-func NewDSAIdentity(rnd io.Reader, id string, ca *pki.CA, kp *dsa.KeyPair) (*DSAAuth, error) {
-	cert, err := ca.Issue(rnd, id, kp.Y.Bytes())
+func (k dsaKey) sign(rnd io.Reader, msg []byte) ([]byte, error) {
+	sig, err := k.kp.Sign(rnd, msg)
 	if err != nil {
 		return nil, err
 	}
-	return NewDSAAuth(kp, cert, ca.Anchor()), nil
+	return sig.Encode(k.kp.Group.Q), nil
+}
+
+func (k dsaKey) verify(msg, sig []byte) error {
+	s, err := dsa.Decode(sig, k.kp.Group.Q)
+	if err != nil {
+		return err
+	}
+	return k.kp.Verify(msg, s)
+}
+
+func (k dsaKey) peer(pub []byte) (certKey, error) {
+	return dsaKey{&dsa.KeyPair{Group: k.kp.Group, Y: new(big.Int).SetBytes(pub)}}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"idgka/internal/ec"
 	"idgka/internal/meter"
 	"idgka/internal/netsim"
-	"idgka/internal/pairing"
 	"idgka/internal/params"
 	"idgka/internal/pki"
 	"idgka/internal/sigs/dsa"
@@ -218,7 +217,7 @@ func TestBDRejectsForeignCertificate(t *testing.T) {
 			t.Fatal(err)
 		}
 		// All participants trust only the legitimate CA.
-		auth.anchor = ca.Anchor()
+		auth.(*certAuth).anchor = ca.Anchor()
 		m := meter.New()
 		p, _ := NewParticipant(id, params.Default().Public(), auth, m, nil)
 		_ = net.Register(id, m)
@@ -326,6 +325,4 @@ func TestSSNNeedsTwo(t *testing.T) {
 }
 
 var _ Authenticator = (*SOKAuth)(nil)
-var _ Authenticator = (*ECDSAAuth)(nil)
-var _ Authenticator = (*DSAAuth)(nil)
-var _ = pairing.Infinity // keep the import referenced via interface checks
+var _ Authenticator = (*certAuth)(nil)

@@ -3,9 +3,11 @@
 // double-and-add scalar multiplication, point validation and compressed
 // encoding.
 //
-// It exists to support the paper's certificate-based ECDSA baseline at the
-// paper's own parameter size — secp160r1, the "160-bit ECDSA" of Table 1 —
-// plus P-256 for modern-size comparisons. The package is constant-time-
+// It is the one elliptic-curve group law of the repository. It carries the
+// paper's certificate-based ECDSA baseline at the paper's own parameter
+// size — secp160r1, the "160-bit ECDSA" of Table 1 — plus P-256 for
+// modern-size comparisons, and the supersingular curve y² = x³ + x under
+// internal/pairing (the BD+SOK baseline). The package is constant-time-
 // agnostic: this repository's threat model is protocol evaluation, not
 // side-channel resistance, and the energy analysis only needs functional
 // correctness and operation counts.
@@ -21,7 +23,7 @@ import (
 )
 
 // Curve describes y² = x³ + ax + b over F_p with a base point G of prime
-// order N (cofactor 1 for both embedded curves).
+// order N.
 type Curve struct {
 	Name   string
 	P      *big.Int // field prime
@@ -104,9 +106,8 @@ func (c *Curve) fromJac(j jacPoint) Point {
 	return Point{X: x, Y: y}
 }
 
-// jacDouble implements dbl-2007-bl for general a (we keep the generic
-// formula; both embedded curves use a = -3 but correctness matters more
-// than the 1-mul saving here).
+// jacDouble implements dbl-2007-bl for general a (secp160r1 and P-256 use
+// a = -3, the pairing curve a = 1; one formula serves all three).
 func (c *Curve) jacDouble(p jacPoint) jacPoint {
 	if p.z.Sign() == 0 || p.y.Sign() == 0 {
 		return jacPoint{x: big.NewInt(1), y: big.NewInt(1), z: big.NewInt(0)}
@@ -234,20 +235,22 @@ func (c *Curve) Neg(p Point) Point {
 }
 
 // ScalarMult returns k*p using left-to-right double-and-add in Jacobian
-// coordinates.
+// coordinates. k is taken as given, not reduced mod N: N·p = ∞ is what
+// Validate and a subgroup check test, and a cofactor multiplier exceeds N.
+// A negative k multiplies -p by |k|.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	if k.Sign() == 0 || p.IsInfinity() {
 		return Infinity()
 	}
-	kk := new(big.Int).Mod(k, c.N)
-	if kk.Sign() == 0 {
-		return Infinity()
+	if k.Sign() < 0 {
+		k = new(big.Int).Neg(k)
+		p = c.Neg(p)
 	}
 	base := c.toJac(p)
 	acc := jacPoint{x: big.NewInt(1), y: big.NewInt(1), z: big.NewInt(0)}
-	for i := kk.BitLen() - 1; i >= 0; i-- {
+	for i := k.BitLen() - 1; i >= 0; i-- {
 		acc = c.jacDouble(acc)
-		if kk.Bit(i) == 1 {
+		if k.Bit(i) == 1 {
 			acc = c.jacAdd(acc, base)
 		}
 	}

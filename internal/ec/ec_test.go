@@ -6,15 +6,36 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"idgka/internal/params"
 )
 
-func curves() []*Curve { return []*Curve{Secp160r1(), P256()} }
+// curves returns the embedded curves plus internal/pairing's supersingular
+// curve y² = x³ + x, whose base point has order q and cofactor (p+1)/q.
+func curves() []*Curve {
+	pp := params.Default().Pairing
+	ss := &Curve{Name: "supersingular", P: pp.P, A: big.NewInt(1), B: big.NewInt(0), Gx: pp.Gx, Gy: pp.Gy, N: pp.Q}
+	return []*Curve{Secp160r1(), P256(), ss}
+}
 
 func TestCurveParamsValidate(t *testing.T) {
 	for _, c := range curves() {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
+	}
+}
+
+// TestValidateRejectsWrongOrder gives secp160r1 a prime N that is not its
+// base point's order: Validate must see N·G ≠ ∞.
+func TestValidateRejectsWrongOrder(t *testing.T) {
+	c := *Secp160r1()
+	c.N = new(big.Int).Add(c.N, big.NewInt(2))
+	for !c.N.ProbablyPrime(20) {
+		c.N.Add(c.N, big.NewInt(2))
+	}
+	if err := c.Validate(); err == nil {
+		t.Fatal("a wrong prime order passed Validate")
 	}
 }
 
@@ -105,6 +126,14 @@ func TestScalarMultEdgeCases(t *testing.T) {
 		nm1 := new(big.Int).Sub(c.N, big.NewInt(1))
 		if !c.ScalarMult(g, nm1).Equal(c.Neg(g)) {
 			t.Fatalf("%s: (n-1)*G != -G", c.Name)
+		}
+		np1 := new(big.Int).Add(c.N, big.NewInt(1))
+		if !c.ScalarMult(g, np1).Equal(g) {
+			t.Fatalf("%s: (n+1)*G != G", c.Name)
+		}
+		k := big.NewInt(-12345)
+		if !c.ScalarMult(g, k).Equal(c.Neg(c.ScalarMult(g, big.NewInt(12345)))) {
+			t.Fatalf("%s: (-k)*G != -(k*G)", c.Name)
 		}
 	}
 }

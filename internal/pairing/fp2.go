@@ -14,6 +14,11 @@
 // computed with Miller's algorithm plus BKLS denominator elimination
 // (vertical lines take values in F_p, which the final exponentiation
 // kills because (p-1) | (p²-1)/q).
+//
+// The group law on E is internal/ec's: Group embeds an ec.Curve with
+// a = 1, b = 0 and N = q, and points are ec.Points. The one piece of
+// curve arithmetic here is the Miller loop's step, kept affine because
+// its line evaluations need the chord/tangent slope.
 package pairing
 
 import (

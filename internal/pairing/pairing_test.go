@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"idgka/internal/ec"
 	"idgka/internal/params"
 )
 
@@ -27,36 +28,6 @@ func testGroup(t testing.TB) *Group {
 	return tg
 }
 
-func TestGroupLawBasics(t *testing.T) {
-	g := testGroup(t)
-	gen := g.Generator()
-	if !g.IsOnCurve(gen) {
-		t.Fatal("generator off curve")
-	}
-	if !g.Add(gen, Infinity()).Equal(gen) {
-		t.Fatal("G + O != G")
-	}
-	if !g.Add(gen, g.Neg(gen)).IsInfinity() {
-		t.Fatal("G + (-G) != O")
-	}
-	p2 := g.Add(gen, gen)
-	p3a := g.Add(p2, gen)
-	p3b := g.ScalarMult(gen, big.NewInt(3))
-	if !p3a.Equal(p3b) {
-		t.Fatal("2G + G != 3G")
-	}
-}
-
-func TestGeneratorOrder(t *testing.T) {
-	g := testGroup(t)
-	if !g.ScalarBaseMult(g.Order()).IsInfinity() {
-		t.Fatal("q*G != O")
-	}
-	if g.ScalarBaseMult(big.NewInt(1)).IsInfinity() {
-		t.Fatal("1*G = O")
-	}
-}
-
 func TestPairNonDegenerate(t *testing.T) {
 	g := testGroup(t)
 	e, err := g.Pair(g.Generator(), g.Generator())
@@ -70,7 +41,7 @@ func TestPairNonDegenerate(t *testing.T) {
 	if !g.Exp(e, big.NewInt(0)).IsOne() { // e^0 = 1 sanity
 		t.Fatal("exp identity broken")
 	}
-	eq := g.ctx.exp(e.v, g.Order())
+	eq := g.ctx.exp(e.v, g.N)
 	if !eq.IsOne() {
 		t.Fatal("pairing output does not have order dividing q")
 	}
@@ -99,7 +70,7 @@ func TestPairBilinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab := new(big.Int).Mul(a, b)
-	ab.Mod(ab, g.Order())
+	ab.Mod(ab, g.N)
 	want := g.Exp(base, ab)
 	if !eAB.Equal(want) {
 		t.Fatal("ê(aP, bP) != ê(P, P)^(ab)")
@@ -167,11 +138,11 @@ func TestPairProductRelation(t *testing.T) {
 
 func TestPairInfinityIsOne(t *testing.T) {
 	g := testGroup(t)
-	e, err := g.Pair(Infinity(), g.Generator())
+	e, err := g.Pair(ec.Infinity(), g.Generator())
 	if err != nil || !e.IsOne() {
 		t.Fatal("ê(O, G) should be 1")
 	}
-	e, err = g.Pair(g.Generator(), Infinity())
+	e, err = g.Pair(g.Generator(), ec.Infinity())
 	if err != nil || !e.IsOne() {
 		t.Fatal("ê(G, O) should be 1")
 	}
@@ -179,7 +150,7 @@ func TestPairInfinityIsOne(t *testing.T) {
 
 func TestPairRejectsOffCurve(t *testing.T) {
 	g := testGroup(t)
-	bad := Point{X: big.NewInt(1), Y: big.NewInt(1)}
+	bad := ec.Point{X: big.NewInt(1), Y: big.NewInt(1)}
 	if g.IsOnCurve(bad) {
 		t.Skip("surprisingly on curve")
 	}
@@ -235,7 +206,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 	// Infinity.
-	inf, err := g.Unmarshal(g.Marshal(Infinity()))
+	inf, err := g.Unmarshal(g.Marshal(ec.Infinity()))
 	if err != nil || !inf.IsInfinity() {
 		t.Fatal("infinity round trip failed")
 	}
@@ -264,7 +235,7 @@ func TestGTBytesStable(t *testing.T) {
 	e, _ := g.Pair(g.Generator(), g.Generator())
 	b1 := e.Bytes()
 	b2 := e.Bytes()
-	if len(b1) != 2*((g.Params().P.BitLen()+7)/8) {
+	if len(b1) != 2*((g.P.BitLen()+7)/8) {
 		t.Fatalf("GT encoding length %d", len(b1))
 	}
 	if string(b1) != string(b2) {

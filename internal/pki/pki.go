@@ -130,16 +130,14 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 	return c, nil
 }
 
-// CA issues and verifies certificates using either DSA or ECDSA.
+// CA issues certificates under one signing key, DSA or ECDSA; NewDSACA
+// and NewECDSACA fix which.
 type CA struct {
 	ID     string
 	Scheme CertScheme
 
-	group  *mathx.SchnorrGroup // DSA
-	dsaKey *dsa.KeyPair
-
-	curve *ec.Curve // ECDSA
-	ecKey *ecdsa.KeyPair
+	sign   func(rnd io.Reader, tbs []byte) ([]byte, error) // encoded signature
+	verify func(tbs, sig []byte) error                     // the public half
 
 	serial uint64
 }
@@ -150,7 +148,25 @@ func NewDSACA(rnd io.Reader, id string, g *mathx.SchnorrGroup) (*CA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CA{ID: id, Scheme: CertDSA, group: g, dsaKey: kp}, nil
+	pub := kp.PublicOnly()
+	return &CA{
+		ID:     id,
+		Scheme: CertDSA,
+		sign: func(rnd io.Reader, tbs []byte) ([]byte, error) {
+			sig, err := kp.Sign(rnd, tbs)
+			if err != nil {
+				return nil, err
+			}
+			return sig.Encode(g.Q), nil
+		},
+		verify: func(tbs, sig []byte) error {
+			s, err := dsa.Decode(sig, g.Q)
+			if err != nil {
+				return err
+			}
+			return pub.Verify(tbs, s)
+		},
+	}, nil
 }
 
 // NewECDSACA creates an ECDSA certificate authority on the curve.
@@ -159,7 +175,25 @@ func NewECDSACA(rnd io.Reader, id string, c *ec.Curve) (*CA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CA{ID: id, Scheme: CertECDSA, curve: c, ecKey: kp}, nil
+	pub := kp.PublicOnly()
+	return &CA{
+		ID:     id,
+		Scheme: CertECDSA,
+		sign: func(rnd io.Reader, tbs []byte) ([]byte, error) {
+			sig, err := kp.Sign(rnd, tbs)
+			if err != nil {
+				return nil, err
+			}
+			return sig.Encode(c), nil
+		},
+		verify: func(tbs, sig []byte) error {
+			s, err := ecdsa.Decode(sig, c)
+			if err != nil {
+				return err
+			}
+			return pub.Verify(tbs, s)
+		},
+	}, nil
 }
 
 // Issue signs a certificate binding subject to the encoded public key. The
@@ -177,22 +211,11 @@ func (ca *CA) Issue(rnd io.Reader, subject string, publicKey []byte) (*Certifica
 		Issuer:    ca.ID,
 		Serial:    ca.serial,
 	}
-	switch ca.Scheme {
-	case CertDSA:
-		sig, err := ca.dsaKey.Sign(rnd, cert.tbs())
-		if err != nil {
-			return nil, err
-		}
-		cert.Signature = sig.Encode(ca.group.Q)
-	case CertECDSA:
-		sig, err := ca.ecKey.Sign(rnd, cert.tbs())
-		if err != nil {
-			return nil, err
-		}
-		cert.Signature = sig.Encode(ca.curve)
-	default:
-		return nil, fmt.Errorf("pki: unknown scheme %q", ca.Scheme)
+	sig, err := ca.sign(rnd, cert.tbs())
+	if err != nil {
+		return nil, err
 	}
+	cert.Signature = sig
 	return cert, nil
 }
 
@@ -201,22 +224,12 @@ func (ca *CA) Issue(rnd io.Reader, subject string, publicKey []byte) (*Certifica
 type TrustAnchor struct {
 	CAID   string
 	Scheme CertScheme
-	group  *mathx.SchnorrGroup
-	dsaPub *dsa.KeyPair
-	curve  *ec.Curve
-	ecPub  *ecdsa.KeyPair
+	verify func(tbs, sig []byte) error
 }
 
 // Anchor exports the CA's public verification material.
 func (ca *CA) Anchor() *TrustAnchor {
-	a := &TrustAnchor{CAID: ca.ID, Scheme: ca.Scheme, group: ca.group, curve: ca.curve}
-	if ca.dsaKey != nil {
-		a.dsaPub = ca.dsaKey.PublicOnly()
-	}
-	if ca.ecKey != nil {
-		a.ecPub = ca.ecKey.PublicOnly()
-	}
-	return a
+	return &TrustAnchor{CAID: ca.ID, Scheme: ca.Scheme, verify: ca.verify}
 }
 
 // VerifyCertificate checks the CA signature and issuer binding.
@@ -230,19 +243,5 @@ func (a *TrustAnchor) VerifyCertificate(cert *Certificate) error {
 	if cert.Scheme != a.Scheme {
 		return fmt.Errorf("pki: certificate scheme %q does not match anchor %q", cert.Scheme, a.Scheme)
 	}
-	switch a.Scheme {
-	case CertDSA:
-		sig, err := dsa.Decode(cert.Signature, a.group.Q)
-		if err != nil {
-			return err
-		}
-		return a.dsaPub.Verify(cert.tbs(), sig)
-	case CertECDSA:
-		sig, err := ecdsa.Decode(cert.Signature, a.curve)
-		if err != nil {
-			return err
-		}
-		return a.ecPub.Verify(cert.tbs(), sig)
-	}
-	return fmt.Errorf("pki: unknown scheme %q", a.Scheme)
+	return a.verify(cert.tbs(), cert.Signature)
 }

@@ -283,18 +283,24 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 	}
 	t0 := time.Now()
 	out := soakOp{class: class}
+	// stage runs one stage of the operation: register its roster on the
+	// loopback, start one flow per member and settle them. It marks out
+	// shed or failed and reports whether the stage completed.
+	stage := func(sid string, members []string, start func(mb *idgka.Member, id string) (*idgka.Session, error)) bool {
+		lb.addRoster(sid, members)
+		runs, shed, err := startSoakGroup(host, sid, members, start)
+		if shed {
+			out.shed = true
+		} else if err != nil || settleSoak(runs, budget) != nil {
+			out.failed = true
+		}
+		return !out.shed && !out.failed
+	}
 
 	sidEst := fmt.Sprintf("soak/op%06d/est", g)
-	lb.addRoster(sidEst, roster)
-	est, shed, err := startSoakGroup(host, sidEst, roster, func(mb *idgka.Member) (*idgka.Session, error) {
+	if !stage(sidEst, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
 		return mb.NewSession(sidEst, roster)
-	})
-	if shed {
-		out.shed = true
-		return out
-	}
-	if err != nil || settleSoak(est, budget) != nil {
-		out.failed = true
+	}) {
 		return out
 	}
 
@@ -302,38 +308,19 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 	case "rekey":
 		sid := fmt.Sprintf("soak/op%06d/leave", g)
 		evict := roster[size-1]
-		survivors := roster[:size-1]
-		lb.addRoster(sid, survivors)
-		runs, shed, err := startSoakGroup(host, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
+		stage(sid, roster[:size-1], func(mb *idgka.Member, _ string) (*idgka.Session, error) {
 			return mb.LeaveSession(sid, sidEst, []string{evict})
 		})
-		if shed {
-			out.shed = true
-			return out
-		}
-		if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
-			return out
-		}
 	case "join":
 		joiner := ids[(g+size)%pool]
 		sid := fmt.Sprintf("soak/op%06d/join", g)
 		grown := append(append([]string(nil), roster...), joiner)
-		lb.addRoster(sid, grown)
-		runs, shed, err := startSoakGroupBy(host, sid, grown, func(mb *idgka.Member, id string) (*idgka.Session, error) {
+		stage(sid, grown, func(mb *idgka.Member, id string) (*idgka.Session, error) {
 			if id == joiner {
 				return mb.JoinSession(sid, "", roster, joiner)
 			}
 			return mb.JoinSession(sid, sidEst, nil, joiner)
 		})
-		if shed {
-			out.shed = true
-			return out
-		}
-		if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
-			return out
-		}
 	case "crash":
 		victim := roster[size-1]
 		survivors := roster[:size-1]
@@ -343,19 +330,12 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 			_ = host.Deliver(id, idgka.PeerDownPacket(victim))
 		}
 		sid := fmt.Sprintf("soak/op%06d/evict", g)
-		lb.addRoster(sid, survivors)
-		runs, shed, err := startSoakGroup(host, sid, survivors, func(mb *idgka.Member) (*idgka.Session, error) {
+		stage(sid, survivors, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
 			return mb.LeaveSession(sid, sidEst, []string{victim})
 		})
-		if shed {
-			out.shed = true
-			return out
-		}
-		if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
-			return out
-		}
 	}
+	// elapsed counts only for a completed operation; a shed or failed one
+	// carries none into the report.
 	out.elapsed = time.Since(t0)
 	return out
 }
@@ -364,13 +344,6 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 // ErrOverloaded from any member sheds the whole group: runs already
 // started are cancelled and shed=true returns with no live state.
 func startSoakGroup(host *Host, sid string, roster []string,
-	start func(mb *idgka.Member) (*idgka.Session, error)) (runs []*Run, shed bool, err error) {
-	return startSoakGroupBy(host, sid, roster, func(mb *idgka.Member, _ string) (*idgka.Session, error) {
-		return start(mb)
-	})
-}
-
-func startSoakGroupBy(host *Host, sid string, roster []string,
 	start func(mb *idgka.Member, id string) (*idgka.Session, error)) (runs []*Run, shed bool, err error) {
 	for _, id := range roster {
 		id := id

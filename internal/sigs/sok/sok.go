@@ -23,6 +23,7 @@ import (
 	"io"
 	"math/big"
 
+	"idgka/internal/ec"
 	"idgka/internal/hashx"
 	"idgka/internal/mathx"
 	"idgka/internal/pairing"
@@ -31,7 +32,7 @@ import (
 // SystemParams carries the public SOK parameters shared by all users.
 type SystemParams struct {
 	Group *pairing.Group
-	PPub  pairing.Point // master public key s·G
+	PPub  ec.Point // master public key s·G
 }
 
 // PKG is the SOK private key generator holding the master secret.
@@ -42,7 +43,7 @@ type PKG struct {
 
 // NewPKG draws a master key pair over the group.
 func NewPKG(r io.Reader, g *pairing.Group) (*PKG, error) {
-	s, err := mathx.DrawScalar(r, g.Order())
+	s, err := mathx.DrawScalar(r, g.N)
 	if err != nil {
 		return nil, fmt.Errorf("sok: master key: %w", err)
 	}
@@ -57,7 +58,7 @@ type PrivateKey struct {
 	ID string
 	// d is D_ID, a curve point rather than a Scalar: unexported and
 	// behind a pointer, so fmt shows none of its coordinates.
-	d      *pairing.Point
+	d      *ec.Point
 	Params SystemParams
 }
 
@@ -77,7 +78,7 @@ func (p *PKG) Extract(id string) (*PrivateKey, error) {
 
 // Signature is the SOK pair (U, V) of group elements.
 type Signature struct {
-	U, V pairing.Point
+	U, V ec.Point
 }
 
 // Sign produces σ = (U, V) on msg.
@@ -90,7 +91,7 @@ func (sk *PrivateKey) Sign(rnd io.Reader, msg []byte) (*Signature, error) {
 	u := g.ScalarBaseMult(r)
 	h := challenge(g, sk.ID, msg, u)
 	rh := new(big.Int).Mul(r, h)
-	rh.Mod(rh, g.Order())
+	rh.Mod(rh, g.N)
 	v := g.Add(*sk.d, g.ScalarBaseMult(rh))
 	return &Signature{U: u, V: v}, nil
 }
@@ -132,8 +133,8 @@ func Verify(p SystemParams, id string, msg []byte, sig *Signature) error {
 }
 
 // challenge computes h = H2(ID, m, U) ∈ Z_q.
-func challenge(g *pairing.Group, id string, msg []byte, u pairing.Point) *big.Int {
-	return hashx.ScalarDigest(hashx.TagSOKDigest, g.Order(), []byte(id), msg, g.Marshal(u))
+func challenge(g *pairing.Group, id string, msg []byte, u ec.Point) *big.Int {
+	return hashx.ScalarDigest(hashx.TagSOKDigest, g.N, []byte(id), msg, g.Marshal(u))
 }
 
 // Encode serialises the signature as U || V (uncompressed points).
@@ -145,7 +146,7 @@ func (s *Signature) Encode(g *pairing.Group) []byte {
 
 // Decode parses a signature produced by Encode.
 func Decode(g *pairing.Group, data []byte) (*Signature, error) {
-	bl := 2 * ((g.Params().P.BitLen() + 7) / 8)
+	bl := 2 * ((g.P.BitLen() + 7) / 8)
 	if len(data) != 2*bl {
 		return nil, fmt.Errorf("sok: bad signature length %d", len(data))
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"idgka/internal/ec"
 	"idgka/internal/pairing"
 	"idgka/internal/params"
 	"idgka/internal/redacttest"
@@ -82,7 +83,7 @@ func TestVerifyRejectsNilAndOffCurve(t *testing.T) {
 	}
 	sk, _ := p.Extract("alice")
 	sig, _ := sk.Sign(rand.Reader, []byte("m"))
-	bad := &Signature{U: pairing.Infinity(), V: sig.V}
+	bad := &Signature{U: ec.Infinity(), V: sig.V}
 	// Infinity is technically in the subgroup; ensure verification fails
 	// rather than panics.
 	if err := Verify(p.Params, "alice", []byte("m"), bad); err == nil {
