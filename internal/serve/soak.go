@@ -284,17 +284,17 @@ func runSoakOp(host *Host, lb *loopback, ids []string, size, g int, class string
 	t0 := time.Now()
 	out := soakOp{class: class}
 	// stage runs one stage of the operation: register its roster on the
-	// loopback, start one flow per member and settle them. It marks out
-	// shed or failed and reports whether the stage completed.
+	// loopback, start one flow per member, then wait for every run and
+	// check the group agreed on one non-nil key. It marks out shed or
+	// failed and reports whether the stage completed.
 	stage := func(sid string, members []string, start func(mb *idgka.Member, id string) (*idgka.Session, error)) bool {
 		lb.addRoster(sid, members)
 		runs, shed, err := startSoakGroup(host, sid, members, start)
-		if shed {
-			out.shed = true
-		} else if err != nil || settleSoak(runs, budget) != nil {
-			out.failed = true
+		if !shed && err == nil {
+			_, err = SettleGroups("soak", [][]*Run{runs}, budget)
 		}
-		return !out.shed && !out.failed
+		out.shed, out.failed = shed, err != nil
+		return !shed && err == nil
 	}
 
 	sidEst := fmt.Sprintf("soak/op%06d/est", g)
@@ -362,13 +362,6 @@ func startSoakGroup(host *Host, sid string, roster []string,
 		runs = append(runs, r)
 	}
 	return runs, false, nil
-}
-
-// settleSoak waits for every run of one admitted operation stage and
-// checks the group agreed on one non-nil key.
-func settleSoak(runs []*Run, budget time.Duration) error {
-	_, err := SettleGroups("soak", [][]*Run{runs}, budget)
-	return err
 }
 
 // exactQuantileMS computes the q-quantile of ds exactly (nearest-rank on
